@@ -137,32 +137,19 @@ class CrossedProduct:
             return self.base.multiply(x, y)
         cx = self.invariant_components(x)
         cy = self.invariant_components(y)
-        op = self.group.op
+        merge = self.base._merge
+        pref = self.base._prefactor(k)
         acc: dict[Label, RadicalScalar] = {}
-
-        def add_orbit_sum(label: Label, c: RadicalScalar) -> None:
-            for t in range(self.theta_order):
-                moved = self.action.apply_tuple(t, label)
-                acc[moved] = acc.get(moved, ZERO) + c
-
-        if k == 2:
-            for (g,), a in cx.items():
-                for (h,), b in cy.items():
-                    ab = a * b
-                    for t in range(self.theta_order):
-                        add_orbit_sum((op(g, self.action.apply(t, h)),), ab)
-            return PAElement(k, acc)
-        m = (k + 1) // 2
-        pref = pow_half(len(self.group), m - 1)
         for gbar, a in cx.items():
             for hbar, b in cy.items():
                 weight = a * b * pref
-                h1 = hbar[0]
                 for t in range(self.theta_order):
-                    tg = self.action.apply_tuple(t, gbar)
-                    if all(op(h1, tg[k - i]) == hbar[i - 1] for i in range(2, m + 1)):
-                        merged = tuple(op(h1, tg[j]) for j in range(m)) + hbar[m:]
-                        add_orbit_sum(merged, weight)
+                    merged = merge(k, self.action.apply_tuple(t, gbar), hbar)
+                    if merged is None:
+                        continue
+                    for s in range(self.theta_order):
+                        moved = self.action.apply_tuple(s, merged)
+                        acc[moved] = acc.get(moved, ZERO) + weight
         return PAElement(k, acc)
 
     # ------------------------------------------------------------------
@@ -218,34 +205,25 @@ class CrossedProduct:
     def twist_multiply(self, colour: int, gbar: Sequence[int], hbar: Sequence[int]) -> PAElement:
         """Product of two twist sums by the closed formula, fully expanded.
 
-        The colour-2 product carries the prefactor |Theta| and no delta
-        constraints; higher colours follow the general merged-label formula.
+        Every colour follows the merged-label rule of the acted-on group's
+        algebra; at colour 2 it has no constraints and the prefactor is
+        |Theta|.
         """
         if colour < 2:
             raise AlgebraError("the twist product needs colour >= 2")
         gbar = tuple(gbar)
         hbar = tuple(hbar)
-        op = self.group.op
-        out = self.product.zero(colour)
-        if colour == 2:
-            (g,) = gbar
-            (h,) = hbar
-            for t in range(self.theta_order):
-                term = self.twist_sum(2, (op(g, self.action.apply(t, h)),))
-                out = out + term.scale(Fraction(self.theta_order))
-            return out
         k = colour
         m = (k + 1) // 2
         pref = (
-            pow_half(len(self.group), m - 1)
+            self.base._prefactor(k)
             * pow_half(self.theta_order, m - 1)
             * Fraction(self.theta_order ** (k // 2))
         )
-        h1 = hbar[0]
+        out = self.product.zero(k)
         for t in range(self.theta_order):
-            tg = self.action.apply_tuple(t, gbar)
-            if all(op(h1, tg[k - i]) == hbar[i - 1] for i in range(2, m + 1)):
-                merged = tuple(op(h1, tg[j]) for j in range(m)) + hbar[m:]
+            merged = self.base._merge(k, self.action.apply_tuple(t, gbar), hbar)
+            if merged is not None:
                 out = out + self.twist_sum(k, merged).scale(pref)
         return out
 

@@ -5,6 +5,12 @@ over group elements, with the empty label spanning colours 0 and 1.  The
 closed-loop value is the square root of the group order.  Products,
 star, trace, and the generator-tangle actions all follow the basis
 formulas pinned down by scripts/solve_base_constants.py.
+
+Every basis product goes through one label rule, :meth:`GroupPlanarAlgebra._merge`,
+and every nonzero basis product at a colour carries the same prefactor,
+:meth:`GroupPlanarAlgebra._prefactor`.  ``multiply`` therefore sums the
+coefficient products per merged label and scales each output coefficient
+once.
 """
 
 from __future__ import annotations
@@ -208,33 +214,50 @@ class GroupPlanarAlgebra:
 
     # --- ring structure --------------------------------------------------
 
+    def _merge(self, colour: int, g: Label, h: Label) -> Label | None:
+        """The label of the basis product S(g) S(h), or None when it vanishes.
+
+        Colours 0 and 1 have only the empty label and colour 2 is the group
+        ring.  From colour 3 on, with ``m = (colour + 1) // 2``, the product
+        is nonzero exactly when ``h[i-1] == h[0]*g[colour-i]`` for
+        ``i = 2..m``, and its label is ``(h[0]*g[0], ..., h[0]*g[m-1])``
+        followed by ``h[m:]``.
+        """
+        if colour <= 1:
+            return ()
+        table = self.group.table
+        if colour == 2:
+            return (table[g[0]][h[0]],)
+        m = (colour + 1) // 2
+        row = table[h[0]]
+        for i in range(2, m + 1):
+            if row[g[colour - i]] != h[i - 1]:
+                return None
+        return tuple(row[g[j]] for j in range(m)) + h[m:]
+
+    def _prefactor(self, colour: int) -> RadicalScalar:
+        """The scalar ``sqrt(n)^(m-1)`` of every nonzero basis product at a colour."""
+        return pow_half(self.group.order, max((colour + 1) // 2 - 1, 0))
+
     def _basis_product(self, colour: int, g: Label, h: Label):
         """(coefficient, label) for a product of basis symbols, or None."""
-        n = self.group.order
-        op = self.group.op
-        if colour <= 1:
-            return ONE, ()
-        if colour == 2:
-            return ONE, (op(g[0], h[0]),)
-        m = (colour + 1) // 2
-        for i in range(2, m + 1):
-            if op(h[0], g[colour - i]) != h[i - 1]:
-                return None
-        coeff = pow_half(n, m - 1)
-        label = tuple(op(h[0], g[j]) for j in range(m)) + h[m : colour - 1]
-        return coeff, label
+        label = self._merge(colour, g, h)
+        if label is None:
+            return None
+        return self._prefactor(colour), label
 
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
         x._check_compatible(y)
+        colour = x.colour
+        merge = self._merge
         out: dict[Label, RadicalScalar] = {}
         for g, cg in x.coeffs.items():
             for h, ch in y.coeffs.items():
-                r = self._basis_product(x.colour, g, h)
-                if r is None:
-                    continue
-                c, lab = r
-                out[lab] = out.get(lab, ZERO) + cg * ch * c
-        return PAElement(x.colour, out, x.shaded)
+                lab = merge(colour, g, h)
+                if lab is not None:
+                    out[lab] = out.get(lab, ZERO) + cg * ch
+        pref = self._prefactor(colour)
+        return PAElement(colour, {lab: c * pref for lab, c in out.items()}, x.shaded)
 
     def star(self, x: PAElement) -> PAElement:
         inv = self.group.inv

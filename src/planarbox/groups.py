@@ -146,20 +146,45 @@ def group_from_permutations(perms: Sequence[Sequence[int]], degree: int) -> Fini
     return FiniteGroup(table)
 
 
+def _index_list(value, what: str) -> Sequence[int]:
+    """A list of integers, or a GroupError naming ``what``."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise GroupError(f"{what} must be a list of integers")
+    return value
+
+
+def _index_rows(value, what: str) -> list[Sequence[int]]:
+    if not isinstance(value, (list, tuple)):
+        raise GroupError(f"{what} must be a list of integer lists")
+    return [_index_list(row, f"each row of {what}") for row in value]
+
+
 def load_group(spec: Mapping) -> FiniteGroup:
     """Build a group from a parsed JSON object.
 
     Accepts either ``{"table": [[...]]}`` or
     ``{"permutations": [[...], ...], "degree": n}``; an optional
     ``"names"`` list labels the elements (table form only, since the
-    permutation form renumbers).
+    permutation form renumbers).  Ill-shaped input raises GroupError.
     """
+    if not isinstance(spec, Mapping):
+        raise GroupError("group spec must be an object")
     if "table" in spec:
-        return FiniteGroup(spec["table"], spec.get("names"))
+        names = spec.get("names")
+        if names is not None and not (
+            isinstance(names, (list, tuple)) and all(isinstance(x, str) for x in names)
+        ):
+            raise GroupError("group names must be a list of strings")
+        return FiniteGroup(_index_rows(spec["table"], "table"), names)
     if "permutations" in spec:
         if "degree" not in spec:
             raise GroupError("permutation group spec needs a degree")
-        return group_from_permutations(spec["permutations"], spec["degree"])
+        degree = spec["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise GroupError("degree must be an integer")
+        return group_from_permutations(_index_rows(spec["permutations"], "permutations"), degree)
     raise GroupError("group spec needs a 'table' or 'permutations' entry")
 
 
@@ -232,16 +257,23 @@ def load_action(spec: Mapping) -> GroupAction:
 
     Shape: ``{"group": ..., "theta": ..., "action": {"<t>": [...]}}``
     where the action keys are theta indices as strings.  The entry for
-    the theta identity may be omitted.
+    the theta identity may be omitted.  Ill-shaped input raises GroupError.
     """
+    if not isinstance(spec, Mapping):
+        raise GroupError("action spec must be an object")
+    for key in ("group", "theta"):
+        if key not in spec:
+            raise GroupError(f"action spec needs a {key!r} entry")
     group = load_group(spec["group"])
     theta = load_group(spec["theta"])
     raw = spec.get("action", {})
-    maps: list[list[int]] = []
+    if not isinstance(raw, Mapping):
+        raise GroupError("'action' must map theta indices to permutations")
+    maps: list[Sequence[int]] = []
     for t in range(theta.order):
         key = str(t)
         if key in raw:
-            maps.append(list(raw[key]))
+            maps.append(_index_list(raw[key], f"action entry {key!r}"))
         elif t == 0:
             maps.append(list(range(group.order)))
         else:

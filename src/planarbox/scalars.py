@@ -231,6 +231,9 @@ class RadicalScalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a rational value hashes like the Fraction it equals
+        if self.is_rational():
+            return hash(self._terms.get(1, _ZERO_FRACTION))
         return hash(tuple(sorted(self._terms.items())))
 
     def __bool__(self) -> bool:
@@ -279,15 +282,23 @@ ZERO = RadicalScalar()
 ONE = RadicalScalar.rational(1)
 
 
+@lru_cache(maxsize=None)
 def canonical_sqrt(n: int) -> RadicalScalar:
-    """``sqrt(n)`` in canonical form: ``n = s^2 * d`` gives ``s*sqrt(d)``."""
+    """``sqrt(n)`` in canonical form: ``n = s^2 * d`` gives ``s*sqrt(d)``.
+
+    Memoized: scalars are immutable, so callers may share the result.
+    """
     if n < 1:
         raise ValueError(f"canonical_sqrt needs a positive integer, got {n}")
     return RadicalScalar({n: 1})
 
 
+@lru_cache(maxsize=None)
 def pow_half(n: int, p: int) -> RadicalScalar:
-    """``n ** (p/2)`` exactly, for a positive integer ``n`` and any integer ``p``."""
+    """``n ** (p/2)`` exactly, for a positive integer ``n`` and any integer ``p``.
+
+    Memoized like :func:`canonical_sqrt`.
+    """
     if n < 1:
         raise ValueError(f"pow_half needs a positive base, got {n}")
     q, r = divmod(p, 2)  # r in {0, 1} also for negative p

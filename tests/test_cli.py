@@ -10,6 +10,24 @@ from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 
 ACTIONS = "actions"
 
+Z3 = {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+Z2 = {"table": [[0, 1], [1, 0]]}
+MALFORMED_ACTIONS = {
+    "missing-theta": {"group": Z3},
+    "top-level-list": [Z3, Z2],
+    "table-not-a-list": {"group": {"table": 3}, "theta": Z2},
+    "row-not-integers": {"group": {"table": [[0, "1"], [1, 0]]}, "theta": Z2},
+    "action-not-an-object": {"group": Z3, "theta": Z2, "action": [[0, 2, 1]]},
+    "map-not-a-list": {"group": Z3, "theta": Z2, "action": {"1": 5}},
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_ACTIONS))
+def malformed_action(request, tmp_path):
+    path = tmp_path / f"{request.param}.json"
+    path.write_text(json.dumps(MALFORMED_ACTIONS[request.param]))
+    return str(path)
+
 
 class TestFormatScalar:
     def test_zero_and_one(self):
@@ -128,6 +146,10 @@ class TestSuiteCommand:
         assert main(["suite", "jones", "--action", "no/such/file.json"]) == 2
         assert "cannot load action" in capsys.readouterr().err
 
+    def test_malformed_action_file_exits_2(self, malformed_action, capsys):
+        assert main(["suite", "jones", "--action", malformed_action]) == 2
+        assert "cannot load action" in capsys.readouterr().err
+
     def test_hard_limit_env(self, monkeypatch, capsys):
         monkeypatch.setenv("PLANARBOX_KMAX_HARD_LIMIT", "3")
         assert main(["suite", "jones", "--kmax", "4"]) == 2
@@ -168,6 +190,10 @@ class TestMultiplyCommand:
                      "--action", f"{ACTIONS}/z4xz2.json"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "ThetaS(0) + ThetaS(2)"
+
+    def test_malformed_action_file_exits_2(self, malformed_action, capsys):
+        assert main(["multiply", "2", "1", "1", "--action", malformed_action]) == 2
+        assert "cannot load action" in capsys.readouterr().err
 
     def test_label_out_of_range_exits_2(self, capsys):
         assert main(["multiply", "2", "9", "1"]) == 2

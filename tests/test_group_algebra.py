@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,36 @@ def trace_closed_form(alg: GroupPlanarAlgebra, x: PAElement) -> RadicalScalar:
             continue
         total = total + c * weight
     return total
+
+
+def product_closed_form(alg: GroupPlanarAlgebra, x: PAElement, y: PAElement) -> PAElement:
+    """Frozen from basis_product and el_mul in scripts/solve_base_constants.py,
+    over the group table: the prefactor is applied to every term pair."""
+    k, n, op = x.colour, alg.group.order, alg.group.op
+    out: dict = {}
+    for g, cg in x.coeffs.items():
+        for h, ch in y.coeffs.items():
+            if k <= 1:
+                coeff, lab = ONE, ()
+            elif k == 2:
+                coeff, lab = ONE, (op(g[0], h[0]),)
+            else:
+                m = (k + 1) // 2
+                if any(op(h[0], g[k - i]) != h[i - 1] for i in range(2, m + 1)):
+                    continue
+                coeff = pow_half(n, m - 1)
+                lab = tuple(op(h[0], g[j]) for j in range(m)) + h[m : k - 1]
+            out[lab] = out.get(lab, ZERO) + cg * ch * coeff
+    return PAElement(k, out, x.shaded)
+
+
+def merging_label(alg: GroupPlanarAlgebra, k: int, g: tuple, rng: random.Random) -> tuple:
+    """A random label h with S(g) S(h) nonzero."""
+    n, op = alg.group.order, alg.group.op
+    h = [rng.randrange(n) for _ in range(max(k - 1, 0))]
+    for i in range(2, (k + 1) // 2 + 1):
+        h[i - 1] = op(h[0], g[k - i])
+    return tuple(h)
 
 
 def star_label(alg: GroupPlanarAlgebra, k: int, lab: tuple) -> tuple:
@@ -134,6 +165,73 @@ class TestMultiplication:
                     assert p == alg.basis_element(k, labels[table[i, j]]).scale(
                         prefactor
                     )
+
+
+SEMIDIRECT = {
+    "z3xz2": GroupPlanarAlgebra(build_semidirect(inversion_action(3))),
+    "z4xz2": GroupPlanarAlgebra(build_semidirect(inversion_action(4))),
+}
+COEFFS = [
+    ONE,
+    RadicalScalar.rational(-2),
+    RadicalScalar.rational(Fraction(1, 3)),
+    pow_half(2, 1),
+    ONE - pow_half(3, 1),
+    pow_half(6, -1),
+    pow_half(8, 1),
+]
+
+
+class TestProductRule:
+    """multiply, which scales once per output label, against the per-pair
+    closed form, on noncommutative groups of orders 6 and 8."""
+
+    @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+    @pytest.mark.parametrize("k", range(6))
+    def test_random_elements_match_closed_form(self, name, k):
+        alg = SEMIDIRECT[name]
+        n = alg.group.order
+        rng = random.Random(f"{name}-{k}")
+
+        def label() -> tuple:
+            return tuple(rng.randrange(n) for _ in range(max(k - 1, 0)))
+
+        for _ in range(25):
+            xs = [label() for _ in range(rng.randint(1, 6))]
+            ys = [merging_label(alg, k, rng.choice(xs), rng) for _ in range(rng.randint(1, 4))]
+            ys += [label() for _ in range(rng.randint(0, 3))]
+            shaded = k == 0 and rng.random() < 0.5
+            x = PAElement(k, {g: rng.choice(COEFFS) for g in xs}, shaded)
+            y = PAElement(k, {h: rng.choice(COEFFS) for h in ys}, shaded)
+            expected = product_closed_form(alg, x, y)
+            assert alg.multiply(x, y) == expected
+            assert alg.multiply(y, x) == product_closed_form(alg, y, x)
+
+    @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_vanishing_products(self, name, k):
+        alg = SEMIDIRECT[name]
+        n = alg.group.order
+        rng = random.Random(f"zero-{name}-{k}")
+        for _ in range(25):
+            g = tuple(rng.randrange(n) for _ in range(k - 1))
+            h = list(merging_label(alg, k, g, rng))
+            h[1] = (h[1] + rng.randrange(1, n)) % n  # breaks the i = 2 constraint
+            x = PAElement(k, {g: rng.choice(COEFFS)})
+            y = PAElement(k, {tuple(h): rng.choice(COEFFS)})
+            assert product_closed_form(alg, x, y).is_zero()
+            assert alg.multiply(x, y).is_zero()
+
+    @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+    @pytest.mark.parametrize("k", range(5))
+    def test_product_constant_is_the_applied_prefactor(self, name, k):
+        alg = SEMIDIRECT[name]
+        rng = random.Random(k)
+        g = tuple(rng.randrange(alg.group.order) for _ in range(max(k - 1, 0)))
+        h = merging_label(alg, k, g, rng)
+        product = alg.multiply(alg.basis_element(k, g), alg.basis_element(k, h))
+        (label,) = product.support()
+        assert product.coefficient(label) == alg.product_constant(k)
 
 
 class TestStarAndTrace:

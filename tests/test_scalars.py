@@ -173,3 +173,18 @@ def test_float_embedding_tracks_sign(x):
     else:
         assert x.sign() in (-1, 1)
         assert (-x).sign() == -x.sign()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(min_value=-10**12, max_value=10**12), rationals))
+def test_hash_agrees_with_rational_equality(q):
+    assert RadicalScalar.rational(q) == q
+    assert hash(RadicalScalar.rational(q)) == hash(q)
+    assert {q: "found"}[RadicalScalar.rational(q)] == "found"
+
+
+@settings(max_examples=60, deadline=None)
+@given(radical_scalars(), radical_scalars())
+def test_equal_values_hash_alike(x, y):
+    assert hash(x + y) == hash(y + x)
+    assert hash(x * y - y * x + x) == hash(x)
