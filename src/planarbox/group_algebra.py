@@ -8,9 +8,11 @@ formulas pinned down by scripts/solve_base_constants.py.
 
 Every basis product goes through one label rule, :meth:`GroupPlanarAlgebra._merge`,
 and every nonzero basis product at a colour carries the same prefactor,
-:meth:`GroupPlanarAlgebra._prefactor`.  ``multiply`` therefore sums the
-coefficient products per merged label and scales each output coefficient
-once.
+:meth:`GroupPlanarAlgebra._prefactor`.  Inputs seldom carry more than a few
+distinct coefficient values, so ``multiply`` groups each factor's labels by
+coefficient, counts the merged labels of each pair of classes with plain
+integers, and does one field product per class pair (and per distinct hit
+count) instead of one per pair of terms.
 """
 
 from __future__ import annotations
@@ -120,6 +122,14 @@ class PAElement:
 
     def __repr__(self) -> str:
         return f"PAElement(colour={self.disc().label()}, terms={len(self.coeffs)})"
+
+
+def _coefficient_classes(x: PAElement) -> list[tuple[RadicalScalar, list[Label]]]:
+    """The support of ``x`` grouped by coefficient value."""
+    classes: dict[RadicalScalar, list[Label]] = {}
+    for lab, c in x.coeffs.items():
+        classes.setdefault(c, []).append(lab)
+    return list(classes.items())
 
 
 def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
@@ -247,17 +257,38 @@ class GroupPlanarAlgebra:
         return self._prefactor(colour), label
 
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
+        """The product ``x y``, one field product per pair of coefficient classes.
+
+        Labels of equal coefficient form a class.  For each class of ``x``
+        and each class of ``y`` the merged labels are counted with plain
+        integers; the class pair's coefficient ``cg * ch * prefactor`` then
+        enters each hit label once, times its hit count (one field product
+        per distinct count).
+        """
         x._check_compatible(y)
         colour = x.colour
         merge = self._merge
-        out: dict[Label, RadicalScalar] = {}
-        for g, cg in x.coeffs.items():
-            for h, ch in y.coeffs.items():
-                lab = merge(colour, g, h)
-                if lab is not None:
-                    out[lab] = out.get(lab, ZERO) + cg * ch
         pref = self._prefactor(colour)
-        return PAElement(colour, {lab: c * pref for lab, c in out.items()}, x.shaded)
+        y_classes = _coefficient_classes(y)
+        out: dict[Label, RadicalScalar] = {}
+        for cg, gs in _coefficient_classes(x):
+            for ch, hs in y_classes:
+                hits: dict[Label, int] = {}
+                for g in gs:
+                    for h in hs:
+                        lab = merge(colour, g, h)
+                        if lab is not None:
+                            hits[lab] = hits.get(lab, 0) + 1
+                if not hits:
+                    continue
+                multiples = {1: cg * ch * pref}
+                for lab, k in hits.items():
+                    term = multiples.get(k)
+                    if term is None:
+                        term = multiples[k] = multiples[1] * k
+                    prev = out.get(lab)
+                    out[lab] = term if prev is None else prev + term
+        return PAElement(colour, out, x.shaded)
 
     def star(self, x: PAElement) -> PAElement:
         inv = self.group.inv

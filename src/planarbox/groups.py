@@ -13,8 +13,19 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 
+# Validating a table checks all n^3 triples for associativity; at this
+# order that takes about a second in CPython, and every later stage (the
+# semidirect product, colour-k spaces of dimension n^(k-1)) grows faster.
+MAX_GROUP_ORDER = 256
+
+
 class GroupError(ValueError):
     """Raised for invalid tables, non-automorphic maps, and the like."""
+
+
+def _check_order(n: int, what: str) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise GroupError(f"{what} has order {n}, above the maximum {MAX_GROUP_ORDER}")
 
 
 class FiniteGroup:
@@ -31,6 +42,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
+        _check_order(n, "multiplication table")
         rows = tuple(tuple(row) for row in table)
         for row in rows:
             if len(row) != n or any(not (0 <= x < n) for x in row):
@@ -132,8 +144,7 @@ def group_from_permutations(perms: Sequence[Sequence[int]], degree: int) -> Fini
             for g in gens:
                 c = tuple(a[g[i]] for i in range(degree))
                 if c not in seen:
-                    if len(seen) >= 20000:
-                        raise GroupError("generated group is too large")
+                    _check_order(len(seen) + 1, "generated group")
                     seen.add(c)
                     nxt.append(c)
         frontier = nxt
@@ -167,7 +178,8 @@ def load_group(spec: Mapping) -> FiniteGroup:
     Accepts either ``{"table": [[...]]}`` or
     ``{"permutations": [[...], ...], "degree": n}``; an optional
     ``"names"`` list labels the elements (table form only, since the
-    permutation form renumbers).  Ill-shaped input raises GroupError.
+    permutation form renumbers).  Ill-shaped input, and a group of order
+    above ``MAX_GROUP_ORDER``, raise GroupError.
     """
     if not isinstance(spec, Mapping):
         raise GroupError("group spec must be an object")
@@ -266,6 +278,7 @@ def load_action(spec: Mapping) -> GroupAction:
             raise GroupError(f"action spec needs a {key!r} entry")
     group = load_group(spec["group"])
     theta = load_group(spec["theta"])
+    _check_order(group.order * theta.order, "semidirect product")
     raw = spec.get("action", {})
     if not isinstance(raw, Mapping):
         raise GroupError("'action' must map theta indices to permutations")

@@ -8,9 +8,8 @@ term dict is a canonical form and equality is structural.  The set of
 such sums is a field: products of square roots reduce by gcd extraction
 and inverses come from iterated norm rationalization.
 
-Everything here is exact.  The only approximate method is
-:meth:`RadicalScalar.to_float`, which is used downstream to read off the
-sign of a value already known (exactly) to be nonzero.
+Everything here is exact, signs included.  The only approximate method
+is :meth:`RadicalScalar.to_float`, which nothing in the library decides on.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ class RadicalScalar:
     is folded into the coefficient and zero terms are dropped.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[int, Rational] | None = None):
         clean: dict[int, Fraction] = {}
@@ -78,6 +77,7 @@ class RadicalScalar:
                 elif sf in clean:
                     del clean[sf]
         self._terms = clean
+        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -90,6 +90,7 @@ class RadicalScalar:
         """Internal: terms already canonical (squarefree keys, no zeros)."""
         obj = cls.__new__(cls)
         obj._terms = terms
+        obj._hash = None
         return obj
 
     # -- views -------------------------------------------------------
@@ -113,11 +114,25 @@ class RadicalScalar:
         return sum(float(c) * math.sqrt(d) for d, c in self._terms.items())
 
     def sign(self) -> int:
-        """-1, 0 or +1.  Zero is decided exactly; otherwise the float
-        embedding of a provably nonzero value is trusted for the sign."""
-        if not self._terms:
-            return 0
-        return 1 if self.to_float() > 0 else -1
+        """-1, 0 or +1, decided exactly.
+
+        With ``x = a + b*sqrt(p)`` split as in :meth:`invert`, ``x`` has
+        the sign of ``a`` or ``b`` when they agree or one vanishes; when
+        they disagree, ``|a|`` and ``|b|*sqrt(p)`` are compared through
+        the sign of ``a^2 - p*b^2``.  Each of ``a``, ``b`` and that
+        difference is free of ``p``, so the recursion ends at rationals.
+        """
+        p = self._split_prime()
+        if not p:
+            c = self._terms.get(1, _ZERO_FRACTION)
+            return (c > 0) - (c < 0)
+        a, b = self._split(p)
+        sa, sb = a.sign(), b.sign()
+        if sa == sb or not sb:
+            return sa
+        if not sa:
+            return sb
+        return sa * (a * a - b * b * p).sign()
 
     # -- ring structure ----------------------------------------------
 
@@ -178,13 +193,25 @@ class RadicalScalar:
         """
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
-        p = 0
-        for d in self._terms:
-            if d > 1:
-                p = _least_prime_factor(d)
-                break
+        p = self._split_prime()
         if not p:
             return RadicalScalar.rational(1 / self._terms[1])
+        a, b = self._split(p)
+        conj = a - RadicalScalar({p: 1}) * b
+        norm = self * conj
+        if norm.is_zero():  # impossible in a field; guard anyway
+            raise ArithmeticError(f"norm rationalization degenerated on {self}")
+        return conj * norm.invert()
+
+    def _split_prime(self) -> int:
+        """The least prime factor of some radicand above 1, or 0 if rational."""
+        for d in self._terms:
+            if d > 1:
+                return _least_prime_factor(d)
+        return 0
+
+    def _split(self, p: int) -> tuple["RadicalScalar", "RadicalScalar"]:
+        """``(a, b)`` with ``self == a + b*sqrt(p)`` and neither involving ``p``."""
         a_terms: dict[int, Fraction] = {}
         b_terms: dict[int, Fraction] = {}
         for d, c in self._terms.items():
@@ -192,13 +219,7 @@ class RadicalScalar:
                 a_terms[d] = c
             else:
                 b_terms[d // p] = c
-        a = RadicalScalar._raw(a_terms)
-        b = RadicalScalar._raw(b_terms)
-        conj = a - RadicalScalar({p: 1}) * b
-        norm = self * conj
-        if norm.is_zero():  # impossible in a field; guard anyway
-            raise ArithmeticError(f"norm rationalization degenerated on {self}")
-        return conj * norm.invert()
+        return RadicalScalar._raw(a_terms), RadicalScalar._raw(b_terms)
 
     def __truediv__(self, other: "RadicalScalar | Rational") -> "RadicalScalar":
         other = _coerce(other)
@@ -231,10 +252,14 @@ class RadicalScalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # cached, since multiply groups its inputs by coefficient value;
         # a rational value hashes like the Fraction it equals
-        if self.is_rational():
-            return hash(self._terms.get(1, _ZERO_FRACTION))
-        return hash(tuple(sorted(self._terms.items())))
+        if self._hash is None:
+            if self.is_rational():
+                self._hash = hash(self._terms.get(1, _ZERO_FRACTION))
+            else:
+                self._hash = hash(tuple(sorted(self._terms.items())))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -19,7 +19,7 @@ from .expressions import GenExpr, generator_signature
 from .group_algebra import PAElement, row_reduce
 from .groups import GroupAction
 from .intermediate import IntermediateAlgebra, crossed_instance
-from .scalars import pow_half
+from .scalars import ONE, ZERO, pow_half
 
 SUITE_NAMES = (
     "base-algebra",
@@ -115,13 +115,13 @@ def base_algebra_report(
         t = table.astype(np.int64)
         rows = np.vstack([t, np.full((1, size), -1, dtype=np.int64)])
         cols = np.hstack([t, np.full((size, 1), -1, dtype=np.int64)])
-        left = rows[t]
-        right = cols[:, t]
+        # one size^2 block per left factor i: (x_i x_j) x_k against
+        # x_i (x_j x_k), so memory stays quadratic in the basis size
         records.append(
             _flag(
                 suite,
                 f"associativity of the index table at colour {colour} ({size}^3 triples)",
-                bool((left == right).all()),
+                all((rows[t[i]] == cols[i][t]).all() for i in range(size)),
                 "associative",
                 "broken",
             )
@@ -160,11 +160,12 @@ def base_algebra_report(
                 "broken",
             )
         )
+        stars = [P.star(y) for y in basis]
         gram_ok = True
         for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                inner = P.inner(x, y)
-                if inner != (1 if i == j else 0):
+            for j, y_star in enumerate(stars):
+                inner = P.trace(P.multiply(y_star, x))
+                if inner != (ONE if i == j else ZERO):
                     gram_ok = False
         records.append(
             _flag(

@@ -1,6 +1,7 @@
 """CLI behaviour: output formats, exit codes, report determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,16 @@ class TestSuiteCommand:
     def test_malformed_action_file_exits_2(self, malformed_action, capsys):
         assert main(["suite", "jones", "--action", malformed_action]) == 2
         assert "cannot load action" in capsys.readouterr().err
+
+    def test_group_above_order_cap_exits_2(self, tmp_path, capsys):
+        # S_7 (order 5040): validating its table would check 1.3e11 triples
+        s7 = {"permutations": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]], "degree": 7}
+        path = tmp_path / "s7.json"
+        path.write_text(json.dumps({"group": s7, "theta": {"table": [[0]]}}))
+        start = time.perf_counter()
+        assert main(["suite", "jones", "--action", str(path)]) == 2
+        assert time.perf_counter() - start < 10
+        assert "maximum" in capsys.readouterr().err
 
     def test_hard_limit_env(self, monkeypatch, capsys):
         monkeypatch.setenv("PLANARBOX_KMAX_HARD_LIMIT", "3")

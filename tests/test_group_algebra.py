@@ -61,6 +61,21 @@ def merging_label(alg: GroupPlanarAlgebra, k: int, g: tuple, rng: random.Random)
     return tuple(h)
 
 
+def colliding_pairs(alg: GroupPlanarAlgebra, k: int, rng: random.Random):
+    """Two distinct merging pairs (g1, h1), (g2, h2) whose basis products
+    share one label, found by sampling; returns the pairs and the label."""
+    n = alg.group.order
+    seen: dict = {}
+    while True:
+        g = tuple(rng.randrange(n) for _ in range(k - 1))
+        h = merging_label(alg, k, g, rng)
+        product = product_closed_form(alg, alg.basis_element(k, g), alg.basis_element(k, h))
+        (lab,) = product.support()
+        if lab in seen and seen[lab] != (g, h):
+            return seen[lab], (g, h), lab
+        seen[lab] = (g, h)
+
+
 def star_label(alg: GroupPlanarAlgebra, k: int, lab: tuple) -> tuple:
     inv, op = alg.group.inv, alg.group.op
     if k <= 1:
@@ -171,6 +186,14 @@ SEMIDIRECT = {
     "z3xz2": GroupPlanarAlgebra(build_semidirect(inversion_action(3))),
     "z4xz2": GroupPlanarAlgebra(build_semidirect(inversion_action(4))),
 }
+# few values, so that coefficient classes have many labels
+CLASS_COEFFS = [
+    ONE,
+    RadicalScalar.rational(-3),
+    ONE + pow_half(6, 1),
+    pow_half(2, 1) - pow_half(3, -1),
+    pow_half(6, -1),
+]
 COEFFS = [
     ONE,
     RadicalScalar.rational(-2),
@@ -232,6 +255,52 @@ class TestProductRule:
         product = alg.multiply(alg.basis_element(k, g), alg.basis_element(k, h))
         (label,) = product.support()
         assert product.coefficient(label) == alg.product_constant(k)
+
+    @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+    @pytest.mark.parametrize("k", range(6))
+    def test_coefficient_classes_match_closed_form(self, name, k):
+        """Inputs with few distinct coefficients, several of them irrational,
+        so that one class pair reaches a merged label many times."""
+        alg = SEMIDIRECT[name]
+        n = alg.group.order
+        rng = random.Random(f"classes-{name}-{k}")
+
+        def label() -> tuple:
+            return tuple(rng.randrange(n) for _ in range(max(k - 1, 0)))
+
+        for _ in range(20):
+            values = rng.sample(CLASS_COEFFS, rng.randint(1, 3))
+            xs = {label() for _ in range(rng.randint(1, 12))}
+            ys = {merging_label(alg, k, rng.choice(sorted(xs)), rng) for _ in range(8)}
+            ys |= {label() for _ in range(rng.randint(0, 6))}
+            x = PAElement(k, {g: rng.choice(values) for g in xs})
+            y = PAElement(k, {h: rng.choice(values) for h in ys})
+            assert alg.multiply(x, y) == product_closed_form(alg, x, y)
+            assert alg.multiply(y, x) == product_closed_form(alg, y, x)
+
+    @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_hit_counts_and_cancelling_classes(self, name, k):
+        """Two term pairs (g1, h1), (g2, h2) that merge to one label L: with
+        equal coefficients L is hit twice by one class pair, with opposite
+        ones the two class pairs cancel and L must be absent."""
+        alg = SEMIDIRECT[name]
+        rng = random.Random(f"hits-{name}-{k}")
+        for _ in range(10):
+            (g1, h1), (g2, h2), lab = colliding_pairs(alg, k, rng)
+            c, d = rng.sample(CLASS_COEFFS, 2)
+            prefactor = pow_half(alg.group.order, (k + 1) // 2 - 1)
+            y = PAElement(k, {h1: d, h2: d})
+            x = PAElement(k, {g1: c, g2: c})
+            twice = alg.multiply(x, y)
+            assert twice == product_closed_form(alg, x, y)
+            assert twice.coefficient(lab) == c * d * prefactor * 2
+            x = PAElement(k, {g1: c, g2: -c})
+            cancelled = alg.multiply(x, y)
+            assert lab not in cancelled.coeffs
+            assert cancelled == product_closed_form(alg, x, y)
+            y = PAElement(k, {h1: d, h2: d, merging_label(alg, k, g1, rng): rng.choice(CLASS_COEFFS)})
+            assert alg.multiply(x, y) == product_closed_form(alg, x, y)
 
 
 class TestStarAndTrace:

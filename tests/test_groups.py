@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from planarbox.groups import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupAction,
     GroupError,
@@ -57,6 +58,24 @@ class TestFiniteGroup:
     def test_bad_permutation_rejected(self):
         with pytest.raises(GroupError, match="permutation"):
             group_from_permutations([[0, 0, 1]], degree=3)
+
+    def test_order_cap(self):
+        with pytest.raises(GroupError, match="maximum"):
+            FiniteGroup([[0]] * (MAX_GROUP_ORDER + 1))
+        # S_5 has order 120; S_6 (720) stops at the cap while it is generated
+        assert group_from_permutations([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]], 5).order == 120
+        with pytest.raises(GroupError, match="maximum"):
+            group_from_permutations([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], 6)
+
+    def test_semidirect_order_cap(self):
+        n = MAX_GROUP_ORDER // 2 + 1
+        spec = {
+            "group": {"table": cyclic_group(n).table},
+            "theta": {"table": cyclic_group(2).table},
+            "action": {"1": [(-a) % n for a in range(n)]},
+        }
+        with pytest.raises(GroupError, match="semidirect product"):
+            load_action(spec)
 
     def test_load_group_both_forms(self):
         assert load_group({"table": [[0, 1], [1, 0]]}) == cyclic_group(2)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,30 @@ class TestPowHalf:
     def test_halves_multiply(self):
         assert pow_half(6, 1) * pow_half(6, 1) == rat(6)
         assert pow_half(6, 3) * pow_half(6, -3) == ONE
+
+
+class TestSign:
+    def test_rationals_and_zero(self):
+        assert ZERO.sign() == 0
+        assert rat(Fraction(-1, 3)).sign() == -1
+        assert rat(2).sign() == 1
+
+    def test_opposite_parts_compared_exactly(self):
+        assert (5 - 2 * canonical_sqrt(6)).sign() == 1  # 25 > 24
+        assert (canonical_sqrt(2) + canonical_sqrt(3) - 3).sign() == 1
+        assert (canonical_sqrt(2) + canonical_sqrt(3) - canonical_sqrt(10)).sign() == -1
+
+    def test_pell_witness_below_float_resolution(self):
+        # (p, q) -> (p + 2q, p + q) keeps p^2 - 2q^2 = 1, so p - q*sqrt(2)
+        # is positive, but it is smaller than the float rounding of p
+        p, q = 1, 1
+        for _ in range(31):
+            p, q = p + 2 * q, p + q
+        assert p * p - 2 * q * q == 1
+        x = RadicalScalar({1: p, 2: -q})
+        assert x.to_float() == 0.0
+        assert x.sign() == 1
+        assert (-x).sign() == -1
 
 
 class TestRendering:
@@ -188,3 +213,16 @@ def test_hash_agrees_with_rational_equality(q):
 def test_equal_values_hash_alike(x, y):
     assert hash(x + y) == hash(y + x)
     assert hash(x * y - y * x + x) == hash(x)
+
+
+def _sympy_value(x: RadicalScalar):
+    return sympy.Add(
+        *(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(d) for d, c in x.terms.items())
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(radical_scalars(), radical_scalars())
+def test_sign_matches_sympy(x, y):
+    for v in (x, x * y, x * x - y * y):
+        assert v.sign() == int(sympy.sign(_sympy_value(v)))
