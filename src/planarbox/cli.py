@@ -35,32 +35,12 @@ EXIT_INVALID_TANGLE = 3
 
 
 def format_scalar(value: RadicalScalar) -> str:
-    """Text form with parenthesized fractional coefficients.
+    """Text form with parenthesized fractional coefficients of roots.
 
-    Differs from :meth:`RadicalScalar.render` only in wrapping non-integer
-    coefficients of radicals, e.g. ``(1/2)*sqrt(2)`` instead of
+    E.g. ``(1/2)*sqrt(2)`` where :meth:`RadicalScalar.render` gives
     ``1/2*sqrt(2)``.
     """
-    terms = value.terms
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for d in sorted(terms):
-        c = terms[d]
-        mag = abs(c)
-        if d == 1:
-            body = str(mag)
-        elif mag == 1:
-            body = f"sqrt({d})"
-        elif mag.denominator == 1:
-            body = f"{mag.numerator}*sqrt({d})"
-        else:
-            body = f"({mag})*sqrt({d})"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return value.render(parenthesize=True)
 
 
 def _hard_kmax_limit() -> int:

@@ -20,7 +20,13 @@ from itertools import product as iter_product
 from typing import Iterable, Sequence
 
 from .expressions import GenExpr, generator_signature, realize
-from .group_algebra import AlgebraError, GroupPlanarAlgebra, Label, PAElement
+from .group_algebra import (
+    AlgebraError,
+    GroupPlanarAlgebra,
+    Label,
+    PAElement,
+    coefficient_classes,
+)
 from .groups import (
     GroupAction,
     SemidirectGroup,
@@ -52,6 +58,7 @@ class CrossedProduct:
         "product",
         "_twist_cache",
         "_canon_cache",
+        "_spread_cache",
     )
 
     def __init__(self, action: GroupAction):
@@ -61,7 +68,9 @@ class CrossedProduct:
         self.base = GroupPlanarAlgebra(self.group)
         self.product = GroupPlanarAlgebra(self.semidirect)
         self._twist_cache: dict[tuple[int, Label], PAElement] = {}
+        # H-label -> orbit representative of its G-parts
         self._canon_cache: dict[Label, Label] = {}
+        self._spread_cache: dict[tuple[int, Label], list[tuple[RadicalScalar, list[Label]]]] = {}
 
     @property
     def theta_order(self) -> int:
@@ -239,26 +248,38 @@ class CrossedProduct:
         """
         if x.colour == 0:
             return PAElement(0, dict(x.coeffs), x.shaded)
+        colour = x.colour
         pair = self.semidirect.pair
-        scale = Fraction(1, self.theta_order**x.colour)
+        scale = Fraction(1, self.theta_order**colour)
         # a twist sum only depends on the orbit of the G-parts, so gather
         # the input weight per orbit before spreading it over twist labels
         rep_weights: dict[Label, RadicalScalar] = {}
         for label, c in x.coeffs.items():
-            parts = tuple(pair(h)[0] for h in label)
-            rep = self._canon_cache.get(parts)
+            rep = self._canon_cache.get(label)
             if rep is None:
-                rep = min(orbit_of(self.action, parts))
-                self._canon_cache[parts] = rep
+                parts = tuple(pair(h)[0] for h in label)
+                rep = self._canon_cache[label] = min(orbit_of(self.action, parts))
             rep_weights[rep] = rep_weights.get(rep, ZERO) + c
+        # twist sums of distinct orbits have disjoint supports, so each
+        # output label is assigned once, with one product per distinct
+        # twist coefficient
         acc: dict[Label, RadicalScalar] = {}
         for rep, weight in rep_weights.items():
             weight = weight * scale
             if weight.is_zero():
                 continue
-            for lbl, c2 in self.twist_sum(x.colour, rep).coeffs.items():
-                acc[lbl] = acc.get(lbl, ZERO) + c2 * weight
-        return PAElement(x.colour, acc)
+            for c2, labels in self._twist_classes(colour, rep):
+                acc.update(dict.fromkeys(labels, c2 * weight))
+        return PAElement(colour, acc)
+
+    def _twist_classes(self, colour: int, rep: Label) -> list[tuple[RadicalScalar, list[Label]]]:
+        """The support of a twist sum grouped by coefficient, cached."""
+        key = (colour, rep)
+        classes = self._spread_cache.get(key)
+        if classes is None:
+            classes = coefficient_classes(self.twist_sum(colour, rep))
+            self._spread_cache[key] = classes
+        return classes
 
     def biprojection(self) -> PAElement:
         """The colour-2 average of the embedded copy of Theta."""

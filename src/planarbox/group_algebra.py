@@ -8,11 +8,17 @@ formulas pinned down by scripts/solve_base_constants.py.
 
 Every basis product goes through one label rule, :meth:`GroupPlanarAlgebra._merge`,
 and every nonzero basis product at a colour carries the same prefactor,
-:meth:`GroupPlanarAlgebra._prefactor`.  Inputs seldom carry more than a few
+:meth:`GroupPlanarAlgebra._prefactor`.  The rule is split into a left part
+of the first label (cached per colour and label) and a right part of the
+second, ``h -> (h[:m], h[m:])``.  Inputs seldom carry more than a few
 distinct coefficient values, so ``multiply`` groups each factor's labels by
-coefficient, counts the merged labels of each pair of classes with plain
-integers, and does one field product per class pair (and per distinct hit
-count) instead of one per pair of terms.
+coefficient, buckets each class of the right factor by its right key, and
+meets each left label's keys with those buckets; it counts the merged
+labels of each pair of classes with plain integers and does one field
+product per class pair (and per distinct hit count) instead of one per
+pair of terms.  ``multiply`` reads no full index table
+(:meth:`GroupPlanarAlgebra.product_index_table`): at colour 5 over a group
+of order 8 it would hold 4096^2 entries.
 """
 
 from __future__ import annotations
@@ -124,12 +130,69 @@ class PAElement:
         return f"PAElement(colour={self.disc().label()}, terms={len(self.coeffs)})"
 
 
-def _coefficient_classes(x: PAElement) -> list[tuple[RadicalScalar, list[Label]]]:
+def coefficient_classes(x: PAElement) -> list[tuple[RadicalScalar, list[Label]]]:
     """The support of ``x`` grouped by coefficient value."""
     classes: dict[RadicalScalar, list[Label]] = {}
     for lab, c in x.coeffs.items():
         classes.setdefault(c, []).append(lab)
     return list(classes.items())
+
+
+class _LeftParts(dict):
+    """Label ``g`` -> left part of the label rule for ``S(g)`` at one colour.
+
+    With ``m = (colour + 1) // 2``, ``S(g) S(h)`` is nonzero exactly when
+    ``h[:m]`` is a key of ``self[g]``, and its label is that key's merged
+    prefix followed by ``h[m:]``; there is one key per value of ``h[0]``.
+    Entries are computed on first lookup, so the size is bounded by the
+    labels in use.
+    """
+
+    __slots__ = ("table", "colour")
+
+    def __init__(self, table: Sequence[Sequence[int]], colour: int):
+        super().__init__()
+        self.table = table
+        self.colour = colour
+
+    def __missing__(self, g: Label) -> dict[Label, Label]:
+        table, colour = self.table, self.colour
+        if colour <= 1:
+            parts = {(): ()}
+        elif colour == 2:
+            parts = {(h0,): (table[g[0]][h0],) for h0 in range(len(table))}
+        else:
+            m = (colour + 1) // 2
+            parts = {
+                (h0,) + tuple(row[g[colour - i]] for i in range(2, m + 1)):
+                    tuple(row[g[j]] for j in range(m))
+                for h0, row in enumerate(table)
+            }
+        self[g] = parts
+        return parts
+
+
+def _slot_counts(expr: TangleExpr) -> dict[int, int]:
+    """The slot count of every node of a validated tree, keyed by node id.
+
+    One pass over the tree, so evaluation does not re-run the recursive
+    :func:`arity` validation at every composition.
+    """
+    counts: dict[int, int] = {}
+
+    def visit(e: TangleExpr) -> int:
+        key = id(e)
+        if key not in counts:
+            if isinstance(e, GenExpr):
+                counts[key] = len(generator_signature(e)[1])
+            elif isinstance(e, ComposeExpr):
+                counts[key] = visit(e.outer) - 1 + visit(e.inner)
+            else:
+                counts[key] = visit(e.inner)
+        return counts[key]
+
+    visit(expr)
+    return counts
 
 
 def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
@@ -158,6 +221,9 @@ class GroupPlanarAlgebra:
         self.group = group
         self.delta = canonical_sqrt(group.order)
         self._inv_delta = self.delta.invert()
+        # colour -> label -> left part of the label rule; bounded by the
+        # basis labels in use
+        self._left_cache: dict[int, _LeftParts] = {}
 
     # --- construction helpers -------------------------------------------
 
@@ -224,6 +290,13 @@ class GroupPlanarAlgebra:
 
     # --- ring structure --------------------------------------------------
 
+    def _left_parts(self, colour: int) -> "_LeftParts":
+        """The cached left parts of the label rule at one colour (see :meth:`_merge`)."""
+        parts = self._left_cache.get(colour)
+        if parts is None:
+            parts = self._left_cache[colour] = _LeftParts(self.group.table, colour)
+        return parts
+
     def _merge(self, colour: int, g: Label, h: Label) -> Label | None:
         """The label of the basis product S(g) S(h), or None when it vanishes.
 
@@ -231,19 +304,13 @@ class GroupPlanarAlgebra:
         ring.  From colour 3 on, with ``m = (colour + 1) // 2``, the product
         is nonzero exactly when ``h[i-1] == h[0]*g[colour-i]`` for
         ``i = 2..m``, and its label is ``(h[0]*g[0], ..., h[0]*g[m-1])``
-        followed by ``h[m:]``.
+        followed by ``h[m:]``.  The rule is split in two: the left part of
+        ``g`` (:class:`_LeftParts`) maps each admissible ``h[:m]`` to the
+        merged prefix, and the right part of ``h`` is ``(h[:m], h[m:])``.
         """
-        if colour <= 1:
-            return ()
-        table = self.group.table
-        if colour == 2:
-            return (table[g[0]][h[0]],)
         m = (colour + 1) // 2
-        row = table[h[0]]
-        for i in range(2, m + 1):
-            if row[g[colour - i]] != h[i - 1]:
-                return None
-        return tuple(row[g[j]] for j in range(m)) + h[m:]
+        prefix = self._left_parts(colour)[g].get(h[:m])
+        return None if prefix is None else prefix + h[m:]
 
     def _prefactor(self, colour: int) -> RadicalScalar:
         """The scalar ``sqrt(n)^(m-1)`` of every nonzero basis product at a colour."""
@@ -259,26 +326,37 @@ class GroupPlanarAlgebra:
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
         """The product ``x y``, one field product per pair of coefficient classes.
 
-        Labels of equal coefficient form a class.  For each class of ``x``
-        and each class of ``y`` the merged labels are counted with plain
-        integers; the class pair's coefficient ``cg * ch * prefactor`` then
-        enters each hit label once, times its hit count (one field product
-        per distinct count).
+        Labels of equal coefficient form a class.  Each class of ``y`` is
+        bucketed by the right part of the label rule, ``h[:m] -> [h[m:]]``,
+        and each label ``g`` of a class of ``x`` meets a bucket only through
+        its left part, so the merged labels of a class pair are counted with
+        plain integers without visiting every pair of terms.  The class
+        pair's coefficient ``cg * ch * prefactor`` then enters each hit label
+        once, times its hit count (one field product per distinct count).
         """
         x._check_compatible(y)
         colour = x.colour
-        merge = self._merge
+        m = (colour + 1) // 2
+        left_parts = self._left_parts(colour)
         pref = self._prefactor(colour)
-        y_classes = _coefficient_classes(y)
+        y_classes = []
+        for ch, hs in coefficient_classes(y):
+            buckets: dict[Label, list[Label]] = {}
+            for h in hs:
+                buckets.setdefault(h[:m], []).append(h[m:])
+            y_classes.append((ch, buckets))
         out: dict[Label, RadicalScalar] = {}
-        for cg, gs in _coefficient_classes(x):
-            for ch, hs in y_classes:
+        for cg, gs in coefficient_classes(x):
+            lefts = [left_parts[g] for g in gs]
+            for ch, buckets in y_classes:
                 hits: dict[Label, int] = {}
-                for g in gs:
-                    for h in hs:
-                        lab = merge(colour, g, h)
-                        if lab is not None:
-                            hits[lab] = hits.get(lab, 0) + 1
+                for left in lefts:
+                    for key, prefix in left.items():
+                        tails = buckets.get(key)
+                        if tails is not None:
+                            for tail in tails:
+                                lab = prefix + tail
+                                hits[lab] = hits.get(lab, 0) + 1
                 if not hits:
                     continue
                 multiples = {1: cg * ch * pref}
@@ -399,25 +477,28 @@ class GroupPlanarAlgebra:
         raise AlgebraError(f"unknown generator kind {gen.kind!r}")
 
     def evaluate(self, expr: TangleExpr, inputs: Sequence[PAElement]) -> PAElement:
-        if len(inputs) != arity(expr):
+        expected = arity(expr)  # validates the whole tree once
+        if len(inputs) != expected:
             raise AlgebraError(
-                f"expression takes {arity(expr)} input(s), got {len(inputs)}"
+                f"expression takes {expected} input(s), got {len(inputs)}"
             )
-        return self._evaluate(expr, list(inputs))
+        return self._evaluate(expr, list(inputs), _slot_counts(expr))
 
-    def _evaluate(self, expr: TangleExpr, inputs: list[PAElement]) -> PAElement:
+    def _evaluate(
+        self, expr: TangleExpr, inputs: list[PAElement], counts: dict[int, int]
+    ) -> PAElement:
         if isinstance(expr, GenExpr):
             return self.act_generator(expr, inputs)
         if isinstance(expr, ComposeExpr):
             i = expr.slot
-            b = arity(expr.inner)
+            b = counts[id(expr.inner)]
             before = inputs[: i - 1]
-            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b])
+            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b], counts)
             after = inputs[i - 1 + b :]
-            return self._evaluate(expr.outer, before + [inner_val] + after)
+            return self._evaluate(expr.outer, before + [inner_val] + after, counts)
         if isinstance(expr, RenumberExpr):
             permuted = [inputs[expr.perm[i] - 1] for i in range(len(inputs))]
-            return self._evaluate(expr.inner, permuted)
+            return self._evaluate(expr.inner, permuted, counts)
         raise AlgebraError(f"cannot evaluate {type(expr).__name__}")
 
     # --- bulk structure for exhaustive checks ----------------------------

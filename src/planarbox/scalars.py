@@ -4,9 +4,14 @@ An element is a finite sum ``sum_d c_d * sqrt(d)`` with rational
 coefficients ``c_d`` and squarefree positive integer radicands ``d``;
 the radicand ``d = 1`` carries the rational part.  Square roots of
 distinct squarefree integers are linearly independent over Q, so the
-term dict is a canonical form and equality is structural.  The set of
-such sums is a field: products of square roots reduce by gcd extraction
-and inverses come from iterated norm rationalization.
+coefficients are a canonical form and equality is structural.  The set
+of such sums is a field: products of square roots reduce by gcd
+extraction and inverses come from iterated norm rationalization.
+
+The coefficients are stored as integer coordinates over one positive
+common denominator, reduced by a single gcd, so equality and hashing
+compare plain ints and each sum or product normalizes once instead of
+once per term.  Python ints do not overflow, so nothing falls back.
 
 Everything here is exact, signs included.  The only approximate method
 is :meth:`RadicalScalar.to_float`, which nothing in the library decides on.
@@ -20,6 +25,9 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 Rational = Union[int, Fraction]
+
+# integer coordinates: squarefree radicand -> nonzero int coefficient
+Coords = dict[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -53,106 +61,183 @@ def _least_prime_factor(n: int) -> int:
     return n
 
 
+# -- integer coordinates ---------------------------------------------------
+
+
+def _coords_mul(a: Coords, b: Coords) -> Coords:
+    """The product of two integer-coordinate sums, zeros dropped."""
+    out: Coords = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            # both radicands squarefree, so the square content of
+            # d1*d2 is exactly gcd(d1, d2)^2
+            g = math.gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            out[d] = out.get(d, 0) + c1 * c2 * g
+    if 0 in out.values():
+        out = {d: c for d, c in out.items() if c}
+    return out
+
+
+def _coords_add(a: Coords, fa: int, b: Coords, fb: int) -> Coords:
+    """``fa*a + fb*b``, zeros dropped."""
+    out = {d: c * fa for d, c in a.items()} if fa != 1 else dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, 0) + c * fb
+    if 0 in out.values():
+        out = {d: c for d, c in out.items() if c}
+    return out
+
+
+def _split_prime(a: Coords) -> int:
+    """The least prime factor of some radicand above 1, or 0 if rational."""
+    for d in a:
+        if d > 1:
+            return _least_prime_factor(d)
+    return 0
+
+
+def _split(a: Coords, p: int) -> tuple[Coords, Coords]:
+    """``(x, y)`` with ``a == x + y*sqrt(p)`` and neither involving ``p``."""
+    x: Coords = {}
+    y: Coords = {}
+    for d, c in a.items():
+        if d % p:
+            x[d] = c
+        else:
+            y[d // p] = c
+    return x, y
+
+
+def _coords_sign(a: Coords) -> int:
+    """-1, 0 or +1 for an integer-coordinate sum, decided exactly.
+
+    With ``a = x + y*sqrt(p)`` split at one prime, ``a`` has the sign of
+    ``x`` or ``y`` when they agree or one vanishes; when they disagree,
+    ``|x|`` and ``|y|*sqrt(p)`` are compared through the sign of
+    ``x^2 - p*y^2``.  Each of ``x``, ``y`` and that difference is free of
+    ``p``, so the recursion ends at integers.
+    """
+    p = _split_prime(a)
+    if not p:
+        c = a.get(1, 0)
+        return (c > 0) - (c < 0)
+    x, y = _split(a, p)
+    sx, sy = _coords_sign(x), _coords_sign(y)
+    if sx == sy or not sy:
+        return sx
+    if not sx:
+        return sy
+    return sx * _coords_sign(_coords_add(_coords_mul(x, x), 1, _coords_mul(y, y), -p))
+
+
+def _scalar(num: Coords, den: int) -> "RadicalScalar":
+    """The scalar ``num / den``; ``num`` has no zeros and ``den > 0``.
+
+    Normalizes with one gcd over the denominator and all numerators.
+    """
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {d: c // g for d, c in num.items()}
+    obj = object.__new__(RadicalScalar)
+    obj._num = num
+    obj._den = den
+    obj._hash = None
+    return obj
+
+
 class RadicalScalar:
     """A field element ``sum_d c_d * sqrt(d)`` in canonical form.
 
-    Instances are immutable; all arithmetic returns new objects.
-    Construction canonicalizes: perfect-square content of every radicand
-    is folded into the coefficient and zero terms are dropped.
+    Stored as ``_num`` (radicand -> nonzero int numerator) over ``_den``,
+    a positive int sharing no factor with every numerator; the zero
+    element has no numerators and denominator 1.  Instances are
+    immutable; all arithmetic returns new objects.  Construction
+    canonicalizes: perfect-square content of every radicand is folded
+    into the coefficient and zero terms are dropped.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[int, Rational] | None = None):
-        clean: dict[int, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         if terms:
             for d, c in terms.items():
                 c = Fraction(c)
-                if not c:
-                    continue
-                s, sf = _square_split(d)
-                acc = clean.get(sf, _ZERO_FRACTION) + c * s
-                if acc:
-                    clean[sf] = acc
-                elif sf in clean:
-                    del clean[sf]
-        self._terms = clean
+                if c:
+                    s, sf = _square_split(d)
+                    acc[sf] = acc.get(sf, _ZERO_FRACTION) + c * s
+        den = 1
+        for c in acc.values():
+            if c:
+                den = math.lcm(den, c.denominator)
+        # den is the lcm of reduced denominators, so no further gcd applies
+        self._num = {d: c.numerator * (den // c.denominator) for d, c in acc.items() if c}
+        self._den = den
         self._hash = None
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def rational(cls, c: Rational) -> "RadicalScalar":
-        return cls({1: c})
-
-    @classmethod
-    def _raw(cls, terms: dict[int, Fraction]) -> "RadicalScalar":
-        """Internal: terms already canonical (squarefree keys, no zeros)."""
-        obj = cls.__new__(cls)
-        obj._terms = terms
-        obj._hash = None
-        return obj
+        q = Fraction(c)
+        return _scalar({1: q.numerator} if q else {}, q.denominator)
 
     # -- views -------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {d: Fraction(c, den) for d, c in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(d == 1 for d in self._terms)
+        num = self._num
+        return not num or (len(num) == 1 and 1 in num)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self}")
-        return self._terms.get(1, _ZERO_FRACTION)
+        return Fraction(self._num.get(1, 0), self._den)
 
     def to_float(self) -> float:
-        return sum(float(c) * math.sqrt(d) for d, c in self._terms.items())
+        den = self._den
+        return sum(c / den * math.sqrt(d) for d, c in self._num.items())
 
     def sign(self) -> int:
-        """-1, 0 or +1, decided exactly.
-
-        With ``x = a + b*sqrt(p)`` split as in :meth:`invert`, ``x`` has
-        the sign of ``a`` or ``b`` when they agree or one vanishes; when
-        they disagree, ``|a|`` and ``|b|*sqrt(p)`` are compared through
-        the sign of ``a^2 - p*b^2``.  Each of ``a``, ``b`` and that
-        difference is free of ``p``, so the recursion ends at rationals.
-        """
-        p = self._split_prime()
-        if not p:
-            c = self._terms.get(1, _ZERO_FRACTION)
-            return (c > 0) - (c < 0)
-        a, b = self._split(p)
-        sa, sb = a.sign(), b.sign()
-        if sa == sb or not sb:
-            return sa
-        if not sa:
-            return sb
-        return sa * (a * a - b * b * p).sign()
+        """-1, 0 or +1, decided exactly (the denominator is positive)."""
+        return _coords_sign(self._num)
 
     # -- ring structure ----------------------------------------------
 
     def __add__(self, other: "RadicalScalar | Rational") -> "RadicalScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self._terms)
-        for d, c in other._terms.items():
-            acc = merged.get(d, _ZERO_FRACTION) + c
-            if acc:
-                merged[d] = acc
-            elif d in merged:
-                del merged[d]
-        return RadicalScalar._raw(merged)
+        if type(other) is not RadicalScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, da = self._num, self._den
+        b, db = other._num, other._den
+        if not b:
+            return self
+        if not a:
+            return other
+        if da == db:
+            return _scalar(_coords_add(a, 1, b, 1), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _scalar(_coords_add(a, fa, b, fb), da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar._raw({d: -c for d, c in self._terms.items()})
+        return _scalar({d: -c for d, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "RadicalScalar | Rational") -> "RadicalScalar":
         other = _coerce(other)
@@ -164,62 +249,37 @@ class RadicalScalar:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "RadicalScalar | Rational") -> "RadicalScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                # both radicands squarefree, so the square content of
-                # d1*d2 is exactly gcd(d1, d2)^2
-                g = math.gcd(d1, d2)
-                d = (d1 // g) * (d2 // g)
-                acc = out.get(d, _ZERO_FRACTION) + c1 * c2 * g
-                if acc:
-                    out[d] = acc
-                elif d in out:
-                    del out[d]
-        return RadicalScalar._raw(out)
+        if type(other) is not RadicalScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _scalar(_coords_mul(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def invert(self) -> "RadicalScalar":
         """Multiplicative inverse by norm rationalization.
 
-        Split off one prime ``p`` occurring under a root, write
-        ``x = a + sqrt(p) * b`` with ``a``, ``b`` free of ``p``, and
-        multiply by the conjugate ``a - sqrt(p) * b``; the product is
+        Split off one prime ``p`` occurring under a root, write the
+        numerator as ``a + sqrt(p) * b`` with ``a``, ``b`` free of ``p``,
+        and multiply by the conjugate ``a - sqrt(p) * b``; the product is
         free of ``p``, so recursion terminates at a plain rational.
         """
-        if not self._terms:
+        num, den = self._num, self._den
+        if not num:
             raise ZeroDivisionError("inverse of zero")
-        p = self._split_prime()
+        p = _split_prime(num)
         if not p:
-            return RadicalScalar.rational(1 / self._terms[1])
-        a, b = self._split(p)
-        conj = a - RadicalScalar({p: 1}) * b
-        norm = self * conj
-        if norm.is_zero():  # impossible in a field; guard anyway
+            c = num[1]
+            return _scalar({1: den if c > 0 else -den}, abs(c))
+        a, b = _split(num, p)
+        conj = dict(a)
+        conj.update({d * p: -c for d, c in b.items()})
+        norm = _coords_mul(num, conj)
+        if not norm:  # impossible in a field; guard anyway
             raise ArithmeticError(f"norm rationalization degenerated on {self}")
-        return conj * norm.invert()
-
-    def _split_prime(self) -> int:
-        """The least prime factor of some radicand above 1, or 0 if rational."""
-        for d in self._terms:
-            if d > 1:
-                return _least_prime_factor(d)
-        return 0
-
-    def _split(self, p: int) -> tuple["RadicalScalar", "RadicalScalar"]:
-        """``(a, b)`` with ``self == a + b*sqrt(p)`` and neither involving ``p``."""
-        a_terms: dict[int, Fraction] = {}
-        b_terms: dict[int, Fraction] = {}
-        for d, c in self._terms.items():
-            if d % p:
-                a_terms[d] = c
-            else:
-                b_terms[d // p] = c
-        return RadicalScalar._raw(a_terms), RadicalScalar._raw(b_terms)
+        # 1/x = den * conj / (num * conj)
+        return _scalar({d: c * den for d, c in conj.items()}, 1) * _scalar(norm, 1).invert()
 
     def __truediv__(self, other: "RadicalScalar | Rational") -> "RadicalScalar":
         other = _coerce(other)
@@ -245,42 +305,50 @@ class RadicalScalar:
     # -- identity ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is RadicalScalar:
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
-            other = RadicalScalar.rational(other)
-        if not isinstance(other, RadicalScalar):
-            return NotImplemented
-        return self._terms == other._terms
+            n = other.numerator
+            return self._den == other.denominator and self._num == ({1: n} if n else {})
+        return NotImplemented
 
     def __hash__(self) -> int:
         # cached, since multiply groups its inputs by coefficient value;
         # a rational value hashes like the Fraction it equals
         if self._hash is None:
-            if self.is_rational():
-                self._hash = hash(self._terms.get(1, _ZERO_FRACTION))
+            num, den = self._num, self._den
+            if not num:
+                self._hash = 0
+            elif len(num) == 1 and 1 in num:
+                self._hash = hash(num[1]) if den == 1 else hash(Fraction(num[1], den))
             else:
-                self._hash = hash(tuple(sorted(self._terms.items())))
+                self._hash = hash((den, tuple(sorted(num.items()))))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- rendering ---------------------------------------------------
 
-    def render(self) -> str:
+    def render(self, parenthesize: bool = False) -> str:
         """Deterministic text form, radicands ascending.
 
-        Examples: ``0``, ``1/2``, ``sqrt(3)``, ``2 - 1/3*sqrt(2)``.
+        Examples: ``0``, ``1/2``, ``sqrt(3)``, ``2 - 1/3*sqrt(2)``.  With
+        ``parenthesize`` a non-integer coefficient of a root is wrapped,
+        as in ``2 - (1/3)*sqrt(2)``.
         """
-        if not self._terms:
+        if not self._num:
             return "0"
         parts: list[str] = []
-        for d in sorted(self._terms):
-            c = self._terms[d]
-            mag = abs(c)
+        for d in sorted(self._num):
+            c = self._num[d]
+            mag = Fraction(abs(c), self._den)
             if d == 1:
                 body = str(mag)
             elif mag == 1:
                 body = f"sqrt({d})"
+            elif parenthesize and mag.denominator != 1:
+                body = f"({mag})*sqrt({d})"
             else:
                 body = f"{mag}*sqrt({d})"
             if not parts:
@@ -297,7 +365,8 @@ def _coerce(value: "RadicalScalar | Rational"):
     if isinstance(value, RadicalScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return RadicalScalar.rational(value)
+        n = value.numerator
+        return _scalar({1: n} if n else {}, value.denominator)
     return NotImplemented
 
 

@@ -14,9 +14,10 @@ from planarbox.groups import (
     cyclic_group,
     inversion_action,
     orbit_count_burnside,
+    orbit_of,
     trivial_action,
 )
-from planarbox.scalars import ONE, RadicalScalar
+from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 from planarbox.tangles import alpha
 
 CP3 = CrossedProduct(inversion_action(3))
@@ -195,6 +196,30 @@ class TestTwistSums:
             CP3.twist_multiply(1, (), ())
 
 
+def surround_per_label(cp: CrossedProduct, x: PAElement) -> PAElement:
+    """The surround as a per-label spread: every input label adds its
+    scaled twist sum into the output, one scalar product per twist label."""
+    if x.colour == 0:
+        return PAElement(0, dict(x.coeffs), x.shaded)
+    pair = cp.semidirect.pair
+    scale = Fraction(1, cp.theta_order**x.colour)
+    acc: dict = {}
+    for label, c in x.coeffs.items():
+        rep = min(orbit_of(cp.action, tuple(pair(h)[0] for h in label)))
+        for lbl, c2 in cp.twist_sum(x.colour, rep).coeffs.items():
+            acc[lbl] = acc.get(lbl, ZERO) + c2 * c * scale
+    return PAElement(x.colour, acc)
+
+
+SPREAD_COEFFS = [
+    ONE,
+    RadicalScalar.rational(Fraction(-2, 3)),
+    pow_half(2, 1),
+    ONE - pow_half(3, 1),
+    pow_half(6, -1),
+]
+
+
 class TestSurround:
     def test_worked_example(self):
         H = CP3.semidirect
@@ -248,6 +273,26 @@ class TestSurround:
             for label in CPT.product.basis_labels(colour):
                 b = CPT.product.basis_element(colour, label)
                 assert CPT.surround(b) == b
+
+    @pytest.mark.parametrize("cp", [CP3, CP4, CPT], ids=["z3", "z4", "trivial"])
+    @pytest.mark.parametrize("colour", [1, 2, 3, 4])
+    def test_matches_per_label_spread(self, cp, colour):
+        """Each output label is assigned once; the per-label spread sums."""
+        rng = random.Random(f"spread-{colour}-{len(cp.semidirect)}")
+        labels = list(cp.product.basis_labels(colour))
+        for _ in range(15):
+            support = rng.sample(labels, min(len(labels), rng.randint(1, 40)))
+            x = cp.product.element(colour, {lab: rng.choice(SPREAD_COEFFS) for lab in support})
+            assert cp.surround(x) == surround_per_label(cp, x)
+            # two labels over one orbit with opposite weights cancel
+            lab = rng.choice(labels)
+            parts = [cp.semidirect.pair(h)[0] for h in lab]
+            moved = cp.action.apply_tuple(rng.randrange(cp.theta_order), parts)
+            twin = tuple(cp.semidirect.index(g, 0) for g in moved)
+            if twin != lab:
+                y = cp.product.element(colour, {lab: 1, twin: -1})
+                assert cp.surround(y).is_zero()
+                assert surround_per_label(cp, y).is_zero()
 
     @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6))
     @settings(max_examples=30, deadline=None)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from planarbox.expressions import GenExpr, parse_expr
+from planarbox import expressions
+from planarbox.expressions import ComposeExpr, GenExpr, parse_expr
 from planarbox.group_algebra import AlgebraError, GroupPlanarAlgebra, PAElement
 from planarbox.groups import cyclic_group, build_semidirect, inversion_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
@@ -472,6 +473,32 @@ class TestEvaluate:
         out = alg.evaluate(parse_expr("(gen unit minus)"), [])
         assert out == alg.unit(0, shaded=True)
 
+    def test_deep_tree_validated_once(self, monkeypatch):
+        """A chain of 300 products folds to the product of its inputs, and
+        the slot colours are computed a number of times linear in the tree
+        size, not once per composition."""
+        alg = algebra(5)
+        depth = 300
+        expr = GenExpr("id", 2)
+        for _ in range(depth):
+            expr = ComposeExpr(GenExpr("M", 2), 2, expr)
+        rng = random.Random("deep")
+        gs = [rng.randrange(5) for _ in range(depth + 1)]
+        calls = 0
+        original = expressions.slot_colours
+
+        def counted(e):
+            nonlocal calls
+            calls += 1
+            return original(e)
+
+        monkeypatch.setattr(expressions, "slot_colours", counted)
+        out = alg.evaluate(expr, [alg.basis_element(2, (g,)) for g in gs])
+        assert out == alg.basis_element(2, (sum(gs) % 5,))
+        assert calls <= 2 * (2 * depth + 1)
+        with pytest.raises(AlgebraError, match="input"):
+            alg.evaluate(expr, [alg.basis_element(2, (0,))] * depth)
+
 
 class TestRendering:
     def test_symbols(self):
@@ -490,3 +517,45 @@ class TestRendering:
     def test_semidirect_names(self):
         alg = GroupPlanarAlgebra(build_semidirect(inversion_action(3)))
         assert alg.render(alg.basis_element(2, (3,))) == "S((1,1))"
+
+
+class TestLeftPartCache:
+    def test_bounded_by_the_labels_multiplied(self):
+        """Colour 5 on the order-8 group: the cache holds one entry per left
+        factor label met, never more than the colour's dimension."""
+        alg = GroupPlanarAlgebra(build_semidirect(inversion_action(4)))
+        n, k = alg.group.order, 5
+        rng = random.Random("left-cache")
+        labels = list(alg.basis_labels(k))
+
+        def sparse():
+            hs = {tuple(rng.randrange(n) for _ in range(k - 1)) for _ in range(30)}
+            return PAElement(k, {h: rng.choice(CLASS_COEFFS) for h in hs})
+
+        left, right = sparse(), sparse()
+        alg.multiply(left, right)
+        assert set(alg._left_parts(k)) == set(left.coeffs)
+        dense = PAElement(k, {lab: rng.choice(CLASS_COEFFS) for lab in labels})
+        for _ in range(3):
+            y = sparse()
+            alg.multiply(dense, y)
+            alg.multiply(y, dense)
+            assert set(alg._left_parts(k)) == set(labels)
+            assert len(alg._left_parts(k)) == alg.dimension(k) == 4096
+        assert set(alg._left_cache) == {k}
+        for g in rng.sample(labels, 20):
+            assert len(alg._left_parts(k)[g]) == n
+
+    def test_merge_reads_the_split_rule(self):
+        alg = SEMIDIRECT["z4xz2"]
+        rng = random.Random("merge-split")
+        n = alg.group.order
+        for k in range(6):
+            m = (k + 1) // 2
+            for _ in range(30):
+                g = tuple(rng.randrange(n) for _ in range(max(k - 1, 0)))
+                h = merging_label(alg, k, g, rng)
+                expected = product_closed_form(alg, alg.basis_element(k, g), alg.basis_element(k, h))
+                (lab,) = expected.support()
+                assert alg._merge(k, g, h) == lab
+                assert alg._left_parts(k)[g][h[:m]] + h[m:] == lab

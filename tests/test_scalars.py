@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -226,3 +227,107 @@ def _sympy_value(x: RadicalScalar):
 def test_sign_matches_sympy(x, y):
     for v in (x, x * y, x * x - y * y):
         assert v.sign() == int(sympy.sign(_sympy_value(v)))
+
+
+# -- differential test: integer coordinates against Fractions and sympy ----
+
+DIFF_RADICANDS = [1, 2, 3, 5, 6, 10, 30]
+
+
+@st.composite
+def fraction_terms(draw):
+    """Reference coordinates: squarefree radicand -> nonzero Fraction,
+    mostly with non-unit denominators."""
+    terms: dict[int, Fraction] = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        d = draw(st.sampled_from(DIFF_RADICANDS))
+        c = Fraction(draw(st.integers(min_value=-60, max_value=60)),
+                     draw(st.integers(min_value=1, max_value=36)))
+        terms[d] = terms.get(d, Fraction(0)) + c
+    return {d: c for d, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, Fraction(0)) + c
+    return {d: c for d, c in out.items() if c}
+
+
+def ref_neg(a):
+    return {d: -c for d, c in a.items()}
+
+
+def ref_mul(a, b):
+    out: dict[int, Fraction] = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            g = math.gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            out[d] = out.get(d, Fraction(0)) + c1 * c2 * g
+    return {d: c for d, c in out.items() if c}
+
+
+def ref_render(terms, parenthesize=False):
+    """The text form written out over Fraction coefficients."""
+    if not terms:
+        return "0"
+    parts = []
+    for d in sorted(terms):
+        c = terms[d]
+        mag = abs(c)
+        if d == 1:
+            body = str(mag)
+        elif mag == 1:
+            body = f"sqrt({d})"
+        elif parenthesize and mag.denominator != 1:
+            body = f"({mag})*sqrt({d})"
+        else:
+            body = f"{mag}*sqrt({d})"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _sympy_terms(terms):
+    return sympy.Add(
+        *(sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(d) for d, c in terms.items())
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_terms(), fraction_terms())
+def test_integer_coordinates_match_fraction_reference(a, b):
+    x, y = RadicalScalar(a), RadicalScalar(b)
+    assert x.terms == a and y.terms == b
+    assert (x + y).terms == ref_add(a, b)
+    assert (x - y).terms == ref_add(a, ref_neg(b))
+    assert (-x).terms == ref_neg(a)
+    assert (x * y).terms == ref_mul(a, b)
+    assert (x == y) == (a == b)
+    assert (x + y == y + x) and hash(x + y) == hash(y + x)
+    for v, terms in ((x, a), (x * y, ref_mul(a, b)), (x + y, ref_add(a, b))):
+        assert v.render() == ref_render(terms)
+        assert v.render(parenthesize=True) == ref_render(terms, parenthesize=True)
+        assert v.sign() == int(sympy.sign(_sympy_terms(terms)))
+        if set(terms) <= {1}:
+            q = terms.get(1, Fraction(0))
+            assert v == q and v.as_rational() == q
+            assert hash(v) == hash(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_terms(), fraction_terms())
+def test_integer_coordinates_match_sympy(a, b):
+    x, y = RadicalScalar(a), RadicalScalar(b)
+    sx, sy = _sympy_terms(a), _sympy_terms(b)
+    assert sympy.expand(_sympy_terms((x + y).terms) - (sx + sy)) == 0
+    assert sympy.expand(_sympy_terms((x - y).terms) - (sx - sy)) == 0
+    assert sympy.expand(_sympy_terms((x * y).terms) - sx * sy) == 0
+    if not y.is_zero():
+        q = x / y
+        assert q * y == x
+        assert sympy.expand(_sympy_terms(q.terms) * sy - sx) == 0
+        assert (x / y).sign() == int(sympy.sign(sx)) * int(sympy.sign(sy))
