@@ -5,12 +5,15 @@ semidirect product H = G x| Theta.  Inside the labelled algebra of H two
 families of elements matter here: sums of basis labels over a diagonal
 Theta-orbit (living in the algebra of G), and the fatter "twist" sums
 where every tensor slot is additionally averaged over Theta (living in
-the algebra of H).  Both families multiply by closed formulas, the twist
-sums span the range of an idempotent surround map built from the
-biprojection, and a rescaling transports one family onto the other.
-This module implements the two families, their products, the surround
-map, the biprojection with its verification report, and the transport
-map together with its generator-intertwining checks.
+the algebra of H).  Both families multiply by closed formulas, and a
+rescaling transports one family onto the other.  The biprojection is the
+average of the embedded copy {(1, t)} of Theta, and the surround is the
+generic subgroup surround of that copy
+(:class:`~planarbox.group_algebra.SubgroupBiprojection`); its range is
+spanned by the twist sums.  This module implements the two families and
+their closed-form products, the biprojection with its verification
+report, and the transport map together with its generator-intertwining
+checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .group_algebra import (
     GroupPlanarAlgebra,
     Label,
     PAElement,
-    coefficient_classes,
+    SubgroupBiprojection,
+    record,
 )
 from .groups import (
     GroupAction,
@@ -36,10 +40,6 @@ from .groups import (
 )
 from .scalars import ONE, ZERO, RadicalScalar, pow_half
 from .tangles import alpha
-
-
-def _record(suite: str, case: str, lhs: str, rhs: str) -> dict:
-    return {"suite": suite, "case": case, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
 
 
 class CrossedProduct:
@@ -56,9 +56,8 @@ class CrossedProduct:
         "semidirect",
         "base",
         "product",
+        "embedded",
         "_twist_cache",
-        "_canon_cache",
-        "_spread_cache",
     )
 
     def __init__(self, action: GroupAction):
@@ -67,10 +66,11 @@ class CrossedProduct:
         self.semidirect: SemidirectGroup = build_semidirect(action)
         self.base = GroupPlanarAlgebra(self.group)
         self.product = GroupPlanarAlgebra(self.semidirect)
+        # the biprojection of the embedded copy {(1, t)} of Theta
+        self.embedded = SubgroupBiprojection(
+            self.semidirect, [self.semidirect.index(0, t) for t in range(self.theta_order)]
+        )
         self._twist_cache: dict[tuple[int, Label], PAElement] = {}
-        # H-label -> orbit representative of its G-parts
-        self._canon_cache: dict[Label, Label] = {}
-        self._spread_cache: dict[tuple[int, Label], list[tuple[RadicalScalar, list[Label]]]] = {}
 
     @property
     def theta_order(self) -> int:
@@ -240,70 +240,27 @@ class CrossedProduct:
     # surround map and biprojection
 
     def surround(self, x: PAElement) -> PAElement:
-        """The idempotent spread of an element of the product algebra.
+        """The surround of the embedded Theta's biprojection.
 
-        Each basis label is replaced by the average of its twist sum; the
-        twist coordinates of the input are forgotten in the process.  Colour
-        0 elements are scalars and pass through unchanged.
+        Each basis label is replaced by the average of its twist sum, so the
+        range is spanned by the twist sums; colour 0 passes through.
         """
-        if x.colour == 0:
-            return PAElement(0, dict(x.coeffs), x.shaded)
-        colour = x.colour
-        pair = self.semidirect.pair
-        scale = Fraction(1, self.theta_order**colour)
-        # a twist sum only depends on the orbit of the G-parts, so gather
-        # the input weight per orbit before spreading it over twist labels
-        rep_weights: dict[Label, RadicalScalar] = {}
-        for label, c in x.coeffs.items():
-            rep = self._canon_cache.get(label)
-            if rep is None:
-                parts = tuple(pair(h)[0] for h in label)
-                rep = self._canon_cache[label] = min(orbit_of(self.action, parts))
-            rep_weights[rep] = rep_weights.get(rep, ZERO) + c
-        # twist sums of distinct orbits have disjoint supports, so each
-        # output label is assigned once, with one product per distinct
-        # twist coefficient
-        acc: dict[Label, RadicalScalar] = {}
-        for rep, weight in rep_weights.items():
-            weight = weight * scale
-            if weight.is_zero():
-                continue
-            for c2, labels in self._twist_classes(colour, rep):
-                acc.update(dict.fromkeys(labels, c2 * weight))
-        return PAElement(colour, acc)
-
-    def _twist_classes(self, colour: int, rep: Label) -> list[tuple[RadicalScalar, list[Label]]]:
-        """The support of a twist sum grouped by coefficient, cached."""
-        key = (colour, rep)
-        classes = self._spread_cache.get(key)
-        if classes is None:
-            classes = coefficient_classes(self.twist_sum(colour, rep))
-            self._spread_cache[key] = classes
-        return classes
+        return self.embedded.surround(x)
 
     def biprojection(self) -> PAElement:
         """The colour-2 average of the embedded copy of Theta."""
-        index = self.semidirect.index
-        c = RadicalScalar.rational(Fraction(1, self.theta_order))
-        return PAElement(2, {(index(0, t),): c for t in range(self.theta_order)})
+        return self.embedded.average()
 
     def averaging_projection(self, members: Iterable[int]) -> PAElement:
         """Colour-2 average of S(u) over a subgroup of the semidirect product."""
-        members = sorted(set(members))
-        H = self.semidirect
-        for a in members:
-            for b in members:
-                if H.op(a, b) not in members:
-                    raise AlgebraError("members do not form a subgroup")
-        c = RadicalScalar.rational(Fraction(1, len(members)))
-        return PAElement(2, {(u,): c for u in members})
+        return SubgroupBiprojection(self.semidirect, members).average()
 
     def conjugate_biprojection(self, h: int) -> PAElement:
         """The biprojection rebuilt from the conjugate copy h Theta h^(-1)."""
         H = self.semidirect
-        index = self.semidirect.index
-        copy = {H.op(H.op(h, index(0, t)), H.inv(h)) for t in range(self.theta_order)}
-        return self.averaging_projection(copy)
+        return self.averaging_projection(
+            H.op(H.op(h, t), H.inv(h)) for t in self.embedded.members
+        )
 
     def biprojection_report(self, q: PAElement | None = None, kmax: int = 3) -> list[dict]:
         """Verification records for a biprojection candidate.
@@ -318,16 +275,16 @@ class CrossedProduct:
         render = P.render
         e1 = P.jones_element(2)
         records = [
-            _record("biprojection", "q*q == q", render(P.multiply(q, q)), render(q)),
-            _record("biprojection", "star(q) == q", render(P.star(q)), render(q)),
-            _record(
+            record("biprojection", "q*q == q", render(P.multiply(q, q)), render(q)),
+            record("biprojection", "star(q) == q", render(P.star(q)), render(q)),
+            record(
                 "biprojection",
                 "tr(q) == 1/|Theta|",
                 P.trace(q).render(),
                 RadicalScalar.rational(Fraction(1, self.theta_order)).render(),
             ),
-            _record("biprojection", "q*e1 == e1", render(P.multiply(q, e1)), render(e1)),
-            _record("biprojection", "e1*q == e1", render(P.multiply(e1, q)), render(e1)),
+            record("biprojection", "q*e1 == e1", render(P.multiply(q, e1)), render(e1)),
+            record("biprojection", "e1*q == e1", render(P.multiply(e1, q)), render(e1)),
         ]
         for colour in range(1, kmax + 1):
             good = 0
@@ -339,7 +296,7 @@ class CrossedProduct:
                 if self.surround(once) == once:
                     good += 1
             records.append(
-                _record(
+                record(
                     "biprojection",
                     f"surround idempotent at colour {colour}",
                     f"{good} of {total} basis labels",
@@ -415,6 +372,6 @@ class CrossedProduct:
                 " on " + "; ".join(tag for tag, _ in combo) if combo else " (no inputs)"
             )
             records.append(
-                _record(suite, case, self.product.render(lhs), self.product.render(rhs))
+                record(suite, case, self.product.render(lhs), self.product.render(rhs))
             )
         return records

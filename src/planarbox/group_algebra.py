@@ -19,6 +19,10 @@ product per class pair (and per distinct hit count) instead of one per
 pair of terms.  ``multiply`` reads no full index table
 (:meth:`GroupPlanarAlgebra.product_index_table`): at colour 5 over a group
 of order 8 it would hold 4096^2 entries.
+
+The biprojections of the algebra are the subgroup averages; each one, with
+its surround and dual surround, is a :class:`SubgroupBiprojection`.  The
+report records of every suite are built by :func:`record` and :func:`flag`.
 """
 
 from __future__ import annotations
@@ -130,12 +134,108 @@ class PAElement:
         return f"PAElement(colour={self.disc().label()}, terms={len(self.coeffs)})"
 
 
+def record(suite: str, case: str, lhs: str, rhs: str) -> dict:
+    """One report record: the two rendered sides of a checked identity."""
+    return {"suite": suite, "case": case, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
+
+
+def flag(suite: str, case: str, ok: bool, good: str, bad: str) -> dict:
+    """A record for a check that only says whether it held."""
+    return record(suite, case, good if ok else bad, good)
+
+
 def coefficient_classes(x: PAElement) -> list[tuple[RadicalScalar, list[Label]]]:
     """The support of ``x`` grouped by coefficient value."""
     classes: dict[RadicalScalar, list[Label]] = {}
     for lab, c in x.coeffs.items():
         classes.setdefault(c, []).append(lab)
     return list(classes.items())
+
+
+class SubgroupBiprojection:
+    """The biprojection of a subgroup K of a finite group, with its surrounds.
+
+    Biprojections of a group subfactor are exactly the subgroup averages
+    (Bisch, *A note on intermediate subfactors*).  The surround spreads a
+    label over K on the right of every slot and on the left of all slots,
+    ``S(h_1..h_{c-1}) -> |K|^-c sum_{t, k_i in K} S(t h_1 k_1, ..., t h_{c-1} k_{c-1})``,
+    and passes colour 0 through.  A spread only depends on the class of its
+    label under ``h -> t h k``, keyed by the least tuple of left-coset
+    minima; spreads of distinct classes have disjoint supports.
+    """
+
+    __slots__ = ("group", "members", "_coset_min", "_canon_cache", "_spread_cache")
+
+    def __init__(self, group: FiniteGroup, members: Iterable[int]):
+        inside = frozenset(members)
+        table = group.table
+        if not inside or not inside <= set(group.elements()) or any(
+            table[a][b] not in inside for a in inside for b in inside
+        ):
+            raise AlgebraError("members do not form a subgroup")
+        self.group = group
+        self.members = tuple(sorted(inside))
+        # h -> the least element of the left coset hK
+        self._coset_min = [min(row[k] for k in self.members) for row in table]
+        self._canon_cache: dict[Label, Label] = {}
+        self._spread_cache: dict[tuple[int, Label], list[tuple[RadicalScalar, list[Label]]]] = {}
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+    def average(self) -> PAElement:
+        """The colour-2 average ``|K|^-1 sum_{k in K} S(k)``."""
+        c = RadicalScalar.rational(Fraction(1, self.order))
+        return PAElement(2, {(k,): c for k in self.members})
+
+    def surround(self, x: PAElement) -> PAElement:
+        """The spread of ``x`` over K: input weight is gathered per class, and
+        each output label is assigned once, one product per distinct
+        coefficient of the class's spread."""
+        if x.colour == 0:
+            return PAElement(0, dict(x.coeffs), x.shaded)
+        colour = x.colour
+        scale = Fraction(1, self.order**colour)
+        weights: dict[Label, RadicalScalar] = {}
+        for label, c in x.coeffs.items():
+            rep = self._canon_cache.get(label)
+            if rep is None:
+                table, coset_min = self.group.table, self._coset_min
+                rep = self._canon_cache[label] = min(
+                    tuple(coset_min[table[t][h]] for h in label) for t in self.members
+                )
+            weights[rep] = weights.get(rep, ZERO) + c
+        acc: dict[Label, RadicalScalar] = {}
+        for rep, weight in weights.items():
+            weight = weight * scale
+            if weight.is_zero():
+                continue
+            for c2, labels in self._spread_classes(colour, rep):
+                acc.update(dict.fromkeys(labels, c2 * weight))
+        return PAElement(colour, acc)
+
+    def _spread_classes(self, colour: int, rep: Label) -> list[tuple[RadicalScalar, list[Label]]]:
+        """The unscaled spread of ``S(rep)`` grouped by coefficient, cached."""
+        key = (colour, rep)
+        classes = self._spread_cache.get(key)
+        if classes is None:
+            table = self.group.table
+            counts: dict[Label, int] = {}
+            for t in self.members:
+                moved = [table[t][h] for h in rep]
+                for ks in itertools.product(self.members, repeat=len(rep)):
+                    lab = tuple(table[h][k] for h, k in zip(moved, ks))
+                    counts[lab] = counts.get(lab, 0) + 1
+            spread = {lab: RadicalScalar.rational(n) for lab, n in counts.items()}
+            classes = self._spread_cache[key] = coefficient_classes(PAElement(colour, spread))
+        return classes
+
+    def dual_surround(self, x: PAElement) -> PAElement:
+        """Keep exactly the labels with every entry in K."""
+        inside = self.members
+        kept = {lab: c for lab, c in x.coeffs.items() if all(h in inside for h in lab)}
+        return PAElement(x.colour, kept, x.shaded)
 
 
 class _LeftParts(dict):

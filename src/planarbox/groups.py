@@ -332,10 +332,6 @@ class SemidirectGroup(FiniteGroup):
     def theta_order(self) -> int:
         return self.action.theta.order
 
-    @property
-    def g_order(self) -> int:
-        return self.action.group.order
-
 
 def build_semidirect(action: GroupAction) -> SemidirectGroup:
     return SemidirectGroup(action)

@@ -4,20 +4,24 @@ Given a planar algebra of boxes together with an idempotent family F of
 surround maps and the index data of the corresponding tower, the fixed
 points of F form a smaller planar algebra.  A tangle acts on it by the
 old action followed by one surround, rescaled by the capping weight
-alpha computed at the intermediate ratio.  This module builds bases of
-the fixed spaces by exact row reduction, evaluates that rescaled action,
-and carries the verification suites: the composite-tangle identity, the
-planar axioms, Jones projections, conditional expectations, trace
-rescaling, positivity, and the bookkeeping of the white-shaded dual.
+alpha computed at the intermediate ratio.  For a group planar algebra
+the surround families are those of subgroup biprojections
+(:func:`subgroup_instance`, one for every subgroup K, with ``[M:Q] = |K|``);
+the crossed product's instance is the one of the embedded copy of Theta
+(:func:`crossed_instance`).  This module builds bases of the fixed spaces
+by exact row reduction, evaluates that rescaled action, and carries the
+verification suites: the composite-tangle identity, the planar axioms,
+Jones projections, conditional expectations, trace rescaling, positivity,
+and the bookkeeping of the white-shaded dual.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .crossed import CrossedProduct
 from .expressions import (
@@ -34,14 +38,13 @@ from .group_algebra import (
     AlgebraError,
     GroupPlanarAlgebra,
     PAElement,
+    SubgroupBiprojection,
+    flag,
+    record,
     row_reduce,
 )
 from .scalars import RadicalScalar, pow_half
 from .tangles import Disc, alpha, alpha_tilde, loops_black, loops_white
-
-
-def _record(suite: str, case: str, lhs: str, rhs: str) -> dict:
-    return {"suite": suite, "case": case, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
 
 
 # White capping exponents (in half units of the intermediate ratio) for the
@@ -77,42 +80,38 @@ class AlgebraInstance:
     index_mn: int
     index_mq: int
     index_qn: int
-    name: str = ""
     dual_surround: Callable[[PAElement], PAElement] | None = None
     dual_dimension: Callable[[int], int] | None = None
 
 
-def crossed_instance(cp: CrossedProduct) -> AlgebraInstance:
-    """The instance carried by a crossed product.
+def subgroup_instance(algebra: GroupPlanarAlgebra, members: Iterable[int]) -> AlgebraInstance:
+    """The instance cut down by the biprojection of a subgroup K.
 
-    The ambient algebra is that of the semidirect product, the surround is
-    the twist spread, and the dual surround keeps exactly the labels lying
-    in the embedded copy of the acting group.
+    The ambient algebra is that of the whole group H, the surround is the
+    subgroup surround of K, and the dual surround keeps exactly the labels
+    lying in K, so ``[M:Q] = |K|`` and ``[Q:N] = |H|/|K|``.
     """
-    index = cp.semidirect.index
-    embedded = frozenset(index(0, t) for t in range(cp.theta_order))
-
-    def dual_surround(x: PAElement) -> PAElement:
-        if x.colour == 0:
-            return PAElement(0, dict(x.coeffs), x.shaded)
-        kept = {
-            label: c
-            for label, c in x.coeffs.items()
-            if all(h in embedded for h in label)
-        }
-        return PAElement(x.colour, kept)
-
+    sub = SubgroupBiprojection(algebra.group, members)
+    order = len(algebra.group)
     return AlgebraInstance(
-        algebra=cp.product,
-        surround=cp.surround,
-        biprojection=cp.biprojection(),
-        index_mn=len(cp.semidirect),
-        index_mq=cp.theta_order,
-        index_qn=len(cp.group),
-        name=f"crossed({len(cp.group)},{cp.theta_order})",
-        dual_surround=dual_surround,
-        dual_dimension=lambda colour: cp.theta_order ** max(colour - 1, 0),
+        algebra=algebra,
+        surround=sub.surround,
+        biprojection=sub.average(),
+        index_mn=order,
+        index_mq=sub.order,
+        index_qn=order // sub.order,
+        dual_surround=sub.dual_surround,
+        dual_dimension=lambda colour: sub.order ** max(colour - 1, 0),
     )
+
+
+def crossed_instance(cp: CrossedProduct) -> AlgebraInstance:
+    """The subgroup instance of the embedded copy of Theta.
+
+    Its surround is :meth:`CrossedProduct.surround`, the same map, so every
+    surround of the cut-down algebra goes through the crossed product.
+    """
+    return replace(subgroup_instance(cp.product, cp.embedded.members), surround=cp.surround)
 
 
 class IntermediateAlgebra:
@@ -237,7 +236,7 @@ class IntermediateAlgebra:
         suite = "theorem-main"
         inst = self.instance
         records = [
-            _record(
+            record(
                 suite,
                 "tau agreement: tr(q) == 1/[M:Q]",
                 self.tau.render(),
@@ -271,33 +270,41 @@ class IntermediateAlgebra:
             a_outer = alpha(t_outer, inst.index_mq)
             a_inner = alpha(t_inner, inst.index_mq)
             a_glued = alpha(t_glued, inst.index_mq)
-            outer_slots = slot_colours(outer)
-            inner_slots = slot_colours(inner)
-            rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
             ok_displayed = True
             ok_mult = True
             # the glued evaluation reuses the raw inner value, so each input
             # tuple costs two evaluations with the inner one shared
-            for inner_combo in self.basis_tuples(inner_slots):
-                raw_inner = self.algebra.evaluate(inner, list(inner_combo))
-                dressed_inner = inst.surround(raw_inner)
-                for rest in self.basis_tuples(rest_slots):
-                    rest = list(rest)
-                    with_raw = rest[: slot - 1] + [raw_inner] + rest[slot - 1 :]
-                    with_dressed = rest[: slot - 1] + [dressed_inner] + rest[slot - 1 :]
-                    lhs = inst.surround(self.algebra.evaluate(outer, with_dressed))
-                    core = inst.surround(self.algebra.evaluate(outer, with_raw))
-                    if lhs != core.scale(correction):
-                        ok_displayed = False
-                    if core.scale(a_glued) != lhs.scale(a_outer * a_inner):
-                        ok_mult = False
-            records.append(
-                _record(suite, f"{tag}: dressed composite", "equal" if ok_displayed else "unequal", "equal")
-            )
-            records.append(
-                _record(suite, f"{tag}: multiplicativity", "equal" if ok_mult else "unequal", "equal")
-            )
+            for _, raw_inner, dressed_inner, before, after in self._composite_inputs(
+                outer, slot, inner
+            ):
+                lhs = inst.surround(self.algebra.evaluate(outer, before + [dressed_inner] + after))
+                core = inst.surround(self.algebra.evaluate(outer, before + [raw_inner] + after))
+                if lhs != core.scale(correction):
+                    ok_displayed = False
+                if core.scale(a_glued) != lhs.scale(a_outer * a_inner):
+                    ok_mult = False
+            records += [
+                flag(suite, f"{tag}: dressed composite", ok_displayed, "equal", "unequal"),
+                flag(suite, f"{tag}: multiplicativity", ok_mult, "equal", "unequal"),
+            ]
         return records
+
+    def _composite_inputs(self, outer: TangleExpr, slot: int, inner: TangleExpr):
+        """Every basis input tuple of the composite of ``inner`` into ``outer``.
+
+        Yields ``(inner inputs, raw inner, dressed inner, before, after)``:
+        the inner tree is evaluated once per inner tuple and surrounded, and
+        ``before``/``after`` are the outer inputs on either side of the slot.
+        """
+        outer_slots = slot_colours(outer)
+        rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
+        for inner_combo in self.basis_tuples(slot_colours(inner)):
+            inner_inputs = list(inner_combo)
+            raw_inner = self.algebra.evaluate(inner, inner_inputs)
+            dressed_inner = self.instance.surround(raw_inner)
+            for rest in self.basis_tuples(rest_slots):
+                rest = list(rest)
+                yield inner_inputs, raw_inner, dressed_inner, rest[: slot - 1], rest[slot - 1 :]
 
     def axiom_report(self, samples: int = 40, seed: int = 1, max_colour: int = 4) -> list[dict]:
         """Nondegeneracy, renumbering, and substitution, pointwise on bases."""
@@ -308,12 +315,7 @@ class IntermediateAlgebra:
                 self.z_prime(GenExpr("id", colour), [b]) == b for b in self.basis(colour)
             )
             records.append(
-                _record(
-                    suite,
-                    f"identity tangle acts as id at colour {colour}",
-                    "id" if good else "not id",
-                    "id",
-                )
+                flag(suite, f"identity tangle acts as id at colour {colour}", good, "id", "not id")
             )
         rng = random.Random(seed)
         produced = 0
@@ -343,12 +345,7 @@ class IntermediateAlgebra:
                 if lhs != rhs:
                     ok = False
             records.append(
-                _record(
-                    suite,
-                    f"renumbering sample {produced} (perm {perm})",
-                    "equal" if ok else "unequal",
-                    "equal",
-                )
+                flag(suite, f"renumbering sample {produced} (perm {perm})", ok, "equal", "unequal")
             )
             produced += 1
         rng2 = random.Random(seed + 1)
@@ -360,28 +357,19 @@ class IntermediateAlgebra:
             a_outer = alpha(realize(outer), self.instance.index_mq)
             a_inner = alpha(realize(inner), self.instance.index_mq)
             a_glued = alpha(realize(glued), self.instance.index_mq)
-            inner_slots = slot_colours(inner)
-            outer_slots = slot_colours(outer)
-            rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
             ok = True
-            for inner_combo in self.basis_tuples(inner_slots):
-                raw_inner = self.algebra.evaluate(inner, list(inner_combo))
-                dressed_inner = self.instance.surround(raw_inner)
-                for rest in self.basis_tuples(rest_slots):
-                    rest = list(rest)
-                    glued_inputs = rest[: slot - 1] + list(inner_combo) + rest[slot - 1 :]
-                    with_dressed = rest[: slot - 1] + [dressed_inner] + rest[slot - 1 :]
-                    z_glued = self.instance.surround(
-                        self.algebra.evaluate(glued, glued_inputs)
-                    ).scale(a_glued)
-                    z_nested = self.instance.surround(
-                        self.algebra.evaluate(outer, with_dressed)
-                    ).scale(a_outer * a_inner)
-                    if z_glued != z_nested:
-                        ok = False
-            records.append(
-                _record(suite, f"substitution sample {i}", "equal" if ok else "unequal", "equal")
-            )
+            for inner_inputs, _, dressed_inner, before, after in self._composite_inputs(
+                outer, slot, inner
+            ):
+                z_glued = self.instance.surround(
+                    self.algebra.evaluate(glued, before + inner_inputs + after)
+                ).scale(a_glued)
+                z_nested = self.instance.surround(
+                    self.algebra.evaluate(outer, before + [dressed_inner] + after)
+                ).scale(a_outer * a_inner)
+                if z_glued != z_nested:
+                    ok = False
+            records.append(flag(suite, f"substitution sample {i}", ok, "equal", "unequal"))
         return records
 
     def jones_report(self, top: int = 4) -> list[dict]:
@@ -393,20 +381,12 @@ class IntermediateAlgebra:
         for colour in range(2, top + 1):
             e = self.jones_prime(colour)
             prod = self.z_prime(GenExpr("M", colour), [e, e])
-            records.append(
-                _record(suite, f"e'_{colour} idempotent", P.render(prod), P.render(e))
-            )
-            records.append(
-                _record(suite, f"e'_{colour} self-adjoint", P.render(P.star(e)), P.render(e))
-            )
-            records.append(
-                _record(
-                    suite,
-                    f"tr'(e'_{colour}) == 1/[Q:N]",
-                    self.trace_prime(e).render(),
-                    tr_expected.render(),
-                )
-            )
+            records += [
+                record(suite, f"e'_{colour} idempotent", P.render(prod), P.render(e)),
+                record(suite, f"e'_{colour} self-adjoint", P.render(P.star(e)), P.render(e)),
+                record(suite, f"tr'(e'_{colour}) == 1/[Q:N]",
+                       self.trace_prime(e).render(), tr_expected.render()),
+            ]
         towers = []
         for position in range(1, top):
             p = self.jones_prime(position + 1)
@@ -416,33 +396,18 @@ class IntermediateAlgebra:
         inv_index = Fraction(1, self.instance.index_qn)
         for i in range(len(towers) - 1):
             a, b = towers[i], towers[i + 1]
-            lhs = P.multiply(P.multiply(a, b), a)
-            records.append(
-                _record(
-                    suite,
-                    f"p{i + 1} p{i + 2} p{i + 1} == p{i + 1}/[Q:N]",
-                    P.render(lhs),
-                    P.render(a.scale(inv_index)),
-                )
-            )
-            lhs2 = P.multiply(P.multiply(b, a), b)
-            records.append(
-                _record(
-                    suite,
-                    f"p{i + 2} p{i + 1} p{i + 2} == p{i + 2}/[Q:N]",
-                    P.render(lhs2),
-                    P.render(b.scale(inv_index)),
-                )
-            )
+            records += [
+                record(suite, f"p{i + 1} p{i + 2} p{i + 1} == p{i + 1}/[Q:N]",
+                       P.render(P.multiply(P.multiply(a, b), a)), P.render(a.scale(inv_index))),
+                record(suite, f"p{i + 2} p{i + 1} p{i + 2} == p{i + 2}/[Q:N]",
+                       P.render(P.multiply(P.multiply(b, a), b)), P.render(b.scale(inv_index))),
+            ]
         for i in range(len(towers)):
             for j in range(i + 2, len(towers)):
                 records.append(
-                    _record(
-                        suite,
-                        f"p{i + 1} and p{j + 1} commute",
-                        P.render(P.multiply(towers[i], towers[j])),
-                        P.render(P.multiply(towers[j], towers[i])),
-                    )
+                    record(suite, f"p{i + 1} and p{j + 1} commute",
+                           P.render(P.multiply(towers[i], towers[j])),
+                           P.render(P.multiply(towers[j], towers[i])))
                 )
         return records
 
@@ -454,12 +419,8 @@ class IntermediateAlgebra:
         records = []
         for colour in range(1, kmax + 1):
             records.append(
-                _record(
-                    suite,
-                    f"tr'(1'_{colour}) == 1",
-                    self.trace_prime(self.unit_prime(colour)).render(),
-                    "1",
-                )
+                record(suite, f"tr'(1'_{colour}) == 1",
+                       self.trace_prime(self.unit_prime(colour)).render(), "1")
             )
         for colour in range(2, kmax + 1):
             scale = Fraction(self.instance.index_mq ** (colour // 2))
@@ -467,12 +428,8 @@ class IntermediateAlgebra:
                 self.trace_prime(b) == P.trace(b) * scale for b in self.basis(colour)
             )
             records.append(
-                _record(
-                    suite,
-                    f"tr' == [M:Q]^{colour // 2} tr at colour {colour}",
-                    "graded" if good else "broken",
-                    "graded",
-                )
+                flag(suite, f"tr' == [M:Q]^{colour // 2} tr at colour {colour}",
+                     good, "graded", "broken")
             )
         for colour in range(2, kmax + 1):
             down_ok = True
@@ -496,31 +453,22 @@ class IntermediateAlgebra:
             for b in self.basis(colour - 1):
                 if self.expect_right(self.include_prime(b)) != b:
                     up_ok = False
-            records.append(
-                _record(suite, f"right expectation preserves tr' at colour {colour}",
-                        "preserved" if down_ok else "broken", "preserved")
-            )
-            records.append(
-                _record(suite, f"expectation after inclusion is id at colour {colour - 1}",
-                        "id" if up_ok else "not id", "id")
-            )
-            records.append(
-                _record(suite, f"include-expect idempotent at colour {colour}",
-                        "idempotent" if onto_ok else "broken", "idempotent")
-            )
-            records.append(
-                _record(suite, f"left expectation idempotent at colour {colour}",
-                        "idempotent" if left_ok else "broken", "idempotent")
-            )
-            records.append(
-                _record(suite, f"left expectation preserves tr' at colour {colour}",
-                        "preserved" if left_trace_ok else "broken", "preserved")
-            )
+            records += [
+                flag(suite, f"right expectation preserves tr' at colour {colour}",
+                     down_ok, "preserved", "broken"),
+                flag(suite, f"expectation after inclusion is id at colour {colour - 1}",
+                     up_ok, "id", "not id"),
+                flag(suite, f"include-expect idempotent at colour {colour}",
+                     onto_ok, "idempotent", "broken"),
+                flag(suite, f"left expectation idempotent at colour {colour}",
+                     left_ok, "idempotent", "broken"),
+                flag(suite, f"left expectation preserves tr' at colour {colour}",
+                     left_trace_ok, "preserved", "broken"),
+            ]
         for colour in range(1, kmax + 1):
-            verdict = self._gram_positive(colour)
             records.append(
-                _record(suite, f"Gram matrix positive definite at colour {colour}",
-                        "positive" if verdict else "not positive", "positive")
+                flag(suite, f"Gram matrix positive definite at colour {colour}",
+                     self._gram_positive(colour), "positive", "not positive")
             )
         return records
 
@@ -546,27 +494,18 @@ class IntermediateAlgebra:
         suite = "dual"
         inst = self.instance
         P = self.algebra
-        records = []
         root = pow_half(inst.index_mq, 1) * pow_half(inst.index_qn, -1)
         r = inst.biprojection.scale(root)
-        records.append(_record(suite, "r self-adjoint", P.render(P.star(r)), P.render(r)))
-        records.append(
-            _record(
-                suite,
-                "r squares to root-scaled r",
-                P.render(P.multiply(r, r)),
-                P.render(r.scale(root)),
-            )
-        )
+        records = [
+            record(suite, "r self-adjoint", P.render(P.star(r)), P.render(r)),
+            record(suite, "r squares to root-scaled r",
+                   P.render(P.multiply(r, r)), P.render(r.scale(root))),
+        ]
         for (kind, colour), half_exponent in WHITE_WEIGHT_TABLE.items():
-            gen = GenExpr(kind, colour)
             records.append(
-                _record(
-                    suite,
-                    f"white weight of {kind}_{colour}",
-                    alpha_tilde(realize(gen), inst.index_qn).render(),
-                    pow_half(inst.index_qn, half_exponent).render(),
-                )
+                record(suite, f"white weight of {kind}_{colour}",
+                       alpha_tilde(realize(GenExpr(kind, colour)), inst.index_qn).render(),
+                       pow_half(inst.index_qn, half_exponent).render())
             )
         rng = random.Random(seed)
         ok = True
@@ -587,8 +526,7 @@ class IntermediateAlgebra:
             if lhs != rhs:
                 ok = False
         records.append(
-            _record(suite, f"white capping ratio identity ({samples} pairs)",
-                    "holds" if ok else "fails", "holds")
+            flag(suite, f"white capping ratio identity ({samples} pairs)", ok, "holds", "fails")
         )
         if inst.dual_surround is not None and inst.dual_dimension is not None:
             for colour in range(1, 4):
@@ -596,13 +534,8 @@ class IntermediateAlgebra:
                     inst.dual_surround(P.basis_element(colour, label))
                     for label in P.basis_labels(colour)
                 ]
-                rank = len(row_reduce(images))
                 records.append(
-                    _record(
-                        suite,
-                        f"dual surround rank at colour {colour}",
-                        str(rank),
-                        str(inst.dual_dimension(colour)),
-                    )
+                    record(suite, f"dual surround rank at colour {colour}",
+                           str(len(row_reduce(images))), str(inst.dual_dimension(colour)))
                 )
         return records

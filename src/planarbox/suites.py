@@ -9,6 +9,7 @@ acceptance tests consume them directly.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -16,22 +17,10 @@ import numpy as np
 
 from .crossed import CrossedProduct
 from .expressions import GenExpr, generator_signature
-from .group_algebra import PAElement, row_reduce
+from .group_algebra import flag, record, row_reduce
 from .groups import GroupAction
 from .intermediate import IntermediateAlgebra, crossed_instance
 from .scalars import ONE, ZERO, pow_half
-
-SUITE_NAMES = (
-    "base-algebra",
-    "crossed-product",
-    "biprojection",
-    "theorem-main",
-    "axioms",
-    "jones",
-    "trace",
-    "dual",
-    "all",
-)
 
 # transport commutes with these generators; the list stays clear of
 # colour-5 discs so the checks run on tabulated closed forms only
@@ -59,14 +48,6 @@ class SuiteError(ValueError):
     """Unknown suite name."""
 
 
-def _record(suite: str, case: str, lhs: str, rhs: str) -> dict:
-    return {"suite": suite, "case": case, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}
-
-
-def _flag(suite: str, case: str, ok: bool, good: str, bad: str) -> dict:
-    return _record(suite, case, good if ok else bad, good)
-
-
 def _max_disc_colour(gen: GenExpr) -> int:
     external, slots = generator_signature(gen)
     return max([external.colour] + [d.colour for d in slots])
@@ -90,25 +71,12 @@ def base_algebra_report(
     for colour in range(1, top + 1):
         one = P.unit(colour)
         basis = [P.basis_element(colour, lab) for lab in P.basis_labels(colour)]
-        records.append(
-            _flag(
-                suite,
-                f"unit is a two-sided identity at colour {colour}",
-                all(
-                    P.multiply(one, b) == b and P.multiply(b, one) == b for b in basis
-                ),
-                "identity",
-                "broken",
-            )
-        )
-        records.append(
-            _record(
-                suite,
-                f"trace of the unit at colour {colour}",
-                P.trace(one).render(),
-                "1",
-            )
-        )
+        two_sided = all(P.multiply(one, b) == b and P.multiply(b, one) == b for b in basis)
+        records += [
+            flag(suite, f"unit is a two-sided identity at colour {colour}", two_sided,
+                 "identity", "broken"),
+            record(suite, f"trace of the unit at colour {colour}", P.trace(one).render(), "1"),
+        ]
     for colour in range(2, top + 1):
         table, labels = P.product_index_table(colour)
         size = len(labels)
@@ -117,48 +85,28 @@ def base_algebra_report(
         cols = np.hstack([t, np.full((size, 1), -1, dtype=np.int64)])
         # one size^2 block per left factor i: (x_i x_j) x_k against
         # x_i (x_j x_k), so memory stays quadratic in the basis size
-        records.append(
-            _flag(
-                suite,
-                f"associativity of the index table at colour {colour} ({size}^3 triples)",
-                all((rows[t[i]] == cols[i][t]).all() for i in range(size)),
-                "associative",
-                "broken",
-            )
-        )
-        records.append(
-            _record(
-                suite,
-                f"shared product prefactor at colour {colour}",
-                P.product_constant(colour).render(),
-                pow_half(n, (colour + 1) // 2 - 1).render(),
-            )
-        )
+        records += [
+            flag(suite, f"associativity of the index table at colour {colour} ({size}^3 triples)",
+                 all((rows[t[i]] == cols[i][t]).all() for i in range(size)),
+                 "associative", "broken"),
+            record(suite, f"shared product prefactor at colour {colour}",
+                   P.product_constant(colour).render(),
+                   pow_half(n, (colour + 1) // 2 - 1).render()),
+        ]
         basis = [P.basis_element(colour, lab) for lab in P.basis_labels(colour)]
         records.append(
-            _flag(
-                suite,
-                f"star is an involution at colour {colour}",
-                all(P.star(P.star(b)) == b for b in basis),
-                "involution",
-                "broken",
-            )
+            flag(suite, f"star is an involution at colour {colour}",
+                 all(P.star(P.star(b)) == b for b in basis), "involution", "broken")
         )
         if size * size <= 2000:
             pairs = [(x, y) for x in basis for y in basis]
         else:
             pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
         records.append(
-            _flag(
-                suite,
-                f"star reverses products at colour {colour} ({len(pairs)} pairs)",
-                all(
-                    P.star(P.multiply(x, y)) == P.multiply(P.star(y), P.star(x))
-                    for x, y in pairs
-                ),
-                "antihomomorphism",
-                "broken",
-            )
+            flag(suite, f"star reverses products at colour {colour} ({len(pairs)} pairs)",
+                 all(P.star(P.multiply(x, y)) == P.multiply(P.star(y), P.star(x))
+                     for x, y in pairs),
+                 "antihomomorphism", "broken")
         )
         stars = [P.star(y) for y in basis]
         gram_ok = True
@@ -167,51 +115,22 @@ def base_algebra_report(
                 inner = P.trace(P.multiply(y_star, x))
                 if inner != (ONE if i == j else ZERO):
                     gram_ok = False
-        records.append(
-            _flag(
-                suite,
-                f"Gram matrix of the label basis is the identity at colour {colour}",
-                gram_ok,
-                "orthonormal",
-                "degenerate",
-            )
-        )
-        records.append(
-            _flag(
-                suite,
-                f"trace is star-invariant at colour {colour}",
-                all(P.trace(P.star(b)) == P.trace(b) for b in basis),
-                "invariant",
-                "broken",
-            )
-        )
-        records.append(
-            _flag(
-                suite,
-                f"inclusion preserves the trace at colour {colour}",
-                all(
-                    P.trace(P.act_generator(GenExpr("I", colour), [b])) == P.trace(b)
-                    for b in basis
-                ),
-                "preserved",
-                "broken",
-            )
-        )
+        include = GenExpr("I", colour)
         e_up = P.jones_element(colour + 1)
         inv_order = Fraction(1, n)
-        records.append(
-            _flag(
-                suite,
-                f"Markov property at colour {colour}",
-                all(
-                    P.trace(P.multiply(P.act_generator(GenExpr("I", colour), [b]), e_up))
-                    == P.trace(b) * inv_order
-                    for b in basis
-                ),
-                "markov",
-                "broken",
-            )
-        )
+        records += [
+            flag(suite, f"Gram matrix of the label basis is the identity at colour {colour}",
+                 gram_ok, "orthonormal", "degenerate"),
+            flag(suite, f"trace is star-invariant at colour {colour}",
+                 all(P.trace(P.star(b)) == P.trace(b) for b in basis), "invariant", "broken"),
+            flag(suite, f"inclusion preserves the trace at colour {colour}",
+                 all(P.trace(P.act_generator(include, [b])) == P.trace(b) for b in basis),
+                 "preserved", "broken"),
+            flag(suite, f"Markov property at colour {colour}",
+                 all(P.trace(P.multiply(P.act_generator(include, [b]), e_up))
+                     == P.trace(b) * inv_order for b in basis),
+                 "markov", "broken"),
+        ]
     return records
 
 
@@ -232,13 +151,8 @@ def crossed_product_report(
             if cp.orbit_multiply(x, y) != cp.base.multiply(x, y):
                 ok = False
         records.append(
-            _flag(
-                suite,
-                f"orbit product closed form at colour {colour} ({samples} pairs)",
-                ok,
-                "matches expansion",
-                "differs",
-            )
+            flag(suite, f"orbit product closed form at colour {colour} ({samples} pairs)",
+                 ok, "matches expansion", "differs")
         )
         ok = True
         for _ in range(samples):
@@ -249,13 +163,8 @@ def crossed_product_report(
             if cp.twist_multiply(colour, a, b) != direct:
                 ok = False
         records.append(
-            _flag(
-                suite,
-                f"twist product closed form at colour {colour} ({samples} pairs)",
-                ok,
-                "matches expansion",
-                "differs",
-            )
+            flag(suite, f"twist product closed form at colour {colour} ({samples} pairs)",
+                 ok, "matches expansion", "differs")
         )
     for colour in range(1, top + 1):
         reps = cp.orbit_reps(colour)
@@ -267,23 +176,11 @@ def crossed_product_report(
             images.append(carried)
             if cp.transport_inverse(carried) != x:
                 ok = False
-        records.append(
-            _flag(
-                suite,
-                f"transport inverts at colour {colour}",
-                ok,
-                "bijective",
-                "broken",
-            )
-        )
-        records.append(
-            _record(
-                suite,
-                f"transport image rank at colour {colour}",
-                str(len(row_reduce(images))),
-                str(len(reps)),
-            )
-        )
+        records += [
+            flag(suite, f"transport inverts at colour {colour}", ok, "bijective", "broken"),
+            record(suite, f"transport image rank at colour {colour}",
+                   str(len(row_reduce(images))), str(len(reps))),
+        ]
     for gen in INTERTWINE_GENERATORS:
         if _max_disc_colour(gen) > top:
             continue
@@ -301,31 +198,45 @@ def biprojection_suite(
     for h in range(len(cp.semidirect)):
         sub = cp.biprojection_report(cp.conjugate_biprojection(h), kmax=1)
         records.append(
-            _flag(
-                "biprojection",
-                f"conjugate copy at h={cp.semidirect.name(h)} verifies identically",
-                all(r["pass"] for r in sub),
-                "verified",
-                "broken",
-            )
+            flag("biprojection",
+                 f"conjugate copy at h={cp.semidirect.name(h)} verifies identically",
+                 all(r["pass"] for r in sub), "verified", "broken")
         )
     for colour in range(1, top + 1):
         images = [
             cp.surround(P.basis_element(colour, lab)) for lab in P.basis_labels(colour)
         ]
         records.append(
-            _record(
-                "biprojection",
-                f"surround rank at colour {colour}",
-                str(len(row_reduce(images))),
-                str(len(cp.orbit_reps(colour))),
-            )
+            record("biprojection", f"surround rank at colour {colour}",
+                   str(len(row_reduce(images))), str(len(cp.orbit_reps(colour))))
         )
     return records
 
 
 def _build_intermediate(cp: CrossedProduct, k_max: int) -> IntermediateAlgebra:
     return IntermediateAlgebra(crossed_instance(cp), k_max=min(max(k_max, 2), 5))
+
+
+# suite name -> runner(cp, inter, k_max, samples, seed), in the order of
+# `all`; ``inter()`` returns the cut-down algebra, built on first use
+_RUNNERS = {
+    "base-algebra": lambda cp, inter, k, n, s: base_algebra_report(cp, k_max=k, samples=n, seed=s),
+    "crossed-product": lambda cp, inter, k, n, s: crossed_product_report(
+        cp, k_max=k, samples=n, seed=s
+    ),
+    "biprojection": lambda cp, inter, k, n, s: biprojection_suite(cp, k_max=k, samples=n, seed=s),
+    "theorem-main": lambda cp, inter, k, n, s: inter().theorem_main_report(
+        samples=n, seed=s, max_colour=min(k, 4)
+    ),
+    "axioms": lambda cp, inter, k, n, s: inter().axiom_report(
+        samples=n, seed=s, max_colour=min(k, 4)
+    ),
+    "jones": lambda cp, inter, k, n, s: inter().jones_report(top=min(k, 4)),
+    "trace": lambda cp, inter, k, n, s: inter().trace_report(kmax=min(k, 4)),
+    "dual": lambda cp, inter, k, n, s: inter().dual_report(samples=n, seed=s),
+}
+
+SUITE_NAMES = (*_RUNNERS, "all")
 
 
 def run_suite(
@@ -339,46 +250,11 @@ def run_suite(
     if name not in SUITE_NAMES:
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     cp = CrossedProduct(action)
-    ambient = (
-        ("base-algebra", base_algebra_report),
-        ("crossed-product", crossed_product_report),
-        ("biprojection", biprojection_suite),
-    )
+    inter = functools.cache(lambda: _build_intermediate(cp, k_max))
+    wanted = list(_RUNNERS) if name == "all" else [name]
     records: list[dict] = []
-    if name == "all":
-        wanted = [n for n, _ in ambient] + [
-            "theorem-main",
-            "axioms",
-            "jones",
-            "trace",
-            "dual",
-        ]
-    else:
-        wanted = [name]
-    inter = None
     for current in wanted:
-        for suite_name, fn in ambient:
-            if current == suite_name:
-                records.extend(fn(cp, k_max=k_max, samples=samples, seed=seed))
-                break
-        else:
-            if inter is None:
-                inter = _build_intermediate(cp, k_max)
-            top = min(k_max, 4)
-            if current == "theorem-main":
-                records.extend(
-                    inter.theorem_main_report(samples=samples, seed=seed, max_colour=top)
-                )
-            elif current == "axioms":
-                records.extend(
-                    inter.axiom_report(samples=samples, seed=seed, max_colour=top)
-                )
-            elif current == "jones":
-                records.extend(inter.jones_report(top=top))
-            elif current == "trace":
-                records.extend(inter.trace_report(kmax=top))
-            elif current == "dual":
-                records.extend(inter.dual_report(samples=samples, seed=seed))
+        records.extend(_RUNNERS[current](cp, inter, k_max, samples, seed))
     return records
 
 

@@ -6,7 +6,12 @@ import pytest
 
 from planarbox import expressions
 from planarbox.expressions import ComposeExpr, GenExpr, parse_expr
-from planarbox.group_algebra import AlgebraError, GroupPlanarAlgebra, PAElement
+from planarbox.group_algebra import (
+    AlgebraError,
+    GroupPlanarAlgebra,
+    PAElement,
+    SubgroupBiprojection,
+)
 from planarbox.groups import cyclic_group, build_semidirect, inversion_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 
@@ -559,3 +564,81 @@ class TestLeftPartCache:
                 (lab,) = expected.support()
                 assert alg._merge(k, g, h) == lab
                 assert alg._left_parts(k)[g][h[:m]] + h[m:] == lab
+
+
+def subgroups(group) -> list[tuple[int, ...]]:
+    """Every subgroup of a small group, by brute force over subsets with 0."""
+    found = []
+    for r in range(group.order):
+        for rest in itertools.combinations(range(1, group.order), r):
+            members = {0, *rest}
+            if all(group.op(a, b) in members for a in members for b in members):
+                found.append(tuple(sorted(members)))
+    return found
+
+
+def spread_by_definition(group, members, x: PAElement) -> PAElement:
+    """|K|^-c sum over t, k_i in K of S(t h_1 k_1, ..., t h_{c-1} k_{c-1}),
+    term by term with no grouping or caching."""
+    op, c = group.op, x.colour
+    scale = RadicalScalar.rational(Fraction(1, len(members) ** c))
+    out: dict = {}
+    for lab, coeff in x.coeffs.items():
+        for t in members:
+            for ks in itertools.product(members, repeat=len(lab)):
+                moved = tuple(op(op(t, h), k) for h, k in zip(lab, ks))
+                out[moved] = out.get(moved, ZERO) + coeff * scale
+    return PAElement(c, out)
+
+
+class TestSubgroupBiprojection:
+    ORDER6 = SEMIDIRECT["z3xz2"].group
+
+    def test_order_six_group_has_six_subgroups(self):
+        assert [len(k) for k in subgroups(self.ORDER6)] == [1, 2, 2, 2, 3, 6]
+
+    @pytest.mark.parametrize("members", [[0, 1, 2], [], [0, 6], [0, -1], [1]])
+    def test_non_subgroups_rejected(self, members):
+        with pytest.raises(AlgebraError, match="members do not form a subgroup"):
+            SubgroupBiprojection(self.ORDER6, members)
+
+    @pytest.mark.parametrize("name", ["z3xz2", "z4xz2"])
+    def test_surround_matches_definition(self, name):
+        alg = SEMIDIRECT[name]
+        group = alg.group
+        rng = random.Random(f"subgroup-spread-{name}")
+        for members in subgroups(group):
+            sub = SubgroupBiprojection(group, reversed(members))
+            assert sub.members == members
+            for colour in (1, 2, 3):
+                labels = list(alg.basis_labels(colour))
+                for _ in range(6):
+                    picked = rng.sample(labels, min(len(labels), rng.randint(1, 6)))
+                    x = PAElement(colour, {lab: rng.choice(CLASS_COEFFS) for lab in picked})
+                    once = sub.surround(x)
+                    assert once == spread_by_definition(group, members, x)
+                    assert sub.surround(once) == once
+
+    def test_trivial_subgroup_surround_is_identity(self):
+        alg = SEMIDIRECT["z3xz2"]
+        sub = SubgroupBiprojection(alg.group, [0])
+        for colour in (1, 2, 3):
+            for lab in alg.basis_labels(colour):
+                b = alg.basis_element(colour, lab)
+                assert sub.surround(b) == b
+
+    def test_colour_zero_passes_through(self):
+        alg = SEMIDIRECT["z3xz2"]
+        sub = SubgroupBiprojection(alg.group, [0, 2, 4])
+        for shaded in (False, True):
+            x = alg.basis_element(0, (), shaded).scale(RadicalScalar.rational(3))
+            assert sub.surround(x) == x
+            assert sub.dual_surround(x) == x
+
+    def test_average_and_dual_surround(self):
+        alg = SEMIDIRECT["z3xz2"]
+        sub = SubgroupBiprojection(alg.group, [0, 2, 4])
+        third = RadicalScalar.rational(Fraction(1, 3))
+        assert sub.average() == PAElement(2, {(0,): third, (2,): third, (4,): third})
+        x = PAElement(3, {(0, 2): ONE, (2, 1): ONE, (4, 4): CLASS_COEFFS[2]})
+        assert sub.dual_surround(x) == PAElement(3, {(0, 2): ONE, (4, 4): CLASS_COEFFS[2]})

@@ -14,6 +14,7 @@ from planarbox.intermediate import (
     AlgebraInstance,
     IntermediateAlgebra,
     crossed_instance,
+    subgroup_instance,
 )
 from planarbox.scalars import ONE, RadicalScalar, pow_half
 
@@ -338,3 +339,95 @@ class TestGramPositivity:
                 for c in range(step, n):
                     gram[r][c] = gram[r][c] - factor * gram[step][c]
         assert not pivots_positive
+
+
+def order_six_subgroups() -> list[tuple[int, ...]]:
+    """Every subgroup of the order-6 semidirect product, by brute force."""
+    H = CP3.semidirect
+    found = []
+    for mask in range(1, 2**6, 2):  # subsets containing the identity 0
+        members = [h for h in range(6) if mask >> h & 1]
+        if all(H.op(a, b) in members for a in members for b in members):
+            found.append(tuple(members))
+    return found
+
+
+SUBGROUPS = order_six_subgroups()
+SUBGROUP_INTER = {
+    k: IntermediateAlgebra(subgroup_instance(CP3.product, k), k_max=3) for k in SUBGROUPS
+}
+NONTRIVIAL = [k for k in SUBGROUPS if len(k) > 1]
+
+
+class TestSubgroupInstances:
+    """The cut-down algebra of every subgroup K of the order-6 group."""
+
+    def test_six_subgroups(self):
+        assert sorted(len(k) for k in SUBGROUPS) == [1, 2, 2, 2, 3, 6]
+
+    @pytest.mark.parametrize("members", SUBGROUPS, ids=str)
+    def test_dimensions_and_index_data(self, members):
+        inst = SUBGROUP_INTER[members].instance
+        expected = {1: [1, 6, 36], 2: [1, 2, 5], 3: [1, 2, 4], 6: [1, 1, 1]}[len(members)]
+        assert [SUBGROUP_INTER[members].dimension(k) for k in (1, 2, 3)] == expected
+        assert (inst.index_mn, inst.index_mq, inst.index_qn) == (6, len(members), 6 // len(members))
+        assert [inst.dual_dimension(c) for c in (1, 2, 3)] == [1, len(members), len(members) ** 2]
+
+    @pytest.mark.parametrize("members", NONTRIVIAL, ids=str)
+    def test_reports_pass(self, members):
+        inter = SUBGROUP_INTER[members]
+        records = (
+            inter.theorem_main_report(samples=3, seed=0, max_colour=3)
+            + inter.axiom_report(samples=3, seed=0, max_colour=3)
+            + inter.jones_report(top=3)
+            + inter.trace_report(kmax=3)
+            + inter.dual_report(samples=3, seed=0)
+        )
+        assert len(records) == 13 + 9 + 8 + 18 + 17
+        assert [r for r in records if not r["pass"]] == []
+
+    def test_trivial_subgroup_surround_is_identity(self):
+        surround = SUBGROUP_INTER[(0,)].instance.surround
+        for colour in (0, 1, 2, 3):
+            for label in CP3.product.basis_labels(colour):
+                b = CP3.product.basis_element(colour, label)
+                assert surround(b) == b
+
+    def test_trivial_subgroup_reports_without_trace(self):
+        # axioms take seconds here (36 basis labels at colour 3), so they are left out
+        inter = SUBGROUP_INTER[(0,)]
+        records = (
+            inter.theorem_main_report(samples=3, seed=0, max_colour=3)
+            + inter.jones_report(top=3)
+            + inter.dual_report(samples=3, seed=0)
+        )
+        assert [r for r in records if not r["pass"]] == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="colour-2 isotopy defect (ROADMAP item 2): two trace records fail",
+    )
+    def test_trivial_subgroup_trace(self):
+        records = SUBGROUP_INTER[(0,)].trace_report(kmax=3)
+        assert [r["case"] for r in records if not r["pass"]] == []
+
+    def test_non_subgroup_rejected(self):
+        with pytest.raises(AlgebraError, match="members do not form a subgroup"):
+            subgroup_instance(CP3.product, [0, CP3.semidirect.index(1, 0)])
+
+    @pytest.mark.parametrize("cp", [CP3, CP4, CPT], ids=["z3", "z4", "trivial"])
+    def test_crossed_instance_is_the_embedded_theta(self, cp):
+        members = [cp.semidirect.index(0, t) for t in range(cp.theta_order)]
+        generic = subgroup_instance(cp.product, members)
+        inst = crossed_instance(cp)
+        assert inst.surround == cp.surround
+        assert inst.biprojection == generic.biprojection == cp.biprojection()
+        assert (inst.index_mn, inst.index_mq, inst.index_qn) == (
+            generic.index_mn, generic.index_mq, generic.index_qn
+        )
+        for colour in (0, 1, 2, 3):
+            assert inst.dual_dimension(colour) == generic.dual_dimension(colour)
+            for label in cp.product.basis_labels(colour):
+                b = cp.product.basis_element(colour, label)
+                assert inst.surround(b) == generic.surround(b)
+                assert inst.dual_surround(b) == generic.dual_surround(b)

@@ -1,0 +1,57 @@
+"""Tests for the suite registry and the byte stability of whole reports."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from planarbox import suites
+from planarbox.groups import load_action
+from planarbox.suites import SUITE_NAMES, SuiteError, run_suite
+
+ACTIONS = Path(__file__).resolve().parent.parent / "actions"
+
+# sha256 of json.dumps(run_suite("all", action, k_max=3, samples=3, seed=0),
+# sort_keys=True), with the record count; any refactor must keep both
+GOLDEN = {
+    "z3xz2": (167, "fb94503d50ec345c0d04e550f327599ff48bbe6591bc353cf221619c0e4bd2d0"),
+    "z4xz2": (262, "9e7307a929e39dcca8948b44d3a6208882d9e3bb6114a94835a5d0ad4614725b"),
+    "z3-trivial": (236, "90bafc03078bcbf7e46ec8d5a8fff8dd1a4a074503e4870a3e6f99dccc4d69d8"),
+}
+
+
+def action(stem: str):
+    return load_action(json.loads((ACTIONS / f"{stem}.json").read_text()))
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN))
+def test_all_suites_report_is_pinned(stem):
+    records = run_suite("all", action(stem), k_max=3, samples=3, seed=0)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert (len(records), digest) == GOLDEN[stem]
+
+
+def test_suite_names_in_order():
+    assert SUITE_NAMES == (
+        "base-algebra", "crossed-product", "biprojection", "theorem-main",
+        "axioms", "jones", "trace", "dual", "all",
+    )
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(SuiteError, match="unknown suite 'nope'; choose from base-algebra, "):
+        run_suite("nope", action("z3xz2"))
+
+
+def test_all_builds_the_cut_down_algebra_once(monkeypatch):
+    built = []
+    real = suites._build_intermediate
+    monkeypatch.setattr(
+        suites, "_build_intermediate", lambda cp, k_max: built.append(k_max) or real(cp, k_max)
+    )
+    run_suite("biprojection", action("z3xz2"), k_max=2, samples=1)
+    assert built == []
+    records = run_suite("all", action("z3xz2"), k_max=2, samples=1)
+    assert built == [2]
+    assert [r["suite"] for r in records][-1] == "dual"
