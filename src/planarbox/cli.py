@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,10 +21,9 @@ from .expressions import ParseError, parse_expr, realize
 from .group_algebra import AlgebraError
 from .groups import GroupAction, GroupError, inversion_action, load_action
 from .scalars import RadicalScalar
-from .suites import SUITE_NAMES, SuiteError, run_suite, summarize
+from .suites import MAX_KMAX, SUITE_NAMES, SuiteError, run_suite, summarize
 from .tangles import TangleError, alpha, capping_exponent, loops_black, validate
 
-KMAX_LIMIT_ENV = "PLANARBOX_KMAX_HARD_LIMIT"
 DEFAULT_KMAX = 4
 DEFAULT_SAMPLES = 40
 
@@ -41,14 +39,6 @@ def format_scalar(value: RadicalScalar) -> str:
     ``1/2*sqrt(2)``.
     """
     return value.render(parenthesize=True)
-
-
-def _hard_kmax_limit() -> int:
-    raw = os.environ.get(KMAX_LIMIT_ENV, "5")
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{KMAX_LIMIT_ENV} must be an integer, got {raw!r}")
 
 
 def _load_action(path: str | None) -> GroupAction:
@@ -90,12 +80,8 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    limit = _hard_kmax_limit()
     if args.samples < 1:
         print("--samples must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not 2 <= args.kmax <= limit:
-        print(f"--kmax must lie in 2..{limit} (set {KMAX_LIMIT_ENV} to raise)", file=sys.stderr)
         return EXIT_USAGE
     try:
         action = _load_action(args.action)
@@ -221,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run a named verification suite")
     p_suite.add_argument("name", help=f"one of: {', '.join(SUITE_NAMES)}")
     p_suite.add_argument("--action", help="path to an action JSON file")
-    p_suite.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
+    p_suite.add_argument(
+        "--kmax", type=int, default=DEFAULT_KMAX,
+        help=f"highest colour checked, 2..{MAX_KMAX} (default {DEFAULT_KMAX})",
+    )
     p_suite.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p_suite.add_argument("--seed", type=int, default=0)
     p_suite.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -177,7 +177,7 @@ def _parse_colour(tok: str) -> tuple[int, bool]:
         return 0, True
     try:
         k = int(tok)
-    except ValueError:
+    except (TypeError, ValueError):  # a parenthesized form is no colour
         raise ParseError(f"bad colour token {tok!r}") from None
     if k < 0:
         raise ParseError(f"bad colour token {tok!r}")

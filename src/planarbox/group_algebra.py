@@ -47,8 +47,6 @@ from .tangles import Disc
 
 Label = tuple[int, ...]
 
-MAX_CLOSED_FORM_COLOUR = 5
-
 
 class AlgebraError(ValueError):
     """Colour mismatches, unsupported colours, malformed labels."""
@@ -350,26 +348,16 @@ class GroupPlanarAlgebra:
         return self.group.order ** max(colour - 1, 0)
 
     def unit(self, colour: int, shaded: bool = False) -> PAElement:
-        n = self.group.order
-        if colour <= 2:
-            label = () if colour <= 1 else (0,)
-            return PAElement(colour, {label: ONE}, shaded)
-        if colour == 3:
-            c = self._inv_delta
-            return PAElement(3, {(0, h): c for h in range(n)})
-        if colour == 4:
-            c = self._inv_delta
-            return PAElement(4, {(0, h, h): c for h in range(n)})
-        if colour == 5:
-            c = pow_half(n, -2)
-            return PAElement(
-                5, {(0, h, u, h): c for h in range(n) for u in range(n)}
-            )
-        raise AlgebraError(
-            f"unit closed forms are tabulated through colour {MAX_CLOSED_FORM_COLOUR}"
-        )
+        """The unit of a colour: the inclusion of the unit one colour down,
+        starting from the empty diagram at colour 0."""
+        if colour == 0:
+            return PAElement(0, {(): ONE}, shaded)
+        return self._act_I(colour - 1, self.unit(colour - 1))
 
     def jones_element(self, colour: int) -> PAElement:
+        """The Jones element, tabulated for colours 2..5 (which bounds the
+        suites' k_max); no other generator has a turnback on its external
+        disc, so it cannot be derived like the unit."""
         n = self.group.order
         if colour == 2:
             c = pow_half(n, -2)
@@ -384,9 +372,7 @@ class GroupPlanarAlgebra:
         if colour == 5:
             c = pow_half(n, -2)
             return PAElement(5, {(0, b, b, b): c for b in range(n)})
-        raise AlgebraError(
-            f"jones closed forms cover colours 2..{MAX_CLOSED_FORM_COLOUR}"
-        )
+        raise AlgebraError("jones closed forms cover colours 2..5")
 
     # --- ring structure --------------------------------------------------
 

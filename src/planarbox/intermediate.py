@@ -71,7 +71,7 @@ class AlgebraInstance:
     ``surround`` must be idempotent per colour and commute with inclusion;
     ``biprojection`` is the colour-2 element whose trace is the surround
     weight.  ``dual_surround`` and ``dual_dimension`` describe the
-    white-shaded counterpart and are optional.
+    white-shaded counterpart.
     """
 
     algebra: GroupPlanarAlgebra
@@ -80,8 +80,8 @@ class AlgebraInstance:
     index_mn: int
     index_mq: int
     index_qn: int
-    dual_surround: Callable[[PAElement], PAElement] | None = None
-    dual_dimension: Callable[[int], int] | None = None
+    dual_surround: Callable[[PAElement], PAElement]
+    dual_dimension: Callable[[int], int]
 
 
 def subgroup_instance(algebra: GroupPlanarAlgebra, members: Iterable[int]) -> AlgebraInstance:
@@ -528,14 +528,13 @@ class IntermediateAlgebra:
         records.append(
             flag(suite, f"white capping ratio identity ({samples} pairs)", ok, "holds", "fails")
         )
-        if inst.dual_surround is not None and inst.dual_dimension is not None:
-            for colour in range(1, 4):
-                images = [
-                    inst.dual_surround(P.basis_element(colour, label))
-                    for label in P.basis_labels(colour)
-                ]
-                records.append(
-                    record(suite, f"dual surround rank at colour {colour}",
-                           str(len(row_reduce(images))), str(inst.dual_dimension(colour)))
-                )
+        for colour in range(1, 4):
+            images = [
+                inst.dual_surround(P.basis_element(colour, label))
+                for label in P.basis_labels(colour)
+            ]
+            records.append(
+                record(suite, f"dual surround rank at colour {colour}",
+                       str(len(row_reduce(images))), str(inst.dual_dimension(colour)))
+            )
         return records

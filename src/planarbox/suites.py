@@ -22,8 +22,8 @@ from .groups import GroupAction
 from .intermediate import IntermediateAlgebra, crossed_instance
 from .scalars import ONE, ZERO, pow_half
 
-# transport commutes with these generators; the list stays clear of
-# colour-5 discs so the checks run on tabulated closed forms only
+# transport commutes with these generators; a check runs only when every
+# disc of its generator lies within the suite's k_max
 INTERTWINE_GENERATORS = (
     GenExpr("M", 2),
     GenExpr("M", 3),
@@ -44,13 +44,13 @@ INTERTWINE_GENERATORS = (
 )
 
 
+# the highest colour any suite checks: base-algebra's Markov check reads the
+# Jones element at colour k_max + 1, and its closed forms stop at colour 5
+MAX_KMAX = 4
+
+
 class SuiteError(ValueError):
-    """Unknown suite name."""
-
-
-def _max_disc_colour(gen: GenExpr) -> int:
-    external, slots = generator_signature(gen)
-    return max([external.colour] + [d.colour for d in slots])
+    """Unknown suite name, or a k_max outside 2..MAX_KMAX."""
 
 
 def base_algebra_report(
@@ -65,10 +65,9 @@ def base_algebra_report(
     suite = "base-algebra"
     P = cp.product
     n = len(P.group)
-    top = min(k_max, 4)
     rng = random.Random(seed)
     records = []
-    for colour in range(1, top + 1):
+    for colour in range(1, k_max + 1):
         one = P.unit(colour)
         basis = [P.basis_element(colour, lab) for lab in P.basis_labels(colour)]
         two_sided = all(P.multiply(one, b) == b and P.multiply(b, one) == b for b in basis)
@@ -77,7 +76,7 @@ def base_algebra_report(
                  "identity", "broken"),
             record(suite, f"trace of the unit at colour {colour}", P.trace(one).render(), "1"),
         ]
-    for colour in range(2, top + 1):
+    for colour in range(2, k_max + 1):
         table, labels = P.product_index_table(colour)
         size = len(labels)
         t = table.astype(np.int64)
@@ -139,10 +138,9 @@ def crossed_product_report(
 ) -> list[dict]:
     """Closed product formulas against expansion, and the transport map."""
     suite = "crossed-product"
-    top = min(k_max, 4)
     rng = random.Random(seed)
     records = []
-    for colour in range(2, top + 1):
+    for colour in range(2, k_max + 1):
         reps = cp.orbit_reps(colour)
         ok = True
         for _ in range(samples):
@@ -166,7 +164,7 @@ def crossed_product_report(
             flag(suite, f"twist product closed form at colour {colour} ({samples} pairs)",
                  ok, "matches expansion", "differs")
         )
-    for colour in range(1, top + 1):
+    for colour in range(1, k_max + 1):
         reps = cp.orbit_reps(colour)
         images = []
         ok = True
@@ -182,9 +180,9 @@ def crossed_product_report(
                    str(len(row_reduce(images))), str(len(reps))),
         ]
     for gen in INTERTWINE_GENERATORS:
-        if _max_disc_colour(gen) > top:
-            continue
-        records.extend(cp.intertwine_check(gen, suite=suite))
+        external, slots = generator_signature(gen)
+        if max([external.colour] + [d.colour for d in slots]) <= k_max:
+            records.extend(cp.intertwine_check(gen, suite=suite))
     return records
 
 
@@ -192,8 +190,7 @@ def biprojection_suite(
     cp: CrossedProduct, k_max: int = 4, samples: int = 40, seed: int = 0
 ) -> list[dict]:
     """The biprojection facts plus conjugate copies and surround ranks."""
-    top = min(k_max, 4)
-    records = cp.biprojection_report(kmax=top)
+    records = cp.biprojection_report(kmax=k_max)
     P = cp.product
     for h in range(len(cp.semidirect)):
         sub = cp.biprojection_report(cp.conjugate_biprojection(h), kmax=1)
@@ -202,7 +199,7 @@ def biprojection_suite(
                  f"conjugate copy at h={cp.semidirect.name(h)} verifies identically",
                  all(r["pass"] for r in sub), "verified", "broken")
         )
-    for colour in range(1, top + 1):
+    for colour in range(1, k_max + 1):
         images = [
             cp.surround(P.basis_element(colour, lab)) for lab in P.basis_labels(colour)
         ]
@@ -214,7 +211,7 @@ def biprojection_suite(
 
 
 def _build_intermediate(cp: CrossedProduct, k_max: int) -> IntermediateAlgebra:
-    return IntermediateAlgebra(crossed_instance(cp), k_max=min(max(k_max, 2), 5))
+    return IntermediateAlgebra(crossed_instance(cp), k_max=k_max)
 
 
 # suite name -> runner(cp, inter, k_max, samples, seed), in the order of
@@ -226,13 +223,11 @@ _RUNNERS = {
     ),
     "biprojection": lambda cp, inter, k, n, s: biprojection_suite(cp, k_max=k, samples=n, seed=s),
     "theorem-main": lambda cp, inter, k, n, s: inter().theorem_main_report(
-        samples=n, seed=s, max_colour=min(k, 4)
+        samples=n, seed=s, max_colour=k
     ),
-    "axioms": lambda cp, inter, k, n, s: inter().axiom_report(
-        samples=n, seed=s, max_colour=min(k, 4)
-    ),
-    "jones": lambda cp, inter, k, n, s: inter().jones_report(top=min(k, 4)),
-    "trace": lambda cp, inter, k, n, s: inter().trace_report(kmax=min(k, 4)),
+    "axioms": lambda cp, inter, k, n, s: inter().axiom_report(samples=n, seed=s, max_colour=k),
+    "jones": lambda cp, inter, k, n, s: inter().jones_report(top=k),
+    "trace": lambda cp, inter, k, n, s: inter().trace_report(kmax=k),
     "dual": lambda cp, inter, k, n, s: inter().dual_report(samples=n, seed=s),
 }
 
@@ -249,6 +244,8 @@ def run_suite(
     """Dispatch one named suite (or all of them, concatenated)."""
     if name not in SUITE_NAMES:
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if not 2 <= k_max <= MAX_KMAX:
+        raise SuiteError(f"k_max must lie in 2..{MAX_KMAX}, got {k_max}")
     cp = CrossedProduct(action)
     inter = functools.cache(lambda: _build_intermediate(cp, k_max))
     wanted = list(_RUNNERS) if name == "all" else [name]

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from planarbox.crossed import CrossedProduct
 from planarbox.expressions import GenExpr, random_composable_pair, realize
@@ -25,7 +26,13 @@ from planarbox.tangles import alpha, compose, loops_black, make_generator
 
 CP = CrossedProduct(inversion_action(3))
 CP4 = CrossedProduct(inversion_action(4))
-INTER = IntermediateAlgebra(crossed_instance(CP), k_max=4)
+
+
+@pytest.fixture(scope="module")
+def inter():
+    """The cut-down algebra of CP at k_max 4; built here, not at import, so a
+    broken surround fails the criteria that use it and no others."""
+    return IntermediateAlgebra(crossed_instance(CP), k_max=4)
 
 
 def _all_pass(records):
@@ -127,36 +134,36 @@ def test_criterion_04_biprojection_and_surround_rank():
             assert len(row_reduce(images)) == count
 
 
-def test_criterion_05_composite_tangle_identity():
-    records = INTER.theorem_main_report(samples=200, seed=0, max_colour=4, depth=3)
+def test_criterion_05_composite_tangle_identity(inter):
+    records = inter.theorem_main_report(samples=200, seed=0, max_colour=4, depth=3)
     assert len(records) == 1 + 2 * (200 + 3)
     _all_pass(records)
 
 
-def test_criterion_06_planar_axiom_suite():
-    records = INTER.axiom_report(samples=40, seed=1, max_colour=4)
+def test_criterion_06_planar_axiom_suite(inter):
+    records = inter.axiom_report(samples=40, seed=1, max_colour=4)
     assert len(records) == 4 + 2 * 40
     _all_pass(records)
 
 
-def test_criterion_07_jones_projection_family():
-    records = INTER.jones_report(top=4)
+def test_criterion_07_jones_projection_family(inter):
+    records = inter.jones_report(top=4)
     assert len(records) == 14
     _all_pass(records)
     third = RadicalScalar.rational(Fraction(1, 3))
     for colour in (2, 3, 4):
-        assert INTER.trace_prime(INTER.jones_prime(colour)) == third
+        assert inter.trace_prime(inter.jones_prime(colour)) == third
 
 
-def test_criterion_08_trace_rescaling():
-    records = INTER.trace_report()
+def test_criterion_08_trace_rescaling(inter):
+    records = inter.trace_report()
     _all_pass(records)
     P = CP.product
     for colour in range(1, 5):
-        assert INTER.trace_prime(INTER.unit_prime(colour)) == ONE
+        assert inter.trace_prime(inter.unit_prime(colour)) == ONE
         grading = RadicalScalar.rational(2 ** (colour // 2))
-        for x in INTER.basis(colour):
-            assert INTER.trace_prime(x) == P.trace(x) * grading
+        for x in inter.basis(colour):
+            assert inter.trace_prime(x) == P.trace(x) * grading
 
 
 def test_criterion_09_transport_bijection_intertwines():
@@ -196,8 +203,8 @@ def test_criterion_10_closed_product_constants():
                     assert cp.twist_multiply(colour, a, b) == direct
 
 
-def test_criterion_11_dual_bookkeeping():
-    records = INTER.dual_report(samples=50, seed=7)
+def test_criterion_11_dual_bookkeeping(inter):
+    records = inter.dual_report(samples=50, seed=7)
     assert len(records) == 17
     _all_pass(records)
     ranks = [r for r in records if r["case"].startswith("dual surround rank")]

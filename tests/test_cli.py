@@ -161,9 +161,9 @@ class TestSuiteCommand:
         assert time.perf_counter() - start < 10
         assert "maximum" in capsys.readouterr().err
 
-    def test_hard_limit_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("PLANARBOX_KMAX_HARD_LIMIT", "3")
-        assert main(["suite", "jones", "--kmax", "4"]) == 2
+    def test_kmax_above_bound_names_the_range(self, capsys):
+        assert main(["suite", "jones", "--kmax", "5"]) == 2
+        assert "2..4" in capsys.readouterr().err
 
     def test_failures_exit_1_with_report(self, tmp_path, monkeypatch, capsys):
         import planarbox.cli as cli

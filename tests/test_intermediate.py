@@ -1,5 +1,7 @@
 """Tests for the cut-down algebra: bases, rescaled action, Jones family, reports."""
 
+import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,20 +12,30 @@ from planarbox.crossed import CrossedProduct
 from planarbox.expressions import ComposeExpr, GenExpr, RenumberExpr
 from planarbox.group_algebra import AlgebraError
 from planarbox.groups import cyclic_group, inversion_action, trivial_action
-from planarbox.intermediate import (
-    AlgebraInstance,
-    IntermediateAlgebra,
-    crossed_instance,
-    subgroup_instance,
-)
+from planarbox.intermediate import IntermediateAlgebra, crossed_instance, subgroup_instance
 from planarbox.scalars import ONE, RadicalScalar, pow_half
 
 CP3 = CrossedProduct(inversion_action(3))
 CP4 = CrossedProduct(inversion_action(4))
 CPT = CrossedProduct(trivial_action(cyclic_group(3)))
-INTER = IntermediateAlgebra(crossed_instance(CP3), k_max=4)
-INTER4 = IntermediateAlgebra(crossed_instance(CP4), k_max=4)
-INTER_T = IntermediateAlgebra(crossed_instance(CPT), k_max=4)
+
+
+# the cut-down algebras are built in fixtures, not at import, so a broken
+# surround fails the tests that use them instead of the whole module
+@pytest.fixture(scope="module")
+def inter(request):
+    """CP3's cut-down algebra at k_max 4, or that of a crossed product passed indirectly."""
+    return IntermediateAlgebra(crossed_instance(getattr(request, "param", CP3)), k_max=4)
+
+
+@pytest.fixture(scope="module")
+def inter4():
+    return IntermediateAlgebra(crossed_instance(CP4), k_max=4)
+
+
+@pytest.fixture(scope="module")
+def inter_t():
+    return IntermediateAlgebra(crossed_instance(CPT), k_max=4)
 
 CLOSED_LOOP = ComposeExpr(GenExpr("E", 2), 1, GenExpr("I", 2))
 
@@ -35,69 +47,66 @@ def small_scalars():
 
 
 class TestBuild:
-    def test_dimensions(self):
-        assert [INTER.dimension(k) for k in range(5)] == [1, 1, 2, 5, 14]
+    def test_dimensions(self, inter):
+        assert [inter.dimension(k) for k in range(5)] == [1, 1, 2, 5, 14]
 
-    def test_dimensions_larger_cyclic(self):
-        assert [INTER4.dimension(k) for k in range(1, 5)] == [1, 3, 10, 36]
+    def test_dimensions_larger_cyclic(self, inter4):
+        assert [inter4.dimension(k) for k in range(1, 5)] == [1, 3, 10, 36]
 
-    @pytest.mark.parametrize("inter,cp", [(INTER, CP3), (INTER4, CP4), (INTER_T, CPT)])
+    @pytest.mark.parametrize("inter,cp", [(CP3, CP3), (CP4, CP4), (CPT, CPT)], indirect=["inter"])
     def test_dimension_equals_orbit_count(self, inter, cp):
         for colour in range(1, 5):
             assert inter.dimension(colour) == len(cp.orbit_reps(colour))
 
-    def test_tau_is_reciprocal_ratio(self):
-        assert INTER.tau == RadicalScalar.rational(Fraction(1, 2))
-        assert INTER_T.tau == ONE
+    def test_tau_is_reciprocal_ratio(self, inter, inter_t):
+        assert inter.tau == RadicalScalar.rational(Fraction(1, 2))
+        assert inter_t.tau == ONE
 
-    def test_basis_elements_are_fixed(self):
+    def test_basis_elements_are_fixed(self, inter):
         for colour in range(1, 5):
-            for b in INTER.basis(colour):
-                assert INTER.contains(b)
+            for b in inter.basis(colour):
+                assert inter.contains(b)
 
-    def test_basis_is_echelon(self):
+    def test_basis_is_echelon(self, inter):
         for colour in (2, 3, 4):
-            leads = [b.support()[0] for b in INTER.basis(colour)]
+            leads = [b.support()[0] for b in inter.basis(colour)]
             assert leads == sorted(leads)
-            for b in INTER.basis(colour):
+            for b in inter.basis(colour):
                 assert b.coefficient(b.support()[0]) == ONE
 
-    def test_colour_zero_basis(self):
-        (b,) = INTER.basis(0)
+    def test_colour_zero_basis(self, inter):
+        (b,) = inter.basis(0)
         assert b.colour == 0 and not b.shaded
-        (w,) = INTER.basis(0, shaded=True)
+        (w,) = inter.basis(0, shaded=True)
         assert w.shaded
 
-    def test_colour_above_bound_rejected(self):
+    def test_colour_above_bound_rejected(self, inter):
         with pytest.raises(AlgebraError, match="bound"):
-            INTER.basis(5)
+            inter.basis(5)
 
-    def test_plain_label_is_not_member(self):
+    def test_plain_label_is_not_member(self, inter):
         x = CP3.product.basis_element(2, (1,))
-        assert not INTER.contains(x)
+        assert not inter.contains(x)
         with pytest.raises(AlgebraError, match="not fixed"):
-            INTER.require_member(x)
+            inter.require_member(x)
 
     def test_nonmultiplicative_index_rejected(self):
-        inst = crossed_instance(CP3)
-        bad = AlgebraInstance(inst.algebra, inst.surround, inst.biprojection, 6, 3, 3)
+        bad = replace(crossed_instance(CP3), index_mn=6, index_mq=3, index_qn=3)
         with pytest.raises(AlgebraError, match="not multiplicative"):
             IntermediateAlgebra(bad, k_max=2)
 
     def test_wrong_group_order_rejected(self):
-        inst = crossed_instance(CP3)
-        bad = AlgebraInstance(inst.algebra, inst.surround, inst.biprojection, 12, 4, 3)
+        bad = replace(crossed_instance(CP3), index_mn=12, index_mq=4, index_qn=3)
         with pytest.raises(AlgebraError, match="group order"):
             IntermediateAlgebra(bad, k_max=2)
 
     def test_non_idempotent_surround_rejected(self):
-        P = CP3.product
         two = RadicalScalar.rational(Fraction(2))
 
         def doubler(x):
             return x.scale(two) if x.colour else x
 
-        bad = AlgebraInstance(P, doubler, CP3.biprojection(), 6, 2, 3)
+        bad = replace(crossed_instance(CP3), surround=doubler)
         with pytest.raises(AlgebraError, match="idempotent"):
             IntermediateAlgebra(bad, k_max=2)
 
@@ -112,220 +121,220 @@ class TestBuild:
                 return x
             return P.element(2, {e_label: x.coefficient(e_label)})
 
-        bad = AlgebraInstance(P, collapse, CP3.biprojection(), 6, 2, 3)
+        bad = replace(crossed_instance(CP3), surround=collapse)
         with pytest.raises(AlgebraError, match="factor through inclusion"):
             IntermediateAlgebra(bad, k_max=3)
 
 
 class TestRescaledAction:
-    def test_identity_returns_input(self):
+    def test_identity_returns_input(self, inter):
         for colour in (1, 2, 3):
-            for b in INTER.basis(colour):
-                assert INTER.z_prime(GenExpr("id", colour), [b]) == b
+            for b in inter.basis(colour):
+                assert inter.z_prime(GenExpr("id", colour), [b]) == b
 
-    def test_rejects_unfixed_input(self):
+    def test_rejects_unfixed_input(self, inter):
         with pytest.raises(AlgebraError, match="not fixed"):
-            INTER.z_prime(GenExpr("id", 2), [CP3.product.basis_element(2, (1,))])
+            inter.z_prime(GenExpr("id", 2), [CP3.product.basis_element(2, (1,))])
 
-    def test_closed_loop_scales_by_root_of_small_index(self):
-        for b in INTER.basis(2):
-            assert INTER.z_prime(CLOSED_LOOP, [b]) == b.scale(pow_half(3, 1))
+    def test_closed_loop_scales_by_root_of_small_index(self, inter):
+        for b in inter.basis(2):
+            assert inter.z_prime(CLOSED_LOOP, [b]) == b.scale(pow_half(3, 1))
 
-    def test_multiplication_on_transports(self):
+    def test_multiplication_on_transports(self, inter):
         x = CP3.orbit_sum(2, (1,))
         y = CP3.orbit_sum(2, (2,))
-        lhs = INTER.z_prime(GenExpr("M", 2), [CP3.transport(x), CP3.transport(y)])
+        lhs = inter.z_prime(GenExpr("M", 2), [CP3.transport(x), CP3.transport(y)])
         assert lhs == CP3.transport(CP3.orbit_multiply(x, y))
 
-    def test_unit_chain(self):
+    def test_unit_chain(self, inter):
         for k in (1, 2, 3):
-            lifted = INTER.include_prime(INTER.unit_prime(k))
-            assert lifted == INTER.unit_prime(k + 1)
+            lifted = inter.include_prime(inter.unit_prime(k))
+            assert lifted == inter.unit_prime(k + 1)
 
-    def test_unit_prime_is_multiplicative_identity(self):
+    def test_unit_prime_is_multiplicative_identity(self, inter):
         for colour in (2, 3):
-            one = INTER.unit_prime(colour)
-            for b in INTER.basis(colour):
-                assert INTER.z_prime(GenExpr("M", colour), [one, b]) == b
-                assert INTER.z_prime(GenExpr("M", colour), [b, one]) == b
+            one = inter.unit_prime(colour)
+            for b in inter.basis(colour):
+                assert inter.z_prime(GenExpr("M", colour), [one, b]) == b
+                assert inter.z_prime(GenExpr("M", colour), [b, one]) == b
 
-    def test_renumbered_multiplication_swaps_factors(self):
+    def test_renumbered_multiplication_swaps_factors(self, inter):
         swap = RenumberExpr((2, 1), GenExpr("M", 2))
-        a, b = INTER.basis(2)
-        lhs = INTER.z_prime(swap, [a, b])
-        assert lhs == INTER.z_prime(GenExpr("M", 2), [b, a])
+        a, b = inter.basis(2)
+        lhs = inter.z_prime(swap, [a, b])
+        assert lhs == inter.z_prime(GenExpr("M", 2), [b, a])
 
     @settings(max_examples=25, deadline=None)
     @given(small_scalars(), small_scalars())
-    def test_action_is_linear(self, c1, c2):
-        a, b = INTER.basis(2)
-        combined = INTER.z_prime(GenExpr("Eprime", 2), [a.scale(c1) + b.scale(c2)])
-        split = INTER.z_prime(GenExpr("Eprime", 2), [a]).scale(c1) + INTER.z_prime(
+    def test_action_is_linear(self, inter, c1, c2):
+        a, b = inter.basis(2)
+        combined = inter.z_prime(GenExpr("Eprime", 2), [a.scale(c1) + b.scale(c2)])
+        split = inter.z_prime(GenExpr("Eprime", 2), [a]).scale(c1) + inter.z_prime(
             GenExpr("Eprime", 2), [b]
         ).scale(c2)
         assert combined == split
 
 
 class TestJonesFamily:
-    def test_starts_at_colour_two(self):
+    def test_starts_at_colour_two(self, inter):
         with pytest.raises(AlgebraError, match="colour 2"):
-            INTER.jones_prime(1)
+            inter.jones_prime(1)
 
     @pytest.mark.parametrize("colour", [2, 3, 4])
-    def test_projection(self, colour):
-        e = INTER.jones_prime(colour)
-        assert INTER.contains(e)
-        assert INTER.z_prime(GenExpr("M", colour), [e, e]) == e
-        assert INTER.algebra.star(e) == e
+    def test_projection(self, colour, inter):
+        e = inter.jones_prime(colour)
+        assert inter.contains(e)
+        assert inter.z_prime(GenExpr("M", colour), [e, e]) == e
+        assert inter.algebra.star(e) == e
 
     @pytest.mark.parametrize("colour", [2, 3, 4])
-    def test_trace(self, colour):
+    def test_trace(self, colour, inter):
         expected = RadicalScalar.rational(Fraction(1, 3))
-        assert INTER.trace_prime(INTER.jones_prime(colour)) == expected
+        assert inter.trace_prime(inter.jones_prime(colour)) == expected
 
     @pytest.mark.parametrize("colour", [2, 3, 4])
-    def test_equals_transported_subgroup_jones(self, colour):
-        lhs = INTER.jones_prime(colour)
+    def test_equals_transported_subgroup_jones(self, colour, inter):
+        lhs = inter.jones_prime(colour)
         assert lhs == CP3.transport(CP3.base.jones_element(colour))
 
-    def test_report(self):
-        records = INTER.jones_report(top=4)
+    def test_report(self, inter):
+        records = inter.jones_report(top=4)
         assert len(records) == 14
         assert all(r["pass"] for r in records)
 
-    def test_report_case_names(self):
-        cases = [r["case"] for r in INTER.jones_report(top=3)]
+    def test_report_case_names(self, inter):
+        cases = [r["case"] for r in inter.jones_report(top=3)]
         assert "e'_2 idempotent" in cases
         assert "tr'(e'_3) == 1/[Q:N]" in cases
         assert "p1 p2 p1 == p1/[Q:N]" in cases
 
 
 class TestTraceFamily:
-    def test_unit_is_normalized(self):
+    def test_unit_is_normalized(self, inter):
         for colour in range(1, 5):
-            assert INTER.trace_prime(INTER.unit_prime(colour)) == ONE
+            assert inter.trace_prime(inter.unit_prime(colour)) == ONE
 
-    def test_grading_against_ambient_trace(self):
-        b = INTER.basis(4)[0]
-        assert INTER.trace_prime(b) == INTER.algebra.trace(b) * Fraction(4)
+    def test_grading_against_ambient_trace(self, inter):
+        b = inter.basis(4)[0]
+        assert inter.trace_prime(b) == inter.algebra.trace(b) * Fraction(4)
 
-    def test_expectations_land_inside(self):
-        for b in INTER.basis(3):
-            down = INTER.expect_right(b)
-            assert down.colour == 2 and INTER.contains(down)
-            left = INTER.expect_left(b)
-            assert left.colour == 3 and INTER.contains(left)
+    def test_expectations_land_inside(self, inter):
+        for b in inter.basis(3):
+            down = inter.expect_right(b)
+            assert down.colour == 2 and inter.contains(down)
+            left = inter.expect_left(b)
+            assert left.colour == 3 and inter.contains(left)
 
-    def test_expect_after_include_is_identity(self):
+    def test_expect_after_include_is_identity(self, inter):
         for colour in (1, 2, 3):
-            for b in INTER.basis(colour):
-                assert INTER.expect_right(INTER.include_prime(b)) == b
+            for b in inter.basis(colour):
+                assert inter.expect_right(inter.include_prime(b)) == b
 
-    def test_trace_rejects_unfixed_input(self):
+    def test_trace_rejects_unfixed_input(self, inter):
         with pytest.raises(AlgebraError, match="not fixed"):
-            INTER.trace_prime(CP3.product.basis_element(2, (1,)))
+            inter.trace_prime(CP3.product.basis_element(2, (1,)))
 
     @settings(max_examples=25, deadline=None)
     @given(small_scalars(), small_scalars())
-    def test_inner_product_is_symmetric(self, c1, c2):
-        a, b = INTER.basis(2)
+    def test_inner_product_is_symmetric(self, inter, c1, c2):
+        a, b = inter.basis(2)
         x = a.scale(c1) + b.scale(c2)
         y = a + b.scale(c2)
-        assert INTER.inner_prime(x, y) == INTER.inner_prime(y, x)
+        assert inter.inner_prime(x, y) == inter.inner_prime(y, x)
 
-    def test_report(self):
-        records = INTER.trace_report()
+    def test_report(self, inter):
+        records = inter.trace_report()
         assert len(records) == 26
         assert all(r["pass"] for r in records)
 
 
 class TestVerificationReports:
-    def test_theorem_main_small_sample(self):
-        records = INTER.theorem_main_report(samples=6, seed=3)
+    def test_theorem_main_small_sample(self, inter):
+        records = inter.theorem_main_report(samples=6, seed=3)
         assert len(records) == 19
         assert all(r["pass"] for r in records)
         assert records[0]["case"] == "tau agreement: tr(q) == 1/[M:Q]"
         assert records[0]["lhs"] == "1/2"
 
-    def test_theorem_main_pinned_pairs_present(self):
-        cases = [r["case"] for r in INTER.theorem_main_report(samples=0)]
+    def test_theorem_main_pinned_pairs_present(self, inter):
+        cases = [r["case"] for r in inter.theorem_main_report(samples=0)]
         assert "pinned E/I pair: dressed composite" in cases
         assert "pinned identity inner: multiplicativity" in cases
         assert "pinned renumbered outer: dressed composite" in cases
 
-    def test_axioms_small_sample(self):
-        records = INTER.axiom_report(samples=5, seed=2)
+    def test_axioms_small_sample(self, inter):
+        records = inter.axiom_report(samples=5, seed=2)
         assert len(records) == 14
         assert all(r["pass"] for r in records)
 
-    def test_dual_report(self):
-        records = INTER.dual_report(samples=20)
+    def test_dual_report(self, inter):
+        records = inter.dual_report(samples=20)
         assert len(records) == 17
         assert all(r["pass"] for r in records)
 
-    def test_dual_ranks_match_declared_dimension(self):
-        by_case = {r["case"]: r for r in INTER.dual_report(samples=1)}
+    def test_dual_ranks_match_declared_dimension(self, inter):
+        by_case = {r["case"]: r for r in inter.dual_report(samples=1)}
         for colour, expected in [(1, 1), (2, 2), (3, 4)]:
             rec = by_case[f"dual surround rank at colour {colour}"]
             assert rec["lhs"] == str(expected)
 
-    def test_record_schema(self):
-        for rec in INTER.jones_report(top=2):
+    def test_record_schema(self, inter):
+        for rec in inter.jones_report(top=2):
             assert set(rec) == {"suite", "case", "lhs", "rhs", "pass"}
             assert rec["suite"] == "jones"
 
-    def test_reports_are_deterministic(self):
-        first = INTER.axiom_report(samples=3, seed=9)
-        second = INTER.axiom_report(samples=3, seed=9)
+    def test_reports_are_deterministic(self, inter):
+        first = inter.axiom_report(samples=3, seed=9)
+        second = inter.axiom_report(samples=3, seed=9)
         assert first == second
 
 
 class TestTrivialTwist:
     """With a trivial acting group the cut-down algebra is the whole algebra."""
 
-    def test_dimensions(self):
-        assert [INTER_T.dimension(k) for k in range(1, 5)] == [1, 3, 9, 27]
+    def test_dimensions(self, inter_t):
+        assert [inter_t.dimension(k) for k in range(1, 5)] == [1, 3, 9, 27]
 
-    def test_every_element_is_member(self):
+    def test_every_element_is_member(self, inter_t):
         for label in CPT.product.basis_labels(3):
-            assert INTER_T.contains(CPT.product.basis_element(3, label))
+            assert inter_t.contains(CPT.product.basis_element(3, label))
 
-    def test_action_reduces_to_plain_evaluation(self):
+    def test_action_reduces_to_plain_evaluation(self, inter_t):
         expr = ComposeExpr(GenExpr("M", 2), 1, GenExpr("jones", 2))
-        for b in INTER_T.basis(2):
-            assert INTER_T.z_prime(expr, [b]) == INTER_T.algebra.evaluate(expr, [b])
+        for b in inter_t.basis(2):
+            assert inter_t.z_prime(expr, [b]) == inter_t.algebra.evaluate(expr, [b])
 
-    def test_jones_prime_is_plain_jones_element(self):
-        assert INTER_T.jones_prime(2) == CPT.base.jones_element(2)
+    def test_jones_prime_is_plain_jones_element(self, inter_t):
+        assert inter_t.jones_prime(2) == CPT.base.jones_element(2)
 
-    def test_jones_report(self):
-        records = INTER_T.jones_report(top=3)
+    def test_jones_report(self, inter_t):
+        records = inter_t.jones_report(top=3)
         assert len(records) == 8
         assert all(r["pass"] for r in records)
 
-    def test_gram_positive(self):
+    def test_gram_positive(self, inter_t):
         for colour in (1, 2, 3):
-            assert INTER_T._gram_positive(colour)
+            assert inter_t._gram_positive(colour)
 
-    def test_expect_after_include_inverts_labels(self):
+    def test_expect_after_include_inverts_labels(self, inter_t):
         # pins the orientation of the capping formula: the composite sends a
         # label to its group inverse, which is invisible on the twist-fixed
         # bases used elsewhere but shows up on plain labels
         g = CPT.base.basis_element(2, (1,))
         g_inv = CPT.base.basis_element(2, (2,))
-        assert INTER_T.expect_right(INTER_T.include_prime(g)) == g_inv
+        assert inter_t.expect_right(inter_t.include_prime(g)) == g_inv
 
 
 class TestGramPositivity:
     @pytest.mark.parametrize("colour", [1, 2, 3, 4])
-    def test_positive_definite(self, colour):
-        assert INTER._gram_positive(colour)
+    def test_positive_definite(self, colour, inter):
+        assert inter._gram_positive(colour)
 
-    def test_detects_degenerate_matrix(self):
+    def test_detects_degenerate_matrix(self, inter):
         # a second copy of a basis vector makes the Gram matrix singular
-        a, b = INTER.basis(2)
+        a, b = inter.basis(2)
         gram = [
-            [INTER.inner_prime(x, y) for y in (a, b, a)] for x in (a, b, a)
+            [inter.inner_prime(x, y) for y in (a, b, a)] for x in (a, b, a)
         ]
         pivots_positive = True
         n = 3
@@ -353,10 +362,15 @@ def order_six_subgroups() -> list[tuple[int, ...]]:
 
 
 SUBGROUPS = order_six_subgroups()
-SUBGROUP_INTER = {
-    k: IntermediateAlgebra(subgroup_instance(CP3.product, k), k_max=3) for k in SUBGROUPS
-}
 NONTRIVIAL = [k for k in SUBGROUPS if len(k) > 1]
+
+
+@pytest.fixture(scope="module")
+def subgroup_inter():
+    """Subgroup members -> its cut-down algebra at k_max 3, built on first use."""
+    return functools.cache(
+        lambda members: IntermediateAlgebra(subgroup_instance(CP3.product, members), k_max=3)
+    )
 
 
 class TestSubgroupInstances:
@@ -366,16 +380,16 @@ class TestSubgroupInstances:
         assert sorted(len(k) for k in SUBGROUPS) == [1, 2, 2, 2, 3, 6]
 
     @pytest.mark.parametrize("members", SUBGROUPS, ids=str)
-    def test_dimensions_and_index_data(self, members):
-        inst = SUBGROUP_INTER[members].instance
+    def test_dimensions_and_index_data(self, members, subgroup_inter):
+        inst = subgroup_inter(members).instance
         expected = {1: [1, 6, 36], 2: [1, 2, 5], 3: [1, 2, 4], 6: [1, 1, 1]}[len(members)]
-        assert [SUBGROUP_INTER[members].dimension(k) for k in (1, 2, 3)] == expected
+        assert [subgroup_inter(members).dimension(k) for k in (1, 2, 3)] == expected
         assert (inst.index_mn, inst.index_mq, inst.index_qn) == (6, len(members), 6 // len(members))
         assert [inst.dual_dimension(c) for c in (1, 2, 3)] == [1, len(members), len(members) ** 2]
 
     @pytest.mark.parametrize("members", NONTRIVIAL, ids=str)
-    def test_reports_pass(self, members):
-        inter = SUBGROUP_INTER[members]
+    def test_reports_pass(self, members, subgroup_inter):
+        inter = subgroup_inter(members)
         records = (
             inter.theorem_main_report(samples=3, seed=0, max_colour=3)
             + inter.axiom_report(samples=3, seed=0, max_colour=3)
@@ -386,16 +400,16 @@ class TestSubgroupInstances:
         assert len(records) == 13 + 9 + 8 + 18 + 17
         assert [r for r in records if not r["pass"]] == []
 
-    def test_trivial_subgroup_surround_is_identity(self):
-        surround = SUBGROUP_INTER[(0,)].instance.surround
+    def test_trivial_subgroup_surround_is_identity(self, subgroup_inter):
+        surround = subgroup_inter((0,)).instance.surround
         for colour in (0, 1, 2, 3):
             for label in CP3.product.basis_labels(colour):
                 b = CP3.product.basis_element(colour, label)
                 assert surround(b) == b
 
-    def test_trivial_subgroup_reports_without_trace(self):
+    def test_trivial_subgroup_reports_without_trace(self, subgroup_inter):
         # axioms take seconds here (36 basis labels at colour 3), so they are left out
-        inter = SUBGROUP_INTER[(0,)]
+        inter = subgroup_inter((0,))
         records = (
             inter.theorem_main_report(samples=3, seed=0, max_colour=3)
             + inter.jones_report(top=3)
@@ -407,8 +421,8 @@ class TestSubgroupInstances:
         strict=True,
         reason="colour-2 isotopy defect (ROADMAP item 2): two trace records fail",
     )
-    def test_trivial_subgroup_trace(self):
-        records = SUBGROUP_INTER[(0,)].trace_report(kmax=3)
+    def test_trivial_subgroup_trace(self, subgroup_inter):
+        records = subgroup_inter((0,)).trace_report(kmax=3)
         assert [r["case"] for r in records if not r["pass"]] == []
 
     def test_non_subgroup_rejected(self):

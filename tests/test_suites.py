@@ -32,6 +32,27 @@ def test_all_suites_report_is_pinned(stem):
     assert (len(records), digest) == GOLDEN[stem]
 
 
+# the same for z3xz2 at both ends of the k_max range
+GOLDEN_RANGE_ENDS = {
+    2: (99, "99f5ea6bf2497793bf922ddb7b0ac60f6ea0f60a6e6c6b14c9455cab12a1e7b4"),
+    4: (212, "611fe5fdd54f10d6ecece2048e29ccd6a21116808d8574ae3e6e00d3e4b37664"),
+}
+
+
+@pytest.mark.parametrize("k_max", sorted(GOLDEN_RANGE_ENDS))
+def test_range_ends_are_pinned(k_max):
+    records = run_suite("all", action("z3xz2"), k_max=k_max, samples=3, seed=0)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert (len(records), digest) == GOLDEN_RANGE_ENDS[k_max]
+
+
+@pytest.mark.parametrize("k_max", [1, 5, 9])
+def test_k_max_outside_range_rejected(k_max):
+    assert suites.MAX_KMAX == 4
+    with pytest.raises(SuiteError, match=rf"k_max must lie in 2\.\.4, got {k_max}$"):
+        run_suite("jones", action("z3xz2"), k_max=k_max)
+
+
 def test_suite_names_in_order():
     assert SUITE_NAMES == (
         "base-algebra", "crossed-product", "biprojection", "theorem-main",

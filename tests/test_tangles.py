@@ -303,6 +303,7 @@ class TestParser:
             "(gen id 2",
             "(gen id 2))",
             "(renumber 2 (gen M 2))",
+            "(gen id (2))",
         ],
     )
     def test_parse_errors(self, text):
