@@ -96,8 +96,10 @@ def act_I(n: int, k: int, x: dict) -> dict:
         elif k == 1:
             put((0,), cg)
         elif k % 2 == 0:
+            # colour 2 multiplies labels in the reverse order, so it includes S(-g)
+            head = ((-g[0]) % n,) if k == 2 else g[: k // 2]
             for u in range(n):
-                put(g[: k // 2] + (u,) + g[k // 2 :], cg / sp.sqrt(n))
+                put(head + (u,) + g[k // 2 :], cg / sp.sqrt(n))
         else:
             m = (k + 1) // 2
             put(g[:m] + (g[m - 1],) + g[m:], cg)
@@ -282,9 +284,9 @@ def capped_inclusion_expansion(n: int):
     for g in range(n):
         x = {(g,): sp.Integer(1)}
         out = act_E(n, 2, act_I(n, 2, x))
-        expect = {((-g) % n,): sp.sqrt(n)}
+        expect = {(g,): sp.sqrt(n)}
         assert eq_el(out, expect), (g, out)
-    print(f"  capping the inclusion of S(g) gives sqrt(n) S(-g), n=%d" % n)
+    print(f"  capping the inclusion of S(g) gives sqrt(n) S(g), n=%d" % n)
 
 
 def main():

@@ -18,6 +18,7 @@ shading of a colour-0 disc (bare ``0`` means ``0+``).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Union
@@ -60,41 +61,15 @@ TangleExpr = Union[GenExpr, ComposeExpr, RenumberExpr]
 
 
 # ---------------------------------------------------------------------------
-# colours and slots, computed without building diagrams
+# colours and slots, computed without gluing diagrams
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def generator_signature(g: GenExpr) -> tuple[Disc, tuple[Disc, ...]]:
-    """(external colour, per-slot colours) of a generator leaf."""
-    kind, k, sh = g.kind, g.k, g.shaded
-    if kind == "unit":
-        if k != 0:
-            raise TangleError("unit tangles have colour 0")
-        return Disc(0, sh), ()
-    if kind in ("id", "M") and (k > 0 and sh):
-        raise TangleError("shading flag needs colour 0")
-    if kind == "id":
-        d = Disc(k, sh if k == 0 else False)
-        return d, (d,)
-    if kind == "M":
-        d = Disc(k, sh if k == 0 else False)
-        return d, (d, d)
-    if kind == "I":
-        if k > 0 and sh:
-            raise TangleError("shading flag needs colour 0")
-        return Disc(k + 1), (Disc(k, sh if k == 0 else False),)
-    if kind == "E":
-        if sh:
-            raise TangleError("the capped-disc expectation forces white shading at colour 0")
-        return Disc(k), (Disc(k + 1),)
-    if kind == "Eprime":
-        if k < 1:
-            raise TangleError("left expectation needs colour >= 1")
-        return Disc(k), (Disc(k),)
-    if kind == "jones":
-        if k < 2:
-            raise TangleError("the cup-cap tangle needs colour >= 2")
-        return Disc(k), ()
-    raise TangleError(f"unknown generator kind {kind!r}")
+    """(external colour, per-slot colours) of a generator leaf, read off its
+    diagram, so the colour and shading rules live in ``make_generator`` only."""
+    t = make_generator(g.kind, g.k, g.shaded)
+    return t.external, t.internal
 
 
 def external_colour(expr: TangleExpr) -> Disc:

@@ -518,9 +518,12 @@ class GroupPlanarAlgebra:
             elif source == 1:
                 put((0,), cg)
             elif source % 2 == 0:
+                # S(g) S(h) = S(gh) at colour 2, the reverse of the label
+                # order at colours 3 and up, so colour 2 includes S(g^-1)
+                head = (self.group.inv(g[0]),) if source == 2 else g[: source // 2]
                 spread = cg * self._inv_delta
                 for u in range(n):
-                    put(g[: source // 2] + (u,) + g[source // 2 :], spread)
+                    put(head + (u,) + g[source // 2 :], spread)
             else:
                 m = (source + 1) // 2
                 put(g[:m] + (g[m - 1],) + g[m:], cg)

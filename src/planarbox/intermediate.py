@@ -1,13 +1,13 @@
 """The cut-down planar algebra living on the range of a surround idempotent.
 
-Given a planar algebra of boxes together with an idempotent family F of
-surround maps and the index data of the corresponding tower, the fixed
-points of F form a smaller planar algebra.  A tangle acts on it by the
-old action followed by one surround, rescaled by the capping weight
-alpha computed at the intermediate ratio.  For a group planar algebra
-the surround families are those of subgroup biprojections
-(:func:`subgroup_instance`, one for every subgroup K, with ``[M:Q] = |K|``);
-the crossed product's instance is the one of the embedded copy of Theta
+Every biprojection of a group subfactor is the average of a subgroup K,
+and the idempotent family F of surround maps of that biprojection fixes
+the index data of the tower: ``[M:Q] = |K|`` and ``[Q:N] = |H|/|K|``.
+The fixed points of F form a smaller planar algebra.  A tangle acts on it
+by the old action followed by one surround, rescaled by the capping
+weight alpha computed at the intermediate ratio.  There is one instance
+for every subgroup (:func:`subgroup_instance`); the crossed product's
+instance is the one of the embedded copy of Theta
 (:func:`crossed_instance`).  This module builds bases of the fixed spaces
 by exact row reduction, evaluates that rescaled action, and carries the
 verification suites: the composite-tangle identity, the planar axioms,
@@ -18,7 +18,7 @@ and the bookkeeping of the white-shaded dual.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Iterable, Sequence
@@ -66,66 +66,47 @@ WHITE_WEIGHT_TABLE = {
 
 @dataclass(frozen=True)
 class AlgebraInstance:
-    """A planar algebra with a surround family and tower index data.
+    """The group planar algebra of H cut down by the biprojection of a subgroup K.
 
-    ``surround`` must be idempotent per colour and commute with inclusion;
-    ``biprojection`` is the colour-2 element whose trace is the surround
-    weight.  ``dual_surround`` and ``dual_dimension`` describe the
-    white-shaded counterpart.
+    Everything else is read off ``subgroup``: the biprojection is its
+    average, ``[M:Q] = |K|``, ``[Q:N] = |H|/|K|``, and the white-shaded
+    dual side is the planar algebra of K.  ``surround`` is the map the
+    cut-down algebra applies, normally ``subgroup.surround``; it must be
+    idempotent per colour and commute with inclusion.
     """
 
     algebra: GroupPlanarAlgebra
+    subgroup: SubgroupBiprojection
     surround: Callable[[PAElement], PAElement]
-    biprojection: PAElement
-    index_mn: int
-    index_mq: int
-    index_qn: int
-    dual_surround: Callable[[PAElement], PAElement]
-    dual_dimension: Callable[[int], int]
 
 
 def subgroup_instance(algebra: GroupPlanarAlgebra, members: Iterable[int]) -> AlgebraInstance:
-    """The instance cut down by the biprojection of a subgroup K.
-
-    The ambient algebra is that of the whole group H, the surround is the
-    subgroup surround of K, and the dual surround keeps exactly the labels
-    lying in K, so ``[M:Q] = |K|`` and ``[Q:N] = |H|/|K|``.
-    """
+    """The instance of the subgroup K with the given members, cut by its own surround."""
     sub = SubgroupBiprojection(algebra.group, members)
-    order = len(algebra.group)
-    return AlgebraInstance(
-        algebra=algebra,
-        surround=sub.surround,
-        biprojection=sub.average(),
-        index_mn=order,
-        index_mq=sub.order,
-        index_qn=order // sub.order,
-        dual_surround=sub.dual_surround,
-        dual_dimension=lambda colour: sub.order ** max(colour - 1, 0),
-    )
+    return AlgebraInstance(algebra, sub, sub.surround)
 
 
 def crossed_instance(cp: CrossedProduct) -> AlgebraInstance:
     """The subgroup instance of the embedded copy of Theta.
 
-    Its surround is :meth:`CrossedProduct.surround`, the same map, so every
-    surround of the cut-down algebra goes through the crossed product.
+    Its surround is :meth:`CrossedProduct.surround`, the same map as the
+    embedded copy's, so every surround of the cut-down algebra goes
+    through the crossed product.
     """
-    return replace(subgroup_instance(cp.product, cp.embedded.members), surround=cp.surround)
+    return AlgebraInstance(cp.product, cp.embedded, cp.surround)
 
 
 class IntermediateAlgebra:
     """Fixed spaces of the surround family with the rescaled tangle action."""
 
     def __init__(self, instance: AlgebraInstance, k_max: int = 4):
-        if instance.index_mn != instance.index_mq * instance.index_qn:
-            raise AlgebraError("index data is not multiplicative")
-        if len(instance.algebra.group) != instance.index_mn:
-            raise AlgebraError("group order does not match the overall index")
         self.instance = instance
         self.k_max = k_max
         self.algebra = instance.algebra
-        self.tau = instance.algebra.trace(instance.biprojection)
+        # [M:Q] = |K| and [Q:N] = |H|/|K|, an integer by Lagrange
+        self.index_mq = instance.subgroup.order
+        self.index_qn = len(instance.algebra.group) // self.index_mq
+        self.tau = instance.algebra.trace(instance.subgroup.average())
         self._bases: dict[int, list[PAElement]] = {}
         P = self.algebra
         for colour in range(1, k_max + 1):
@@ -184,7 +165,7 @@ class IntermediateAlgebra:
         inputs = list(inputs)
         for x in inputs:
             self.require_member(x)
-        weight = alpha(realize(expr), self.instance.index_mq)
+        weight = alpha(realize(expr), self.index_mq)
         value = self.algebra.evaluate(expr, inputs)
         return self.instance.surround(value).scale(weight)
 
@@ -197,7 +178,7 @@ class IntermediateAlgebra:
         """The cut-down Jones projection at a colour, from the cup-cap tangle."""
         if colour < 2:
             raise AlgebraError("Jones projections start at colour 2")
-        scale = pow_half(self.instance.index_qn, -1)
+        scale = pow_half(self.index_qn, -1)
         return self.z_prime(GenExpr("jones", colour), []).scale(scale)
 
     def include_prime(self, x: PAElement) -> PAElement:
@@ -205,17 +186,17 @@ class IntermediateAlgebra:
 
     def expect_right(self, x: PAElement) -> PAElement:
         """Trace-preserving expectation one colour down, from the right cap."""
-        scale = pow_half(self.instance.index_qn, -1)
+        scale = pow_half(self.index_qn, -1)
         return self.z_prime(GenExpr("E", x.colour - 1), [x]).scale(scale)
 
     def expect_left(self, x: PAElement) -> PAElement:
         """Expectation onto the left-cut subspace at the same colour."""
-        scale = pow_half(self.instance.index_qn, -1)
+        scale = pow_half(self.index_qn, -1)
         return self.z_prime(GenExpr("Eprime", x.colour), [x]).scale(scale)
 
     def trace_prime(self, x: PAElement) -> RadicalScalar:
         self.require_member(x)
-        return self.algebra.trace(x) * Fraction(self.instance.index_mq ** (x.colour // 2))
+        return self.algebra.trace(x) * Fraction(self.index_mq ** (x.colour // 2))
 
     def inner_prime(self, x: PAElement, y: PAElement) -> RadicalScalar:
         return self.trace_prime(self.algebra.multiply(self.algebra.star(y), x))
@@ -240,7 +221,7 @@ class IntermediateAlgebra:
                 suite,
                 "tau agreement: tr(q) == 1/[M:Q]",
                 self.tau.render(),
-                RadicalScalar.rational(Fraction(1, inst.index_mq)).render(),
+                RadicalScalar.rational(Fraction(1, self.index_mq)).render(),
             )
         ]
         rng = random.Random(seed)
@@ -266,10 +247,10 @@ class IntermediateAlgebra:
             exponent = (
                 k_i + loops_black(t_glued) - loops_black(t_outer) - loops_black(t_inner)
             )
-            correction = pow_half(inst.index_mq, -exponent)
-            a_outer = alpha(t_outer, inst.index_mq)
-            a_inner = alpha(t_inner, inst.index_mq)
-            a_glued = alpha(t_glued, inst.index_mq)
+            correction = pow_half(self.index_mq, -exponent)
+            a_outer = alpha(t_outer, self.index_mq)
+            a_inner = alpha(t_inner, self.index_mq)
+            a_glued = alpha(t_glued, self.index_mq)
             ok_displayed = True
             ok_mult = True
             # the glued evaluation reuses the raw inner value, so each input
@@ -331,8 +312,8 @@ class IntermediateAlgebra:
             rng.shuffle(perm)
             perm = tuple(perm)
             renumbered = RenumberExpr(perm, base_expr)
-            a_renumbered = alpha(realize(renumbered), self.instance.index_mq)
-            a_base = alpha(realize(base_expr), self.instance.index_mq)
+            a_renumbered = alpha(realize(renumbered), self.index_mq)
+            a_base = alpha(realize(base_expr), self.index_mq)
             ok = a_renumbered == a_base
             # slot i of the child reads the input at disc perm[i] of the
             # renumbered tangle; spelled out here independently of the
@@ -354,9 +335,9 @@ class IntermediateAlgebra:
                 rng2, max_colour=max_colour, depth=2, max_arity=3
             )
             glued = ComposeExpr(outer, slot, inner)
-            a_outer = alpha(realize(outer), self.instance.index_mq)
-            a_inner = alpha(realize(inner), self.instance.index_mq)
-            a_glued = alpha(realize(glued), self.instance.index_mq)
+            a_outer = alpha(realize(outer), self.index_mq)
+            a_inner = alpha(realize(inner), self.index_mq)
+            a_glued = alpha(realize(glued), self.index_mq)
             ok = True
             for inner_inputs, _, dressed_inner, before, after in self._composite_inputs(
                 outer, slot, inner
@@ -377,7 +358,7 @@ class IntermediateAlgebra:
         suite = "jones"
         P = self.algebra
         records = []
-        tr_expected = RadicalScalar.rational(Fraction(1, self.instance.index_qn))
+        tr_expected = RadicalScalar.rational(Fraction(1, self.index_qn))
         for colour in range(2, top + 1):
             e = self.jones_prime(colour)
             prod = self.z_prime(GenExpr("M", colour), [e, e])
@@ -393,7 +374,7 @@ class IntermediateAlgebra:
             for _ in range(top - position - 1):
                 p = self.include_prime(p)
             towers.append(p)
-        inv_index = Fraction(1, self.instance.index_qn)
+        inv_index = Fraction(1, self.index_qn)
         for i in range(len(towers) - 1):
             a, b = towers[i], towers[i + 1]
             records += [
@@ -423,7 +404,7 @@ class IntermediateAlgebra:
                        self.trace_prime(self.unit_prime(colour)).render(), "1")
             )
         for colour in range(2, kmax + 1):
-            scale = Fraction(self.instance.index_mq ** (colour // 2))
+            scale = Fraction(self.index_mq ** (colour // 2))
             good = all(
                 self.trace_prime(b) == P.trace(b) * scale for b in self.basis(colour)
             )
@@ -492,10 +473,10 @@ class IntermediateAlgebra:
         """White-shaded bookkeeping: the rescaled biprojection, the white
         capping weights, and the dual surround's range dimension."""
         suite = "dual"
-        inst = self.instance
+        sub = self.instance.subgroup
         P = self.algebra
-        root = pow_half(inst.index_mq, 1) * pow_half(inst.index_qn, -1)
-        r = inst.biprojection.scale(root)
+        root = pow_half(self.index_mq, 1) * pow_half(self.index_qn, -1)
+        r = sub.average().scale(root)
         records = [
             record(suite, "r self-adjoint", P.render(P.star(r)), P.render(r)),
             record(suite, "r squares to root-scaled r",
@@ -504,8 +485,8 @@ class IntermediateAlgebra:
         for (kind, colour), half_exponent in WHITE_WEIGHT_TABLE.items():
             records.append(
                 record(suite, f"white weight of {kind}_{colour}",
-                       alpha_tilde(realize(GenExpr(kind, colour)), inst.index_qn).render(),
-                       pow_half(inst.index_qn, half_exponent).render())
+                       alpha_tilde(realize(GenExpr(kind, colour)), self.index_qn).render(),
+                       pow_half(self.index_qn, half_exponent).render())
             )
         rng = random.Random(seed)
         ok = True
@@ -517,11 +498,11 @@ class IntermediateAlgebra:
             exponent = (
                 loops_white(t_outer) + loops_white(t_inner) - loops_white(glued) - k_i
             )
-            lhs = alpha_tilde(glued, inst.index_qn)
+            lhs = alpha_tilde(glued, self.index_qn)
             rhs = (
-                alpha_tilde(t_outer, inst.index_qn)
-                * alpha_tilde(t_inner, inst.index_qn)
-                * pow_half(inst.index_qn, exponent)
+                alpha_tilde(t_outer, self.index_qn)
+                * alpha_tilde(t_inner, self.index_qn)
+                * pow_half(self.index_qn, exponent)
             )
             if lhs != rhs:
                 ok = False
@@ -530,11 +511,11 @@ class IntermediateAlgebra:
         )
         for colour in range(1, 4):
             images = [
-                inst.dual_surround(P.basis_element(colour, label))
+                sub.dual_surround(P.basis_element(colour, label))
                 for label in P.basis_labels(colour)
             ]
             records.append(
                 record(suite, f"dual surround rank at colour {colour}",
-                       str(len(row_reduce(images))), str(inst.dual_dimension(colour)))
+                       str(len(row_reduce(images))), str(sub.order ** (colour - 1)))
             )
         return records

@@ -102,9 +102,6 @@ def tangle(
 # generators
 # ---------------------------------------------------------------------------
 
-GENERATOR_KINDS = ("id", "M", "I", "E", "Eprime", "jones", "unit")
-
-
 def make_generator(kind: str, k: int = 0, shaded: bool = False) -> Tangle:
     """Concrete diagram of a generating tangle.
 

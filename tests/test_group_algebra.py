@@ -397,9 +397,10 @@ class TestGeneratorActions:
     def test_inclusion_cases(self):
         alg = algebra(3)
         inv_root = alg.delta.invert()
+        # colour 2 includes S(g^-1): its labels multiply in the reverse order
         out = alg._act_I(2, alg.basis_element(2, (1,)))
         assert out == alg.element(
-            3, {(1, u): inv_root for u in range(3)}
+            3, {(2, u): inv_root for u in range(3)}
         )
         out = alg._act_I(3, alg.basis_element(3, (1, 2)))
         assert out == alg.basis_element(4, (1, 2, 2))
@@ -440,12 +441,12 @@ class TestGeneratorActions:
 class TestEvaluate:
     def test_capped_inclusion_frozen_value(self):
         # frozen in scripts/solve_base_constants.py: the composite sends
-        # S(g) to sqrt(n) S(-g)
+        # S(g) to sqrt(n) S(g), one closed loop, as at every other colour
         alg = algebra(3)
         expr = parse_expr("(compose (gen E 2 3) 1 (gen I 3 2))")
         for g in range(3):
             out = alg.evaluate(expr, [alg.basis_element(2, (g,))])
-            assert out == alg.basis_element(2, ((-g) % 3,)).scale(alg.delta)
+            assert out == alg.basis_element(2, (g,)).scale(alg.delta)
 
     def test_renumber_swaps_factors(self):
         alg = GroupPlanarAlgebra(build_semidirect(inversion_action(3)))

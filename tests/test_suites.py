@@ -17,7 +17,10 @@ ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 GOLDEN = {
     "z3xz2": (167, "fb94503d50ec345c0d04e550f327599ff48bbe6591bc353cf221619c0e4bd2d0"),
     "z4xz2": (262, "9e7307a929e39dcca8948b44d3a6208882d9e3bb6114a94835a5d0ad4614725b"),
-    "z3-trivial": (236, "90bafc03078bcbf7e46ec8d5a8fff8dd1a4a074503e4870a3e6f99dccc4d69d8"),
+    "z3-trivial": (236, "ea9650035763744cec1105b5594e747e6be35cbc27a21a620f051f6da1093693"),
+    # Z7 x| Z3, Theta acting by x -> 2x and x -> 4x: the one Theta that is
+    # not an involution
+    "z7xz3": (478, "1bce3677ef5d053ad95087808615706b69278bbf57278ee4f4f162fbb37471bc"),
 }
 
 
@@ -29,6 +32,7 @@ def action(stem: str):
 def test_all_suites_report_is_pinned(stem):
     records = run_suite("all", action(stem), k_max=3, samples=3, seed=0)
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert [r["case"] for r in records if not r["pass"]] == []
     assert (len(records), digest) == GOLDEN[stem]
 
 
