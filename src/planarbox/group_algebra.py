@@ -28,6 +28,7 @@ report records of every suite are built by :func:`record` and :func:`flag`.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -291,6 +292,34 @@ def _slot_counts(expr: TangleExpr) -> dict[int, int]:
 
     visit(expr)
     return counts
+
+
+class EvaluationCache:
+    """What :meth:`GroupPlanarAlgebra.evaluate` keeps between calls on the
+    same trees: each tree's arity and slot counts, validated once, and each
+    node's last value.
+
+    A node's value depends only on its own slice of the inputs, so a node
+    that sees the very same input objects again (``is``) returns its last
+    value.  An entry holds its node and inputs, so their ``id``s cannot be
+    reused while it lives, and one entry per node bounds the memory by the
+    tree size.  Inputs must not be mutated while the cache is in use.
+    """
+
+    __slots__ = ("trees", "last")
+
+    def __init__(self) -> None:
+        # id(root) -> (root, arity, slot counts)
+        self.trees: dict[int, tuple[TangleExpr, int, dict[int, int]]] = {}
+        # id(node) -> (node, inputs, value)
+        self.last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]] = {}
+
+    def shape(self, expr: TangleExpr) -> tuple[int, dict[int, int]]:
+        """The arity and slot counts of a tree, validated on first sight."""
+        entry = self.trees.get(id(expr))
+        if entry is None:
+            entry = self.trees[id(expr)] = (expr, arity(expr), _slot_counts(expr))
+        return entry[1], entry[2]
 
 
 def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
@@ -565,30 +594,52 @@ class GroupPlanarAlgebra:
             return self.jones_element(gen.k).scale(self.delta)
         raise AlgebraError(f"unknown generator kind {gen.kind!r}")
 
-    def evaluate(self, expr: TangleExpr, inputs: Sequence[PAElement]) -> PAElement:
-        expected = arity(expr)  # validates the whole tree once
+    def evaluate(
+        self,
+        expr: TangleExpr,
+        inputs: Sequence[PAElement],
+        cache: EvaluationCache | None = None,
+    ) -> PAElement:
+        """The value of a tree on its inputs.
+
+        Pass one :class:`EvaluationCache` to every call of a record that
+        evaluates the same trees on the same input objects; without one,
+        the call gets a fresh cache of its own.
+        """
+        cache = EvaluationCache() if cache is None else cache
+        expected, counts = cache.shape(expr)
         if len(inputs) != expected:
             raise AlgebraError(
                 f"expression takes {expected} input(s), got {len(inputs)}"
             )
-        return self._evaluate(expr, list(inputs), _slot_counts(expr))
+        return self._evaluate(expr, list(inputs), counts, cache.last)
 
     def _evaluate(
-        self, expr: TangleExpr, inputs: list[PAElement], counts: dict[int, int]
+        self,
+        expr: TangleExpr,
+        inputs: list[PAElement],
+        counts: dict[int, int],
+        last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]],
     ) -> PAElement:
+        seen = last.get(id(expr))
+        if seen is not None and all(map(operator.is_, seen[1], inputs)):
+            return seen[2]
         if isinstance(expr, GenExpr):
-            return self.act_generator(expr, inputs)
-        if isinstance(expr, ComposeExpr):
+            value = self.act_generator(expr, inputs)
+        elif isinstance(expr, ComposeExpr):
             i = expr.slot
             b = counts[id(expr.inner)]
             before = inputs[: i - 1]
-            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b], counts)
+            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b], counts, last)
             after = inputs[i - 1 + b :]
-            return self._evaluate(expr.outer, before + [inner_val] + after, counts)
-        if isinstance(expr, RenumberExpr):
+            value = self._evaluate(expr.outer, before + [inner_val] + after, counts, last)
+        elif isinstance(expr, RenumberExpr):
             permuted = [inputs[expr.perm[i] - 1] for i in range(len(inputs))]
-            return self._evaluate(expr.inner, permuted, counts)
-        raise AlgebraError(f"cannot evaluate {type(expr).__name__}")
+            value = self._evaluate(expr.inner, permuted, counts, last)
+        else:
+            raise AlgebraError(f"cannot evaluate {type(expr).__name__}")
+        last[id(expr)] = (expr, tuple(inputs), value)
+        return value
 
     # --- bulk structure for exhaustive checks ----------------------------
 

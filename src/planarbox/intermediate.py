@@ -36,6 +36,7 @@ from .expressions import (
 )
 from .group_algebra import (
     AlgebraError,
+    EvaluationCache,
     GroupPlanarAlgebra,
     PAElement,
     SubgroupBiprojection,
@@ -108,15 +109,21 @@ class IntermediateAlgebra:
         self.index_qn = len(instance.algebra.group) // self.index_mq
         self.tau = instance.algebra.trace(instance.subgroup.average())
         self._bases: dict[int, list[PAElement]] = {}
+        # capping weight per tree given to z_prime; equal trees realize equal
+        # tangles, and the library only passes generator leaves
+        self._weights: dict[TangleExpr, RadicalScalar] = {}
         P = self.algebra
         for colour in range(1, k_max + 1):
-            images = []
+            # most images repeat; row reduction reduces a repeat to zero and
+            # skips it, so keeping the first copy leaves the basis unchanged
+            images: dict[frozenset, PAElement] = {}
             for label in P.basis_labels(colour):
                 img = instance.surround(P.basis_element(colour, label))
+                images.setdefault(frozenset(img.coeffs.items()), img)
+            for img in images.values():
                 if instance.surround(img) != img:
                     raise AlgebraError(f"surround is not idempotent at colour {colour}")
-                images.append(img)
-            self._bases[colour] = row_reduce(images)
+            self._bases[colour] = row_reduce(images.values())
         # the cut-down inclusion is "include, then surround"; it must not
         # depend on whether the representative was already surrounded
         for colour in range(1, k_max):
@@ -165,7 +172,9 @@ class IntermediateAlgebra:
         inputs = list(inputs)
         for x in inputs:
             self.require_member(x)
-        weight = alpha(realize(expr), self.index_mq)
+        weight = self._weights.get(expr)
+        if weight is None:
+            weight = self._weights[expr] = alpha(realize(expr), self.index_mq)
         value = self.algebra.evaluate(expr, inputs)
         return self.instance.surround(value).scale(weight)
 
@@ -241,6 +250,7 @@ class IntermediateAlgebra:
             )
             pairs.append((outer, slot, inner, f"sample {len(pairs) - 3}"))
         for outer, slot, inner, tag in pairs:
+            cache = EvaluationCache()
             glued = ComposeExpr(outer, slot, inner)
             t_outer, t_inner, t_glued = realize(outer), realize(inner), realize(glued)
             k_i = slot_colours(outer)[slot - 1].colour
@@ -256,10 +266,14 @@ class IntermediateAlgebra:
             # the glued evaluation reuses the raw inner value, so each input
             # tuple costs two evaluations with the inner one shared
             for _, raw_inner, dressed_inner, before, after in self._composite_inputs(
-                outer, slot, inner
+                outer, slot, inner, cache
             ):
-                lhs = inst.surround(self.algebra.evaluate(outer, before + [dressed_inner] + after))
-                core = inst.surround(self.algebra.evaluate(outer, before + [raw_inner] + after))
+                lhs = inst.surround(
+                    self.algebra.evaluate(outer, before + [dressed_inner] + after, cache)
+                )
+                core = inst.surround(
+                    self.algebra.evaluate(outer, before + [raw_inner] + after, cache)
+                )
                 if lhs != core.scale(correction):
                     ok_displayed = False
                 if core.scale(a_glued) != lhs.scale(a_outer * a_inner):
@@ -270,18 +284,21 @@ class IntermediateAlgebra:
             ]
         return records
 
-    def _composite_inputs(self, outer: TangleExpr, slot: int, inner: TangleExpr):
+    def _composite_inputs(
+        self, outer: TangleExpr, slot: int, inner: TangleExpr, cache: EvaluationCache
+    ):
         """Every basis input tuple of the composite of ``inner`` into ``outer``.
 
         Yields ``(inner inputs, raw inner, dressed inner, before, after)``:
-        the inner tree is evaluated once per inner tuple and surrounded, and
-        ``before``/``after`` are the outer inputs on either side of the slot.
+        the inner tree is evaluated once per inner tuple (through the
+        record's ``cache``) and surrounded, and ``before``/``after`` are the
+        outer inputs on either side of the slot.
         """
         outer_slots = slot_colours(outer)
         rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
         for inner_combo in self.basis_tuples(slot_colours(inner)):
             inner_inputs = list(inner_combo)
-            raw_inner = self.algebra.evaluate(inner, inner_inputs)
+            raw_inner = self.algebra.evaluate(inner, inner_inputs, cache)
             dressed_inner = self.instance.surround(raw_inner)
             for rest in self.basis_tuples(rest_slots):
                 rest = list(rest)
@@ -317,12 +334,14 @@ class IntermediateAlgebra:
             ok = a_renumbered == a_base
             # slot i of the child reads the input at disc perm[i] of the
             # renumbered tangle; spelled out here independently of the
-            # evaluator's own bookkeeping
+            # evaluator's own bookkeeping, so the cache serves the right side
+            # only when the evaluator passed the child these very inputs
+            cache = EvaluationCache()
             for combo in self.basis_tuples(slot_colours(renumbered)):
                 xs = list(combo)
                 child_inputs = [xs[perm[i] - 1] for i in range(n)]
-                lhs = self.algebra.evaluate(renumbered, xs)
-                rhs = self.algebra.evaluate(base_expr, child_inputs)
+                lhs = self.algebra.evaluate(renumbered, xs, cache)
+                rhs = self.algebra.evaluate(base_expr, child_inputs, cache)
                 if lhs != rhs:
                     ok = False
             records.append(
@@ -339,14 +358,15 @@ class IntermediateAlgebra:
             a_inner = alpha(realize(inner), self.index_mq)
             a_glued = alpha(realize(glued), self.index_mq)
             ok = True
+            cache = EvaluationCache()
             for inner_inputs, _, dressed_inner, before, after in self._composite_inputs(
-                outer, slot, inner
+                outer, slot, inner, cache
             ):
                 z_glued = self.instance.surround(
-                    self.algebra.evaluate(glued, before + inner_inputs + after)
+                    self.algebra.evaluate(glued, before + inner_inputs + after, cache)
                 ).scale(a_glued)
                 z_nested = self.instance.surround(
-                    self.algebra.evaluate(outer, before + [dressed_inner] + after)
+                    self.algebra.evaluate(outer, before + [dressed_inner] + after, cache)
                 ).scale(a_outer * a_inner)
                 if z_glued != z_nested:
                     ok = False

@@ -1,13 +1,22 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from planarbox import expressions
-from planarbox.expressions import ComposeExpr, GenExpr, parse_expr
+from planarbox.expressions import (
+    ComposeExpr,
+    GenExpr,
+    RenumberExpr,
+    parse_expr,
+    random_composable_pair,
+    slot_colours,
+)
 from planarbox.group_algebra import (
     AlgebraError,
+    EvaluationCache,
     GroupPlanarAlgebra,
     PAElement,
     SubgroupBiprojection,
@@ -503,6 +512,115 @@ class TestEvaluate:
         assert calls <= 2 * (2 * depth + 1)
         with pytest.raises(AlgebraError, match="input"):
             alg.evaluate(expr, [alg.basis_element(2, (0,))] * depth)
+
+
+class TestEvaluationCache:
+    """One cache per record must give every value an uncached call gives."""
+
+    def basis_pools(self, alg, discs):
+        # built once, so the same objects recur across tuples, as in the
+        # suites' basis_tuples
+        return [
+            [alg.basis_element(d.colour, lab, d.shaded) for lab in alg.basis_labels(d.colour)]
+            for d in discs
+        ]
+
+    def test_cached_equals_uncached_on_every_basis_tuple(self):
+        """Seeded composable pairs over z3xz2 at colours <= 3: the inner
+        tree, the outer tree around its value, the glued tree and a
+        renumbering of it share one cache, in the order the composite
+        checks use it."""
+        alg = SEMIDIRECT["z3xz2"]
+        rng = random.Random("evaluation-cache")
+        checked = 0
+        while checked < 25:
+            outer, slot, inner = random_composable_pair(rng, max_colour=3, depth=2, max_arity=3)
+            glued = ComposeExpr(outer, slot, inner)
+            n = len(slot_colours(glued))
+            renumbered = RenumberExpr(tuple(range(n, 0, -1)), glued)
+            inner_pools = self.basis_pools(alg, slot_colours(inner))
+            outer_slots = slot_colours(outer)
+            rest_pools = self.basis_pools(alg, outer_slots[: slot - 1] + outer_slots[slot:])
+            if math.prod(map(len, inner_pools + rest_pools)) > 1500:
+                continue
+            cache = EvaluationCache()
+            for xs in itertools.product(*inner_pools):
+                xs = list(xs)
+                value = alg.evaluate(inner, xs, cache)
+                assert value == alg.evaluate(inner, xs)
+                for rest in itertools.product(*rest_pools):
+                    before, after = list(rest[: slot - 1]), list(rest[slot - 1 :])
+                    ys = before + [value] + after
+                    zs = before + xs + after
+                    assert alg.evaluate(outer, ys, cache) == alg.evaluate(outer, ys)
+                    assert alg.evaluate(glued, zs, cache) == alg.evaluate(glued, zs)
+                    assert alg.evaluate(renumbered, zs[::-1], cache) == alg.evaluate(glued, zs)
+            checked += 1
+
+    def test_recycled_addresses_do_not_hit(self):
+        """Fresh temporaries fed to one cache reuse the addresses of freed
+        ones; a cache that kept only ids would return stale values."""
+        alg = algebra(5)
+        expr = parse_expr("(compose (gen E 2 3) 1 (gen I 3 2))")
+        cache = EvaluationCache()
+        addresses = []
+        for i in range(200):
+            # consecutive inputs differ, so a stale value would be wrong
+            x = alg.basis_element(2, (i % 5,))
+            addresses.append(id(x))
+            assert alg.evaluate(expr, [x], cache) == alg.evaluate(expr, [x])
+            del x
+        assert len(set(addresses)) < len(addresses)
+
+    def test_renumbered_then_base_multiplies_once(self, monkeypatch):
+        alg = SEMIDIRECT["z3xz2"]
+        t = GenExpr("M", 3)
+        perm = (2, 1)
+        rng = random.Random("renumber-once")
+        labels = list(alg.basis_labels(3))
+        xs = [alg.basis_element(3, rng.choice(labels)) for _ in range(2)]
+        permuted = [xs[perm[i] - 1] for i in range(2)]
+        calls = 0
+        original = GroupPlanarAlgebra.multiply
+
+        def counted(self, x, y):
+            nonlocal calls
+            calls += 1
+            return original(self, x, y)
+
+        monkeypatch.setattr(GroupPlanarAlgebra, "multiply", counted)
+        cache = EvaluationCache()
+        lhs = alg.evaluate(RenumberExpr(perm, t), xs, cache)
+        rhs = alg.evaluate(t, permuted, cache)
+        assert lhs == rhs
+        assert calls == 1
+        # without a shared cache, each call multiplies
+        alg.evaluate(RenumberExpr(perm, t), xs)
+        alg.evaluate(t, permuted)
+        assert calls == 3
+
+    def test_tree_validated_once_per_cache(self, monkeypatch):
+        alg = algebra(3)
+        expr = parse_expr("(compose (gen M 2) 2 (gen id 2))")
+        calls = 0
+        original = expressions.slot_colours
+
+        def counted(e):
+            nonlocal calls
+            calls += 1
+            return original(e)
+
+        monkeypatch.setattr(expressions, "slot_colours", counted)
+        cache = EvaluationCache()
+        for g in range(3):
+            alg.evaluate(expr, [alg.basis_element(2, (g,)), alg.basis_element(2, (0,))], cache)
+        once = calls
+        assert once > 0
+        for g in range(3):
+            alg.evaluate(expr, [alg.basis_element(2, (0,)), alg.basis_element(2, (g,))], cache)
+        assert calls == once
+        with pytest.raises(AlgebraError, match="input"):
+            alg.evaluate(expr, [alg.basis_element(2, (0,))], cache)
 
 
 class TestRendering:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from planarbox.crossed import CrossedProduct
 from planarbox.expressions import ComposeExpr, GenExpr, RenumberExpr
-from planarbox.group_algebra import AlgebraError
+from planarbox.group_algebra import AlgebraError, row_reduce
 from planarbox.groups import cyclic_group, inversion_action, trivial_action
 from planarbox.intermediate import (
     AlgebraInstance,
@@ -78,6 +78,15 @@ class TestBuild:
             assert leads == sorted(leads)
             for b in inter.basis(colour):
                 assert b.coefficient(b.support()[0]) == ONE
+
+    @pytest.mark.parametrize("inter", [CP3, CP4, CPT], indirect=True)
+    def test_basis_reduces_every_surround_image(self, inter):
+        """The build keeps one copy of each repeated image; reducing every
+        image, repeats included, gives the same basis."""
+        P, surround = inter.algebra, inter.instance.surround
+        for colour in range(1, 5):
+            images = [surround(P.basis_element(colour, lab)) for lab in P.basis_labels(colour)]
+            assert inter.basis(colour) == row_reduce(images)
 
     def test_colour_zero_basis(self, inter):
         (b,) = inter.basis(0)
