@@ -4,11 +4,14 @@
 Self-contained on purpose: it re-derives the cap/cup loop counts (and
 the resulting half-integer exponents) for every generator with its own
 diagram encoding and a walk-based cycle counter, so the main library can
-be checked against an implementation that shares no code with it.
+be checked against an implementation that shares no code with it.  The
+library glues and counts through connected components, so the two share
+no algorithm either.
 
 Run:  python3 scripts/loop_count_oracle.py
 The printed tables are frozen into tests/test_tangles.py and
-tests/test_acceptance.py.
+tests/test_acceptance.py; tests/test_oracles.py loads this file by path and
+checks gluing and loop counts against `splice` and `count_cycles`.
 """
 
 from math import ceil, floor

@@ -34,7 +34,6 @@ from .group_algebra import (
 from .groups import (
     GroupAction,
     SemidirectGroup,
-    build_semidirect,
     orbit_of,
     orbit_representatives,
 )
@@ -57,20 +56,18 @@ class CrossedProduct:
         "base",
         "product",
         "embedded",
-        "_twist_cache",
     )
 
     def __init__(self, action: GroupAction):
         self.action = action
         self.group = action.group
-        self.semidirect: SemidirectGroup = build_semidirect(action)
+        self.semidirect = SemidirectGroup(action)
         self.base = GroupPlanarAlgebra(self.group)
         self.product = GroupPlanarAlgebra(self.semidirect)
         # the biprojection of the embedded copy {(1, t)} of Theta
         self.embedded = SubgroupBiprojection(
             self.semidirect, [self.semidirect.index(0, t) for t in range(self.theta_order)]
         )
-        self._twist_cache: dict[tuple[int, Label], PAElement] = {}
 
     @property
     def theta_order(self) -> int:
@@ -101,10 +98,6 @@ class CrossedProduct:
             moved = self.action.apply_tuple(t, label)
             coeffs[moved] = coeffs.get(moved, ZERO) + ONE
         return PAElement(colour, coeffs)
-
-    def orbit_basis(self, colour: int) -> list[tuple[Label, PAElement]]:
-        """One orbit sum per orbit, keyed by its lexicographically least label."""
-        return [(rep, self.orbit_sum(colour, rep)) for rep in self.orbit_reps(colour)]
 
     def stabilizer_order(self, label: Sequence[int]) -> int:
         return self.theta_order // len(orbit_of(self.action, tuple(label)))
@@ -168,27 +161,19 @@ class CrossedProduct:
         """Orbit sum with every slot decorated by all of Theta.
 
         The result lives in the algebra of the semidirect product and only
-        depends on the orbit of the label.
+        depends on the orbit of the label: it is ``|Theta|^colour`` times the
+        surround of ``S((g_1, 1), ..., (g_{colour-1}, 1))``.
         """
         label = tuple(label)
         if colour < 1 or len(label) != colour - 1:
             raise AlgebraError(
                 f"label length {len(label)} does not match colour {colour}"
             )
-        key = (colour, min(orbit_of(self.action, label)))
-        cached = self._twist_cache.get(key)
-        if cached is not None:
-            return cached
+        # scaling the input, not the output, costs one product per class
         index = self.semidirect.index
-        coeffs: dict[Label, RadicalScalar] = {}
-        for t in range(self.theta_order):
-            moved = self.action.apply_tuple(t, label)
-            for twists in iter_product(range(self.theta_order), repeat=len(label)):
-                lbl = tuple(index(g, u) for g, u in zip(moved, twists))
-                coeffs[lbl] = coeffs.get(lbl, ZERO) + ONE
-        out = PAElement(colour, coeffs)
-        self._twist_cache[key] = out
-        return out
+        embedded = tuple(index(g, 0) for g in label)
+        weight = RadicalScalar.rational(self.theta_order**colour)
+        return self.embedded.surround(PAElement(colour, {embedded: weight}))
 
     def twist_components(self, x: PAElement) -> dict[Label, RadicalScalar]:
         """Decompose an element of the surround range over the twist sums.

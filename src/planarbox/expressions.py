@@ -12,8 +12,8 @@ The text form is an s-expression, e.g.::
     (renumber (2 1) (gen M 2))
     (gen unit plus)
 
-Colour tokens are plain integers, with ``0+`` / ``0-`` selecting the
-shading of a colour-0 disc (bare ``0`` means ``0+``).
+Colour tokens are plain integers from 0 to ``MAX_COLOUR``, with ``0+`` /
+``0-`` selecting the shading of a colour-0 disc (bare ``0`` means ``0+``).
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ from planarbox.tangles import (
 
 class ParseError(ValueError):
     """Malformed tangle-expression text."""
+
+
+# Largest colour token the parser accepts.  A diagram's size is linear in its
+# colours, but nothing else bounds them: ``(gen id 1000000)`` ran past a
+# minute and 1.8 GB, while a colour-1000 generator realizes in well under a
+# second.
+MAX_COLOUR = 1000
 
 
 @dataclass(frozen=True)
@@ -156,6 +163,8 @@ def _parse_colour(tok: str) -> tuple[int, bool]:
         raise ParseError(f"bad colour token {tok!r}") from None
     if k < 0:
         raise ParseError(f"bad colour token {tok!r}")
+    if k > MAX_COLOUR:
+        raise ParseError(f"colour {k} is above the bound MAX_COLOUR = {MAX_COLOUR}")
     return k, False
 
 

@@ -81,20 +81,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, a: int) -> int:
-        x, k = a, 1
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a)
-        )
-
     def name(self, a: int) -> str:
         return self.names[a]
 
@@ -331,10 +317,6 @@ class SemidirectGroup(FiniteGroup):
     @property
     def theta_order(self) -> int:
         return self.action.theta.order
-
-
-def build_semidirect(action: GroupAction) -> SemidirectGroup:
-    return SemidirectGroup(action)
 
 
 def orbit_of(action: GroupAction, label: Sequence[int]) -> frozenset[tuple[int, ...]]:

@@ -202,11 +202,6 @@ class RadicalScalar:
         num = self._num
         return not num or (len(num) == 1 and 1 in num)
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return Fraction(self._num.get(1, 0), self._den)
-
     def to_float(self) -> float:
         den = self._den
         return sum(c / den * math.sqrt(d) for d, c in self._num.items())

@@ -17,12 +17,18 @@ Composition glues a tangle into an internal disc and splices strings;
 `loops_black` / `loops_white` count the closed loops left after capping
 every black (resp. white) boundary interval, which is what the scalar
 weight of a tangle is made of.
+
+All three, and the genus check of `validate`, read the connected
+components of one graph, from the module's single components routine.
+``scripts/loop_count_oracle.py`` splices and counts by walking strings
+instead, so the two share neither code nor algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from planarbox.scalars import RadicalScalar, pow_half
 
@@ -169,14 +175,42 @@ def make_generator(kind: str, k: int = 0, shaded: bool = False) -> Tangle:
 
 
 # ---------------------------------------------------------------------------
-# composition and renumbering
+# connected components, composition and renumbering
 # ---------------------------------------------------------------------------
+
+def _components(
+    edges: Iterable[tuple[Hashable, Hashable]], nodes: Iterable[Hashable] = ()
+) -> dict[Hashable, Hashable]:
+    """Connected components of a graph: every node of ``nodes`` or on an
+    edge -> the first-seen node of its component."""
+    adjacent: dict[Hashable, list[Hashable]] = {x: [] for x in nodes}
+    for a, b in edges:
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    component: dict[Hashable, Hashable] = {}
+    for start in adjacent:
+        if start in component:
+            continue
+        component[start] = start
+        stack = [start]
+        while stack:
+            for y in adjacent[stack.pop()]:
+                if y not in component:
+                    component[y] = start
+                    stack.append(y)
+    return component
+
+
+_GLUED = -1  # disc index shared by both sides of the glued boundary
+
 
 def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
     """Glue ``inner`` into internal disc ``slot`` of ``outer``.
 
-    Strings are spliced through the glued boundary; spliced cycles that
-    touch no remaining disc become free loops.
+    Every endpoint is renamed into the result's disc numbering, with the
+    glued boundary's points seen from either side sharing one name.  A
+    component of the spliced strings with two endpoints off that boundary
+    is a new string; one with none is a new free loop.
     """
     if not 1 <= slot <= len(outer.internal):
         raise TangleError(f"slot {slot} out of range 1..{len(outer.internal)}")
@@ -186,78 +220,26 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
             f"colour mismatch at slot {slot}: disc is {target.label()}, "
             f"tangle is {inner.external.label()}"
         )
+    # disc index on either side -> disc index in the result
     b_in = len(inner.internal)
+    outer_disc = [*range(slot), _GLUED, *range(slot + b_in, len(outer.internal) + b_in)]
+    inner_disc = [_GLUED, *range(slot, slot + b_in)]
+    edges = [((outer_disc[d], p), (outer_disc[e], q)) for (d, p), (e, q) in outer.strings]
+    edges += [((inner_disc[d], p), (inner_disc[e], q)) for (d, p), (e, q) in inner.strings]
 
-    # tagged node namespace: outer endpoints, inner endpoints, interface
-    def tag_outer(pt: Point):
-        d, p = pt
-        return ("x", p) if d == slot else ("o", d, p)
-
-    def tag_inner(pt: Point):
-        d, p = pt
-        return ("x", p) if d == 0 else ("i", d, p)
-
-    edges: list[tuple] = []
-    for a, b in outer.strings:
-        edges.append((tag_outer(a), tag_outer(b)))
-    for a, b in inner.strings:
-        edges.append((tag_inner(a), tag_inner(b)))
-
-    incident: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(edges):
-        incident.setdefault(a, []).append(idx)
-        incident.setdefault(b, []).append(idx)
-
-    def final(node) -> Point:
-        if node[0] == "o":
-            _, d, p = node
-            return (d if d < slot else d + b_in - 1, p)
-        _, d, p = node
-        return (slot - 1 + d, p)
-
-    used = [False] * len(edges)
-    new_strings: list[tuple[Point, Point]] = []
-    # walk chains starting from every non-interface endpoint
-    for start in incident:
-        if start[0] == "x":
-            continue
-        for eid in incident[start]:
-            if used[eid]:
-                continue
-            used[eid] = True
-            a, b = edges[eid]
-            node = b if a == start else a
-            while node[0] == "x":
-                nxt = [e for e in incident[node] if not used[e]]
-                # interface points have exactly two incident edges
-                eid = nxt[0]
-                used[eid] = True
-                a, b = edges[eid]
-                node = b if a == node else a
-            new_strings.append((final(start), final(node)))
-    new_loops = 0
-    for eid, done in enumerate(used):
-        if done:
-            continue
-        # leftover pure-interface cycle
-        used[eid] = True
-        a, b = edges[eid]
-        node = b
-        while True:
-            nxt = [e for e in incident[node] if not used[e]]
-            if not nxt:
-                break
-            used[nxt[0]] = True
-            a2, b2 = edges[nxt[0]]
-            node = b2 if a2 == node else a2
-        new_loops += 1
+    ends: dict[Hashable, list[Point]] = {}
+    for pt, root in _components(edges).items():
+        found = ends.setdefault(root, [])
+        if pt[0] != _GLUED:
+            found.append(pt)
+    new_strings = [pair for pair in ends.values() if pair]
 
     internal = outer.internal[: slot - 1] + inner.internal + outer.internal[slot:]
     return tangle(
         outer.external,
         internal,
         new_strings,
-        outer.closed_loops + inner.closed_loops + new_loops,
+        outer.closed_loops + inner.closed_loops + len(ends) - len(new_strings),
     )
 
 
@@ -351,20 +333,9 @@ def validate(t: Tangle) -> Diagnostics:
     if problems:
         return Diagnostics(tuple(problems))
 
-    # connected components of the disc/string graph
+    # connected components of the disc/string graph, every disc a node
     n_discs = len(t.internal) + 1
-    parent = list(range(n_discs))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in t.strings:
-        ra, rb = find(a[0]), find(b[0])
-        if ra != rb:
-            parent[ra] = rb
+    component = _components(((a[0], b[0]) for a, b in t.strings), range(n_discs))
 
     # face tracing: darts are ordered endpoint pairs of strings
     visited: set[tuple[Point, Point]] = set()
@@ -373,7 +344,7 @@ def validate(t: Tangle) -> Diagnostics:
         for dart in (s, (s[1], s[0])):
             if dart in visited:
                 continue
-            component = find(dart[0][0])
+            root = component[dart[0][0]]
             shades: set[bool] = set()
             cur = dart
             while cur not in visited:
@@ -382,7 +353,7 @@ def validate(t: Tangle) -> Diagnostics:
                 q = _rotation_next(t, d, p)
                 shades.add(_interval_is_black(d, p))
                 cur = ((d, q), other[(d, q)])
-            faces_per_component[component] = faces_per_component.get(component, 0) + 1
+            faces_per_component[root] = faces_per_component.get(root, 0) + 1
             if len(shades) > 1:
                 problems.append(
                     f"face through {dart[0]} touches both black and white intervals"
@@ -390,9 +361,9 @@ def validate(t: Tangle) -> Diagnostics:
 
     counts: dict[int, list[int]] = {}
     for d in range(n_discs):
-        counts.setdefault(find(d), [0, 0])[0] += 1
+        counts.setdefault(component[d], [0, 0])[0] += 1
     for a, b in t.strings:
-        counts[find(a[0])][1] += 1
+        counts[component[a[0]]][1] += 1
     for root, (v, e) in counts.items():
         f = faces_per_component.get(root, 1 if e == 0 else 0)
         if v - e + f != 2:
@@ -422,26 +393,10 @@ def _cap_edges(t: Tangle, black: bool) -> list[tuple[Point, Point]]:
 
 def _count_cycles(t: Tangle, cap_black: bool) -> int:
     """Cycles of the strings together with one cap per boundary interval
-    of the chosen colour; every point gets degree exactly 2."""
-    index = {pt: i for i, pt in enumerate(t.points())}
-    parent = list(range(len(index)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: Point, b: Point) -> None:
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in t.strings:
-        union(a, b)
-    for a, b in _cap_edges(t, cap_black):
-        union(a, b)
-    return len({find(i) for i in range(len(index))}) + t.closed_loops
+    of the chosen colour; the caps cover every point, and every point gets
+    degree exactly 2, so each component is one cycle."""
+    component = _components(chain(t.strings, _cap_edges(t, cap_black)))
+    return len(set(component.values())) + t.closed_loops
 
 
 def loops_black(t: Tangle) -> int:
@@ -476,21 +431,3 @@ def alpha(t: Tangle, ratio: int) -> RadicalScalar:
 def alpha_tilde(t: Tangle, ratio: int) -> RadicalScalar:
     """White-capping companion of :func:`alpha`."""
     return pow_half(ratio, capping_exponent_white(t))
-
-
-def shift_point_labels(t: Tangle) -> Tangle:
-    """Rotate every point label down by one (1 -> 2k).  Exchanges the
-    roles of black and white intervals; used to cross-check the two loop
-    counts against each other."""
-
-    def move(pt: Point) -> Point:
-        d, p = pt
-        n = 2 * t.disc(d).colour
-        return (d, p - 1 if p > 1 else n)
-
-    return tangle(
-        t.external,
-        t.internal,
-        [(move(a), move(b)) for a, b in t.strings],
-        t.closed_loops,
-    )

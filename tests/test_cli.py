@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from planarbox.cli import format_scalar, main
+from planarbox.expressions import MAX_COLOUR
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 
 ACTIONS = "actions"
@@ -86,6 +87,11 @@ class TestAlphaCommand:
     def test_parse_error_exits_2(self, capsys):
         assert main(["alpha", "(gen E 4"]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_colour_above_bound_exits_2(self, capsys):
+        assert main(["alpha", "(gen id 1000000)"]) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and f"MAX_COLOUR = {MAX_COLOUR}" in err
 
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["alpha", "(gen wobble 2)"]) == 2

@@ -18,7 +18,8 @@ from planarbox.tangles import TangleError
 
 ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 
-# colours stay small: a huge colour is an unbounded run, not a parse error
+# colours stay small, so every realized tree is cheap; colours above
+# expressions.MAX_COLOUR are a parse error with tests of their own
 NUMBERS = ("0+", "0-", "-1", "0", "1", "2", "3", "4", "5")
 TOKENS = (
     "(", ")", "gen", "compose", "renumber", "unit", "plus", "minus", "id", "M",

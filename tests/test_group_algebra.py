@@ -21,7 +21,7 @@ from planarbox.group_algebra import (
     PAElement,
     SubgroupBiprojection,
 )
-from planarbox.groups import cyclic_group, build_semidirect, inversion_action
+from planarbox.groups import SemidirectGroup, cyclic_group, inversion_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 
 
@@ -197,8 +197,8 @@ class TestMultiplication:
 
 
 SEMIDIRECT = {
-    "z3xz2": GroupPlanarAlgebra(build_semidirect(inversion_action(3))),
-    "z4xz2": GroupPlanarAlgebra(build_semidirect(inversion_action(4))),
+    "z3xz2": GroupPlanarAlgebra(SemidirectGroup(inversion_action(3))),
+    "z4xz2": GroupPlanarAlgebra(SemidirectGroup(inversion_action(4))),
 }
 # few values, so that coefficient classes have many labels
 CLASS_COEFFS = [
@@ -458,7 +458,7 @@ class TestEvaluate:
             assert out == alg.basis_element(2, (g,)).scale(alg.delta)
 
     def test_renumber_swaps_factors(self):
-        alg = GroupPlanarAlgebra(build_semidirect(inversion_action(3)))
+        alg = GroupPlanarAlgebra(SemidirectGroup(inversion_action(3)))
         expr = parse_expr("(renumber (2 1) (gen M 2))")
         # (1,0) and (0,inv) do not commute in the semidirect product
         a = alg.basis_element(2, (alg.group.index(1, 0),))
@@ -638,7 +638,7 @@ class TestRendering:
         assert alg.render(x + y) == "1/3*S(0) + (1 + sqrt(2))*S(1)"
 
     def test_semidirect_names(self):
-        alg = GroupPlanarAlgebra(build_semidirect(inversion_action(3)))
+        alg = GroupPlanarAlgebra(SemidirectGroup(inversion_action(3)))
         assert alg.render(alg.basis_element(2, (3,))) == "S((1,1))"
 
 
@@ -646,7 +646,7 @@ class TestLeftPartCache:
     def test_bounded_by_the_labels_multiplied(self):
         """Colour 5 on the order-8 group: the cache holds one entry per left
         factor label met, never more than the colour's dimension."""
-        alg = GroupPlanarAlgebra(build_semidirect(inversion_action(4)))
+        alg = GroupPlanarAlgebra(SemidirectGroup(inversion_action(4)))
         n, k = alg.group.order, 5
         rng = random.Random("left-cache")
         labels = list(alg.basis_labels(k))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarbox.expressions import (
+    MAX_COLOUR,
     ComposeExpr,
     GenExpr,
     ParseError,
@@ -32,7 +33,6 @@ from planarbox.tangles import (
     loops_white,
     make_generator,
     renumber,
-    shift_point_labels,
     tangle,
     validate,
 )
@@ -304,11 +304,19 @@ class TestParser:
             "(gen id 2))",
             "(renumber 2 (gen M 2))",
             "(gen id (2))",
+            "(gen id 1001)",
+            "(gen id 1000000)",
+            "(gen E 1000 1001)",
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_expr(text)
+
+    def test_colour_bound(self):
+        assert parse_expr(f"(gen M {MAX_COLOUR})") == GenExpr("M", MAX_COLOUR)
+        with pytest.raises(ParseError, match=f"MAX_COLOUR = {MAX_COLOUR}"):
+            parse_expr(f"(compose (gen id 2) 1 (gen id {MAX_COLOUR + 1}))")
 
     def test_semantic_errors_are_tangle_errors(self):
         expr = parse_expr("(compose (gen M 2) 1 (gen id 3))")
@@ -344,6 +352,19 @@ def test_random_trees_realize_valid(seed):
     t = realize(random_expr(rng, max_colour=5, depth=3))
     assert validate(t).ok
     assert t.closed_loops >= 0
+
+
+def shift_point_labels(t):
+    """Rotate every point label down by one (1 -> 2k), which exchanges the
+    roles of black and white intervals."""
+
+    def move(pt):
+        d, p = pt
+        return (d, p - 1 if p > 1 else 2 * t.disc(d).colour)
+
+    return tangle(
+        t.external, t.internal, [(move(a), move(b)) for a, b in t.strings], t.closed_loops
+    )
 
 
 @settings(max_examples=80, deadline=None)
