@@ -20,6 +20,11 @@ pair of terms.  ``multiply`` reads no full index table
 (:meth:`GroupPlanarAlgebra.product_index_table`): at colour 5 over a group
 of order 8 it would hold 4096^2 entries.
 
+``trace`` is linear: ``tr(x) = sum c * tr(S(label))``.  Each basis trace is
+computed once, by capping ``S(label)`` with ``E`` one colour at a time, and
+memoized per colour and label on the algebra (:meth:`GroupPlanarAlgebra._basis_trace`),
+so the memo of a colour never holds more than ``dimension(colour)`` entries.
+
 The biprojections of the algebra are the subgroup averages; each one, with
 its surround and dual surround, is a :class:`SubgroupBiprojection`.  The
 report records of every suite are built by :func:`record` and :func:`flag`.
@@ -351,6 +356,8 @@ class GroupPlanarAlgebra:
         # colour -> label -> left part of the label rule; bounded by the
         # basis labels in use
         self._left_cache: dict[int, _LeftParts] = {}
+        # colour -> label -> tr(S(label)); bounded the same way
+        self._trace_cache: dict[int, dict[Label, RadicalScalar]] = {}
 
     # --- construction helpers -------------------------------------------
 
@@ -501,8 +508,25 @@ class GroupPlanarAlgebra:
         return PAElement(x.colour, out, x.shaded)
 
     def trace(self, x: PAElement) -> RadicalScalar:
-        cur = x
-        for k in range(x.colour - 1, 0, -1):
+        """``tr(x) = sum c * tr(S(label))`` by linearity, each basis trace
+        read from the memo of its colour (filled by :meth:`_basis_trace`)."""
+        memo = self._trace_cache.get(x.colour)
+        if memo is None:
+            memo = self._trace_cache[x.colour] = {}
+        total = ZERO
+        for lab, c in x.coeffs.items():
+            t = memo.get(lab)
+            if t is None:
+                t = memo[lab] = self._basis_trace(x.colour, lab)
+            if not t.is_zero():
+                total = total + c * t
+        return total
+
+    def _basis_trace(self, colour: int, label: Label) -> RadicalScalar:
+        """``tr(S(label))``: cap the strings one colour at a time with ``E``,
+        dividing each closed loop by ``delta``, down to colour 0."""
+        cur = PAElement(colour, {label: ONE})
+        for k in range(colour - 1, 0, -1):
             cur = self._act_E(k, cur).scale(self._inv_delta)
         return cur.coefficient(())
 
@@ -643,17 +667,27 @@ class GroupPlanarAlgebra:
 
     # --- bulk structure for exhaustive checks ----------------------------
 
-    def product_constant(self, colour: int) -> RadicalScalar:
-        """The prefactor shared by every nonzero basis product at a colour.
+    def product_structure(self, colour: int) -> tuple[np.ndarray, list[Label], RadicalScalar]:
+        """Basis products at a colour as ``(table, labels, prefactor)``, from
+        one walk over all label pairs.
 
+        At a fixed colour every product of two basis symbols is either zero
+        or a single symbol times one shared prefactor, so the whole
+        multiplication is captured by one ``int32`` matrix: entry (i, j) is
+        the index in ``labels`` of the product symbol, or -1 for zero.
         Raises when products at the colour mix prefactors, which would make
-        :meth:`product_index_table` meaningless.
+        the table meaningless.
         """
+        labels = list(self.basis_labels(colour))
+        index = {lab: i for i, lab in enumerate(labels)}
+        rows = []
         found: RadicalScalar | None = None
-        for g in self.basis_labels(colour):
-            for h in self.basis_labels(colour):
+        for g in labels:
+            row = []
+            for h in labels:
                 r = self._basis_product(colour, g, h)
                 if r is None:
+                    row.append(-1)
                     continue
                 if found is None:
                     found = r[0]
@@ -661,28 +695,20 @@ class GroupPlanarAlgebra:
                     raise AlgebraError(
                         f"basis products at colour {colour} mix prefactors"
                     )
+                row.append(index[r[1]])
+            rows.append(row)
         if found is None:
             raise AlgebraError(f"no nonzero basis products at colour {colour}")
-        return found
+        return np.array(rows, dtype=np.int32), labels, found
 
-    def product_index_table(self, colour: int):
-        """Basis products as an index map.
+    def product_constant(self, colour: int) -> RadicalScalar:
+        """The prefactor shared by every nonzero basis product at a colour."""
+        return self.product_structure(colour)[2]
 
-        At a fixed colour every product of two basis symbols is either
-        zero or a single symbol with the same constant prefactor, so the
-        whole multiplication is captured by one integer matrix: entry
-        (i, j) is the index of the product symbol, or -1 for zero.
-        Returns (table, labels).
-        """
-        labels = list(self.basis_labels(colour))
-        index = {lab: i for i, lab in enumerate(labels)}
-        size = len(labels)
-        table = np.full((size, size), -1, dtype=np.int32)
-        for i, g in enumerate(labels):
-            for j, h in enumerate(labels):
-                r = self._basis_product(colour, g, h)
-                if r is not None:
-                    table[i, j] = index[r[1]]
+    def product_index_table(self, colour: int) -> tuple[np.ndarray, list[Label]]:
+        """Basis products as an index map: ``(table, labels)`` of
+        :meth:`product_structure`."""
+        table, labels, _ = self.product_structure(colour)
         return table, labels
 
     # --- rendering --------------------------------------------------------

@@ -48,9 +48,34 @@ INTERTWINE_GENERATORS = (
 # Jones element at colour k_max + 1, and its closed forms stop at colour 5
 MAX_KMAX = 4
 
+# base-algebra visits every pair of basis labels at k_max (the Gram matrix
+# and the index table), dimension(k_max)^2 of them; run_suite refuses more
+# than this before any work starts.  z4xz2 at k_max 4 has 512^2 and z7xz3 at
+# k_max 3 has 441^2, while z7xz3 at k_max 4 would have 9261^2 (about 86M).
+MAX_BASE_ALGEBRA_PAIRS = 2**20
+
 
 class SuiteError(ValueError):
-    """Unknown suite name, or a k_max outside 2..MAX_KMAX."""
+    """Unknown suite name, a k_max outside 2..MAX_KMAX, or a base-algebra
+    run above MAX_BASE_ALGEBRA_PAIRS."""
+
+
+def index_table_associative(table: np.ndarray) -> bool:
+    """Whether a basis product index table is associative, over all
+    ``size^3`` triples.
+
+    ``table`` is what :meth:`GroupPlanarAlgebra.product_structure` returns:
+    ``int32`` entries, -1 for a zero product.  One copy padded with a row
+    and a column of -1 lets a zero product index a zero row or entry, and
+    it keeps the table's dtype.  One ``size^2`` block per left factor i
+    compares ``(x_i x_j) x_k`` with ``x_i (x_j x_k)``, so memory stays
+    quadratic in the basis size.
+    """
+    size = len(table)
+    padded = np.full((size + 1, size + 1), -1, dtype=table.dtype)
+    padded[:size, :size] = table
+    rows = padded[:, :size]
+    return all((rows[table[i]] == padded[i][table]).all() for i in range(size))
 
 
 def base_algebra_report(
@@ -58,9 +83,14 @@ def base_algebra_report(
 ) -> list[dict]:
     """Ring structure of the ambient labelled algebra, exhaustively.
 
-    Associativity is checked on the integer index table (valid because the
-    prefactor record pins all nonzero products to one shared constant);
-    everything else runs element by element over the bases.
+    One walk over the label pairs of a colour gives the index table and the
+    shared prefactor (:meth:`GroupPlanarAlgebra.product_structure`).
+    Associativity is checked on that ``int32`` table
+    (:func:`index_table_associative`), which is valid because the
+    prefactor record pins all nonzero products to one shared constant;
+    everything else runs element by element over the bases.  The traces
+    read the algebra's per-label memo, so each basis trace is computed once.
+    ``run_suite`` bounds the cost at ``MAX_BASE_ALGEBRA_PAIRS``.
     """
     suite = "base-algebra"
     P = cp.product
@@ -77,20 +107,13 @@ def base_algebra_report(
             record(suite, f"trace of the unit at colour {colour}", P.trace(one).render(), "1"),
         ]
     for colour in range(2, k_max + 1):
-        table, labels = P.product_index_table(colour)
+        table, labels, prefactor = P.product_structure(colour)
         size = len(labels)
-        t = table.astype(np.int64)
-        rows = np.vstack([t, np.full((1, size), -1, dtype=np.int64)])
-        cols = np.hstack([t, np.full((size, 1), -1, dtype=np.int64)])
-        # one size^2 block per left factor i: (x_i x_j) x_k against
-        # x_i (x_j x_k), so memory stays quadratic in the basis size
         records += [
             flag(suite, f"associativity of the index table at colour {colour} ({size}^3 triples)",
-                 all((rows[t[i]] == cols[i][t]).all() for i in range(size)),
-                 "associative", "broken"),
+                 index_table_associative(table), "associative", "broken"),
             record(suite, f"shared product prefactor at colour {colour}",
-                   P.product_constant(colour).render(),
-                   pow_half(n, (colour + 1) // 2 - 1).render()),
+                   prefactor.render(), pow_half(n, (colour + 1) // 2 - 1).render()),
         ]
         basis = [P.basis_element(colour, lab) for lab in P.basis_labels(colour)]
         records.append(
@@ -246,9 +269,18 @@ def run_suite(
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if not 2 <= k_max <= MAX_KMAX:
         raise SuiteError(f"k_max must lie in 2..{MAX_KMAX}, got {k_max}")
+    wanted = list(_RUNNERS) if name == "all" else [name]
+    if "base-algebra" in wanted:
+        order = action.group.order * action.theta.order
+        dimension = order ** (k_max - 1)
+        if dimension**2 > MAX_BASE_ALGEBRA_PAIRS:
+            raise SuiteError(
+                f"base-algebra at k_max {k_max} checks {dimension}^2 = {dimension**2} "
+                f"basis label pairs (group order {order}), above the maximum "
+                f"{MAX_BASE_ALGEBRA_PAIRS}; lower k_max"
+            )
     cp = CrossedProduct(action)
     inter = functools.cache(lambda: _build_intermediate(cp, k_max))
-    wanted = list(_RUNNERS) if name == "all" else [name]
     records: list[dict] = []
     for current in wanted:
         records.extend(_RUNNERS[current](cp, inter, k_max, samples, seed))

@@ -171,6 +171,16 @@ class TestSuiteCommand:
         assert main(["suite", "jones", "--kmax", "5"]) == 2
         assert "2..4" in capsys.readouterr().err
 
+    def test_base_algebra_above_cost_bound_exits_2(self, capsys):
+        # Z7 x| Z3 at k_max 4: 9261^2 (about 86M) basis label pairs
+        start = time.perf_counter()
+        code = main(["suite", "base-algebra", "--action", f"{ACTIONS}/z7xz3.json", "--kmax", "4"])
+        assert code == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "9261^2 = 85766121 basis label pairs" in err
+        assert "maximum 1048576" in err
+
     def test_failures_exit_1_with_report(self, tmp_path, monkeypatch, capsys):
         import planarbox.cli as cli
 

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +23,11 @@ from planarbox.group_algebra import (
     PAElement,
     SubgroupBiprojection,
 )
-from planarbox.groups import SemidirectGroup, cyclic_group, inversion_action
+from planarbox.groups import SemidirectGroup, cyclic_group, inversion_action, load_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
+
+
+ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 
 
 def algebra(n: int) -> GroupPlanarAlgebra:
@@ -364,6 +369,82 @@ class TestStarAndTrace:
             for lab in alg.basis_labels(k):
                 s = alg.basis_element(k, lab)
                 assert alg.trace(alg._act_I(k, s)) == alg.trace(s)
+
+
+def chain_trace(alg: GroupPlanarAlgebra, x: PAElement) -> RadicalScalar:
+    """The uncached capping chain on the whole element: ``E`` one colour at
+    a time, each closed loop divided by ``delta``."""
+    cur = x
+    for k in range(x.colour - 1, 0, -1):
+        cur = alg._act_E(k, cur).scale(alg.delta.invert())
+    return cur.coefficient(())
+
+
+def traced_label(k: int, n: int, rng: random.Random) -> tuple:
+    """A random label at colour k whose basis trace is nonzero: first entry
+    the identity, mirrored about the middle (see trace_closed_form)."""
+    lab = [rng.randrange(n) for _ in range(max(k - 1, 0))]
+    if lab:
+        lab[0] = 0
+    for i in range(2, k // 2 + 1):
+        lab[k - i] = lab[i - 1]
+    return tuple(lab)
+
+
+def action_algebra(stem: str) -> GroupPlanarAlgebra:
+    data = json.loads((ACTIONS / f"{stem}.json").read_text())
+    return GroupPlanarAlgebra(SemidirectGroup(load_action(data)))
+
+
+class TestTraceMemo:
+    """``trace`` by linearity from the per-label memo, against the closed
+    form and the uncached chain, with a cold memo and a warm one."""
+
+    @pytest.mark.parametrize("stem", ["z3xz2", "z7xz3"])
+    def test_memo_matches_closed_form_and_chain(self, stem):
+        cold = action_algebra(stem)
+        n = cold.group.order
+        rng = random.Random(f"trace-memo-{stem}")
+        elements = [cold.unit(0, shaded=True).scale(pow_half(2, 1))]
+        for k in range(6):
+            for _ in range(8):
+                labels = {traced_label(k, n, rng) for _ in range(rng.randint(0, 4))}
+                labels |= {
+                    tuple(rng.randrange(n) for _ in range(max(k - 1, 0)))
+                    for _ in range(rng.randint(1, 6))
+                }
+                coeffs = {lab: rng.choice(COEFFS) for lab in labels}
+                elements.append(PAElement(k, coeffs, shaded=rng.random() < 0.5))
+        assert {x.shaded for x in elements if x.colour == 0} == {False, True}
+        expected = [chain_trace(cold, x) for x in elements]
+        assert expected == [trace_closed_form(cold, x) for x in elements]
+        assert sum(not t.is_zero() for t in expected) > len(elements) // 2
+        assert cold._trace_cache == {}
+        for rounds in range(2):  # a cold memo, then the same memo warm
+            for x, t in zip(elements, expected):
+                assert cold.trace(x) == t
+            for colour, memo in cold._trace_cache.items():
+                assert len(memo) <= cold.dimension(colour)
+                traced = {lab for x in elements if x.colour == colour for lab in x.coeffs}
+                assert set(memo) == traced
+        # one algebra per element, so each trace starts from an empty memo
+        for x, t in zip(elements[:12], expected):
+            fresh = action_algebra(stem)
+            assert fresh.trace(x) == t
+            assert set(fresh._trace_cache) == {x.colour}
+
+    def test_memo_is_bounded_by_the_dimension(self):
+        """Every label of colours 0 to 4 traced twice over: each colour's
+        memo holds exactly its dimension."""
+        alg = action_algebra("z3xz2")
+        for _ in range(2):
+            for k in range(5):
+                for lab in alg.basis_labels(k):
+                    s = alg.basis_element(k, lab)
+                    assert alg.trace(s) == trace_closed_form(alg, s)
+        assert {k: len(m) for k, m in alg._trace_cache.items()} == {
+            k: alg.dimension(k) for k in range(5)
+        }
 
 
 class TestJones:

@@ -4,10 +4,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from planarbox import suites
-from planarbox.groups import load_action
+from planarbox.group_algebra import GroupPlanarAlgebra
+from planarbox.groups import SemidirectGroup, inversion_action, load_action
 from planarbox.suites import SUITE_NAMES, SuiteError, run_suite
 
 ACTIONS = Path(__file__).resolve().parent.parent / "actions"
@@ -50,11 +52,90 @@ def test_range_ends_are_pinned(k_max):
     assert (len(records), digest) == GOLDEN_RANGE_ENDS[k_max]
 
 
+def test_trivial_action_at_k_max_4_is_pinned():
+    """The trivial action, whose trace suite once showed the colour-2
+    inclusion defect, at the top of the k_max range."""
+    records = run_suite("all", action("z3-trivial"), k_max=4, samples=3, seed=0)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert [r["case"] for r in records if not r["pass"]] == []
+    assert (len(records), digest) == (
+        294, "dbcca75e68ad277f8c36de7bd2a9f424bc4d568d956995de976d226e1b7a0fcc"
+    )
+
+
 @pytest.mark.parametrize("k_max", [1, 5, 9])
 def test_k_max_outside_range_rejected(k_max):
     assert suites.MAX_KMAX == 4
     with pytest.raises(SuiteError, match=rf"k_max must lie in 2\.\.4, got {k_max}$"):
         run_suite("jones", action("z3xz2"), k_max=k_max)
+
+
+@pytest.mark.parametrize(
+    "stem,k_max,allowed",
+    [("z4xz2", 4, True), ("z7xz3", 3, True), ("z7xz3", 4, False)],
+)
+def test_base_algebra_cost_bound(stem, k_max, allowed, monkeypatch):
+    """dimension(k_max)^2 above MAX_BASE_ALGEBRA_PAIRS is refused before the
+    crossed product is built, by base-algebra and by all, not by the rest."""
+
+    class Built(Exception):
+        pass
+
+    def build(a):
+        raise Built
+
+    monkeypatch.setattr(suites, "CrossedProduct", build)
+    assert suites.MAX_BASE_ALGEBRA_PAIRS == 2**20
+    for name in ("base-algebra", "all"):
+        if allowed:
+            with pytest.raises(Built):
+                run_suite(name, action(stem), k_max=k_max)
+        else:
+            with pytest.raises(SuiteError, match=r"above the maximum 1048576; lower k_max$"):
+                run_suite(name, action(stem), k_max=k_max)
+    with pytest.raises(Built):
+        run_suite("jones", action(stem), k_max=k_max)
+
+
+def associative_by_loop(table) -> bool:
+    """The reference: every triple, one at a time, -1 absorbing."""
+    size = len(table)
+
+    def mul(i, j):
+        return -1 if i < 0 or j < 0 else int(table[i, j])
+
+    return all(
+        mul(mul(i, j), k) == mul(i, mul(j, k))
+        for i in range(size) for j in range(size) for k in range(size)
+    )
+
+
+def test_index_table_associativity_catches_one_planted_entry():
+    """Every entry of the int32 colour-3 table of Z3 x| Z2, changed alone,
+    breaks associativity: a product index moved to another index, a product
+    index turned into the zero sentinel -1, or a zero product given an index."""
+    algebra = GroupPlanarAlgebra(SemidirectGroup(inversion_action(3)))
+    table, labels, _ = algebra.product_structure(3)
+    size = len(labels)
+    assert table.dtype == np.int32 and table.shape == (size, size) == (36, 36)
+    assert suites.index_table_associative(table)
+    assert associative_by_loop(table)
+    planted = {"other index": 0, "index to -1": 0, "-1 to index": 0}
+    for i in range(size):
+        for j in range(size):
+            kinds = (
+                [("other index", (table[i, j] + 1) % size), ("index to -1", -1)]
+                if table[i, j] >= 0 else [("-1 to index", 0)]
+            )
+            for kind, value in kinds:
+                broken = table.copy()
+                broken[i, j] = value
+                assert broken.dtype == np.int32
+                assert not suites.index_table_associative(broken), (kind, i, j)
+                if (i * size + j) % 97 == 0:
+                    assert not associative_by_loop(broken), (kind, i, j)
+                planted[kind] += 1
+    assert planted == {"other index": 216, "index to -1": 216, "-1 to index": 1080}
 
 
 def test_suite_names_in_order():
