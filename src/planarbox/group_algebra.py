@@ -18,7 +18,11 @@ labels of each pair of classes with plain integers and does one field
 product per class pair (and per distinct hit count) instead of one per
 pair of terms.  ``multiply`` reads no full index table
 (:meth:`GroupPlanarAlgebra.product_index_table`): at colour 5 over a group
-of order 8 it would hold 4096^2 entries.
+of order 8 it would hold 4096^2 entries.  The exhaustive checks build that
+table with :meth:`GroupPlanarAlgebra.product_structure`, which walks the same
+split (the labels bucketed by right part, each left part met against the
+buckets) and so visits only the nonzero pairs; there is no separate
+per-pair product rule.
 
 ``trace`` is linear: ``tr(x) = sum c * tr(S(label))``.  Each basis trace is
 computed once, by capping ``S(label)`` with ``E`` one colour at a time, and
@@ -438,13 +442,6 @@ class GroupPlanarAlgebra:
         """The scalar ``sqrt(n)^(m-1)`` of every nonzero basis product at a colour."""
         return pow_half(self.group.order, max((colour + 1) // 2 - 1, 0))
 
-    def _basis_product(self, colour: int, g: Label, h: Label):
-        """(coefficient, label) for a product of basis symbols, or None."""
-        label = self._merge(colour, g, h)
-        if label is None:
-            return None
-        return self._prefactor(colour), label
-
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
         """The product ``x y``, one field product per pair of coefficient classes.
 
@@ -668,38 +665,36 @@ class GroupPlanarAlgebra:
     # --- bulk structure for exhaustive checks ----------------------------
 
     def product_structure(self, colour: int) -> tuple[np.ndarray, list[Label], RadicalScalar]:
-        """Basis products at a colour as ``(table, labels, prefactor)``, from
-        one walk over all label pairs.
+        """Basis products at a colour as ``(table, labels, prefactor)``.
 
         At a fixed colour every product of two basis symbols is either zero
         or a single symbol times one shared prefactor, so the whole
         multiplication is captured by one ``int32`` matrix: entry (i, j) is
-        the index in ``labels`` of the product symbol, or -1 for zero.
-        Raises when products at the colour mix prefactors, which would make
-        the table meaningless.
+        the index in ``labels`` of the product symbol, or -1 for zero.  The
+        labels are bucketed by their right part ``h[:m]`` and each left
+        label's parts meet those buckets, the split :meth:`multiply` uses,
+        so only the nonzero pairs are visited.  The prefactor is
+        :meth:`_prefactor` by construction; that ``multiply`` applies it to
+        every pair is for the caller to check (``base_algebra_report``
+        compares ``multiply`` with this table on every pair).
         """
         labels = list(self.basis_labels(colour))
         index = {lab: i for i, lab in enumerate(labels)}
-        rows = []
-        found: RadicalScalar | None = None
-        for g in labels:
-            row = []
-            for h in labels:
-                r = self._basis_product(colour, g, h)
-                if r is None:
-                    row.append(-1)
-                    continue
-                if found is None:
-                    found = r[0]
-                elif found != r[0]:
-                    raise AlgebraError(
-                        f"basis products at colour {colour} mix prefactors"
-                    )
-                row.append(index[r[1]])
-            rows.append(row)
-        if found is None:
-            raise AlgebraError(f"no nonzero basis products at colour {colour}")
-        return np.array(rows, dtype=np.int32), labels, found
+        m = (colour + 1) // 2
+        buckets: dict[Label, list[tuple[int, Label]]] = {}
+        for j, h in enumerate(labels):
+            buckets.setdefault(h[:m], []).append((j, h[m:]))
+        left_parts = self._left_parts(colour)
+        table = np.full((len(labels), len(labels)), -1, dtype=np.int32)
+        for i, g in enumerate(labels):
+            cols: list[int] = []
+            merged: list[int] = []
+            for key, prefix in left_parts[g].items():
+                for j, tail in buckets.get(key, ()):
+                    cols.append(j)
+                    merged.append(index[prefix + tail])
+            table[i, cols] = merged
+        return table, labels, self._prefactor(colour)
 
     def product_constant(self, colour: int) -> RadicalScalar:
         """The prefactor shared by every nonzero basis product at a colour."""

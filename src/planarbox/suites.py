@@ -17,10 +17,10 @@ import numpy as np
 
 from .crossed import CrossedProduct
 from .expressions import GenExpr, generator_signature
-from .group_algebra import flag, record, row_reduce
+from .group_algebra import GroupPlanarAlgebra, Label, PAElement, flag, record, row_reduce
 from .groups import GroupAction
 from .intermediate import IntermediateAlgebra, crossed_instance
-from .scalars import ONE, ZERO, pow_half
+from .scalars import ONE, RadicalScalar, pow_half
 
 # transport commutes with these generators; a check runs only when every
 # disc of its generator lies within the suite's k_max
@@ -48,10 +48,13 @@ INTERTWINE_GENERATORS = (
 # Jones element at colour k_max + 1, and its closed forms stop at colour 5
 MAX_KMAX = 4
 
-# base-algebra visits every pair of basis labels at k_max (the Gram matrix
-# and the index table), dimension(k_max)^2 of them; run_suite refuses more
-# than this before any work starts.  z4xz2 at k_max 4 has 512^2 and z7xz3 at
-# k_max 3 has 441^2, while z7xz3 at k_max 4 would have 9261^2 (about 86M).
+# base-algebra checks every pair of basis labels at k_max, dimension(k_max)^2
+# of them: the index table and the Gram mask hold one entry per pair,
+# associativity reads a pair block per label, and the multiply check makes
+# k_max products per label, each with a dimension(k_max)-term right factor.
+# run_suite refuses more pairs than this before any work starts.  z4xz2 at
+# k_max 4 has 512^2 and z7xz3 at k_max 3 has 441^2, while z7xz3 at k_max 4
+# would have 9261^2 (about 86M).
 MAX_BASE_ALGEBRA_PAIRS = 2**20
 
 
@@ -78,19 +81,103 @@ def index_table_associative(table: np.ndarray) -> bool:
     return all((rows[table[i]] == padded[i][table]).all() for i in range(size))
 
 
+def gram_is_identity(
+    P: GroupPlanarAlgebra,
+    colour: int,
+    table: np.ndarray,
+    labels: list[Label],
+    prefactor: RadicalScalar,
+) -> bool:
+    """Whether the label basis at a colour is orthonormal under ``tr(y* x)``,
+    read off the basis product table, and whether ``multiply`` agrees with
+    that table on every pair of basis labels.
+
+    ``(table, labels, prefactor)`` is what
+    :meth:`GroupPlanarAlgebra.product_structure` returns.  ``star`` must send
+    each basis label to one label with coefficient 1, which makes it an index
+    map ``s``; then ``tr(S(labels[j])* S(labels[i]))`` is
+    ``prefactor * tr(S(table[s_j, i]))``, zero where the entry is -1.  Each
+    basis trace is read once, so the nonzero mask of the whole matrix is one
+    ``bool`` array that must hold exactly the diagonal, and only the
+    ``size`` diagonal values are checked exactly.  Anything else reads
+    False, never raises.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    basis = [P.basis_element(colour, lab) for lab in labels]
+    s = []
+    for b in basis:
+        terms = list(P.star(b).coeffs.items())
+        if len(terms) != 1 or terms[0][1] != ONE or terms[0][0] not in index:
+            return False
+        s.append(index[terms[0][0]])
+    traces = [P.trace(b) for b in basis]
+    # one more False entry, read by the -1 of a zero product
+    nonzero = np.array([not t.is_zero() for t in traces] + [False])
+    # entry (j, i): whether tr(S(labels[j])* S(labels[i])) is nonzero
+    mask = nonzero[table][s]
+    if np.count_nonzero(mask) != len(labels) or not mask.diagonal().all():
+        return False
+    diagonal = table[s, range(len(labels))].tolist()
+    if any(prefactor * traces[k] != ONE for k in diagonal):
+        return False
+    return _multiply_matches_table(P, colour, basis, table, labels, prefactor)
+
+
+def _multiply_matches_table(
+    P: GroupPlanarAlgebra,
+    colour: int,
+    basis: list[PAElement],
+    table: np.ndarray,
+    labels: list[Label],
+    prefactor: RadicalScalar,
+) -> bool:
+    """Whether ``multiply(S(g), S(h))`` is ``prefactor * S(labels[table[g, h]])``,
+    zero at -1, for every pair, from ``colour`` products per left label.
+
+    For a fixed left label ``g`` the nonzero products land on distinct
+    labels, so one product with ``sum_h S(h)`` must give exactly
+    ``prefactor`` on each label it hits, one pair per label.  One product per
+    letter position ``d`` with ``sum_h (h[d] + 1) S(h)`` must then have the
+    table row as its support and ``prefactor * (h[d] + 1)`` on the label of
+    ``(g, h)``.  The letters name ``h``, so together these name the right
+    factor of every nonzero pair and confirm every zero pair.
+    """
+    values = [RadicalScalar.rational(v + 1) for v in range(len(P.group))]
+    expected = [prefactor * v for v in values]
+    count = PAElement(colour, dict.fromkeys(labels, ONE))
+    letters = [
+        PAElement(colour, {h: values[h[d]] for h in labels}) for d in range(colour - 1)
+    ]
+    for x, row in zip(basis, table):
+        if any(c != prefactor for c in P.multiply(x, count).coeffs.values()):
+            return False
+        cols = np.flatnonzero(row >= 0).tolist()
+        targets = [labels[k] for k in row[cols].tolist()]
+        for d, y in enumerate(letters):
+            got = P.multiply(x, y).coeffs
+            if len(got) != len(cols) or any(
+                got.get(t) != expected[labels[j][d]] for t, j in zip(targets, cols)
+            ):
+                return False
+    return True
+
+
 def base_algebra_report(
     cp: CrossedProduct, k_max: int = 4, samples: int = 40, seed: int = 0
 ) -> list[dict]:
     """Ring structure of the ambient labelled algebra, exhaustively.
 
-    One walk over the label pairs of a colour gives the index table and the
+    The basis products of a colour are one ``int32`` index table and a
     shared prefactor (:meth:`GroupPlanarAlgebra.product_structure`).
-    Associativity is checked on that ``int32`` table
-    (:func:`index_table_associative`), which is valid because the
-    prefactor record pins all nonzero products to one shared constant;
-    everything else runs element by element over the bases.  The traces
-    read the algebra's per-label memo, so each basis trace is computed once.
-    ``run_suite`` bounds the cost at ``MAX_BASE_ALGEBRA_PAIRS``.
+    Associativity is checked on that table
+    (:func:`index_table_associative`), and the Gram matrix is read off it
+    with one trace per label (:func:`gram_is_identity`).  Both stand on the
+    table, so the Gram flag also checks that ``multiply`` agrees with it,
+    prefactor included, on every pair of labels, with ``colour`` products
+    per left label.  The unit, star, trace, inclusion and Markov checks run
+    element by element over the basis.  The traces read the algebra's
+    per-label memo, so each basis trace is computed once.  ``run_suite``
+    bounds the cost at ``MAX_BASE_ALGEBRA_PAIRS``.
     """
     suite = "base-algebra"
     P = cp.product
@@ -130,19 +217,13 @@ def base_algebra_report(
                      for x, y in pairs),
                  "antihomomorphism", "broken")
         )
-        stars = [P.star(y) for y in basis]
-        gram_ok = True
-        for i, x in enumerate(basis):
-            for j, y_star in enumerate(stars):
-                inner = P.trace(P.multiply(y_star, x))
-                if inner != (ONE if i == j else ZERO):
-                    gram_ok = False
         include = GenExpr("I", colour)
         e_up = P.jones_element(colour + 1)
         inv_order = Fraction(1, n)
         records += [
             flag(suite, f"Gram matrix of the label basis is the identity at colour {colour}",
-                 gram_ok, "orthonormal", "degenerate"),
+                 gram_is_identity(P, colour, table, labels, prefactor), "orthonormal",
+                 "degenerate"),
             flag(suite, f"trace is star-invariant at colour {colour}",
                  all(P.trace(P.star(b)) == P.trace(b) for b in basis), "invariant", "broken"),
             flag(suite, f"inclusion preserves the trace at colour {colour}",
@@ -175,12 +256,11 @@ def crossed_product_report(
             flag(suite, f"orbit product closed form at colour {colour} ({samples} pairs)",
                  ok, "matches expansion", "differs")
         )
+        twist_sum = functools.cache(functools.partial(cp.twist_sum, colour))
         ok = True
         for _ in range(samples):
             a, b = rng.choice(reps), rng.choice(reps)
-            direct = cp.product.multiply(
-                cp.twist_sum(colour, a), cp.twist_sum(colour, b)
-            )
+            direct = cp.product.multiply(twist_sum(a), twist_sum(b))
             if cp.twist_multiply(colour, a, b) != direct:
                 ok = False
         records.append(

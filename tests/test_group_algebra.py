@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from planarbox import expressions
@@ -445,6 +446,34 @@ class TestTraceMemo:
         assert {k: len(m) for k, m in alg._trace_cache.items()} == {
             k: alg.dimension(k) for k in range(5)
         }
+
+
+def table_by_merge(alg: GroupPlanarAlgebra, k: int) -> np.ndarray:
+    """The reference index table: ``_merge`` on every pair of labels."""
+    labels = list(alg.basis_labels(k))
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows = []
+    for g in labels:
+        merged = [alg._merge(k, g, h) for h in labels]
+        rows.append([-1 if lab is None else index[lab] for lab in merged])
+    return np.array(rows, dtype=np.int32)
+
+
+@pytest.mark.parametrize(
+    "stem,k",
+    [(stem, k) for stem in ("z3xz2", "z3-trivial") for k in range(5)]
+    + [("z7xz3", k) for k in range(4)]
+    + [("z4xz2", 4)],
+)
+def test_product_structure_matches_merge_on_every_pair(stem, k):
+    """The table walked from left parts against right-part buckets equals
+    the per-pair rule, entry for entry, with the colour's prefactor."""
+    alg = action_algebra(stem)
+    table, labels, prefactor = alg.product_structure(k)
+    assert labels == list(alg.basis_labels(k))
+    assert table.dtype == np.int32 and table.shape == (alg.dimension(k),) * 2
+    assert np.array_equal(table, table_by_merge(action_algebra(stem), k))
+    assert prefactor == pow_half(alg.group.order, max((k + 1) // 2 - 1, 0))
 
 
 class TestJones:

@@ -1,5 +1,6 @@
 """Tests for the suite registry and the byte stability of whole reports."""
 
+import collections
 import hashlib
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from planarbox import suites
+from planarbox.crossed import CrossedProduct
 from planarbox.group_algebra import GroupPlanarAlgebra
 from planarbox.groups import SemidirectGroup, inversion_action, load_action
 from planarbox.suites import SUITE_NAMES, SuiteError, run_suite
@@ -60,6 +62,17 @@ def test_trivial_action_at_k_max_4_is_pinned():
     assert [r["case"] for r in records if not r["pass"]] == []
     assert (len(records), digest) == (
         294, "dbcca75e68ad277f8c36de7bd2a9f424bc4d568d956995de976d226e1b7a0fcc"
+    )
+
+
+def test_z4xz2_base_algebra_at_k_max_4_is_pinned():
+    """The benchmark's exact structure case, at the default samples; digest
+    taken before the Gram matrix was read off the index table."""
+    records = run_suite("base-algebra", action("z4xz2"), k_max=4, samples=40, seed=0)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert [r["case"] for r in records if not r["pass"]] == []
+    assert (len(records), digest) == (
+        32, "ed04b0f4d9fd5a8cd1303106ddab5417996eca324a918739712dbf0ca94a8f39"
     )
 
 
@@ -136,6 +149,147 @@ def test_index_table_associativity_catches_one_planted_entry():
                     assert not associative_by_loop(broken), (kind, i, j)
                 planted[kind] += 1
     assert planted == {"other index": 216, "index to -1": 216, "-1 to index": 1080}
+
+
+GRAM_AT_3 = "Gram matrix of the label basis is the identity at colour 3"
+
+
+def gram_at_3(cp: CrossedProduct) -> str:
+    """The lhs of the colour-3 Gram record of base-algebra at k_max 3."""
+    records = suites.base_algebra_report(cp, k_max=3, samples=3)
+    (found,) = [r for r in records if r["case"] == GRAM_AT_3]
+    return found["lhs"]
+
+
+def colour_3_pairs(P: GroupPlanarAlgebra):
+    """A nonzero basis pair and a zero one at colour 3, the labels of the
+    nonzero pair's row, and a label outside that row."""
+    table, labels, _ = P.product_structure(3)
+    (i, j), (zi, zj) = np.argwhere(table >= 0)[0], np.argwhere(table < 0)[0]
+    row = {labels[k] for k in table[i] if k >= 0}
+    outside = next(lab for lab in labels if lab not in row)
+    return (labels[i], labels[j]), (labels[zi], labels[zj]), row, outside
+
+
+def plant_product(monkeypatch, g0, h0, wrong) -> None:
+    """``multiply`` with the colour-3 basis product S(g0) S(h0) replaced by
+    ``wrong(P, true product)``, still bilinear, so encoded right factors
+    carry the defect."""
+    real = GroupPlanarAlgebra.multiply
+
+    def multiply(self, x, y):
+        out = real(self, x, y)
+        if x.colour == 3 and g0 in x.coeffs and h0 in y.coeffs:
+            true = real(self, self.basis_element(3, g0), self.basis_element(3, h0))
+            out = out + (wrong(self, true) - true).scale(x.coeffs[g0] * y.coeffs[h0])
+        return out
+
+    monkeypatch.setattr(GroupPlanarAlgebra, "multiply", multiply)
+
+
+def cancelling_pairs(P: GroupPlanarAlgebra):
+    """Left label g with right factors h0, h2 whose letters satisfy
+    ``h2[d] + 1 == 2 * (h0[d] + 1)``, and the label of a third pair of the
+    row: the letter products cannot tell ``+2 S(L)`` on (g, h0) together
+    with ``-S(L)`` on (g, h2) from nothing, the count product can."""
+    table, labels, _ = P.product_structure(3)
+    for g, row in zip(labels, table):
+        cols = [j for j in range(len(labels)) if row[j] >= 0]
+        for j0 in cols:
+            for j2 in cols:
+                if all(b + 1 == 2 * (a + 1) for a, b in zip(labels[j0], labels[j2])):
+                    j1 = next(j for j in cols if j not in (j0, j2))
+                    return g, labels[j0], labels[j2], labels[row[j1]]
+    raise AssertionError("no cancelling pairs")
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["to another label", "into its own row", "dropped", "doubled", "zero pair labelled",
+     "cancelling pairs", "star two terms"],
+)
+def test_gram_flag_catches_a_planted_defect(defect, monkeypatch):
+    """One basis product or one star of Z3 x| Z2 at colour 3 planted wrong:
+    the Gram record reads degenerate, and the report does not raise."""
+    cp = CrossedProduct(action("z3xz2"))
+    assert gram_at_3(cp) == "orthonormal"
+    (g, h), (zg, zh), row, outside = colour_3_pairs(cp.product)
+    pref = cp.product.product_constant(3)
+    (true_label,) = cp.product.multiply(
+        cp.product.basis_element(3, g), cp.product.basis_element(3, h)
+    ).support()
+    other_in_row = next(lab for lab in sorted(row) if lab != true_label)
+    if defect == "to another label":
+        plant_product(monkeypatch, g, h, lambda P, t: P.basis_element(3, outside).scale(pref))
+    elif defect == "into its own row":
+        plant_product(monkeypatch, g, h, lambda P, t: P.basis_element(3, other_in_row).scale(pref))
+    elif defect == "dropped":
+        plant_product(monkeypatch, g, h, lambda P, t: P.zero(3))
+    elif defect == "doubled":
+        plant_product(monkeypatch, g, h, lambda P, t: t.scale(2))
+    elif defect == "zero pair labelled":
+        plant_product(monkeypatch, zg, zh, lambda P, t: P.basis_element(3, true_label).scale(pref))
+    elif defect == "cancelling pairs":
+        g, h0, h2, label = cancelling_pairs(cp.product)
+        plant_product(monkeypatch, g, h0, lambda P, t: t + P.basis_element(3, label).scale(pref * 2))
+        plant_product(monkeypatch, g, h2, lambda P, t: t - P.basis_element(3, label).scale(pref))
+    else:
+        real_star = GroupPlanarAlgebra.star
+
+        def star(self, x):
+            out = real_star(self, x)
+            if x.colour == 3 and list(x.coeffs) == [g]:
+                out = out + self.basis_element(3, outside if outside not in out.coeffs else g)
+            return out
+
+        monkeypatch.setattr(GroupPlanarAlgebra, "star", star)
+        assert len(cp.product.star(cp.product.basis_element(3, g)).coeffs) == 2
+    assert gram_at_3(CrossedProduct(action("z3xz2"))) == "degenerate"
+
+
+def test_gram_flag_catches_a_planted_table_entry():
+    """Sampled entries of the colour-3 table of Z3 x| Z2, each changed alone
+    (to another index, to the zero sentinel, or a zero product given an
+    index): multiply no longer agrees with the table, and the flag is False."""
+    P = CrossedProduct(action("z3xz2")).product
+    table, labels, prefactor = P.product_structure(3)
+    assert suites.gram_is_identity(P, 3, table, labels, prefactor)
+    rng = np.random.default_rng(11)
+    planted = collections.Counter()
+    for i, j in rng.integers(0, len(labels), size=(40, 2)).tolist():
+        if table[i, j] >= 0:
+            kinds = [("other index", (table[i, j] + 1) % len(labels)), ("index to -1", -1)]
+        else:
+            kinds = [("-1 to index", int(table[i, table[i] >= 0][0]))]
+        for kind, value in kinds:
+            broken = table.copy()
+            broken[i, j] = value
+            assert not suites.gram_is_identity(P, 3, broken, labels, prefactor), (kind, i, j)
+            planted[kind] += 1
+    assert min(planted.values()) >= 5 and len(planted) == 3
+
+
+def test_base_algebra_multiplies_linearly_in_the_dimension(monkeypatch):
+    """The colour-4 products of base-algebra on Z3 x| Z2 (216 labels) grow
+    with the dimension, not with its square (46,656 for the Gram loop over
+    all pairs)."""
+    calls = collections.Counter()
+    real = GroupPlanarAlgebra.multiply
+
+    def counting(self, x, y):
+        calls[x.colour] += 1
+        return real(self, x, y)
+
+    monkeypatch.setattr(GroupPlanarAlgebra, "multiply", counting)
+    cp = CrossedProduct(action("z3xz2"))
+    samples = 40
+    assert all(r["pass"] for r in suites.base_algebra_report(cp, k_max=4, samples=samples))
+    dim = cp.product.dimension(4)
+    assert dim == 216
+    # Gram flag: one count and three letter products per label; unit: two
+    # per label; star reversal: two per sampled pair; the colour-3 Markov
+    # check multiplies at colour 4, once per colour-3 label
+    assert calls[4] <= (4 + 2) * dim + 2 * samples + cp.product.dimension(3)
 
 
 def test_suite_names_in_order():
