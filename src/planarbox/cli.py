@@ -156,10 +156,10 @@ def cmd_multiply(args: argparse.Namespace) -> int:
     except (OSError, ValueError, GroupError) as exc:
         print(f"cannot load action: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cp = CrossedProduct(action)
     if not 2 <= args.colour <= 5:
         print("colour must lie in 2..5", file=sys.stderr)
         return EXIT_USAGE
+    cp = CrossedProduct(action)
     group = cp.semidirect if args.basis == "S" else cp.group
     try:
         left = _parse_label(args.left, args.colour, len(group))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .expressions import GenExpr, generator_signature, realize
 from .group_algebra import (
@@ -169,11 +169,21 @@ class CrossedProduct:
             raise AlgebraError(
                 f"label length {len(label)} does not match colour {colour}"
             )
-        # scaling the input, not the output, costs one product per class
+        return self._twist_combination(colour, {label: ONE})
+
+    def _twist_combination(self, colour: int, comps: dict[Label, RadicalScalar]) -> PAElement:
+        """``sum c * twist_sum(colour, label)`` over ``comps``, with one surround.
+
+        The surround is linear, so the weighted labels are gathered first;
+        scaling the input, not the output, costs one product per class.
+        """
         index = self.semidirect.index
-        embedded = tuple(index(g, 0) for g in label)
         weight = RadicalScalar.rational(self.theta_order**colour)
-        return self.embedded.surround(PAElement(colour, {embedded: weight}))
+        coeffs: dict[Label, RadicalScalar] = {}
+        for label, c in comps.items():
+            embedded = tuple(index(g, 0) for g in label)
+            coeffs[embedded] = coeffs.get(embedded, ZERO) + c * weight
+        return self.embedded.surround(PAElement(colour, coeffs))
 
     def twist_components(self, x: PAElement) -> dict[Label, RadicalScalar]:
         """Decompose an element of the surround range over the twist sums.
@@ -189,10 +199,7 @@ class CrossedProduct:
             c = x.coefficient(canonical) / self.stabilizer_order(rep)
             if not c.is_zero():
                 comps[rep] = c
-        rebuilt = self.product.zero(x.colour)
-        for rep, c in comps.items():
-            rebuilt = rebuilt + self.twist_sum(x.colour, rep).scale(c)
-        if rebuilt != x:
+        if self._twist_combination(x.colour, comps) != x:
             raise AlgebraError("element lies outside the span of the twist sums")
         return comps
 
@@ -214,12 +221,12 @@ class CrossedProduct:
             * pow_half(self.theta_order, m - 1)
             * Fraction(self.theta_order ** (k // 2))
         )
-        out = self.product.zero(k)
+        comps: dict[Label, RadicalScalar] = {}
         for t in range(self.theta_order):
             merged = self.base._merge(k, self.action.apply_tuple(t, gbar), hbar)
             if merged is not None:
-                out = out + self.twist_sum(k, merged).scale(pref)
-        return out
+                comps[merged] = comps.get(merged, ZERO) + pref
+        return self._twist_combination(k, comps)
 
     # ------------------------------------------------------------------
     # surround map and biprojection
@@ -232,30 +239,22 @@ class CrossedProduct:
         """
         return self.embedded.surround(x)
 
-    def biprojection(self) -> PAElement:
-        """The colour-2 average of the embedded copy of Theta."""
-        return self.embedded.average()
-
-    def averaging_projection(self, members: Iterable[int]) -> PAElement:
-        """Colour-2 average of S(u) over a subgroup of the semidirect product."""
-        return SubgroupBiprojection(self.semidirect, members).average()
-
-    def conjugate_biprojection(self, h: int) -> PAElement:
-        """The biprojection rebuilt from the conjugate copy h Theta h^(-1)."""
+    def conjugate(self, h: int) -> SubgroupBiprojection:
+        """The biprojection of the conjugate copy h Theta h^(-1)."""
         H = self.semidirect
-        return self.averaging_projection(
-            H.op(H.op(h, t), H.inv(h)) for t in self.embedded.members
+        return SubgroupBiprojection(
+            H, (H.op(H.op(h, t), H.inv(h)) for t in self.embedded.members)
         )
 
-    def biprojection_report(self, q: PAElement | None = None, kmax: int = 3) -> list[dict]:
-        """Verification records for a biprojection candidate.
+    def biprojection_report(self, sub: SubgroupBiprojection, kmax: int) -> list[dict]:
+        """Verification records for the biprojection of a copy of Theta.
 
-        Checks idempotence, self-adjointness, trace value, domination of the
-        first Jones projection, and idempotence of the surround map on the
-        full basis for every colour up to kmax.
+        Checks that the copy's average q is idempotent and self-adjoint, has
+        trace ``1/|K|`` and dominates the first Jones projection, and that
+        the copy's own surround is idempotent on the full basis at every
+        colour up to kmax.
         """
-        if q is None:
-            q = self.biprojection()
+        q = sub.average()
         P = self.product
         render = P.render
         e1 = P.jones_element(2)
@@ -266,7 +265,7 @@ class CrossedProduct:
                 "biprojection",
                 "tr(q) == 1/|Theta|",
                 P.trace(q).render(),
-                RadicalScalar.rational(Fraction(1, self.theta_order)).render(),
+                RadicalScalar.rational(Fraction(1, sub.order)).render(),
             ),
             record("biprojection", "q*e1 == e1", render(P.multiply(q, e1)), render(e1)),
             record("biprojection", "e1*q == e1", render(P.multiply(e1, q)), render(e1)),
@@ -276,9 +275,9 @@ class CrossedProduct:
             total = 0
             for label in P.basis_labels(colour):
                 b = P.basis_element(colour, label)
-                once = self.surround(b)
+                once = sub.surround(b)
                 total += 1
-                if self.surround(once) == once:
+                if sub.surround(once) == once:
                     good += 1
             records.append(
                 record(
@@ -306,12 +305,9 @@ class CrossedProduct:
         """
         if x.colour == 0:
             return PAElement(0, dict(x.coeffs), x.shaded)
-        comps = self.invariant_components(x)
         pref = self.transport_prefactor(x.colour)
-        out = self.product.zero(x.colour)
-        for rep, c in comps.items():
-            out = out + self.twist_sum(x.colour, rep).scale(c * pref)
-        return out
+        comps = {rep: c * pref for rep, c in self.invariant_components(x).items()}
+        return self._twist_combination(x.colour, comps)
 
     def transport_inverse(self, x: PAElement) -> PAElement:
         """Inverse of :meth:`transport` on the surround range."""
@@ -324,7 +320,7 @@ class CrossedProduct:
             out = out + self.orbit_sum(x.colour, rep).scale(c / pref)
         return out
 
-    def intertwine_check(self, gen: GenExpr, suite: str = "phi-intertwine") -> list[dict]:
+    def intertwine_check(self, gen: GenExpr) -> list[dict]:
         """Check that transport commutes with one generator action.
 
         For every tuple of orbit-basis inputs the generator is applied in the
@@ -357,6 +353,6 @@ class CrossedProduct:
                 " on " + "; ".join(tag for tag, _ in combo) if combo else " (no inputs)"
             )
             records.append(
-                record(suite, case, self.product.render(lhs), self.product.render(rhs))
+                record("crossed-product", case, self.product.render(lhs), self.product.render(rhs))
             )
         return records

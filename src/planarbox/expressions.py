@@ -43,6 +43,10 @@ class ParseError(ValueError):
 # second.
 MAX_COLOUR = 1000
 
+# chance that random_expr fills each open slot of a node with a subtree;
+# the seeded samplers draw against it, so changing it changes every sample
+FILL_PROBABILITY = 0.6
+
 
 @dataclass(frozen=True)
 class GenExpr:
@@ -285,7 +289,6 @@ def random_expr(
     colour: Disc | None = None,
     max_colour: int = 4,
     depth: int = 2,
-    fill_probability: float = 0.6,
 ) -> TangleExpr:
     """A random well-coloured tree with every disc colour ``<= max_colour``."""
     if colour is None:
@@ -296,10 +299,8 @@ def random_expr(
         slots = slot_colours(expr)
         # fill from the right so earlier slot indices stay valid
         for i in range(len(slots), 0, -1):
-            if rng.random() < fill_probability:
-                sub = random_expr(
-                    rng, slots[i - 1], max_colour, depth - 1, fill_probability
-                )
+            if rng.random() < FILL_PROBABILITY:
+                sub = random_expr(rng, slots[i - 1], max_colour, depth - 1)
                 expr = ComposeExpr(expr, i, sub)
     n = arity(expr)
     if n > 1 and rng.random() < 0.2:
@@ -314,18 +315,17 @@ def random_composable_pair(
     max_colour: int = 4,
     depth: int = 2,
     max_arity: int | None = None,
-    fill_probability: float = 0.6,
 ) -> tuple[TangleExpr, int, TangleExpr]:
     """A pair ``(T, i, S)`` with the external colour of ``S`` matching
     slot ``i`` of ``T``; resamples until ``T`` has an open slot (and the
     combined arity fits ``max_arity`` when given)."""
     while True:
-        outer = random_expr(rng, None, max_colour, depth, fill_probability)
+        outer = random_expr(rng, None, max_colour, depth)
         slots = slot_colours(outer)
         if not slots:
             continue
         i = rng.randint(1, len(slots))
-        inner = random_expr(rng, slots[i - 1], max_colour, depth, fill_probability)
+        inner = random_expr(rng, slots[i - 1], max_colour, depth)
         if max_arity is not None and len(slots) - 1 + arity(inner) > max_arity:
             continue
         return outer, i, inner

@@ -16,10 +16,9 @@ coefficient, buckets each class of the right factor by its right key, and
 meets each left label's keys with those buckets; it counts the merged
 labels of each pair of classes with plain integers and does one field
 product per class pair (and per distinct hit count) instead of one per
-pair of terms.  ``multiply`` reads no full index table
-(:meth:`GroupPlanarAlgebra.product_index_table`): at colour 5 over a group
-of order 8 it would hold 4096^2 entries.  The exhaustive checks build that
-table with :meth:`GroupPlanarAlgebra.product_structure`, which walks the same
+pair of terms.  ``multiply`` reads no full index table: at colour 5 over a
+group of order 8 it would hold 4096^2 entries.  The exhaustive checks build
+that table with :meth:`GroupPlanarAlgebra.product_structure`, which walks the same
 split (the labels bucketed by right part, each left part met against the
 buckets) and so visits only the nonzero pairs; there is no separate
 per-pair product rule.
@@ -695,16 +694,6 @@ class GroupPlanarAlgebra:
                     merged.append(index[prefix + tail])
             table[i, cols] = merged
         return table, labels, self._prefactor(colour)
-
-    def product_constant(self, colour: int) -> RadicalScalar:
-        """The prefactor shared by every nonzero basis product at a colour."""
-        return self.product_structure(colour)[2]
-
-    def product_index_table(self, colour: int) -> tuple[np.ndarray, list[Label]]:
-        """Basis products as an index map: ``(table, labels)`` of
-        :meth:`product_structure`."""
-        table, labels, _ = self.product_structure(colour)
-        return table, labels
 
     # --- rendering --------------------------------------------------------
 

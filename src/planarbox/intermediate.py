@@ -214,7 +214,7 @@ class IntermediateAlgebra:
     # verification suites
 
     def theorem_main_report(
-        self, samples: int = 200, seed: int = 0, max_colour: int = 4, depth: int = 3
+        self, samples: int = 200, seed: int = 0, max_colour: int = 4
     ) -> list[dict]:
         """Check the composite-tangle identity on sampled pairs.
 
@@ -246,7 +246,7 @@ class IntermediateAlgebra:
         ]
         while len(pairs) < samples + 3:
             outer, slot, inner = random_composable_pair(
-                rng, max_colour=max_colour, depth=depth, max_arity=3
+                rng, max_colour=max_colour, depth=3, max_arity=3
             )
             pairs.append((outer, slot, inner, f"sample {len(pairs) - 3}"))
         for outer, slot, inner, tag in pairs:

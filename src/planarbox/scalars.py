@@ -13,8 +13,8 @@ common denominator, reduced by a single gcd, so equality and hashing
 compare plain ints and each sum or product normalizes once instead of
 once per term.  Python ints do not overflow, so nothing falls back.
 
-Everything here is exact, signs included.  The only approximate method
-is :meth:`RadicalScalar.to_float`, which nothing in the library decides on.
+Everything here is exact, signs included; there is no floating-point
+method.
 """
 
 from __future__ import annotations
@@ -198,14 +198,6 @@ class RadicalScalar:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_rational(self) -> bool:
-        num = self._num
-        return not num or (len(num) == 1 and 1 in num)
-
-    def to_float(self) -> float:
-        den = self._den
-        return sum(c / den * math.sqrt(d) for d, c in self._num.items())
-
     def sign(self) -> int:
         """-1, 0 or +1, decided exactly (the denominator is positive)."""
         return _coords_sign(self._num)
@@ -284,18 +276,6 @@ class RadicalScalar:
 
     def __rtruediv__(self, other: Rational) -> "RadicalScalar":
         return _coerce(other) * self.invert()
-
-    def __pow__(self, n: int) -> "RadicalScalar":
-        if n < 0:
-            return self.invert() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- identity ----------------------------------------------------
 

@@ -285,22 +285,23 @@ def crossed_product_report(
     for gen in INTERTWINE_GENERATORS:
         external, slots = generator_signature(gen)
         if max([external.colour] + [d.colour for d in slots]) <= k_max:
-            records.extend(cp.intertwine_check(gen, suite=suite))
+            records.extend(cp.intertwine_check(gen))
     return records
 
 
 def biprojection_suite(
     cp: CrossedProduct, k_max: int = 4, samples: int = 40, seed: int = 0
 ) -> list[dict]:
-    """The biprojection facts plus conjugate copies and surround ranks."""
-    records = cp.biprojection_report(kmax=k_max)
+    """The biprojection facts, each conjugate copy of Theta checked through
+    its own average and surround, and the surround ranks."""
+    records = cp.biprojection_report(cp.embedded, kmax=k_max)
     P = cp.product
     for h in range(len(cp.semidirect)):
-        sub = cp.biprojection_report(cp.conjugate_biprojection(h), kmax=1)
+        report = cp.biprojection_report(cp.conjugate(h), kmax=1)
         records.append(
             flag("biprojection",
                  f"conjugate copy at h={cp.semidirect.name(h)} verifies identically",
-                 all(r["pass"] for r in sub), "verified", "broken")
+                 all(r["pass"] for r in report), "verified", "broken")
         )
     for colour in range(1, k_max + 1):
         images = [

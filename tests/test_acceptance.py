@@ -100,7 +100,7 @@ def test_criterion_03_ambient_algebra_ring_axioms():
     # basis is large; redo it exhaustively on the integer index table
     P = CP.product
     for colour in (2, 3, 4):
-        table, labels = P.product_index_table(colour)
+        table, labels, _ = P.product_structure(colour)
         position = {lab: i for i, lab in enumerate(labels)}
         star_idx = np.empty(len(labels), dtype=np.int64)
         for i, lab in enumerate(labels):
@@ -115,9 +115,9 @@ def test_criterion_03_ambient_algebra_ring_axioms():
 
 
 def test_criterion_04_biprojection_and_surround_rank():
-    _all_pass(CP.biprojection_report(kmax=4))
-    _all_pass(CP4.biprojection_report(kmax=3))
-    assert CP.product.trace(CP.biprojection()) == Fraction(1, 2)
+    _all_pass(CP.biprojection_report(CP.embedded, kmax=4))
+    _all_pass(CP4.biprojection_report(CP4.embedded, kmax=3))
+    assert CP.product.trace(CP.embedded.average()) == Fraction(1, 2)
     expected = {2: 2, 3: 5, 4: _orbit_count_by_burnside(CP, 4)}
     assert expected[4] == 14
     for cp, ranks in ((CP, expected), (CP4, None)):
@@ -135,7 +135,7 @@ def test_criterion_04_biprojection_and_surround_rank():
 
 
 def test_criterion_05_composite_tangle_identity(inter):
-    records = inter.theorem_main_report(samples=200, seed=0, max_colour=4, depth=3)
+    records = inter.theorem_main_report(samples=200, seed=0, max_colour=4)
     assert len(records) == 1 + 2 * (200 + 3)
     _all_pass(records)
 

@@ -233,3 +233,13 @@ class TestMultiplyCommand:
 
     def test_non_integer_label_exits_2(self, capsys):
         assert main(["multiply", "2", "x", "1"]) == 2
+
+    def test_colour_is_checked_before_the_algebras_are_built(self, monkeypatch, capsys):
+        import planarbox.cli as cli
+
+        def refuse(action):
+            raise AssertionError("CrossedProduct built before the colour check")
+
+        monkeypatch.setattr(cli, "CrossedProduct", refuse)
+        assert main(["multiply", "6", "1,1,1,1,1", "1,1,1,1,1"]) == 2
+        assert "colour must lie in 2..5" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from planarbox.crossed import CrossedProduct
 from planarbox.expressions import GenExpr, realize
-from planarbox.group_algebra import AlgebraError, PAElement
+from planarbox.group_algebra import AlgebraError, PAElement, SubgroupBiprojection
 from planarbox.groups import (
     cyclic_group,
     inversion_action,
@@ -18,6 +18,7 @@ from planarbox.groups import (
     trivial_action,
 )
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
+from planarbox.suites import biprojection_suite
 from planarbox.tangles import alpha
 
 CP3 = CrossedProduct(inversion_action(3))
@@ -313,16 +314,16 @@ class TestBiprojection:
     def test_frozen_element(self):
         H = CP3.semidirect
         half = Fraction(1, 2)
-        assert CP3.biprojection() == CP3.product.element(
+        assert CP3.embedded.average() == CP3.product.element(
             2, {(H.index(0, 0),): half, (H.index(0, 1),): half}
         )
 
     def test_report_passes(self):
-        report = CP3.biprojection_report()
+        report = CP3.biprojection_report(CP3.embedded, kmax=3)
         assert report and all(r["pass"] for r in report)
 
     def test_report_cases(self):
-        cases = [r["case"] for r in CP3.biprojection_report(kmax=2)]
+        cases = [r["case"] for r in CP3.biprojection_report(CP3.embedded, kmax=2)]
         assert cases == [
             "q*q == q",
             "star(q) == q",
@@ -334,20 +335,39 @@ class TestBiprojection:
         ]
 
     def test_report_passes_z4(self):
-        assert all(r["pass"] for r in CP4.biprojection_report(kmax=2))
+        assert all(r["pass"] for r in CP4.biprojection_report(CP4.embedded, kmax=2))
 
     def test_conjugate_copies_verify_identically(self):
         for h in range(len(CP3.semidirect)):
-            q = CP3.conjugate_biprojection(h)
-            assert all(r["pass"] for r in CP3.biprojection_report(q, kmax=1))
+            assert all(r["pass"] for r in CP3.biprojection_report(CP3.conjugate(h), kmax=2))
 
     def test_non_subgroup_rejected(self):
         H = CP3.semidirect
         with pytest.raises(AlgebraError, match="subgroup"):
-            CP3.averaging_projection([0, H.index(1, 0)])
+            SubgroupBiprojection(H, [0, H.index(1, 0)])
 
     def test_trivial_action_biprojection_is_unit(self):
-        assert CPT.biprojection() == CPT.product.unit(2)
+        assert CPT.embedded.average() == CPT.product.unit(2)
+
+    def test_conjugate_flags_use_each_copys_own_surround(self, monkeypatch):
+        """A surround broken only off the embedded copy of Theta breaks the
+        conjugate copies that differ from it, and nothing else: in
+        Z3 x| Z2 the four h = (g, t) with g != 0."""
+        surround = SubgroupBiprojection.surround
+        embedded = CP3.embedded.members
+
+        def broken_off_embedded(self, x):
+            out = surround(self, x)
+            return out if self.members == embedded else out.scale(2)
+
+        monkeypatch.setattr(SubgroupBiprojection, "surround", broken_off_embedded)
+        H = CP3.semidirect
+        failed = [r["case"] for r in biprojection_suite(CP3, k_max=2) if not r["pass"]]
+        assert sorted(failed) == sorted(
+            f"conjugate copy at h={H.name(H.index(g, t))} verifies identically"
+            for g in (1, 2)
+            for t in (0, 1)
+        )
 
 
 class TestTransport:
@@ -433,5 +453,5 @@ class TestIntertwining:
 
     def test_records_carry_rendered_sides(self):
         record = CP3.intertwine_check(GenExpr("E", 1))[0]
-        assert record["suite"] == "phi-intertwine"
+        assert record["suite"] == "crossed-product"
         assert record["lhs"] == record["rhs"]

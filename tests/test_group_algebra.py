@@ -186,7 +186,7 @@ class TestMultiplication:
     def test_product_index_table_matches_multiply(self):
         alg = algebra(4)
         for k in (3, 4):
-            table, labels = alg.product_index_table(k)
+            table, labels, _ = alg.product_structure(k)
             prefactor = pow_half(4, (k + 1) // 2 - 1)
             rng = random.Random(5)
             for _ in range(200):
@@ -274,7 +274,7 @@ class TestProductRule:
         h = merging_label(alg, k, g, rng)
         product = alg.multiply(alg.basis_element(k, g), alg.basis_element(k, h))
         (label,) = product.support()
-        assert product.coefficient(label) == alg.product_constant(k)
+        assert product.coefficient(label) == alg.product_structure(k)[2]
 
     @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
     @pytest.mark.parametrize("k", range(6))

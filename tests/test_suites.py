@@ -214,7 +214,7 @@ def test_gram_flag_catches_a_planted_defect(defect, monkeypatch):
     cp = CrossedProduct(action("z3xz2"))
     assert gram_at_3(cp) == "orthonormal"
     (g, h), (zg, zh), row, outside = colour_3_pairs(cp.product)
-    pref = cp.product.product_constant(3)
+    pref = cp.product.product_structure(3)[2]
     (true_label,) = cp.product.multiply(
         cp.product.basis_element(3, g), cp.product.basis_element(3, h)
     ).support()
