@@ -5,14 +5,16 @@ and the idempotent family F of surround maps of that biprojection fixes
 the index data of the tower: ``[M:Q] = |K|`` and ``[Q:N] = |H|/|K|``.
 The fixed points of F form a smaller planar algebra.  A tangle acts on it
 by the old action followed by one surround, rescaled by the capping
-weight alpha computed at the intermediate ratio.  There is one instance
-for every subgroup (:func:`subgroup_instance`); the crossed product's
-instance is the one of the embedded copy of Theta
+weight alpha computed at the intermediate ratio.  The surround is always
+the subgroup's own (:meth:`SubgroupBiprojection.surround`).  There is one
+instance for every subgroup (:func:`subgroup_instance`); the crossed
+product's instance is the one of the embedded copy of Theta
 (:func:`crossed_instance`).  This module builds bases of the fixed spaces
 by exact row reduction, evaluates that rescaled action, and carries the
-verification suites: the composite-tangle identity, the planar axioms,
-Jones projections, conditional expectations, trace rescaling, positivity,
-and the bookkeeping of the white-shaded dual.
+verification suites: the composite-tangle identity and the planar axioms,
+which evaluate the substitution identity through one helper, Jones
+projections, conditional expectations, trace rescaling, positivity, and
+the bookkeeping of the white-shaded dual.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .crossed import CrossedProduct
 from .expressions import (
@@ -70,31 +72,23 @@ class AlgebraInstance:
     """The group planar algebra of H cut down by the biprojection of a subgroup K.
 
     Everything else is read off ``subgroup``: the biprojection is its
-    average, ``[M:Q] = |K|``, ``[Q:N] = |H|/|K|``, and the white-shaded
-    dual side is the planar algebra of K.  ``surround`` is the map the
-    cut-down algebra applies, normally ``subgroup.surround``; it must be
-    idempotent per colour and commute with inclusion.
+    average, the cut-down algebra applies its surround, ``[M:Q] = |K|``,
+    ``[Q:N] = |H|/|K|``, and the white-shaded dual side is the planar
+    algebra of K.
     """
 
     algebra: GroupPlanarAlgebra
     subgroup: SubgroupBiprojection
-    surround: Callable[[PAElement], PAElement]
 
 
 def subgroup_instance(algebra: GroupPlanarAlgebra, members: Iterable[int]) -> AlgebraInstance:
-    """The instance of the subgroup K with the given members, cut by its own surround."""
-    sub = SubgroupBiprojection(algebra.group, members)
-    return AlgebraInstance(algebra, sub, sub.surround)
+    """The instance of the subgroup K with the given members."""
+    return AlgebraInstance(algebra, SubgroupBiprojection(algebra.group, members))
 
 
 def crossed_instance(cp: CrossedProduct) -> AlgebraInstance:
-    """The subgroup instance of the embedded copy of Theta.
-
-    Its surround is :meth:`CrossedProduct.surround`, the same map as the
-    embedded copy's, so every surround of the cut-down algebra goes
-    through the crossed product.
-    """
-    return AlgebraInstance(cp.product, cp.embedded, cp.surround)
+    """The subgroup instance of the embedded copy of Theta."""
+    return AlgebraInstance(cp.product, cp.embedded)
 
 
 class IntermediateAlgebra:
@@ -113,15 +107,16 @@ class IntermediateAlgebra:
         # tangles, and the library only passes generator leaves
         self._weights: dict[TangleExpr, RadicalScalar] = {}
         P = self.algebra
+        sub = instance.subgroup
         for colour in range(1, k_max + 1):
             # most images repeat; row reduction reduces a repeat to zero and
             # skips it, so keeping the first copy leaves the basis unchanged
             images: dict[frozenset, PAElement] = {}
             for label in P.basis_labels(colour):
-                img = instance.surround(P.basis_element(colour, label))
+                img = sub.surround(P.basis_element(colour, label))
                 images.setdefault(frozenset(img.coeffs.items()), img)
             for img in images.values():
-                if instance.surround(img) != img:
+                if sub.surround(img) != img:
                     raise AlgebraError(f"surround is not idempotent at colour {colour}")
             self._bases[colour] = row_reduce(images.values())
         # the cut-down inclusion is "include, then surround"; it must not
@@ -130,8 +125,8 @@ class IntermediateAlgebra:
             for label in P.basis_labels(colour):
                 b = P.basis_element(colour, label)
                 lifted = P.act_generator(GenExpr("I", colour), [b])
-                dressed = P.act_generator(GenExpr("I", colour), [instance.surround(b)])
-                if instance.surround(lifted) != instance.surround(dressed):
+                dressed = P.act_generator(GenExpr("I", colour), [sub.surround(b)])
+                if sub.surround(lifted) != sub.surround(dressed):
                     raise AlgebraError(
                         f"surround does not factor through inclusion at colour {colour}"
                     )
@@ -152,7 +147,7 @@ class IntermediateAlgebra:
     def contains(self, x: PAElement) -> bool:
         if x.colour == 0:
             return True
-        return self.instance.surround(x) == x
+        return self.instance.subgroup.surround(x) == x
 
     def require_member(self, x: PAElement) -> None:
         if not self.contains(x):
@@ -176,12 +171,12 @@ class IntermediateAlgebra:
         if weight is None:
             weight = self._weights[expr] = alpha(realize(expr), self.index_mq)
         value = self.algebra.evaluate(expr, inputs)
-        return self.instance.surround(value).scale(weight)
+        return self.instance.subgroup.surround(value).scale(weight)
 
     def unit_prime(self, colour: int, shaded: bool = False) -> PAElement:
         if colour == 0:
             return self.algebra.basis_element(0, (), shaded)
-        return self.instance.surround(self.algebra.unit(colour))
+        return self.instance.subgroup.surround(self.algebra.unit(colour))
 
     def jones_prime(self, colour: int) -> PAElement:
         """The cut-down Jones projection at a colour, from the cup-cap tangle."""
@@ -221,10 +216,9 @@ class IntermediateAlgebra:
         Each record compares the surround-dressed composite of two trees
         against the weight-corrected surround of the glued tree, pointwise
         over all basis input tuples, and separately asserts that z_prime is
-        multiplicative over gluing.
+        multiplicative over gluing (:meth:`_substitution`).
         """
         suite = "theorem-main"
-        inst = self.instance
         records = [
             record(
                 suite,
@@ -250,33 +244,19 @@ class IntermediateAlgebra:
             )
             pairs.append((outer, slot, inner, f"sample {len(pairs) - 3}"))
         for outer, slot, inner, tag in pairs:
-            cache = EvaluationCache()
-            glued = ComposeExpr(outer, slot, inner)
-            t_outer, t_inner, t_glued = realize(outer), realize(inner), realize(glued)
+            tangles, a_glued, a_nested, values = self._substitution(outer, slot, inner)
+            t_outer, t_inner, t_glued = tangles
             k_i = slot_colours(outer)[slot - 1].colour
             exponent = (
                 k_i + loops_black(t_glued) - loops_black(t_outer) - loops_black(t_inner)
             )
             correction = pow_half(self.index_mq, -exponent)
-            a_outer = alpha(t_outer, self.index_mq)
-            a_inner = alpha(t_inner, self.index_mq)
-            a_glued = alpha(t_glued, self.index_mq)
             ok_displayed = True
             ok_mult = True
-            # the glued evaluation reuses the raw inner value, so each input
-            # tuple costs two evaluations with the inner one shared
-            for _, raw_inner, dressed_inner, before, after in self._composite_inputs(
-                outer, slot, inner, cache
-            ):
-                lhs = inst.surround(
-                    self.algebra.evaluate(outer, before + [dressed_inner] + after, cache)
-                )
-                core = inst.surround(
-                    self.algebra.evaluate(outer, before + [raw_inner] + after, cache)
-                )
-                if lhs != core.scale(correction):
+            for glued, nested in values:
+                if nested != glued.scale(correction):
                     ok_displayed = False
-                if core.scale(a_glued) != lhs.scale(a_outer * a_inner):
+                if glued.scale(a_glued) != nested.scale(a_nested):
                     ok_mult = False
             records += [
                 flag(suite, f"{tag}: dressed composite", ok_displayed, "equal", "unequal"),
@@ -284,25 +264,41 @@ class IntermediateAlgebra:
             ]
         return records
 
-    def _composite_inputs(
-        self, outer: TangleExpr, slot: int, inner: TangleExpr, cache: EvaluationCache
-    ):
-        """Every basis input tuple of the composite of ``inner`` into ``outer``.
+    def _substitution(self, outer: TangleExpr, slot: int, inner: TangleExpr):
+        """Both sides of the substitution identity for ``inner`` glued into
+        slot ``slot`` of ``outer``.
 
-        Yields ``(inner inputs, raw inner, dressed inner, before, after)``:
-        the inner tree is evaluated once per inner tuple (through the
-        record's ``cache``) and surrounded, and ``before``/``after`` are the
-        outer inputs on either side of the slot.
+        Returns ``(tangles, a_glued, a_nested, values)``: the realized
+        outer, inner and glued tangles, alpha of the glued tangle,
+        ``alpha(outer) * alpha(inner)``, and an iterator over every basis
+        input tuple of the glued tree.  It yields ``(glued, nested)``: the
+        surround of the glued tree's value, and the surround of ``outer``
+        on the surrounded inner value.  The z_prime map is multiplicative
+        when ``glued * a_glued == nested * a_nested``.  The evaluator
+        composes by evaluating ``outer`` on the raw inner value, so one
+        ``EvaluationCache`` shared by both sides evaluates the inner tree
+        once per inner tuple.
         """
-        outer_slots = slot_colours(outer)
-        rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
-        for inner_combo in self.basis_tuples(slot_colours(inner)):
-            inner_inputs = list(inner_combo)
-            raw_inner = self.algebra.evaluate(inner, inner_inputs, cache)
-            dressed_inner = self.instance.surround(raw_inner)
-            for rest in self.basis_tuples(rest_slots):
-                rest = list(rest)
-                yield inner_inputs, raw_inner, dressed_inner, rest[: slot - 1], rest[slot - 1 :]
+        glued_expr = ComposeExpr(outer, slot, inner)
+        tangles = realize(outer), realize(inner), realize(glued_expr)
+        a_outer, a_inner, a_glued = (alpha(t, self.index_mq) for t in tangles)
+        surround = self.instance.subgroup.surround
+        evaluate = self.algebra.evaluate
+
+        def values():
+            cache = EvaluationCache()
+            outer_slots = slot_colours(outer)
+            rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
+            for inner_combo in self.basis_tuples(slot_colours(inner)):
+                inner_inputs = list(inner_combo)
+                dressed = surround(evaluate(inner, inner_inputs, cache))
+                for rest in self.basis_tuples(rest_slots):
+                    before, after = list(rest[: slot - 1]), list(rest[slot - 1 :])
+                    glued = surround(evaluate(glued_expr, before + inner_inputs + after, cache))
+                    nested = surround(evaluate(outer, before + [dressed] + after, cache))
+                    yield glued, nested
+
+        return tangles, a_glued, a_outer * a_inner, values()
 
     def axiom_report(self, samples: int = 40, seed: int = 1, max_colour: int = 4) -> list[dict]:
         """Nondegeneracy, renumbering, and substitution, pointwise on bases."""
@@ -353,23 +349,8 @@ class IntermediateAlgebra:
             outer, slot, inner = random_composable_pair(
                 rng2, max_colour=max_colour, depth=2, max_arity=3
             )
-            glued = ComposeExpr(outer, slot, inner)
-            a_outer = alpha(realize(outer), self.index_mq)
-            a_inner = alpha(realize(inner), self.index_mq)
-            a_glued = alpha(realize(glued), self.index_mq)
-            ok = True
-            cache = EvaluationCache()
-            for inner_inputs, _, dressed_inner, before, after in self._composite_inputs(
-                outer, slot, inner, cache
-            ):
-                z_glued = self.instance.surround(
-                    self.algebra.evaluate(glued, before + inner_inputs + after, cache)
-                ).scale(a_glued)
-                z_nested = self.instance.surround(
-                    self.algebra.evaluate(outer, before + [dressed_inner] + after, cache)
-                ).scale(a_outer * a_inner)
-                if z_glued != z_nested:
-                    ok = False
+            _, a_glued, a_nested, values = self._substitution(outer, slot, inner)
+            ok = all(glued.scale(a_glued) == nested.scale(a_nested) for glued, nested in values)
             records.append(flag(suite, f"substitution sample {i}", ok, "equal", "unequal"))
         return records
 

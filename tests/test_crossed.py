@@ -353,21 +353,35 @@ class TestBiprojection:
         """A surround broken only off the embedded copy of Theta breaks the
         conjugate copies that differ from it, and nothing else: in
         Z3 x| Z2 the four h = (g, t) with g != 0."""
-        surround = SubgroupBiprojection.surround
-        embedded = CP3.embedded.members
+        assert conjugate_flags_failed(monkeypatch, k_max=2, from_colour=1) == OFF_EMBEDDED
 
-        def broken_off_embedded(self, x):
-            out = surround(self, x)
-            return out if self.members == embedded else out.scale(2)
+    def test_conjugate_copies_are_checked_up_to_k_max(self, monkeypatch):
+        """The same defect from colour 2 up only, where colour 1 would not
+        show it, breaks the same four conjugate flags at k_max 4."""
+        assert conjugate_flags_failed(monkeypatch, k_max=4, from_colour=2) == OFF_EMBEDDED
 
-        monkeypatch.setattr(SubgroupBiprojection, "surround", broken_off_embedded)
-        H = CP3.semidirect
-        failed = [r["case"] for r in biprojection_suite(CP3, k_max=2) if not r["pass"]]
-        assert sorted(failed) == sorted(
-            f"conjugate copy at h={H.name(H.index(g, t))} verifies identically"
-            for g in (1, 2)
-            for t in (0, 1)
-        )
+
+# the conjugate-copy flags of CP3 at h = (g, t) with g != 0, whose copies
+# differ from the embedded one
+OFF_EMBEDDED = sorted(
+    f"conjugate copy at h={CP3.semidirect.name(CP3.semidirect.index(g, t))} verifies identically"
+    for g in (1, 2)
+    for t in (0, 1)
+)
+
+
+def conjugate_flags_failed(monkeypatch, k_max, from_colour):
+    """The failing cases of CP3's biprojection suite with every surround
+    doubled off the embedded copy of Theta from colour ``from_colour`` up."""
+    surround = SubgroupBiprojection.surround
+    embedded = CP3.embedded.members
+
+    def broken_off_embedded(self, x):
+        out = surround(self, x)
+        return out if self.members == embedded or x.colour < from_colour else out.scale(2)
+
+    monkeypatch.setattr(SubgroupBiprojection, "surround", broken_off_embedded)
+    return sorted(r["case"] for r in biprojection_suite(CP3, k_max=k_max) if not r["pass"])
 
 
 class TestTransport:

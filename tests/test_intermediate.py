@@ -1,7 +1,7 @@
 """Tests for the cut-down algebra: bases, rescaled action, Jones family, reports."""
 
 import functools
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from planarbox.crossed import CrossedProduct
 from planarbox.expressions import ComposeExpr, GenExpr, RenumberExpr
-from planarbox.group_algebra import AlgebraError, row_reduce
+from planarbox.group_algebra import AlgebraError, SubgroupBiprojection, row_reduce
 from planarbox.groups import cyclic_group, inversion_action, trivial_action
+from planarbox import intermediate
 from planarbox.intermediate import (
     AlgebraInstance,
     IntermediateAlgebra,
@@ -83,7 +84,7 @@ class TestBuild:
     def test_basis_reduces_every_surround_image(self, inter):
         """The build keeps one copy of each repeated image; reducing every
         image, repeats included, gives the same basis."""
-        P, surround = inter.algebra, inter.instance.surround
+        P, surround = inter.algebra, inter.instance.subgroup.surround
         for colour in range(1, 5):
             images = [surround(P.basis_element(colour, lab)) for lab in P.basis_labels(colour)]
             assert inter.basis(colour) == row_reduce(images)
@@ -105,32 +106,32 @@ class TestBuild:
             inter.require_member(x)
 
     def test_instance_is_algebra_subgroup_surround(self):
-        assert [f.name for f in fields(AlgebraInstance)] == ["algebra", "subgroup", "surround"]
+        assert [f.name for f in fields(AlgebraInstance)] == ["algebra", "subgroup"]
 
-    def test_non_idempotent_surround_rejected(self):
+    def test_non_idempotent_surround_rejected(self, monkeypatch):
         two = RadicalScalar.rational(Fraction(2))
 
-        def doubler(x):
+        def doubler(self, x):
             return x.scale(two) if x.colour else x
 
-        bad = replace(crossed_instance(CP3), surround=doubler)
+        monkeypatch.setattr(SubgroupBiprojection, "surround", doubler)
         with pytest.raises(AlgebraError, match="idempotent"):
-            IntermediateAlgebra(bad, k_max=2)
+            IntermediateAlgebra(crossed_instance(CP3), k_max=2)
 
-    def test_surround_must_factor_through_inclusion(self):
+    def test_surround_must_factor_through_inclusion(self, monkeypatch):
         # projecting colour 2 onto the identity label is idempotent but
         # discards elements whose inclusions survive, so the build refuses it
         P = CP3.product
         e_label = (CP3.semidirect.index(0, 0),)
 
-        def collapse(x):
+        def collapse(self, x):
             if x.colour != 2:
                 return x
             return P.element(2, {e_label: x.coefficient(e_label)})
 
-        bad = replace(crossed_instance(CP3), surround=collapse)
+        monkeypatch.setattr(SubgroupBiprojection, "surround", collapse)
         with pytest.raises(AlgebraError, match="factor through inclusion"):
-            IntermediateAlgebra(bad, k_max=3)
+            IntermediateAlgebra(crossed_instance(CP3), k_max=3)
 
 
 class TestRescaledAction:
@@ -295,6 +296,27 @@ class TestVerificationReports:
         second = inter.axiom_report(samples=3, seed=9)
         assert first == second
 
+    def test_planted_weight_defect_fails_only_the_weight_flags(self, monkeypatch):
+        """A capping weight off by sqrt([M:Q]) on tangles with two or more
+        internal discs breaks multiplicativity and substitution, which
+        compare alphas, and no dressed composite, which reads loop counts."""
+        real = intermediate.alpha
+
+        def off(t, ratio):
+            a = real(t, ratio)
+            return a * pow_half(ratio, 1) if len(t.internal) >= 2 else a
+
+        monkeypatch.setattr(intermediate, "alpha", off)
+        inter = IntermediateAlgebra(crossed_instance(CP3), k_max=4)
+        failed = [r["case"] for r in inter.theorem_main_report(samples=10, seed=0) if not r["pass"]]
+        assert failed == [
+            "pinned renumbered outer: multiplicativity",
+            "sample 6: multiplicativity",
+            "sample 8: multiplicativity",
+        ]
+        failed = [r["case"] for r in inter.axiom_report(samples=10, seed=1) if not r["pass"]]
+        assert failed == ["substitution sample 5"]
+
 
 class TestTrivialTwist:
     """With a trivial acting group the cut-down algebra is the whole algebra."""
@@ -408,7 +430,7 @@ class TestSubgroupInstances:
         assert [r for r in records if not r["pass"]] == []
 
     def test_trivial_subgroup_surround_is_identity(self, subgroup_inter):
-        surround = subgroup_inter((0,)).instance.surround
+        surround = subgroup_inter((0,)).instance.subgroup.surround
         for colour in (0, 1, 2, 3):
             for label in CP3.product.basis_labels(colour):
                 b = CP3.product.basis_element(colour, label)
@@ -437,11 +459,10 @@ class TestSubgroupInstances:
         members = [cp.semidirect.index(0, t) for t in range(cp.theta_order)]
         generic = subgroup_instance(cp.product, members)
         inst = crossed_instance(cp)
-        assert inst.surround == cp.surround
         assert inst.subgroup is cp.embedded
         assert inst.subgroup.members == generic.subgroup.members
         assert inst.subgroup.average() == generic.subgroup.average()
         for colour in (0, 1, 2, 3):
             for label in cp.product.basis_labels(colour):
                 b = cp.product.basis_element(colour, label)
-                assert inst.surround(b) == generic.surround(b)
+                assert inst.subgroup.surround(b) == generic.subgroup.surround(b)

@@ -76,6 +76,22 @@ def test_z4xz2_base_algebra_at_k_max_4_is_pinned():
     )
 
 
+# the two suites that share the substitution check, at the CLI defaults
+# (k_max 4, 40 samples, seed 0) on z3xz2
+GOLDEN_SUBSTITUTION = {
+    "theorem-main": (87, "8a612116fe957f64025a7df6994b907993b34bc22ab6d5570a249973819e66c2"),
+    "axioms": (84, "77d46370256b7d74633dcebcde3f99b32fc64264af3cd61097f0befccdaf4137"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUBSTITUTION))
+def test_substitution_suites_at_defaults_are_pinned(name):
+    records = run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert [r["case"] for r in records if not r["pass"]] == []
+    assert (len(records), digest) == GOLDEN_SUBSTITUTION[name]
+
+
 @pytest.mark.parametrize("k_max", [1, 5, 9])
 def test_k_max_outside_range_rejected(k_max):
     assert suites.MAX_KMAX == 4
