@@ -83,6 +83,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     if args.samples < 1:
         print("--samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.out and not Path(args.out).parent.is_dir():
+        print(f"cannot write report: no directory for {args.out}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         action = _load_action(args.action)
     except (OSError, ValueError, GroupError) as exc:
@@ -110,7 +113,11 @@ def cmd_suite(args: argparse.Namespace) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(
             f"suite {args.name}: {summary['cases']} cases, "
             f"{summary['failed']} failed -> {args.out}"

@@ -16,8 +16,11 @@ coefficient, buckets each class of the right factor by its right key, and
 meets each left label's keys with those buckets; it counts the merged
 labels of each pair of classes with plain integers and does one field
 product per class pair (and per distinct hit count) instead of one per
-pair of terms.  ``multiply`` reads no full index table: at colour 5 over a
-group of order 8 it would hold 4096^2 entries.  The exhaustive checks build
+pair of terms.  The right factor's bucketed classes are memoised on the
+element (:class:`PAElement`, whose coefficients are never mutated), so a
+factor used on the right many times, like the exhaustive checks' encoded
+factors, is grouped once.  ``multiply`` reads no full index table: at
+colour 5 over a group of order 8 it would hold 4096^2 entries.  The exhaustive checks build
 that table with :meth:`GroupPlanarAlgebra.product_structure`, which walks the same
 split (the labels bucketed by right part, each left part met against the
 buckets) and so visits only the nonzero pairs; there is no separate
@@ -64,13 +67,17 @@ class AlgebraError(ValueError):
 class PAElement:
     """A finite combination of basis symbols at one colour.
 
-    Instances are immutable in spirit: nothing in the library mutates
-    `coeffs` after construction, and zero coefficients are dropped on
-    the way in.  The shading flag is only meaningful at colour 0, where
-    the two one-dimensional spaces must be kept apart.
+    Instances are immutable: zero coefficients are dropped on the way in,
+    and `coeffs` must never be mutated after construction.  The element
+    memoises what :meth:`GroupPlanarAlgebra.multiply` derives from
+    `coeffs` when it serves as a right factor (its coefficient classes,
+    each bucketed by right key), so a mutated `coeffs` would be multiplied
+    as its old value.  Nothing in the library mutates it; build a new
+    element instead.  The shading flag is only meaningful at colour 0,
+    where the two one-dimensional spaces must be kept apart.
     """
 
-    __slots__ = ("colour", "shaded", "coeffs")
+    __slots__ = ("colour", "shaded", "coeffs", "_right_classes")
 
     def __init__(self, colour: int, coeffs: Mapping[Label, RadicalScalar], shaded: bool = False):
         if colour < 0:
@@ -88,6 +95,8 @@ class PAElement:
         self.colour = colour
         self.shaded = bool(shaded) if colour == 0 else False
         self.coeffs = clean
+        # filled by GroupPlanarAlgebra.multiply on first use as a right factor
+        self._right_classes: list[tuple[RadicalScalar, dict[Label, list[Label]]]] | None = None
 
     def disc(self) -> Disc:
         return Disc(self.colour, self.shaded)
@@ -451,18 +460,25 @@ class GroupPlanarAlgebra:
         plain integers without visiting every pair of terms.  The class
         pair's coefficient ``cg * ch * prefactor`` then enters each hit label
         once, times its hit count (one field product per distinct count).
+
+        The bucketed classes of ``y`` depend only on its colour and
+        coefficients, so they are built once per element and kept on it
+        (see :class:`PAElement`); a right factor used again is not regrouped.
         """
         x._check_compatible(y)
         colour = x.colour
-        m = (colour + 1) // 2
         left_parts = self._left_parts(colour)
         pref = self._prefactor(colour)
-        y_classes = []
-        for ch, hs in coefficient_classes(y):
-            buckets: dict[Label, list[Label]] = {}
-            for h in hs:
-                buckets.setdefault(h[:m], []).append(h[m:])
-            y_classes.append((ch, buckets))
+        y_classes = y._right_classes
+        if y_classes is None:
+            m = (colour + 1) // 2
+            y_classes = []
+            for ch, hs in coefficient_classes(y):
+                buckets: dict[Label, list[Label]] = {}
+                for h in hs:
+                    buckets.setdefault(h[:m], []).append(h[m:])
+                y_classes.append((ch, buckets))
+            y._right_classes = y_classes
         out: dict[Label, RadicalScalar] = {}
         for cg, gs in coefficient_classes(x):
             lefts = [left_parts[g] for g in gs]

@@ -50,8 +50,9 @@ MAX_KMAX = 4
 
 # base-algebra checks every pair of basis labels at k_max, dimension(k_max)^2
 # of them: the index table and the Gram mask hold one entry per pair,
-# associativity reads a pair block per label, and the multiply check makes
-# k_max products per label, each with a dimension(k_max)-term right factor.
+# associativity reads, per label, the rows of its nonzero products, and the
+# multiply check makes k_max products per label against k_max fixed
+# dimension(k_max)-term right factors, each grouped once.
 # run_suite refuses more pairs than this before any work starts.  z4xz2 at
 # k_max 4 has 512^2 and z7xz3 at k_max 3 has 441^2, while z7xz3 at k_max 4
 # would have 9261^2 (about 86M).
@@ -65,20 +66,35 @@ class SuiteError(ValueError):
 
 def index_table_associative(table: np.ndarray) -> bool:
     """Whether a basis product index table is associative, over all
-    ``size^3`` triples.
+    ``size^3`` triples, comparing only the rows of nonzero products.
 
     ``table`` is what :meth:`GroupPlanarAlgebra.product_structure` returns:
-    ``int32`` entries, -1 for a zero product.  One copy padded with a row
-    and a column of -1 lets a zero product index a zero row or entry, and
-    it keeps the table's dtype.  One ``size^2`` block per left factor i
-    compares ``(x_i x_j) x_k`` with ``x_i (x_j x_k)``, so memory stays
-    quadratic in the basis size.
+    ``int32`` entries, -1 for a zero product.  Row i is read with one -1
+    appended, so a zero product ``x_j x_k`` (-1) reads a zero entry.
+
+    For a left factor i, let J be the rows j with ``T[i, j] >= 0``.  Over
+    ``j in J`` one block compares ``(x_i x_j) x_k`` with ``x_i (x_j x_k)``
+    for every k.  For ``j`` outside J the left side is zero for every k, so
+    the right side must be zero too, and a count confirms it without
+    reading those rows.  ``x_i (x_j x_k)`` is nonzero exactly when
+    ``l = T[j, k] >= 0`` and ``T[i, l] >= 0``; the pairs ``(j, k)`` with
+    ``T[j, k] = l`` number ``bincount(T[T >= 0])[l]``, so over all j the
+    nonzero right sides number ``(T >= 0)[i] @ bincount(T[T >= 0])``, one
+    matrix-vector product for every i.  Those inside the compared block
+    number its nonzero entries, so the two counts are equal exactly when no
+    right side outside J is nonzero.  Every triple is thus covered: inside
+    J by the block, outside it by the count.  Memory stays quadratic in the
+    basis size, and the blocks hold only the nonzero products' rows.
     """
-    size = len(table)
-    padded = np.full((size + 1, size + 1), -1, dtype=table.dtype)
-    padded[:size, :size] = table
-    rows = padded[:, :size]
-    return all((rows[table[i]] == padded[i][table]).all() for i in range(size))
+    nonzero = table >= 0
+    # entry i: the pairs (j, k) with x_i (x_j x_k) nonzero
+    expected = nonzero @ np.bincount(table[nonzero], minlength=len(table))
+    for i, row in enumerate(table):
+        js = np.flatnonzero(nonzero[i])
+        right = np.append(row, -1)[table[js]]
+        if not (table[row[js]] == right).all() or np.count_nonzero(right >= 0) != expected[i]:
+            return False
+    return True
 
 
 def gram_is_identity(
@@ -140,7 +156,9 @@ def _multiply_matches_table(
     letter position ``d`` with ``sum_h (h[d] + 1) S(h)`` must then have the
     table row as its support and ``prefactor * (h[d] + 1)`` on the label of
     ``(g, h)``.  The letters name ``h``, so together these name the right
-    factor of every nonzero pair and confirm every zero pair.
+    factor of every nonzero pair and confirm every zero pair.  The
+    ``colour`` encoded right factors are built once, so ``multiply`` groups
+    each of them once (its memo on :class:`PAElement`), not once per label.
     """
     values = [RadicalScalar.rational(v + 1) for v in range(len(P.group))]
     expected = [prefactor * v for v in values]

@@ -181,6 +181,25 @@ class TestSuiteCommand:
         assert "9261^2 = 85766121 basis label pairs" in err
         assert "maximum 1048576" in err
 
+    def test_out_into_missing_directory_exits_2_before_any_suite_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import planarbox.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("suite ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        out = tmp_path / "no" / "such" / "r.json"
+        assert main(["suite", "jones", "--out", str(out)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # the parent exists, but the target is a directory
+        assert main(["suite", "jones", "--kmax", "2", "--out", str(tmp_path)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+
     def test_failures_exit_1_with_report(self, tmp_path, monkeypatch, capsys):
         import planarbox.cli as cli
 

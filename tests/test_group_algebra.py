@@ -794,6 +794,30 @@ class TestLeftPartCache:
                 assert alg._left_parts(k)[g][h[:m]] + h[m:] == lab
 
 
+class TestRightFactorMemo:
+    @pytest.mark.parametrize(
+        "k,shaded", [(0, False), (0, True), (1, False), (2, False), (3, False), (4, False)]
+    )
+    def test_memoised_right_factor_multiplies_as_a_fresh_copy(self, k, shaded):
+        """Once ``y`` has served as a right factor, a product with another
+        left factor equals the product with a fresh copy of ``y``."""
+        alg = SEMIDIRECT["z3xz2"]
+        n = alg.group.order
+        rng = random.Random(f"right-memo-{k}-{shaded}")
+
+        def element() -> PAElement:
+            labels = {tuple(rng.randrange(n) for _ in range(max(k - 1, 0))) for _ in range(25)}
+            return PAElement(k, {lab: rng.choice(CLASS_COEFFS) for lab in labels}, shaded)
+
+        for _ in range(5):
+            x1, x2, y = element(), element(), element()
+            assert alg.multiply(x1, y) == product_closed_form(alg, x1, y)
+            assert y._right_classes is not None
+            fresh = PAElement(y.colour, y.coeffs, y.shaded)
+            assert fresh._right_classes is None
+            assert alg.multiply(x2, y) == alg.multiply(x2, fresh) == product_closed_form(alg, x2, y)
+
+
 def subgroups(group) -> list[tuple[int, ...]]:
     """Every subgroup of a small group, by brute force over subsets with 0."""
     found = []

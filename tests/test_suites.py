@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planarbox import suites
+from planarbox import group_algebra, suites
 from planarbox.crossed import CrossedProduct
 from planarbox.group_algebra import GroupPlanarAlgebra
 from planarbox.groups import SemidirectGroup, inversion_action, load_action
@@ -167,6 +167,30 @@ def test_index_table_associativity_catches_one_planted_entry():
     assert planted == {"other index": 216, "index to -1": 216, "-1 to index": 1080}
 
 
+def test_index_table_associativity_reads_the_zero_rows_by_count():
+    """Triples whose left product is zero are checked by the count alone:
+    here ``(x_2 x_2) x_1 = 0`` but ``x_2 (x_2 x_1) = x_1``, and no row the
+    block compares differs."""
+    table = np.array([[-1, -1, -1], [-1, -1, -1], [-1, 1, -1]], dtype=np.int32)
+    assert not associative_by_loop(table)
+    assert not suites.index_table_associative(table)
+
+
+def test_index_table_associativity_matches_the_loop_on_sparse_tables():
+    """Seeded partial tables of sizes 2-4, mostly zero products, against the
+    triple-by-triple reference."""
+    rng = np.random.default_rng(14)
+    verdicts = collections.Counter()
+    for _ in range(3000):
+        size = int(rng.integers(2, 5))
+        table = rng.integers(0, size, size=(size, size)).astype(np.int32)
+        table[rng.random((size, size)) < 0.75] = -1
+        expected = associative_by_loop(table)
+        assert suites.index_table_associative(table) == expected, table.tolist()
+        verdicts[expected] += 1
+    assert min(verdicts[True], verdicts[False]) >= 300
+
+
 GRAM_AT_3 = "Gram matrix of the label basis is the identity at colour 3"
 
 
@@ -288,15 +312,29 @@ def test_gram_flag_catches_a_planted_table_entry():
 def test_base_algebra_multiplies_linearly_in_the_dimension(monkeypatch):
     """The colour-4 products of base-algebra on Z3 x| Z2 (216 labels) grow
     with the dimension, not with its square (46,656 for the Gram loop over
-    all pairs)."""
+    all pairs), and each right factor is grouped by coefficient once, however
+    often it is used."""
     calls = collections.Counter()
+    groupings = collections.Counter()
+    rights = []
     real = GroupPlanarAlgebra.multiply
+    real_classes = group_algebra.coefficient_classes
 
     def counting(self, x, y):
         calls[x.colour] += 1
-        return real(self, x, y)
+        rights.append(y)
+        try:
+            return real(self, x, y)
+        finally:
+            rights.pop()
+
+    def classes(x):
+        if rights and x is rights[-1]:
+            groupings[x.colour] += 1
+        return real_classes(x)
 
     monkeypatch.setattr(GroupPlanarAlgebra, "multiply", counting)
+    monkeypatch.setattr(group_algebra, "coefficient_classes", classes)
     cp = CrossedProduct(action("z3xz2"))
     samples = 40
     assert all(r["pass"] for r in suites.base_algebra_report(cp, k_max=4, samples=samples))
@@ -306,6 +344,10 @@ def test_base_algebra_multiplies_linearly_in_the_dimension(monkeypatch):
     # per label; star reversal: two per sampled pair; the colour-3 Markov
     # check multiplies at colour 4, once per colour-3 label
     assert calls[4] <= (4 + 2) * dim + 2 * samples + cp.product.dimension(3)
+    # right factors grouped: the unit and each label (unit check), the four
+    # encoded factors (Gram flag), two per sampled pair (star reversal) and
+    # the Jones element (the colour-3 Markov check)
+    assert groupings[4] <= (dim + 1) + 4 + 2 * samples + 1
 
 
 def test_suite_names_in_order():
