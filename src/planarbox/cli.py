@@ -86,6 +86,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     if args.out and not Path(args.out).parent.is_dir():
         print(f"cannot write report: no directory for {args.out}", file=sys.stderr)
         return EXIT_USAGE
+    if args.out and Path(args.out).is_dir():
+        print(f"cannot write report: {args.out} is a directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         action = _load_action(args.action)
     except (OSError, ValueError, GroupError) as exc:

@@ -14,22 +14,35 @@ second, ``h -> (h[:m], h[m:])``.  Inputs seldom carry more than a few
 distinct coefficient values, so ``multiply`` groups each factor's labels by
 coefficient, buckets each class of the right factor by its right key, and
 meets each left label's keys with those buckets; it counts the merged
-labels of each pair of classes with plain integers and does one field
-product per class pair (and per distinct hit count) instead of one per
-pair of terms.  The right factor's bucketed classes are memoised on the
-element (:class:`PAElement`, whose coefficients are never mutated), so a
-factor used on the right many times, like the exhaustive checks' encoded
-factors, is grouped once.  ``multiply`` reads no full index table: at
-colour 5 over a group of order 8 it would hold 4096^2 entries.  The exhaustive checks build
-that table with :meth:`GroupPlanarAlgebra.product_structure`, which walks the same
-split (the labels bucketed by right part, each left part met against the
+labels of each pair of classes with plain integers and does at most one
+field product per class pair (and per distinct hit count) instead of one
+per pair of terms.  The right factor's bucketed classes, each coefficient
+already times the prefactor, are memoised on the element
+(:class:`PAElement`, whose coefficients are never mutated) with the
+prefactor they fold in, so a factor used on the right many times, like the
+exhaustive checks' encoded factors, is grouped once per prefactor, and a
+left class of coefficient 1 needs no product at all.  ``multiply`` reads no
+full index table: at colour 5 over a group of order 8 it would hold 4096^2
+entries.  The exhaustive checks build that table with
+:meth:`GroupPlanarAlgebra.product_structure`, which walks the same split
+(the labels bucketed by right part, each left part met against the
 buckets) and so visits only the nonzero pairs; there is no separate
 per-pair product rule.
 
+Results the library computes from checked elements (products, star, the
+generator actions, sums, scalings and surrounds) are built by one trusted
+constructor, :func:`_trusted`, which skips the label checks but still drops
+the coefficients that cancel; ``PAElement(...)`` keeps every check for
+outside input.
+
 ``trace`` is linear: ``tr(x) = sum c * tr(S(label))``.  Each basis trace is
-computed once, by capping ``S(label)`` with ``E`` one colour at a time, and
-memoized per colour and label on the algebra (:meth:`GroupPlanarAlgebra._basis_trace`),
-so the memo of a colour never holds more than ``dimension(colour)`` entries.
+computed once, by capping ``S(label)`` with ``E`` one colour at a time
+through the per-symbol rule :meth:`GroupPlanarAlgebra._cap` that ``E``
+itself uses; a cap maps one label to one label or to zero, so the trace
+walks the single label and carries the power of ``delta`` as an exponent.
+Basis traces are memoized per colour and label on the algebra
+(:meth:`GroupPlanarAlgebra._basis_trace`), so the memo of a colour holds
+only traced labels, never more than ``dimension(colour)`` entries.
 
 The biprojections of the algebra are the subgroup averages; each one, with
 its surround and dual surround, is a :class:`SubgroupBiprojection`.  The
@@ -58,6 +71,9 @@ from .scalars import ONE, ZERO, RadicalScalar, canonical_sqrt, pow_half
 from .tangles import Disc
 
 Label = tuple[int, ...]
+# a right factor's coefficient classes, each coefficient times the product
+# prefactor, with its labels bucketed by right key h[:m] -> [h[m:]]
+_RightClasses = list[tuple[RadicalScalar, dict[Label, list[Label]]]]
 
 
 class AlgebraError(ValueError):
@@ -70,11 +86,15 @@ class PAElement:
     Instances are immutable: zero coefficients are dropped on the way in,
     and `coeffs` must never be mutated after construction.  The element
     memoises what :meth:`GroupPlanarAlgebra.multiply` derives from
-    `coeffs` when it serves as a right factor (its coefficient classes,
-    each bucketed by right key), so a mutated `coeffs` would be multiplied
-    as its old value.  Nothing in the library mutates it; build a new
-    element instead.  The shading flag is only meaningful at colour 0,
-    where the two one-dimensional spaces must be kept apart.
+    `coeffs` when it serves as a right factor (its coefficient classes
+    times the product prefactor, each bucketed by right key), so a mutated
+    `coeffs` would be multiplied as its old value.  Nothing in the library
+    mutates it; build a new element instead.  The shading flag is only
+    meaningful at colour 0, where the two one-dimensional spaces must be
+    kept apart.
+
+    The constructor checks every label, for outside input; results the
+    library computes from checked elements are built by :func:`_trusted`.
     """
 
     __slots__ = ("colour", "shaded", "coeffs", "_right_classes")
@@ -95,8 +115,9 @@ class PAElement:
         self.colour = colour
         self.shaded = bool(shaded) if colour == 0 else False
         self.coeffs = clean
-        # filled by GroupPlanarAlgebra.multiply on first use as a right factor
-        self._right_classes: list[tuple[RadicalScalar, dict[Label, list[Label]]]] | None = None
+        # filled by GroupPlanarAlgebra.multiply on first use as a right
+        # factor: (prefactor, [(coefficient * prefactor, buckets)])
+        self._right_classes: tuple[RadicalScalar, _RightClasses] | None = None
 
     def disc(self) -> Disc:
         return Disc(self.colour, self.shaded)
@@ -121,12 +142,10 @@ class PAElement:
         out = dict(self.coeffs)
         for lab, c in other.coeffs.items():
             out[lab] = out.get(lab, ZERO) + c
-        return PAElement(self.colour, out, self.shaded)
+        return _trusted(self.colour, out, self.shaded)
 
     def __neg__(self) -> "PAElement":
-        return PAElement(
-            self.colour, {lab: -c for lab, c in self.coeffs.items()}, self.shaded
-        )
+        return _trusted(self.colour, {lab: -c for lab, c in self.coeffs.items()}, self.shaded)
 
     def __sub__(self, other: "PAElement") -> "PAElement":
         return self + (-other)
@@ -134,9 +153,7 @@ class PAElement:
     def scale(self, c) -> "PAElement":
         if not isinstance(c, RadicalScalar):
             c = ONE * c
-        return PAElement(
-            self.colour, {lab: v * c for lab, v in self.coeffs.items()}, self.shaded
-        )
+        return _trusted(self.colour, {lab: v * c for lab, v in self.coeffs.items()}, self.shaded)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -148,6 +165,25 @@ class PAElement:
 
     def __repr__(self) -> str:
         return f"PAElement(colour={self.disc().label()}, terms={len(self.coeffs)})"
+
+
+def _trusted(colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = False) -> PAElement:
+    """An element built from labels the library made itself, skipping the
+    label checks of :class:`PAElement`.
+
+    The labels must be tuples of the colour's length and ``shaded`` must be
+    False above colour 0.  Zero coefficients are still dropped, since sums
+    can cancel; ``coeffs`` is taken over, not copied.
+    """
+    zeros = [lab for lab, c in coeffs.items() if c.is_zero()]
+    for lab in zeros:
+        del coeffs[lab]
+    x = object.__new__(PAElement)
+    x.colour = colour
+    x.shaded = shaded
+    x.coeffs = coeffs
+    x._right_classes = None
+    return x
 
 
 def record(suite: str, case: str, lhs: str, rhs: str) -> dict:
@@ -210,7 +246,7 @@ class SubgroupBiprojection:
         each output label is assigned once, one product per distinct
         coefficient of the class's spread."""
         if x.colour == 0:
-            return PAElement(0, dict(x.coeffs), x.shaded)
+            return _trusted(0, dict(x.coeffs), x.shaded)
         colour = x.colour
         scale = Fraction(1, self.order**colour)
         weights: dict[Label, RadicalScalar] = {}
@@ -229,7 +265,7 @@ class SubgroupBiprojection:
                 continue
             for c2, labels in self._spread_classes(colour, rep):
                 acc.update(dict.fromkeys(labels, c2 * weight))
-        return PAElement(colour, acc)
+        return _trusted(colour, acc)
 
     def _spread_classes(self, colour: int, rep: Label) -> list[tuple[RadicalScalar, list[Label]]]:
         """The unscaled spread of ``S(rep)`` grouped by coefficient, cached."""
@@ -244,14 +280,14 @@ class SubgroupBiprojection:
                     lab = tuple(table[h][k] for h, k in zip(moved, ks))
                     counts[lab] = counts.get(lab, 0) + 1
             spread = {lab: RadicalScalar.rational(n) for lab, n in counts.items()}
-            classes = self._spread_cache[key] = coefficient_classes(PAElement(colour, spread))
+            classes = self._spread_cache[key] = coefficient_classes(_trusted(colour, spread))
         return classes
 
     def dual_surround(self, x: PAElement) -> PAElement:
         """Keep exactly the labels with every entry in K."""
         inside = self.members
         kept = {lab: c for lab, c in x.coeffs.items() if all(h in inside for h in lab)}
-        return PAElement(x.colour, kept, x.shaded)
+        return _trusted(x.colour, kept, x.shaded)
 
 
 class _LeftParts(dict):
@@ -261,29 +297,30 @@ class _LeftParts(dict):
     ``h[:m]`` is a key of ``self[g]``, and its label is that key's merged
     prefix followed by ``h[m:]``; there is one key per value of ``h[0]``.
     Entries are computed on first lookup, so the size is bounded by the
-    labels in use.
+    labels in use.  An entry zips tuples of the group table read down
+    ``h0``: at colour 2 the row of ``g[0]`` (``g[0] * h0``), and above it
+    columns, key entry ``i >= 1`` being ``h0 * g[colour-1-i]`` and prefix
+    entry ``j`` being ``h0 * g[j]``.
     """
 
-    __slots__ = ("table", "colour")
+    __slots__ = ("rows", "columns", "colour")
 
     def __init__(self, table: Sequence[Sequence[int]], colour: int):
         super().__init__()
-        self.table = table
+        self.rows = table
+        self.columns = tuple(zip(*table))  # columns[g][h0] = h0 * g
         self.colour = colour
 
     def __missing__(self, g: Label) -> dict[Label, Label]:
-        table, colour = self.table, self.colour
+        columns, colour = self.columns, self.colour
         if colour <= 1:
             parts = {(): ()}
         elif colour == 2:
-            parts = {(h0,): (table[g[0]][h0],) for h0 in range(len(table))}
+            parts = {(h0,): (gh,) for h0, gh in enumerate(self.rows[g[0]])}
         else:
             m = (colour + 1) // 2
-            parts = {
-                (h0,) + tuple(row[g[colour - i]] for i in range(2, m + 1)):
-                    tuple(row[g[j]] for j in range(m))
-                for h0, row in enumerate(table)
-            }
+            keys = zip(range(len(columns)), *(columns[g[colour - i]] for i in range(2, m + 1)))
+            parts = dict(zip(keys, zip(*(columns[g[j]] for j in range(m)))))
         self[g] = parts
         return parts
 
@@ -344,9 +381,16 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
 
     Pivots are the lexicographically least labels; each returned vector is
     normalized to leading coefficient 1 and the list is sorted by pivot.
+    An input equal to one already taken would reduce to zero, so it is
+    skipped.
     """
     pivots: dict[Label, PAElement] = {}
+    taken: set[tuple[int, bool, frozenset]] = set()
     for v in vectors:
+        key = (v.colour, v.shaded, frozenset(v.coeffs.items()))
+        if key in taken:
+            continue
+        taken.add(key)
         for lab in sorted(pivots):
             c = v.coefficient(lab)
             if not c.is_zero():
@@ -451,38 +495,45 @@ class GroupPlanarAlgebra:
         return pow_half(self.group.order, max((colour + 1) // 2 - 1, 0))
 
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
-        """The product ``x y``, one field product per pair of coefficient classes.
+        """The product ``x y``, at most one field product per pair of
+        coefficient classes.
 
         Labels of equal coefficient form a class.  Each class of ``y`` is
         bucketed by the right part of the label rule, ``h[:m] -> [h[m:]]``,
         and each label ``g`` of a class of ``x`` meets a bucket only through
         its left part, so the merged labels of a class pair are counted with
         plain integers without visiting every pair of terms.  The class
-        pair's coefficient ``cg * ch * prefactor`` then enters each hit label
-        once, times its hit count (one field product per distinct count).
+        pair's coefficient ``cg * (ch * prefactor)`` then enters each hit
+        label once, times its hit count (one field product per distinct
+        count); a left class with ``cg == 1`` takes ``ch * prefactor`` as is.
 
-        The bucketed classes of ``y`` depend only on its colour and
-        coefficients, so they are built once per element and kept on it
-        (see :class:`PAElement`); a right factor used again is not regrouped.
+        The bucketed classes of ``y``, each coefficient already times the
+        prefactor, depend only on its coefficients and the prefactor, so
+        they are built once per element and kept on it with the prefactor
+        they fold in (see :class:`PAElement`).  A right factor used again is
+        not regrouped unless it meets an algebra of another prefactor.
         """
         x._check_compatible(y)
         colour = x.colour
         left_parts = self._left_parts(colour)
         pref = self._prefactor(colour)
-        y_classes = y._right_classes
-        if y_classes is None:
+        memo = y._right_classes
+        if memo is not None and memo[0] == pref:
+            y_classes = memo[1]
+        else:
             m = (colour + 1) // 2
             y_classes = []
             for ch, hs in coefficient_classes(y):
                 buckets: dict[Label, list[Label]] = {}
                 for h in hs:
                     buckets.setdefault(h[:m], []).append(h[m:])
-                y_classes.append((ch, buckets))
-            y._right_classes = y_classes
+                y_classes.append((ch * pref, buckets))
+            y._right_classes = (pref, y_classes)
         out: dict[Label, RadicalScalar] = {}
         for cg, gs in coefficient_classes(x):
             lefts = [left_parts[g] for g in gs]
-            for ch, buckets in y_classes:
+            unit = cg == ONE
+            for chp, buckets in y_classes:
                 hits: dict[Label, int] = {}
                 for left in lefts:
                     for key, prefix in left.items():
@@ -493,14 +544,14 @@ class GroupPlanarAlgebra:
                                 hits[lab] = hits.get(lab, 0) + 1
                 if not hits:
                     continue
-                multiples = {1: cg * ch * pref}
+                multiples = {1: chp if unit else cg * chp}
                 for lab, k in hits.items():
                     term = multiples.get(k)
                     if term is None:
                         term = multiples[k] = multiples[1] * k
                     prev = out.get(lab)
                     out[lab] = term if prev is None else prev + term
-        return PAElement(colour, out, x.shaded)
+        return _trusted(colour, out, x.shaded)
 
     def star(self, x: PAElement) -> PAElement:
         inv = self.group.inv
@@ -517,11 +568,12 @@ class GroupPlanarAlgebra:
                     op(first, lab[j]) for j in range(x.colour - 2, 0, -1)
                 )
             out[s] = out.get(s, ZERO) + c
-        return PAElement(x.colour, out, x.shaded)
+        return _trusted(x.colour, out, x.shaded)
 
     def trace(self, x: PAElement) -> RadicalScalar:
         """``tr(x) = sum c * tr(S(label))`` by linearity, each basis trace
-        read from the memo of its colour (filled by :meth:`_basis_trace`)."""
+        read from the memo of its colour (filled by :meth:`_basis_trace`),
+        which holds only the labels traced."""
         memo = self._trace_cache.get(x.colour)
         if memo is None:
             memo = self._trace_cache[x.colour] = {}
@@ -535,12 +587,18 @@ class GroupPlanarAlgebra:
         return total
 
     def _basis_trace(self, colour: int, label: Label) -> RadicalScalar:
-        """``tr(S(label))``: cap the strings one colour at a time with ``E``,
-        dividing each closed loop by ``delta``, down to colour 0."""
-        cur = PAElement(colour, {label: ONE})
+        """``tr(S(label))``: cap the strings one colour at a time with ``E``
+        (:meth:`_cap`), dividing each closed loop by ``delta``, down to
+        colour 1.  Each cap maps one label to one label or to zero, so the
+        walk carries one label and the power of ``delta`` it has collected."""
+        exponent = 0
         for k in range(colour - 1, 0, -1):
-            cur = self._act_E(k, cur).scale(self._inv_delta)
-        return cur.coefficient(())
+            capped = self._cap(k, label)
+            if capped is None:
+                return ZERO
+            label, e = capped
+            exponent += e - 1
+        return pow_half(self.group.order, exponent)
 
     def inner(self, x: PAElement, y: PAElement) -> RadicalScalar:
         """The trace pairing tr(y* x)."""
@@ -548,27 +606,31 @@ class GroupPlanarAlgebra:
 
     # --- generator actions -----------------------------------------------
 
+    def _cap(self, target: int, g: Label) -> tuple[Label, int] | None:
+        """The right cap ``E`` of one symbol ``S(g)`` one colour down to
+        ``target``: ``delta**e * S(label)`` as ``(label, e)``, or None when
+        it vanishes."""
+        if target == 0:
+            return (), 1
+        if target == 1:
+            return ((), 1) if g[0] == 0 else None
+        if target == 2:
+            return (self.group.inv(g[0]),), 0
+        if target % 2 == 0:
+            return g[: target // 2] + g[target // 2 + 1 :], 0
+        m = (target + 1) // 2
+        return (g[:m] + g[m + 1 :], 1) if g[m - 1] == g[m] else None
+
     def _act_E(self, target: int, x: PAElement) -> PAElement:
         out: dict[Label, RadicalScalar] = {}
-
-        def put(lab: Label, c: RadicalScalar) -> None:
-            out[lab] = out.get(lab, ZERO) + c
-
         for g, cg in x.coeffs.items():
-            if target == 0:
-                put((), cg * self.delta)
-            elif target == 1:
-                if g[0] == 0:
-                    put((), cg * self.delta)
-            elif target == 2:
-                put((self.group.inv(g[0]),), cg)
-            elif target % 2 == 0:
-                put(g[: target // 2] + g[target // 2 + 1 :], cg)
-            else:
-                m = (target + 1) // 2
-                if g[m - 1] == g[m]:
-                    put(g[:m] + g[m + 1 :], cg * self.delta)
-        return PAElement(target, out, shaded=False)
+            capped = self._cap(target, g)
+            if capped is not None:
+                lab, e = capped
+                c = cg * self.delta if e else cg
+                prev = out.get(lab)
+                out[lab] = c if prev is None else prev + c
+        return _trusted(target, out)
 
     def _act_I(self, source: int, x: PAElement) -> PAElement:
         n = self.group.order
@@ -592,7 +654,7 @@ class GroupPlanarAlgebra:
             else:
                 m = (source + 1) // 2
                 put(g[:m] + (g[m - 1],) + g[m:], cg)
-        return PAElement(source + 1, out)
+        return _trusted(source + 1, out)
 
     def _act_Eprime(self, colour: int, x: PAElement) -> PAElement:
         out: dict[Label, RadicalScalar] = {}
@@ -601,7 +663,7 @@ class GroupPlanarAlgebra:
                 out[()] = out.get((), ZERO) + cg * self.delta
             elif g[0] == 0:
                 out[g] = out.get(g, ZERO) + cg * self.delta
-        return PAElement(colour, out)
+        return _trusted(colour, out)
 
     def act_generator(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
         external, slots = generator_signature(gen)

@@ -109,8 +109,8 @@ class IntermediateAlgebra:
         P = self.algebra
         sub = instance.subgroup
         for colour in range(1, k_max + 1):
-            # most images repeat; row reduction reduces a repeat to zero and
-            # skips it, so keeping the first copy leaves the basis unchanged
+            # most images repeat; keeping the first copy leaves the basis
+            # unchanged and checks each distinct image for idempotence once
             images: dict[frozenset, PAElement] = {}
             for label in P.basis_labels(colour):
                 img = sub.surround(P.basis_element(colour, label))
@@ -457,7 +457,10 @@ class IntermediateAlgebra:
     def _gram_positive(self, colour: int) -> bool:
         basis = self.basis(colour)
         n = len(basis)
-        gram = [[self.inner_prime(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+        P = self.algebra
+        # inner_prime(x, y) = trace_prime(y* x), with each star taken once
+        stars = [P.star(y) for y in basis]
+        gram = [[self.trace_prime(P.multiply(y_star, x)) for y_star in stars] for x in basis]
         # leading principal minors via exact elimination; a nonpositive pivot
         # at any stage disproves positive definiteness
         for step in range(n):

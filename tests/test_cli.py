@@ -195,6 +195,20 @@ class TestSuiteCommand:
         assert "cannot write report" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_out_onto_a_directory_exits_2_before_any_suite_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import planarbox.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("suite ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        assert main(["suite", "jones", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write report" in err
+        assert f"{tmp_path} is a directory" in err
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         # the parent exists, but the target is a directory
         assert main(["suite", "jones", "--kmax", "2", "--out", str(tmp_path)]) == 2

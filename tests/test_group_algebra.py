@@ -23,6 +23,7 @@ from planarbox.group_algebra import (
     GroupPlanarAlgebra,
     PAElement,
     SubgroupBiprojection,
+    row_reduce,
 )
 from planarbox.groups import SemidirectGroup, cyclic_group, inversion_action, load_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
@@ -816,6 +817,131 @@ class TestRightFactorMemo:
             fresh = PAElement(y.colour, y.coeffs, y.shaded)
             assert fresh._right_classes is None
             assert alg.multiply(x2, y) == alg.multiply(x2, fresh) == product_closed_form(alg, x2, y)
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_memo_regroups_in_an_algebra_of_another_order(self, k):
+        """The memo folds in the prefactor ``sqrt(n)^(m-1)``, which differs
+        between z3xz2 (n = 6) and z4xz2 (n = 8) from colour 3 on: a right
+        factor used in one algebra and then the other must multiply there
+        as a fresh copy.  Labels use elements 0..5, valid in both groups."""
+        rng = random.Random(f"right-memo-orders-{k}")
+
+        def element() -> PAElement:
+            labels = {tuple(rng.randrange(6) for _ in range(k - 1)) for _ in range(20)}
+            return PAElement(k, {lab: rng.choice(CLASS_COEFFS) for lab in labels})
+
+        for first, second in [("z3xz2", "z4xz2"), ("z4xz2", "z3xz2")]:
+            for _ in range(3):
+                x1, x2, y = element(), element(), element()
+                SEMIDIRECT[first].multiply(x1, y)
+                for name in (second, first):
+                    alg = SEMIDIRECT[name]
+                    fresh = PAElement(y.colour, y.coeffs)
+                    assert alg.multiply(x2, y) == alg.multiply(x2, fresh)
+                    assert alg.multiply(x2, y) == product_closed_form(alg, x2, y)
+
+
+def assert_trusted(x: PAElement) -> None:
+    """``x`` has no zero coefficient and survives the checked constructor."""
+    assert all(not c.is_zero() for c in x.coeffs.values())
+    assert x == PAElement(x.colour, dict(x.coeffs), x.shaded)
+
+
+class TestTrustedResults:
+    """Results built without the label checks still drop the coefficients
+    that cancel, here planted in each operation that sums."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_multiply(self, k):
+        alg = SEMIDIRECT["z3xz2"]
+        rng = random.Random(f"trusted-multiply-{k}")
+        for _ in range(5):
+            (g1, h1), (g2, h2), lab = colliding_pairs(alg, k, rng)
+            c, d = rng.sample(CLASS_COEFFS, 2)
+            x = PAElement(k, {g1: c, g2: -c})
+            y = PAElement(k, {h1: d, h2: d})
+            out = alg.multiply(x, y)
+            assert lab not in out.coeffs
+            assert_trusted(out)
+            assert out == product_closed_form(alg, x, y)
+            # a third term keeps the product from vanishing
+            y = PAElement(k, {h1: d, h2: d, merging_label(alg, k, g1, rng): c})
+            out = alg.multiply(x, y)
+            assert not out.is_zero()
+            assert_trusted(out)
+            assert out == product_closed_form(alg, x, y)
+
+    def test_right_cap(self):
+        """At an even target the cap forgets one entry, so two labels that
+        differ only there meet; with opposite coefficients they cancel."""
+        alg = SEMIDIRECT["z3xz2"]
+        c = CLASS_COEFFS[2]
+        x = PAElement(5, {(1, 2, 0, 1): c, (1, 2, 3, 1): -c, (4, 4, 4, 5): ONE})
+        out = alg._act_E(4, x)
+        assert_trusted(out)
+        assert out == PAElement(4, {(4, 4, 5): ONE})
+        assert alg._act_E(4, PAElement(5, {(1, 2, 0, 1): c, (1, 2, 3, 1): -c})).is_zero()
+
+    def test_add(self):
+        alg = SEMIDIRECT["z3xz2"]
+        x = PAElement(3, {(0, 1): CLASS_COEFFS[2], (2, 2): ONE})
+        y = PAElement(3, {(0, 1): -CLASS_COEFFS[2], (1, 5): CLASS_COEFFS[3]})
+        out = x + y
+        assert_trusted(out)
+        assert out == PAElement(3, {(2, 2): ONE, (1, 5): CLASS_COEFFS[3]})
+        assert_trusted(x - x)
+        assert (x - x) == alg.zero(3)
+
+    def test_surround(self):
+        """Two labels of one class under ``h -> t h k`` with opposite
+        coefficients gather a zero weight."""
+        alg = SEMIDIRECT["z3xz2"]
+        group = alg.group
+        members = (0, 2, 4)
+        sub = SubgroupBiprojection(group, members)
+        c = CLASS_COEFFS[3]
+        moved = tuple(group.op(group.op(2, h), 4) for h in (1, 3))
+        x = PAElement(3, {(1, 3): c, moved: -c, (5, 0): ONE})
+        out = sub.surround(x)
+        assert_trusted(out)
+        assert out == spread_by_definition(group, members, x)
+        assert out == sub.surround(PAElement(3, {(5, 0): ONE}))
+        assert sub.surround(PAElement(3, {(1, 3): c, moved: -c})).is_zero()
+
+
+def test_cap_agrees_with_the_right_cap_on_every_symbol():
+    """``_cap`` is the per-symbol rule of ``_act_E``: on every basis symbol
+    of colours 1 to 5, the capped symbol times ``delta**e``, or zero."""
+    alg = SEMIDIRECT["z3xz2"]
+    n = alg.group.order
+    for colour in range(1, 6):
+        for g in alg.basis_labels(colour):
+            capped = alg._cap(colour - 1, g)
+            expected = (
+                alg.zero(colour - 1)
+                if capped is None
+                else alg.basis_element(colour - 1, capped[0]).scale(pow_half(n, capped[1]))
+            )
+            assert alg._act_E(colour - 1, alg.basis_element(colour, g)) == expected
+
+
+def test_row_reduce_skips_repeated_inputs():
+    """Repeats, as the same object or an equal copy, leave the echelon
+    basis as it is over the first copies."""
+    alg = SEMIDIRECT["z3xz2"]
+    rng = random.Random("row-reduce-repeats")
+    firsts = [
+        PAElement(3, {(rng.randrange(6), rng.randrange(6)): rng.choice(COEFFS) for _ in range(3)})
+        for _ in range(8)
+    ]
+    repeated = []
+    for x in firsts:
+        repeated += [x, PAElement(3, x.coeffs), x] if rng.random() < 0.5 else [x]
+    repeated += [PAElement(3, rng.choice(firsts).coeffs) for _ in range(10)]
+    assert len(repeated) > len(firsts) + 10
+    assert row_reduce(repeated) == row_reduce(firsts)
+    assert row_reduce(firsts + [alg.zero(3)]) == row_reduce(firsts)
 
 
 def subgroups(group) -> list[tuple[int, ...]]:

@@ -92,6 +92,23 @@ def test_substitution_suites_at_defaults_are_pinned(name):
     assert (len(records), digest) == GOLDEN_SUBSTITUTION[name]
 
 
+# z4xz2 at the CLI defaults (k_max 4, 40 samples, seed 0): the colour-4
+# trace and surround paths; digests taken before the element layer's
+# trusted results, folded prefactor and exponent-only basis traces
+GOLDEN_Z4XZ2_DEFAULTS = {
+    "trace": (26, "17c713dbc2f930893fdb077dfb6e337c31574718fdcbfe241b25e45e976ec21b"),
+    "biprojection": (21, "02feaddb0c6175a1b301bd1b6cec71b3807784c014bc38353ee7c44a7951ff63"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_Z4XZ2_DEFAULTS))
+def test_z4xz2_suites_at_defaults_are_pinned(name):
+    records = run_suite(name, action("z4xz2"), k_max=4, samples=40, seed=0)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert [r["case"] for r in records if not r["pass"]] == []
+    assert (len(records), digest) == GOLDEN_Z4XZ2_DEFAULTS[name]
+
+
 @pytest.mark.parametrize("k_max", [1, 5, 9])
 def test_k_max_outside_range_rejected(k_max):
     assert suites.MAX_KMAX == 4
