@@ -7,13 +7,13 @@ Theta-orbit (living in the algebra of G), and the fatter "twist" sums
 where every tensor slot is additionally averaged over Theta (living in
 the algebra of H).  Both families multiply by closed formulas, and a
 rescaling transports one family onto the other.  The biprojection is the
-average of the embedded copy {(1, t)} of Theta, and the surround is the
-generic subgroup surround of that copy
-(:class:`~planarbox.group_algebra.SubgroupBiprojection`); its range is
-spanned by the twist sums.  This module implements the two families and
-their closed-form products, the biprojection with its verification
-report, and the transport map together with its generator-intertwining
-checks.
+average of the embedded copy {(1, t)} of Theta, one
+:class:`~planarbox.group_algebra.SubgroupBiprojection` of the algebra of H
+like any other subgroup's; its surround's range is spanned by the twist
+sums.  This module implements the two families and their closed-form
+products, and the transport map together with its generator-intertwining
+checks; the checks of the biprojection itself, and its conjugates, belong
+to the subgroup.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class CrossedProduct:
         self.product = GroupPlanarAlgebra(self.semidirect)
         # the biprojection of the embedded copy {(1, t)} of Theta
         self.embedded = SubgroupBiprojection(
-            self.semidirect, [self.semidirect.index(0, t) for t in range(self.theta_order)]
+            self.product, [self.semidirect.index(0, t) for t in range(self.theta_order)]
         )
 
     @property
@@ -229,7 +229,7 @@ class CrossedProduct:
         return self._twist_combination(k, comps)
 
     # ------------------------------------------------------------------
-    # surround map and biprojection
+    # surround map
 
     def surround(self, x: PAElement) -> PAElement:
         """The surround of the embedded Theta's biprojection.
@@ -238,56 +238,6 @@ class CrossedProduct:
         range is spanned by the twist sums; colour 0 passes through.
         """
         return self.embedded.surround(x)
-
-    def conjugate(self, h: int) -> SubgroupBiprojection:
-        """The biprojection of the conjugate copy h Theta h^(-1)."""
-        H = self.semidirect
-        return SubgroupBiprojection(
-            H, (H.op(H.op(h, t), H.inv(h)) for t in self.embedded.members)
-        )
-
-    def biprojection_report(self, sub: SubgroupBiprojection, kmax: int) -> list[dict]:
-        """Verification records for the biprojection of a copy of Theta.
-
-        Checks that the copy's average q is idempotent and self-adjoint, has
-        trace ``1/|K|`` and dominates the first Jones projection, and that
-        the copy's own surround is idempotent on the full basis at every
-        colour up to kmax.
-        """
-        q = sub.average()
-        P = self.product
-        render = P.render
-        e1 = P.jones_element(2)
-        records = [
-            record("biprojection", "q*q == q", render(P.multiply(q, q)), render(q)),
-            record("biprojection", "star(q) == q", render(P.star(q)), render(q)),
-            record(
-                "biprojection",
-                "tr(q) == 1/|Theta|",
-                P.trace(q).render(),
-                RadicalScalar.rational(Fraction(1, sub.order)).render(),
-            ),
-            record("biprojection", "q*e1 == e1", render(P.multiply(q, e1)), render(e1)),
-            record("biprojection", "e1*q == e1", render(P.multiply(e1, q)), render(e1)),
-        ]
-        for colour in range(1, kmax + 1):
-            good = 0
-            total = 0
-            for label in P.basis_labels(colour):
-                b = P.basis_element(colour, label)
-                once = sub.surround(b)
-                total += 1
-                if sub.surround(once) == once:
-                    good += 1
-            records.append(
-                record(
-                    "biprojection",
-                    f"surround idempotent at colour {colour}",
-                    f"{good} of {total} basis labels",
-                    f"{total} of {total} basis labels",
-                )
-            )
-        return records
 
     # ------------------------------------------------------------------
     # transport between the two families

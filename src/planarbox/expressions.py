@@ -14,6 +14,7 @@ The text form is an s-expression, e.g.::
 
 Colour tokens are plain integers from 0 to ``MAX_COLOUR``, with ``0+`` /
 ``0-`` selecting the shading of a colour-0 disc (bare ``0`` means ``0+``).
+A form may sit inside at most ``MAX_DEPTH`` others.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ class ParseError(ValueError):
 # minute and 1.8 GB, while a colour-1000 generator realizes in well under a
 # second.
 MAX_COLOUR = 1000
+
+# Most forms a form may sit inside.  Parsing, realizing, validating and
+# capping recurse once per level: a 1,200-deep ``compose`` chain overflowed
+# Python's default recursion limit, and a chain this deep runs through all.
+MAX_DEPTH = 900
 
 # chance that random_expr fills each open slot of a node with a subtree;
 # the seeded samplers draw against it, so changing it changes every sample
@@ -138,15 +144,18 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read(tokens: list[str], pos: int):
+def _read(tokens: list[str], pos: int, depth: int = 0):
+    """The form starting at ``pos``, inside ``depth`` enclosing forms."""
     if pos >= len(tokens):
         raise ParseError("unexpected end of input")
     tok = tokens[pos]
     if tok == "(":
+        if depth > MAX_DEPTH:
+            raise ParseError(f"forms nested more than MAX_DEPTH = {MAX_DEPTH} deep")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
+            item, pos = _read(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise ParseError("missing closing parenthesis")

@@ -45,7 +45,8 @@ Basis traces are memoized per colour and label on the algebra
 only traced labels, never more than ``dimension(colour)`` entries.
 
 The biprojections of the algebra are the subgroup averages; each one, with
-its surround and dual surround, is a :class:`SubgroupBiprojection`.  The
+its surround, dual surround and conjugates, is a
+:class:`SubgroupBiprojection` built on the algebra it acts in.  The
 report records of every suite are built by :func:`record` and :func:`flag`.
 """
 
@@ -205,27 +206,30 @@ def coefficient_classes(x: PAElement) -> list[tuple[RadicalScalar, list[Label]]]
 
 
 class SubgroupBiprojection:
-    """The biprojection of a subgroup K of a finite group, with its surrounds.
+    """The biprojection of a subgroup K of the group of a planar algebra,
+    with its surrounds.
 
     Biprojections of a group subfactor are exactly the subgroup averages
-    (Bisch, *A note on intermediate subfactors*).  The surround spreads a
-    label over K on the right of every slot and on the left of all slots,
+    (Bisch, *A note on intermediate subfactors*), so ``algebra`` and K
+    determine everything the cut-down algebra needs.  The surround spreads
+    a label over K on the right of every slot and on the left of all slots,
     ``S(h_1..h_{c-1}) -> |K|^-c sum_{t, k_i in K} S(t h_1 k_1, ..., t h_{c-1} k_{c-1})``,
     and passes colour 0 through.  A spread only depends on the class of its
     label under ``h -> t h k``, keyed by the least tuple of left-coset
     minima; spreads of distinct classes have disjoint supports.
     """
 
-    __slots__ = ("group", "members", "_coset_min", "_canon_cache", "_spread_cache")
+    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_spread_cache")
 
-    def __init__(self, group: FiniteGroup, members: Iterable[int]):
+    def __init__(self, algebra: GroupPlanarAlgebra, members: Iterable[int]):
+        group = algebra.group
         inside = frozenset(members)
         table = group.table
         if not inside or not inside <= set(group.elements()) or any(
             table[a][b] not in inside for a in inside for b in inside
         ):
             raise AlgebraError("members do not form a subgroup")
-        self.group = group
+        self.algebra = algebra
         self.members = tuple(sorted(inside))
         # h -> the least element of the left coset hK
         self._coset_min = [min(row[k] for k in self.members) for row in table]
@@ -235,6 +239,11 @@ class SubgroupBiprojection:
     @property
     def order(self) -> int:
         return len(self.members)
+
+    def conjugate(self, h: int) -> SubgroupBiprojection:
+        """The biprojection of the conjugate subgroup ``h K h^-1``."""
+        op, inv = self.algebra.group.op, self.algebra.group.inv
+        return SubgroupBiprojection(self.algebra, (op(op(h, k), inv(h)) for k in self.members))
 
     def average(self) -> PAElement:
         """The colour-2 average ``|K|^-1 sum_{k in K} S(k)``."""
@@ -253,7 +262,7 @@ class SubgroupBiprojection:
         for label, c in x.coeffs.items():
             rep = self._canon_cache.get(label)
             if rep is None:
-                table, coset_min = self.group.table, self._coset_min
+                table, coset_min = self.algebra.group.table, self._coset_min
                 rep = self._canon_cache[label] = min(
                     tuple(coset_min[table[t][h]] for h in label) for t in self.members
                 )
@@ -272,7 +281,7 @@ class SubgroupBiprojection:
         key = (colour, rep)
         classes = self._spread_cache.get(key)
         if classes is None:
-            table = self.group.table
+            table = self.algebra.group.table
             counts: dict[Label, int] = {}
             for t in self.members:
                 moved = [table[t][h] for h in rep]

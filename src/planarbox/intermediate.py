@@ -5,27 +5,24 @@ and the idempotent family F of surround maps of that biprojection fixes
 the index data of the tower: ``[M:Q] = |K|`` and ``[Q:N] = |H|/|K|``.
 The fixed points of F form a smaller planar algebra.  A tangle acts on it
 by the old action followed by one surround, rescaled by the capping
-weight alpha computed at the intermediate ratio.  The surround is always
-the subgroup's own (:meth:`SubgroupBiprojection.surround`).  There is one
-instance for every subgroup (:func:`subgroup_instance`); the crossed
-product's instance is the one of the embedded copy of Theta
-(:func:`crossed_instance`).  This module builds bases of the fixed spaces
-by exact row reduction, evaluates that rescaled action, and carries the
-verification suites: the composite-tangle identity and the planar axioms,
-which evaluate the substitution identity through one helper, Jones
-projections, conditional expectations, trace rescaling, positivity, and
-the bookkeeping of the white-shaded dual.
+weight alpha computed at the intermediate ratio.  The cut-down algebra is
+built from one :class:`~planarbox.group_algebra.SubgroupBiprojection`
+alone: the ambient algebra, the surround, the index data and the dual side
+are all read off it, whichever subgroup it is.  This module builds bases
+of the fixed spaces by exact row reduction, evaluates that rescaled
+action, and carries the verification suites: the composite-tangle identity
+and the planar axioms, which evaluate the substitution identity through
+one helper, Jones projections, conditional expectations, trace rescaling,
+positivity, and the bookkeeping of the white-shaded dual.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .crossed import CrossedProduct
 from .expressions import (
     ComposeExpr,
     GenExpr,
@@ -39,7 +36,6 @@ from .expressions import (
 from .group_algebra import (
     AlgebraError,
     EvaluationCache,
-    GroupPlanarAlgebra,
     PAElement,
     SubgroupBiprojection,
     flag,
@@ -67,56 +63,37 @@ WHITE_WEIGHT_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class AlgebraInstance:
-    """The group planar algebra of H cut down by the biprojection of a subgroup K.
-
-    Everything else is read off ``subgroup``: the biprojection is its
-    average, the cut-down algebra applies its surround, ``[M:Q] = |K|``,
-    ``[Q:N] = |H|/|K|``, and the white-shaded dual side is the planar
-    algebra of K.
-    """
-
-    algebra: GroupPlanarAlgebra
-    subgroup: SubgroupBiprojection
-
-
-def subgroup_instance(algebra: GroupPlanarAlgebra, members: Iterable[int]) -> AlgebraInstance:
-    """The instance of the subgroup K with the given members."""
-    return AlgebraInstance(algebra, SubgroupBiprojection(algebra.group, members))
-
-
-def crossed_instance(cp: CrossedProduct) -> AlgebraInstance:
-    """The subgroup instance of the embedded copy of Theta."""
-    return AlgebraInstance(cp.product, cp.embedded)
+def crossed_instance(cp) -> SubgroupBiprojection:
+    """The biprojection of a crossed product's embedded copy of Theta."""
+    return cp.embedded
 
 
 class IntermediateAlgebra:
     """Fixed spaces of the surround family with the rescaled tangle action."""
 
-    def __init__(self, instance: AlgebraInstance, k_max: int = 4):
-        self.instance = instance
+    def __init__(self, subgroup: SubgroupBiprojection, k_max: int = 4):
+        self.subgroup = subgroup
         self.k_max = k_max
-        self.algebra = instance.algebra
+        self.algebra = subgroup.algebra
         # [M:Q] = |K| and [Q:N] = |H|/|K|, an integer by Lagrange
-        self.index_mq = instance.subgroup.order
-        self.index_qn = len(instance.algebra.group) // self.index_mq
-        self.tau = instance.algebra.trace(instance.subgroup.average())
+        self.index_mq = subgroup.order
+        self.index_qn = len(self.algebra.group) // self.index_mq
+        self.tau = self.algebra.trace(subgroup.average())
         self._bases: dict[int, list[PAElement]] = {}
         # capping weight per tree given to z_prime; equal trees realize equal
         # tangles, and the library only passes generator leaves
         self._weights: dict[TangleExpr, RadicalScalar] = {}
         P = self.algebra
-        sub = instance.subgroup
+        surround = subgroup.surround
         for colour in range(1, k_max + 1):
             # most images repeat; keeping the first copy leaves the basis
             # unchanged and checks each distinct image for idempotence once
             images: dict[frozenset, PAElement] = {}
             for label in P.basis_labels(colour):
-                img = sub.surround(P.basis_element(colour, label))
+                img = surround(P.basis_element(colour, label))
                 images.setdefault(frozenset(img.coeffs.items()), img)
             for img in images.values():
-                if sub.surround(img) != img:
+                if surround(img) != img:
                     raise AlgebraError(f"surround is not idempotent at colour {colour}")
             self._bases[colour] = row_reduce(images.values())
         # the cut-down inclusion is "include, then surround"; it must not
@@ -125,8 +102,8 @@ class IntermediateAlgebra:
             for label in P.basis_labels(colour):
                 b = P.basis_element(colour, label)
                 lifted = P.act_generator(GenExpr("I", colour), [b])
-                dressed = P.act_generator(GenExpr("I", colour), [sub.surround(b)])
-                if sub.surround(lifted) != sub.surround(dressed):
+                dressed = P.act_generator(GenExpr("I", colour), [surround(b)])
+                if surround(lifted) != surround(dressed):
                     raise AlgebraError(
                         f"surround does not factor through inclusion at colour {colour}"
                     )
@@ -147,7 +124,7 @@ class IntermediateAlgebra:
     def contains(self, x: PAElement) -> bool:
         if x.colour == 0:
             return True
-        return self.instance.subgroup.surround(x) == x
+        return self.subgroup.surround(x) == x
 
     def require_member(self, x: PAElement) -> None:
         if not self.contains(x):
@@ -171,12 +148,12 @@ class IntermediateAlgebra:
         if weight is None:
             weight = self._weights[expr] = alpha(realize(expr), self.index_mq)
         value = self.algebra.evaluate(expr, inputs)
-        return self.instance.subgroup.surround(value).scale(weight)
+        return self.subgroup.surround(value).scale(weight)
 
     def unit_prime(self, colour: int, shaded: bool = False) -> PAElement:
         if colour == 0:
             return self.algebra.basis_element(0, (), shaded)
-        return self.instance.subgroup.surround(self.algebra.unit(colour))
+        return self.subgroup.surround(self.algebra.unit(colour))
 
     def jones_prime(self, colour: int) -> PAElement:
         """The cut-down Jones projection at a colour, from the cup-cap tangle."""
@@ -251,12 +228,18 @@ class IntermediateAlgebra:
                 k_i + loops_black(t_glued) - loops_black(t_outer) - loops_black(t_inner)
             )
             correction = pow_half(self.index_mq, -exponent)
+            # alpha is never zero; when the weight ratio is the loop-count
+            # correction, as it is unless a weight is wrong, one scaling
+            # serves both flags
+            ratio = a_glued / a_nested
+            same = ratio == correction
             ok_displayed = True
             ok_mult = True
             for glued, nested in values:
-                if nested != glued.scale(correction):
+                displayed = nested == glued.scale(correction)
+                if not displayed:
                     ok_displayed = False
-                if glued.scale(a_glued) != nested.scale(a_nested):
+                if not (displayed if same else nested == glued.scale(ratio)):
                     ok_mult = False
             records += [
                 flag(suite, f"{tag}: dressed composite", ok_displayed, "equal", "unequal"),
@@ -274,15 +257,15 @@ class IntermediateAlgebra:
         input tuple of the glued tree.  It yields ``(glued, nested)``: the
         surround of the glued tree's value, and the surround of ``outer``
         on the surrounded inner value.  The z_prime map is multiplicative
-        when ``glued * a_glued == nested * a_nested``.  The evaluator
-        composes by evaluating ``outer`` on the raw inner value, so one
-        ``EvaluationCache`` shared by both sides evaluates the inner tree
-        once per inner tuple.
+        when ``nested == glued * (a_glued / a_nested)``; alpha is never
+        zero.  The evaluator composes by evaluating ``outer`` on the raw
+        inner value, so one ``EvaluationCache`` shared by both sides
+        evaluates the inner tree once per inner tuple.
         """
         glued_expr = ComposeExpr(outer, slot, inner)
         tangles = realize(outer), realize(inner), realize(glued_expr)
         a_outer, a_inner, a_glued = (alpha(t, self.index_mq) for t in tangles)
-        surround = self.instance.subgroup.surround
+        surround = self.subgroup.surround
         evaluate = self.algebra.evaluate
 
         def values():
@@ -350,7 +333,8 @@ class IntermediateAlgebra:
                 rng2, max_colour=max_colour, depth=2, max_arity=3
             )
             _, a_glued, a_nested, values = self._substitution(outer, slot, inner)
-            ok = all(glued.scale(a_glued) == nested.scale(a_nested) for glued, nested in values)
+            ratio = a_glued / a_nested
+            ok = all(nested == glued.scale(ratio) for glued, nested in values)
             records.append(flag(suite, f"substitution sample {i}", ok, "equal", "unequal"))
         return records
 
@@ -477,7 +461,7 @@ class IntermediateAlgebra:
         """White-shaded bookkeeping: the rescaled biprojection, the white
         capping weights, and the dual surround's range dimension."""
         suite = "dual"
-        sub = self.instance.subgroup
+        sub = self.subgroup
         P = self.algebra
         root = pow_half(self.index_mq, 1) * pow_half(self.index_qn, -1)
         r = sub.average().scale(root)

@@ -227,13 +227,23 @@ class RadicalScalar:
         return _scalar({d: -c for d, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "RadicalScalar | Rational") -> "RadicalScalar":
+        if type(other) is not RadicalScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, da = self._num, self._den
+        b, db = other._num, other._den
+        if not b:
+            return self
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _scalar(_coords_add(a, fa, b, -fb), da * fa)
+
+    def __rsub__(self, other: Rational) -> "RadicalScalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Rational) -> "RadicalScalar":
-        return _coerce(other) + (-self)
+        return other - self
 
     def __mul__(self, other: "RadicalScalar | Rational") -> "RadicalScalar":
         if type(other) is not RadicalScalar:

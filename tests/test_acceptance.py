@@ -19,9 +19,9 @@ from planarbox.crossed import CrossedProduct
 from planarbox.expressions import GenExpr, random_composable_pair, realize
 from planarbox.group_algebra import row_reduce
 from planarbox.groups import inversion_action
-from planarbox.intermediate import IntermediateAlgebra, crossed_instance
+from planarbox.intermediate import IntermediateAlgebra
 from planarbox.scalars import ONE, RadicalScalar, pow_half
-from planarbox.suites import base_algebra_report
+from planarbox.suites import base_algebra_report, biprojection_report
 from planarbox.tangles import alpha, compose, loops_black, make_generator
 
 CP = CrossedProduct(inversion_action(3))
@@ -32,7 +32,7 @@ CP4 = CrossedProduct(inversion_action(4))
 def inter():
     """The cut-down algebra of CP at k_max 4; built here, not at import, so a
     broken surround fails the criteria that use it and no others."""
-    return IntermediateAlgebra(crossed_instance(CP), k_max=4)
+    return IntermediateAlgebra(CP.embedded, k_max=4)
 
 
 def _all_pass(records):
@@ -115,8 +115,8 @@ def test_criterion_03_ambient_algebra_ring_axioms():
 
 
 def test_criterion_04_biprojection_and_surround_rank():
-    _all_pass(CP.biprojection_report(CP.embedded, kmax=4))
-    _all_pass(CP4.biprojection_report(CP4.embedded, kmax=3))
+    _all_pass(biprojection_report(CP.embedded, kmax=4))
+    _all_pass(biprojection_report(CP4.embedded, kmax=3))
     assert CP.product.trace(CP.embedded.average()) == Fraction(1, 2)
     expected = {2: 2, 3: 5, 4: _orbit_count_by_burnside(CP, 4)}
     assert expected[4] == 14

@@ -1,7 +1,8 @@
 """The benchmark calls the library by name and keyword: every name its
 tracer wraps must still resolve, or ``perfbench/run.py --trace 1`` would
-raise, and every call ``perfbench/workloads.py`` makes must still bind, or
-the benchmark would fail where tier-1 passed."""
+raise, every call ``perfbench/workloads.py`` makes must still bind, and its
+set-up must still build and run a verdict, or the benchmark would fail
+where tier-1 passed."""
 
 import importlib
 import importlib.util
@@ -23,18 +24,20 @@ from planarbox.expressions import (
 from planarbox.groups import load_action
 from planarbox.intermediate import IntermediateAlgebra, crossed_instance
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _patches():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name: str):
+    """``perfbench/<name>.py`` loaded by path, not through a package."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PATCHES
+    return module
 
 
 def test_every_traced_name_resolves():
-    patches = _patches()
+    patches = _load("tracer").PATCHES
     assert patches
     for module_name, cls_name, attr, _, _ in patches:
         module = importlib.import_module(f"planarbox.{module_name}")
@@ -87,3 +90,22 @@ WORKLOAD_CALLS = [
 )
 def test_every_workload_call_binds(fn, args, kwargs):
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_workload_setup_runs_a_verdict():
+    """Binding alone would pass a ``crossed_instance`` whose result
+    ``IntermediateAlgebra`` cannot take; building the two report workloads
+    and running one light verdict of each shows the set-up still works."""
+    workloads = _load("workloads")
+    composite = workloads.Composite(ROOT, 0)
+    structure = workloads.Structure(ROOT, 0)
+    light = composite.verdict("theorem-main", composite.suite_seed(0))
+    (biprojection,) = [
+        v for v in structure.pass_verdicts(0)
+        if (v.stem, v.suite) == ("z3-trivial", "biprojection")
+    ]
+    for verdict in (light, biprojection):
+        records = verdict.compute()
+        expected = workloads.EXPECTED_RECORDS[(verdict.stem, verdict.suite, verdict.samples)]
+        assert len(records) == expected, verdict.label
+        assert all(r["pass"] for r in records), verdict.label

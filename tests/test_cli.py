@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from planarbox.cli import format_scalar, main
-from planarbox.expressions import MAX_COLOUR
+from planarbox.expressions import MAX_COLOUR, MAX_DEPTH
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 
 ACTIONS = "actions"
@@ -22,6 +22,12 @@ MALFORMED_ACTIONS = {
     "action-not-an-object": {"group": Z3, "theta": Z2, "action": [[0, 2, 1]]},
     "map-not-a-list": {"group": Z3, "theta": Z2, "action": {"1": 5}},
 }
+
+
+def _chain(n: int) -> str:
+    """``n`` nested ``compose`` forms around one generator, which then sits
+    inside ``n`` forms."""
+    return "(compose (gen id 2) 1 " * n + "(gen id 2)" + ")" * n
 
 
 @pytest.fixture(params=sorted(MALFORMED_ACTIONS))
@@ -92,6 +98,23 @@ class TestAlphaCommand:
         assert main(["alpha", "(gen id 1000000)"]) == 2
         err = capsys.readouterr().err
         assert "parse error" in err and f"MAX_COLOUR = {MAX_COLOUR}" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 3000, _chain(1200)],
+        ids=["3000 open parentheses", "1200-deep compose chain"],
+    )
+    def test_deep_nesting_exits_2(self, capsys, text):
+        assert main(["alpha", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and f"MAX_DEPTH = {MAX_DEPTH}" in err
+        assert "Traceback" not in err
+
+    def test_chain_at_the_depth_bound_runs(self, capsys):
+        """Reading, realizing, validating and capping all recurse per
+        level; the deepest text the parser accepts still runs through them."""
+        assert main(["alpha", _chain(MAX_DEPTH)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["alpha = 1", "c = 0"]
 
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["alpha", "(gen wobble 2)"]) == 2

@@ -18,7 +18,7 @@ from planarbox.groups import (
     trivial_action,
 )
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
-from planarbox.suites import biprojection_suite
+from planarbox.suites import biprojection_report, biprojection_suite
 from planarbox.tangles import alpha
 
 CP3 = CrossedProduct(inversion_action(3))
@@ -319,11 +319,11 @@ class TestBiprojection:
         )
 
     def test_report_passes(self):
-        report = CP3.biprojection_report(CP3.embedded, kmax=3)
+        report = biprojection_report(CP3.embedded, kmax=3)
         assert report and all(r["pass"] for r in report)
 
     def test_report_cases(self):
-        cases = [r["case"] for r in CP3.biprojection_report(CP3.embedded, kmax=2)]
+        cases = [r["case"] for r in biprojection_report(CP3.embedded, kmax=2)]
         assert cases == [
             "q*q == q",
             "star(q) == q",
@@ -335,16 +335,16 @@ class TestBiprojection:
         ]
 
     def test_report_passes_z4(self):
-        assert all(r["pass"] for r in CP4.biprojection_report(CP4.embedded, kmax=2))
+        assert all(r["pass"] for r in biprojection_report(CP4.embedded, kmax=2))
 
     def test_conjugate_copies_verify_identically(self):
         for h in range(len(CP3.semidirect)):
-            assert all(r["pass"] for r in CP3.biprojection_report(CP3.conjugate(h), kmax=2))
+            assert all(r["pass"] for r in biprojection_report(CP3.embedded.conjugate(h), kmax=2))
 
     def test_non_subgroup_rejected(self):
         H = CP3.semidirect
         with pytest.raises(AlgebraError, match="subgroup"):
-            SubgroupBiprojection(H, [0, H.index(1, 0)])
+            SubgroupBiprojection(CP3.product, [0, H.index(1, 0)])
 
     def test_trivial_action_biprojection_is_unit(self):
         assert CPT.embedded.average() == CPT.product.unit(2)

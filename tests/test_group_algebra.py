@@ -899,7 +899,7 @@ class TestTrustedResults:
         alg = SEMIDIRECT["z3xz2"]
         group = alg.group
         members = (0, 2, 4)
-        sub = SubgroupBiprojection(group, members)
+        sub = SubgroupBiprojection(alg, members)
         c = CLASS_COEFFS[3]
         moved = tuple(group.op(group.op(2, h), 4) for h in (1, 3))
         x = PAElement(3, {(1, 3): c, moved: -c, (5, 0): ONE})
@@ -978,7 +978,7 @@ class TestSubgroupBiprojection:
     @pytest.mark.parametrize("members", [[0, 1, 2], [], [0, 6], [0, -1], [1]])
     def test_non_subgroups_rejected(self, members):
         with pytest.raises(AlgebraError, match="members do not form a subgroup"):
-            SubgroupBiprojection(self.ORDER6, members)
+            SubgroupBiprojection(SEMIDIRECT["z3xz2"], members)
 
     @pytest.mark.parametrize("name", ["z3xz2", "z4xz2"])
     def test_surround_matches_definition(self, name):
@@ -986,7 +986,7 @@ class TestSubgroupBiprojection:
         group = alg.group
         rng = random.Random(f"subgroup-spread-{name}")
         for members in subgroups(group):
-            sub = SubgroupBiprojection(group, reversed(members))
+            sub = SubgroupBiprojection(alg, reversed(members))
             assert sub.members == members
             for colour in (1, 2, 3):
                 labels = list(alg.basis_labels(colour))
@@ -999,7 +999,7 @@ class TestSubgroupBiprojection:
 
     def test_trivial_subgroup_surround_is_identity(self):
         alg = SEMIDIRECT["z3xz2"]
-        sub = SubgroupBiprojection(alg.group, [0])
+        sub = SubgroupBiprojection(alg, [0])
         for colour in (1, 2, 3):
             for lab in alg.basis_labels(colour):
                 b = alg.basis_element(colour, lab)
@@ -1007,7 +1007,7 @@ class TestSubgroupBiprojection:
 
     def test_colour_zero_passes_through(self):
         alg = SEMIDIRECT["z3xz2"]
-        sub = SubgroupBiprojection(alg.group, [0, 2, 4])
+        sub = SubgroupBiprojection(alg, [0, 2, 4])
         for shaded in (False, True):
             x = alg.basis_element(0, (), shaded).scale(RadicalScalar.rational(3))
             assert sub.surround(x) == x
@@ -1015,7 +1015,7 @@ class TestSubgroupBiprojection:
 
     def test_average_and_dual_surround(self):
         alg = SEMIDIRECT["z3xz2"]
-        sub = SubgroupBiprojection(alg.group, [0, 2, 4])
+        sub = SubgroupBiprojection(alg, [0, 2, 4])
         third = RadicalScalar.rational(Fraction(1, 3))
         assert sub.average() == PAElement(2, {(0,): third, (2,): third, (4,): third})
         x = PAElement(3, {(0, 2): ONE, (2, 1): ONE, (4, 4): CLASS_COEFFS[2]})

@@ -1,7 +1,6 @@
 """Tests for the cut-down algebra: bases, rescaled action, Jones family, reports."""
 
 import functools
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,13 +12,9 @@ from planarbox.expressions import ComposeExpr, GenExpr, RenumberExpr
 from planarbox.group_algebra import AlgebraError, SubgroupBiprojection, row_reduce
 from planarbox.groups import cyclic_group, inversion_action, trivial_action
 from planarbox import intermediate
-from planarbox.intermediate import (
-    AlgebraInstance,
-    IntermediateAlgebra,
-    crossed_instance,
-    subgroup_instance,
-)
+from planarbox.intermediate import IntermediateAlgebra, crossed_instance
 from planarbox.scalars import ONE, RadicalScalar, pow_half
+from planarbox.suites import biprojection_report
 
 CP3 = CrossedProduct(inversion_action(3))
 CP4 = CrossedProduct(inversion_action(4))
@@ -31,17 +26,17 @@ CPT = CrossedProduct(trivial_action(cyclic_group(3)))
 @pytest.fixture(scope="module")
 def inter(request):
     """CP3's cut-down algebra at k_max 4, or that of a crossed product passed indirectly."""
-    return IntermediateAlgebra(crossed_instance(getattr(request, "param", CP3)), k_max=4)
+    return IntermediateAlgebra(getattr(request, "param", CP3).embedded, k_max=4)
 
 
 @pytest.fixture(scope="module")
 def inter4():
-    return IntermediateAlgebra(crossed_instance(CP4), k_max=4)
+    return IntermediateAlgebra(CP4.embedded, k_max=4)
 
 
 @pytest.fixture(scope="module")
 def inter_t():
-    return IntermediateAlgebra(crossed_instance(CPT), k_max=4)
+    return IntermediateAlgebra(CPT.embedded, k_max=4)
 
 CLOSED_LOOP = ComposeExpr(GenExpr("E", 2), 1, GenExpr("I", 2))
 
@@ -84,7 +79,7 @@ class TestBuild:
     def test_basis_reduces_every_surround_image(self, inter):
         """The build keeps one copy of each repeated image; reducing every
         image, repeats included, gives the same basis."""
-        P, surround = inter.algebra, inter.instance.subgroup.surround
+        P, surround = inter.algebra, inter.subgroup.surround
         for colour in range(1, 5):
             images = [surround(P.basis_element(colour, lab)) for lab in P.basis_labels(colour)]
             assert inter.basis(colour) == row_reduce(images)
@@ -105,9 +100,6 @@ class TestBuild:
         with pytest.raises(AlgebraError, match="not fixed"):
             inter.require_member(x)
 
-    def test_instance_is_algebra_subgroup_surround(self):
-        assert [f.name for f in fields(AlgebraInstance)] == ["algebra", "subgroup"]
-
     def test_non_idempotent_surround_rejected(self, monkeypatch):
         two = RadicalScalar.rational(Fraction(2))
 
@@ -116,7 +108,7 @@ class TestBuild:
 
         monkeypatch.setattr(SubgroupBiprojection, "surround", doubler)
         with pytest.raises(AlgebraError, match="idempotent"):
-            IntermediateAlgebra(crossed_instance(CP3), k_max=2)
+            IntermediateAlgebra(CP3.embedded, k_max=2)
 
     def test_surround_must_factor_through_inclusion(self, monkeypatch):
         # projecting colour 2 onto the identity label is idempotent but
@@ -131,7 +123,7 @@ class TestBuild:
 
         monkeypatch.setattr(SubgroupBiprojection, "surround", collapse)
         with pytest.raises(AlgebraError, match="factor through inclusion"):
-            IntermediateAlgebra(crossed_instance(CP3), k_max=3)
+            IntermediateAlgebra(CP3.embedded, k_max=3)
 
 
 class TestRescaledAction:
@@ -307,7 +299,7 @@ class TestVerificationReports:
             return a * pow_half(ratio, 1) if len(t.internal) >= 2 else a
 
         monkeypatch.setattr(intermediate, "alpha", off)
-        inter = IntermediateAlgebra(crossed_instance(CP3), k_max=4)
+        inter = IntermediateAlgebra(CP3.embedded, k_max=4)
         failed = [r["case"] for r in inter.theorem_main_report(samples=10, seed=0) if not r["pass"]]
         assert failed == [
             "pinned renumbered outer: multiplicativity",
@@ -397,7 +389,7 @@ NONTRIVIAL = [k for k in SUBGROUPS if len(k) > 1]
 def subgroup_inter():
     """Subgroup members -> its cut-down algebra at k_max 3, built on first use."""
     return functools.cache(
-        lambda members: IntermediateAlgebra(subgroup_instance(CP3.product, members), k_max=3)
+        lambda members: IntermediateAlgebra(SubgroupBiprojection(CP3.product, members), k_max=3)
     )
 
 
@@ -414,7 +406,7 @@ class TestSubgroupInstances:
         assert [inter.dimension(k) for k in (1, 2, 3)] == expected
         assert (inter.index_mq, inter.index_qn) == (len(members), 6 // len(members))
         assert inter.tau == RadicalScalar.rational(Fraction(1, len(members)))
-        assert inter.instance.subgroup.members == tuple(sorted(members))
+        assert inter.subgroup.members == tuple(sorted(members))
 
     @pytest.mark.parametrize("members", NONTRIVIAL, ids=str)
     def test_reports_pass(self, members, subgroup_inter):
@@ -430,7 +422,7 @@ class TestSubgroupInstances:
         assert [r for r in records if not r["pass"]] == []
 
     def test_trivial_subgroup_surround_is_identity(self, subgroup_inter):
-        surround = subgroup_inter((0,)).instance.subgroup.surround
+        surround = subgroup_inter((0,)).subgroup.surround
         for colour in (0, 1, 2, 3):
             for label in CP3.product.basis_labels(colour):
                 b = CP3.product.basis_element(colour, label)
@@ -452,17 +444,33 @@ class TestSubgroupInstances:
 
     def test_non_subgroup_rejected(self):
         with pytest.raises(AlgebraError, match="members do not form a subgroup"):
-            subgroup_instance(CP3.product, [0, CP3.semidirect.index(1, 0)])
+            SubgroupBiprojection(CP3.product, [0, CP3.semidirect.index(1, 0)])
 
     @pytest.mark.parametrize("cp", [CP3, CP4, CPT], ids=["z3", "z4", "trivial"])
     def test_crossed_instance_is_the_embedded_theta(self, cp):
         members = [cp.semidirect.index(0, t) for t in range(cp.theta_order)]
-        generic = subgroup_instance(cp.product, members)
-        inst = crossed_instance(cp)
-        assert inst.subgroup is cp.embedded
-        assert inst.subgroup.members == generic.subgroup.members
-        assert inst.subgroup.average() == generic.subgroup.average()
+        generic = SubgroupBiprojection(cp.product, members)
+        sub = crossed_instance(cp)
+        assert sub is cp.embedded and sub.algebra is cp.product
+        assert sub.members == generic.members
+        assert sub.average() == generic.average()
         for colour in (0, 1, 2, 3):
             for label in cp.product.basis_labels(colour):
                 b = cp.product.basis_element(colour, label)
-                assert inst.subgroup.surround(b) == generic.subgroup.surround(b)
+                assert sub.surround(b) == generic.surround(b)
+
+    @pytest.mark.parametrize("members", SUBGROUPS, ids=str)
+    def test_biprojection_report_on_every_conjugate(self, members):
+        """The report written for copies of Theta holds for any subgroup:
+        each conjugate h K h^-1 passes through its own average and
+        surround, with every basis label counted at every colour."""
+        H = CP3.semidirect
+        base = SubgroupBiprojection(CP3.product, members)
+        for h in range(len(H)):
+            sub = base.conjugate(h)
+            assert sub.algebra is CP3.product
+            assert sub.members == tuple(sorted({H.op(H.op(h, k), H.inv(h)) for k in members}))
+            records = biprojection_report(sub, kmax=3)
+            assert [r for r in records if not r["pass"]] == []
+            rows = [r["rhs"] for r in records if r["case"].startswith("surround idempotent")]
+            assert rows == [f"{6 ** (c - 1)} of {6 ** (c - 1)} basis labels" for c in (1, 2, 3)]

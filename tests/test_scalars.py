@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,27 @@ class TestAddMul:
 
     def test_norm_product(self):
         assert (1 + canonical_sqrt(2)) * (1 - canonical_sqrt(2)) == rat(-1)
+
+    def test_subtraction_is_adding_the_negative(self):
+        """``a - b`` sums the coordinates once, with no negated copy; it
+        agrees with ``a + (-b)`` for scalars over mixed radicands and for
+        plain rationals on either side, cancellations included."""
+        rng = random.Random("scalar-subtraction")
+
+        def fraction():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+        def scalar():
+            return RadicalScalar(
+                {rng.choice((1, 2, 3, 6, 8, 10)): fraction() for _ in range(rng.randint(0, 4))}
+            )
+
+        for _ in range(300):
+            x, y, q, n = scalar(), scalar(), fraction(), rng.randint(-5, 5)
+            for a, b in ((x, y), (x, x), (x, q), (q, x), (x, n), (n, x)):
+                diff = a - b
+                assert type(diff) is RadicalScalar
+                assert diff == a + (-b) and diff.terms == (a + (-b)).terms
 
 
 class TestInvert:

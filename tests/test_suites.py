@@ -381,9 +381,9 @@ def test_unknown_suite_rejected():
 
 def test_all_builds_the_cut_down_algebra_once(monkeypatch):
     built = []
-    real = suites._build_intermediate
+    real = suites.IntermediateAlgebra
     monkeypatch.setattr(
-        suites, "_build_intermediate", lambda cp, k_max: built.append(k_max) or real(cp, k_max)
+        suites, "IntermediateAlgebra", lambda sub, k_max: built.append(k_max) or real(sub, k_max)
     )
     run_suite("biprojection", action("z3xz2"), k_max=2, samples=1)
     assert built == []
