@@ -44,7 +44,10 @@ def format_scalar(value: RadicalScalar) -> str:
 def _load_action(path: str | None) -> GroupAction:
     if path is None:
         return inversion_action(3)
-    spec = json.loads(Path(path).read_text())
+    try:
+        spec = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     return load_action(spec)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Union
 
 from planarbox.tangles import (
@@ -81,46 +82,63 @@ TangleExpr = Union[GenExpr, ComposeExpr, RenumberExpr]
 # colours and slots, computed without gluing diagrams
 # ---------------------------------------------------------------------------
 
+Signature = tuple[Disc, tuple[Disc, ...]]  # (external disc, slot discs)
+
+
 @functools.cache
-def generator_signature(g: GenExpr) -> tuple[Disc, tuple[Disc, ...]]:
+def generator_signature(g: GenExpr) -> Signature:
     """(external colour, per-slot colours) of a generator leaf, read off its
     diagram, so the colour and shading rules live in ``make_generator`` only."""
     t = make_generator(g.kind, g.k, g.shaded)
     return t.external, t.internal
 
 
-def external_colour(expr: TangleExpr) -> Disc:
+def _walk(expr: TangleExpr, found: dict[int, Signature]) -> Signature:
+    """Signature of ``expr``, checking every composition and renumbering
+    below it; each node is checked once and recorded in ``found``."""
+    sig = found.get(id(expr))
+    if sig is not None:
+        return sig
     if isinstance(expr, GenExpr):
-        return generator_signature(expr)[0]
-    if isinstance(expr, ComposeExpr):
-        return external_colour(expr.outer)
-    return external_colour(expr.inner)
-
-
-def slot_colours(expr: TangleExpr) -> tuple[Disc, ...]:
-    if isinstance(expr, GenExpr):
-        return generator_signature(expr)[1]
-    if isinstance(expr, ComposeExpr):
-        outer = slot_colours(expr.outer)
+        sig = generator_signature(expr)
+    elif isinstance(expr, ComposeExpr):
+        external, outer = _walk(expr.outer, found)
         if not 1 <= expr.slot <= len(outer):
             raise TangleError(f"slot {expr.slot} out of range 1..{len(outer)}")
-        inner_ext = external_colour(expr.inner)
+        inner_ext, inner = _walk(expr.inner, found)
         if outer[expr.slot - 1] != inner_ext:
             raise TangleError(
                 f"colour mismatch at slot {expr.slot}: "
                 f"{outer[expr.slot - 1].label()} vs {inner_ext.label()}"
             )
-        return (
-            outer[: expr.slot - 1] + slot_colours(expr.inner) + outer[expr.slot :]
-        )
-    inner = slot_colours(expr.inner)
-    perm = expr.perm
-    if sorted(perm) != list(range(1, len(inner) + 1)):
-        raise TangleError(f"not a permutation of 1..{len(inner)}: {list(perm)}")
-    out = [Disc(0)] * len(inner)
-    for i, img in enumerate(perm, start=1):
-        out[img - 1] = inner[i - 1]
-    return tuple(out)
+        sig = (external, outer[: expr.slot - 1] + inner + outer[expr.slot :])
+    else:
+        external, inner = _walk(expr.inner, found)
+        if sorted(expr.perm) != list(range(1, len(inner) + 1)):
+            raise TangleError(f"not a permutation of 1..{len(inner)}: {list(expr.perm)}")
+        out = [Disc(0)] * len(inner)
+        for i, img in enumerate(expr.perm, start=1):
+            out[img - 1] = inner[i - 1]
+        sig = (external, tuple(out))
+    found[id(expr)] = sig
+    return sig
+
+
+def node_signatures(expr: TangleExpr) -> dict[int, Signature]:
+    """The signature of every node of a tree, keyed by node id, from one
+    validating walk; raises :class:`TangleError` on a bad slot, colour or
+    permutation anywhere in the tree."""
+    found: dict[int, Signature] = {}
+    _walk(expr, found)
+    return found
+
+
+def external_colour(expr: TangleExpr) -> Disc:
+    return node_signatures(expr)[id(expr)][0]
+
+
+def slot_colours(expr: TangleExpr) -> tuple[Disc, ...]:
+    return node_signatures(expr)[id(expr)][1]
 
 
 def arity(expr: TangleExpr) -> int:
@@ -266,31 +284,25 @@ def render_expr(expr: TangleExpr) -> str:
 # random sampling for the property suites
 # ---------------------------------------------------------------------------
 
-def generators_with_external(colour: Disc, max_colour: int) -> list[GenExpr]:
+# the kinds in the order the samplers list them; every seeded sample draws
+# against this order, so changing it changes every sample
+_SAMPLED_KINDS = ("unit", "id", "M", "Eprime", "jones", "E", "I")
+
+
+@functools.cache
+def generators_with_external(colour: Disc, max_colour: int) -> tuple[GenExpr, ...]:
     """All generator leaves of external colour ``colour`` whose discs
-    stay within ``max_colour``."""
-    k, sh = colour
-    out: list[GenExpr] = []
-    if k == 0:
-        out.append(GenExpr("unit", 0, sh))
-        out.append(GenExpr("id", 0, sh))
-        out.append(GenExpr("M", 0, sh))
-        if not sh and max_colour >= 1:
-            out.append(GenExpr("E", 0))
-    else:
-        out.append(GenExpr("id", k))
-        out.append(GenExpr("M", k))
-        out.append(GenExpr("Eprime", k))
-        if k >= 2:
-            out.append(GenExpr("jones", k))
-        if k + 1 <= max_colour:
-            out.append(GenExpr("E", k))
-        if k == 1:
-            out.append(GenExpr("I", 0))
-            out.append(GenExpr("I", 0, True))
-        else:
-            out.append(GenExpr("I", k - 1))
-    return out
+    stay within ``max_colour``, by kind, then ``k``, unshaded first."""
+    out = []
+    for kind, k, shaded in product(_SAMPLED_KINDS, range(max_colour + 1), (False, True)):
+        leaf = GenExpr(kind, k, shaded)
+        try:
+            external, slots = generator_signature(leaf)
+        except TangleError:
+            continue
+        if external == colour and all(d.colour <= max_colour for d in (external, *slots)):
+            out.append(leaf)
+    return tuple(out)
 
 
 def random_expr(

@@ -63,9 +63,10 @@ from .expressions import (
     ComposeExpr,
     GenExpr,
     RenumberExpr,
+    Signature,
     TangleExpr,
-    arity,
     generator_signature,
+    node_signatures,
 )
 from .groups import FiniteGroup
 from .scalars import ONE, ZERO, RadicalScalar, canonical_sqrt, pow_half
@@ -334,33 +335,10 @@ class _LeftParts(dict):
         return parts
 
 
-def _slot_counts(expr: TangleExpr) -> dict[int, int]:
-    """The slot count of every node of a validated tree, keyed by node id.
-
-    One pass over the tree, so evaluation does not re-run the recursive
-    :func:`arity` validation at every composition.
-    """
-    counts: dict[int, int] = {}
-
-    def visit(e: TangleExpr) -> int:
-        key = id(e)
-        if key not in counts:
-            if isinstance(e, GenExpr):
-                counts[key] = len(generator_signature(e)[1])
-            elif isinstance(e, ComposeExpr):
-                counts[key] = visit(e.outer) - 1 + visit(e.inner)
-            else:
-                counts[key] = visit(e.inner)
-        return counts[key]
-
-    visit(expr)
-    return counts
-
-
 class EvaluationCache:
     """What :meth:`GroupPlanarAlgebra.evaluate` keeps between calls on the
-    same trees: each tree's arity and slot counts, validated once, and each
-    node's last value.
+    same trees: each tree's node signatures, from one validating
+    :func:`node_signatures` walk on first sight, and each node's last value.
 
     A node's value depends only on its own slice of the inputs, so a node
     that sees the very same input objects again (``is``) returns its last
@@ -372,17 +350,17 @@ class EvaluationCache:
     __slots__ = ("trees", "last")
 
     def __init__(self) -> None:
-        # id(root) -> (root, arity, slot counts)
-        self.trees: dict[int, tuple[TangleExpr, int, dict[int, int]]] = {}
+        # id(root) -> (root, signature of every node by id)
+        self.trees: dict[int, tuple[TangleExpr, dict[int, Signature]]] = {}
         # id(node) -> (node, inputs, value)
         self.last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]] = {}
 
-    def shape(self, expr: TangleExpr) -> tuple[int, dict[int, int]]:
-        """The arity and slot counts of a tree, validated on first sight."""
+    def shape(self, expr: TangleExpr) -> dict[int, Signature]:
+        """The signature of every node of a tree, validated on first sight."""
         entry = self.trees.get(id(expr))
         if entry is None:
-            entry = self.trees[id(expr)] = (expr, arity(expr), _slot_counts(expr))
-        return entry[1], entry[2]
+            entry = self.trees[id(expr)] = (expr, node_signatures(expr))
+        return entry[1]
 
 
 def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
@@ -714,18 +692,19 @@ class GroupPlanarAlgebra:
         the call gets a fresh cache of its own.
         """
         cache = EvaluationCache() if cache is None else cache
-        expected, counts = cache.shape(expr)
+        signatures = cache.shape(expr)
+        expected = len(signatures[id(expr)][1])
         if len(inputs) != expected:
             raise AlgebraError(
                 f"expression takes {expected} input(s), got {len(inputs)}"
             )
-        return self._evaluate(expr, list(inputs), counts, cache.last)
+        return self._evaluate(expr, list(inputs), signatures, cache.last)
 
     def _evaluate(
         self,
         expr: TangleExpr,
         inputs: list[PAElement],
-        counts: dict[int, int],
+        signatures: dict[int, Signature],
         last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]],
     ) -> PAElement:
         seen = last.get(id(expr))
@@ -735,14 +714,14 @@ class GroupPlanarAlgebra:
             value = self.act_generator(expr, inputs)
         elif isinstance(expr, ComposeExpr):
             i = expr.slot
-            b = counts[id(expr.inner)]
+            b = len(signatures[id(expr.inner)][1])
             before = inputs[: i - 1]
-            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b], counts, last)
+            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b], signatures, last)
             after = inputs[i - 1 + b :]
-            value = self._evaluate(expr.outer, before + [inner_val] + after, counts, last)
+            value = self._evaluate(expr.outer, before + [inner_val] + after, signatures, last)
         elif isinstance(expr, RenumberExpr):
             permuted = [inputs[expr.perm[i] - 1] for i in range(len(inputs))]
-            value = self._evaluate(expr.inner, permuted, counts, last)
+            value = self._evaluate(expr.inner, permuted, signatures, last)
         else:
             raise AlgebraError(f"cannot evaluate {type(expr).__name__}")
         last[id(expr)] = (expr, tuple(inputs), value)

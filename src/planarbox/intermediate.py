@@ -381,17 +381,18 @@ class IntermediateAlgebra:
         """Normalization, rescaling grade, expectations, and positivity."""
         suite = "trace"
         kmax = self.k_max if kmax is None else kmax
-        P = self.algebra
         records = []
         for colour in range(1, kmax + 1):
             records.append(
                 record(suite, f"tr'(1'_{colour}) == 1",
                        self.trace_prime(self.unit_prime(colour)).render(), "1")
             )
+        # each basis element's right expectation, shared by the two checks below
+        downs = {c: [self.expect_right(b) for b in self.basis(c)] for c in range(2, kmax + 1)}
         for colour in range(2, kmax + 1):
-            scale = Fraction(self.index_mq ** (colour // 2))
             good = all(
-                self.trace_prime(b) == P.trace(b) * scale for b in self.basis(colour)
+                self.trace_prime(b) == self._trace_by_expectation(down)
+                for b, down in zip(self.basis(colour), downs[colour])
             )
             records.append(
                 flag(suite, f"tr' == [M:Q]^{colour // 2} tr at colour {colour}",
@@ -403,8 +404,7 @@ class IntermediateAlgebra:
             left_ok = True
             left_trace_ok = True
             onto_ok = True
-            for b in self.basis(colour):
-                down = self.expect_right(b)
+            for b, down in zip(self.basis(colour), downs[colour]):
                 if self.trace_prime(down) != self.trace_prime(b):
                     down_ok = False
                 lifted = self.include_prime(down)
@@ -438,13 +438,22 @@ class IntermediateAlgebra:
             )
         return records
 
+    def _trace_by_expectation(self, x: PAElement) -> RadicalScalar:
+        """The cut-down trace read off the cut-down action: the right
+        expectation taken down to colour 0, at the empty label."""
+        while x.colour > 0:
+            x = self.expect_right(x)
+        return x.coefficient(())
+
     def _gram_positive(self, colour: int) -> bool:
         basis = self.basis(colour)
         n = len(basis)
         P = self.algebra
-        # inner_prime(x, y) = trace_prime(y* x), with each star taken once
+        # inner_prime(x, y) = trace_prime(y* x), with each star taken once and
+        # no membership check, as the products are fixed by construction
+        scale = Fraction(self.index_mq ** (colour // 2))
         stars = [P.star(y) for y in basis]
-        gram = [[self.trace_prime(P.multiply(y_star, x)) for y_star in stars] for x in basis]
+        gram = [[P.trace(P.multiply(y_star, x)) * scale for y_star in stars] for x in basis]
         # leading principal minors via exact elimination; a nonpositive pivot
         # at any stage disproves positive definiteness
         for step in range(n):

@@ -116,19 +116,16 @@ def make_generator(kind: str, k: int = 0, shaded: bool = False) -> Tangle:
     ``shaded`` flag picks the region colour where a colour-0 disc is
     involved; it is rejected where the diagram forces the shading.
     """
+    if shaded and kind == "E":
+        raise TangleError("the capped-disc expectation forces white shading")
+    d = Disc(k, shaded)  # every branch uses d, which tangle() refuses shaded above colour 0
     if kind == "unit":
         if k != 0:
             raise TangleError("unit tangles have colour 0")
-        return tangle(Disc(0, shaded))
+        return tangle(d)
     if kind == "id":
-        d = Disc(k, shaded if k == 0 else False)
-        if shaded and k != 0:
-            raise TangleError("shading flag needs colour 0")
         return tangle(d, [d], [((0, j), (1, j)) for j in range(1, 2 * k + 1)])
     if kind == "M":
-        if shaded and k != 0:
-            raise TangleError("shading flag needs colour 0")
-        d = Disc(k, shaded if k == 0 else False)
         strings: list[tuple[Point, Point]] = []
         for j in range(1, k + 1):
             strings.append(((0, j), (1, j)))
@@ -138,39 +135,32 @@ def make_generator(kind: str, k: int = 0, shaded: bool = False) -> Tangle:
     if kind == "I":
         # one internal colour-k disc, external colour k+1, extra strand
         # running down the right side
-        if shaded and k != 0:
-            raise TangleError("shading flag needs colour 0")
-        inner = Disc(k, shaded if k == 0 else False)
         strings = [((0, j), (1, j)) for j in range(1, k + 1)]
         strings.append(((0, k + 1), (0, k + 2)))
         strings.extend(((1, k + j), (0, k + 2 + j)) for j in range(1, k + 1))
-        return tangle(Disc(k + 1), [inner], strings)
+        return tangle(Disc(k + 1), [d], strings)
     if kind == "E":
         # one internal colour-(k+1) disc whose rightmost point pair is
         # joined, external colour k
-        if shaded:
-            raise TangleError("the capped-disc expectation forces white shading at colour 0")
-        inner = Disc(k + 1)
         strings = [((0, j), (1, j)) for j in range(1, k + 1)]
         strings.append(((1, k + 1), (1, k + 2)))
         strings.extend(((1, k + 2 + j), (0, k + j)) for j in range(1, k + 1))
-        return tangle(Disc(k), [inner], strings)
+        return tangle(d, [Disc(k + 1)], strings)
     if kind == "Eprime":
         # left-side variant: strand down the left, leftmost point pair
         # of the internal disc joined around the left
         if k < 1:
             raise TangleError("left expectation needs colour >= 1")
-        inner = Disc(k)
         strings = [((0, 1), (0, 2 * k)), ((1, 1), (1, 2 * k))]
         strings.extend(((0, j), (1, j)) for j in range(2, 2 * k))
-        return tangle(Disc(k), [inner], strings)
+        return tangle(d, [d], strings)
     if kind == "jones":
         if k < 2:
             raise TangleError("the cup-cap tangle needs colour >= 2")
         strings = [((0, i), (0, 2 * k + 1 - i)) for i in range(1, k - 1)]
         strings.append(((0, k - 1), (0, k)))
         strings.append(((0, k + 1), (0, k + 2)))
-        return tangle(Disc(k), [], strings)
+        return tangle(d, [], strings)
     raise TangleError(f"unknown generator kind {kind!r}")
 
 

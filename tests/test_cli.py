@@ -30,6 +30,14 @@ def _chain(n: int) -> str:
     return "(compose (gen id 2) 1 " * n + "(gen id 2)" + ")" * n
 
 
+@pytest.fixture
+def deep_action(tmp_path):
+    """An action file nested past what the JSON parser can recurse into."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    return str(path)
+
+
 @pytest.fixture(params=sorted(MALFORMED_ACTIONS))
 def malformed_action(request, tmp_path):
     path = tmp_path / f"{request.param}.json"
@@ -180,6 +188,10 @@ class TestSuiteCommand:
         assert main(["suite", "jones", "--action", malformed_action]) == 2
         assert "cannot load action" in capsys.readouterr().err
 
+    def test_deeply_nested_action_file_exits_2(self, deep_action, capsys):
+        assert main(["suite", "trace", "--action", deep_action]) == 2
+        assert "cannot load action" in capsys.readouterr().err
+
     def test_group_above_order_cap_exits_2(self, tmp_path, capsys):
         # S_7 (order 5040): validating its table would check 1.3e11 triples
         s7 = {"permutations": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]], "degree": 7}
@@ -276,6 +288,10 @@ class TestMultiplyCommand:
 
     def test_malformed_action_file_exits_2(self, malformed_action, capsys):
         assert main(["multiply", "2", "1", "1", "--action", malformed_action]) == 2
+        assert "cannot load action" in capsys.readouterr().err
+
+    def test_deeply_nested_action_file_exits_2(self, deep_action, capsys):
+        assert main(["multiply", "2", "1", "1", "--action", deep_action]) == 2
         assert "cannot load action" in capsys.readouterr().err
 
     def test_label_out_of_range_exits_2(self, capsys):

@@ -600,7 +600,7 @@ class TestEvaluate:
 
     def test_deep_tree_validated_once(self, monkeypatch):
         """A chain of 300 products folds to the product of its inputs, and
-        the slot colours are computed a number of times linear in the tree
+        the validating walk visits a number of nodes linear in the tree
         size, not once per composition."""
         alg = algebra(5)
         depth = 300
@@ -610,14 +610,14 @@ class TestEvaluate:
         rng = random.Random("deep")
         gs = [rng.randrange(5) for _ in range(depth + 1)]
         calls = 0
-        original = expressions.slot_colours
+        original = expressions._walk
 
-        def counted(e):
+        def counted(e, found):
             nonlocal calls
             calls += 1
-            return original(e)
+            return original(e, found)
 
-        monkeypatch.setattr(expressions, "slot_colours", counted)
+        monkeypatch.setattr(expressions, "_walk", counted)
         out = alg.evaluate(expr, [alg.basis_element(2, (g,)) for g in gs])
         assert out == alg.basis_element(2, (sum(gs) % 5,))
         assert calls <= 2 * (2 * depth + 1)
@@ -714,14 +714,14 @@ class TestEvaluationCache:
         alg = algebra(3)
         expr = parse_expr("(compose (gen M 2) 2 (gen id 2))")
         calls = 0
-        original = expressions.slot_colours
+        original = expressions._walk
 
-        def counted(e):
+        def counted(e, found):
             nonlocal calls
             calls += 1
-            return original(e)
+            return original(e, found)
 
-        monkeypatch.setattr(expressions, "slot_colours", counted)
+        monkeypatch.setattr(expressions, "_walk", counted)
         cache = EvaluationCache()
         for g in range(3):
             alg.evaluate(expr, [alg.basis_element(2, (g,)), alg.basis_element(2, (0,))], cache)

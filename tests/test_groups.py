@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -45,6 +46,30 @@ class TestFiniteGroup:
     def test_broken_associativity_rejected(self):
         table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
         with pytest.raises(GroupError, match="associativity|inverse"):
+            FiniteGroup(table)
+
+    @pytest.mark.parametrize(
+        "table,triple",
+        [
+            # the order-5 loop with identity and inverses that is no group
+            ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], (1, 1, 2)),
+            # cyclic tables with two entries of one row swapped
+            ([[(a + b + (a == 5) * ((b == 6) - (b == 7))) % 8 for b in range(8)]
+              for a in range(8)], (1, 4, 6)),
+            ([[(a + b + (a == 3) * ((b == 5) - (b == 6))) % 7 for b in range(7)]
+              for a in range(7)], (1, 2, 5)),
+        ],
+    )
+    def test_associativity_reports_the_least_failing_triple(self, table, triple):
+        n = len(table)
+        least = next(
+            (a, b, c)
+            for a, b, c in itertools.product(range(n), repeat=3)
+            if table[table[a][b]][c] != table[a][table[b][c]]
+        )
+        assert least == triple
+        with pytest.raises(GroupError, match=re.escape(f"associativity fails at {triple}")):
             FiniteGroup(table)
 
     def test_identity_must_sit_at_zero(self):

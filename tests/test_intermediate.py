@@ -247,6 +247,23 @@ class TestTraceFamily:
         assert len(records) == 26
         assert all(r["pass"] for r in records)
 
+    def test_planted_wrong_grade_fails_the_grade_flag(self, inter, monkeypatch):
+        """``tr'`` graded by ``[M:Q]^((c+1)//2)`` is wrong at odd colours
+        only, and the flag reads the true trace off the expectations."""
+        def wrong(self, x):
+            self.require_member(x)
+            return self.algebra.trace(x) * Fraction(self.index_mq ** ((x.colour + 1) // 2))
+
+        monkeypatch.setattr(IntermediateAlgebra, "trace_prime", wrong)
+        graded = {
+            r["case"]: r["pass"] for r in inter.trace_report() if r["case"].startswith("tr' ==")
+        }
+        assert graded == {
+            "tr' == [M:Q]^1 tr at colour 2": True,
+            "tr' == [M:Q]^1 tr at colour 3": False,
+            "tr' == [M:Q]^2 tr at colour 4": True,
+        }
+
 
 class TestVerificationReports:
     def test_theorem_main_small_sample(self, inter):

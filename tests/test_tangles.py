@@ -13,6 +13,8 @@ from planarbox.expressions import (
     RenumberExpr,
     arity,
     external_colour,
+    generators_with_external,
+    node_signatures,
     parse_expr,
     random_composable_pair,
     random_expr,
@@ -103,6 +105,11 @@ class TestGenerators:
         assert validate(make_generator("I", 0, True)).ok
         with pytest.raises(TangleError):
             make_generator("E", 0, True)
+
+    @pytest.mark.parametrize("kind,k", [("Eprime", 1), ("Eprime", 3), ("jones", 2), ("jones", 4)])
+    def test_shading_refused_above_colour_0(self, kind, k):
+        with pytest.raises(TangleError, match="shading flag"):
+            make_generator(kind, k, True)
 
     def test_bad_requests(self):
         with pytest.raises(TangleError):
@@ -326,7 +333,69 @@ class TestParser:
             realize(expr)
 
 
+def handwritten_leaves(colour, max_colour):
+    """The sampler's leaf lists as they were written out by hand before
+    ``generators_with_external`` derived them, kept as reference data."""
+    k, sh = colour
+    out = []
+    if k == 0:
+        out.append(GenExpr("unit", 0, sh))
+        out.append(GenExpr("id", 0, sh))
+        out.append(GenExpr("M", 0, sh))
+        if not sh and max_colour >= 1:
+            out.append(GenExpr("E", 0))
+    else:
+        out.append(GenExpr("id", k))
+        out.append(GenExpr("M", k))
+        out.append(GenExpr("Eprime", k))
+        if k >= 2:
+            out.append(GenExpr("jones", k))
+        if k + 1 <= max_colour:
+            out.append(GenExpr("E", k))
+        if k == 1:
+            out.append(GenExpr("I", 0))
+            out.append(GenExpr("I", 0, True))
+        else:
+            out.append(GenExpr("I", k - 1))
+    return out
+
+
+def sampled_colours(max_colour):
+    return [Disc(0, True)] + [Disc(k) for k in range(max_colour + 1)]
+
+
+class TestSampledLeaves:
+    @pytest.mark.parametrize("max_colour", range(7))
+    def test_derived_list_matches_the_handwritten_one(self, max_colour):
+        for colour in sampled_colours(max_colour):
+            leaves = generators_with_external(colour, max_colour)
+            assert list(leaves) == handwritten_leaves(colour, max_colour), colour
+
+    @pytest.mark.parametrize("max_colour", range(7))
+    def test_every_leaf_round_trips(self, max_colour):
+        for colour in sampled_colours(max_colour):
+            for leaf in generators_with_external(colour, max_colour):
+                assert parse_expr(render_expr(leaf)) == leaf
+
+    def test_memoized_tuple(self):
+        leaves = generators_with_external(Disc(2), 4)
+        assert isinstance(leaves, tuple)
+        assert generators_with_external(Disc(2), 4) is leaves
+
+
 class TestExprBookkeeping:
+    def test_every_node_recorded(self):
+        inner = GenExpr("E", 2)
+        outer = GenExpr("M", 2)
+        glued = ComposeExpr(outer, 2, inner)
+        expr = RenumberExpr((2, 1), glued)
+        assert node_signatures(expr) == {
+            id(outer): (Disc(2), (Disc(2), Disc(2))),
+            id(inner): (Disc(2), (Disc(3),)),
+            id(glued): (Disc(2), (Disc(2), Disc(3))),
+            id(expr): (Disc(2), (Disc(3), Disc(2))),
+        }
+
     def test_signature_of_compose(self):
         expr = parse_expr("(compose (gen M 2) 2 (gen E 2 3))")
         assert external_colour(expr) == Disc(2)
