@@ -21,7 +21,9 @@ already times the prefactor, are memoised on the element
 (:class:`PAElement`, whose coefficients are never mutated) with the
 prefactor they fold in, so a factor used on the right many times, like the
 exhaustive checks' encoded factors, is grouped once per prefactor, and a
-left class of coefficient 1 needs no product at all.  ``multiply`` reads no
+left class of coefficient 1 needs no product at all.  The left factor's
+classes, each with the left parts of its labels, are memoised the same
+way, keyed on the algebra's left-parts table.  ``multiply`` reads no
 full index table: at colour 5 over a group of order 8 it would hold 4096^2
 entries.  The exhaustive checks build that table with
 :meth:`GroupPlanarAlgebra.product_structure`, which walks the same split
@@ -30,10 +32,11 @@ buckets) and so visits only the nonzero pairs; there is no separate
 per-pair product rule.
 
 Results the library computes from checked elements (products, star, the
-generator actions, sums, scalings and surrounds) are built by one trusted
-constructor, :func:`_trusted`, which skips the label checks but still drops
-the coefficients that cancel; ``PAElement(...)`` keeps every check for
-outside input.
+generator actions, sums, differences, scalings and surrounds) are built by
+one trusted constructor, :func:`_trusted`, which skips the label checks but
+still drops the coefficients that cancel; ``PAElement(...)`` keeps every
+check for outside input.  Scaling by 1 returns the element itself, and a
+surround of the very object just surrounded returns its last result.
 
 ``trace`` is linear: ``tr(x) = sum c * tr(S(label))``.  Each basis trace is
 computed once, by capping ``S(label)`` with ``E`` one colour at a time
@@ -73,6 +76,9 @@ from .scalars import ONE, ZERO, RadicalScalar, canonical_sqrt, pow_half
 from .tangles import Disc
 
 Label = tuple[int, ...]
+# a left factor's coefficient classes, each with the left part of the label
+# rule (see _LeftParts) of every label in the class
+_LeftClasses = list[tuple[RadicalScalar, list[dict[Label, Label]]]]
 # a right factor's coefficient classes, each coefficient times the product
 # prefactor, with its labels bucketed by right key h[:m] -> [h[m:]]
 _RightClasses = list[tuple[RadicalScalar, dict[Label, list[Label]]]]
@@ -88,18 +94,19 @@ class PAElement:
     Instances are immutable: zero coefficients are dropped on the way in,
     and `coeffs` must never be mutated after construction.  The element
     memoises what :meth:`GroupPlanarAlgebra.multiply` derives from
-    `coeffs` when it serves as a right factor (its coefficient classes
-    times the product prefactor, each bucketed by right key), so a mutated
-    `coeffs` would be multiplied as its old value.  Nothing in the library
-    mutates it; build a new element instead.  The shading flag is only
-    meaningful at colour 0, where the two one-dimensional spaces must be
-    kept apart.
+    `coeffs`: as a left factor, its coefficient classes with the left
+    parts of their labels; as a right factor, its coefficient classes
+    times the product prefactor, each bucketed by right key.  A mutated
+    `coeffs` would be multiplied as its old value, and :meth:`scale` by 1
+    returns the element itself.  Nothing in the library mutates it; build
+    a new element instead.  The shading flag is only meaningful at colour
+    0, where the two one-dimensional spaces must be kept apart.
 
     The constructor checks every label, for outside input; results the
     library computes from checked elements are built by :func:`_trusted`.
     """
 
-    __slots__ = ("colour", "shaded", "coeffs", "_right_classes")
+    __slots__ = ("colour", "shaded", "coeffs", "_left_classes", "_right_classes")
 
     def __init__(self, colour: int, coeffs: Mapping[Label, RadicalScalar], shaded: bool = False):
         if colour < 0:
@@ -117,8 +124,11 @@ class PAElement:
         self.colour = colour
         self.shaded = bool(shaded) if colour == 0 else False
         self.coeffs = clean
-        # filled by GroupPlanarAlgebra.multiply on first use as a right
-        # factor: (prefactor, [(coefficient * prefactor, buckets)])
+        # filled by GroupPlanarAlgebra.multiply on first use as a left
+        # factor: (left parts table, [(coefficient, [left part per label])])
+        self._left_classes: tuple[_LeftParts, _LeftClasses] | None = None
+        # and on first use as a right factor:
+        # (prefactor, [(coefficient * prefactor, buckets)])
         self._right_classes: tuple[RadicalScalar, _RightClasses] | None = None
 
     def disc(self) -> Disc:
@@ -150,11 +160,20 @@ class PAElement:
         return _trusted(self.colour, {lab: -c for lab, c in self.coeffs.items()}, self.shaded)
 
     def __sub__(self, other: "PAElement") -> "PAElement":
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for lab, c in other.coeffs.items():
+            prev = out.get(lab)
+            out[lab] = -c if prev is None else prev - c
+        return _trusted(self.colour, out, self.shaded)
 
     def scale(self, c) -> "PAElement":
+        """``c`` times the element; by 1 it is the element itself, which is
+        safe because elements are immutable."""
         if not isinstance(c, RadicalScalar):
             c = ONE * c
+        if c == ONE:
+            return self
         return _trusted(self.colour, {lab: v * c for lab, v in self.coeffs.items()}, self.shaded)
 
     def __eq__(self, other: object) -> bool:
@@ -184,8 +203,16 @@ def _trusted(colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = Fal
     x.colour = colour
     x.shaded = shaded
     x.coeffs = coeffs
+    x._left_classes = None
     x._right_classes = None
     return x
+
+
+def _check_discs(inputs: Sequence[PAElement], slots: Sequence[Disc]) -> None:
+    """Raise unless every input lies on the disc of its slot."""
+    for x, d in zip(inputs, slots):
+        if x.colour != d.colour or x.shaded != d.shaded:
+            raise AlgebraError(f"input colour {x.disc().label()} does not fit slot {d.label()}")
 
 
 def record(suite: str, case: str, lhs: str, rhs: str) -> dict:
@@ -218,9 +245,13 @@ class SubgroupBiprojection:
     and passes colour 0 through.  A spread only depends on the class of its
     label under ``h -> t h k``, keyed by the least tuple of left-coset
     minima; spreads of distinct classes have disjoint supports.
+
+    The last surround above colour 0 is kept with its input: surrounding
+    the very same object again (``is``, never ``==``) returns the same
+    result, which is safe because elements are immutable.
     """
 
-    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_spread_cache")
+    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_spread_cache", "_last")
 
     def __init__(self, algebra: GroupPlanarAlgebra, members: Iterable[int]):
         group = algebra.group
@@ -236,6 +267,8 @@ class SubgroupBiprojection:
         self._coset_min = [min(row[k] for k in self.members) for row in table]
         self._canon_cache: dict[Label, Label] = {}
         self._spread_cache: dict[tuple[int, Label], list[tuple[RadicalScalar, list[Label]]]] = {}
+        # (input, result) of the last surround
+        self._last: tuple[PAElement, PAElement] | None = None
 
     @property
     def order(self) -> int:
@@ -257,8 +290,11 @@ class SubgroupBiprojection:
         coefficient of the class's spread."""
         if x.colour == 0:
             return _trusted(0, dict(x.coeffs), x.shaded)
+        last = self._last
+        if last is not None and last[0] is x:
+            return last[1]
         colour = x.colour
-        scale = Fraction(1, self.order**colour)
+        scale = pow_half(self.order, -2 * colour)
         weights: dict[Label, RadicalScalar] = {}
         for label, c in x.coeffs.items():
             rep = self._canon_cache.get(label)
@@ -275,7 +311,9 @@ class SubgroupBiprojection:
                 continue
             for c2, labels in self._spread_classes(colour, rep):
                 acc.update(dict.fromkeys(labels, c2 * weight))
-        return _trusted(colour, acc)
+        out = _trusted(colour, acc)
+        self._last = (x, out)
+        return out
 
     def _spread_classes(self, colour: int, rep: Label) -> list[tuple[RadicalScalar, list[Label]]]:
         """The unscaled spread of ``S(rep)`` grouped by coefficient, cached."""
@@ -339,6 +377,8 @@ class EvaluationCache:
     """What :meth:`GroupPlanarAlgebra.evaluate` keeps between calls on the
     same trees: each tree's node signatures, from one validating
     :func:`node_signatures` walk on first sight, and each node's last value.
+    The root's slot discs in those signatures are what ``evaluate`` checks
+    the inputs against, once per call; no leaf checks its own inputs.
 
     A node's value depends only on its own slice of the inputs, so a node
     that sees the very same input objects again (``is``) returns its last
@@ -498,11 +538,20 @@ class GroupPlanarAlgebra:
         prefactor, depend only on its coefficients and the prefactor, so
         they are built once per element and kept on it with the prefactor
         they fold in (see :class:`PAElement`).  A right factor used again is
-        not regrouped unless it meets an algebra of another prefactor.
+        not regrouped unless it meets an algebra of another prefactor.  In
+        the same way the classes of ``x``, each with the left parts of its
+        labels, are kept on it with the left-parts table they were read
+        from, and regrouped only against another algebra's table.
         """
         x._check_compatible(y)
         colour = x.colour
         left_parts = self._left_parts(colour)
+        memo = x._left_classes
+        if memo is not None and memo[0] is left_parts:
+            x_classes = memo[1]
+        else:
+            x_classes = [(cg, [left_parts[g] for g in gs]) for cg, gs in coefficient_classes(x)]
+            x._left_classes = (left_parts, x_classes)
         pref = self._prefactor(colour)
         memo = y._right_classes
         if memo is not None and memo[0] == pref:
@@ -517,8 +566,7 @@ class GroupPlanarAlgebra:
                 y_classes.append((ch * pref, buckets))
             y._right_classes = (pref, y_classes)
         out: dict[Label, RadicalScalar] = {}
-        for cg, gs in coefficient_classes(x):
-            lefts = [left_parts[g] for g in gs]
+        for cg, lefts in x_classes:
             unit = cg == ONE
             for chp, buckets in y_classes:
                 hits: dict[Label, int] = {}
@@ -653,31 +701,33 @@ class GroupPlanarAlgebra:
         return _trusted(colour, out)
 
     def act_generator(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
+        """The action of one generator, its inputs checked against its slots."""
         external, slots = generator_signature(gen)
         if len(inputs) != len(slots):
             raise AlgebraError(
                 f"{gen.kind} expects {len(slots)} input(s), got {len(inputs)}"
             )
-        for x, d in zip(inputs, slots):
-            if x.disc() != d:
-                raise AlgebraError(
-                    f"input colour {x.disc().label()} does not fit slot {d.label()}"
-                )
-        if gen.kind == "unit":
-            return PAElement(0, {(): ONE}, gen.shaded)
-        if gen.kind == "id":
-            return inputs[0]
-        if gen.kind == "M":
+        _check_discs(inputs, slots)
+        return self._act(gen, inputs)
+
+    def _act(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
+        """The action of one generator on inputs that fit its slots, by kind."""
+        kind = gen.kind
+        if kind == "M":
             return self.multiply(inputs[0], inputs[1])
-        if gen.kind == "E":
+        if kind == "id":
+            return inputs[0]
+        if kind == "E":
             return self._act_E(gen.k, inputs[0])
-        if gen.kind == "I":
+        if kind == "I":
             return self._act_I(gen.k, inputs[0])
-        if gen.kind == "Eprime":
+        if kind == "Eprime":
             return self._act_Eprime(gen.k, inputs[0])
-        if gen.kind == "jones":
+        if kind == "jones":
             return self.jones_element(gen.k).scale(self.delta)
-        raise AlgebraError(f"unknown generator kind {gen.kind!r}")
+        if kind == "unit":
+            return PAElement(0, {(): ONE}, gen.shaded)
+        raise AlgebraError(f"unknown generator kind {kind!r}")
 
     def evaluate(
         self,
@@ -687,17 +737,23 @@ class GroupPlanarAlgebra:
     ) -> PAElement:
         """The value of a tree on its inputs.
 
-        Pass one :class:`EvaluationCache` to every call of a record that
-        evaluates the same trees on the same input objects; without one,
-        the call gets a fresh cache of its own.
+        The inputs are checked once, against the root's slot discs in the
+        tree's validated signatures (:meth:`EvaluationCache.shape`).  Every
+        generator maps inputs that fit its slots to a value on its external
+        disc, and a validated tree feeds each slot a value on that slot's
+        disc, so the leaves act through :meth:`_act` with no check of their
+        own.  Pass one :class:`EvaluationCache` to every call of a record
+        that evaluates the same trees on the same input objects; without
+        one, the call gets a fresh cache of its own.
         """
         cache = EvaluationCache() if cache is None else cache
         signatures = cache.shape(expr)
-        expected = len(signatures[id(expr)][1])
-        if len(inputs) != expected:
+        slots = signatures[id(expr)][1]
+        if len(inputs) != len(slots):
             raise AlgebraError(
-                f"expression takes {expected} input(s), got {len(inputs)}"
+                f"expression takes {len(slots)} input(s), got {len(inputs)}"
             )
+        _check_discs(inputs, slots)
         return self._evaluate(expr, list(inputs), signatures, cache.last)
 
     def _evaluate(
@@ -711,7 +767,7 @@ class GroupPlanarAlgebra:
         if seen is not None and all(map(operator.is_, seen[1], inputs)):
             return seen[2]
         if isinstance(expr, GenExpr):
-            value = self.act_generator(expr, inputs)
+            value = self._act(expr, inputs)
         elif isinstance(expr, ComposeExpr):
             i = expr.slot
             b = len(signatures[id(expr.inner)][1])

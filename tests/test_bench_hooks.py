@@ -109,3 +109,54 @@ def test_workload_setup_runs_a_verdict():
         expected = workloads.EXPECTED_RECORDS[(verdict.stem, verdict.suite, verdict.samples)]
         assert len(records) == expected, verdict.label
         assert all(r["pass"] for r in records), verdict.label
+
+
+# (suite, suite seed) of every HEAVY_VERDICTS entry -> (record count, sha256
+# of the canonical report) of its one-sample z3xz2 report at k_max 4, taken
+# before the evaluation fast paths (checks once per tree, left-factor memo,
+# unit scalings, repeated surrounds) went in
+HEAVY_REPORTS = {
+    ("axioms", 87): (6, "fc49c13f4b7be9925b82c89f074c7303f043d7f3c85eb91344b9ecb3929f593c"),
+    ("axioms", 88): (6, "482e790b9e5c3d096293fb7d8954a463ddad24cd771ad4277c666fc6ebabfe23"),
+    ("axioms", 144): (6, "e1174a3f2dcc06d57f0f638f46955db689aac4e3ab94d5e9b34a01156eba8a35"),
+    ("axioms", 463): (6, "dc73f024c79ea02d5d3a617253c68480195b5d51420e68420f9a5edbab746ae5"),
+    ("axioms", 491): (6, "d425735650318144f3348bdcb85feb580db680c197d68a5dae43b016d09f9c12"),
+    ("axioms", 492): (6, "bfb4f21a11e5ae6cebf2965293eb7079167062fb31958c006f15db274a9144c1"),
+    ("axioms", 529): (6, "563b7d451e90b99f42ab387a433c36688d8501967f411a84bf48ec452acb8dbd"),
+    ("axioms", 530): (6, "92847c3de9480344abe62f8b9b14a33f12e0ad32f763241c4292dc3bc9853d1c"),
+    ("axioms", 618): (6, "7784f636d73663e3192c320055e12c00f46dc7663be42c130fd65cc5ab424693"),
+    ("axioms", 619): (6, "ef1ee036c805d06b4c1b63c3213e90bc9e61788895f21954be9e182f3a1510b1"),
+    ("axioms", 624): (6, "dcf4b6b343a5807767544cbaff024ef1441cff65d7c381f08fe97bdbea4ec463"),
+    ("axioms", 625): (6, "3030de35c7ddcaad338042347b65d82fa85cfa3375766ce14041c7aa3b4eabe1"),
+    ("axioms", 652): (6, "aefd3d2ec05e95d483243aa3e480200fd098f88ffc7051203b27a262dbc99027"),
+    ("axioms", 653): (6, "624969d733dc4c268b302d604f131969a7df8b0d2e4ac61f1f6fa749266c92d4"),
+    ("axioms", 655): (6, "4238186c73c9da6a1e6981891fe73bf80e5152db4a64e711b9c6ae3191bcc125"),
+    ("axioms", 656): (6, "7c9a4521b1a1dd6c615d28007b78ade01e8dfaf1411cd4329ba67c6857a52415"),
+    ("theorem-main", 666): (9, "884cd1e1d8beefed805154c0824531c4c42fa0b4690c55af88cd647bc454b264"),
+    ("axioms", 739): (6, "c6a07513b03ebbe1bcd66912774021f00ab959180f30b87fc58b17d4bf87a783"),
+    ("axioms", 740): (6, "a02389d51cc384b4b7695877a85aefc94a13cf2bc14fc8877f6cd8f8680ad1e0"),
+    ("axioms", 794): (6, "f50b1af42d8953b76d3aa87ff371e009c6c29e177347ff5633aa509ff08ff576"),
+    ("axioms", 795): (6, "c9d72000a25860ba2791d98547c27739d6e8ba1ac2cee2f09b8c30720cd60a2d"),
+    ("axioms", 799): (6, "91c9ab1892a6afc5a61bda2879632eeb81b640695f37ce9ac8ce83dbc12f8e83"),
+    ("axioms", 800): (6, "25a526ac52f688b0377d444dbc293799e6d566573355140d64e5a098e595eb07"),
+    ("axioms", 838): (6, "773004a40acba261f7949d60d92796b236db5b8ae14d0c3198bed034cbc2c7cb"),
+    ("axioms", 839): (6, "75976fa6a96c1d148ae3d60d19903739c3d32c142106f123dc4df89decf0e309"),
+    ("axioms", 861): (6, "d34538de68d92641a2bae65d0b2218fe97595db2e2f6c334153e6a936b1f269d"),
+    ("axioms", 862): (6, "99c300b95307a9a0c0e5086d0c49ea5a0e28ab2cddea4c5db11b190b8ef55c8e"),
+    ("axioms", 931): (6, "cc5f66edd63f7da5899dec0c9eb21ff0f16e3a32c86159ebb471bddcef4132ac"),
+    ("axioms", 944): (6, "33c7d80541846575a6200f84df485787ac0ac79d81ab443dd3b96fe72e11261f"),
+}
+
+
+def test_heavy_verdicts_keep_their_reports():
+    """The composite workload's heavy verdicts are where its time goes;
+    each must keep its record count and its report bytes."""
+    workloads = _load("workloads")
+    assert set(HEAVY_REPORTS) == set(workloads.HEAVY_VERDICTS)
+    composite = workloads.Composite(ROOT, 0)
+    found = {}
+    for suite, seed in workloads.HEAVY_VERDICTS:
+        verdict = composite.verdict(suite, seed)
+        records = verdict.compute()
+        found[(suite, seed)] = (len(records), workloads.digest(composite.report_text(verdict, records)))
+    assert found == HEAVY_REPORTS

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from planarbox.expressions import (
     ComposeExpr,
     GenExpr,
     RenumberExpr,
+    generator_signature,
+    generators_with_external,
     parse_expr,
     random_composable_pair,
     slot_colours,
@@ -27,6 +30,7 @@ from planarbox.group_algebra import (
 )
 from planarbox.groups import SemidirectGroup, cyclic_group, inversion_action, load_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
+from planarbox.tangles import Disc
 
 
 ACTIONS = Path(__file__).resolve().parent.parent / "actions"
@@ -134,6 +138,31 @@ class TestPAElement:
             alg.basis_element(2, (0,)) + alg.basis_element(3, (0, 0))
         with pytest.raises(AlgebraError, match="mismatch"):
             alg.unit(0, shaded=True) + alg.unit(0, shaded=False)
+        with pytest.raises(AlgebraError, match="mismatch"):
+            alg.basis_element(2, (0,)) - alg.basis_element(3, (0, 0))
+        with pytest.raises(AlgebraError, match="mismatch"):
+            alg.unit(0, shaded=True) - alg.unit(0, shaded=False)
+
+    @pytest.mark.parametrize("shaded", [False, True])
+    def test_unit_scalings_return_the_element(self, shaded):
+        """Scaling by 1, in any of its three spellings, gives the element
+        itself, equal to a fresh rebuild; every other scalar, -1 included,
+        gives a new element with every coefficient scaled."""
+        alg = SEMIDIRECT["z3xz2"]
+        rng = random.Random(f"unit-scalings-{shaded}")
+        for colour in (0, 2, 3, 4):
+            if shaded and colour:
+                continue
+            labels = {tuple(rng.randrange(6) for _ in range(max(colour - 1, 0))) for _ in range(8)}
+            x = PAElement(colour, {lab: rng.choice(CLASS_COEFFS) for lab in labels}, shaded)
+            for one in (1, Fraction(1), ONE):
+                out = x.scale(one)
+                assert out is x
+                assert out == PAElement(colour, dict(x.coeffs), shaded)
+            for c in (-1, Fraction(1, 2), -ONE, pow_half(6, 1)):
+                out = x.scale(c)
+                assert out is not x and out.shaded == shaded
+                assert out == PAElement(colour, {lab: v * c for lab, v in x.coeffs.items()}, shaded)
 
 
 class TestMultiplication:
@@ -593,6 +622,54 @@ class TestEvaluate:
         with pytest.raises(AlgebraError, match="input"):
             alg.evaluate(parse_expr("(gen M 2)"), [alg.basis_element(2, (0,))])
 
+    def test_every_leaf_lands_on_its_external_disc(self):
+        """Why the inputs are checked at the root only: every generator the
+        sampler offers, given inputs on its slot discs, returns a value on
+        its external disc, so a validated tree feeds every slot a value
+        that fits it."""
+        alg = SEMIDIRECT["z3xz2"]
+        rng = random.Random("leaf-discs")
+        discs = [Disc(0), Disc(0, True)] + [Disc(c) for c in range(1, 5)]
+        leaves = {leaf for d in discs for leaf in generators_with_external(d, 4)}
+        assert {leaf.kind for leaf in leaves} == {"unit", "id", "M", "Eprime", "jones", "E", "I"}
+        for leaf in leaves:
+            external, slots = generator_signature(leaf)
+            for _ in range(3):
+                inputs = [
+                    PAElement(d.colour, {
+                        tuple(rng.randrange(6) for _ in range(max(d.colour - 1, 0))):
+                            rng.choice(CLASS_COEFFS)
+                        for _ in range(3)
+                    }, d.shaded)
+                    for d in slots
+                ]
+                assert alg.evaluate(leaf, inputs).disc() == external, leaf
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_inputs_checked_against_the_root_slots(self, cached):
+        """A wrong colour, or the wrong shading at colour 0, is refused with
+        the message a generator gives, also when the input reaches a leaf
+        deep in the tree and when the cache already holds the tree."""
+        alg = algebra(3)
+        s0, t0 = alg.basis_element(2, (0,)), alg.basis_element(3, (0, 0))
+        plus, minus = alg.unit(0), alg.unit(0, shaded=True)
+        capped = parse_expr("(compose (gen M 2) 2 (gen E 2 3))")
+        cases = [
+            # (tree, inputs that fit, misfit inputs, message)
+            (capped, [s0, t0], [s0, s0], "input colour 2 does not fit slot 3"),
+            (capped, [s0, t0], [t0, t0], "input colour 3 does not fit slot 2"),
+            (ComposeExpr(GenExpr("M", 0), 2, GenExpr("id", 0)), [plus, plus], [plus, minus],
+             "input colour 0- does not fit slot 0+"),
+            (ComposeExpr(GenExpr("M", 0, True), 1, GenExpr("id", 0, True)), [minus, minus],
+             [plus, minus], "input colour 0+ does not fit slot 0-"),
+        ]
+        for expr, good, bad, message in cases:
+            cache = EvaluationCache() if cached else None
+            if cached:
+                alg.evaluate(expr, good, cache)
+            with pytest.raises(AlgebraError, match=re.escape(message)):
+                alg.evaluate(expr, bad, cache)
+
     def test_unit_expression(self):
         alg = algebra(3)
         out = alg.evaluate(parse_expr("(gen unit minus)"), [])
@@ -842,6 +919,31 @@ class TestRightFactorMemo:
                     assert alg.multiply(x2, y) == product_closed_form(alg, x2, y)
 
 
+class TestLeftFactorMemo:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_memo_regroups_in_an_algebra_of_another_order(self, k):
+        """The memo holds left parts read off one group table: a left
+        factor used in z3xz2 and then in z4xz2, or the other way round,
+        must multiply there as a fresh copy.  Labels use elements 0..5,
+        valid in both groups."""
+        rng = random.Random(f"left-memo-orders-{k}")
+
+        def element() -> PAElement:
+            labels = {tuple(rng.randrange(6) for _ in range(k - 1)) for _ in range(20)}
+            return PAElement(k, {lab: rng.choice(CLASS_COEFFS) for lab in labels})
+
+        for first, second in [("z3xz2", "z4xz2"), ("z4xz2", "z3xz2")]:
+            for _ in range(3):
+                x, y1, y2 = element(), element(), element()
+                SEMIDIRECT[first].multiply(x, y1)
+                assert x._left_classes is not None
+                for name in (second, first):
+                    alg = SEMIDIRECT[name]
+                    fresh = PAElement(x.colour, x.coeffs)
+                    assert alg.multiply(x, y2) == alg.multiply(fresh, y2)
+                    assert alg.multiply(x, y2) == product_closed_form(alg, x, y2)
+
+
 def assert_trusted(x: PAElement) -> None:
     """``x`` has no zero coefficient and survives the checked constructor."""
     assert all(not c.is_zero() for c in x.coeffs.values())
@@ -1004,6 +1106,29 @@ class TestSubgroupBiprojection:
             for lab in alg.basis_labels(colour):
                 b = alg.basis_element(colour, lab)
                 assert sub.surround(b) == b
+
+    def test_surround_reused_only_for_the_very_same_object(self):
+        """The last surround is returned again for the same object only: an
+        equal but distinct copy, and fresh objects that may reuse a freed
+        object's address, are surrounded anew."""
+        alg = SEMIDIRECT["z3xz2"]
+        group = alg.group
+        members = (0, 2, 4)
+        sub = SubgroupBiprojection(alg, members)
+        x = PAElement(3, {(1, 3): CLASS_COEFFS[2], (5, 0): ONE})
+        once = sub.surround(x)
+        assert sub.surround(x) is once
+        copy = PAElement(3, x.coeffs)
+        again = sub.surround(copy)
+        assert again is not once and again == once
+        addresses = []
+        for i in range(200):
+            # consecutive inputs differ, so a stale value would be wrong
+            y = alg.basis_element(3, (i % 6, (i // 6) % 6))
+            addresses.append(id(y))
+            assert sub.surround(y) == spread_by_definition(group, members, y)
+            del y
+        assert len(set(addresses)) < len(addresses)
 
     def test_colour_zero_passes_through(self):
         alg = SEMIDIRECT["z3xz2"]
