@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
-from .expressions import GenExpr, generator_signature, realize
+from .expressions import GenExpr, generator_signature
 from .group_algebra import (
     AlgebraError,
     GroupPlanarAlgebra,
@@ -38,7 +38,6 @@ from .groups import (
     orbit_representatives,
 )
 from .scalars import ONE, ZERO, RadicalScalar, pow_half
-from .tangles import alpha
 
 
 class CrossedProduct:
@@ -140,7 +139,7 @@ class CrossedProduct:
         cx = self.invariant_components(x)
         cy = self.invariant_components(y)
         merge = self.base._merge
-        pref = self.base._prefactor(k)
+        pref = self.base._left_parts(k).prefactor
         acc: dict[Label, RadicalScalar] = {}
         for gbar, a in cx.items():
             for hbar, b in cy.items():
@@ -215,10 +214,10 @@ class CrossedProduct:
         gbar = tuple(gbar)
         hbar = tuple(hbar)
         k = colour
-        m = (k + 1) // 2
+        parts = self.base._left_parts(k)
         pref = (
-            self.base._prefactor(k)
-            * pow_half(self.theta_order, m - 1)
+            parts.prefactor
+            * pow_half(self.theta_order, parts.m - 1)
             * Fraction(self.theta_order ** (k // 2))
         )
         comps: dict[Label, RadicalScalar] = {}
@@ -274,9 +273,9 @@ class CrossedProduct:
         """Check that transport commutes with one generator action.
 
         For every tuple of orbit-basis inputs the generator is applied in the
-        base algebra and the result transported, against the alpha-scaled
-        surround of the generator applied to the transported inputs in the
-        product algebra.  Returns one record per input tuple.
+        base algebra and the result transported, against the cut-down action
+        of the embedded Theta (:meth:`SubgroupBiprojection.act`) on the
+        transported inputs.  Returns one record per input tuple.
         """
         _, slots = generator_signature(gen)
         slot_bases: list[list[tuple[str, PAElement]]] = []
@@ -291,14 +290,13 @@ class CrossedProduct:
                         for rep in self.orbit_reps(disc.colour)
                     ]
                 )
-        scale = alpha(realize(gen), self.theta_order)
         name = f"{gen.kind}_{gen.k}"
         records = []
         for combo in iter_product(*slot_bases) if slot_bases else [()]:
             base_inputs = [el for _, el in combo]
             lhs = self.transport(self.base.act_generator(gen, base_inputs))
             moved = [self.transport(el) for el in base_inputs]
-            rhs = self.surround(self.product.act_generator(gen, moved)).scale(scale)
+            rhs = self.embedded.act(gen, moved)
             case = name + (
                 " on " + "; ".join(tag for tag, _ in combo) if combo else " (no inputs)"
             )

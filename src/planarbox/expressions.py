@@ -30,8 +30,10 @@ from planarbox.tangles import (
     Tangle,
     TangleError,
     compose,
+    glued_discs,
     make_generator,
     renumber,
+    renumbered_discs,
 )
 
 
@@ -103,23 +105,11 @@ def _walk(expr: TangleExpr, found: dict[int, Signature]) -> Signature:
         sig = generator_signature(expr)
     elif isinstance(expr, ComposeExpr):
         external, outer = _walk(expr.outer, found)
-        if not 1 <= expr.slot <= len(outer):
-            raise TangleError(f"slot {expr.slot} out of range 1..{len(outer)}")
         inner_ext, inner = _walk(expr.inner, found)
-        if outer[expr.slot - 1] != inner_ext:
-            raise TangleError(
-                f"colour mismatch at slot {expr.slot}: "
-                f"{outer[expr.slot - 1].label()} vs {inner_ext.label()}"
-            )
-        sig = (external, outer[: expr.slot - 1] + inner + outer[expr.slot :])
+        sig = (external, glued_discs(outer, expr.slot, inner_ext, inner))
     else:
         external, inner = _walk(expr.inner, found)
-        if sorted(expr.perm) != list(range(1, len(inner) + 1)):
-            raise TangleError(f"not a permutation of 1..{len(inner)}: {list(expr.perm)}")
-        out = [Disc(0)] * len(inner)
-        for i, img in enumerate(expr.perm, start=1):
-            out[img - 1] = inner[i - 1]
-        sig = (external, tuple(out))
+        sig = (external, renumbered_discs(inner, expr.perm))
     found[id(expr)] = sig
     return sig
 

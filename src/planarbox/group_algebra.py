@@ -6,30 +6,30 @@ closed-loop value is the square root of the group order.  Products,
 star, trace, and the generator-tangle actions all follow the basis
 formulas pinned down by scripts/solve_base_constants.py.
 
-Every basis product goes through one label rule, :meth:`GroupPlanarAlgebra._merge`,
-and every nonzero basis product at a colour carries the same prefactor,
-:meth:`GroupPlanarAlgebra._prefactor`.  The rule is split into a left part
-of the first label (cached per colour and label) and a right part of the
-second, ``h -> (h[:m], h[m:])``.  Inputs seldom carry more than a few
-distinct coefficient values, so ``multiply`` groups each factor's labels by
+The product rule at a colour is one object, :class:`_LeftParts`, built
+once per algebra and colour: the left part of the label rule for each
+first label (cached per label), the split point ``m`` of the second label,
+``h -> (h[:m], h[m:])``, and the prefactor that every nonzero basis
+product at the colour carries.  :meth:`GroupPlanarAlgebra._merge`,
+``multiply``, ``product_structure`` and the crossed product's closed
+formulas all read it.  Inputs seldom carry more than a few distinct
+coefficient values, so ``multiply`` groups each factor's labels by
 coefficient, buckets each class of the right factor by its right key, and
 meets each left label's keys with those buckets; it counts the merged
 labels of each pair of classes with plain integers and does at most one
 field product per class pair (and per distinct hit count) instead of one
 per pair of terms.  The right factor's bucketed classes, each coefficient
-already times the prefactor, are memoised on the element
-(:class:`PAElement`, whose coefficients are never mutated) with the
-prefactor they fold in, so a factor used on the right many times, like the
-exhaustive checks' encoded factors, is grouped once per prefactor, and a
-left class of coefficient 1 needs no product at all.  The left factor's
-classes, each with the left parts of its labels, are memoised the same
-way, keyed on the algebra's left-parts table.  ``multiply`` reads no
+already times the prefactor, and the left factor's classes, each with the
+left parts of its labels, are memoised on the element (:class:`PAElement`,
+whose coefficients are never mutated), keyed on the identity of the
+product rule they were read from; so a factor used many times, like the
+exhaustive checks' encoded factors, is grouped once per algebra, and a
+left class of coefficient 1 needs no product at all.  ``multiply`` reads no
 full index table: at colour 5 over a group of order 8 it would hold 4096^2
 entries.  The exhaustive checks build that table with
 :meth:`GroupPlanarAlgebra.product_structure`, which walks the same split
-(the labels bucketed by right part, each left part met against the
-buckets) and so visits only the nonzero pairs; there is no separate
-per-pair product rule.
+and so visits only the nonzero pairs; there is no separate per-pair
+product rule.
 
 Results the library computes from checked elements (products, star, the
 generator actions, sums, differences, scalings and surrounds) are built by
@@ -48,7 +48,7 @@ Basis traces are memoized per colour and label on the algebra
 only traced labels, never more than ``dimension(colour)`` entries.
 
 The biprojections of the algebra are the subgroup averages; each one, with
-its surround, dual surround and conjugates, is a
+its surround, dual surround, conjugates and cut-down action, is a
 :class:`SubgroupBiprojection` built on the algebra it acts in.  The
 report records of every suite are built by :func:`record` and :func:`flag`.
 """
@@ -70,10 +70,11 @@ from .expressions import (
     TangleExpr,
     generator_signature,
     node_signatures,
+    realize,
 )
 from .groups import FiniteGroup
 from .scalars import ONE, ZERO, RadicalScalar, canonical_sqrt, pow_half
-from .tangles import Disc
+from .tangles import Disc, alpha
 
 Label = tuple[int, ...]
 # a left factor's coefficient classes, each with the left part of the label
@@ -99,8 +100,8 @@ class PAElement:
     times the product prefactor, each bucketed by right key.  A mutated
     `coeffs` would be multiplied as its old value, and :meth:`scale` by 1
     returns the element itself.  Nothing in the library mutates it; build
-    a new element instead.  The shading flag is only meaningful at colour
-    0, where the two one-dimensional spaces must be kept apart.
+    a new element instead.  The shading flag is refused above colour 0; at
+    colour 0 it keeps the two one-dimensional spaces apart.
 
     The constructor checks every label, for outside input; results the
     library computes from checked elements are built by :func:`_trusted`.
@@ -111,6 +112,7 @@ class PAElement:
     def __init__(self, colour: int, coeffs: Mapping[Label, RadicalScalar], shaded: bool = False):
         if colour < 0:
             raise AlgebraError("colour must be nonnegative")
+        _check_shading(colour, shaded)
         length = max(colour - 1, 0)
         clean: dict[Label, RadicalScalar] = {}
         for label, c in coeffs.items():
@@ -122,14 +124,14 @@ class PAElement:
             if not c.is_zero():
                 clean[lab] = c
         self.colour = colour
-        self.shaded = bool(shaded) if colour == 0 else False
+        self.shaded = bool(shaded)
         self.coeffs = clean
         # filled by GroupPlanarAlgebra.multiply on first use as a left
         # factor: (left parts table, [(coefficient, [left part per label])])
         self._left_classes: tuple[_LeftParts, _LeftClasses] | None = None
         # and on first use as a right factor:
-        # (prefactor, [(coefficient * prefactor, buckets)])
-        self._right_classes: tuple[RadicalScalar, _RightClasses] | None = None
+        # (left parts table, [(coefficient * its prefactor, buckets)])
+        self._right_classes: tuple[_LeftParts, _RightClasses] | None = None
 
     def disc(self) -> Disc:
         return Disc(self.colour, self.shaded)
@@ -208,8 +210,16 @@ def _trusted(colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = Fal
     return x
 
 
-def _check_discs(inputs: Sequence[PAElement], slots: Sequence[Disc]) -> None:
-    """Raise unless every input lies on the disc of its slot."""
+def _check_shading(colour: int, shaded: bool) -> None:
+    """Raise unless the shading flag is off or the colour is 0."""
+    if shaded and colour != 0:
+        raise AlgebraError(f"shading flag only applies to colour 0, not colour {colour}")
+
+
+def _check_inputs(inputs: Sequence[PAElement], slots: Sequence[Disc]) -> None:
+    """Raise unless there is one input per slot and each lies on its slot's disc."""
+    if len(inputs) != len(slots):
+        raise AlgebraError(f"expected {len(slots)} input(s), got {len(inputs)}")
     for x, d in zip(inputs, slots):
         if x.colour != d.colour or x.shaded != d.shaded:
             raise AlgebraError(f"input colour {x.disc().label()} does not fit slot {d.label()}")
@@ -251,7 +261,8 @@ class SubgroupBiprojection:
     result, which is safe because elements are immutable.
     """
 
-    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_spread_cache", "_last")
+    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_spread_cache", "_last",
+                 "_weights")
 
     def __init__(self, algebra: GroupPlanarAlgebra, members: Iterable[int]):
         group = algebra.group
@@ -269,6 +280,9 @@ class SubgroupBiprojection:
         self._spread_cache: dict[tuple[int, Label], list[tuple[RadicalScalar, list[Label]]]] = {}
         # (input, result) of the last surround
         self._last: tuple[PAElement, PAElement] | None = None
+        # alpha(T) at ratio |K| per tree given to act; equal trees realize
+        # equal tangles, and the library only passes generator leaves
+        self._weights: dict[TangleExpr, RadicalScalar] = {}
 
     @property
     def order(self) -> int:
@@ -283,6 +297,15 @@ class SubgroupBiprojection:
         """The colour-2 average ``|K|^-1 sum_{k in K} S(k)``."""
         c = RadicalScalar.rational(Fraction(1, self.order))
         return PAElement(2, {(k,): c for k in self.members})
+
+    def act(self, expr: TangleExpr, inputs: Sequence[PAElement]) -> PAElement:
+        """The cut-down action of a tree, for the cut-down algebra and the
+        crossed product alike: the surround of its value, times ``alpha(T)``
+        at the ratio ``|K|``.  Inputs are not checked for membership."""
+        weight = self._weights.get(expr)
+        if weight is None:
+            weight = self._weights[expr] = alpha(realize(expr), self.order)
+        return self.surround(self.algebra.evaluate(expr, inputs)).scale(weight)
 
     def surround(self, x: PAElement) -> PAElement:
         """The spread of ``x`` over K: input weight is gathered per class, and
@@ -339,34 +362,36 @@ class SubgroupBiprojection:
 
 
 class _LeftParts(dict):
-    """Label ``g`` -> left part of the label rule for ``S(g)`` at one colour.
+    """The product rule at one colour, built once per algebra.
 
-    With ``m = (colour + 1) // 2``, ``S(g) S(h)`` is nonzero exactly when
-    ``h[:m]`` is a key of ``self[g]``, and its label is that key's merged
-    prefix followed by ``h[m:]``; there is one key per value of ``h[0]``.
-    Entries are computed on first lookup, so the size is bounded by the
-    labels in use.  An entry zips tuples of the group table read down
-    ``h0``: at colour 2 the row of ``g[0]`` (``g[0] * h0``), and above it
-    columns, key entry ``i >= 1`` being ``h0 * g[colour-1-i]`` and prefix
-    entry ``j`` being ``h0 * g[j]``.
+    Label ``g`` -> left part of the label rule for ``S(g)``.  With
+    ``m = (colour + 1) // 2``, ``S(g) S(h)`` is nonzero exactly when
+    ``h[:m]`` is a key of ``self[g]``, and then it is ``prefactor =
+    sqrt(n)^(m-1)`` times the symbol of that key's merged prefix followed by
+    ``h[m:]``; there is one key per value of ``h[0]``.  Entries are computed
+    on first lookup, so the size is bounded by the labels in use.  An entry
+    zips tuples of the group table read down ``h0``: at colour 2 the row of
+    ``g[0]`` (``g[0] * h0``), and above it columns, key entry ``i >= 1``
+    being ``h0 * g[colour-1-i]`` and prefix entry ``j`` being ``h0 * g[j]``.
     """
 
-    __slots__ = ("rows", "columns", "colour")
+    __slots__ = ("rows", "columns", "colour", "m", "prefactor")
 
     def __init__(self, table: Sequence[Sequence[int]], colour: int):
         super().__init__()
         self.rows = table
         self.columns = tuple(zip(*table))  # columns[g][h0] = h0 * g
         self.colour = colour
+        self.m = (colour + 1) // 2
+        self.prefactor = pow_half(len(table), max(self.m - 1, 0))
 
     def __missing__(self, g: Label) -> dict[Label, Label]:
-        columns, colour = self.columns, self.colour
+        columns, colour, m = self.columns, self.colour, self.m
         if colour <= 1:
             parts = {(): ()}
         elif colour == 2:
             parts = {(h0,): (gh,) for h0, gh in enumerate(self.rows[g[0]])}
         else:
-            m = (colour + 1) // 2
             keys = zip(range(len(columns)), *(columns[g[colour - i]] for i in range(2, m + 1)))
             parts = dict(zip(keys, zip(*(columns[g[j]] for j in range(m)))))
         self[g] = parts
@@ -469,6 +494,7 @@ class GroupPlanarAlgebra:
     def unit(self, colour: int, shaded: bool = False) -> PAElement:
         """The unit of a colour: the inclusion of the unit one colour down,
         starting from the empty diagram at colour 0."""
+        _check_shading(colour, shaded)
         if colour == 0:
             return PAElement(0, {(): ONE}, shaded)
         return self._act_I(colour - 1, self.unit(colour - 1))
@@ -496,7 +522,7 @@ class GroupPlanarAlgebra:
     # --- ring structure --------------------------------------------------
 
     def _left_parts(self, colour: int) -> "_LeftParts":
-        """The cached left parts of the label rule at one colour (see :meth:`_merge`)."""
+        """The product rule at one colour (see :meth:`_merge`), built once."""
         parts = self._left_cache.get(colour)
         if parts is None:
             parts = self._left_cache[colour] = _LeftParts(self.group.table, colour)
@@ -513,13 +539,9 @@ class GroupPlanarAlgebra:
         ``g`` (:class:`_LeftParts`) maps each admissible ``h[:m]`` to the
         merged prefix, and the right part of ``h`` is ``(h[:m], h[m:])``.
         """
-        m = (colour + 1) // 2
-        prefix = self._left_parts(colour)[g].get(h[:m])
-        return None if prefix is None else prefix + h[m:]
-
-    def _prefactor(self, colour: int) -> RadicalScalar:
-        """The scalar ``sqrt(n)^(m-1)`` of every nonzero basis product at a colour."""
-        return pow_half(self.group.order, max((colour + 1) // 2 - 1, 0))
+        parts = self._left_parts(colour)
+        prefix = parts[g].get(h[:parts.m])
+        return None if prefix is None else prefix + h[parts.m:]
 
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
         """The product ``x y``, at most one field product per pair of
@@ -534,14 +556,12 @@ class GroupPlanarAlgebra:
         label once, times its hit count (one field product per distinct
         count); a left class with ``cg == 1`` takes ``ch * prefactor`` as is.
 
-        The bucketed classes of ``y``, each coefficient already times the
-        prefactor, depend only on its coefficients and the prefactor, so
-        they are built once per element and kept on it with the prefactor
-        they fold in (see :class:`PAElement`).  A right factor used again is
-        not regrouped unless it meets an algebra of another prefactor.  In
-        the same way the classes of ``x``, each with the left parts of its
-        labels, are kept on it with the left-parts table they were read
-        from, and regrouped only against another algebra's table.
+        ``m`` and the prefactor are read off the colour's
+        :class:`_LeftParts` table.  The bucketed classes of ``y``, each
+        coefficient already times the prefactor, and the classes of ``x``,
+        each with the left parts of its labels, are built once per element
+        and kept on it with that table (see :class:`PAElement`); a factor
+        used again is regrouped only against another algebra's table.
         """
         x._check_compatible(y)
         colour = x.colour
@@ -552,19 +572,18 @@ class GroupPlanarAlgebra:
         else:
             x_classes = [(cg, [left_parts[g] for g in gs]) for cg, gs in coefficient_classes(x)]
             x._left_classes = (left_parts, x_classes)
-        pref = self._prefactor(colour)
         memo = y._right_classes
-        if memo is not None and memo[0] == pref:
+        if memo is not None and memo[0] is left_parts:
             y_classes = memo[1]
         else:
-            m = (colour + 1) // 2
+            m, pref = left_parts.m, left_parts.prefactor
             y_classes = []
             for ch, hs in coefficient_classes(y):
                 buckets: dict[Label, list[Label]] = {}
                 for h in hs:
                     buckets.setdefault(h[:m], []).append(h[m:])
                 y_classes.append((ch * pref, buckets))
-            y._right_classes = (pref, y_classes)
+            y._right_classes = (left_parts, y_classes)
         out: dict[Label, RadicalScalar] = {}
         for cg, lefts in x_classes:
             unit = cg == ONE
@@ -702,12 +721,7 @@ class GroupPlanarAlgebra:
 
     def act_generator(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
         """The action of one generator, its inputs checked against its slots."""
-        external, slots = generator_signature(gen)
-        if len(inputs) != len(slots):
-            raise AlgebraError(
-                f"{gen.kind} expects {len(slots)} input(s), got {len(inputs)}"
-            )
-        _check_discs(inputs, slots)
+        _check_inputs(inputs, generator_signature(gen)[1])
         return self._act(gen, inputs)
 
     def _act(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
@@ -748,12 +762,7 @@ class GroupPlanarAlgebra:
         """
         cache = EvaluationCache() if cache is None else cache
         signatures = cache.shape(expr)
-        slots = signatures[id(expr)][1]
-        if len(inputs) != len(slots):
-            raise AlgebraError(
-                f"expression takes {len(slots)} input(s), got {len(inputs)}"
-            )
-        _check_discs(inputs, slots)
+        _check_inputs(inputs, signatures[id(expr)][1])
         return self._evaluate(expr, list(inputs), signatures, cache.last)
 
     def _evaluate(
@@ -794,18 +803,18 @@ class GroupPlanarAlgebra:
         the index in ``labels`` of the product symbol, or -1 for zero.  The
         labels are bucketed by their right part ``h[:m]`` and each left
         label's parts meet those buckets, the split :meth:`multiply` uses,
-        so only the nonzero pairs are visited.  The prefactor is
-        :meth:`_prefactor` by construction; that ``multiply`` applies it to
-        every pair is for the caller to check (``base_algebra_report``
-        compares ``multiply`` with this table on every pair).
+        so only the nonzero pairs are visited, with the table's ``m`` and
+        prefactor; that ``multiply`` applies the prefactor to every pair is
+        for the caller to check (``base_algebra_report`` compares
+        ``multiply`` with this table on every pair).
         """
         labels = list(self.basis_labels(colour))
         index = {lab: i for i, lab in enumerate(labels)}
-        m = (colour + 1) // 2
+        left_parts = self._left_parts(colour)
+        m = left_parts.m
         buckets: dict[Label, list[tuple[int, Label]]] = {}
         for j, h in enumerate(labels):
             buckets.setdefault(h[:m], []).append((j, h[m:]))
-        left_parts = self._left_parts(colour)
         table = np.full((len(labels), len(labels)), -1, dtype=np.int32)
         for i, g in enumerate(labels):
             cols: list[int] = []
@@ -815,7 +824,7 @@ class GroupPlanarAlgebra:
                     cols.append(j)
                     merged.append(index[prefix + tail])
             table[i, cols] = merged
-        return table, labels, self._prefactor(colour)
+        return table, labels, left_parts.prefactor
 
     # --- rendering --------------------------------------------------------
 

@@ -38,6 +38,7 @@ from .group_algebra import (
     EvaluationCache,
     PAElement,
     SubgroupBiprojection,
+    _check_shading,
     flag,
     record,
     row_reduce,
@@ -80,22 +81,19 @@ class IntermediateAlgebra:
         self.index_qn = len(self.algebra.group) // self.index_mq
         self.tau = self.algebra.trace(subgroup.average())
         self._bases: dict[int, list[PAElement]] = {}
-        # capping weight per tree given to z_prime; equal trees realize equal
-        # tangles, and the library only passes generator leaves
-        self._weights: dict[TangleExpr, RadicalScalar] = {}
         P = self.algebra
         surround = subgroup.surround
         for colour in range(1, k_max + 1):
-            # most images repeat; keeping the first copy leaves the basis
-            # unchanged and checks each distinct image for idempotence once
-            images: dict[frozenset, PAElement] = {}
-            for label in P.basis_labels(colour):
-                img = surround(P.basis_element(colour, label))
-                images.setdefault(frozenset(img.coeffs.items()), img)
-            for img in images.values():
-                if surround(img) != img:
+            # most images repeat, and row_reduce skips repeats; the surround
+            # is linear, so it is idempotent on the images exactly when it is
+            # on the basis of their span
+            basis = row_reduce(
+                surround(P.basis_element(colour, label)) for label in P.basis_labels(colour)
+            )
+            for b in basis:
+                if surround(b) != b:
                     raise AlgebraError(f"surround is not idempotent at colour {colour}")
-            self._bases[colour] = row_reduce(images.values())
+            self._bases[colour] = basis
         # the cut-down inclusion is "include, then surround"; it must not
         # depend on whether the representative was already surrounded
         for colour in range(1, k_max):
@@ -114,6 +112,7 @@ class IntermediateAlgebra:
     def basis(self, colour: int, shaded: bool = False) -> list[PAElement]:
         if colour == 0:
             return [self.algebra.basis_element(0, (), shaded)]
+        _check_shading(colour, shaded)
         if colour not in self._bases:
             raise AlgebraError(f"colour {colour} above the configured bound {self.k_max}")
         return list(self._bases[colour])
@@ -122,9 +121,7 @@ class IntermediateAlgebra:
         return len(self.basis(colour))
 
     def contains(self, x: PAElement) -> bool:
-        if x.colour == 0:
-            return True
-        return self.subgroup.surround(x) == x
+        return self.subgroup.surround(x) == x  # the surround passes colour 0 through
 
     def require_member(self, x: PAElement) -> None:
         if not self.contains(x):
@@ -139,21 +136,14 @@ class IntermediateAlgebra:
     # the rescaled action
 
     def z_prime(self, expr: TangleExpr, inputs: Sequence[PAElement]) -> PAElement:
-        """Evaluate a tangle on fixed inputs: surround after the plain action,
-        scaled by the capping weight at the intermediate ratio."""
-        inputs = list(inputs)
+        """Evaluate a tangle on fixed inputs by the subgroup's cut-down action
+        (:meth:`SubgroupBiprojection.act`), after checking their membership."""
         for x in inputs:
             self.require_member(x)
-        weight = self._weights.get(expr)
-        if weight is None:
-            weight = self._weights[expr] = alpha(realize(expr), self.index_mq)
-        value = self.algebra.evaluate(expr, inputs)
-        return self.subgroup.surround(value).scale(weight)
+        return self.subgroup.act(expr, inputs)
 
     def unit_prime(self, colour: int, shaded: bool = False) -> PAElement:
-        if colour == 0:
-            return self.algebra.basis_element(0, (), shaded)
-        return self.subgroup.surround(self.algebra.unit(colour))
+        return self.subgroup.surround(self.algebra.unit(colour, shaded))
 
     def jones_prime(self, colour: int) -> PAElement:
         """The cut-down Jones projection at a colour, from the cup-cap tangle."""

@@ -191,6 +191,30 @@ def _components(
     return component
 
 
+def glued_discs(discs: Sequence[Disc], slot: int, inner_external: Disc,
+                inner_discs: Sequence[Disc]) -> tuple[Disc, ...]:
+    """The internal discs after gluing a tangle (``inner_external``,
+    ``inner_discs``) into disc ``slot``: the inner discs take its place, in
+    order.  Raises :class:`TangleError` on a slot out of range or a colour
+    mismatch, for :func:`compose` and for trees alike."""
+    if not 1 <= slot <= len(discs):
+        raise TangleError(f"slot {slot} out of range 1..{len(discs)}")
+    if discs[slot - 1] != inner_external:
+        raise TangleError(f"colour mismatch at slot {slot}: disc is {discs[slot - 1].label()}, "
+                          f"tangle is {inner_external.label()}")
+    return (*discs[: slot - 1], *inner_discs, *discs[slot:])
+
+
+def renumbered_discs(discs: Sequence[Disc], sigma: Sequence[int]) -> tuple[Disc, ...]:
+    """The internal discs after renumbering: disc ``sigma[i-1]`` of the
+    result is disc ``i`` of ``discs``.  Raises :class:`TangleError` unless
+    ``sigma`` is a permutation of ``1..len(discs)``."""
+    b = len(discs)
+    if sorted(sigma) != list(range(1, b + 1)):
+        raise TangleError(f"not a permutation of 1..{b}: {list(sigma)}")
+    return tuple(discs[i] for i in sorted(range(b), key=sigma.__getitem__))
+
+
 _GLUED = -1  # disc index shared by both sides of the glued boundary
 
 
@@ -202,14 +226,7 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
     component of the spliced strings with two endpoints off that boundary
     is a new string; one with none is a new free loop.
     """
-    if not 1 <= slot <= len(outer.internal):
-        raise TangleError(f"slot {slot} out of range 1..{len(outer.internal)}")
-    target = outer.internal[slot - 1]
-    if target != inner.external:
-        raise TangleError(
-            f"colour mismatch at slot {slot}: disc is {target.label()}, "
-            f"tangle is {inner.external.label()}"
-        )
+    internal = glued_discs(outer.internal, slot, inner.external, inner.internal)
     # disc index on either side -> disc index in the result
     b_in = len(inner.internal)
     outer_disc = [*range(slot), _GLUED, *range(slot + b_in, len(outer.internal) + b_in)]
@@ -223,8 +240,6 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
         if pt[0] != _GLUED:
             found.append(pt)
     new_strings = [pair for pair in ends.values() if pair]
-
-    internal = outer.internal[: slot - 1] + inner.internal + outer.internal[slot:]
     return tangle(
         outer.external,
         internal,
@@ -236,12 +251,7 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
 def renumber(t: Tangle, sigma: Sequence[int]) -> Tangle:
     """Relabel internal discs so that disc ``sigma[i-1]`` of the result
     is disc ``i`` of ``t``.  The diagram itself is unchanged."""
-    b = len(t.internal)
-    if sorted(sigma) != list(range(1, b + 1)):
-        raise TangleError(f"not a permutation of 1..{b}: {list(sigma)}")
-    internal = [Disc(0)] * b
-    for i, img in enumerate(sigma, start=1):
-        internal[img - 1] = t.internal[i - 1]
+    internal = renumbered_discs(t.internal, sigma)
 
     def move(pt: Point) -> Point:
         d, p = pt

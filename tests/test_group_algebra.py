@@ -143,6 +143,21 @@ class TestPAElement:
         with pytest.raises(AlgebraError, match="mismatch"):
             alg.unit(0, shaded=True) - alg.unit(0, shaded=False)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda alg: PAElement(2, {(0,): ONE}, shaded=True),
+            lambda alg: alg.basis_element(3, (0, 1), True),
+            lambda alg: alg.unit(1, shaded=True),
+        ],
+        ids=["PAElement", "basis_element", "unit"],
+    )
+    def test_shading_flag_refused_above_colour_0(self, build):
+        """Above colour 0 the shading flag has no meaning, as for a disc:
+        it is refused, not dropped."""
+        with pytest.raises(AlgebraError, match="shading flag only applies to colour 0"):
+            build(algebra(3))
+
     @pytest.mark.parametrize("shaded", [False, True])
     def test_unit_scalings_return_the_element(self, shaded):
         """Scaling by 1, in any of its three spellings, gives the element
@@ -445,7 +460,8 @@ class TestTraceMemo:
                     for _ in range(rng.randint(1, 6))
                 }
                 coeffs = {lab: rng.choice(COEFFS) for lab in labels}
-                elements.append(PAElement(k, coeffs, shaded=rng.random() < 0.5))
+                # one draw per element, so the samples stay as they were
+                elements.append(PAElement(k, coeffs, shaded=rng.random() < 0.5 and k == 0))
         assert {x.shaded for x in elements if x.colour == 0} == {False, True}
         expected = [chain_trace(cold, x) for x in elements]
         assert expected == [trace_closed_form(cold, x) for x in elements]
@@ -917,6 +933,28 @@ class TestRightFactorMemo:
                     fresh = PAElement(y.colour, y.coeffs)
                     assert alg.multiply(x2, y) == alg.multiply(x2, fresh)
                     assert alg.multiply(x2, y) == product_closed_form(alg, x2, y)
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_memo_regroups_against_another_algebras_table(self, k):
+        """The memo is keyed on the identity of the colour's left-parts
+        table: a right factor used in z3xz2 and then in the algebra of the
+        cyclic group of the same order, whose prefactor is equal, is
+        regrouped against that algebra's table each time, and multiplies
+        there as a fresh copy."""
+        rng = random.Random(f"right-memo-tables-{k}")
+        algebras = [SEMIDIRECT["z3xz2"], algebra(6)]
+
+        def element() -> PAElement:
+            labels = {tuple(rng.randrange(6) for _ in range(k - 1)) for _ in range(20)}
+            return PAElement(k, {lab: rng.choice(CLASS_COEFFS) for lab in labels})
+
+        for _ in range(3):
+            x, y = element(), element()
+            for alg in algebras + algebras[::-1]:
+                fresh = PAElement(y.colour, y.coeffs)
+                assert alg.multiply(x, y) == alg.multiply(x, fresh) == product_closed_form(alg, x, y)
+                assert y._right_classes[0] is alg._left_parts(k)
 
 
 class TestLeftFactorMemo:

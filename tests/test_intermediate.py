@@ -1,6 +1,7 @@
 """Tests for the cut-down algebra: bases, rescaled action, Jones family, reports."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarbox.crossed import CrossedProduct
-from planarbox.expressions import ComposeExpr, GenExpr, RenumberExpr
+from planarbox.expressions import (
+    ComposeExpr,
+    GenExpr,
+    RenumberExpr,
+    generators_with_external,
+    realize,
+    slot_colours,
+)
 from planarbox.group_algebra import AlgebraError, SubgroupBiprojection, row_reduce
 from planarbox.groups import cyclic_group, inversion_action, trivial_action
-from planarbox import intermediate
+from planarbox import group_algebra, intermediate
 from planarbox.intermediate import IntermediateAlgebra, crossed_instance
 from planarbox.scalars import ONE, RadicalScalar, pow_half
 from planarbox.suites import biprojection_report
+from planarbox.tangles import Disc, alpha
 
 CP3 = CrossedProduct(inversion_action(3))
 CP4 = CrossedProduct(inversion_action(4))
@@ -89,6 +98,10 @@ class TestBuild:
         assert b.colour == 0 and not b.shaded
         (w,) = inter.basis(0, shaded=True)
         assert w.shaded
+
+    def test_shading_flag_refused_above_colour_0(self, inter):
+        with pytest.raises(AlgebraError, match="shading flag only applies to colour 0"):
+            inter.basis(2, True)
 
     def test_colour_above_bound_rejected(self, inter):
         with pytest.raises(AlgebraError, match="bound"):
@@ -308,15 +321,20 @@ class TestVerificationReports:
     def test_planted_weight_defect_fails_only_the_weight_flags(self, monkeypatch):
         """A capping weight off by sqrt([M:Q]) on tangles with two or more
         internal discs breaks multiplicativity and substitution, which
-        compare alphas, and no dressed composite, which reads loop counts."""
+        compare alphas, and no dressed composite, which reads loop counts.
+        The defect is planted in the suites' weights and in the cut-down
+        action's, which a fresh biprojection reads on first use."""
         real = intermediate.alpha
 
         def off(t, ratio):
             a = real(t, ratio)
             return a * pow_half(ratio, 1) if len(t.internal) >= 2 else a
 
-        monkeypatch.setattr(intermediate, "alpha", off)
-        inter = IntermediateAlgebra(CP3.embedded, k_max=4)
+        for module in (intermediate, group_algebra):
+            monkeypatch.setattr(module, "alpha", off)
+        inter = IntermediateAlgebra(SubgroupBiprojection(CP3.product, CP3.embedded.members), k_max=4)
+        one = inter.unit_prime(2)
+        assert inter.z_prime(GenExpr("M", 2), [one, one]) == one.scale(pow_half(2, 1))
         failed = [r["case"] for r in inter.theorem_main_report(samples=10, seed=0) if not r["pass"]]
         assert failed == [
             "pinned renumbered outer: multiplicativity",
@@ -462,6 +480,30 @@ class TestSubgroupInstances:
     def test_non_subgroup_rejected(self):
         with pytest.raises(AlgebraError, match="members do not form a subgroup"):
             SubgroupBiprojection(CP3.product, [0, CP3.semidirect.index(1, 0)])
+
+    @pytest.mark.parametrize("members", SUBGROUPS, ids=str)
+    def test_act_is_the_weighted_surround_of_each_leaf(self, members):
+        """The cut-down action of every generator leaf up to colour 3, on
+        every tuple of basis inputs, is the surround of the generator's
+        action times alpha of its tangle at ``|K|``, the right side of the
+        crossed product's intertwining checks."""
+        P = CP3.product
+        sub = SubgroupBiprojection(P, members)
+        leaves = [
+            leaf
+            for disc in [Disc(0), Disc(0, True), Disc(1), Disc(2), Disc(3)]
+            for leaf in generators_with_external(disc, 3)
+        ]
+        assert {leaf.kind for leaf in leaves} == {"unit", "id", "M", "Eprime", "jones", "E", "I"}
+        for leaf in leaves:
+            weight = alpha(realize(leaf), len(members))
+            pools = [
+                [P.basis_element(d.colour, label, d.shaded) for label in P.basis_labels(d.colour)]
+                for d in slot_colours(leaf)
+            ]
+            for xs in itertools.product(*pools):
+                expected = sub.surround(P.act_generator(leaf, xs)).scale(weight)
+                assert sub.act(leaf, xs) == expected, (leaf, xs)
 
     @pytest.mark.parametrize("cp", [CP3, CP4, CPT], ids=["z3", "z4", "trivial"])
     def test_crossed_instance_is_the_embedded_theta(self, cp):

@@ -25,6 +25,9 @@ GOLDEN = {
     # Z7 x| Z3, Theta acting by x -> 2x and x -> 4x: the one Theta that is
     # not an involution
     "z7xz3": (478, "1bce3677ef5d053ad95087808615706b69278bbf57278ee4f4f162fbb37471bc"),
+    # Z2^2 x| S3 = S4, S3 permuting the three involutions: the one Theta
+    # that is not abelian
+    "s4": (185, "0544f6db01447084009f4a01aa3bde3ea8b41fb7224158f29d08e10677fb7dfb"),
 }
 
 
@@ -92,21 +95,40 @@ def test_substitution_suites_at_defaults_are_pinned(name):
     assert (len(records), digest) == GOLDEN_SUBSTITUTION[name]
 
 
-# z4xz2 at the CLI defaults (k_max 4, 40 samples, seed 0): the colour-4
-# trace and surround paths; digests taken before the element layer's
-# trusted results, folded prefactor and exponent-only basis traces
-GOLDEN_Z4XZ2_DEFAULTS = {
-    "trace": (26, "17c713dbc2f930893fdb077dfb6e337c31574718fdcbfe241b25e45e976ec21b"),
-    "biprojection": (21, "02feaddb0c6175a1b301bd1b6cec71b3807784c014bc38353ee7c44a7951ff63"),
+# the cheap suites at the CLI defaults (k_max 4, 40 samples, seed 0), by
+# (action, suite).  The two z4xz2 entries for trace and biprojection, the
+# colour-4 trace and surround paths, were taken before the element layer's
+# trusted results, folded prefactor and exponent-only basis traces; the
+# rest before the crossed product's intertwining checks read the cut-down
+# action of its subgroup
+GOLDEN_DEFAULTS = {
+    ("z3xz2", "base-algebra"): (32, "d20d3d174730059696d9fd8943328082204484f3e359e0ee5186958b5be67d36"),
+    ("z3xz2", "crossed-product"): (81, "1305af2610198ff108affb45e7b284b4a2d2bc20694790b6a4ad3d8cd5c78335"),
+    ("z3xz2", "biprojection"): (19, "9c1f7e89b7d6e367e70a8448b434d0154cfb4a523c346ebbe6833c3b25aebf8f"),
+    ("z3xz2", "jones"): (14, "844656a074466f2047a72f3c2c939f6b8744a2b6363db1392743164ac480661a"),
+    ("z3xz2", "trace"): (26, "17c713dbc2f930893fdb077dfb6e337c31574718fdcbfe241b25e45e976ec21b"),
+    ("z3xz2", "dual"): (17, "03870e41e847a0680460c3596c1a4bd63221cc1f25ad741ea95c96936e9feff9"),
+    ("z3-trivial", "base-algebra"): (32, "017c3bcd58d57fc5115ae83f4c92ffa048fbd68384d7c0b7783d8b0e37cf5480"),
+    ("z3-trivial", "crossed-product"): (166, "06504cf5566184f66b61e8ca3ecc964135ee5a436101926a726e8d5da4587eb4"),
+    ("z3-trivial", "biprojection"): (16, "f743386100d3477487877874ed686c283d53e40603a618ad7691bc2d8e31f0e3"),
+    ("z3-trivial", "jones"): (14, "73fa5791a439b3fb969787185c873bfe0242a16a7c2e211b56b96b1a62eafa5e"),
+    ("z3-trivial", "trace"): (26, "17c713dbc2f930893fdb077dfb6e337c31574718fdcbfe241b25e45e976ec21b"),
+    ("z3-trivial", "dual"): (17, "60f074bf4ab31fb5877d62fdf704ccb5257d677d93dd328c48668faed4ffa5f8"),
+    ("z4xz2", "crossed-product"): (196, "51068c1427ae756848f67cc744e34d93f27fa908cf04195903a4309a9fa5703a"),
+    ("z4xz2", "biprojection"): (21, "02feaddb0c6175a1b301bd1b6cec71b3807784c014bc38353ee7c44a7951ff63"),
+    ("z4xz2", "jones"): (14, "520c0bc692ff5b943567810f4cf4b4fda47e45a6a1717f72caa4e22fe9339575"),
+    ("z4xz2", "trace"): (26, "17c713dbc2f930893fdb077dfb6e337c31574718fdcbfe241b25e45e976ec21b"),
+    ("z4xz2", "dual"): (17, "ff9b21ed2b048ac657a273072cf31c671a709fd76c55031fbe9d983def707551"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_Z4XZ2_DEFAULTS))
-def test_z4xz2_suites_at_defaults_are_pinned(name):
-    records = run_suite(name, action("z4xz2"), k_max=4, samples=40, seed=0)
+@pytest.mark.parametrize("key", sorted(GOLDEN_DEFAULTS), ids="-".join)
+def test_suites_at_defaults_are_pinned(key):
+    stem, name = key
+    records = run_suite(name, action(stem), k_max=4, samples=40, seed=0)
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert [r["case"] for r in records if not r["pass"]] == []
-    assert (len(records), digest) == GOLDEN_Z4XZ2_DEFAULTS[name]
+    assert (len(records), digest) == GOLDEN_DEFAULTS[key]
 
 
 @pytest.mark.parametrize("k_max", [1, 5, 9])

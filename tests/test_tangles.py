@@ -480,3 +480,29 @@ def test_composition_keeps_validity_and_loop_counts_nonnegative():
         glued = compose(realize(outer), i, realize(inner))
         assert validate(glued).ok
         assert glued.closed_loops >= 0
+
+
+# (a tree with one slot fault, its external colour, the message both tree
+# readers give)
+SLOT_FAULTS = [
+    (ComposeExpr(GenExpr("id", 2), 2, GenExpr("id", 2)), 2, "slot 2 out of range 1..1"),
+    (ComposeExpr(GenExpr("id", 2), 1, GenExpr("id", 3)), 2,
+     "colour mismatch at slot 1: disc is 2, tangle is 3"),
+    (ComposeExpr(GenExpr("id", 0), 1, GenExpr("id", 0, True)), 0,
+     "colour mismatch at slot 1: disc is 0+, tangle is 0-"),
+    (RenumberExpr((1, 1), GenExpr("M", 2)), 2, "not a permutation of 1..2: [1, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, colour, message", SLOT_FAULTS, ids=["range", "colour", "shading", "permutation"]
+)
+def test_slot_faults_get_one_message_from_either_reader(fault, colour, message):
+    """``realize`` glues diagrams and ``node_signatures`` glues slot lists,
+    yet each slot fault gets the same words from both, also one level
+    down, as the right factor of a product."""
+    for read in (realize, node_signatures):
+        for tree in (fault, ComposeExpr(GenExpr("M", colour), 2, fault)):
+            with pytest.raises(TangleError) as caught:
+                read(tree)
+            assert str(caught.value) == message
