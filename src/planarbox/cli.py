@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .crossed import CrossedProduct
 from .expressions import ParseError, parse_expr, realize
-from .group_algebra import AlgebraError
+from .group_algebra import AlgebraError, render_terms
 from .groups import GroupAction, GroupError, inversion_action, load_action
 from .scalars import RadicalScalar
 from .suites import MAX_KMAX, SUITE_NAMES, SuiteError, run_suite, summarize
@@ -26,6 +26,11 @@ from .tangles import TangleError, alpha, capping_exponent, loops_black, validate
 
 DEFAULT_KMAX = 4
 DEFAULT_SAMPLES = 40
+# An odd capping exponent takes sqrt(ratio), whose canonical form factors the
+# ratio by trial division up to its square root.  End to end on a 2-core x86
+# VM, `alpha` with a prime ratio near 10^12 ran in 0.4 s, near 10^14 in
+# 1.2 s, and near 10^20 did not finish in 30 s.
+MAX_RATIO = 10**12
 
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
@@ -58,6 +63,9 @@ def _action_name(action: GroupAction) -> str:
 def cmd_alpha(args: argparse.Namespace) -> int:
     if args.ratio < 1:
         print("--ratio must be a positive integer", file=sys.stderr)
+        return EXIT_USAGE
+    if args.ratio > MAX_RATIO:
+        print(f"--ratio must be at most MAX_RATIO = {MAX_RATIO}", file=sys.stderr)
         return EXIT_USAGE
     try:
         expr = parse_expr(args.expr)
@@ -149,20 +157,6 @@ def _parse_label(text: str, colour: int, order: int) -> tuple[int, ...]:
     return label
 
 
-def _format_combination(
-    components: dict[tuple[int, ...], RadicalScalar], symbol: str, name
-) -> str:
-    parts = []
-    for rep in sorted(components):
-        coeff = components[rep]
-        if coeff.is_zero():
-            continue
-        names = ",".join(name(g) for g in rep)
-        text = format_scalar(coeff)
-        parts.append(f"{symbol}({names})" if text == "1" else f"{text}*{symbol}({names})")
-    return " + ".join(parts) if parts else "0"
-
-
 def cmd_multiply(args: argparse.Namespace) -> int:
     try:
         action = _load_action(args.action)
@@ -187,19 +181,21 @@ def cmd_multiply(args: argparse.Namespace) -> int:
                 P.basis_element(args.colour, left), P.basis_element(args.colour, right)
             )
             print(P.render(result))
-        elif args.basis == "thetaS":
+            return 0
+        if args.basis == "thetaS":
             product = cp.orbit_multiply(
                 cp.orbit_sum(args.colour, left), cp.orbit_sum(args.colour, right)
             )
-            comps = cp.invariant_components(product)
-            print(_format_combination(comps, "ThetaS", cp.group.name))
+            symbol, comps = "ThetaS", cp.invariant_components(product)
         else:
             product = cp.twist_multiply(args.colour, left, right)
-            comps = cp.twist_components(product)
-            print(_format_combination(comps, "U", cp.group.name))
+            symbol, comps = "U", cp.twist_components(product)
     except AlgebraError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    name = cp.group.name
+    terms = ((f"{symbol}({','.join(map(name, rep))})", c) for rep, c in sorted(comps.items()))
+    print(render_terms(terms, format_scalar))
     return 0
 
 
@@ -214,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         "alpha", help="capping weight of a tangle expression"
     )
     p_alpha.add_argument("expr", help="s-expression, e.g. '(gen E 2 3)'")
-    p_alpha.add_argument("--ratio", type=int, default=2, help="index ratio (default 2)")
+    p_alpha.add_argument(
+        "--ratio", type=int, default=2, help=f"index ratio, 1..{MAX_RATIO} (default 2)"
+    )
     p_alpha.set_defaults(func=cmd_alpha)
 
     p_suite = sub.add_parser("suite", help="run a named verification suite")

@@ -9,8 +9,9 @@ the algebra of H).  Both families multiply by closed formulas, and a
 rescaling transports one family onto the other.  The biprojection is the
 average of the embedded copy {(1, t)} of Theta, one
 :class:`~planarbox.group_algebra.SubgroupBiprojection` of the algebra of H
-like any other subgroup's; its surround's range is spanned by the twist
-sums.  This module implements the two families and their closed-form
+like any other subgroup's.  Its surround takes each label to the class
+average over ``h -> t h k`` (``t``, ``k_i`` in Theta), so its range is
+spanned by the twist sums.  This module implements the two families and their closed-form
 products, and the transport map together with its generator-intertwining
 checks; the checks of the biprojection itself, and its conjugates, belong
 to the subgroup.

@@ -7,50 +7,24 @@ star, trace, and the generator-tangle actions all follow the basis
 formulas pinned down by scripts/solve_base_constants.py.
 
 The product rule at a colour is one object, :class:`_LeftParts`, built
-once per algebra and colour: the left part of the label rule for each
-first label (cached per label), the split point ``m`` of the second label,
-``h -> (h[:m], h[m:])``, and the prefactor that every nonzero basis
-product at the colour carries.  :meth:`GroupPlanarAlgebra._merge`,
+once per algebra and colour and read by :meth:`GroupPlanarAlgebra._merge`,
 ``multiply``, ``product_structure`` and the crossed product's closed
-formulas all read it.  Inputs seldom carry more than a few distinct
-coefficient values, so ``multiply`` groups each factor's labels by
-coefficient, buckets each class of the right factor by its right key, and
-meets each left label's keys with those buckets; it counts the merged
-labels of each pair of classes with plain integers and does at most one
-field product per class pair (and per distinct hit count) instead of one
-per pair of terms.  The right factor's bucketed classes, each coefficient
-already times the prefactor, and the left factor's classes, each with the
-left parts of its labels, are memoised on the element (:class:`PAElement`,
-whose coefficients are never mutated), keyed on the identity of the
-product rule they were read from; so a factor used many times, like the
-exhaustive checks' encoded factors, is grouped once per algebra, and a
-left class of coefficient 1 needs no product at all.  ``multiply`` reads no
-full index table: at colour 5 over a group of order 8 it would hold 4096^2
-entries.  The exhaustive checks build that table with
-:meth:`GroupPlanarAlgebra.product_structure`, which walks the same split
-and so visits only the nonzero pairs; there is no separate per-pair
-product rule.
+formulas.  ``multiply`` reads no full index table: at colour 5 over a
+group of order 8 it would hold 4096^2 entries; the exhaustive checks build
+one with ``product_structure``.
 
 Results the library computes from checked elements (products, star, the
 generator actions, sums, differences, scalings and surrounds) are built by
 one trusted constructor, :func:`_trusted`, which skips the label checks but
 still drops the coefficients that cancel; ``PAElement(...)`` keeps every
-check for outside input.  Scaling by 1 returns the element itself, and a
-surround of the very object just surrounded returns its last result.
-
-``trace`` is linear: ``tr(x) = sum c * tr(S(label))``.  Each basis trace is
-computed once, by capping ``S(label)`` with ``E`` one colour at a time
-through the per-symbol rule :meth:`GroupPlanarAlgebra._cap` that ``E``
-itself uses; a cap maps one label to one label or to zero, so the trace
-walks the single label and carries the power of ``delta`` as an exponent.
-Basis traces are memoized per colour and label on the algebra
-(:meth:`GroupPlanarAlgebra._basis_trace`), so the memo of a colour holds
-only traced labels, never more than ``dimension(colour)`` entries.
+check for outside input.
 
 The biprojections of the algebra are the subgroup averages; each one, with
-its surround, dual surround, conjugates and cut-down action, is a
-:class:`SubgroupBiprojection` built on the algebra it acts in.  The
-report records of every suite are built by :func:`record` and :func:`flag`.
+its surround (the class average of each label), dual surround, conjugates
+and cut-down action, is a :class:`SubgroupBiprojection` built on the
+algebra it acts in.  Linear combinations render through
+:func:`render_terms`; the report records of every suite are built by
+:func:`record` and :func:`flag`.
 """
 
 from __future__ import annotations
@@ -58,7 +32,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -252,16 +226,18 @@ class SubgroupBiprojection:
     determine everything the cut-down algebra needs.  The surround spreads
     a label over K on the right of every slot and on the left of all slots,
     ``S(h_1..h_{c-1}) -> |K|^-c sum_{t, k_i in K} S(t h_1 k_1, ..., t h_{c-1} k_{c-1})``,
-    and passes colour 0 through.  A spread only depends on the class of its
-    label under ``h -> t h k``, keyed by the least tuple of left-coset
-    minima; spreads of distinct classes have disjoint supports.
+    and passes colour 0 through.  By orbit-stabilizer the ``|K|^c`` tuples
+    ``(t, k)`` hit every label of the class of ``h`` under ``h -> t h k``
+    equally often, so the surround of a label is its class average: every
+    label of the class with coefficient ``1/|class|``.  A class is keyed by
+    its least tuple of left-coset minima.
 
     The last surround above colour 0 is kept with its input: surrounding
     the very same object again (``is``, never ``==``) returns the same
     result, which is safe because elements are immutable.
     """
 
-    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_spread_cache", "_last",
+    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_class_cache", "_last",
                  "_weights")
 
     def __init__(self, algebra: GroupPlanarAlgebra, members: Iterable[int]):
@@ -277,7 +253,8 @@ class SubgroupBiprojection:
         # h -> the least element of the left coset hK
         self._coset_min = [min(row[k] for k in self.members) for row in table]
         self._canon_cache: dict[Label, Label] = {}
-        self._spread_cache: dict[tuple[int, Label], list[tuple[RadicalScalar, list[Label]]]] = {}
+        # class representative -> (labels of the class, 1/|class|)
+        self._class_cache: dict[Label, tuple[list[Label], RadicalScalar]] = {}
         # (input, result) of the last surround
         self._last: tuple[PAElement, PAElement] | None = None
         # alpha(T) at ratio |K| per tree given to act; equal trees realize
@@ -308,16 +285,13 @@ class SubgroupBiprojection:
         return self.surround(self.algebra.evaluate(expr, inputs)).scale(weight)
 
     def surround(self, x: PAElement) -> PAElement:
-        """The spread of ``x`` over K: input weight is gathered per class, and
-        each output label is assigned once, one product per distinct
-        coefficient of the class's spread."""
+        """The class average of ``x``: the input weight of each class is
+        gathered, and every label of the class gets ``weight / |class|``."""
         if x.colour == 0:
             return _trusted(0, dict(x.coeffs), x.shaded)
         last = self._last
         if last is not None and last[0] is x:
             return last[1]
-        colour = x.colour
-        scale = pow_half(self.order, -2 * colour)
         weights: dict[Label, RadicalScalar] = {}
         for label, c in x.coeffs.items():
             rep = self._canon_cache.get(label)
@@ -329,30 +303,32 @@ class SubgroupBiprojection:
             weights[rep] = weights.get(rep, ZERO) + c
         acc: dict[Label, RadicalScalar] = {}
         for rep, weight in weights.items():
-            weight = weight * scale
-            if weight.is_zero():
-                continue
-            for c2, labels in self._spread_classes(colour, rep):
-                acc.update(dict.fromkeys(labels, c2 * weight))
-        out = _trusted(colour, acc)
+            if not weight.is_zero():
+                labels, inverse_size = self._class(rep)
+                acc.update(dict.fromkeys(labels, weight * inverse_size))
+        out = _trusted(x.colour, acc)
         self._last = (x, out)
         return out
 
-    def _spread_classes(self, colour: int, rep: Label) -> list[tuple[RadicalScalar, list[Label]]]:
-        """The unscaled spread of ``S(rep)`` grouped by coefficient, cached."""
-        key = (colour, rep)
-        classes = self._spread_cache.get(key)
-        if classes is None:
-            table = self.algebra.group.table
-            counts: dict[Label, int] = {}
+    def _class(self, rep: Label) -> tuple[list[Label], RadicalScalar]:
+        """The labels of the class of ``rep`` under ``h -> t h k``, and
+        ``1/|class|``, cached.  For each ``t`` the class holds the product
+        of the cosets ``t h_i K``; two ``t`` give equal or disjoint products."""
+        entry = self._class_cache.get(rep)
+        if entry is None:
+            table, coset_min = self.algebra.group.table, self._coset_min
+            seen: set[Label] = set()
+            labels: list[Label] = []
             for t in self.members:
                 moved = [table[t][h] for h in rep]
-                for ks in itertools.product(self.members, repeat=len(rep)):
-                    lab = tuple(table[h][k] for h, k in zip(moved, ks))
-                    counts[lab] = counts.get(lab, 0) + 1
-            spread = {lab: RadicalScalar.rational(n) for lab, n in counts.items()}
-            classes = self._spread_cache[key] = coefficient_classes(_trusted(colour, spread))
-        return classes
+                key = tuple(coset_min[h] for h in moved)
+                if key not in seen:
+                    seen.add(key)
+                    cosets = [[table[h][k] for k in self.members] for h in moved]
+                    labels.extend(itertools.product(*cosets))
+            inverse_size = RadicalScalar.rational(Fraction(1, len(labels)))
+            entry = self._class_cache[rep] = (labels, inverse_size)
+        return entry
 
     def dual_surround(self, x: PAElement) -> PAElement:
         """Keep exactly the labels with every entry in K."""
@@ -608,21 +584,18 @@ class GroupPlanarAlgebra:
         return _trusted(colour, out, x.shaded)
 
     def star(self, x: PAElement) -> PAElement:
-        inv = self.group.inv
-        op = self.group.op
+        """The adjoint: ``S(g_1..g_{c-1}) -> S(g_1^-1, g_1^-1 g_{c-1}, ..., g_1^-1 g_2)``,
+        a bijection of labels; colours 0 and 1 are fixed."""
+        if x.colour <= 1:
+            return _trusted(x.colour, dict(x.coeffs), x.shaded)
+        inv, rows = self.group.inv, self.group.table
+        tail = range(x.colour - 2, 0, -1)
         out: dict[Label, RadicalScalar] = {}
         for lab, c in x.coeffs.items():
-            if x.colour <= 1:
-                s: Label = ()
-            elif x.colour == 2:
-                s = (inv(lab[0]),)
-            else:
-                first = inv(lab[0])
-                s = (first,) + tuple(
-                    op(first, lab[j]) for j in range(x.colour - 2, 0, -1)
-                )
-            out[s] = out.get(s, ZERO) + c
-        return _trusted(x.colour, out, x.shaded)
+            first = inv(lab[0])
+            row = rows[first]
+            out[(first,) + tuple(row[lab[j]] for j in tail)] = c
+        return _trusted(x.colour, out)
 
     def trace(self, x: PAElement) -> RadicalScalar:
         """``tr(x) = sum c * tr(S(label))`` by linearity, each basis trace
@@ -711,13 +684,11 @@ class GroupPlanarAlgebra:
         return _trusted(source + 1, out)
 
     def _act_Eprime(self, colour: int, x: PAElement) -> PAElement:
-        out: dict[Label, RadicalScalar] = {}
-        for g, cg in x.coeffs.items():
-            if colour == 1:
-                out[()] = out.get((), ZERO) + cg * self.delta
-            elif g[0] == 0:
-                out[g] = out.get(g, ZERO) + cg * self.delta
-        return _trusted(colour, out)
+        """``delta`` times the labels with ``g[0] = 0``, or the one colour-1 label."""
+        delta = self.delta
+        return _trusted(
+            colour, {g: c * delta for g, c in x.coeffs.items() if colour == 1 or g[0] == 0}
+        )
 
     def act_generator(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
         """The action of one generator, its inputs checked against its slots."""
@@ -837,19 +808,28 @@ class GroupPlanarAlgebra:
         return f"S({names})"
 
     def render(self, x: PAElement) -> str:
-        if x.is_zero():
-            return "0"
-        parts = []
-        for lab in x.support():
-            c = x.coeffs[lab]
-            sym = self.label_symbol(x.colour, lab, x.shaded)
-            text = c.render()
-            if text == "1":
-                parts.append(sym)
-            elif text == "-1":
-                parts.append(f"-{sym}")
-            elif " " in text:
-                parts.append(f"({text})*{sym}")
-            else:
-                parts.append(f"{text}*{sym}")
-        return " + ".join(parts)
+        return render_terms(
+            ((self.label_symbol(x.colour, lab, x.shaded), x.coeffs[lab]) for lab in x.support()),
+            RadicalScalar.render,
+        )
+
+
+def render_terms(
+    terms: Iterable[tuple[str, RadicalScalar]], scalar: Callable[[RadicalScalar], str]
+) -> str:
+    """A linear combination of ``(symbol, coefficient)`` pairs, in the order
+    given, each nonzero coefficient rendered by ``scalar``: ``1`` and ``-1``
+    leave the bare symbol and its negation, and a sum is parenthesized.  No
+    terms render as ``0``."""
+    parts = []
+    for sym, c in terms:
+        text = scalar(c)
+        if text == "1":
+            parts.append(sym)
+        elif text == "-1":
+            parts.append(f"-{sym}")
+        elif " " in text:
+            parts.append(f"({text})*{sym}")
+        else:
+            parts.append(f"{text}*{sym}")
+    return " + ".join(parts) if parts else "0"

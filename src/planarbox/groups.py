@@ -115,12 +115,18 @@ def group_from_permutations(perms: Sequence[Sequence[int]], degree: int) -> Fini
 
     Elements are numbered with the identity first, then the remaining
     permutations in lexicographic order, so the numbering is independent
-    of the order the generators were given in.
+    of the order the generators were given in.  The degree must be
+    positive, and each generator's length is checked against it before
+    anything of that size is built; no generators give the trivial group.
     """
+    if degree < 1:
+        raise GroupError(f"degree must be positive, got {degree}")
+    if not perms:
+        return trivial_group()
     gens = []
     for p in perms:
         t = tuple(p)
-        if sorted(t) != list(range(degree)):
+        if len(t) != degree or sorted(t) != list(range(degree)):
             raise GroupError(f"{list(p)} is not a permutation of 0..{degree - 1}")
         gens.append(t)
     identity = tuple(range(degree))

@@ -1,13 +1,21 @@
 """CLI behaviour: output formats, exit codes, report determinism."""
 
+import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from planarbox.cli import format_scalar, main
+from planarbox.cli import MAX_RATIO, format_scalar, main
 from planarbox.expressions import MAX_COLOUR, MAX_DEPTH
+from planarbox.group_algebra import render_terms
+from planarbox.groups import load_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 
 ACTIONS = "actions"
@@ -66,6 +74,31 @@ class TestFormatScalar:
     def test_mixed_terms(self):
         value = RadicalScalar.rational(2) - pow_half(2, -1)
         assert format_scalar(value) == "2 - (1/2)*sqrt(2)"
+
+
+class TestRenderTerms:
+    """The one term renderer, under the library's and the CLI's scalar forms."""
+
+    TERMS = [
+        ("S(0)", -ONE),
+        ("U(1)", ONE + pow_half(2, -1)),
+        ("U(2)", pow_half(2, -1)),
+        ("S(3)", ONE),
+    ]
+
+    def test_library_scalars(self):
+        assert render_terms(self.TERMS, RadicalScalar.render) == (
+            "-S(0) + (1 + 1/2*sqrt(2))*U(1) + 1/2*sqrt(2)*U(2) + S(3)"
+        )
+
+    def test_cli_scalars(self):
+        assert render_terms(self.TERMS, format_scalar) == (
+            "-S(0) + (1 + (1/2)*sqrt(2))*U(1) + (1/2)*sqrt(2)*U(2) + S(3)"
+        )
+
+    @pytest.mark.parametrize("scalar", [RadicalScalar.render, format_scalar])
+    def test_no_terms_render_zero(self, scalar):
+        assert render_terms([], scalar) == "0"
 
 
 class TestAlphaCommand:
@@ -133,6 +166,18 @@ class TestAlphaCommand:
 
     def test_bad_ratio_exits_2(self, capsys):
         assert main(["alpha", "(gen id 2)", "--ratio", "0"]) == 2
+
+    def test_ratio_above_bound_exits_2(self, capsys):
+        """An odd capping exponent factors the ratio by trial division, so
+        a ratio above the bound is refused before any tangle work."""
+        assert main(["alpha", "(gen E 4 5)", "--ratio", str(MAX_RATIO + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"MAX_RATIO = {MAX_RATIO}" in err and "Traceback" not in err
+
+    def test_ratio_at_bound_prints_its_weight(self, capsys):
+        assert main(["alpha", "(gen E 4 5)", "--ratio", str(MAX_RATIO)]) == 0
+        weight = format_scalar(pow_half(MAX_RATIO, -1))
+        assert capsys.readouterr().out.splitlines()[:2] == [f"alpha = {weight}", "c = -1"]
 
 
 class TestSuiteCommand:
@@ -202,6 +247,44 @@ class TestSuiteCommand:
         assert time.perf_counter() - start < 10
         assert "maximum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_non_positive_degree_exits_2(self, degree, tmp_path, capsys):
+        path = tmp_path / "degree.json"
+        group = {"permutations": [], "degree": degree}
+        path.write_text(json.dumps({"group": group, "theta": {"table": [[0]]}}))
+        assert main(["suite", "jones", "--action", str(path)]) == 2
+        assert "degree must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "perms, code", [([], 0), ([[1, 0]], 2)], ids=["no generators", "short generator"]
+    )
+    def test_large_degree_builds_nothing_of_its_size(self, perms, code, tmp_path):
+        """Nothing is built at size ``degree`` before the generators are
+        checked against it: under a 1.5 GB address-space cap, a
+        10^8-entry identity tuple would be a MemoryError.  The cap is set
+        in a child process, so a failure stays inside it."""
+        path = tmp_path / "degree.json"
+        group = {"permutations": perms, "degree": 10**8}
+        path.write_text(json.dumps({"group": group, "theta": {"table": [[0]]}}))
+        script = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 1536 * 2**20\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    cap = min(cap, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from planarbox.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["multiply", "2", "0", "0", "--action", str(path)]
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_kmax_above_bound_names_the_range(self, capsys):
         assert main(["suite", "jones", "--kmax", "5"]) == 2
         assert "2..4" in capsys.readouterr().err
@@ -259,7 +342,43 @@ class TestSuiteCommand:
         assert json.loads(out.read_text())["summary"]["failed"] == 1
 
 
+PAIRS_PER_CELL = 64
+
+
+def _multiply_argvs():
+    """``multiply`` on z3xz2 and s4 in every basis at colours 2 and 3: all
+    label pairs of a cell, or ``PAIRS_PER_CELL`` of them evenly spaced."""
+    for stem in ("z3xz2", "s4"):
+        path = f"{ACTIONS}/{stem}.json"
+        action = load_action(json.loads(Path(path).read_text()))
+        n = action.group.order
+        for basis, order in (("S", n * action.theta.order), ("thetaS", n), ("U", n)):
+            for colour in (2, 3):
+                labels = [
+                    ",".join(map(str, lab))
+                    for lab in itertools.product(range(order), repeat=colour - 1)
+                ]
+                pairs = len(labels) ** 2
+                for i in range(0, pairs, -(-pairs // PAIRS_PER_CELL)):
+                    left, right = divmod(i, len(labels))
+                    yield ["multiply", str(colour), labels[left], labels[right],
+                           "--basis", basis, "--action", path]
+
+
+# sha256 of the concatenated output of _multiply_argvs(), 486 products
+MULTIPLY_DIGEST = "9d923771d66c6c5dbf9905a899f655273733cd19c8a446a8d3ccbbcaaaa99d23"
+
+
 class TestMultiplyCommand:
+    def test_output_bytes_pinned(self, capsys):
+        digest = hashlib.sha256()
+        calls = 0
+        for argv in _multiply_argvs():
+            assert main(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode())
+            calls += 1
+        assert (calls, digest.hexdigest()) == (486, MULTIPLY_DIGEST)
+
     def test_plain_labels(self, capsys):
         assert main(["multiply", "2", "1", "2"]) == 0
         assert capsys.readouterr().out.strip() == "S((2,1))"

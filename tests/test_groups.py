@@ -96,6 +96,18 @@ class TestFiniteGroup:
         with pytest.raises(GroupError, match="permutation"):
             group_from_permutations([[0, 0, 1]], degree=3)
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_non_positive_degree_rejected(self, degree):
+        with pytest.raises(GroupError, match="degree must be positive"):
+            group_from_permutations([], degree)
+
+    def test_no_generators_give_the_trivial_group(self):
+        assert group_from_permutations([], 5).table == ((0,),)
+
+    def test_generator_of_the_wrong_length_rejected(self):
+        with pytest.raises(GroupError, match="permutation"):
+            group_from_permutations([[1, 0]], degree=3)
+
     def test_order_cap(self):
         with pytest.raises(GroupError, match="maximum"):
             FiniteGroup([[0]] * (MAX_GROUP_ORDER + 1))

@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,8 @@ from planarbox.expressions import (
     realize,
     slot_colours,
 )
-from planarbox.group_algebra import AlgebraError, SubgroupBiprojection, row_reduce
-from planarbox.groups import cyclic_group, inversion_action, trivial_action
+from planarbox.group_algebra import AlgebraError, PAElement, SubgroupBiprojection, row_reduce
+from planarbox.groups import cyclic_group, inversion_action, load_action, trivial_action
 from planarbox import group_algebra, intermediate
 from planarbox.intermediate import IntermediateAlgebra, crossed_instance
 from planarbox.scalars import ONE, RadicalScalar, pow_half
@@ -28,6 +30,7 @@ from planarbox.tangles import Disc, alpha
 CP3 = CrossedProduct(inversion_action(3))
 CP4 = CrossedProduct(inversion_action(4))
 CPT = CrossedProduct(trivial_action(cyclic_group(3)))
+ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 
 
 # the cut-down algebras are built in fixtures, not at import, so a broken
@@ -533,3 +536,86 @@ class TestSubgroupInstances:
             assert [r for r in records if not r["pass"]] == []
             rows = [r["rhs"] for r in records if r["case"].startswith("surround idempotent")]
             assert rows == [f"{6 ** (c - 1)} of {6 ** (c - 1)} basis labels" for c in (1, 2, 3)]
+
+
+def generated_subgroups(group) -> list[tuple[int, ...]]:
+    """Every subgroup generated by at most two elements, by closure; for S4
+    that is every subgroup."""
+    found = set()
+    for a, b in itertools.combinations_with_replacement(group.elements(), 2):
+        members, frontier = {0}, [0]
+        while frontier:
+            frontier = {group.op(h, g) for h in frontier for g in (a, b)} - members
+            members |= frontier
+        found.add(tuple(sorted(members)))
+    return sorted(found, key=lambda k: (len(k), k))
+
+
+def conjugacy_representatives(group, subgroups) -> list[tuple[int, ...]]:
+    """The first of the given subgroups in each conjugacy class."""
+    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for k in subgroups:
+        key = min(
+            tuple(sorted(group.op(group.op(h, x), group.inv(h)) for x in k))
+            for h in group.elements()
+        )
+        reps.setdefault(key, k)
+    return list(reps.values())
+
+
+@functools.cache
+def classes_by_table(stem: str, members: tuple[int, ...], colour: int) -> dict:
+    """Label -> its class ``{(t h_i k_i) : t, k_i in K}``, each class
+    brute-forced from the group table over all ``|K|^colour`` tuples."""
+    op = CLASS_ALGEBRAS[stem].group.op
+    classes: dict = {}
+    for label in CLASS_ALGEBRAS[stem].basis_labels(colour):
+        if label not in classes:
+            cls = frozenset(
+                tuple(op(op(t, h), k) for h, k in zip(label, ks))
+                for t in members
+                for ks in itertools.product(members, repeat=colour - 1)
+            )
+            classes.update(dict.fromkeys(cls, cls))
+    return classes
+
+
+S4 = CrossedProduct(load_action(json.loads((ACTIONS / "s4.json").read_text())))
+S4_SUBGROUPS = generated_subgroups(S4.semidirect)
+CLASS_ALGEBRAS = {"z3xz2": CP3.product, "s4": S4.product}
+# every subgroup of the order-6 group, and one subgroup of S4 per conjugacy class
+CLASS_CASES = [("z3xz2", k) for k in SUBGROUPS] + [
+    ("s4", k) for k in conjugacy_representatives(S4.semidirect, S4_SUBGROUPS)
+]
+
+
+class TestClassAverage:
+    """The surround of a label is the average over its class ``h -> t h k``,
+    and the cut-down bases are the class sums."""
+
+    def test_s4_subgroups(self):
+        assert len(S4_SUBGROUPS) == 30
+        assert sorted(len(k) for stem, k in CLASS_CASES if stem == "s4") == [
+            1, 2, 2, 3, 4, 4, 4, 6, 8, 12, 24
+        ]
+
+    @pytest.mark.parametrize("stem, members", CLASS_CASES, ids=str)
+    def test_surround_of_a_label_is_its_class_average(self, stem, members):
+        P = CLASS_ALGEBRAS[stem]
+        sub = SubgroupBiprojection(P, members)
+        for colour in (1, 2, 3):
+            classes = classes_by_table(stem, members, colour)
+            for label in P.basis_labels(colour):
+                image = sub.surround(P.basis_element(colour, label))
+                share = RadicalScalar.rational(Fraction(1, len(classes[label])))
+                assert image.coeffs.keys() == classes[label], (colour, label)
+                assert set(image.coeffs.values()) == {share}, (colour, label)
+
+    @pytest.mark.parametrize("stem, members", CLASS_CASES, ids=str)
+    def test_basis_is_the_class_sums_by_least_label(self, stem, members):
+        inter = IntermediateAlgebra(SubgroupBiprojection(CLASS_ALGEBRAS[stem], members), k_max=3)
+        for colour in (1, 2, 3):
+            classes = set(classes_by_table(stem, members, colour).values())
+            assert inter.basis(colour) == [
+                PAElement(colour, dict.fromkeys(cls, ONE)) for cls in sorted(classes, key=min)
+            ]
