@@ -16,13 +16,15 @@ one with ``product_structure``.
 Results the library computes from checked elements (products, star, the
 generator actions, sums, differences, scalings and surrounds) are built by
 one trusted constructor, :func:`_trusted`, which skips the label checks but
-still drops the coefficients that cancel; ``PAElement(...)`` keeps every
-check for outside input.
+still drops the coefficients that cancel in sums; ``PAElement(...)`` keeps
+every check for outside input.
 
 The biprojections of the algebra are the subgroup averages; each one, with
 its surround (the class average of each label), dual surround, conjugates
 and cut-down action, is a :class:`SubgroupBiprojection` built on the
-algebra it acts in.  Linear combinations render through
+algebra it acts in.  A cut-down algebra keeps its generator values on basis
+tuples, and their surrounds, in a :class:`BasisTable` that an
+:class:`EvaluationCache` carries.  Linear combinations render through
 :func:`render_terms`; the report records of every suite are built by
 :func:`record` and :func:`flag`.
 """
@@ -150,7 +152,11 @@ class PAElement:
             c = ONE * c
         if c == ONE:
             return self
-        return _trusted(self.colour, {lab: v * c for lab, v in self.coeffs.items()}, self.shaded)
+        if c.is_zero():
+            return _trusted(self.colour, {}, self.shaded, nonzero=True)
+        return _trusted(
+            self.colour, {lab: v * c for lab, v in self.coeffs.items()}, self.shaded, nonzero=True
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -164,17 +170,23 @@ class PAElement:
         return f"PAElement(colour={self.disc().label()}, terms={len(self.coeffs)})"
 
 
-def _trusted(colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = False) -> PAElement:
+def _trusted(
+    colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = False, nonzero: bool = False
+) -> PAElement:
     """An element built from labels the library made itself, skipping the
     label checks of :class:`PAElement`.
 
     The labels must be tuples of the colour's length and ``shaded`` must be
     False above colour 0.  Zero coefficients are still dropped, since sums
-    can cancel; ``coeffs`` is taken over, not copied.
+    can cancel, unless ``nonzero`` says that none can be zero: each one is
+    a copied coefficient or a product of nonzero scalars, as in star, a
+    nonzero scaling, the label assignments of a surround and ``Eprime``.
+    ``coeffs`` is taken over, not copied.
     """
-    zeros = [lab for lab, c in coeffs.items() if c.is_zero()]
-    for lab in zeros:
-        del coeffs[lab]
+    if not nonzero:
+        zeros = [lab for lab, c in coeffs.items() if c.is_zero()]
+        for lab in zeros:
+            del coeffs[lab]
     x = object.__new__(PAElement)
     x.colour = colour
     x.shaded = shaded
@@ -275,20 +287,25 @@ class SubgroupBiprojection:
         c = RadicalScalar.rational(Fraction(1, self.order))
         return PAElement(2, {(k,): c for k in self.members})
 
-    def act(self, expr: TangleExpr, inputs: Sequence[PAElement]) -> PAElement:
+    def act(
+        self, expr: TangleExpr, inputs: Sequence[PAElement], table: BasisTable | None = None
+    ) -> PAElement:
         """The cut-down action of a tree, for the cut-down algebra and the
         crossed product alike: the surround of its value, times ``alpha(T)``
-        at the ratio ``|K|``.  Inputs are not checked for membership."""
+        at the ratio ``|K|``.  Inputs are not checked for membership.  With
+        the :class:`BasisTable` of a cut-down algebra of this subgroup, its
+        leaf values and surrounds are read instead of recomputed."""
         weight = self._weights.get(expr)
         if weight is None:
             weight = self._weights[expr] = alpha(realize(expr), self.order)
-        return self.surround(self.algebra.evaluate(expr, inputs)).scale(weight)
+        surround = self.surround if table is None else table.surround
+        return surround(self.algebra.evaluate(expr, inputs, EvaluationCache(table))).scale(weight)
 
     def surround(self, x: PAElement) -> PAElement:
         """The class average of ``x``: the input weight of each class is
         gathered, and every label of the class gets ``weight / |class|``."""
         if x.colour == 0:
-            return _trusted(0, dict(x.coeffs), x.shaded)
+            return _trusted(0, dict(x.coeffs), x.shaded, nonzero=True)
         last = self._last
         if last is not None and last[0] is x:
             return last[1]
@@ -306,7 +323,7 @@ class SubgroupBiprojection:
             if not weight.is_zero():
                 labels, inverse_size = self._class(rep)
                 acc.update(dict.fromkeys(labels, weight * inverse_size))
-        out = _trusted(x.colour, acc)
+        out = _trusted(x.colour, acc, nonzero=True)
         self._last = (x, out)
         return out
 
@@ -376,25 +393,34 @@ class _LeftParts(dict):
 
 class EvaluationCache:
     """What :meth:`GroupPlanarAlgebra.evaluate` keeps between calls on the
-    same trees: each tree's node signatures, from one validating
+    same trees, in two tiers.
+
+    The first tier lives as long as the cache, which the suites make per
+    record: each tree's node signatures, from one validating
     :func:`node_signatures` walk on first sight, and each node's last value.
     The root's slot discs in those signatures are what ``evaluate`` checks
-    the inputs against, once per call; no leaf checks its own inputs.
-
-    A node's value depends only on its own slice of the inputs, so a node
+    the inputs against, once per call; no leaf checks its own inputs.  A
+    node's value depends only on its own slice of the inputs, so a node
     that sees the very same input objects again (``is``) returns its last
     value.  An entry holds its node and inputs, so their ``id``s cannot be
     reused while it lives, and one entry per node bounds the memory by the
     tree size.  Inputs must not be mutated while the cache is in use.
+
+    The second tier is optional and lives as long as the cut-down algebra
+    that owns it: a :class:`BasisTable`, whose generator values on basis
+    tuples the leaves read.  It holds at most one value per generator with
+    colours up to ``k_max`` and tuple of basis elements on its slots, and
+    one surround per basis element and per such value.
     """
 
-    __slots__ = ("trees", "last")
+    __slots__ = ("trees", "last", "table")
 
-    def __init__(self) -> None:
+    def __init__(self, table: BasisTable | None = None) -> None:
         # id(root) -> (root, signature of every node by id)
         self.trees: dict[int, tuple[TangleExpr, dict[int, Signature]]] = {}
         # id(node) -> (node, inputs, value)
         self.last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]] = {}
+        self.table = table
 
     def shape(self, expr: TangleExpr) -> dict[int, Signature]:
         """The signature of every node of a tree, validated on first sight."""
@@ -402,6 +428,78 @@ class EvaluationCache:
         if entry is None:
             entry = self.trees[id(expr)] = (expr, node_signatures(expr))
         return entry[1]
+
+
+class BasisTable:
+    """Values on the basis of one cut-down algebra, kept for its life.
+
+    The cut-down algebra (:class:`~planarbox.intermediate.IntermediateAlgebra`)
+    owns the table and fills it on first use.  It keeps two kinds of value:
+
+    * the ambient value of each generator leaf whose inputs are all basis
+      elements of the algebra, read by the evaluator through an
+      :class:`EvaluationCache` that carries the table;
+    * the surround of each basis element and of each such value.
+
+    Nothing else is kept: a leaf on any other input, an internal node, or
+    the surround of any other element is computed afresh, so values built
+    from table values never enter it.  The table thus holds at most
+    ``sum over generators with every colour <= k_max of prod dim(slot
+    colour)`` leaf entries, plus one surround per basis element and per
+    leaf entry.  A fixed element comes back as its own surround, so the
+    surround of a basis element is that element, and a leaf on it reads the
+    table too.
+
+    Only pure functions of immutable inputs are kept.  Each entry holds its
+    key objects and is matched with ``is``, and the table holds the basis
+    elements, so no ``id`` it keys on can be reused while it lives.
+    """
+
+    __slots__ = ("subgroup", "k_max", "members", "leaves", "values", "surrounds")
+
+    def __init__(self, subgroup: SubgroupBiprojection, k_max: int, basis: Iterable[PAElement]):
+        self.subgroup = subgroup
+        self.k_max = k_max
+        # id -> basis element
+        self.members: dict[int, PAElement] = {id(b): b for b in basis}
+        # (generator, *input ids) -> (inputs, value)
+        self.leaves: dict[tuple, tuple[tuple[PAElement, ...], PAElement]] = {}
+        # id -> a value held by a leaf entry
+        self.values: dict[int, PAElement] = {}
+        # id -> (element, its surround)
+        self.surrounds: dict[int, tuple[PAElement, PAElement]] = {}
+
+    def act(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
+        """The action of one generator on inputs that fit its slots, read
+        from the table when every input is a basis element."""
+        members = self.members
+        algebra = self.subgroup.algebra
+        for x in inputs:
+            if members.get(id(x)) is not x:
+                return algebra._act(gen, inputs)
+        key = (gen, *map(id, inputs))
+        entry = self.leaves.get(key)
+        if entry is not None and all(map(operator.is_, entry[0], inputs)):
+            return entry[1]
+        value = algebra._act(gen, inputs)
+        if generator_signature(gen)[0].colour <= self.k_max:
+            self.leaves[key] = (tuple(inputs), value)
+            self.values[id(value)] = value
+        return value
+
+    def surround(self, x: PAElement) -> PAElement:
+        """The subgroup's surround of ``x``, read from the table for a basis
+        element or a leaf value."""
+        key = id(x)
+        entry = self.surrounds.get(key)
+        if entry is not None and entry[0] is x:
+            return entry[1]
+        out = self.subgroup.surround(x)
+        if self.members.get(key) is x or self.values.get(key) is x:
+            if out == x:
+                out = x
+            self.surrounds[key] = (x, out)
+        return out
 
 
 def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
@@ -587,7 +685,7 @@ class GroupPlanarAlgebra:
         """The adjoint: ``S(g_1..g_{c-1}) -> S(g_1^-1, g_1^-1 g_{c-1}, ..., g_1^-1 g_2)``,
         a bijection of labels; colours 0 and 1 are fixed."""
         if x.colour <= 1:
-            return _trusted(x.colour, dict(x.coeffs), x.shaded)
+            return _trusted(x.colour, dict(x.coeffs), x.shaded, nonzero=True)
         inv, rows = self.group.inv, self.group.table
         tail = range(x.colour - 2, 0, -1)
         out: dict[Label, RadicalScalar] = {}
@@ -595,7 +693,7 @@ class GroupPlanarAlgebra:
             first = inv(lab[0])
             row = rows[first]
             out[(first,) + tuple(row[lab[j]] for j in tail)] = c
-        return _trusted(x.colour, out)
+        return _trusted(x.colour, out, nonzero=True)
 
     def trace(self, x: PAElement) -> RadicalScalar:
         """``tr(x) = sum c * tr(S(label))`` by linearity, each basis trace
@@ -687,7 +785,9 @@ class GroupPlanarAlgebra:
         """``delta`` times the labels with ``g[0] = 0``, or the one colour-1 label."""
         delta = self.delta
         return _trusted(
-            colour, {g: c * delta for g, c in x.coeffs.items() if colour == 1 or g[0] == 0}
+            colour,
+            {g: c * delta for g, c in x.coeffs.items() if colour == 1 or g[0] == 0},
+            nonzero=True,
         )
 
     def act_generator(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
@@ -729,12 +829,14 @@ class GroupPlanarAlgebra:
         disc, so the leaves act through :meth:`_act` with no check of their
         own.  Pass one :class:`EvaluationCache` to every call of a record
         that evaluates the same trees on the same input objects; without
-        one, the call gets a fresh cache of its own.
+        one, the call gets a fresh cache of its own.  A cache that carries a
+        :class:`BasisTable` reads its generator leaves from the table.
         """
         cache = EvaluationCache() if cache is None else cache
         signatures = cache.shape(expr)
         _check_inputs(inputs, signatures[id(expr)][1])
-        return self._evaluate(expr, list(inputs), signatures, cache.last)
+        act = self._act if cache.table is None else cache.table.act
+        return self._evaluate(expr, list(inputs), signatures, cache.last, act)
 
     def _evaluate(
         self,
@@ -742,22 +844,25 @@ class GroupPlanarAlgebra:
         inputs: list[PAElement],
         signatures: dict[int, Signature],
         last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]],
+        act: Callable[[GenExpr, Sequence[PAElement]], PAElement],
     ) -> PAElement:
         seen = last.get(id(expr))
         if seen is not None and all(map(operator.is_, seen[1], inputs)):
             return seen[2]
         if isinstance(expr, GenExpr):
-            value = self._act(expr, inputs)
+            value = act(expr, inputs)
         elif isinstance(expr, ComposeExpr):
             i = expr.slot
             b = len(signatures[id(expr.inner)][1])
             before = inputs[: i - 1]
-            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b], signatures, last)
+            inner_val = self._evaluate(
+                expr.inner, inputs[i - 1 : i - 1 + b], signatures, last, act
+            )
             after = inputs[i - 1 + b :]
-            value = self._evaluate(expr.outer, before + [inner_val] + after, signatures, last)
+            value = self._evaluate(expr.outer, before + [inner_val] + after, signatures, last, act)
         elif isinstance(expr, RenumberExpr):
             permuted = [inputs[expr.perm[i] - 1] for i in range(len(inputs))]
-            value = self._evaluate(expr.inner, permuted, signatures, last)
+            value = self._evaluate(expr.inner, permuted, signatures, last, act)
         else:
             raise AlgebraError(f"cannot evaluate {type(expr).__name__}")
         last[id(expr)] = (expr, tuple(inputs), value)

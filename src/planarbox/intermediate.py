@@ -35,6 +35,7 @@ from .expressions import (
 )
 from .group_algebra import (
     AlgebraError,
+    BasisTable,
     EvaluationCache,
     PAElement,
     SubgroupBiprojection,
@@ -70,7 +71,19 @@ def crossed_instance(cp) -> SubgroupBiprojection:
 
 
 class IntermediateAlgebra:
-    """Fixed spaces of the surround family with the rescaled tangle action."""
+    """Fixed spaces of the surround family with the rescaled tangle action.
+
+    The algebra owns one :class:`~planarbox.group_algebra.BasisTable`,
+    ``table``, kept for its life and filled on first use: the ambient value
+    of each generator leaf on a tuple of basis elements, at most one per
+    generator with colours up to ``k_max`` and basis tuple on its slots, and
+    the surround of each basis element and of each such value.  Every
+    record's evaluations (:meth:`z_prime`, the membership checks and the
+    surrounds of :meth:`_substitution`) read it; the per-node last values of
+    an :class:`~planarbox.group_algebra.EvaluationCache` still live for one
+    record only.  Every comparison of every record still runs on every
+    tuple.
+    """
 
     def __init__(self, subgroup: SubgroupBiprojection, k_max: int = 4):
         self.subgroup = subgroup
@@ -80,8 +93,10 @@ class IntermediateAlgebra:
         self.index_mq = subgroup.order
         self.index_qn = len(self.algebra.group) // self.index_mq
         self.tau = self.algebra.trace(subgroup.average())
-        self._bases: dict[int, list[PAElement]] = {}
         P = self.algebra
+        self._bases: dict[Disc, list[PAElement]] = {
+            Disc(0, shaded): [P.basis_element(0, (), shaded)] for shaded in (False, True)
+        }
         surround = subgroup.surround
         for colour in range(1, k_max + 1):
             # most images repeat, and row_reduce skips repeats; the surround
@@ -93,7 +108,7 @@ class IntermediateAlgebra:
             for b in basis:
                 if surround(b) != b:
                     raise AlgebraError(f"surround is not idempotent at colour {colour}")
-            self._bases[colour] = basis
+            self._bases[Disc(colour)] = basis
         # the cut-down inclusion is "include, then surround"; it must not
         # depend on whether the representative was already surrounded
         for colour in range(1, k_max):
@@ -105,23 +120,24 @@ class IntermediateAlgebra:
                     raise AlgebraError(
                         f"surround does not factor through inclusion at colour {colour}"
                     )
+        self.table = BasisTable(subgroup, k_max, (b for bs in self._bases.values() for b in bs))
 
     # ------------------------------------------------------------------
     # spaces
 
     def basis(self, colour: int, shaded: bool = False) -> list[PAElement]:
-        if colour == 0:
-            return [self.algebra.basis_element(0, (), shaded)]
         _check_shading(colour, shaded)
-        if colour not in self._bases:
+        basis = self._bases.get(Disc(colour, shaded))
+        if basis is None:
             raise AlgebraError(f"colour {colour} above the configured bound {self.k_max}")
-        return list(self._bases[colour])
+        return list(basis)
 
     def dimension(self, colour: int) -> int:
         return len(self.basis(colour))
 
     def contains(self, x: PAElement) -> bool:
-        return self.subgroup.surround(x) == x  # the surround passes colour 0 through
+        fixed = self.table.surround(x)  # the surround passes colour 0 through
+        return fixed is x or fixed == x
 
     def require_member(self, x: PAElement) -> None:
         if not self.contains(x):
@@ -140,7 +156,7 @@ class IntermediateAlgebra:
         (:meth:`SubgroupBiprojection.act`), after checking their membership."""
         for x in inputs:
             self.require_member(x)
-        return self.subgroup.act(expr, inputs)
+        return self.subgroup.act(expr, inputs, self.table)
 
     def unit_prime(self, colour: int, shaded: bool = False) -> PAElement:
         return self.subgroup.surround(self.algebra.unit(colour, shaded))
@@ -250,16 +266,18 @@ class IntermediateAlgebra:
         when ``nested == glued * (a_glued / a_nested)``; alpha is never
         zero.  The evaluator composes by evaluating ``outer`` on the raw
         inner value, so one ``EvaluationCache`` shared by both sides
-        evaluates the inner tree once per inner tuple.
+        evaluates the inner tree once per inner tuple; it carries the
+        algebra's ``table``, whose leaf values and surrounds outlive the
+        record.
         """
         glued_expr = ComposeExpr(outer, slot, inner)
         tangles = realize(outer), realize(inner), realize(glued_expr)
         a_outer, a_inner, a_glued = (alpha(t, self.index_mq) for t in tangles)
-        surround = self.subgroup.surround
+        surround = self.table.surround
         evaluate = self.algebra.evaluate
 
         def values():
-            cache = EvaluationCache()
+            cache = EvaluationCache(self.table)
             outer_slots = slot_colours(outer)
             rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
             for inner_combo in self.basis_tuples(slot_colours(inner)):
@@ -304,8 +322,9 @@ class IntermediateAlgebra:
             # slot i of the child reads the input at disc perm[i] of the
             # renumbered tangle; spelled out here independently of the
             # evaluator's own bookkeeping, so the cache serves the right side
-            # only when the evaluator passed the child these very inputs
-            cache = EvaluationCache()
+            # only when the evaluator passed the child these very inputs, and
+            # the table's leaf entries are keyed on the inputs each leaf gets
+            cache = EvaluationCache(self.table)
             for combo in self.basis_tuples(slot_colours(renumbered)):
                 xs = list(combo)
                 child_inputs = [xs[perm[i] - 1] for i in range(n)]

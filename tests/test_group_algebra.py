@@ -1049,6 +1049,30 @@ class TestTrustedResults:
         assert out == sub.surround(PAElement(3, {(5, 0): ONE}))
         assert sub.surround(PAElement(3, {(1, 3): c, moved: -c})).is_zero()
 
+    def test_operations_that_cannot_cancel(self):
+        """Star, a nonzero scaling, ``Eprime`` and the surround's label
+        assignments only copy nonzero coefficients or multiply them by
+        nonzero scalars, so they skip the zero scan; a scaling by zero
+        gives the zero element."""
+        alg = SEMIDIRECT["z3xz2"]
+        sub = SubgroupBiprojection(alg, (0, 2, 4))
+        x = PAElement(3, {(0, 1): CLASS_COEFFS[2], (0, 4): -CLASS_COEFFS[2], (2, 2): ONE})
+        for c in CLASS_COEFFS[1:]:
+            assert_trusted(x.scale(c))
+        for zero in (ZERO, 0, Fraction(0)):
+            assert_trusted(x.scale(zero))
+            assert x.scale(zero) == alg.zero(3)
+        shaded = PAElement(0, {(): CLASS_COEFFS[3]}, shaded=True)
+        one = PAElement(1, {(): CLASS_COEFFS[3]})
+        for y in (shaded, one, x):
+            for out in (alg.star(y), sub.surround(y)):
+                assert_trusted(out)
+                assert out.shaded == y.shaded
+        assert alg._act_Eprime(1, one) == one.scale(alg.delta)
+        assert alg._act_Eprime(3, x) == PAElement(
+            3, {(0, 1): CLASS_COEFFS[2] * alg.delta, (0, 4): -CLASS_COEFFS[2] * alg.delta}
+        )
+
 
 def test_cap_agrees_with_the_right_cap_on_every_symbol():
     """``_cap`` is the per-symbol rule of ``_act_E``: on every basis symbol

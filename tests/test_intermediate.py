@@ -1,8 +1,14 @@
 """Tests for the cut-down algebra: bases, rescaled action, Jones family, reports."""
 
 import functools
+import gc
+import hashlib
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +25,13 @@ from planarbox.expressions import (
     realize,
     slot_colours,
 )
-from planarbox.group_algebra import AlgebraError, PAElement, SubgroupBiprojection, row_reduce
+from planarbox.group_algebra import (
+    AlgebraError,
+    GroupPlanarAlgebra,
+    PAElement,
+    SubgroupBiprojection,
+    row_reduce,
+)
 from planarbox.groups import cyclic_group, inversion_action, load_action, trivial_action
 from planarbox import group_algebra, intermediate
 from planarbox.intermediate import IntermediateAlgebra, crossed_instance
@@ -619,3 +631,152 @@ class TestClassAverage:
             assert inter.basis(colour) == [
                 PAElement(colour, dict.fromkeys(cls, ONE)) for cls in sorted(classes, key=min)
             ]
+
+
+def cut_down_discs(k_max: int) -> list[Disc]:
+    return [Disc(0), Disc(0, True)] + [Disc(c) for c in range(1, k_max + 1)]
+
+
+def table_bound(inter: IntermediateAlgebra) -> int:
+    """Sum over the generators with every colour <= k_max of the product
+    of the dimensions of their slot colours."""
+    return sum(
+        math.prod(len(inter.basis(d.colour, d.shaded)) for d in slot_colours(leaf))
+        for external in cut_down_discs(inter.k_max)
+        for leaf in generators_with_external(external, inter.k_max)
+    )
+
+
+def cut_down_summary(inter: IntermediateAlgebra) -> str:
+    """sha256 over the basis, ``z_prime`` of every generator leaf on every
+    basis tuple, and three small reports of a cut-down algebra."""
+    k, P = inter.k_max, inter.algebra
+    parts = []
+    for disc in cut_down_discs(k):
+        parts += [P.render(b) for b in inter.basis(disc.colour, disc.shaded)]
+        for leaf in generators_with_external(disc, k):
+            for xs in inter.basis_tuples(slot_colours(leaf)):
+                parts.append(P.render(inter.z_prime(leaf, list(xs))))
+    records = (
+        inter.theorem_main_report(samples=3, seed=0, max_colour=k)
+        + inter.axiom_report(samples=3, seed=0, max_colour=k)
+        + inter.trace_report()
+    )
+    parts.append(json.dumps(records, sort_keys=True))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def freed_cases(cp: CrossedProduct) -> list[tuple[int, ...]]:
+    """Members of the normal subgroup of order 3, then of the embedded Theta."""
+    return [tuple(cp.semidirect.index(g, 0) for g in range(3)), cp.embedded.members]
+
+
+def fresh_summaries() -> list[str]:
+    """:func:`cut_down_summary` of each of :func:`freed_cases`, each built
+    on an ambient algebra of its own; run in a child process."""
+    out = []
+    for i in range(2):
+        cp = CrossedProduct(inversion_action(3))
+        members = freed_cases(cp)[i]
+        out.append(cut_down_summary(IntermediateAlgebra(SubgroupBiprojection(cp.product, members), k_max=3)))
+    return out
+
+
+class TestBasisTable:
+    """The table of generator values on basis tuples, and their surrounds,
+    that a cut-down algebra keeps for its life."""
+
+    def test_entries_are_fresh_values_within_the_bound(self):
+        inter = IntermediateAlgebra(
+            crossed_instance(CrossedProduct(load_action(json.loads((ACTIONS / "z3xz2.json").read_text())))),
+            k_max=4,
+        )
+        table = inter.table
+        assert not table.leaves and not table.surrounds
+        records = inter.theorem_main_report(samples=40, seed=0) + inter.axiom_report(samples=40, seed=0)
+        assert len(records) == 87 + 84
+        assert [r["case"] for r in records if not r["pass"]] == []
+        # 196 of the 311 are M_4 on pairs of the 14 colour-4 basis elements
+        assert 0 < len(table.leaves) <= table_bound(inter) == 311
+        assert len(table.surrounds) <= len(table.members) + len(table.leaves)
+        # I_4 reaches colour 5, above k_max, so its value is not kept
+        held = len(table.leaves), len(table.surrounds)
+        assert inter.include_prime(inter.basis(4)[0]).colour == 5
+        assert (len(table.leaves), len(table.surrounds)) == held
+        ambient = GroupPlanarAlgebra(inter.algebra.group)
+        sub = SubgroupBiprojection(ambient, inter.subgroup.members)
+
+        def copy(x):
+            return PAElement(x.colour, dict(x.coeffs), x.shaded)
+
+        for (gen, *ids), (inputs, value) in table.leaves.items():
+            assert ids == [id(x) for x in inputs]
+            assert all(table.members[id(x)] is x for x in inputs)
+            assert value == ambient._act(gen, [copy(x) for x in inputs]), gen
+        for key, (x, fixed) in table.surrounds.items():
+            assert key == id(x)
+            assert fixed == sub.surround(copy(x))
+            if table.members.get(key) is x:
+                assert fixed is x
+
+    def test_a_freed_algebra_leaves_nothing_behind(self):
+        """A cut-down algebra that ran a report and was freed leaves no
+        value behind for the next one built on the same ambient algebra:
+        another subgroup's and the same subgroup's algebra give what a
+        fresh process gives."""
+        cp = CrossedProduct(inversion_action(3))
+        cases = freed_cases(cp)
+        first = IntermediateAlgebra(SubgroupBiprojection(cp.product, cases[1]), k_max=3)
+        records = first.axiom_report(samples=3, seed=0, max_colour=3) + first.trace_report()
+        assert first.table.leaves and all(r["pass"] for r in records)
+        del first
+        gc.collect()
+        found = [
+            cut_down_summary(IntermediateAlgebra(SubgroupBiprojection(cp.product, m), k_max=3))
+            for m in cases
+        ]
+        here = Path(__file__).resolve().parent
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(here)!r})\n"
+            "from test_intermediate import fresh_summaries\n"
+            "print(json.dumps(fresh_summaries()))\n"
+        )
+        src = str(here.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert found == json.loads(proc.stdout)
+
+    def test_planted_cap_defect_fails_as_without_the_table(self, monkeypatch):
+        """A right cap that drops the least label of every result with two
+        or more fails the same trace and axiom cases as it did before the
+        table went in (recorded then): the table reads the planted action
+        on first use, so it cannot hide it."""
+        real = GroupPlanarAlgebra._act_E
+
+        def dropping(self, target, x):
+            out = real(self, target, x)
+            if len(out.coeffs) < 2:
+                return out
+            coeffs = dict(out.coeffs)
+            del coeffs[min(coeffs)]
+            return PAElement(out.colour, coeffs)
+
+        monkeypatch.setattr(GroupPlanarAlgebra, "_act_E", dropping)
+        inter = IntermediateAlgebra(CrossedProduct(inversion_action(3)).embedded, k_max=4)
+        failed = [r["case"] for r in inter.trace_report() if not r["pass"]]
+        assert failed == [
+            "tr' == [M:Q]^1 tr at colour 3",
+            "tr' == [M:Q]^2 tr at colour 4",
+            "right expectation preserves tr' at colour 3",
+            "expectation after inclusion is id at colour 2",
+            "include-expect idempotent at colour 3",
+            "right expectation preserves tr' at colour 4",
+            "expectation after inclusion is id at colour 3",
+            "include-expect idempotent at colour 4",
+        ]
+        failed = [r["case"] for r in inter.axiom_report(samples=40, seed=1) if not r["pass"]]
+        assert failed == ["substitution sample 11", "substitution sample 28", "substitution sample 34"]
+        assert any(gen.kind == "E" for gen, *_ in inter.table.leaves)

@@ -100,7 +100,10 @@ def test_substitution_suites_at_defaults_are_pinned(name):
 # colour-4 trace and surround paths, were taken before the element layer's
 # trusted results, folded prefactor and exponent-only basis traces; the
 # rest before the crossed product's intertwining checks read the cut-down
-# action of its subgroup
+# action of its subgroup.  z4xz2 axioms, whose every record goes through
+# the cut-down algebra's table of basis values, was taken before that
+# table went in; its ``planarbox suite`` output file has sha256
+# 425eb3747874d81342ce382cf6d8cc76b81b41c2cb94ae7a25903a3ce40ec297
 GOLDEN_DEFAULTS = {
     ("z3xz2", "base-algebra"): (32, "d20d3d174730059696d9fd8943328082204484f3e359e0ee5186958b5be67d36"),
     ("z3xz2", "crossed-product"): (81, "1305af2610198ff108affb45e7b284b4a2d2bc20694790b6a4ad3d8cd5c78335"),
@@ -119,6 +122,7 @@ GOLDEN_DEFAULTS = {
     ("z4xz2", "jones"): (14, "520c0bc692ff5b943567810f4cf4b4fda47e45a6a1717f72caa4e22fe9339575"),
     ("z4xz2", "trace"): (26, "17c713dbc2f930893fdb077dfb6e337c31574718fdcbfe241b25e45e976ec21b"),
     ("z4xz2", "dual"): (17, "ff9b21ed2b048ac657a273072cf31c671a709fd76c55031fbe9d983def707551"),
+    ("z4xz2", "axioms"): (84, "77d46370256b7d74633dcebcde3f99b32fc64264af3cd61097f0befccdaf4137"),
 }
 
 
