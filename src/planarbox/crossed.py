@@ -189,16 +189,20 @@ class CrossedProduct:
         """Decompose an element of the surround range over the twist sums.
 
         Keys are orbit representatives; raises if x lies outside the span.
+        Only the support is walked: a component is read at a label whose
+        Theta parts are all 1, and the rebuild check catches the rest.
         """
         if x.colour < 1:
             raise AlgebraError("twist sums exist for colour >= 1 only")
-        index = self.semidirect.index
+        pair, index = self.semidirect.pair, self.semidirect.index
         comps: dict[Label, RadicalScalar] = {}
-        for rep in self.orbit_reps(x.colour):
-            canonical = tuple(index(g, 0) for g in rep)
-            c = x.coefficient(canonical) / self.stabilizer_order(rep)
-            if not c.is_zero():
-                comps[rep] = c
+        for label in x.coeffs:
+            parts = [pair(h) for h in label]
+            if all(t == 0 for _, t in parts):
+                rep = min(orbit_of(self.action, [g for g, _ in parts]))
+                c = x.coefficient(tuple(index(g, 0) for g in rep)) / self.stabilizer_order(rep)
+                if not c.is_zero():
+                    comps[rep] = c
         if self._twist_combination(x.colour, comps) != x:
             raise AlgebraError("element lies outside the span of the twist sums")
         return comps

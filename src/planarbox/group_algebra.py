@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -242,7 +242,8 @@ class SubgroupBiprojection:
     ``(t, k)`` hit every label of the class of ``h`` under ``h -> t h k``
     equally often, so the surround of a label is its class average: every
     label of the class with coefficient ``1/|class|``.  A class is keyed by
-    its least tuple of left-coset minima.
+    its least tuple of left-coset minima, which is its least label; the
+    keys at a colour, listed by :meth:`class_reps`, index the range.
 
     The last surround above colour 0 is kept with its input: surrounding
     the very same object again (``is``, never ``==``) returns the same
@@ -326,6 +327,14 @@ class SubgroupBiprojection:
         out = _trusted(x.colour, acc, nonzero=True)
         self._last = (x, out)
         return out
+
+    def class_reps(self, colour: int) -> Iterator[Label]:
+        """The least label of each class at a colour, in ascending order."""
+        seen: set[Label] = set()
+        for label in self.algebra.basis_labels(colour):
+            if label not in seen:
+                yield label
+                seen.update(self._class(label)[0])
 
     def _class(self, rep: Label) -> tuple[list[Label], RadicalScalar]:
         """The labels of the class of ``rep`` under ``h -> t h k``, and

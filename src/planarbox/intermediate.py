@@ -9,11 +9,12 @@ weight alpha computed at the intermediate ratio.  The cut-down algebra is
 built from one :class:`~planarbox.group_algebra.SubgroupBiprojection`
 alone: the ambient algebra, the surround, the index data and the dual side
 are all read off it, whichever subgroup it is.  This module builds bases
-of the fixed spaces by exact row reduction, evaluates that rescaled
-action, and carries the verification suites: the composite-tangle identity
-and the planar axioms, which evaluate the substitution identity through
-one helper, Jones projections, conditional expectations, trace rescaling,
-positivity, and the bookkeeping of the white-shaded dual.
+of the fixed spaces by row-reducing the surround of one label per class,
+evaluates that rescaled action, and carries the verification suites: the
+composite-tangle identity and the planar axioms, which evaluate the
+substitution identity through one helper, Jones projections, conditional
+expectations, trace rescaling, positivity, and the bookkeeping of the
+white-shaded dual.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ class IntermediateAlgebra:
         }
         surround = subgroup.surround
         for colour in range(1, k_max + 1):
-            # most images repeat, and row_reduce skips repeats; the surround
-            # is linear, so it is idempotent on the images exactly when it is
-            # on the basis of their span
+            # all labels of a class share one image, so one label per class
+            # spans the range; the surround is linear, so it is idempotent on
+            # the images exactly when it is on the basis of their span
             basis = row_reduce(
-                surround(P.basis_element(colour, label)) for label in P.basis_labels(colour)
+                surround(P.basis_element(colour, rep)) for rep in subgroup.class_reps(colour)
             )
             for b in basis:
                 if surround(b) != b:

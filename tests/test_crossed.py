@@ -1,18 +1,22 @@
 """Tests for the crossed-product layer: orbit sums, twist sums, surround, transport."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarbox import crossed
 from planarbox.crossed import CrossedProduct
 from planarbox.expressions import GenExpr, realize
 from planarbox.group_algebra import AlgebraError, PAElement, SubgroupBiprojection
 from planarbox.groups import (
     cyclic_group,
     inversion_action,
+    load_action,
     orbit_count_burnside,
     orbit_of,
     trivial_action,
@@ -24,6 +28,7 @@ from planarbox.tangles import alpha
 CP3 = CrossedProduct(inversion_action(3))
 CP4 = CrossedProduct(inversion_action(4))
 CPT = CrossedProduct(trivial_action(cyclic_group(3)))
+ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 
 
 def orbit_basis(cp, colour):
@@ -200,6 +205,39 @@ class TestTwistSums:
     def test_colour_below_two_rejected(self):
         with pytest.raises(AlgebraError, match="colour"):
             CP3.twist_multiply(1, (), ())
+
+    @pytest.mark.parametrize("stem", ["z3xz2", "s4"])
+    def test_components_walk_the_support(self, stem, monkeypatch):
+        """Decomposition reads only the element's support: with the orbit
+        enumeration of G^(c-1) made to raise, twist sums, closed-form
+        products and transports at colours 2-5 still decompose, and the
+        components rebuild them."""
+        cp = CrossedProduct(load_action(json.loads((ACTIONS / f"{stem}.json").read_text())))
+
+        def refuse(action, length):
+            raise AssertionError("every orbit of G^(c-1) enumerated")
+
+        monkeypatch.setattr(crossed, "orbit_representatives", refuse)
+        rng = random.Random(23)
+        n = len(cp.group)
+        zero_products = 0
+        for colour in (2, 3, 4, 5):
+            for _ in range(4):
+                gbar = tuple(rng.randrange(n) for _ in range(colour - 1))
+                hbar = tuple(rng.randrange(n) for _ in range(colour - 1))
+                rep = min(orbit_of(cp.action, gbar))
+                assert cp.twist_components(cp.twist_sum(colour, gbar)) == {rep: ONE}
+                product = cp.twist_multiply(colour, gbar, hbar)
+                comps = cp.twist_components(product)
+                zero_products += not comps
+                rebuilt = cp.product.zero(colour)
+                for r, c in comps.items():
+                    assert r == min(orbit_of(cp.action, r))
+                    rebuilt = rebuilt + cp.twist_sum(colour, r).scale(c)
+                assert rebuilt == product
+                x = cp.orbit_sum(colour, gbar)
+                assert cp.transport_inverse(cp.transport(x)) == x
+        assert 0 < zero_products < 16
 
 
 def surround_per_label(cp: CrossedProduct, x: PAElement) -> PAElement:

@@ -103,7 +103,9 @@ def test_substitution_suites_at_defaults_are_pinned(name):
 # action of its subgroup.  z4xz2 axioms, whose every record goes through
 # the cut-down algebra's table of basis values, was taken before that
 # table went in; its ``planarbox suite`` output file has sha256
-# 425eb3747874d81342ce382cf6d8cc76b81b41c2cb94ae7a25903a3ce40ec297
+# 425eb3747874d81342ce382cf6d8cc76b81b41c2cb94ae7a25903a3ce40ec297.  The
+# z7xz3 jones and dual entries, the only colour-4 cut-down over a group of
+# order 21 here, were taken while the basis still surrounded every label.
 GOLDEN_DEFAULTS = {
     ("z3xz2", "base-algebra"): (32, "d20d3d174730059696d9fd8943328082204484f3e359e0ee5186958b5be67d36"),
     ("z3xz2", "crossed-product"): (81, "1305af2610198ff108affb45e7b284b4a2d2bc20694790b6a4ad3d8cd5c78335"),
@@ -123,6 +125,8 @@ GOLDEN_DEFAULTS = {
     ("z4xz2", "trace"): (26, "17c713dbc2f930893fdb077dfb6e337c31574718fdcbfe241b25e45e976ec21b"),
     ("z4xz2", "dual"): (17, "ff9b21ed2b048ac657a273072cf31c671a709fd76c55031fbe9d983def707551"),
     ("z4xz2", "axioms"): (84, "77d46370256b7d74633dcebcde3f99b32fc64264af3cd61097f0befccdaf4137"),
+    ("z7xz3", "jones"): (14, "e8647150be854d5377901d0c817975d03528186bb366fdcbbdf361709d266770"),
+    ("z7xz3", "dual"): (17, "aefc3760e4ef089a0de27410405afc354e5172110ae6fafa24ea0b603f537cdc"),
 }
 
 
