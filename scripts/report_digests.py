@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the record count and sha256 of each suite report for some actions.
+"""Print the record count and sha256 of each suite report for some actions,
+and one digest of the ``alpha`` command over a seeded pool of texts.
 
 For every action file given, this runs ``planarbox suite <name> --action
 <path>`` once per suite at the CLI defaults and once more as
@@ -8,13 +9,20 @@ imports the ``src`` tree next to this script.  It prints one line per run:
 
     <action path> <suite> <records> <sha256 of the report bytes>
 
+Then it runs ``planarbox alpha <text> --ratio <2 or 3, alternating>`` the
+same way on each of ``ALPHA_TEXTS`` glued trees drawn from seed
+``ALPHA_SEED`` (colours up to 5, depth 3), and prints
+
+    alpha <texts> <sha256 of every exit code and output, in order>
+
 A report records the action path as given, so two checkouts compare
 equal only when each is run from its own root with the same relative
 paths, e.g. ``python3 scripts/report_digests.py actions/z3xz2.json``.  A
 run the CLI refuses (exit 2, say a cost bound) prints ``refused`` and its
 exit code in place of the count and digest.  ``--suite`` keeps only the
-named runs (``all-k3`` names the ``all --kmax 3`` run); some suites at
-the defaults take minutes on the larger actions.
+named runs (``all-k3`` names the ``all --kmax 3`` run, ``alpha`` the
+alpha line); some suites at the defaults take minutes on the larger
+actions.
 
 Run:  python3 scripts/report_digests.py actions/*.json
       python3 scripts/report_digests.py actions/z7xz3.json --suite jones --suite dual
@@ -45,13 +53,37 @@ RUNS = {
 }
 
 
+ALPHA_SEED = 0
+ALPHA_TEXTS = 32
+# prints the alpha pool, one text a line, with the checkout's own sampler
+ALPHA_POOL = f"""
+import random
+from planarbox.expressions import ComposeExpr, random_composable_pair, render_expr
+rng = random.Random({ALPHA_SEED})
+for _ in range({ALPHA_TEXTS}):
+    outer, slot, inner = random_composable_pair(rng, max_colour=5, depth=3)
+    print(render_expr(ComposeExpr(outer, slot, inner)))
+"""
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """``python <args>`` importing the ``src`` tree next to this script."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def alpha_line() -> str:
+    texts = child("-c", ALPHA_POOL).stdout.decode().splitlines()
+    digest = hashlib.sha256()
+    for i, text in enumerate(texts):
+        proc = child("-m", "planarbox.cli", "alpha", text, "--ratio", str(2 + i % 2))
+        digest.update(f"{proc.returncode}\n".encode() + proc.stdout)
+    return f"alpha {len(texts)} {digest.hexdigest()}"
+
+
 def report_line(action: str, run: str) -> str:
     name = "all" if run == "all-k3" else run
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "planarbox.cli", "suite", name, "--action", action, *RUNS[run]],
-        capture_output=True, env=env,
-    )
+    proc = child("-m", "planarbox.cli", "suite", name, "--action", action, *RUNS[run])
     if proc.returncode not in (0, 1):
         return f"{action} {run} refused exit {proc.returncode}"
     records = len(json.loads(proc.stdout)["records"])
@@ -61,12 +93,16 @@ def report_line(action: str, run: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("actions", nargs="+", help="action JSON files")
-    parser.add_argument("--suite", action="append", choices=list(RUNS),
+    parser.add_argument("--suite", action="append", choices=[*RUNS, "alpha"],
                         help="keep only this run (repeatable; default: every run)")
     args = parser.parse_args()
+    runs = args.suite or [*RUNS, "alpha"]
     for action in args.actions:
-        for run in args.suite or RUNS:
-            print(report_line(action, run), flush=True)
+        for run in runs:
+            if run != "alpha":
+                print(report_line(action, run), flush=True)
+    if "alpha" in runs:
+        print(alpha_line(), flush=True)
     return 0
 
 

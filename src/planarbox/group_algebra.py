@@ -31,6 +31,7 @@ tuples, and their surrounds, in a :class:`BasisTable` that an
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from fractions import Fraction
@@ -517,7 +518,9 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
     Pivots are the lexicographically least labels; each returned vector is
     normalized to leading coefficient 1 and the list is sorted by pivot.
     An input equal to one already taken would reduce to zero, so it is
-    skipped.
+    skipped.  Each vector visits only the pivot labels in its support, in
+    ascending order; a subtraction brings in labels above the one it
+    clears, which join the queue.
     """
     pivots: dict[Label, PAElement] = {}
     taken: set[tuple[int, bool, frozenset]] = set()
@@ -526,10 +529,19 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
         if key in taken:
             continue
         taken.add(key)
-        for lab in sorted(pivots):
+        queue = [lab for lab in v.coeffs if lab in pivots]
+        queued = set(queue)
+        heapq.heapify(queue)
+        while queue:
+            lab = heapq.heappop(queue)
             c = v.coefficient(lab)
-            if not c.is_zero():
-                v = v - pivots[lab].scale(c)
+            if c.is_zero():
+                continue
+            v = v - pivots[lab].scale(c)
+            for new in pivots[lab].coeffs:
+                if new in pivots and new not in queued:
+                    queued.add(new)
+                    heapq.heappush(queue, new)
         if v.is_zero():
             continue
         lead = v.support()[0]

@@ -46,7 +46,7 @@ from .group_algebra import (
     row_reduce,
 )
 from .scalars import RadicalScalar, pow_half
-from .tangles import Disc, alpha, alpha_tilde, loops_black, loops_white
+from .tangles import Disc, alpha, alpha_tilde, compose, loops_black, loops_white, renumber
 
 
 # White capping exponents (in half units of the intermediate ratio) for the
@@ -272,7 +272,9 @@ class IntermediateAlgebra:
         record.
         """
         glued_expr = ComposeExpr(outer, slot, inner)
-        tangles = realize(outer), realize(inner), realize(glued_expr)
+        t_outer, t_inner = realize(outer), realize(inner)
+        # realize's own fold, on the subtrees already realized
+        tangles = t_outer, t_inner, compose(t_outer, slot, t_inner)
         a_outer, a_inner, a_glued = (alpha(t, self.index_mq) for t in tangles)
         surround = self.table.surround
         evaluate = self.algebra.evaluate
@@ -317,8 +319,9 @@ class IntermediateAlgebra:
             rng.shuffle(perm)
             perm = tuple(perm)
             renumbered = RenumberExpr(perm, base_expr)
-            a_renumbered = alpha(realize(renumbered), self.index_mq)
-            a_base = alpha(realize(base_expr), self.index_mq)
+            t_base = realize(base_expr)
+            a_renumbered = alpha(renumber(t_base, perm), self.index_mq)
+            a_base = alpha(t_base, self.index_mq)
             ok = a_renumbered == a_base
             # slot i of the child reads the input at disc perm[i] of the
             # renumbered tangle; spelled out here independently of the
@@ -499,8 +502,8 @@ class IntermediateAlgebra:
         ok = True
         for _ in range(samples):
             outer, slot, inner = random_composable_pair(rng, max_colour=4, depth=2)
-            glued = realize(ComposeExpr(outer, slot, inner))
             t_outer, t_inner = realize(outer), realize(inner)
+            glued = compose(t_outer, slot, t_inner)
             k_i = slot_colours(outer)[slot - 1].colour
             exponent = (
                 loops_white(t_outer) + loops_white(t_inner) - loops_white(glued) - k_i

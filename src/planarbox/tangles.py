@@ -20,6 +20,11 @@ weight of a tangle is made of.
 
 All three, and the genus check of `validate`, read the connected
 components of one graph, from the module's single components routine.
+Composition runs it over the strings with an endpoint on the glued disc
+only, since no other string can merge; the rest pass through renamed.
+Each loop count is made once per tangle and kept on the (immutable)
+instance, and `make_generator` shares each diagram, keeping the
+``GENERATOR_CACHE_SIZE`` most recently used.
 ``scripts/loop_count_oracle.py`` splices and counts by walking strings
 instead, so the two share neither code nor algorithm.
 """
@@ -27,6 +32,7 @@ instead, so the two share neither code nor algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -59,10 +65,22 @@ def _pair(a: Point, b: Point) -> Pair:
 
 @dataclass(frozen=True)
 class Tangle:
+    """An immutable diagram.  Its two loop counts (`loops_black`,
+    `loops_white`) are counted on first read and kept on the instance, so
+    they live exactly as long as the tangle."""
+
     external: Disc
     internal: tuple[Disc, ...]
     strings: frozenset[Pair]
     closed_loops: int = 0
+
+    @cached_property
+    def _black_loops(self) -> int:
+        return _count_cycles(self, cap_black=True)
+
+    @cached_property
+    def _white_loops(self) -> int:
+        return _count_cycles(self, cap_black=False)
 
     def disc(self, index: int) -> Disc:
         return self.external if index == 0 else self.internal[index - 1]
@@ -108,6 +126,12 @@ def tangle(
 # generators
 # ---------------------------------------------------------------------------
 
+# Diagrams make_generator keeps: more than the 36 generators with every
+# colour <= 5, which is all the samplers draw.
+GENERATOR_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def make_generator(kind: str, k: int = 0, shaded: bool = False) -> Tangle:
     """Concrete diagram of a generating tangle.
 
@@ -115,6 +139,10 @@ def make_generator(kind: str, k: int = 0, shaded: bool = False) -> Tangle:
     expectation) it is the smaller of the two colours involved.  The
     ``shaded`` flag picks the region colour where a colour-0 disc is
     involved; it is rejected where the diagram forces the shading.
+
+    Each diagram is built once and shared: the ``GENERATOR_CACHE_SIZE``
+    most recently used are kept, and a tangle is immutable, so every caller
+    gets the same object.
     """
     if shaded and kind == "E":
         raise TangleError("the capped-disc expectation forces white shading")
@@ -222,29 +250,34 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
     """Glue ``inner`` into internal disc ``slot`` of ``outer``.
 
     Every endpoint is renamed into the result's disc numbering, with the
-    glued boundary's points seen from either side sharing one name.  A
-    component of the spliced strings with two endpoints off that boundary
-    is a new string; one with none is a new free loop.
+    glued boundary's points seen from either side sharing one name.  Only
+    strings with an endpoint on that boundary are spliced: a component of
+    them with two endpoints off it is a new string, one with none is a new
+    free loop.  Every other string passes through renamed.
     """
     internal = glued_discs(outer.internal, slot, inner.external, inner.internal)
     # disc index on either side -> disc index in the result
     b_in = len(inner.internal)
     outer_disc = [*range(slot), _GLUED, *range(slot + b_in, len(outer.internal) + b_in)]
     inner_disc = [_GLUED, *range(slot, slot + b_in)]
-    edges = [((outer_disc[d], p), (outer_disc[e], q)) for (d, p), (e, q) in outer.strings]
-    edges += [((inner_disc[d], p), (inner_disc[e], q)) for (d, p), (e, q) in inner.strings]
+    kept: list[Pair] = []
+    edges: list[Pair] = []
+    for strings, rename in ((outer.strings, outer_disc), (inner.strings, inner_disc)):
+        for (d, p), (e, q) in strings:
+            d, e = rename[d], rename[e]
+            (edges if _GLUED in (d, e) else kept).append(((d, p), (e, q)))
 
     ends: dict[Hashable, list[Point]] = {}
     for pt, root in _components(edges).items():
         found = ends.setdefault(root, [])
         if pt[0] != _GLUED:
             found.append(pt)
-    new_strings = [pair for pair in ends.values() if pair]
+    spliced = [pair for pair in ends.values() if pair]
     return tangle(
         outer.external,
         internal,
-        new_strings,
-        outer.closed_loops + inner.closed_loops + len(ends) - len(new_strings),
+        chain(kept, spliced),
+        outer.closed_loops + inner.closed_loops + len(ends) - len(spliced),
     )
 
 
@@ -401,13 +434,13 @@ def _count_cycles(t: Tangle, cap_black: bool) -> int:
 
 def loops_black(t: Tangle) -> int:
     """Closed loops after capping black intervals everywhere (free loops
-    included)."""
-    return _count_cycles(t, cap_black=True)
+    included); counted once per tangle."""
+    return t._black_loops
 
 
 def loops_white(t: Tangle) -> int:
     """Mirror count: white intervals capped instead."""
-    return _count_cycles(t, cap_black=False)
+    return t._white_loops
 
 
 def _half_colour_sum(t: Tangle) -> int:

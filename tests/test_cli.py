@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,10 +14,19 @@ from pathlib import Path
 import pytest
 
 from planarbox.cli import MAX_RATIO, format_scalar, main
-from planarbox.expressions import MAX_COLOUR, MAX_DEPTH
+from planarbox.expressions import (
+    MAX_COLOUR,
+    MAX_DEPTH,
+    ComposeExpr,
+    parse_expr,
+    random_composable_pair,
+    realize,
+    render_expr,
+)
 from planarbox.group_algebra import render_terms
 from planarbox.groups import load_action
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
+from planarbox.tangles import alpha_tilde, loops_white
 
 ACTIONS = "actions"
 
@@ -101,6 +111,24 @@ class TestRenderTerms:
         assert render_terms([], scalar) == "0"
 
 
+ALPHA_TEXTS = 400
+ALPHA_RATIOS = (2, 3)
+
+
+def _alpha_texts():
+    """``ALPHA_TEXTS`` seeded glued pairs, colours up to 5, depth 3."""
+    rng = random.Random(0)
+    for _ in range(ALPHA_TEXTS):
+        outer, slot, inner = random_composable_pair(rng, max_colour=5, depth=3)
+        yield render_expr(ComposeExpr(outer, slot, inner))
+
+
+# sha256 of the concatenated ``alpha`` output over _alpha_texts() x ALPHA_RATIOS
+ALPHA_DIGEST = "02b9a029e7abc28a06c695f9d282b4291b4655ca02b6d280ef4e6c371abdf1ad"
+# sha256 of "<alpha_tilde> <loops_white>" lines over the same texts and ratios
+ALPHA_WHITE_DIGEST = "df94853d80d1a1cad058a6b94a370e94c2f402c34ddb655bf79a3275129b1a5f"
+
+
 class TestAlphaCommand:
     def test_identity_tangle(self, capsys):
         assert main(["alpha", "(gen id 3)", "--ratio", "2"]) == 0
@@ -178,6 +206,19 @@ class TestAlphaCommand:
         assert main(["alpha", "(gen E 4 5)", "--ratio", str(MAX_RATIO)]) == 0
         weight = format_scalar(pow_half(MAX_RATIO, -1))
         assert capsys.readouterr().out.splitlines()[:2] == [f"alpha = {weight}", "c = -1"]
+
+    def test_output_bytes_pinned(self, capsys):
+        shown, white = hashlib.sha256(), hashlib.sha256()
+        calls = 0
+        for text in _alpha_texts():
+            t = realize(parse_expr(text))
+            for ratio in ALPHA_RATIOS:
+                assert main(["alpha", text, "--ratio", str(ratio)]) == 0, text
+                shown.update(capsys.readouterr().out.encode())
+                white.update(f"{format_scalar(alpha_tilde(t, ratio))} {loops_white(t)}\n".encode())
+                calls += 1
+        assert (calls, shown.hexdigest(), white.hexdigest()) == (
+            ALPHA_TEXTS * len(ALPHA_RATIOS), ALPHA_DIGEST, ALPHA_WHITE_DIGEST)
 
 
 class TestSuiteCommand:

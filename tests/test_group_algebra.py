@@ -1108,6 +1108,34 @@ def test_row_reduce_skips_repeated_inputs():
     assert row_reduce(firsts + [alg.zero(3)]) == row_reduce(firsts)
 
 
+def row_reduce_every_pivot(vectors):
+    """Echelon list by scanning every pivot label, in ascending order, for
+    every input vector: the quadratic form that row_reduce must agree with."""
+    pivots = {}
+    for v in vectors:
+        for lab in sorted(pivots):
+            c = v.coefficient(lab)
+            if not c.is_zero():
+                v = v - pivots[lab].scale(c)
+        if not v.is_zero():
+            lead = v.support()[0]
+            pivots[lead] = v.scale(v.coefficient(lead).invert())
+    return [pivots[lab] for lab in sorted(pivots)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_reduce_matches_scanning_every_pivot(seed):
+    """Overlapping supports over few labels, so subtractions happen and
+    bring in pivot labels that were not in the vector's support."""
+    rng = random.Random(f"row-reduce-overlap-{seed}")
+    vectors = [
+        PAElement(3, {(rng.randrange(3), rng.randrange(3)): rng.choice(COEFFS)
+                      for _ in range(rng.randint(1, 4))})
+        for _ in range(12)
+    ]
+    assert row_reduce(vectors) == row_reduce_every_pivot(vectors)
+
+
 def subgroups(group) -> list[tuple[int, ...]]:
     """Every subgroup of a small group, by brute force over subsets with 0."""
     found = []

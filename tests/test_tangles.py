@@ -24,8 +24,10 @@ from planarbox.expressions import (
 )
 from planarbox.scalars import ONE, pow_half
 from planarbox.tangles import (
+    GENERATOR_CACHE_SIZE,
     Disc,
     TangleError,
+    _count_cycles,
     alpha,
     alpha_tilde,
     capping_exponent,
@@ -506,3 +508,68 @@ def test_slot_faults_get_one_message_from_either_reader(fault, colour, message):
             with pytest.raises(TangleError) as caught:
                 read(tree)
             assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# per-tangle loop counts and the generator cache
+# ---------------------------------------------------------------------------
+
+def _pool_trees(seed, n=200):
+    """Glued trees of a seeded pool, colours up to 5, depth 3."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        outer, slot, inner = random_composable_pair(rng, max_colour=5, depth=3)
+        yield ComposeExpr(outer, slot, inner)
+
+
+def test_loop_counts_kept_on_the_tangle_match_fresh_counts():
+    """Each count, read twice in either order, equals one made without the
+    per-tangle memo; a memo that mixed up the two colours would differ on
+    the trees where they differ."""
+    differ = 0
+    for n, expr in enumerate(_pool_trees(51)):
+        t = realize(expr)
+        fresh = (_count_cycles(t, True), _count_cycles(t, False))
+        differ += fresh[0] != fresh[1]
+        reads = (loops_white, loops_black) if n % 2 else (loops_black, loops_white)
+        for _ in range(2):
+            got = {read: read(t) for read in reads}
+            assert (got[loops_black], got[loops_white]) == fresh, render_expr(expr)
+    assert differ >= 50
+
+
+def _generator_keys(max_colour=5):
+    """(kind, k, shaded) of every generator whose discs stay within ``max_colour``."""
+    return [(g.kind, g.k, g.shaded) for colour in sampled_colours(max_colour)
+            for g in generators_with_external(colour, max_colour)]
+
+
+def test_cached_generators_are_shared_and_unchanged_by_use():
+    """Every generator is one object across calls, equal to a fresh build,
+    and still so, loop counts included, after being glued into 100 trees."""
+    keys = _generator_keys()
+    shared = {key: make_generator(*key) for key in keys}
+    before = {key: dict(vars(g)) for key, g in shared.items()}
+    for key, g in shared.items():
+        assert make_generator(*key) is g
+        assert g == make_generator.__wrapped__(*key)
+    for expr in _pool_trees(52, 100):
+        glued = compose(realize(expr.outer), expr.slot, realize(expr.inner))
+        loops_black(glued), loops_white(glued)
+    for key, g in shared.items():
+        assert make_generator(*key) is g
+        assert g == make_generator.__wrapped__(*key)
+        after = vars(g)
+        assert {f: after[f] for f in before[key]} == before[key], key
+        assert (loops_black(g), loops_white(g)) == (
+            _count_cycles(g, True), _count_cycles(g, False)), key
+
+
+def test_generator_cache_is_bounded():
+    """Every generator the samplers can draw fits in the cache, and no
+    more than ``GENERATOR_CACHE_SIZE`` diagrams are ever kept."""
+    assert make_generator.cache_info().maxsize == GENERATOR_CACHE_SIZE
+    assert len(_generator_keys()) <= GENERATOR_CACHE_SIZE
+    for k in range(GENERATOR_CACHE_SIZE + 8):
+        make_generator("id", k)
+    assert make_generator.cache_info().currsize == GENERATOR_CACHE_SIZE
