@@ -16,15 +16,16 @@ one with ``product_structure``.
 Results the library computes from checked elements (products, star, the
 generator actions, sums, differences, scalings and surrounds) are built by
 one trusted constructor, :func:`_trusted`, which skips the label checks but
-still drops the coefficients that cancel in sums; ``PAElement(...)`` keeps
-every check for outside input.
+always drops zero coefficients; ``PAElement(...)`` keeps every check for
+outside input.
 
 The biprojections of the algebra are the subgroup averages; each one, with
 its surround (the class average of each label), dual surround, conjugates
 and cut-down action, is a :class:`SubgroupBiprojection` built on the
-algebra it acts in.  A cut-down algebra keeps its generator values on basis
-tuples, and their surrounds, in a :class:`BasisTable` that an
-:class:`EvaluationCache` carries.  Linear combinations render through
+algebra it acts in, and keeps only what the subgroup determines.  Values
+are kept per record, in an :class:`EvaluationCache`, and per cut-down
+algebra: its generator values on basis tuples, and their surrounds, in a
+:class:`BasisTable` that the cache carries.  Linear combinations render through
 :func:`render_terms`; the report records of every suite are built by
 :func:`record` and :func:`flag`.
 """
@@ -135,9 +136,6 @@ class PAElement:
             out[lab] = out.get(lab, ZERO) + c
         return _trusted(self.colour, out, self.shaded)
 
-    def __neg__(self) -> "PAElement":
-        return _trusted(self.colour, {lab: -c for lab, c in self.coeffs.items()}, self.shaded)
-
     def __sub__(self, other: "PAElement") -> "PAElement":
         self._check_compatible(other)
         out = dict(self.coeffs)
@@ -154,10 +152,8 @@ class PAElement:
         if c == ONE:
             return self
         if c.is_zero():
-            return _trusted(self.colour, {}, self.shaded, nonzero=True)
-        return _trusted(
-            self.colour, {lab: v * c for lab, v in self.coeffs.items()}, self.shaded, nonzero=True
-        )
+            return _trusted(self.colour, {}, self.shaded)
+        return _trusted(self.colour, {lab: v * c for lab, v in self.coeffs.items()}, self.shaded)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -171,23 +167,17 @@ class PAElement:
         return f"PAElement(colour={self.disc().label()}, terms={len(self.coeffs)})"
 
 
-def _trusted(
-    colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = False, nonzero: bool = False
-) -> PAElement:
+def _trusted(colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = False) -> PAElement:
     """An element built from labels the library made itself, skipping the
     label checks of :class:`PAElement`.
 
     The labels must be tuples of the colour's length and ``shaded`` must be
-    False above colour 0.  Zero coefficients are still dropped, since sums
-    can cancel, unless ``nonzero`` says that none can be zero: each one is
-    a copied coefficient or a product of nonzero scalars, as in star, a
-    nonzero scaling, the label assignments of a surround and ``Eprime``.
-    ``coeffs`` is taken over, not copied.
+    False above colour 0.  Zero coefficients are always dropped, since
+    sums can cancel.  ``coeffs`` is taken over, not copied.
     """
-    if not nonzero:
-        zeros = [lab for lab, c in coeffs.items() if c.is_zero()]
-        for lab in zeros:
-            del coeffs[lab]
+    zeros = [lab for lab, c in coeffs.items() if c.is_zero()]
+    for lab in zeros:
+        del coeffs[lab]
     x = object.__new__(PAElement)
     x.colour = colour
     x.shaded = shaded
@@ -246,13 +236,12 @@ class SubgroupBiprojection:
     its least tuple of left-coset minima, which is its least label; the
     keys at a colour, listed by :meth:`class_reps`, index the range.
 
-    The last surround above colour 0 is kept with its input: surrounding
-    the very same object again (``is``, never ``==``) returns the same
-    result, which is safe because elements are immutable.
+    Everything it keeps is a function of ``algebra`` and K: the coset
+    minima, each label's class key and each class.  It keeps no values;
+    those of a cut-down algebra live in its :class:`BasisTable`.
     """
 
-    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_class_cache", "_last",
-                 "_weights")
+    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_class_cache")
 
     def __init__(self, algebra: GroupPlanarAlgebra, members: Iterable[int]):
         group = algebra.group
@@ -269,11 +258,6 @@ class SubgroupBiprojection:
         self._canon_cache: dict[Label, Label] = {}
         # class representative -> (labels of the class, 1/|class|)
         self._class_cache: dict[Label, tuple[list[Label], RadicalScalar]] = {}
-        # (input, result) of the last surround
-        self._last: tuple[PAElement, PAElement] | None = None
-        # alpha(T) at ratio |K| per tree given to act; equal trees realize
-        # equal tangles, and the library only passes generator leaves
-        self._weights: dict[TangleExpr, RadicalScalar] = {}
 
     @property
     def order(self) -> int:
@@ -296,21 +280,18 @@ class SubgroupBiprojection:
         crossed product alike: the surround of its value, times ``alpha(T)``
         at the ratio ``|K|``.  Inputs are not checked for membership.  With
         the :class:`BasisTable` of a cut-down algebra of this subgroup, its
-        leaf values and surrounds are read instead of recomputed."""
-        weight = self._weights.get(expr)
-        if weight is None:
-            weight = self._weights[expr] = alpha(realize(expr), self.order)
+        leaf values and surrounds are read instead of recomputed.  The weight
+        is read off the realized tangle, whose generator diagrams and loop
+        counts :mod:`~planarbox.tangles` keeps."""
         surround = self.surround if table is None else table.surround
-        return surround(self.algebra.evaluate(expr, inputs, EvaluationCache(table))).scale(weight)
+        value = surround(self.algebra.evaluate(expr, inputs, EvaluationCache(table)))
+        return value.scale(alpha(realize(expr), self.order))
 
     def surround(self, x: PAElement) -> PAElement:
         """The class average of ``x``: the input weight of each class is
         gathered, and every label of the class gets ``weight / |class|``."""
         if x.colour == 0:
-            return _trusted(0, dict(x.coeffs), x.shaded, nonzero=True)
-        last = self._last
-        if last is not None and last[0] is x:
-            return last[1]
+            return _trusted(0, dict(x.coeffs), x.shaded)
         weights: dict[Label, RadicalScalar] = {}
         for label, c in x.coeffs.items():
             rep = self._canon_cache.get(label)
@@ -325,9 +306,7 @@ class SubgroupBiprojection:
             if not weight.is_zero():
                 labels, inverse_size = self._class(rep)
                 acc.update(dict.fromkeys(labels, weight * inverse_size))
-        out = _trusted(x.colour, acc, nonzero=True)
-        self._last = (x, out)
-        return out
+        return _trusted(x.colour, acc)
 
     def class_reps(self, colour: int) -> Iterator[Label]:
         """The least label of each class at a colour, in ascending order."""
@@ -421,6 +400,10 @@ class EvaluationCache:
     tuples the leaves read.  It holds at most one value per generator with
     colours up to ``k_max`` and tuple of basis elements on its slots, and
     one surround per basis element and per such value.
+
+    These two tiers hold every value the evaluation keeps: the
+    :class:`SubgroupBiprojection`, which every cut-down algebra of its
+    subgroup shares, keeps none.
     """
 
     __slots__ = ("trees", "last", "table")
@@ -460,9 +443,13 @@ class BasisTable:
     surround of a basis element is that element, and a leaf on it reads the
     table too.
 
-    Only pure functions of immutable inputs are kept.  Each entry holds its
-    key objects and is matched with ``is``, and the table holds the basis
-    elements, so no ``id`` it keys on can be reused while it lives.
+    Only pure functions of immutable inputs are kept, keyed by the ``id`` of
+    their inputs: ``leaves`` maps ``(generator, *input ids)`` to the value
+    and ``surrounds`` maps an ``id`` to the surround.  Every ``id`` keyed on
+    is that of an object the table holds, a basis element in ``members`` or
+    a leaf value in ``values``, and membership is checked before keying, so
+    no other live object can have that ``id`` and a hit needs no ``is``
+    check.
     """
 
     __slots__ = ("subgroup", "k_max", "members", "leaves", "values", "surrounds")
@@ -472,12 +459,12 @@ class BasisTable:
         self.k_max = k_max
         # id -> basis element
         self.members: dict[int, PAElement] = {id(b): b for b in basis}
-        # (generator, *input ids) -> (inputs, value)
-        self.leaves: dict[tuple, tuple[tuple[PAElement, ...], PAElement]] = {}
+        # (generator, *input ids) -> value
+        self.leaves: dict[tuple, PAElement] = {}
         # id -> a value held by a leaf entry
         self.values: dict[int, PAElement] = {}
-        # id -> (element, its surround)
-        self.surrounds: dict[int, tuple[PAElement, PAElement]] = {}
+        # id of a member or a value -> its surround
+        self.surrounds: dict[int, PAElement] = {}
 
     def act(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
         """The action of one generator on inputs that fit its slots, read
@@ -488,27 +475,25 @@ class BasisTable:
             if members.get(id(x)) is not x:
                 return algebra._act(gen, inputs)
         key = (gen, *map(id, inputs))
-        entry = self.leaves.get(key)
-        if entry is not None and all(map(operator.is_, entry[0], inputs)):
-            return entry[1]
-        value = algebra._act(gen, inputs)
-        if generator_signature(gen)[0].colour <= self.k_max:
-            self.leaves[key] = (tuple(inputs), value)
-            self.values[id(value)] = value
+        value = self.leaves.get(key)
+        if value is None:
+            value = algebra._act(gen, inputs)
+            if generator_signature(gen)[0].colour <= self.k_max:
+                self.leaves[key] = value
+                self.values[id(value)] = value
         return value
 
     def surround(self, x: PAElement) -> PAElement:
         """The subgroup's surround of ``x``, read from the table for a basis
         element or a leaf value."""
         key = id(x)
-        entry = self.surrounds.get(key)
-        if entry is not None and entry[0] is x:
-            return entry[1]
-        out = self.subgroup.surround(x)
-        if self.members.get(key) is x or self.values.get(key) is x:
-            if out == x:
-                out = x
-            self.surrounds[key] = (x, out)
+        out = self.surrounds.get(key)
+        if out is None:
+            out = self.subgroup.surround(x)
+            if self.members.get(key) is x or self.values.get(key) is x:
+                if out == x:
+                    out = x
+                self.surrounds[key] = out
         return out
 
 
@@ -706,7 +691,7 @@ class GroupPlanarAlgebra:
         """The adjoint: ``S(g_1..g_{c-1}) -> S(g_1^-1, g_1^-1 g_{c-1}, ..., g_1^-1 g_2)``,
         a bijection of labels; colours 0 and 1 are fixed."""
         if x.colour <= 1:
-            return _trusted(x.colour, dict(x.coeffs), x.shaded, nonzero=True)
+            return _trusted(x.colour, dict(x.coeffs), x.shaded)
         inv, rows = self.group.inv, self.group.table
         tail = range(x.colour - 2, 0, -1)
         out: dict[Label, RadicalScalar] = {}
@@ -714,7 +699,7 @@ class GroupPlanarAlgebra:
             first = inv(lab[0])
             row = rows[first]
             out[(first,) + tuple(row[lab[j]] for j in tail)] = c
-        return _trusted(x.colour, out, nonzero=True)
+        return _trusted(x.colour, out)
 
     def trace(self, x: PAElement) -> RadicalScalar:
         """``tr(x) = sum c * tr(S(label))`` by linearity, each basis trace
@@ -805,11 +790,8 @@ class GroupPlanarAlgebra:
     def _act_Eprime(self, colour: int, x: PAElement) -> PAElement:
         """``delta`` times the labels with ``g[0] = 0``, or the one colour-1 label."""
         delta = self.delta
-        return _trusted(
-            colour,
-            {g: c * delta for g, c in x.coeffs.items() if colour == 1 or g[0] == 0},
-            nonzero=True,
-        )
+        kept = {g: c * delta for g, c in x.coeffs.items() if colour == 1 or g[0] == 0}
+        return _trusted(colour, kept)
 
     def act_generator(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
         """The action of one generator, its inputs checked against its slots."""

@@ -254,6 +254,11 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
     strings with an endpoint on that boundary are spliced: a component of
     them with two endpoints off it is a new string, one with none is a new
     free loop.  Every other string passes through renamed.
+
+    Both sides are valid tangles, so the result is built directly, not
+    through :func:`tangle`: the renaming is increasing off the glued disc,
+    so a renamed pass-through pair keeps its order, and only the spliced
+    pairs are ordered.
     """
     internal = glued_discs(outer.internal, slot, inner.external, inner.internal)
     # disc index on either side -> disc index in the result
@@ -272,11 +277,11 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
         found = ends.setdefault(root, [])
         if pt[0] != _GLUED:
             found.append(pt)
-    spliced = [pair for pair in ends.values() if pair]
-    return tangle(
+    spliced = [_pair(*pair) for pair in ends.values() if pair]
+    return Tangle(
         outer.external,
         internal,
-        chain(kept, spliced),
+        frozenset(chain(kept, spliced)),
         outer.closed_loops + inner.closed_loops + len(ends) - len(spliced),
     )
 

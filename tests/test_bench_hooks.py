@@ -7,6 +7,9 @@ where tier-1 passed."""
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,28 @@ def test_every_traced_name_resolves():
             # the tracer reads the class's own namespace, not an inherited one
             cls = getattr(module, cls_name, None)
             assert cls is not None and attr in cls.__dict__, f"{cls_name}.{attr}"
+
+
+def test_tracer_installs_after_importing_the_cli():
+    """The benchmark's worker imports ``planarbox.cli`` alone before
+    ``Tracer.install``, which reads ``sys.modules`` for every patched
+    module; the check above imports each module itself, so it would miss a
+    module that the CLI no longer imports at load time.  Run in a child
+    process, since installing patches the library for good."""
+    path = str(ROOT / "perfbench" / "tracer.py")
+    script = (
+        "import importlib.util\n"
+        "import planarbox.cli\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_tracer', {path!r})\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "tracer.Tracer().install()\n"
+    )
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # (callable, positional arguments, keywords) as perfbench/workloads.py calls

@@ -1052,8 +1052,9 @@ class TestTrustedResults:
     def test_operations_that_cannot_cancel(self):
         """Star, a nonzero scaling, ``Eprime`` and the surround's label
         assignments only copy nonzero coefficients or multiply them by
-        nonzero scalars, so they skip the zero scan; a scaling by zero
-        gives the zero element."""
+        nonzero scalars, so their results hold no zero through the same
+        trusted constructor as the sums; a scaling by zero gives the zero
+        element."""
         alg = SEMIDIRECT["z3xz2"]
         sub = SubgroupBiprojection(alg, (0, 2, 4))
         x = PAElement(3, {(0, 1): CLASS_COEFFS[2], (0, 4): -CLASS_COEFFS[2], (2, 2): ONE})
@@ -1197,20 +1198,18 @@ class TestSubgroupBiprojection:
                 b = alg.basis_element(colour, lab)
                 assert sub.surround(b) == b
 
-    def test_surround_reused_only_for_the_very_same_object(self):
-        """The last surround is returned again for the same object only: an
-        equal but distinct copy, and fresh objects that may reuse a freed
-        object's address, are surrounded anew."""
+    def test_surround_of_copies_and_reused_addresses(self):
+        """The surround depends on the value only: an equal but distinct
+        copy gets an equal surround, and fresh objects that may reuse a
+        freed object's address are each surrounded by definition."""
         alg = SEMIDIRECT["z3xz2"]
         group = alg.group
         members = (0, 2, 4)
         sub = SubgroupBiprojection(alg, members)
         x = PAElement(3, {(1, 3): CLASS_COEFFS[2], (5, 0): ONE})
         once = sub.surround(x)
-        assert sub.surround(x) is once
-        copy = PAElement(3, x.coeffs)
-        again = sub.surround(copy)
-        assert again is not once and again == once
+        assert once == spread_by_definition(group, members, x)
+        assert sub.surround(PAElement(3, x.coeffs)) == once
         addresses = []
         for i in range(200):
             # consecutive inputs differ, so a stale value would be wrong

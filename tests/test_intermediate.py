@@ -779,15 +779,48 @@ class TestBasisTable:
         def copy(x):
             return PAElement(x.colour, dict(x.coeffs), x.shaded)
 
-        for (gen, *ids), (inputs, value) in table.leaves.items():
-            assert ids == [id(x) for x in inputs]
-            assert all(table.members[id(x)] is x for x in inputs)
+        # every id keyed on is that of a member or a value the table holds
+        for (gen, *ids), value in table.leaves.items():
+            inputs = [table.members[i] for i in ids]
+            assert table.values[id(value)] is value
             assert value == ambient._act(gen, [copy(x) for x in inputs]), gen
-        for key, (x, fixed) in table.surrounds.items():
-            assert key == id(x)
+        for key, fixed in table.surrounds.items():
+            x = table.members[key] if key in table.members else table.values[key]
             assert fixed == sub.surround(copy(x))
-            if table.members.get(key) is x:
+            if key in table.members:
                 assert fixed is x
+
+    def test_equal_copies_are_computed_not_kept(self):
+        """An equal copy of a basis element is not a member: a leaf on it,
+        and the surrounds of the copy and of that leaf's value, are computed
+        afresh and equal the members' values, before and after the members'
+        own entries go in, and no entry is added for them."""
+        inter = IntermediateAlgebra(CP3.embedded, k_max=3)
+        table, P, sub = inter.table, inter.algebra, inter.subgroup
+
+        def counts():
+            return len(table.leaves), len(table.values), len(table.surrounds)
+
+        for colour in (2, 3):
+            gen = GenExpr("M", colour)
+            for b in inter.basis(colour):
+                copy = PAElement(b.colour, dict(b.coeffs))
+
+                def through_copies():
+                    held = counts()
+                    for inputs in ([copy, copy], [copy, b], [b, copy]):
+                        value = table.act(gen, inputs)
+                        assert value == P.multiply(b, b)
+                        assert table.surround(value) == sub.surround(value)
+                    assert table.surround(copy) == b
+                    assert counts() == held
+
+                through_copies()
+                value = table.act(gen, [b, b])
+                assert table.leaves[(gen, id(b), id(b))] is value
+                assert table.surround(value) == sub.surround(value)
+                assert table.surround(b) is b
+                through_copies()
 
     def test_a_freed_algebra_leaves_nothing_behind(self):
         """A cut-down algebra that ran a report and was freed leaves no
