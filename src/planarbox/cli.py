@@ -142,11 +142,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _parse_label(text: str, colour: int, order: int) -> tuple[int, ...]:
-    pieces = [p for p in text.split(",") if p != ""]
-    try:
-        label = tuple(int(p) for p in pieces)
-    except ValueError:
+    pieces = text.split(",")
+    if not all(p.isascii() and p.isdigit() for p in pieces):
         raise ValueError(f"label {text!r} is not a comma-separated integer tuple")
+    label = tuple(map(int, pieces))
     if len(label) != colour - 1:
         raise ValueError(
             f"label {text!r} has {len(label)} entries; colour {colour} needs {colour - 1}"

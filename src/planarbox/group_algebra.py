@@ -1,10 +1,10 @@
 """The planar algebra of a finite group, with exact scalars.
 
-Colour-k space: formal combinations of basis symbols S(g_1,...,g_{k-1})
-over group elements, with the empty label spanning colours 0 and 1.  The
-closed-loop value is the square root of the group order.  Products,
-star, trace, and the generator-tangle actions all follow the basis
-formulas pinned down by scripts/solve_base_constants.py.
+Colour-k space: formal combinations of basis symbols S(g_1,...,g_{k-1}) over
+group elements, the empty label spanning colours 0 and 1; a closed loop is
+worth the square root of the group order.  Products, star, trace and the
+generator actions follow the formulas of scripts/solve_base_constants.py,
+the Jones element by one spin rule that the script pins at colours 2 to 5.
 
 The product rule at a colour is one object, :class:`_LeftParts`, built
 once per algebra and colour and read by :meth:`GroupPlanarAlgebra._merge`,
@@ -580,24 +580,24 @@ class GroupPlanarAlgebra:
         return self._act_I(colour - 1, self.unit(colour - 1))
 
     def jones_element(self, colour: int) -> PAElement:
-        """The Jones element, tabulated for colours 2..5 (which bounds the
-        suites' k_max); no other generator has a turnback on its external
-        disc, so it cannot be derived like the unit."""
-        n = self.group.order
-        if colour == 2:
-            c = pow_half(n, -2)
-            return PAElement(2, {(g,): c for g in range(n)})
-        if colour == 3:
-            return PAElement(3, {(0, 0): self._inv_delta})
-        if colour == 4:
-            c = pow_half(n, -3)
-            return PAElement(
-                4, {(0, b, c2): c for b in range(n) for c2 in range(n)}
-            )
-        if colour == 5:
-            c = pow_half(n, -2)
-            return PAElement(5, {(0, b, b, b): c for b in range(n)})
-        raise AlgebraError("jones closed forms cover colours 2..5")
+        """The Jones element at colour ``c >= 2``, by the spin rule of Jones,
+        *Planar algebras I* (arXiv math/9909027).  A label holds the spins of
+        the black regions ``B_1, B_3, ..., [R], ..., T_3`` relative to
+        ``T_1``'s (``T_i``, ``B_i`` between top, bottom points i and i+1;
+        ``R`` the right side, at odd c).  The element sums the labels with
+        ``T_i = B_i`` for odd ``i < c-2``, and at odd c also ``T_{c-2} = R =
+        B_{c-2}``, times ``sqrt(n)^-(c/2 + 1)`` at even c and
+        ``sqrt(n)^-((c-1)/2)`` at odd c, building one spin per tie class."""
+        if colour < 2:
+            raise AlgebraError("the Jones element needs colour >= 2")
+        half, odd = divmod(colour, 2)
+        # spins in label order: T_{2j-1}, and B_{2j-1} for j < half, have spin
+        # j-1 (T_1's is the identity); the last B has spin half at even colour
+        top = list(range(half))
+        regions = top[:-1] + [top[-1] if odd else half] + top[-1:] * odd + top[:0:-1]
+        c = pow_half(self.group.order, odd - half - 1)
+        spins = itertools.product(self.group.elements(), repeat=half - odd)
+        return _trusted(colour, {tuple(((0,) + s)[r] for r in regions): c for s in spins})
 
     # --- ring structure --------------------------------------------------
 

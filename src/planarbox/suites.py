@@ -52,8 +52,9 @@ INTERTWINE_GENERATORS = (
 )
 
 
-# the highest colour any suite checks: base-algebra's Markov check reads the
-# Jones element at colour k_max + 1, and its closed forms stop at colour 5
+# the highest colour any suite checks; nothing above it is bounded or timed:
+# the sampled suites have no cost bound (z7xz3 axioms at k_max 4 ran 90 s with
+# no output), and the pair bound refuses z3xz2 at colour 5 (1296^2 > 2**20)
 MAX_KMAX = 4
 
 # base-algebra checks every pair of basis labels at k_max, dimension(k_max)^2

@@ -466,6 +466,19 @@ class TestMultiplyCommand:
     def test_non_integer_label_exits_2(self, capsys):
         assert main(["multiply", "2", "x", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "colour,label", [(2, "1,"), (2, ",1"), (2, "+1"), (2, " 1"), (2, "0_1"), (2, ""),
+                         (2, "\u0661"), (3, "1,,2")]
+    )
+    def test_malformed_label_exits_2(self, colour, label, capsys):
+        """Each piece must be ASCII digits: none is read as another label."""
+        code = main(["multiply", str(colour), label, "1" if colour == 2 else "1,1",
+                     "--action", f"{ACTIONS}/z7xz3.json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not a comma-separated integer tuple" in captured.err
+
     def test_colour_is_checked_before_the_algebras_are_built(self, monkeypatch, capsys):
         import planarbox.cli as cli
 

@@ -522,22 +522,66 @@ def test_product_structure_matches_merge_on_every_pair(stem, k):
     assert prefactor == pow_half(alg.group.order, max((k + 1) // 2 - 1, 0))
 
 
+# keyed so that the case ids read "<colour>-<order>" on the cyclic groups
+JONES_ALGEBRAS = {
+    "3": algebra(3),
+    "4": algebra(4),
+    "z3xz2": action_algebra("z3xz2"),
+}
+JONES_CASES = [
+    pytest.param(name, k, id=f"{k}-{name}")
+    for name, top in (("3", 7), ("4", 7), ("z3xz2", 6))
+    for k in range(2, top + 1)
+]
+
+
 class TestJones:
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_characterizing_system(self, n, k):
-        alg = algebra(n)
-        f = alg.jones_element(k)
-        assert alg.multiply(f, f) == f
-        assert alg.star(f) == f
-        assert alg.trace(f) == pow_half(n, -2)
-        assert alg._act_E(k - 1, f) == alg.unit(k - 1).scale(alg.delta.invert())
+    """The rule at every colour against what characterizes the Jones
+    projections: a self-adjoint idempotent of trace ``1/n`` capped to
+    ``unit/delta``, the Temperley-Lieb relations with the included element
+    one colour down, commutation with the one two colours down, and the
+    Markov property on every basis element one colour down."""
+
+    @pytest.mark.parametrize("name,k", JONES_CASES)
+    def test_characterizing_system(self, name, k):
+        alg = JONES_ALGEBRAS[name]
+        n = alg.group.order
+        e = alg.jones_element(k)
+        assert alg.multiply(e, e) == e
+        assert alg.star(e) == e
+        assert alg.trace(e) == pow_half(n, -2)
+        assert alg._act_E(k - 1, e) == alg.unit(k - 1).scale(alg.delta.invert())
+
+    @pytest.mark.parametrize("name,k", [case for case in JONES_CASES if case.values[1] >= 3])
+    def test_temperley_lieb(self, name, k):
+        alg = JONES_ALGEBRAS[name]
+        tau = pow_half(alg.group.order, -2)
+        e = alg.jones_element(k)
+        f = alg._act_I(k - 1, alg.jones_element(k - 1))
+        assert alg.multiply(alg.multiply(e, f), e) == e.scale(tau)
+        assert alg.multiply(alg.multiply(f, e), f) == f.scale(tau)
+        if k >= 4:
+            g = alg._act_I(k - 1, alg._act_I(k - 2, alg.jones_element(k - 2)))
+            assert alg.multiply(e, g) == alg.multiply(g, e)
+
+    @pytest.mark.parametrize("name,k", JONES_CASES)
+    def test_markov(self, name, k):
+        alg = JONES_ALGEBRAS[name]
+        tau = pow_half(alg.group.order, -2)
+        e = alg.jones_element(k)
+        for lab in alg.basis_labels(k - 1):
+            b = alg.basis_element(k - 1, lab)
+            assert alg.trace(alg.multiply(alg._act_I(k - 1, b), e)) == alg.trace(b) * tau
 
     def test_colour_range(self):
-        with pytest.raises(AlgebraError):
-            algebra(3).jones_element(6)
-        with pytest.raises(AlgebraError):
-            algebra(3).jones_element(1)
+        alg = algebra(3)
+        for k in (0, 1):
+            with pytest.raises(AlgebraError, match="colour >= 2"):
+                alg.jones_element(k)
+        # colour 6: (0, a, b, t, a) with coefficient 3^-2
+        assert alg.jones_element(6) == alg.element(
+            6, {(0, a, b, t, a): Fraction(1, 9) for a, b, t in itertools.product(range(3), repeat=3)}
+        )
 
 
 class TestGeneratorActions:

@@ -3,7 +3,9 @@
 Seeded random trees are grouped by the tangle they realize (external disc,
 internal discs and strings, without the closed-loop count).  Within a group
 every tree is evaluated on the same inputs, and once each closed loop's
-weight delta is divided out, the values must agree.
+weight delta is divided out, the values must agree.  One pool runs on z3xz2
+up to colour 4; a second runs on z3-trivial up to colour 7, so that the
+Jones element's spin rule meets the other generators above its old table.
 """
 
 import json
@@ -11,12 +13,19 @@ import random
 from pathlib import Path
 
 from planarbox.crossed import CrossedProduct
-from planarbox.expressions import random_expr, realize, render_expr, slot_colours
+from planarbox.expressions import (
+    ComposeExpr,
+    GenExpr,
+    random_expr,
+    realize,
+    render_expr,
+    slot_colours,
+)
 from planarbox.group_algebra import PAElement
 from planarbox.groups import load_action
 from planarbox.scalars import RadicalScalar, pow_half
 
-ACTION = Path(__file__).resolve().parent.parent / "actions" / "z3xz2.json"
+ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 TREES = 20_000
 
 
@@ -31,13 +40,25 @@ def random_input(rng: random.Random, P, disc) -> PAElement:
     )
 
 
-def test_value_depends_only_on_the_tangle():
-    P = CrossedProduct(load_action(json.loads(ACTION.read_text()))).product
+def jones_colours(expr) -> list[int]:
+    """The colours of the Jones leaves of a tree."""
+    if isinstance(expr, GenExpr):
+        return [expr.k] if expr.kind == "jones" else []
+    if isinstance(expr, ComposeExpr):
+        return jones_colours(expr.outer) + jones_colours(expr.inner)
+    return jones_colours(expr.inner)
+
+
+def shared_tangle_groups(stem: str, max_colour: int) -> int:
+    """Evaluate every group of seeded trees realizing one tangle on shared
+    inputs, assert that the values agree, and return the groups whose trees
+    hold a Jones leaf above colour 4."""
+    P = CrossedProduct(load_action(json.loads((ACTIONS / f"{stem}.json").read_text()))).product
     n = len(P.group)
     rng = random.Random(0)
     groups: dict[tuple, list] = {}
     for _ in range(TREES):
-        expr = random_expr(rng, max_colour=4, depth=3)
+        expr = random_expr(rng, max_colour=max_colour, depth=3)
         t = realize(expr)
         groups.setdefault((t.external, t.internal, t.strings), []).append((expr, t.closed_loops))
     shared = [trees for trees in groups.values() if len(trees) > 1]
@@ -54,3 +75,13 @@ def test_value_depends_only_on_the_tangle():
                 f"{render_expr(e0)} -> {P.render(v0)} but "
                 f"{render_expr(e1)} -> {P.render(v1)}"
             )
+    return sum(any(k >= 5 for e, _ in trees for k in jones_colours(e)) for trees in shared)
+
+
+def test_value_depends_only_on_the_tangle():
+    shared_tangle_groups("z3xz2", max_colour=4)
+
+
+def test_value_depends_only_on_the_tangle_above_colour_4():
+    """Colours up to 7, where only the spin rule gives the Jones element."""
+    assert shared_tangle_groups("z3-trivial", max_colour=7) > 100

@@ -1,7 +1,8 @@
 """The standalone oracle scripts re-derive the frozen constants the tests
 rely on; each must run to completion and exit 0.  The loop-count oracle's
 string walk is also the cross-check of gluing and loop counting, which the
-library computes from connected components instead."""
+library computes from connected components instead, and the base-constant
+solver's Jones idempotents pin the library's Jones rule at colours 2..5."""
 
 import importlib.util
 import random
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 from planarbox.expressions import (
     ComposeExpr,
@@ -18,6 +20,8 @@ from planarbox.expressions import (
     realize,
     render_expr,
 )
+from planarbox.group_algebra import GroupPlanarAlgebra
+from planarbox.groups import cyclic_group
 from planarbox.tangles import compose, loops_black, loops_white
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -37,14 +41,28 @@ def test_oracle_script_exits_0(script):
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
-def _load_loop_oracle():
-    """``scripts/loop_count_oracle.py`` loaded by path, apart from the package."""
-    spec = importlib.util.spec_from_file_location(
-        "loop_count_oracle", SCRIPTS / "loop_count_oracle.py"
-    )
+def _load_script(name: str):
+    """``scripts/<name>.py`` loaded by path, apart from the package."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_jones_element_matches_the_solver(n):
+    """The spin rule at colours 2..5 against the solver's frozen Jones
+    idempotents, coefficient by coefficient in sympy."""
+    solver = _load_script("solve_base_constants")
+    P = GroupPlanarAlgebra(cyclic_group(n))
+    for k in range(2, 6):
+        expected = solver.jones(n, k)
+        got = P.jones_element(k).coeffs
+        assert set(got) == set(expected), k
+        for lab, c in got.items():
+            value = sympy.Add(*(sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(d)
+                                for d, q in c.terms.items()))
+            assert sympy.simplify(value - expected[lab]) == 0, (k, lab)
 
 
 def _oracle_diagram(oracle, expr):
@@ -75,7 +93,7 @@ def _oracle_diagram(oracle, expr):
 def test_compose_and_loop_counts_match_the_walk_oracle():
     """``tangles.compose`` and both loop counts against the oracle's own
     string walk, on every seeded glued tree it can encode."""
-    oracle = _load_loop_oracle()
+    oracle = _load_script("loop_count_oracle")
     rng = random.Random(20261018)
     compared = 0
     for _ in range(1000):
