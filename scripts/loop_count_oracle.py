@@ -4,9 +4,9 @@
 Self-contained on purpose: it re-derives the cap/cup loop counts (and
 the resulting half-integer exponents) for every generator with its own
 diagram encoding and a walk-based cycle counter, so the main library can
-be checked against an implementation that shares no code with it.  The
-library glues and counts through connected components, so the two share
-no algorithm either.
+be checked against an implementation that shares no code with it.  Both
+glue and count by walking strings, the library over integer point ids
+and this file over its own (disc, point) edge lists.
 
 Run:  python3 scripts/loop_count_oracle.py
 The printed tables are frozen into tests/test_tangles.py and

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .crossed import CrossedProduct
-from .expressions import ParseError, parse_expr, realize
+from .expressions import ParseError, decimal_value, parse_expr, realize
 from .group_algebra import AlgebraError, render_terms
 from .groups import GroupAction, GroupError, inversion_action, load_action
 from .scalars import RadicalScalar
@@ -142,10 +142,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _parse_label(text: str, colour: int, order: int) -> tuple[int, ...]:
-    pieces = text.split(",")
-    if not all(p.isascii() and p.isdigit() for p in pieces):
+    label = tuple(decimal_value(p) for p in text.split(","))
+    if None in label:
         raise ValueError(f"label {text!r} is not a comma-separated integer tuple")
-    label = tuple(map(int, pieces))
     if len(label) != colour - 1:
         raise ValueError(
             f"label {text!r} has {len(label)} entries; colour {colour} needs {colour - 1}"

@@ -2,9 +2,10 @@
 
 A tree is the evaluable form of a tangle: leaves name generators,
 internal nodes glue a subtree into a numbered slot or renumber the open
-slots.  `realize` folds a tree into the concrete diagram of
-:mod:`planarbox.tangles`; algebra evaluation folds the same tree through
-basis formulas instead.
+slots.  `realize` glues a tree's generator diagrams into the concrete
+diagram of :mod:`planarbox.tangles` in one splice, equal to folding the
+tree node by node; algebra evaluation folds the same tree through basis
+formulas instead.
 
 The text form is an s-expression, e.g.::
 
@@ -12,8 +13,10 @@ The text form is an s-expression, e.g.::
     (renumber (2 1) (gen M 2))
     (gen unit plus)
 
-Colour tokens are plain integers from 0 to ``MAX_COLOUR``, with ``0+`` /
-``0-`` selecting the shading of a colour-0 disc (bare ``0`` means ``0+``).
+Colour tokens are decimal numerals (ASCII digits only, see
+`decimal_value`) from 0 to ``MAX_COLOUR``, with ``0+`` / ``0-`` selecting
+the shading of a colour-0 disc (bare ``0`` means ``0+``); slots and
+permutation images are decimal numerals too.
 A form may sit inside at most ``MAX_DEPTH`` others.
 """
 
@@ -27,12 +30,12 @@ from typing import Union
 
 from planarbox.tangles import (
     Disc,
+    DiscRef,
     Tangle,
     TangleError,
-    compose,
+    _splice,
     glued_discs,
     make_generator,
-    renumber,
     renumbered_discs,
 )
 
@@ -49,9 +52,11 @@ class ParseError(ValueError):
 # so the cache holds at most about 57 MB.
 MAX_COLOUR = 1000
 
-# Most forms a form may sit inside.  Parsing, realizing, validating and
-# capping recurse once per level: a 1,200-deep ``compose`` chain overflowed
-# Python's default recursion limit, and a chain this deep runs through all.
+# Most forms a form may sit inside.  Parsing, rendering and the tree walks
+# (`realize`, `node_signatures`) recurse once per level; validating and
+# capping walk the realized diagram and do not.  A 1,200-deep ``compose``
+# chain overflowed Python's default recursion limit, and a chain this deep
+# runs through all.
 MAX_DEPTH = 900
 
 # chance that random_expr fills each open slot of a node with a subtree;
@@ -138,12 +143,40 @@ def arity(expr: TangleExpr) -> int:
 
 
 def realize(expr: TangleExpr) -> Tangle:
-    """Fold the tree into a concrete tangle."""
+    """The concrete tangle of a tree: its generator diagrams glued in one
+    :func:`~planarbox.tangles._splice`."""
     if isinstance(expr, GenExpr):
         return make_generator(expr.kind, expr.k, expr.shaded)
+    parts: list[Tangle] = []
+    glues: list[tuple[DiscRef, int]] = []
+    external, discs, origins = _gather(expr, parts, glues)
+    pairs, loops = _splice(parts, glues, origins)
+    return Tangle(external, discs, frozenset(pairs), loops)
+
+
+def _gather(expr: TangleExpr, parts: list[Tangle], glues: list[tuple[DiscRef, int]]
+            ) -> tuple[Disc, tuple[Disc, ...], tuple[DiscRef, ...]]:
+    """(external disc, slot discs, the leaf disc each slot is) of ``expr``,
+    appending its leaf diagrams to ``parts``, the one bearing its external
+    disc first, and its glues to ``glues``.  Nodes are checked in
+    post-order, outer before inner, so a fault raises as in a node-by-node
+    fold of :func:`~planarbox.tangles.compose` and
+    :func:`~planarbox.tangles.renumber`."""
+    if isinstance(expr, GenExpr):
+        t = make_generator(expr.kind, expr.k, expr.shaded)
+        leaf = len(parts)
+        parts.append(t)
+        return t.external, t.internal, tuple((leaf, d) for d in range(1, len(t.internal) + 1))
     if isinstance(expr, ComposeExpr):
-        return compose(realize(expr.outer), expr.slot, realize(expr.inner))
-    return renumber(realize(expr.inner), expr.perm)
+        external, discs, origins = _gather(expr.outer, parts, glues)
+        inner_leaf = len(parts)
+        inner_ext, inner_discs, inner_origins = _gather(expr.inner, parts, glues)
+        slot = expr.slot
+        glued = glued_discs(discs, slot, inner_ext, inner_discs)
+        glues.append((origins[slot - 1], inner_leaf))
+        return external, glued, (*origins[: slot - 1], *inner_origins, *origins[slot:])
+    external, discs, origins = _gather(expr.inner, parts, glues)
+    return external, renumbered_discs(discs, expr.perm), renumbered_discs(origins, expr.perm)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +208,26 @@ def _read(tokens: list[str], pos: int, depth: int = 0):
     return tok, pos + 1
 
 
+def decimal_value(token: object) -> int | None:
+    """The value of a plain decimal numeral, else None.  Every number in
+    the input (colours, slots, permutation images and the entries of a
+    basis label) must be one: ASCII digits only, so no sign, space,
+    underscore or digit of another script."""
+    if not (isinstance(token, str) and token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _parse_colour(tok: str) -> tuple[int, bool]:
     if tok == "0+":
         return 0, False
     if tok == "0-":
         return 0, True
-    try:
-        k = int(tok)
-    except (TypeError, ValueError):  # a parenthesized form is no colour
-        raise ParseError(f"bad colour token {tok!r}") from None
-    if k < 0:
+    k = decimal_value(tok)
+    if k is None:
         raise ParseError(f"bad colour token {tok!r}")
     if k > MAX_COLOUR:
         raise ParseError(f"colour {k} is above the bound MAX_COLOUR = {MAX_COLOUR}")
@@ -230,18 +273,16 @@ def _build(form) -> TangleExpr:
         if len(form) != 4:
             raise ParseError("(compose <outer> <slot> <inner>)")
         outer = _build(form[1])
-        try:
-            slot = int(form[2])
-        except (TypeError, ValueError):
-            raise ParseError(f"bad slot index {form[2]!r}") from None
+        slot = decimal_value(form[2])
+        if slot is None:
+            raise ParseError(f"bad slot index {form[2]!r}")
         return ComposeExpr(outer, slot, _build(form[3]))
     if head == "renumber":
         if len(form) != 3 or not isinstance(form[1], list):
             raise ParseError("(renumber (<images...>) <expr>)")
-        try:
-            perm = tuple(int(x) for x in form[1])
-        except (TypeError, ValueError):
-            raise ParseError(f"bad permutation {form[1]!r}") from None
+        perm = tuple(decimal_value(x) for x in form[1])
+        if None in perm:
+            raise ParseError(f"bad permutation {form[1]!r}")
         return RenumberExpr(perm, _build(form[2]))
     raise ParseError(f"unknown form {head!r}")
 
@@ -304,23 +345,34 @@ def random_expr(
     depth: int = 2,
 ) -> TangleExpr:
     """A random well-coloured tree with every disc colour ``<= max_colour``."""
+    return _random_tree(rng, colour, max_colour, depth)[0]
+
+
+def _random_tree(
+    rng: random.Random, colour: Disc | None, max_colour: int, depth: int
+) -> tuple[TangleExpr, tuple[Disc, ...]]:
+    """:func:`random_expr`'s tree with its slot discs, carried through each
+    glue and renumbering rather than read off the tree again."""
     if colour is None:
         k = rng.randint(0, max_colour)
         colour = Disc(k, rng.random() < 0.5 if k == 0 else False)
-    expr: TangleExpr = rng.choice(generators_with_external(colour, max_colour))
+    leaf = rng.choice(generators_with_external(colour, max_colour))
+    expr: TangleExpr = leaf
+    slots = leaf_slots = generator_signature(leaf)[1]
     if depth > 0:
-        slots = slot_colours(expr)
         # fill from the right so earlier slot indices stay valid
-        for i in range(len(slots), 0, -1):
+        for i in range(len(leaf_slots), 0, -1):
             if rng.random() < FILL_PROBABILITY:
-                sub = random_expr(rng, slots[i - 1], max_colour, depth - 1)
+                sub, sub_slots = _random_tree(rng, leaf_slots[i - 1], max_colour, depth - 1)
                 expr = ComposeExpr(expr, i, sub)
-    n = arity(expr)
+                slots = glued_discs(slots, i, leaf_slots[i - 1], sub_slots)
+    n = len(slots)
     if n > 1 and rng.random() < 0.2:
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         expr = RenumberExpr(tuple(perm), expr)
-    return expr
+        slots = renumbered_discs(slots, perm)
+    return expr, slots
 
 
 def random_composable_pair(
@@ -333,12 +385,11 @@ def random_composable_pair(
     slot ``i`` of ``T``; resamples until ``T`` has an open slot (and the
     combined arity fits ``max_arity`` when given)."""
     while True:
-        outer = random_expr(rng, None, max_colour, depth)
-        slots = slot_colours(outer)
+        outer, slots = _random_tree(rng, None, max_colour, depth)
         if not slots:
             continue
         i = rng.randint(1, len(slots))
-        inner = random_expr(rng, slots[i - 1], max_colour, depth)
-        if max_arity is not None and len(slots) - 1 + arity(inner) > max_arity:
+        inner, inner_slots = _random_tree(rng, slots[i - 1], max_colour, depth)
+        if max_arity is not None and len(slots) - 1 + len(inner_slots) > max_arity:
             continue
         return outer, i, inner

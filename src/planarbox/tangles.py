@@ -18,22 +18,26 @@ Composition glues a tangle into an internal disc and splices strings;
 every black (resp. white) boundary interval, which is what the scalar
 weight of a tangle is made of.
 
-All three, and the genus check of `validate`, read the connected
-components of one graph, from the module's single components routine.
-Composition runs it over the strings with an endpoint on the glued disc
-only, since no other string can merge; the rest pass through renamed.
-Each loop count is made once per tangle and kept on the (immutable)
-instance, and `make_generator` shares each diagram, keeping the
-``GENERATOR_CACHE_SIZE`` most recently used.
-``scripts/loop_count_oracle.py`` splices and counts by walking strings
-instead, so the two share neither code nor algorithm.
+Every graph these build has degree 2 at each point, so each is walked,
+not searched.  A tangle's strings also have an integer form, a partner
+id for every point, kept on the (immutable) instance with its two loop
+counts.  Gluing any number of tangles is one splice (`_splice`): from
+each open point, follow string partners, hopping across every glued disc,
+to the other end; glued points no walk reaches close into free loops.
+`compose` splices two tangles and ``expressions.realize`` a whole tree.
+A loop count takes string partner and cap partner in turn, the cap
+partner worked out from the point id.  Only the genus check of `validate`
+searches a graph, for the components of its discs.  `make_generator`
+shares each diagram, keeping the ``GENERATOR_CACHE_SIZE`` most recently
+used.  ``scripts/loop_count_oracle.py`` splices and counts by walking
+strings too, over its own encoding, and shares no code with this module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from planarbox.scalars import RadicalScalar, pow_half
@@ -66,13 +70,36 @@ def _pair(a: Point, b: Point) -> Pair:
 @dataclass(frozen=True)
 class Tangle:
     """An immutable diagram.  Its two loop counts (`loops_black`,
-    `loops_white`) are counted on first read and kept on the instance, so
-    they live exactly as long as the tangle."""
+    `loops_white`), and the integer form of its strings that they, the
+    splice and `validate` walk, are made on first read and kept on the
+    instance, so they live exactly as long as the tangle."""
 
     external: Disc
     internal: tuple[Disc, ...]
     strings: frozenset[Pair]
     closed_loops: int = 0
+
+    @cached_property
+    def _form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The strings over integer point ids: point ``p`` of disc ``d`` is
+        id ``offsets[d] + p - 1``, and ``partner[x]`` is the other end of the
+        string at ``x``.  Every offset is even, so ``x`` and ``x ^ 1`` bound
+        one black interval.  Raises :class:`TangleError` unless the strings
+        are a perfect matching of the marked points."""
+        offsets = [0]
+        for d in (self.external, *self.internal):
+            offsets.append(offsets[-1] + 2 * d.colour)
+        unmatched = TangleError("the strings are not a perfect matching of the marked points")
+        partner = [-1] * offsets[-1]
+        try:
+            for (d, p), (e, q) in self.strings:
+                x, y = offsets[d] + p - 1, offsets[e] + q - 1
+                partner[x], partner[y] = y, x
+        except IndexError:  # an end past the last disc
+            raise unmatched from None
+        if len(self.strings) * 2 != len(partner) or -1 in partner:
+            raise unmatched
+        return tuple(offsets), tuple(partner)
 
     @cached_property
     def _black_loops(self) -> int:
@@ -233,74 +260,105 @@ def glued_discs(discs: Sequence[Disc], slot: int, inner_external: Disc,
     return (*discs[: slot - 1], *inner_discs, *discs[slot:])
 
 
-def renumbered_discs(discs: Sequence[Disc], sigma: Sequence[int]) -> tuple[Disc, ...]:
+def renumbered_discs(discs: Sequence, sigma: Sequence[int]) -> tuple:
     """The internal discs after renumbering: disc ``sigma[i-1]`` of the
     result is disc ``i`` of ``discs``.  Raises :class:`TangleError` unless
-    ``sigma`` is a permutation of ``1..len(discs)``."""
+    ``sigma`` is a permutation of ``1..len(discs)``.  Any per-disc sequence
+    is moved the same way."""
     b = len(discs)
     if sorted(sigma) != list(range(1, b + 1)):
         raise TangleError(f"not a permutation of 1..{b}: {list(sigma)}")
     return tuple(discs[i] for i in sorted(range(b), key=sigma.__getitem__))
 
 
-_GLUED = -1  # disc index shared by both sides of the glued boundary
+DiscRef = tuple[int, int]  # (part, disc index within that part)
+
+
+def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
+            order: Sequence[DiscRef]) -> tuple[list[Pair], int]:
+    """String pairs and closed loops of ``parts`` glued together.
+
+    Each glue ``((a, s), b)`` puts the external disc of part ``b`` into
+    internal disc ``s`` of part ``a``, point ``p`` meeting point ``p``.
+    Part 0's external disc stays the external one, and ``order`` lists the
+    discs left open, as the result's internal discs ``1, 2, ...``.
+
+    Every part's points are laid end to end as integer ids.  A glued point
+    has a twin across its disc; an open point has a name in the result.
+    Every point lies on one string, so walking from an open point through
+    string partners, hopping to the twin at each glued point, ends at the
+    other end of its result string.  Glued points no such walk reaches
+    close into free loops.
+    """
+    forms = [t._form for t in parts]
+    base, n = [], 0
+    for offsets, _ in forms:
+        base.append(n)
+        n += offsets[-1]
+
+    partner: list[int] = []
+    for (_, own), shift in zip(forms, base):
+        partner.extend([x + shift for x in own] if shift else own)
+    twin = [-1] * n
+    for (a, s), b in glues:
+        start = base[a] + forms[a][0][s]
+        size = forms[b][0][1]
+        twin[start:start + size] = range(base[b], base[b] + size)
+        twin[base[b]:base[b] + size] = range(start, start + size)
+
+    name: list[Point | None] = [None] * n
+    opened = []
+    for r, (i, d) in enumerate(((0, 0), *order)):
+        offsets = forms[i][0]
+        start = base[i] + offsets[d]
+        stop = base[i] + offsets[d + 1]
+        name[start:stop] = [(r, p) for p in range(1, stop - start + 1)]
+        opened.append(range(start, stop))
+
+    seen = bytearray(n)
+    pairs: list[Pair] = []
+    for span in opened:
+        for x in span:
+            if seen[x]:
+                continue
+            seen[x] = 1
+            y = partner[x]
+            while (w := twin[y]) >= 0:
+                seen[y] = seen[w] = 1
+                y = partner[w]
+            seen[y] = 1
+            pairs.append(_pair(name[x], name[y]))
+
+    loops = sum(t.closed_loops for t in parts)
+    for x in range(n):
+        if seen[x]:
+            continue
+        loops += 1
+        while not seen[x]:
+            w = twin[x]
+            seen[x] = seen[w] = 1
+            x = partner[w]
+    return pairs, loops
 
 
 def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
-    """Glue ``inner`` into internal disc ``slot`` of ``outer``.
-
-    Every endpoint is renamed into the result's disc numbering, with the
-    glued boundary's points seen from either side sharing one name.  Only
-    strings with an endpoint on that boundary are spliced: a component of
-    them with two endpoints off it is a new string, one with none is a new
-    free loop.  Every other string passes through renamed.
-
-    Both sides are valid tangles, so the result is built directly, not
-    through :func:`tangle`: the renaming is increasing off the glued disc,
-    so a renamed pass-through pair keeps its order, and only the spliced
-    pairs are ordered.
-    """
+    """Glue ``inner`` into internal disc ``slot`` of ``outer``: one
+    :func:`_splice` of the two, the inner discs taking the slot's place."""
     internal = glued_discs(outer.internal, slot, inner.external, inner.internal)
-    # disc index on either side -> disc index in the result
-    b_in = len(inner.internal)
-    outer_disc = [*range(slot), _GLUED, *range(slot + b_in, len(outer.internal) + b_in)]
-    inner_disc = [_GLUED, *range(slot, slot + b_in)]
-    kept: list[Pair] = []
-    edges: list[Pair] = []
-    for strings, rename in ((outer.strings, outer_disc), (inner.strings, inner_disc)):
-        for (d, p), (e, q) in strings:
-            d, e = rename[d], rename[e]
-            (edges if _GLUED in (d, e) else kept).append(((d, p), (e, q)))
-
-    ends: dict[Hashable, list[Point]] = {}
-    for pt, root in _components(edges).items():
-        found = ends.setdefault(root, [])
-        if pt[0] != _GLUED:
-            found.append(pt)
-    spliced = [_pair(*pair) for pair in ends.values() if pair]
-    return Tangle(
-        outer.external,
-        internal,
-        frozenset(chain(kept, spliced)),
-        outer.closed_loops + inner.closed_loops + len(ends) - len(spliced),
-    )
+    order = [*((0, d) for d in range(1, slot)),
+             *((1, d) for d in range(1, len(inner.internal) + 1)),
+             *((0, d) for d in range(slot + 1, len(outer.internal) + 1))]
+    pairs, loops = _splice((outer, inner), [((0, slot), 1)], order)
+    return Tangle(outer.external, internal, frozenset(pairs), loops)
 
 
 def renumber(t: Tangle, sigma: Sequence[int]) -> Tangle:
     """Relabel internal discs so that disc ``sigma[i-1]`` of the result
     is disc ``i`` of ``t``.  The diagram itself is unchanged."""
     internal = renumbered_discs(t.internal, sigma)
-
-    def move(pt: Point) -> Point:
-        d, p = pt
-        return (d, p) if d == 0 else (sigma[d - 1], p)
-
-    return tangle(
-        t.external,
-        internal,
-        [(move(a), move(b)) for a, b in t.strings],
-        t.closed_loops,
-    )
+    order = renumbered_discs([(0, d) for d in range(1, len(internal) + 1)], sigma)
+    pairs, loops = _splice((t,), (), order)
+    return Tangle(t.external, internal, frozenset(pairs), loops)
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +377,6 @@ class Diagnostics:
         return "ok" if self.ok else "; ".join(self.problems)
 
 
-def _rotation_next(t: Tangle, d: int, p: int) -> int:
-    """Successor of point ``p`` around disc ``d`` as seen from the
-    string region: clockwise for internal discs, reversed for the
-    external one."""
-    n = 2 * t.disc(d).colour
-    if d == 0:
-        return p - 1 if p > 1 else n
-    return p + 1 if p < n else 1
-
-
-def _interval_is_black(d: int, p: int) -> bool:
-    """Colour of the boundary interval crossed when a face arrives at
-    point ``p`` of disc ``d`` and moves to its rotation successor."""
-    # internal discs: interval (p, p+1), black iff p odd;
-    # external disc: interval (p-1, p), black iff p even
-    return p % 2 == 1 if d != 0 else p % 2 == 0
-
-
 def validate(t: Tangle) -> Diagnostics:
     """Perfect-matching, genus-0, and shading diagnostics."""
     problems: list[str] = []
@@ -349,20 +389,15 @@ def validate(t: Tangle) -> Diagnostics:
     if t.closed_loops < 0:
         problems.append("negative closed-loop count")
 
-    points = t.points()
-    point_set = set(points)
-    seen: dict[Point, int] = {pt: 0 for pt in points}
-    other: dict[Point, Point] = {}
+    seen: dict[Point, int] = {pt: 0 for pt in t.points()}
     for a, b in t.strings:
         for pt in (a, b):
-            if pt not in point_set:
+            if pt not in seen:
                 problems.append(f"string endpoint {pt} is not a marked point")
             else:
                 seen[pt] += 1
         if a == b:
             problems.append(f"string with coincident endpoints {a}")
-        other[a] = b
-        other[b] = a
     uncovered = [pt for pt, n in seen.items() if n != 1]
     for pt in uncovered:
         problems.append(
@@ -375,27 +410,40 @@ def validate(t: Tangle) -> Diagnostics:
     n_discs = len(t.internal) + 1
     component = _components(((a[0], b[0]) for a, b in t.strings), range(n_discs))
 
-    # face tracing: darts are ordered endpoint pairs of strings
-    visited: set[tuple[Point, Point]] = set()
+    # Face tracing over the integer form.  A face arrives along a string at
+    # y, crosses the boundary interval to y's successor round its disc (as
+    # seen from the string region: clockwise round internal discs, reversed
+    # round the external one), and leaves along the string there; each
+    # departure point is visited once.  Offsets are even, so that interval
+    # is black iff y is even on an internal disc or odd on the external one.
+    offsets, partner = t._form
+    n_ext = offsets[1]
+    wrap = {0: n_ext - 1} if n_ext else {}
+    for first, stop in zip(offsets[1:], offsets[2:]):
+        if stop > first:
+            wrap[stop - 1] = first
+    visited = bytearray(len(partner))
     faces_per_component: dict[int, int] = {}
-    for s in t.strings:
-        for dart in (s, (s[1], s[0])):
-            if dart in visited:
+    for (d, p), (e, q) in t.strings:
+        for start in (offsets[d] + p - 1, offsets[e] + q - 1):
+            if visited[start]:
                 continue
-            root = component[dart[0][0]]
-            shades: set[bool] = set()
-            cur = dart
-            while cur not in visited:
-                visited.add(cur)
-                d, p = cur[1]
-                q = _rotation_next(t, d, p)
-                shades.add(_interval_is_black(d, p))
-                cur = ((d, q), other[(d, q)])
+            black = white = False
+            x = start
+            while not visited[x]:
+                visited[x] = 1
+                y = partner[x]
+                if (y & 1) == (y < n_ext):
+                    black = True
+                else:
+                    white = True
+                x = wrap.get(y, y - 1 if y < n_ext else y + 1)
+            disc = bisect_right(offsets, start) - 1
+            root = component[disc]
             faces_per_component[root] = faces_per_component.get(root, 0) + 1
-            if len(shades) > 1:
-                problems.append(
-                    f"face through {dart[0]} touches both black and white intervals"
-                )
+            if black and white:
+                problems.append(f"face through {(disc, start - offsets[disc] + 1)} "
+                                "touches both black and white intervals")
 
     counts: dict[int, list[int]] = {}
     for d in range(n_discs):
@@ -416,25 +464,38 @@ def validate(t: Tangle) -> Diagnostics:
 # loop counts and the capping scalar
 # ---------------------------------------------------------------------------
 
-def _cap_edges(t: Tangle, black: bool) -> list[tuple[Point, Point]]:
-    edges: list[tuple[Point, Point]] = []
-    for d in range(len(t.internal) + 1):
-        k = t.disc(d).colour
-        if black:
-            edges.extend(((d, 2 * i - 1), (d, 2 * i)) for i in range(1, k + 1))
-        else:
-            edges.extend(((d, 2 * i), (d, 2 * i + 1)) for i in range(1, k))
-            if k:
-                edges.append(((d, 2 * k), (d, 1)))
-    return edges
-
-
 def _count_cycles(t: Tangle, cap_black: bool) -> int:
     """Cycles of the strings together with one cap per boundary interval
-    of the chosen colour; the caps cover every point, and every point gets
-    degree exactly 2, so each component is one cycle."""
-    component = _components(chain(t.strings, _cap_edges(t, cap_black)))
-    return len(set(component.values())) + t.closed_loops
+    of the chosen colour, free loops included.  Strings and caps each pair
+    every point once, so the cycles are walked by taking the string partner
+    and the cap partner in turn.  A black cap joins ``x`` and ``x ^ 1``; a
+    white one joins ``x`` to ``x + 1`` (odd ``x``) or ``x - 1`` (even
+    ``x``), except that it wraps from the last point of a disc to the
+    first."""
+    offsets, partner = t._form
+    wrap: dict[int, int] = {}
+    if not cap_black:
+        for first, stop in zip(offsets, offsets[1:]):
+            if stop > first:
+                wrap[first], wrap[stop - 1] = stop - 1, first
+    seen = bytearray(len(partner))
+    cycles = t.closed_loops
+    for start in range(0, len(partner), 2):
+        if seen[start]:
+            continue
+        cycles += 1
+        x = start
+        while True:
+            seen[x] = 1
+            y = partner[x]
+            seen[y] = 1
+            if cap_black:
+                x = y ^ 1
+            else:
+                x = wrap.get(y, y + 1 if y & 1 else y - 1)
+            if x == start:
+                break
+    return cycles
 
 
 def loops_black(t: Tangle) -> int:

@@ -180,10 +180,24 @@ class TestAlphaCommand:
         assert "Traceback" not in err
 
     def test_chain_at_the_depth_bound_runs(self, capsys):
-        """Reading, realizing, validating and capping all recurse per
-        level; the deepest text the parser accepts still runs through them."""
+        """Reading and realizing recurse per level; the deepest text the
+        parser accepts still runs through them and the rest of ``alpha``."""
         assert main(["alpha", _chain(MAX_DEPTH)]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == ["alpha = 1", "c = 0"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(gen id 1_0)", "(gen id +2)", "(gen id \u0663)",
+         "(compose (gen id 2) +1 (gen id 2))", "(compose (gen id 2) 0_1 (gen id 2))",
+         "(renumber (2 +1) (gen M 2))"],
+    )
+    def test_non_decimal_number_exits_2(self, text, capsys):
+        """Colours, slots and permutation images must be ASCII digits: none
+        is read as another number."""
+        assert main(["alpha", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: bad ")
 
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["alpha", "(gen wobble 2)"]) == 2

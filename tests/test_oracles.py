@@ -1,7 +1,7 @@
 """The standalone oracle scripts re-derive the frozen constants the tests
 rely on; each must run to completion and exit 0.  The loop-count oracle's
 string walk is also the cross-check of gluing and loop counting, which the
-library computes from connected components instead, and the base-constant
+library computes with its own walk over integer point ids, and the base-constant
 solver's Jones idempotents pin the library's Jones rule at colours 2..5."""
 
 import importlib.util
@@ -91,23 +91,28 @@ def _oracle_diagram(oracle, expr):
 
 
 def test_compose_and_loop_counts_match_the_walk_oracle():
-    """``tangles.compose`` and both loop counts against the oracle's own
-    string walk, on every seeded glued tree it can encode."""
+    """``tangles.compose``, ``realize`` of the whole tree (one splice of all
+    its leaves) and both loop counts against the oracle's own pairwise
+    string walk, on every seeded glued tree it can encode; at depth 3 one
+    splice handles several glues."""
     oracle = _load_script("loop_count_oracle")
-    rng = random.Random(20261018)
-    compared = 0
-    for _ in range(1000):
-        outer, slot, inner = random_composable_pair(rng, max_colour=5, depth=2)
-        expr = ComposeExpr(outer, slot, inner)
-        encoded = _oracle_diagram(oracle, expr)
-        if encoded is None:
-            continue
-        compared += 1
-        (k0, discs, strings), loops = encoded
-        t = compose(realize(outer), slot, realize(inner))
-        assert (t.external.colour, [d.colour for d in t.internal]) == (k0, discs)
-        assert t.strings == {(min(a, b), max(a, b)) for a, b in strings}, render_expr(expr)
-        assert t.closed_loops == loops, render_expr(expr)
-        assert loops_black(t) == oracle.count_cycles(encoded[0], True) + loops
-        assert loops_white(t) == oracle.count_cycles(encoded[0], False) + loops
-    assert compared >= 500
+    for depth, trees, floor in ((2, 1000, 500), (3, 500, 150)):
+        rng = random.Random(20261018 + depth - 2)
+        compared = several = 0
+        for _ in range(trees):
+            outer, slot, inner = random_composable_pair(rng, max_colour=5, depth=depth)
+            expr = ComposeExpr(outer, slot, inner)
+            encoded = _oracle_diagram(oracle, expr)
+            if encoded is None:
+                continue
+            compared += 1
+            several += render_expr(expr).count("compose") > 2
+            (k0, discs, strings), loops = encoded
+            for t in (compose(realize(outer), slot, realize(inner)), realize(expr)):
+                assert (t.external.colour, [d.colour for d in t.internal]) == (k0, discs)
+                assert t.strings == {(min(a, b), max(a, b)) for a, b in strings}, render_expr(expr)
+                assert t.closed_loops == loops, render_expr(expr)
+                assert loops_black(t) == oracle.count_cycles(encoded[0], True) + loops
+                assert loops_white(t) == oracle.count_cycles(encoded[0], False) + loops
+        assert compared >= floor, depth
+        assert several >= floor // 3, depth

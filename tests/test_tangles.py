@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -316,6 +317,14 @@ class TestParser:
             "(gen id 1001)",
             "(gen id 1000000)",
             "(gen E 1000 1001)",
+            "(gen id 1_0)",
+            "(gen id +2)",
+            "(gen id \u0663)",
+            "(gen id 2\u00b2)",
+            "(compose (gen id 2) +1 (gen id 2))",
+            "(compose (gen id 2) 0_1 (gen id 2))",
+            "(renumber (2 +1) (gen M 2))",
+            "(renumber (1_0 2) (gen M 2))",
         ],
     )
     def test_parse_errors(self, text):
@@ -385,6 +394,31 @@ class TestSampledLeaves:
         assert generators_with_external(Disc(2), 4) is leaves
 
 
+# sha256 of the rendered pairs below, taken before the samplers stopped
+# reading each tree's slots back off the tree
+SAMPLER_DIGEST = "dcb34ad901282fa73b7bf819d416a86792e29f26a2fe6760847a5e0aea8c7d46"
+
+
+def test_samplers_draw_the_same_trees_without_walking_them(monkeypatch):
+    """500 seeded pairs at colours <= 5, depth 3, and 500 at colours <= 4
+    with combined arity <= 3 render to the pinned bytes; the samplers carry
+    each tree's slot discs as they glue, so no tree walk runs."""
+    import planarbox.expressions as expressions
+
+    def no_walk(*args):
+        raise AssertionError("the sampler walked a tree")
+
+    monkeypatch.setattr(expressions, "_walk", no_walk)
+    h = hashlib.sha256()
+    for seed, kw in ((2028, {"max_colour": 5, "depth": 3}),
+                     (2029, {"max_colour": 4, "depth": 3, "max_arity": 3})):
+        rng = random.Random(seed)
+        for _ in range(500):
+            outer, slot, inner = random_composable_pair(rng, **kw)
+            h.update(render_expr(ComposeExpr(outer, slot, inner)).encode() + b"\n")
+    assert h.hexdigest() == SAMPLER_DIGEST
+
+
 class TestExprBookkeeping:
     def test_every_node_recorded(self):
         inner = GenExpr("E", 2)
@@ -409,11 +443,40 @@ class TestExprBookkeeping:
         assert slot_colours(expr) == (Disc(3), Disc(2))
 
     def test_realize_is_a_fold(self):
+        """One splice of a whole tree equals the node-by-node fold through
+        `compose` and `renumber`, on depth-3 trees with renumberings and
+        unit leaves; and gluing associates on the nose."""
         rng = random.Random(31)
-        for _ in range(25):
-            outer, i, inner = random_composable_pair(rng, max_colour=4, depth=2)
+        renumbered = units = nested = 0
+        for _ in range(240):
+            outer, i, inner = random_composable_pair(rng, max_colour=5, depth=3)
             whole = ComposeExpr(outer, i, inner)
-            assert realize(whole) == compose(realize(outer), i, realize(inner))
+            text = render_expr(whole)
+            renumbered += "renumber" in text
+            units += "unit" in text
+            assert realize(whole) == fold(whole) == compose(realize(outer), i, realize(inner)), text
+            slots = slot_colours(inner)
+            if not slots:
+                continue
+            j = rng.randint(1, len(slots))
+            last = random_expr(rng, slots[j - 1], max_colour=5, depth=1)
+            left = ComposeExpr(whole, i + j - 1, last)
+            right = ComposeExpr(outer, i, ComposeExpr(inner, j, last))
+            nested += 1
+            assert realize(left) == realize(right) == fold(left) == fold(right), text
+            t_outer, t_inner, t_last = realize(outer), realize(inner), realize(last)
+            assert (compose(compose(t_outer, i, t_inner), i + j - 1, t_last)
+                    == compose(t_outer, i, compose(t_inner, j, t_last)) == realize(left)), text
+        assert renumbered >= 30 and units >= 30 and nested >= 150, (renumbered, units, nested)
+
+
+def fold(expr):
+    """The tree folded node by node through `compose` and `renumber`."""
+    if isinstance(expr, GenExpr):
+        return make_generator(expr.kind, expr.k, expr.shaded)
+    if isinstance(expr, ComposeExpr):
+        return compose(fold(expr.outer), expr.slot, fold(expr.inner))
+    return renumber(fold(expr.inner), expr.perm)
 
 
 @settings(max_examples=80, deadline=None)
@@ -536,6 +599,23 @@ def test_loop_counts_kept_on_the_tangle_match_fresh_counts():
             got = {read: read(t) for read in reads}
             assert (got[loops_black], got[loops_white]) == fresh, render_expr(expr)
     assert differ >= 50
+
+
+@pytest.mark.parametrize(
+    "strings",
+    [[], [((0, 1), (0, 2)), ((0, 2), (0, 3))], [((0, 1), (0, 2)), ((0, 3), (5, 1))],
+     [((0, 1), (0, 2)), ((0, 3), (0, 3))]],
+    ids=["unmatched", "doubled", "off every disc", "coincident"],
+)
+def test_loop_counts_refuse_strings_that_are_no_matching(strings):
+    """Counts and gluing walk string partners, which only a perfect
+    matching of the marked points has; anything else is refused, never
+    walked."""
+    t = tangle(Disc(2), [], strings)
+    assert not validate(t).ok
+    for read in (loops_black, loops_white, lambda t: compose(make_generator("id", 2), 1, t)):
+        with pytest.raises(TangleError, match="not a perfect matching"):
+            read(t)
 
 
 def _generator_keys(max_colour=5):
