@@ -5,8 +5,11 @@ Self-contained on purpose: it re-derives the cap/cup loop counts (and
 the resulting half-integer exponents) for every generator with its own
 diagram encoding and a walk-based cycle counter, so the main library can
 be checked against an implementation that shares no code with it.  Both
-glue and count by walking strings, the library over integer point ids
-and this file over its own (disc, point) edge lists.
+glue by walking strings, the library over integer point ids and this
+file over its own (disc, point) edge lists.  They count loops by
+different walks: the library walks the faces of a diagram and counts
+those that touch one colour of boundary interval only, while this file
+walks the cycles of strings and caps.
 
 Run:  python3 scripts/loop_count_oracle.py
 The printed tables are frozen into tests/test_tangles.py and

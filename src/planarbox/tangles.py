@@ -20,17 +20,19 @@ weight of a tangle is made of.
 
 Every graph these build has degree 2 at each point, so each is walked,
 not searched.  A tangle's strings also have an integer form, a partner
-id for every point, kept on the (immutable) instance with its two loop
-counts.  Gluing any number of tangles is one splice (`_splice`): from
-each open point, follow string partners, hopping across every glued disc,
-to the other end; glued points no walk reaches close into free loops.
+id for every point, kept on the (immutable) instance with its faces.
+Gluing any number of tangles is one splice (`_splice`): from each open
+point, follow string partners, hopping across every glued disc, to the
+other end; glued points no walk reaches close into free loops.
 `compose` splices two tangles and ``expressions.realize`` a whole tree.
-A loop count takes string partner and cap partner in turn, the cap
-partner worked out from the point id.  Only the genus check of `validate`
-searches a graph, for the components of its discs.  `make_generator`
-shares each diagram, keeping the ``GENERATOR_CACHE_SIZE`` most recently
-used.  ``scripts/loop_count_oracle.py`` splices and counts by walking
-strings too, over its own encoding, and shares no code with this module.
+One face walk serves both loop counts and `validate`: a loop left by the
+black caps is a face touching black intervals only, and likewise for
+white (see `Tangle._faces`).  `validate` joins discs into components with
+a union-find over the strings.  `make_generator` shares each diagram,
+keeping the ``GENERATOR_CACHE_SIZE`` most recently used.
+``scripts/loop_count_oracle.py`` splices by walking strings too, but
+counts loops by walking strings and caps, over its own encoding; it
+shares no code with this module.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Sequence
 
 from planarbox.scalars import RadicalScalar, pow_half
 
@@ -69,10 +72,10 @@ def _pair(a: Point, b: Point) -> Pair:
 
 @dataclass(frozen=True)
 class Tangle:
-    """An immutable diagram.  Its two loop counts (`loops_black`,
-    `loops_white`), and the integer form of its strings that they, the
-    splice and `validate` walk, are made on first read and kept on the
-    instance, so they live exactly as long as the tangle."""
+    """An immutable diagram.  The integer form of its strings, which the
+    splice walks, and its faces, from which the loop counts and `validate`
+    read, are made on first read and kept on the instance, so they live
+    exactly as long as the tangle."""
 
     external: Disc
     internal: tuple[Disc, ...]
@@ -85,29 +88,64 @@ class Tangle:
         id ``offsets[d] + p - 1``, and ``partner[x]`` is the other end of the
         string at ``x``.  Every offset is even, so ``x`` and ``x ^ 1`` bound
         one black interval.  Raises :class:`TangleError` unless the strings
-        are a perfect matching of the marked points."""
-        offsets = [0]
-        for d in (self.external, *self.internal):
-            offsets.append(offsets[-1] + 2 * d.colour)
+        are a perfect matching of the marked points; an end off every disc
+        is refused before its id could land on another disc's points."""
+        sizes = [2 * d.colour for d in (self.external, *self.internal)]
+        offsets = [0, *accumulate(sizes)]
         unmatched = TangleError("the strings are not a perfect matching of the marked points")
         partner = [-1] * offsets[-1]
-        try:
-            for (d, p), (e, q) in self.strings:
-                x, y = offsets[d] + p - 1, offsets[e] + q - 1
-                partner[x], partner[y] = y, x
-        except IndexError:  # an end past the last disc
-            raise unmatched from None
+        n_discs = len(sizes)
+        for (d, p), (e, q) in self.strings:
+            if not (0 <= d < n_discs and 0 <= e < n_discs
+                    and 0 < p <= sizes[d] and 0 < q <= sizes[e]):
+                raise unmatched
+            x, y = offsets[d] + p - 1, offsets[e] + q - 1
+            partner[x], partner[y] = y, x
         if len(self.strings) * 2 != len(partner) or -1 in partner:
             raise unmatched
         return tuple(offsets), tuple(partner)
 
     @cached_property
-    def _black_loops(self) -> int:
-        return _count_cycles(self, cap_black=True)
+    def _faces(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
+        """Every face as (first point id, colours touched: 1 black, 2 white,
+        3 both), then how many faces touch black only and white only.
 
-    @cached_property
-    def _white_loops(self) -> int:
-        return _count_cycles(self, cap_black=False)
+        A face arrives along a string at ``y``, crosses the boundary
+        interval to ``y``'s neighbour round its disc (as seen from the
+        string region: clockwise round internal discs, reversed round the
+        external one), and leaves along the string there; each departure
+        point is visited once, the walks starting at the string ends in
+        ``strings`` order.  Offsets are even, so that interval is black iff
+        ``y`` is even on an internal disc or odd on the external one.  The
+        neighbour across it is then ``y ^ 1``, ``y``'s black cap partner,
+        and across a white interval it is the white cap partner.  So a face
+        touching black intervals only walks one cycle of strings and black
+        caps, and when no face touches both colours every such cycle is
+        one such face: the loops the black caps leave are the black faces,
+        and likewise for white."""
+        offsets, partner = self._form
+        n_ext = offsets[1]
+        wrap = {0: n_ext - 1} if n_ext else {}
+        for first, stop in zip(offsets[1:], offsets[2:]):
+            if stop > first:
+                wrap[stop - 1] = first
+        visited = bytearray(len(partner))
+        faces = []
+        counts = [0, 0, 0, 0]
+        for (d, p), (e, q) in self.strings:
+            for start in (offsets[d] + p - 1, offsets[e] + q - 1):
+                if visited[start]:
+                    continue
+                touches = 0
+                x = start
+                while not visited[x]:
+                    visited[x] = 1
+                    y = partner[x]
+                    touches |= 1 if (y & 1) == (y < n_ext) else 2
+                    x = wrap.get(y, y - 1 if y < n_ext else y + 1)
+                faces.append((start, touches))
+                counts[touches] += 1
+        return tuple(faces), counts[1], counts[2]
 
     def disc(self, index: int) -> Disc:
         return self.external if index == 0 else self.internal[index - 1]
@@ -220,31 +258,8 @@ def make_generator(kind: str, k: int = 0, shaded: bool = False) -> Tangle:
 
 
 # ---------------------------------------------------------------------------
-# connected components, composition and renumbering
+# composition and renumbering
 # ---------------------------------------------------------------------------
-
-def _components(
-    edges: Iterable[tuple[Hashable, Hashable]], nodes: Iterable[Hashable] = ()
-) -> dict[Hashable, Hashable]:
-    """Connected components of a graph: every node of ``nodes`` or on an
-    edge -> the first-seen node of its component."""
-    adjacent: dict[Hashable, list[Hashable]] = {x: [] for x in nodes}
-    for a, b in edges:
-        adjacent.setdefault(a, []).append(b)
-        adjacent.setdefault(b, []).append(a)
-    component: dict[Hashable, Hashable] = {}
-    for start in adjacent:
-        if start in component:
-            continue
-        component[start] = start
-        stack = [start]
-        while stack:
-            for y in adjacent[stack.pop()]:
-                if y not in component:
-                    component[y] = start
-                    stack.append(y)
-    return component
-
 
 def glued_discs(discs: Sequence[Disc], slot: int, inner_external: Disc,
                 inner_discs: Sequence[Disc]) -> tuple[Disc, ...]:
@@ -406,55 +421,37 @@ def validate(t: Tangle) -> Diagnostics:
     if problems:
         return Diagnostics(tuple(problems))
 
-    # connected components of the disc/string graph, every disc a node
-    n_discs = len(t.internal) + 1
-    component = _components(((a[0], b[0]) for a, b in t.strings), range(n_discs))
+    # components of the disc/string graph, each rooted at its least disc
+    root = list(range(len(t.internal) + 1))
 
-    # Face tracing over the integer form.  A face arrives along a string at
-    # y, crosses the boundary interval to y's successor round its disc (as
-    # seen from the string region: clockwise round internal discs, reversed
-    # round the external one), and leaves along the string there; each
-    # departure point is visited once.  Offsets are even, so that interval
-    # is black iff y is even on an internal disc or odd on the external one.
-    offsets, partner = t._form
-    n_ext = offsets[1]
-    wrap = {0: n_ext - 1} if n_ext else {}
-    for first, stop in zip(offsets[1:], offsets[2:]):
-        if stop > first:
-            wrap[stop - 1] = first
-    visited = bytearray(len(partner))
-    faces_per_component: dict[int, int] = {}
-    for (d, p), (e, q) in t.strings:
-        for start in (offsets[d] + p - 1, offsets[e] + q - 1):
-            if visited[start]:
-                continue
-            black = white = False
-            x = start
-            while not visited[x]:
-                visited[x] = 1
-                y = partner[x]
-                if (y & 1) == (y < n_ext):
-                    black = True
-                else:
-                    white = True
-                x = wrap.get(y, y - 1 if y < n_ext else y + 1)
-            disc = bisect_right(offsets, start) - 1
-            root = component[disc]
-            faces_per_component[root] = faces_per_component.get(root, 0) + 1
-            if black and white:
-                problems.append(f"face through {(disc, start - offsets[disc] + 1)} "
-                                "touches both black and white intervals")
+    def find(d: int) -> int:
+        while root[d] != d:
+            d = root[d]
+        return d
 
+    for (d, _), (e, _) in t.strings:
+        a, b = find(d), find(e)
+        root[max(a, b)] = min(a, b)
+    component = [find(d) for d in range(len(root))]
+
+    # discs, strings and faces (Tangle._faces) per component
     counts: dict[int, list[int]] = {}
-    for d in range(n_discs):
-        counts.setdefault(component[d], [0, 0])[0] += 1
-    for a, b in t.strings:
-        counts[component[a[0]]][1] += 1
-    for root, (v, e) in counts.items():
-        f = faces_per_component.get(root, 1 if e == 0 else 0)
+    for c in component:
+        counts.setdefault(c, [0, 0, 0])[0] += 1
+    for (d, _), _ in t.strings:
+        counts[component[d]][1] += 1
+    offsets = t._form[0]
+    for start, touches in t._faces[0]:
+        disc = bisect_right(offsets, start) - 1
+        counts[component[disc]][2] += 1
+        if touches == 3:
+            problems.append(f"face through {(disc, start - offsets[disc] + 1)} "
+                            "touches both black and white intervals")
+    for root_disc, (v, e, f) in counts.items():
+        f = f if e else 1  # a disc without strings bounds one face
         if v - e + f != 2:
             problems.append(
-                f"component at disc {root} has Euler characteristic {v - e + f}, "
+                f"component at disc {root_disc} has Euler characteristic {v - e + f}, "
                 "not 2 (strings cannot be drawn without crossings)"
             )
     return Diagnostics(tuple(problems))
@@ -464,49 +461,26 @@ def validate(t: Tangle) -> Diagnostics:
 # loop counts and the capping scalar
 # ---------------------------------------------------------------------------
 
-def _count_cycles(t: Tangle, cap_black: bool) -> int:
-    """Cycles of the strings together with one cap per boundary interval
-    of the chosen colour, free loops included.  Strings and caps each pair
-    every point once, so the cycles are walked by taking the string partner
-    and the cap partner in turn.  A black cap joins ``x`` and ``x ^ 1``; a
-    white one joins ``x`` to ``x + 1`` (odd ``x``) or ``x - 1`` (even
-    ``x``), except that it wraps from the last point of a disc to the
-    first."""
-    offsets, partner = t._form
-    wrap: dict[int, int] = {}
-    if not cap_black:
-        for first, stop in zip(offsets, offsets[1:]):
-            if stop > first:
-                wrap[first], wrap[stop - 1] = stop - 1, first
-    seen = bytearray(len(partner))
-    cycles = t.closed_loops
-    for start in range(0, len(partner), 2):
-        if seen[start]:
-            continue
-        cycles += 1
-        x = start
-        while True:
-            seen[x] = 1
-            y = partner[x]
-            seen[y] = 1
-            if cap_black:
-                x = y ^ 1
-            else:
-                x = wrap.get(y, y + 1 if y & 1 else y - 1)
-            if x == start:
-                break
-    return cycles
+def _loop_counts(t: Tangle) -> tuple[int, int]:
+    """(:func:`loops_black`, :func:`loops_white`)."""
+    faces, black, white = t._faces
+    if black + white < len(faces):
+        raise TangleError("a face touches both black and white intervals")
+    return t.closed_loops + black, t.closed_loops + white
 
 
 def loops_black(t: Tangle) -> int:
-    """Closed loops after capping black intervals everywhere (free loops
-    included); counted once per tangle."""
-    return t._black_loops
+    """Closed loops after capping black intervals everywhere, free loops
+    included: ``closed_loops`` plus one per face touching black intervals
+    only (see `Tangle._faces`).  Raises :class:`TangleError` where a face
+    touches both colours, which `validate` reports and no shaded planar
+    tangle has."""
+    return _loop_counts(t)[0]
 
 
 def loops_white(t: Tangle) -> int:
     """Mirror count: white intervals capped instead."""
-    return t._white_loops
+    return _loop_counts(t)[1]
 
 
 def _half_colour_sum(t: Tangle) -> int:

@@ -1,8 +1,9 @@
 """The standalone oracle scripts re-derive the frozen constants the tests
 rely on; each must run to completion and exit 0.  The loop-count oracle's
-string walk is also the cross-check of gluing and loop counting, which the
-library computes with its own walk over integer point ids, and the base-constant
-solver's Jones idempotents pin the library's Jones rule at colours 2..5."""
+string and cap walks are also the cross-check of gluing and loop counting,
+which the library computes with its own walks over integer point ids (loops
+as one-coloured faces), and the base-constant solver's Jones idempotents pin
+the library's Jones rule at colours 2..5."""
 
 import importlib.util
 import random
@@ -22,7 +23,7 @@ from planarbox.expressions import (
 )
 from planarbox.group_algebra import GroupPlanarAlgebra
 from planarbox.groups import cyclic_group
-from planarbox.tangles import compose, loops_black, loops_white
+from planarbox.tangles import TangleError, compose, loops_black, loops_white, tangle, validate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -116,3 +117,36 @@ def test_compose_and_loop_counts_match_the_walk_oracle():
                 assert loops_white(t) == oracle.count_cycles(encoded[0], False) + loops
         assert compared >= floor, depth
         assert several >= floor // 3, depth
+
+
+def test_loop_counts_on_swapped_strings_raise_or_match_the_cap_oracle():
+    """Swapping the ends of two strings of a seeded glued tree keeps a
+    perfect matching.  On every such copy, the loop counts raise exactly
+    when ``validate`` reports a face touching both black and white
+    intervals; otherwise they equal the oracle's cap-cycle count plus the
+    free loops, also on copies that fail the genus check."""
+    oracle = _load_script("loop_count_oracle")
+    rng = random.Random(20261019)
+    raised = matched = non_planar = 0
+    for _ in range(600):
+        t = realize(ComposeExpr(*random_composable_pair(rng, max_colour=5, depth=3)))
+        strings = sorted(t.strings)
+        if len(strings) < 2:
+            continue
+        i, j = sorted(rng.sample(range(len(strings)), 2))
+        (a, b), (c, d) = strings[i], strings[j]
+        strings[i], strings[j] = (a, d), (c, b)
+        u = tangle(t.external, t.internal, strings, t.closed_loops)
+        problems = validate(u).problems
+        if any("black and white" in p for p in problems):
+            raised += 1
+            for read in (loops_black, loops_white):
+                with pytest.raises(TangleError, match="black and white"):
+                    read(u)
+            continue
+        matched += 1
+        non_planar += any("Euler" in p for p in problems)
+        diagram = (u.external.colour, [e.colour for e in u.internal], strings)
+        assert loops_black(u) == oracle.count_cycles(diagram, True) + u.closed_loops
+        assert loops_white(u) == oracle.count_cycles(diagram, False) + u.closed_loops
+    assert min(raised, matched - non_planar, non_planar) >= 60, (raised, matched, non_planar)

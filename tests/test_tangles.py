@@ -27,8 +27,8 @@ from planarbox.scalars import ONE, pow_half
 from planarbox.tangles import (
     GENERATOR_CACHE_SIZE,
     Disc,
+    Tangle,
     TangleError,
-    _count_cycles,
     alpha,
     alpha_tilde,
     capping_exponent,
@@ -260,6 +260,9 @@ class TestValidate:
         diag = validate(t)
         assert not diag.ok
         assert any("black and white" in p for p in diag.problems)
+        for read in (loops_black, loops_white, lambda t: alpha(t, 2)):
+            with pytest.raises(TangleError, match="black and white"):
+                read(t)
 
     def test_incomplete_matching_reported(self):
         t = tangle(Disc(1), [], [])
@@ -586,13 +589,14 @@ def _pool_trees(seed, n=200):
 
 
 def test_loop_counts_kept_on_the_tangle_match_fresh_counts():
-    """Each count, read twice in either order, equals one made without the
-    per-tangle memo; a memo that mixed up the two colours would differ on
-    the trees where they differ."""
+    """Each count, read twice in either order, equals the first read on a
+    fresh equal tangle, whose face memo is made anew; a memo that mixed up
+    the two colours would differ on the trees where they differ."""
     differ = 0
     for n, expr in enumerate(_pool_trees(51)):
         t = realize(expr)
-        fresh = (_count_cycles(t, True), _count_cycles(t, False))
+        twin = Tangle(t.external, t.internal, t.strings, t.closed_loops)
+        fresh = (loops_black(twin), loops_white(twin))
         differ += fresh[0] != fresh[1]
         reads = (loops_white, loops_black) if n % 2 else (loops_black, loops_white)
         for _ in range(2):
@@ -602,20 +606,75 @@ def test_loop_counts_kept_on_the_tangle_match_fresh_counts():
 
 
 @pytest.mark.parametrize(
-    "strings",
-    [[], [((0, 1), (0, 2)), ((0, 2), (0, 3))], [((0, 1), (0, 2)), ((0, 3), (5, 1))],
-     [((0, 1), (0, 2)), ((0, 3), (0, 3))]],
-    ids=["unmatched", "doubled", "off every disc", "coincident"],
+    "colour, internal, strings",
+    [(2, [], []), (2, [], [((0, 1), (0, 2)), ((0, 2), (0, 3))]),
+     (2, [], [((0, 1), (0, 2)), ((0, 3), (5, 1))]), (2, [], [((0, 1), (0, 2)), ((0, 3), (0, 3))]),
+     (1, [Disc(1)], [((0, 1), (0, 2)), ((0, 3), (0, 4))]),
+     (1, [Disc(1)], [((0, 1), (1, 0)), ((1, 1), (1, 2))]),
+     (1, [Disc(1)], [((0, 1), (0, 2)), ((-1, -1), (-1, 0))])],
+    ids=["unmatched", "doubled", "off every disc", "coincident", "past the disc's last point",
+         "point 0", "negative disc"],
 )
-def test_loop_counts_refuse_strings_that_are_no_matching(strings):
+def test_loop_counts_refuse_strings_that_are_no_matching(colour, internal, strings):
     """Counts and gluing walk string partners, which only a perfect
     matching of the marked points has; anything else is refused, never
-    walked."""
-    t = tangle(Disc(2), [], strings)
+    walked, also where an end's point id would land on another disc."""
+    t = tangle(Disc(colour), internal, strings)
     assert not validate(t).ok
-    for read in (loops_black, loops_white, lambda t: compose(make_generator("id", 2), 1, t)):
+    for read in (loops_black, loops_white, lambda t: alpha(t, 2),
+                 lambda t: compose(make_generator("id", colour), 1, t)):
         with pytest.raises(TangleError, match="not a perfect matching"):
             read(t)
+
+
+def _corrupted_copies(t, rng):
+    """Copies of ``t``: two string ends swapped (still a perfect matching),
+    one string dropped, and one endpoint moved off every marked point."""
+    strings = sorted(t.strings)
+    out = []
+
+    def copy(pairs):
+        return tangle(t.external, t.internal, pairs, t.closed_loops)
+
+    if len(strings) >= 2:
+        i, j = sorted(rng.sample(range(len(strings)), 2))
+        (a, b), (c, d) = strings[i], strings[j]
+        out.append(copy([*strings[:i], (a, d), *strings[i + 1:j], (c, b), *strings[j + 1:]]))
+    if strings:
+        k = rng.randrange(len(strings))
+        out.append(copy(strings[:k] + strings[k + 1:]))
+        (d, p), b = strings[k]
+        bogus = rng.choice([(d, 0), (d, 2 * t.disc(d).colour + 1), (len(t.internal) + 1, 1), (-1, p)])
+        out.append(copy([*strings[:k], (bogus, b), *strings[k + 1:]]))
+    return out
+
+
+# sha256 of validate's diagnostics, and the loop counts of every tangle that
+# validates, over the inputs of the test below; taken before the loop counts
+# and validate came to share one face walk
+DIAGNOSTICS_DIGEST = "edc05fc8ac849e3d05230f2b76b738899ac544e1e60ca15be379469557d109ca"
+
+
+def test_validate_diagnostics_and_loop_counts_are_pinned():
+    """Every diagnostic's text and order, on 2000 seeded pool trees and
+    their corrupted copies, hashes to the pinned digest; the inputs reach
+    two-coloured faces, Euler failures and matching problems."""
+    rng = random.Random(29)
+    h = hashlib.sha256()
+    faces = euler = matching = 0
+    for expr in _pool_trees(2029, 2000):
+        t = realize(expr)
+        for u in (t, *_corrupted_copies(t, rng)):
+            diag = validate(u)
+            line = repr(diag)
+            if diag.ok:
+                line += f" {loops_black(u)} {loops_white(u)}"
+            h.update(line.encode() + b"\n")
+            faces += any("black and white" in p for p in diag.problems)
+            euler += any("Euler" in p for p in diag.problems)
+            matching += any("matching" in p or "marked point" in p for p in diag.problems)
+    assert min(faces, euler, matching) >= 500, (faces, euler, matching)
+    assert h.hexdigest() == DIAGNOSTICS_DIGEST
 
 
 def _generator_keys(max_colour=5):
@@ -641,8 +700,8 @@ def test_cached_generators_are_shared_and_unchanged_by_use():
         assert g == make_generator.__wrapped__(*key)
         after = vars(g)
         assert {f: after[f] for f in before[key]} == before[key], key
-        assert (loops_black(g), loops_white(g)) == (
-            _count_cycles(g, True), _count_cycles(g, False)), key
+        twin = Tangle(g.external, g.internal, g.strings, g.closed_loops)
+        assert (loops_black(g), loops_white(g)) == (loops_black(twin), loops_white(twin)), key
 
 
 def test_generator_cache_is_bounded():
