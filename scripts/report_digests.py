@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print the record count and sha256 of each suite report for some actions,
-and one digest of the ``alpha`` command over a seeded pool of texts.
+and digests of the ``alpha`` command over seeded pools of texts.
 
 For every action file given, this runs ``planarbox suite <name> --action
 <path>`` once per suite at the CLI defaults and once more as
@@ -15,17 +15,24 @@ same way on each of ``ALPHA_TEXTS`` glued trees drawn from seed
 
     alpha <texts> <sha256 of every exit code and output, in order>
 
+and, in one child that calls ``planarbox.cli.main`` in process, the same
+over ``ALPHA_POOL_TEXTS`` trees from seed ``ALPHA_POOL_SEED``, each
+followed by its broken copies (`malformed`), every standard error too:
+
+    alpha-pool <texts> <sha256 of every exit code, output and error, in order>
+
 A report records the action path as given, so two checkouts compare
 equal only when each is run from its own root with the same relative
 paths, e.g. ``python3 scripts/report_digests.py actions/z3xz2.json``.  A
 run the CLI refuses (exit 2, say a cost bound) prints ``refused`` and its
 exit code in place of the count and digest.  ``--suite`` keeps only the
-named runs (``all-k3`` names the ``all --kmax 3`` run, ``alpha`` the
-alpha line); some suites at the defaults take minutes on the larger
+named runs (``all-k3`` names the ``all --kmax 3`` run, ``alpha`` and
+``alpha-pool`` the alpha lines); some suites at the defaults take minutes on the larger
 actions.
 
 Run:  python3 scripts/report_digests.py actions/*.json
       python3 scripts/report_digests.py actions/z7xz3.json --suite jones --suite dual
+      python3 scripts/report_digests.py --suite alpha --suite alpha-pool
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +74,57 @@ for _ in range({ALPHA_TEXTS}):
 """
 
 
+ALPHA_POOL_SEED = 30
+ALPHA_POOL_TEXTS = 2000
+# runs alpha_pool in a child that imports the checkout's src
+ALPHA_POOL_CHILD = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from report_digests import alpha_pool
+print(alpha_pool())
+"""
+
+
+def malformed(text: str, rng: random.Random) -> list[str]:
+    """Four broken copies of an expression text: cut short, one parenthesis
+    dropped, one parenthesis added between tokens, and two tokens swapped."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    cut = text[:rng.randrange(1, len(text))]
+    p = rng.choice([p for p, ch in enumerate(text) if ch in "()"])
+    added = tokens[:]
+    added.insert(rng.randrange(len(tokens) + 1), rng.choice("()"))
+    swapped = tokens[:]
+    i, j = rng.sample(range(len(tokens)), 2)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return [cut, text[:p] + text[p + 1:], " ".join(added), " ".join(swapped)]
+
+
+def alpha_pool() -> str:
+    """The alpha-pool line, run in the process that imports planarbox."""
+    import contextlib
+    import io
+
+    from planarbox.cli import main
+    from planarbox.expressions import ComposeExpr, random_composable_pair, render_expr
+
+    rng = random.Random(ALPHA_POOL_SEED)
+    texts = []
+    for _ in range(ALPHA_POOL_TEXTS):
+        outer, slot, inner = random_composable_pair(rng, max_colour=5, depth=3)
+        text = render_expr(ComposeExpr(outer, slot, inner))
+        texts += [text, *malformed(text, rng)]
+    digest = hashlib.sha256()
+    for i, text in enumerate(texts):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["alpha", text, "--ratio", str(2 + i % 2)])
+            except SystemExit as exc:  # argparse refusing the arguments
+                code = exc.code
+        digest.update(repr((code, out.getvalue(), err.getvalue())).encode() + b"\n")
+    return f"alpha-pool {len(texts)} {digest.hexdigest()}"
+
+
 def child(*args: str) -> subprocess.CompletedProcess:
     """``python <args>`` importing the ``src`` tree next to this script."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -92,17 +151,20 @@ def report_line(action: str, run: str) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("actions", nargs="+", help="action JSON files")
-    parser.add_argument("--suite", action="append", choices=[*RUNS, "alpha"],
+    parser.add_argument("actions", nargs="*", help="action JSON files (the alpha lines read none)")
+    parser.add_argument("--suite", action="append", choices=[*RUNS, "alpha", "alpha-pool"],
                         help="keep only this run (repeatable; default: every run)")
     args = parser.parse_args()
-    runs = args.suite or [*RUNS, "alpha"]
+    runs = args.suite or [*RUNS, "alpha", "alpha-pool"]
     for action in args.actions:
         for run in runs:
-            if run != "alpha":
+            if run in RUNS:
                 print(report_line(action, run), flush=True)
     if "alpha" in runs:
         print(alpha_line(), flush=True)
+    if "alpha-pool" in runs:
+        proc = child("-c", ALPHA_POOL_CHILD)
+        print(proc.stdout.decode().strip() or f"alpha-pool failed exit {proc.returncode}", flush=True)
     return 0
 
 

@@ -17,7 +17,10 @@ Colour tokens are decimal numerals (ASCII digits only, see
 `decimal_value`) from 0 to ``MAX_COLOUR``, with ``0+`` / ``0-`` selecting
 the shading of a colour-0 disc (bare ``0`` means ``0+``); slots and
 permutation images are decimal numerals too.
-A form may sit inside at most ``MAX_DEPTH`` others.
+A form may sit inside at most ``MAX_DEPTH`` others.  The reader recurses
+once per form, not per token, and a plain ``(gen ...)`` form is looked up
+by its tokens among the ``GENERATOR_CACHE_SIZE`` most recently read
+(`_leaf`), so a repeated leaf is read once and is one object.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from itertools import product
 from typing import Union
 
 from planarbox.tangles import (
+    GENERATOR_CACHE_SIZE,
     Disc,
     DiscRef,
     Tangle,
@@ -149,9 +153,8 @@ def realize(expr: TangleExpr) -> Tangle:
         return make_generator(expr.kind, expr.k, expr.shaded)
     parts: list[Tangle] = []
     glues: list[tuple[DiscRef, int]] = []
-    external, discs, origins = _gather(expr, parts, glues)
-    pairs, loops = _splice(parts, glues, origins)
-    return Tangle(external, discs, frozenset(pairs), loops)
+    _, internal, origins = _gather(expr, parts, glues)
+    return _splice(parts, glues, origins, internal)
 
 
 def _gather(expr: TangleExpr, parts: list[Tangle], glues: list[tuple[DiscRef, int]]
@@ -166,7 +169,7 @@ def _gather(expr: TangleExpr, parts: list[Tangle], glues: list[tuple[DiscRef, in
         t = make_generator(expr.kind, expr.k, expr.shaded)
         leaf = len(parts)
         parts.append(t)
-        return t.external, t.internal, tuple((leaf, d) for d in range(1, len(t.internal) + 1))
+        return t.external, t.internal, tuple([(leaf, d) for d in range(1, len(t.internal) + 1)])
     if isinstance(expr, ComposeExpr):
         external, discs, origins = _gather(expr.outer, parts, glues)
         inner_leaf = len(parts)
@@ -188,24 +191,29 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _read(tokens: list[str], pos: int, depth: int = 0):
-    """The form starting at ``pos``, inside ``depth`` enclosing forms."""
-    if pos >= len(tokens):
+    """The form starting at ``pos``, inside ``depth`` enclosing forms.
+    Atoms inside a form are taken in its loop, so only a form recurses."""
+    n = len(tokens)
+    if pos >= n:
         raise ParseError("unexpected end of input")
     tok = tokens[pos]
-    if tok == "(":
-        if depth > MAX_DEPTH:
-            raise ParseError(f"forms nested more than MAX_DEPTH = {MAX_DEPTH} deep")
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos, depth + 1)
-            items.append(item)
-        if pos >= len(tokens):
-            raise ParseError("missing closing parenthesis")
-        return items, pos + 1
     if tok == ")":
         raise ParseError("unbalanced closing parenthesis")
-    return tok, pos + 1
+    if tok != "(":
+        return tok, pos + 1
+    if depth > MAX_DEPTH:
+        raise ParseError(f"forms nested more than MAX_DEPTH = {MAX_DEPTH} deep")
+    items = []
+    pos += 1
+    while pos < n and (tok := tokens[pos]) != ")":
+        if tok == "(":
+            tok, pos = _read(tokens, pos, depth + 1)
+        else:
+            pos += 1
+        items.append(tok)
+    if pos >= n:
+        raise ParseError("missing closing parenthesis")
+    return items, pos + 1
 
 
 def decimal_value(token: object) -> int | None:
@@ -234,41 +242,52 @@ def _parse_colour(tok: str) -> tuple[int, bool]:
     return k, False
 
 
+@functools.lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _leaf(form: tuple) -> GenExpr:
+    """The leaf a ``(gen ...)`` form names, read once per distinct token
+    tuple while among the ``GENERATOR_CACHE_SIZE`` most recently read (a
+    refused form raises on every read)."""
+    if len(form) < 2:
+        raise ParseError("(gen ...) needs a generator name")
+    kind = form[1]
+    args = form[2:]
+    if kind == "unit":
+        if len(args) != 1 or args[0] not in ("plus", "minus"):
+            raise ParseError("(gen unit plus|minus)")
+        return GenExpr("unit", 0, args[0] == "minus")
+    if kind in ("id", "M", "Eprime", "jones"):
+        if len(args) != 1:
+            raise ParseError(f"(gen {kind} <colour>)")
+        k, sh = _parse_colour(args[0])
+        return GenExpr(kind, k, sh)
+    if kind == "E":
+        if len(args) != 2:
+            raise ParseError("(gen E <k> <k+1>)")
+        k, sh = _parse_colour(args[0])
+        hi, hish = _parse_colour(args[1])
+        if hish or hi != k + 1:
+            raise ParseError(f"(gen E k k+1): got colours {args[0]}, {args[1]}")
+        return GenExpr("E", k, sh)
+    if kind == "I":
+        if len(args) != 2:
+            raise ParseError("(gen I <k+1> <k>)")
+        hi, hish = _parse_colour(args[0])
+        k, sh = _parse_colour(args[1])
+        if hish or hi != k + 1:
+            raise ParseError(f"(gen I k+1 k): got colours {args[0]}, {args[1]}")
+        return GenExpr("I", k, sh)
+    raise ParseError(f"unknown generator {kind!r}")
+
+
 def _build(form) -> TangleExpr:
     if not isinstance(form, list) or not form:
         raise ParseError(f"expected a parenthesized form, got {form!r}")
     head = form[0]
     if head == "gen":
-        if len(form) < 2:
-            raise ParseError("(gen ...) needs a generator name")
-        kind = form[1]
-        args = form[2:]
-        if kind == "unit":
-            if len(args) != 1 or args[0] not in ("plus", "minus"):
-                raise ParseError("(gen unit plus|minus)")
-            return GenExpr("unit", 0, args[0] == "minus")
-        if kind in ("id", "M", "Eprime", "jones"):
-            if len(args) != 1:
-                raise ParseError(f"(gen {kind} <colour>)")
-            k, sh = _parse_colour(args[0])
-            return GenExpr(kind, k, sh)
-        if kind == "E":
-            if len(args) != 2:
-                raise ParseError("(gen E <k> <k+1>)")
-            k, sh = _parse_colour(args[0])
-            hi, hish = _parse_colour(args[1])
-            if hish or hi != k + 1:
-                raise ParseError(f"(gen E k k+1): got colours {args[0]}, {args[1]}")
-            return GenExpr("E", k, sh)
-        if kind == "I":
-            if len(args) != 2:
-                raise ParseError("(gen I <k+1> <k>)")
-            hi, hish = _parse_colour(args[0])
-            k, sh = _parse_colour(args[1])
-            if hish or hi != k + 1:
-                raise ParseError(f"(gen I k+1 k): got colours {args[0]}, {args[1]}")
-            return GenExpr("I", k, sh)
-        raise ParseError(f"unknown generator {kind!r}")
+        try:
+            return _leaf(tuple(form))
+        except TypeError:  # a form nested inside is no cache key, and no leaf
+            return _leaf.__wrapped__(tuple(form))
     if head == "compose":
         if len(form) != 4:
             raise ParseError("(compose <outer> <slot> <inner>)")

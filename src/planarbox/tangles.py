@@ -23,12 +23,17 @@ not searched.  A tangle's strings also have an integer form, a partner
 id for every point, kept on the (immutable) instance with its faces.
 Gluing any number of tangles is one splice (`_splice`): from each open
 point, follow string partners, hopping across every glued disc, to the
-other end; glued points no walk reaches close into free loops.
-`compose` splices two tangles and ``expressions.realize`` a whole tree.
+other end; glued points no walk reaches close into free loops.  The
+splice writes the result's integer form as it goes and leaves it on the
+result, so no glued tangle is read back from its pairs.
+`compose` and `renumber` splice one or two tangles and
+``expressions.realize`` a whole tree.
 One face walk serves both loop counts and `validate`: a loop left by the
 black caps is a face touching black intervals only, and likewise for
-white (see `Tangle._faces`).  `validate` joins discs into components with
-a union-find over the strings.  `make_generator` shares each diagram,
+white (see `Tangle._faces`).  `validate` reads its matching check off the
+integer form, which exists exactly when the strings are a perfect
+matching, and joins discs into components with a union-find over the
+strings between two discs.  `make_generator` shares each diagram,
 keeping the ``GENERATOR_CACHE_SIZE`` most recently used.
 ``scripts/loop_count_oracle.py`` splices by walking strings too, but
 counts loops by walking strings and caps, over its own encoding; it
@@ -75,7 +80,8 @@ class Tangle:
     """An immutable diagram.  The integer form of its strings, which the
     splice walks, and its faces, from which the loop counts and `validate`
     read, are made on first read and kept on the instance, so they live
-    exactly as long as the tangle."""
+    exactly as long as the tangle; a tangle a splice builds has its form
+    from the splice."""
 
     external: Disc
     internal: tuple[Disc, ...]
@@ -114,8 +120,9 @@ class Tangle:
         interval to ``y``'s neighbour round its disc (as seen from the
         string region: clockwise round internal discs, reversed round the
         external one), and leaves along the string there; each departure
-        point is visited once, the walks starting at the string ends in
-        ``strings`` order.  Offsets are even, so that interval is black iff
+        point is visited once, each walk starting at the least point id
+        not yet visited, so equal tangles list equal faces however their
+        strings were listed.  Offsets are even, so that interval is black iff
         ``y`` is even on an internal disc or odd on the external one.  The
         neighbour across it is then ``y ^ 1``, ``y``'s black cap partner,
         and across a white interval it is the white cap partner.  So a face
@@ -132,19 +139,18 @@ class Tangle:
         visited = bytearray(len(partner))
         faces = []
         counts = [0, 0, 0, 0]
-        for (d, p), (e, q) in self.strings:
-            for start in (offsets[d] + p - 1, offsets[e] + q - 1):
-                if visited[start]:
-                    continue
-                touches = 0
-                x = start
-                while not visited[x]:
-                    visited[x] = 1
-                    y = partner[x]
-                    touches |= 1 if (y & 1) == (y < n_ext) else 2
-                    x = wrap.get(y, y - 1 if y < n_ext else y + 1)
-                faces.append((start, touches))
-                counts[touches] += 1
+        start = visited.find(0)
+        while start >= 0:
+            touches = 0
+            x = start
+            while not visited[x]:
+                visited[x] = 1
+                y = partner[x]
+                touches |= 1 if (y & 1) == (y < n_ext) else 2
+                x = wrap.get(y, y - 1 if y < n_ext else y + 1)
+            faces.append((start, touches))
+            counts[touches] += 1
+            start = visited.find(0, start)
         return tuple(faces), counts[1], counts[2]
 
     def disc(self, index: int) -> Disc:
@@ -290,20 +296,23 @@ DiscRef = tuple[int, int]  # (part, disc index within that part)
 
 
 def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
-            order: Sequence[DiscRef]) -> tuple[list[Pair], int]:
-    """String pairs and closed loops of ``parts`` glued together.
+            order: Sequence[DiscRef], internal: tuple[Disc, ...]) -> Tangle:
+    """The tangle of ``parts`` glued together, its integer form made on the
+    way and kept in its ``_form`` slot.
 
     Each glue ``((a, s), b)`` puts the external disc of part ``b`` into
     internal disc ``s`` of part ``a``, point ``p`` meeting point ``p``.
     Part 0's external disc stays the external one, and ``order`` lists the
-    discs left open, as the result's internal discs ``1, 2, ...``.
+    discs left open, as the result's internal discs ``1, 2, ...``, which
+    are ``internal``: the callers work them out, checking the colours.
 
     Every part's points are laid end to end as integer ids.  A glued point
-    has a twin across its disc; an open point has a name in the result.
+    has a twin across its disc; an open point has an id in the result.
     Every point lies on one string, so walking from an open point through
     string partners, hopping to the twin at each glued point, ends at the
-    other end of its result string.  Glued points no such walk reaches
-    close into free loops.
+    other end of its result string.  The walks start at the open points in
+    result order, so each string is found from its lesser end.  Glued
+    points no such walk reaches close into free loops.
     """
     forms = [t._form for t in parts]
     base, n = [], 0
@@ -321,16 +330,20 @@ def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
         twin[start:start + size] = range(base[b], base[b] + size)
         twin[base[b]:base[b] + size] = range(start, start + size)
 
-    name: list[Point | None] = [None] * n
+    rid = [-1] * n  # result id of each open point
+    names: list[Point] = []
+    offsets = [0]
     opened = []
     for r, (i, d) in enumerate(((0, 0), *order)):
-        offsets = forms[i][0]
-        start = base[i] + offsets[d]
-        stop = base[i] + offsets[d + 1]
-        name[start:stop] = [(r, p) for p in range(1, stop - start + 1)]
+        start = base[i] + forms[i][0][d]
+        stop = base[i] + forms[i][0][d + 1]
+        rid[start:stop] = range(offsets[-1], offsets[-1] + stop - start)
+        names.extend([(r, p) for p in range(1, stop - start + 1)])
+        offsets.append(offsets[-1] + stop - start)
         opened.append(range(start, stop))
 
     seen = bytearray(n)
+    result = [-1] * offsets[-1]
     pairs: list[Pair] = []
     for span in opened:
         for x in span:
@@ -342,18 +355,24 @@ def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
                 seen[y] = seen[w] = 1
                 y = partner[w]
             seen[y] = 1
-            pairs.append(_pair(name[x], name[y]))
+            # every open point before x was reached, by its own walk or as
+            # an end, so y comes later and the pair is ordered as _pair orders it
+            a, b = rid[x], rid[y]
+            result[a], result[b] = b, a
+            pairs.append((names[a], names[b]))
 
     loops = sum(t.closed_loops for t in parts)
-    for x in range(n):
-        if seen[x]:
-            continue
+    x = seen.find(0)
+    while x >= 0:
         loops += 1
         while not seen[x]:
             w = twin[x]
             seen[x] = seen[w] = 1
             x = partner[w]
-    return pairs, loops
+        x = seen.find(0, x)
+    t = Tangle(parts[0].external, internal, frozenset(pairs), loops)
+    vars(t)["_form"] = (tuple(offsets), tuple(result))  # what the cached_property would store
+    return t
 
 
 def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
@@ -363,8 +382,7 @@ def compose(outer: Tangle, slot: int, inner: Tangle) -> Tangle:
     order = [*((0, d) for d in range(1, slot)),
              *((1, d) for d in range(1, len(inner.internal) + 1)),
              *((0, d) for d in range(slot + 1, len(outer.internal) + 1))]
-    pairs, loops = _splice((outer, inner), [((0, slot), 1)], order)
-    return Tangle(outer.external, internal, frozenset(pairs), loops)
+    return _splice((outer, inner), [((0, slot), 1)], order, internal)
 
 
 def renumber(t: Tangle, sigma: Sequence[int]) -> Tangle:
@@ -372,8 +390,7 @@ def renumber(t: Tangle, sigma: Sequence[int]) -> Tangle:
     is disc ``i`` of ``t``.  The diagram itself is unchanged."""
     internal = renumbered_discs(t.internal, sigma)
     order = renumbered_discs([(0, d) for d in range(1, len(internal) + 1)], sigma)
-    pairs, loops = _splice((t,), (), order)
-    return Tangle(t.external, internal, frozenset(pairs), loops)
+    return _splice((t,), (), order, internal)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +410,14 @@ class Diagnostics:
 
 
 def validate(t: Tangle) -> Diagnostics:
-    """Perfect-matching, genus-0, and shading diagnostics."""
+    """Perfect-matching, genus-0, and shading diagnostics.
+
+    The strings are a perfect matching exactly when the integer form can
+    be made, so only where it cannot are the marked points counted, to
+    name every fault.  A component's discs are joined by the strings
+    between two discs; a colour-``k`` disc holds ``2k`` string ends, so
+    a component has as many strings as the colours of its discs add up to,
+    and its faces are read off `Tangle._faces`."""
     problems: list[str] = []
     try:
         _check_disc(t.external)
@@ -404,20 +428,23 @@ def validate(t: Tangle) -> Diagnostics:
     if t.closed_loops < 0:
         problems.append("negative closed-loop count")
 
-    seen: dict[Point, int] = {pt: 0 for pt in t.points()}
-    for a, b in t.strings:
-        for pt in (a, b):
-            if pt not in seen:
-                problems.append(f"string endpoint {pt} is not a marked point")
-            else:
-                seen[pt] += 1
-        if a == b:
-            problems.append(f"string with coincident endpoints {a}")
-    uncovered = [pt for pt, n in seen.items() if n != 1]
-    for pt in uncovered:
-        problems.append(
-            f"point {pt} lies on {seen[pt]} strings (perfect matching needs exactly 1)"
-        )
+    try:
+        offsets = t._form[0]
+    except TangleError:  # name every fault of the matching
+        seen: dict[Point, int] = {pt: 0 for pt in t.points()}
+        for a, b in t.strings:
+            for pt in (a, b):
+                if pt not in seen:
+                    problems.append(f"string endpoint {pt} is not a marked point")
+                else:
+                    seen[pt] += 1
+            if a == b:
+                problems.append(f"string with coincident endpoints {a}")
+        for pt, n in seen.items():
+            if n != 1:
+                problems.append(
+                    f"point {pt} lies on {n} strings (perfect matching needs exactly 1)"
+                )
     if problems:
         return Diagnostics(tuple(problems))
 
@@ -430,17 +457,17 @@ def validate(t: Tangle) -> Diagnostics:
         return d
 
     for (d, _), (e, _) in t.strings:
-        a, b = find(d), find(e)
-        root[max(a, b)] = min(a, b)
+        if d != e:
+            a, b = find(d), find(e)
+            root[max(a, b)] = min(a, b)
     component = [find(d) for d in range(len(root))]
 
     # discs, strings and faces (Tangle._faces) per component
     counts: dict[int, list[int]] = {}
-    for c in component:
-        counts.setdefault(c, [0, 0, 0])[0] += 1
-    for (d, _), _ in t.strings:
-        counts[component[d]][1] += 1
-    offsets = t._form[0]
+    for c, disc in zip(component, (t.external, *t.internal)):
+        entry = counts.setdefault(c, [0, 0, 0])
+        entry[0] += 1
+        entry[1] += disc.colour
     for start, touches in t._faces[0]:
         disc = bisect_right(offsets, start) - 1
         counts[component[disc]][2] += 1

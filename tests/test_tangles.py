@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from planarbox.expressions import (
     MAX_COLOUR,
+    MAX_DEPTH,
     ComposeExpr,
     GenExpr,
     ParseError,
@@ -283,6 +286,31 @@ class TestValidate:
         assert loops_white(t) == 1
 
 
+# texts every reader must refuse with a ParseError
+PARSE_ERROR_TEXTS = [
+    "",
+    "(gen E 2 4)",
+    "(gen I 2 3)",
+    "(gen frob 2)",
+    "(compose (gen M 2) x (gen id 2))",
+    "(gen id 2",
+    "(gen id 2))",
+    "(renumber 2 (gen M 2))",
+    "(gen id (2))",
+    "(gen id 1001)",
+    "(gen id 1000000)",
+    "(gen E 1000 1001)",
+    "(gen id 1_0)",
+    "(gen id +2)",
+    "(gen id \u0663)",
+    "(gen id 2\u00b2)",
+    "(compose (gen id 2) +1 (gen id 2))",
+    "(compose (gen id 2) 0_1 (gen id 2))",
+    "(renumber (2 +1) (gen M 2))",
+    "(renumber (1_0 2) (gen M 2))",
+]
+
+
 class TestParser:
     def test_compose_example(self):
         expr = parse_expr("(compose (gen E 2 3) 1 (gen I 3 2))")
@@ -305,31 +333,7 @@ class TestParser:
         expr = parse_expr("(renumber (2 1) (gen M 3))")
         assert expr == RenumberExpr((2, 1), GenExpr("M", 3))
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "(gen E 2 4)",
-            "(gen I 2 3)",
-            "(gen frob 2)",
-            "(compose (gen M 2) x (gen id 2))",
-            "(gen id 2",
-            "(gen id 2))",
-            "(renumber 2 (gen M 2))",
-            "(gen id (2))",
-            "(gen id 1001)",
-            "(gen id 1000000)",
-            "(gen E 1000 1001)",
-            "(gen id 1_0)",
-            "(gen id +2)",
-            "(gen id \u0663)",
-            "(gen id 2\u00b2)",
-            "(compose (gen id 2) +1 (gen id 2))",
-            "(compose (gen id 2) 0_1 (gen id 2))",
-            "(renumber (2 +1) (gen M 2))",
-            "(renumber (1_0 2) (gen M 2))",
-        ],
-    )
+    @pytest.mark.parametrize("text", PARSE_ERROR_TEXTS)
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_expr(text)
@@ -345,6 +349,70 @@ class TestParser:
             slot_colours(expr)
         with pytest.raises(TangleError):
             realize(expr)
+
+
+def _load_script(name):
+    """``scripts/<name>.py`` loaded by path, apart from the package."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of what the reader makes of the texts of the test below: each
+# ParseError message or rendered tree, in order; taken before the reader
+# came to share its generator leaves
+READER_DIGEST = "cdf91ee7fe4dfda4e033e569e15fdb6e32d144622c1e0d8daffbd4ff0bb3e2f9"
+
+
+def test_reader_diagnostics_are_pinned():
+    """Every ParseError message, and every tree read, over 500 pool texts,
+    their broken copies (``scripts/report_digests.py``'s ``malformed``: cut
+    short, a parenthesis dropped or added, two tokens swapped) and the
+    refused texts above, hashes to the pinned digest."""
+    malformed = _load_script("report_digests").malformed
+    rng = random.Random(30)
+    texts = list(PARSE_ERROR_TEXTS)
+    for expr in _pool_trees(30, 500):
+        text = render_expr(expr)
+        texts += [text, *malformed(text, rng)]
+    h = hashlib.sha256()
+    refused = 0
+    for text in texts:
+        try:
+            line = render_expr(parse_expr(text))
+        except ParseError as exc:
+            line = f"ParseError: {exc}"
+            refused += 1
+        h.update(line.encode() + b"\n")
+    assert refused >= 1800, refused
+    assert h.hexdigest() == READER_DIGEST
+
+
+def _chain(n):
+    """A generator inside ``n`` nested ``compose`` forms."""
+    return "(compose (gen id 2) 1 " * n + "(gen id 2)" + ")" * n
+
+
+def test_depth_bound_is_read_both_ways():
+    assert isinstance(parse_expr(_chain(MAX_DEPTH)), ComposeExpr)
+    with pytest.raises(ParseError, match=f"MAX_DEPTH = {MAX_DEPTH}"):
+        parse_expr(_chain(MAX_DEPTH + 1))
+
+
+def test_repeated_leaves_are_one_object():
+    expr = parse_expr("(compose (gen M 2) 1 (gen M 2))")
+    assert expr.outer is expr.inner
+    assert parse_expr("(gen E 2 3)") is parse_expr(" ( gen  E 2 3 ) ")
+
+
+@pytest.mark.parametrize("text", ["(gen E 2 4)", "(gen id 1_0)", "(gen frob 2)", "(gen id)"])
+def test_refused_leaves_are_refused_again(text):
+    """A malformed leaf raises on every read: no error is kept."""
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse_expr(f"(compose (gen id 2) 1 {text})")
 
 
 def handwritten_leaves(colour, max_colour):
@@ -605,6 +673,32 @@ def test_loop_counts_kept_on_the_tangle_match_fresh_counts():
     assert differ >= 50
 
 
+def test_seeded_forms_are_the_real_forms():
+    """The integer form a splice leaves on the tangle it builds, and the
+    faces read from it, equal those a fresh equal tangle makes from its
+    strings: on realized pool trees and on ``compose`` and ``renumber``
+    results, colour-0, shaded and renumbered discs among them.  Each pair
+    the splice writes is ordered as ``_pair`` orders it."""
+    rng = random.Random(31)
+    colour_0 = shaded = renumbered = 0
+    for expr in _pool_trees(31, 1000):
+        glued = compose(realize(expr.outer), expr.slot, realize(expr.inner))
+        results = [realize(expr), glued]
+        if len(glued.internal) > 1:
+            sigma = list(range(1, len(glued.internal) + 1))
+            rng.shuffle(sigma)
+            results.append(renumber(glued, sigma))
+            renumbered += 1
+        for t in results:
+            assert all(a < b for a, b in t.strings), render_expr(expr)
+            fresh = Tangle(t.external, t.internal, t.strings, t.closed_loops)
+            assert (t._form, t._faces) == (fresh._form, fresh._faces), render_expr(expr)
+        discs = (glued.external, *glued.internal)
+        colour_0 += any(d.colour == 0 for d in discs)
+        shaded += any(d.shaded for d in discs)
+    assert min(colour_0, shaded, renumbered) >= 100, (colour_0, shaded, renumbered)
+
+
 @pytest.mark.parametrize(
     "colour, internal, strings",
     [(2, [], []), (2, [], [((0, 1), (0, 2)), ((0, 2), (0, 3))]),
@@ -650,9 +744,10 @@ def _corrupted_copies(t, rng):
 
 
 # sha256 of validate's diagnostics, and the loop counts of every tangle that
-# validates, over the inputs of the test below; taken before the loop counts
-# and validate came to share one face walk
-DIAGNOSTICS_DIGEST = "edc05fc8ac849e3d05230f2b76b738899ac544e1e60ca15be379469557d109ca"
+# validates, over the inputs of the test below; taken once the face walks
+# started at point ids in ascending order, which renamed the face point in
+# 815 of the 7200 diagnostics and changed nothing else
+DIAGNOSTICS_DIGEST = "46520cd2c46e248c2c407ade025a9a7e1d1b3a99096b2342d757cfe6b27bd7d2"
 
 
 def test_validate_diagnostics_and_loop_counts_are_pinned():
@@ -675,6 +770,35 @@ def test_validate_diagnostics_and_loop_counts_are_pinned():
             matching += any("matching" in p or "marked point" in p for p in diag.problems)
     assert min(faces, euler, matching) >= 500, (faces, euler, matching)
     assert h.hexdigest() == DIAGNOSTICS_DIGEST
+
+
+def test_equal_tangles_get_equal_diagnostics():
+    """Swapped-end copies of pool trees, built once from the sorted pairs
+    and once from the reversed list, are equal and get one diagnosis, also
+    where a face touches both colours and the message names its point."""
+    rng = random.Random(77)
+    faces = 0
+    for expr in _pool_trees(30, 400):
+        t = realize(expr)
+        strings = sorted(t.strings)
+        if len(strings) < 2:
+            continue
+        i, j = sorted(rng.sample(range(len(strings)), 2))
+        (a, b), (c, d) = strings[i], strings[j]
+        pairs = sorted([*strings[:i], (a, d), *strings[i + 1:j], (c, b), *strings[j + 1:]])
+        one = tangle(t.external, t.internal, pairs, t.closed_loops)
+        other = tangle(t.external, t.internal, pairs[::-1], t.closed_loops)
+        assert one == other
+        assert repr(validate(one)) == repr(validate(other)), render_expr(expr)
+        faces += "black and white" in repr(validate(one))
+    assert faces >= 100, faces
+
+
+def test_a_negative_loop_count_is_reported_alone():
+    """A negative loop count on a perfect matching is the one diagnosis,
+    as for a faulty matching: no face or Euler check runs after it."""
+    crossing = Tangle(Disc(2), (), frozenset({((0, 1), (0, 3)), ((0, 2), (0, 4))}), -1)
+    assert repr(validate(crossing)) == "negative closed-loop count"
 
 
 def _generator_keys(max_colour=5):
