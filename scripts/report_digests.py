@@ -1,13 +1,25 @@
 #!/usr/bin/env python3
 """Print the record count and sha256 of each suite report for some actions,
-and digests of the ``alpha`` command over seeded pools of texts.
+a digest of the element values each suite run compares, and digests of
+the ``alpha`` command over seeded pools of texts.
 
 For every action file given, this runs ``planarbox suite <name> --action
 <path>`` once per suite at the CLI defaults and once more as
 ``suite all --kmax 3``, each in a child ``python -m planarbox.cli`` that
-imports the ``src`` tree next to this script.  It prints one line per run:
+imports the ``src`` tree next to this script.  It prints two lines per run:
 
     <action path> <suite> <records> <sha256 of the report bytes>
+    <action path> <suite> values <comparisons> <sha256 of the comparisons>
+
+The second comes from another child that runs the same command in
+process with ``PAElement.__eq__`` wrapped (`value_digest`), which also
+serves ``!=``.  It sees every comparison of two elements the run makes,
+the report's own checks and the library's (a cut-down algebra's
+membership test, say), and feeds one sha256, in order, with both sides,
+each as its colour, shading and sorted ``(label, integer coordinates,
+denominator)`` terms, and the result.  A report keeps only the verdict of
+most such checks, so this line moves when the values do, even where
+every verdict holds.
 
 Then it runs ``planarbox alpha <text> --ratio <2 or 3, alternating>`` the
 same way on each of ``ALPHA_TEXTS`` glued trees drawn from seed
@@ -25,8 +37,8 @@ A report records the action path as given, so two checkouts compare
 equal only when each is run from its own root with the same relative
 paths, e.g. ``python3 scripts/report_digests.py actions/z3xz2.json``.  A
 run the CLI refuses (exit 2, say a cost bound) prints ``refused`` and its
-exit code in place of the count and digest.  ``--suite`` keeps only the
-named runs (``all-k3`` names the ``all --kmax 3`` run, ``alpha`` and
+exit code in place of the count and digest, on both lines.  ``--suite``
+keeps only the named runs (``all-k3`` names the ``all --kmax 3`` run, ``alpha`` and
 ``alpha-pool`` the alpha lines); some suites at the defaults take minutes on the larger
 actions.
 
@@ -45,6 +57,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # the suites at the CLI defaults, then "all" at k_max 3
@@ -83,6 +96,65 @@ sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 from report_digests import alpha_pool
 print(alpha_pool())
 """
+
+
+# prints the values line of one suite run, in a child that imports the
+# checkout's src; argv: action path, run name
+VALUES_CHILD = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from report_digests import values_line
+print(values_line(*sys.argv[1:]))
+"""
+
+
+def value_digest(run: Callable[[], object]) -> tuple[int, str]:
+    """Call ``run()`` with ``PAElement.__eq__`` wrapped; return the number
+    of comparisons of two elements it made and the sha256 of both sides and
+    the result of each, in order."""
+    from planarbox.group_algebra import PAElement
+
+    compare = PAElement.__eq__
+    digest = hashlib.sha256()
+    count = 0
+
+    def side(x: PAElement) -> tuple:
+        terms = sorted((lab, sorted(c._num.items()), c._den) for lab, c in x.coeffs.items())
+        return x.colour, x.shaded, terms
+
+    def wrapped(self: PAElement, other: object) -> bool:
+        nonlocal count
+        result = compare(self, other)
+        if isinstance(other, PAElement):
+            count += 1
+            digest.update(repr((side(self), side(other), result)).encode() + b"\n")
+        return result
+
+    PAElement.__eq__ = wrapped
+    try:
+        run()
+    finally:
+        PAElement.__eq__ = compare
+    return count, digest.hexdigest()
+
+
+def values_line(action: str, run: str) -> str:
+    """The values line of one suite run, run in the process that imports
+    planarbox; the report it prints is dropped."""
+    import contextlib
+    import io
+
+    from planarbox.cli import main
+
+    name = "all" if run == "all-k3" else run
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        count, digest = value_digest(
+            lambda: codes.append(main(["suite", name, "--action", action, *RUNS[run]]))
+        )
+    if codes[0] not in (0, 1):
+        return f"{action} {run} values refused exit {codes[0]}"
+    return f"{action} {run} values {count} {digest}"
 
 
 def malformed(text: str, rng: random.Random) -> list[str]:
@@ -160,6 +232,9 @@ def main() -> int:
         for run in runs:
             if run in RUNS:
                 print(report_line(action, run), flush=True)
+                proc = child("-c", VALUES_CHILD, action, run)
+                failed = f"{action} {run} values failed exit {proc.returncode}"
+                print(proc.stdout.decode().strip() or failed, flush=True)
     if "alpha" in runs:
         print(alpha_line(), flush=True)
     if "alpha-pool" in runs:

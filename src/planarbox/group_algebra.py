@@ -15,9 +15,9 @@ one with ``product_structure``.
 
 Results the library computes from checked elements (products, star, the
 generator actions, sums, differences, scalings and surrounds) are built by
-one trusted constructor, :func:`_trusted`, which skips the label checks but
-always drops zero coefficients; ``PAElement(...)`` keeps every check for
-outside input.
+one trusted constructor, :func:`_trusted`, which skips every check: only a
+sum of two coefficients can cancel, so the operations that add drop a zero
+where they form it; ``PAElement(...)`` keeps every check for outside input.
 
 The biprojections of the algebra are the subgroup averages; each one, with
 its surround (the class average of each label), dual surround, conjugates
@@ -132,16 +132,13 @@ class PAElement:
     def __add__(self, other: "PAElement") -> "PAElement":
         self._check_compatible(other)
         out = dict(self.coeffs)
-        for lab, c in other.coeffs.items():
-            out[lab] = out.get(lab, ZERO) + c
+        _add_into(out, other.coeffs)
         return _trusted(self.colour, out, self.shaded)
 
     def __sub__(self, other: "PAElement") -> "PAElement":
         self._check_compatible(other)
         out = dict(self.coeffs)
-        for lab, c in other.coeffs.items():
-            prev = out.get(lab)
-            out[lab] = -c if prev is None else prev - c
+        _add_into(out, {lab: -c for lab, c in other.coeffs.items()})
         return _trusted(self.colour, out, self.shaded)
 
     def scale(self, c) -> "PAElement":
@@ -168,16 +165,17 @@ class PAElement:
 
 
 def _trusted(colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = False) -> PAElement:
-    """An element built from labels the library made itself, skipping the
-    label checks of :class:`PAElement`.
+    """An element built from labels and coefficients the library made
+    itself, skipping every check of :class:`PAElement`.
 
-    The labels must be tuples of the colour's length and ``shaded`` must be
-    False above colour 0.  Zero coefficients are always dropped, since
-    sums can cancel.  ``coeffs`` is taken over, not copied.
+    The labels must be tuples of the colour's length, ``shaded`` must be
+    False above colour 0, and no coefficient may be zero.  Only a sum of two
+    coefficients can cancel, so the callers that add (``multiply``, ``+``,
+    ``-`` and the right cap ``_act_E``) drop a zero sum where they form it,
+    through :func:`_accumulate`; the rest copy nonzero coefficients or
+    multiply them by nonzero scalars, which in a field gives no zero.
+    ``coeffs`` is taken over, not copied.
     """
-    zeros = [lab for lab, c in coeffs.items() if c.is_zero()]
-    for lab in zeros:
-        del coeffs[lab]
     x = object.__new__(PAElement)
     x.colour = colour
     x.shaded = shaded
@@ -185,6 +183,29 @@ def _trusted(colour: int, coeffs: dict[Label, RadicalScalar], shaded: bool = Fal
     x._left_classes = None
     x._right_classes = None
     return x
+
+
+def _accumulate(out: dict[Label, RadicalScalar], lab: Label, c: RadicalScalar) -> None:
+    """Add the nonzero ``c`` at ``lab``, dropping the label if the sum cancels."""
+    prev = out.get(lab)
+    if prev is None:
+        out[lab] = c
+    else:
+        total = prev + c
+        if total.is_zero():
+            del out[lab]
+        else:
+            out[lab] = total
+
+
+def _add_into(out: dict[Label, RadicalScalar], part: Mapping[Label, RadicalScalar]) -> None:
+    """Add the nonzero terms of ``part`` into ``out``, by one update when no
+    label meets, else label by label through :func:`_accumulate`."""
+    if out.keys().isdisjoint(part):
+        out.update(part)
+    else:
+        for lab, c in part.items():
+            _accumulate(out, lab, c)
 
 
 def _check_shading(colour: int, shaded: bool) -> None:
@@ -289,23 +310,45 @@ class SubgroupBiprojection:
 
     def surround(self, x: PAElement) -> PAElement:
         """The class average of ``x``: the input weight of each class is
-        gathered, and every label of the class gets ``weight / |class|``."""
+        gathered, and every label of the class gets ``weight / |class|``.
+
+        The weight of a class is gathered in integers, as ``multiply``
+        gathers its hits: the input labels of the class are counted per
+        distinct coefficient, each distinct (coefficient, count) costs one
+        field product, and only distinct coefficients are added, so a class
+        met by one coefficient needs no sum.  A class whose weight cancels
+        is left out."""
         if x.colour == 0:
             return _trusted(0, dict(x.coeffs), x.shaded)
-        weights: dict[Label, RadicalScalar] = {}
+        canon = self._canon_cache
+        # class representative -> the coefficients of its input labels
+        gathered: dict[Label, list[RadicalScalar]] = {}
         for label, c in x.coeffs.items():
-            rep = self._canon_cache.get(label)
+            rep = canon.get(label)
             if rep is None:
                 table, coset_min = self.algebra.group.table, self._coset_min
-                rep = self._canon_cache[label] = min(
+                rep = canon[label] = min(
                     tuple(coset_min[table[t][h]] for h in label) for t in self.members
                 )
-            weights[rep] = weights.get(rep, ZERO) + c
+            cs = gathered.get(rep)
+            if cs is None:
+                gathered[rep] = [c]
+            else:
+                cs.append(c)
         acc: dict[Label, RadicalScalar] = {}
-        for rep, weight in weights.items():
+        for rep, cs in gathered.items():
+            weight = cs[0]
+            if len(cs) > 1:
+                counts: dict[RadicalScalar, int] = {}
+                for c in cs:
+                    counts[c] = counts.get(c, 0) + 1
+                weight = ZERO
+                for c, k in counts.items():
+                    weight = weight + (c if k == 1 else c * k)
             if not weight.is_zero():
                 labels, inverse_size = self._class(rep)
-                acc.update(dict.fromkeys(labels, weight * inverse_size))
+                share = inverse_size if weight == ONE else weight * inverse_size
+                acc.update(dict.fromkeys(labels, share))
         return _trusted(x.colour, acc)
 
     def class_reps(self, colour: int) -> Iterator[Label]:
@@ -352,12 +395,16 @@ class _LeftParts(dict):
     sqrt(n)^(m-1)`` times the symbol of that key's merged prefix followed by
     ``h[m:]``; there is one key per value of ``h[0]``.  Entries are computed
     on first lookup, so the size is bounded by the labels in use.  An entry
-    zips tuples of the group table read down ``h0``: at colour 2 the row of
-    ``g[0]`` (``g[0] * h0``), and above it columns, key entry ``i >= 1``
-    being ``h0 * g[colour-1-i]`` and prefix entry ``j`` being ``h0 * g[j]``.
+    pairs, down ``h0``, a key with a merged prefix.  At colour 2 the key is
+    ``(h0,)`` and the prefix ``(g[0] * h0,)``; above it key entry ``i >= 1``
+    is ``h0 * g[colour-1-i]`` and prefix entry ``j`` is ``h0 * g[j]``.  So
+    the keys depend only on ``g[colour-m:colour-1]`` and the prefixes only
+    on ``g[:m]``: each list of n keys or n prefixes is built once and shared
+    by every entry that reads it, at most ``n^(m-1)`` key lists and ``n^m``
+    prefix lists per colour, both within the colour's dimension.
     """
 
-    __slots__ = ("rows", "columns", "colour", "m", "prefactor")
+    __slots__ = ("rows", "columns", "colour", "m", "prefactor", "_keys", "_prefixes")
 
     def __init__(self, table: Sequence[Sequence[int]], colour: int):
         super().__init__()
@@ -366,16 +413,26 @@ class _LeftParts(dict):
         self.colour = colour
         self.m = (colour + 1) // 2
         self.prefactor = pow_half(len(table), max(self.m - 1, 0))
+        # g[colour-m:colour-1] -> the keys, g[:m] -> the merged prefixes
+        self._keys: dict[Label, tuple[Label, ...]] = {}
+        self._prefixes: dict[Label, tuple[Label, ...]] = {}
 
     def __missing__(self, g: Label) -> dict[Label, Label]:
-        columns, colour, m = self.columns, self.colour, self.m
+        colour, m = self.colour, self.m
         if colour <= 1:
             parts = {(): ()}
-        elif colour == 2:
-            parts = {(h0,): (gh,) for h0, gh in enumerate(self.rows[g[0]])}
         else:
-            keys = zip(range(len(columns)), *(columns[g[colour - i]] for i in range(2, m + 1)))
-            parts = dict(zip(keys, zip(*(columns[g[j]] for j in range(m)))))
+            head = g[:m]
+            prefixes = self._prefixes.get(head)
+            if prefixes is None:
+                lines = [self.rows[g[0]]] if colour == 2 else [self.columns[a] for a in head]
+                prefixes = self._prefixes[head] = tuple(zip(*lines))
+            read = g[colour - m : colour - 1]
+            keys = self._keys.get(read)
+            if keys is None:
+                lines = [self.columns[a] for a in reversed(read)]
+                keys = self._keys[read] = tuple(zip(range(len(self.rows)), *lines))
+            parts = dict(zip(keys, prefixes))
         self[g] = parts
         return parts
 
@@ -625,7 +682,7 @@ class GroupPlanarAlgebra:
 
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
         """The product ``x y``, at most one field product per pair of
-        coefficient classes.
+        coefficient classes and per distinct hit count.
 
         Labels of equal coefficient form a class.  Each class of ``y`` is
         bucketed by the right part of the label rule, ``h[:m] -> [h[m:]]``,
@@ -635,6 +692,11 @@ class GroupPlanarAlgebra:
         pair's coefficient ``cg * (ch * prefactor)`` then enters each hit
         label once, times its hit count (one field product per distinct
         count); a left class with ``cg == 1`` takes ``ch * prefactor`` as is.
+        A left class of one label needs no count: a merged label's first
+        entry names ``h[0]``, hence ``h``, so that label meets each merged
+        label at most once over all of ``y``, and its terms over every class
+        of ``y`` are written in one pass.  Terms are added into the result
+        only where two meet, and a sum that cancels is dropped there.
 
         ``m`` and the prefactor are read off the colour's
         :class:`_LeftParts` table.  The bucketed classes of ``y``, each
@@ -667,6 +729,18 @@ class GroupPlanarAlgebra:
         out: dict[Label, RadicalScalar] = {}
         for cg, lefts in x_classes:
             unit = cg == ONE
+            if len(lefts) == 1:
+                # no counts: each merged label is met once (see above)
+                (left,) = lefts
+                items = left.items()
+                terms = y_classes if unit else [(cg * chp, b) for chp, b in y_classes]
+                _add_into(out, {
+                    prefix + tail: term
+                    for term, buckets in terms
+                    for key, prefix in items
+                    for tail in buckets.get(key, ())
+                })
+                continue
             for chp, buckets in y_classes:
                 hits: dict[Label, int] = {}
                 for left in lefts:
@@ -676,15 +750,10 @@ class GroupPlanarAlgebra:
                             for tail in tails:
                                 lab = prefix + tail
                                 hits[lab] = hits.get(lab, 0) + 1
-                if not hits:
-                    continue
-                multiples = {1: chp if unit else cg * chp}
-                for lab, k in hits.items():
-                    term = multiples.get(k)
-                    if term is None:
-                        term = multiples[k] = multiples[1] * k
-                    prev = out.get(lab)
-                    out[lab] = term if prev is None else prev + term
+                if hits:
+                    term = chp if unit else cg * chp
+                    multiples = {k: term * k if k > 1 else term for k in set(hits.values())}
+                    _add_into(out, {lab: multiples[k] for lab, k in hits.items()})
         return _trusted(colour, out, x.shaded)
 
     def star(self, x: PAElement) -> PAElement:
@@ -758,33 +827,31 @@ class GroupPlanarAlgebra:
             capped = self._cap(target, g)
             if capped is not None:
                 lab, e = capped
-                c = cg * self.delta if e else cg
-                prev = out.get(lab)
-                out[lab] = c if prev is None else prev + c
+                _accumulate(out, lab, cg * self.delta if e else cg)
         return _trusted(target, out)
 
     def _act_I(self, source: int, x: PAElement) -> PAElement:
+        """The inclusion one colour up.  No two terms meet: deleting the
+        entry it inserts (at index ``source // 2``, or ``m`` at an odd
+        source) gives back the input label, inverted at source 2, so each
+        label is written at most once."""
         n = self.group.order
         out: dict[Label, RadicalScalar] = {}
-
-        def put(lab: Label, c: RadicalScalar) -> None:
-            out[lab] = out.get(lab, ZERO) + c
-
         for g, cg in x.coeffs.items():
             if source == 0:
-                put((), cg)
+                out[()] = cg
             elif source == 1:
-                put((0,), cg)
+                out[(0,)] = cg
             elif source % 2 == 0:
                 # S(g) S(h) = S(gh) at colour 2, the reverse of the label
                 # order at colours 3 and up, so colour 2 includes S(g^-1)
                 head = (self.group.inv(g[0]),) if source == 2 else g[: source // 2]
                 spread = cg * self._inv_delta
                 for u in range(n):
-                    put(head + (u,) + g[source // 2 :], spread)
+                    out[head + (u,) + g[source // 2 :]] = spread
             else:
                 m = (source + 1) // 2
-                put(g[:m] + (g[m - 1],) + g[m:], cg)
+                out[g[:m] + (g[m - 1],) + g[m:]] = cg
         return _trusted(source + 1, out)
 
     def _act_Eprime(self, colour: int, x: PAElement) -> PAElement:

@@ -468,12 +468,16 @@ class IntermediateAlgebra:
         stars = [P.star(y) for y in basis]
         gram = [[P.trace(P.multiply(y_star, x)) * scale for y_star in stars] for x in basis]
         # leading principal minors via exact elimination; a nonpositive pivot
-        # at any stage disproves positive definiteness
+        # at any stage disproves positive definiteness.  A row whose entry
+        # below the pivot is already zero would subtract zero times the
+        # pivot row, so it is skipped; the arithmetic stays exact
         for step in range(n):
             pivot = gram[step][step]
             if pivot.sign() <= 0:
                 return False
             for r in range(step + 1, n):
+                if gram[r][step].is_zero():
+                    continue
                 factor = gram[r][step] / pivot
                 for c in range(step, n):
                     gram[r][c] = gram[r][c] - factor * gram[step][c]

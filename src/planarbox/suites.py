@@ -59,9 +59,10 @@ MAX_KMAX = 4
 
 # base-algebra checks every pair of basis labels at k_max, dimension(k_max)^2
 # of them: the index table and the Gram mask hold one entry per pair,
-# associativity reads, per label, the rows of its nonzero products, and the
-# multiply check makes k_max products per label against k_max fixed
-# dimension(k_max)-term right factors, each grouped once.
+# associativity reads one entry per pair of nonzero products (x_i x_j,
+# x_j x_k) and counts the rest, and the multiply check makes k_max products
+# per label against k_max fixed dimension(k_max)-term right factors, each
+# grouped once.
 # run_suite refuses more pairs than this before any work starts.  z4xz2 at
 # k_max 4 has 512^2 and z7xz3 at k_max 3 has 441^2, while z7xz3 at k_max 4
 # would have 9261^2 (about 86M).
@@ -73,35 +74,70 @@ class SuiteError(ValueError):
     run above MAX_BASE_ALGEBRA_PAIRS."""
 
 
+def _row_supports(table: np.ndarray):
+    """What :func:`index_table_associative` reads off a table besides its
+    entries: each row's nonzero columns and its entries there, both padded
+    with -1 to the widest row; each row's count of nonzero entries; and
+    for each i the counts of nonzero right and left sides over all j, k.
+    Its scratch arrays hold one entry per nonzero product and are freed
+    before the caller copies the table."""
+    size = len(table)
+    rows, cols = np.nonzero(table >= 0)  # row by row, columns ascending
+    values = table[rows, cols]
+    row_counts = np.bincount(rows, minlength=size)
+    # summed over the nonzero entries (i, l) of each row i: the pairs (j, k)
+    # with T[j, k] = l, and the nonzero entries of row l
+    landing = np.bincount(values, minlength=size)
+    right_expected = np.bincount(rows, weights=landing[cols], minlength=size)
+    left_expected = np.bincount(rows, weights=row_counts[values], minlength=size)
+    width = int(row_counts.max(initial=0))
+    place = np.arange(len(rows)) - (np.cumsum(row_counts) - row_counts)[rows]
+    support = np.full((size, width), -1, dtype=table.dtype)
+    products = support.copy()
+    support[rows, place] = cols
+    products[rows, place] = values
+    return support, products, row_counts, right_expected, left_expected
+
+
 def index_table_associative(table: np.ndarray) -> bool:
     """Whether a basis product index table is associative, over all
-    ``size^3`` triples, comparing only the rows of nonzero products.
+    ``size^3`` triples, comparing only where ``x_i x_j`` and ``x_j x_k``
+    are both nonzero.
 
     ``table`` is what :meth:`GroupPlanarAlgebra.product_structure` returns:
-    ``int32`` entries, -1 for a zero product.  Row i is read with one -1
-    appended, so a zero product ``x_j x_k`` (-1) reads a zero entry.
+    ``int32`` entries, -1 for a zero product.  It is read with a column of
+    -1 appended, so an index of -1 reads a zero product.
 
-    For a left factor i, let J be the rows j with ``T[i, j] >= 0``.  Over
-    ``j in J`` one block compares ``(x_i x_j) x_k`` with ``x_i (x_j x_k)``
-    for every k.  For ``j`` outside J the left side is zero for every k, so
-    the right side must be zero too, and a count confirms it without
-    reading those rows.  ``x_i (x_j x_k)`` is nonzero exactly when
-    ``l = T[j, k] >= 0`` and ``T[i, l] >= 0``; the pairs ``(j, k)`` with
-    ``T[j, k] = l`` number ``bincount(T[T >= 0])[l]``, so over all j the
-    nonzero right sides number ``(T >= 0)[i] @ bincount(T[T >= 0])``, one
-    matrix-vector product for every i.  Those inside the compared block
-    number its nonzero entries, so the two counts are equal exactly when no
-    right side outside J is nonzero.  Every triple is thus covered: inside
-    J by the block, outside it by the count.  Memory stays quadratic in the
-    basis size, and the blocks hold only the nonzero products' rows.
+    Write ``T`` for the table, ``J`` for the columns ``j`` with
+    ``T[i, j] >= 0`` and ``K_j`` for those ``k`` with ``T[j, k] >= 0``.  For
+    a left factor i, ``(x_i x_j) x_k`` is compared with ``x_i (x_j x_k)``
+    for ``j`` in J and ``k`` in ``K_j`` only, rows of unequal support padded
+    with the appended column.  On every other triple one side is zero, so
+    the other must be too, and one count per side confirms it without
+    reading those entries:
+
+    * ``x_i (x_j x_k)`` is nonzero exactly when ``l = T[j, k] >= 0`` and
+      ``T[i, l] >= 0``, and the pairs ``(j, k)`` with ``T[j, k] = l``
+      number ``bincount(T[T >= 0])[l]``; summed over the nonzero entries
+      of row i this counts every nonzero right side, which equals those
+      compared exactly when none has ``j`` outside J.
+    * ``(x_i x_j) x_k`` runs along row ``T[i, j]``; summed over J, the
+      nonzero entries of those rows count every nonzero left side, which
+      equals those compared exactly when none has ``k`` outside ``K_j``.
+
+    The compared sides are equal, so both counts must equal the nonzero
+    entries compared.  The work is one entry per pair of nonzero products
+    ``(x_i x_j, x_j x_k)``, and the memory a few copies of the table.
     """
-    nonzero = table >= 0
-    # entry i: the pairs (j, k) with x_i (x_j x_k) nonzero
-    expected = nonzero @ np.bincount(table[nonzero], minlength=len(table))
-    for i, row in enumerate(table):
-        js = np.flatnonzero(nonzero[i])
-        right = np.append(row, -1)[table[js]]
-        if not (table[row[js]] == right).all() or np.count_nonzero(right >= 0) != expected[i]:
+    support, products, row_counts, right_expected, left_expected = _row_supports(table)
+    padded = np.pad(table, ((0, 0), (0, 1)), constant_values=-1)
+    for i, row in enumerate(padded):
+        js = support[i, : row_counts[i]]
+        right = row[products[js]]
+        if not (padded[row[js, None], support[js]] == right).all():
+            return False
+        compared = np.count_nonzero(right >= 0)
+        if compared != right_expected[i] or compared != left_expected[i]:
             return False
     return True
 

@@ -1093,6 +1093,28 @@ class TestTrustedResults:
         assert out == sub.surround(PAElement(3, {(5, 0): ONE}))
         assert sub.surround(PAElement(3, {(1, 3): c, moved: -c})).is_zero()
 
+    def test_surround_counted_weights_cancel(self):
+        """Four labels of one class, two with ``c``, one with ``-3 c`` and
+        one with ``c``: the surround counts ``c`` three times, so the class
+        weight ``3 c - 3 c`` cancels and the class is dropped, while a
+        second class, met twice by 1, keeps the weight 2."""
+        alg = SEMIDIRECT["z3xz2"]
+        group = alg.group
+        members = (0, 2, 4)
+        sub = SubgroupBiprojection(alg, members)
+        c = CLASS_COEFFS[3]
+        cls = sorted({
+            tuple(group.op(group.op(t, h), k) for h, k in zip((1, 3), ks))
+            for t in members for ks in itertools.product(members, repeat=2)
+        })
+        a, b, d, e = cls[:4]
+        x = PAElement(3, {a: c, b: c, d: c * -3, e: c, (5, 0): ONE, (5, 2): ONE})
+        out = sub.surround(x)
+        assert_trusted(out)
+        assert not set(cls) & out.coeffs.keys()
+        assert out == spread_by_definition(group, members, x)
+        assert out == sub.surround(PAElement(3, {(5, 0): RadicalScalar.rational(2)}))
+
     def test_operations_that_cannot_cancel(self):
         """Star, a nonzero scaling, ``Eprime`` and the surround's label
         assignments only copy nonzero coefficients or multiply them by
@@ -1233,6 +1255,63 @@ class TestSubgroupBiprojection:
                     once = sub.surround(x)
                     assert once == spread_by_definition(group, members, x)
                     assert sub.surround(once) == once
+
+    @pytest.mark.parametrize("name", ["z3xz2", "z4xz2"])
+    def test_surround_matches_the_label_by_label_average(self, name):
+        """Seeded inputs over a few classes at colours 1-3, on every
+        subgroup: all labels met in a class share one coefficient, each has
+        its own, or all but one share ``c`` and the last carries ``-(j-1) c``
+        so the class weight cancels exactly.  The surround, which counts
+        each class's coefficients in integers, must equal an average made
+        one label and one field addition at a time."""
+        alg = SEMIDIRECT[name]
+        group, op = alg.group, alg.group.op
+        rng = random.Random(f"surround-by-label-{name}")
+        pool = [ONE, -ONE, RadicalScalar.rational(Fraction(-2, 3)), pow_half(2, 1),
+                pow_half(2, 1) - pow_half(3, -1)]
+        cancelled = repeated = 0
+        for members in subgroups(group):
+            sub = SubgroupBiprojection(alg, members)
+            for colour in (1, 2, 3):
+                classes = {}
+                for label in alg.basis_labels(colour):
+                    if label not in classes:
+                        cls = sorted({
+                            tuple(op(op(t, h), k) for h, k in zip(label, ks))
+                            for t in members
+                            for ks in itertools.product(members, repeat=colour - 1)
+                        })
+                        classes.update(dict.fromkeys(cls, cls))
+                distinct = sorted(set(map(tuple, classes.values())))
+                for _ in range(8):
+                    coeffs, dropped = {}, []
+                    for cls in rng.sample(distinct, min(len(distinct), 4)):
+                        met = rng.sample(cls, rng.randint(1, min(len(cls), 6)))
+                        c = rng.choice(pool)
+                        kind = rng.choice(["repeat", "mixed", "cancel"])
+                        if kind == "cancel" and len(met) > 1:
+                            coeffs.update(dict.fromkeys(met[:-1], c))
+                            coeffs[met[-1]] = c * -(len(met) - 1)
+                            dropped.append(cls)
+                        elif kind == "mixed":
+                            coeffs.update((lab, rng.choice(pool)) for lab in met)
+                        else:
+                            coeffs.update(dict.fromkeys(met, c))
+                            repeated += len(met) > 1
+                    x = PAElement(colour, coeffs)
+                    expected: dict = {}
+                    for lab, c in x.coeffs.items():
+                        cls = classes[lab]
+                        share = c * RadicalScalar.rational(Fraction(1, len(cls)))
+                        for member in cls:
+                            expected[member] = expected.get(member, ZERO) + share
+                    out = sub.surround(x)
+                    assert out == PAElement(colour, expected), (members, colour)
+                    assert all(not c.is_zero() for c in out.coeffs.values())
+                    for cls in dropped:
+                        assert not set(cls) & out.coeffs.keys()
+                    cancelled += len(dropped)
+        assert min(cancelled, repeated) >= 40, (cancelled, repeated)
 
     def test_trivial_subgroup_surround_is_identity(self):
         alg = SEMIDIRECT["z3xz2"]

@@ -420,6 +420,36 @@ class TestGramPositivity:
         assert not pivots_positive
 
 
+    def test_elimination_reads_singular_and_skewed_bases(self, inter, monkeypatch):
+        """``_gram_positive`` on bases put in place of the algebra's own: a
+        basis with its first element repeated has a singular Gram matrix
+        (False); ``[b1, b1 + b2, b3, ...]`` is not orthogonal but is still a
+        basis (True), and its elimination meets a row with a nonzero entry
+        below the first pivot and rows with a zero one.  Both verdicts must
+        agree with a full elimination of the same matrix."""
+        colour = 3
+        own = inter.basis(colour)
+        assert len(own) >= 3
+        skewed = [own[0], own[0] + own[1], *own[2:]]
+        for basis, positive in ((own + own[:1], False), (skewed, True)):
+            monkeypatch.setattr(inter, "basis", lambda c, shaded=False, b=basis: list(b))
+            gram = [[inter.inner_prime(x, y) for y in basis] for x in basis]
+            column = [row[0] for row in gram[1:]]
+            assert any(c.is_zero() for c in column) and not all(c.is_zero() for c in column)
+            n = len(basis)
+            full = True
+            for step in range(n):
+                pivot = gram[step][step]
+                if pivot.sign() <= 0:
+                    full = False
+                    break
+                for r in range(step + 1, n):
+                    factor = gram[r][step] / pivot
+                    for c in range(step, n):
+                        gram[r][c] = gram[r][c] - factor * gram[step][c]
+            assert inter._gram_positive(colour) is positive is full
+
+
 def order_six_subgroups() -> list[tuple[int, ...]]:
     """Every subgroup of the order-6 semidirect product, by brute force."""
     H = CP3.semidirect

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -139,6 +140,33 @@ def test_suites_at_defaults_are_pinned(key):
     assert (len(records), digest) == GOLDEN_DEFAULTS[key]
 
 
+def report_digests():
+    """``scripts/report_digests.py`` loaded by path, apart from the package."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the values of the two substitution suites at the CLI defaults on z3xz2:
+# the number of element comparisons each run makes and the sha256 of both
+# sides and the result of each (``value_digest`` of the script above, the
+# ``values`` line it prints).  Their reports carry verdicts only, the same
+# on z3xz2 and z4xz2; these move with every value compared.
+GOLDEN_VALUES = {
+    "theorem-main": (3534, "a28ac91c1a5dc29421a4a2951b605966c0930e576a7ec1cba7a5a57b7287fab0"),
+    "axioms": (2835, "d97613d24fecb09ae1bbc73a854857008c03e4185b766b910756dca98cad618e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VALUES))
+def test_substitution_suite_values_at_defaults_are_pinned(name):
+    value_digest = report_digests().value_digest
+    found = value_digest(lambda: run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0))
+    assert found == GOLDEN_VALUES[name]
+
+
 @pytest.mark.parametrize("k_max", [1, 5, 9])
 def test_k_max_outside_range_rejected(k_max):
     assert suites.MAX_KMAX == 4
@@ -186,6 +214,49 @@ def associative_by_loop(table) -> bool:
     )
 
 
+def associative_by_row_blocks(table) -> bool:
+    """The reference the support-only check replaced, kept as it was: for
+    each left factor i, one block over the rows j of its nonzero products
+    and every column k, plus the count of nonzero right sides."""
+    nonzero = table >= 0
+    # entry i: the pairs (j, k) with x_i (x_j x_k) nonzero
+    expected = nonzero @ np.bincount(table[nonzero], minlength=len(table))
+    for i, row in enumerate(table):
+        js = np.flatnonzero(nonzero[i])
+        right = np.append(row, -1)[table[js]]
+        if not (table[row[js]] == right).all() or np.count_nonzero(right >= 0) != expected[i]:
+            return False
+    return True
+
+
+def test_index_table_associativity_matches_the_row_blocks_at_colour_4():
+    """The colour-4 table of Z4 x| Z2 (512 labels, 64 nonzero products per
+    row) and seeded copies with one entry changed: a product index moved
+    to another index, turned into -1, or a zero product given an index,
+    which leaves its row one entry wider than the rest.  The support-only
+    check and the row-block reference agree on each."""
+    algebra = GroupPlanarAlgebra(SemidirectGroup(inversion_action(4)))
+    table, labels, _ = algebra.product_structure(4)
+    size = len(labels)
+    assert table.shape == (512, 512) and set(np.count_nonzero(table >= 0, axis=1)) == {64}
+    assert suites.index_table_associative(table) and associative_by_row_blocks(table)
+    rng = np.random.default_rng(31)
+    products, zeros = np.argwhere(table >= 0), np.argwhere(table < 0)
+    for kind in ("other index", "index to -1", "-1 to index"):
+        for _ in range(4):
+            pool = zeros if kind == "-1 to index" else products
+            i, j = pool[rng.integers(len(pool))]
+            broken = table.copy()
+            if kind == "other index":
+                broken[i, j] = (table[i, j] + rng.integers(1, size)) % size
+            else:
+                broken[i, j] = -1 if kind == "index to -1" else rng.integers(size)
+            assert broken.dtype == np.int32
+            verdict = suites.index_table_associative(broken)
+            assert verdict == associative_by_row_blocks(broken), (kind, i, j)
+            assert not verdict, (kind, i, j)
+
+
 def test_index_table_associativity_catches_one_planted_entry():
     """Every entry of the int32 colour-3 table of Z3 x| Z2, changed alone,
     breaks associativity: a product index moved to another index, a product
@@ -219,6 +290,16 @@ def test_index_table_associativity_reads_the_zero_rows_by_count():
     here ``(x_2 x_2) x_1 = 0`` but ``x_2 (x_2 x_1) = x_1``, and no row the
     block compares differs."""
     table = np.array([[-1, -1, -1], [-1, -1, -1], [-1, 1, -1]], dtype=np.int32)
+    assert not associative_by_loop(table)
+    assert not suites.index_table_associative(table)
+
+
+def test_index_table_associativity_reads_the_left_sides_by_count():
+    """Triples whose right side is zero because ``x_j x_k = 0`` are checked
+    by the count of left sides alone: here ``(x_1 x_0) x_0 = x_1`` but
+    ``x_0 x_0 = 0``, and row 0, whose nonzero products are all the
+    comparison would read, has none."""
+    table = np.array([[-1, -1], [1, -1]], dtype=np.int32)
     assert not associative_by_loop(table)
     assert not suites.index_table_associative(table)
 
