@@ -5,15 +5,17 @@ the ``alpha`` command over seeded pools of texts.
 
 For every action file given, this runs ``planarbox suite <name> --action
 <path>`` once per suite at the CLI defaults and once more as
-``suite all --kmax 3``, each in a child ``python -m planarbox.cli`` that
-imports the ``src`` tree next to this script.  It prints two lines per run:
+``suite all --kmax 3``, each in a child that imports the ``src`` tree next
+to this script and calls ``planarbox.cli.main`` in process, with its
+standard output captured and ``PAElement.__eq__`` wrapped (`suite_lines`).
+It prints two lines per run:
 
     <action path> <suite> <records> <sha256 of the report bytes>
     <action path> <suite> values <comparisons> <sha256 of the comparisons>
 
-The second comes from another child that runs the same command in
-process with ``PAElement.__eq__`` wrapped (`value_digest`), which also
-serves ``!=``.  It sees every comparison of two elements the run makes,
+The first reads the captured report.  The second comes from the wrapped
+comparison (`value_digest`), which also serves ``!=``.  It sees every
+comparison of two elements the run makes,
 the report's own checks and the library's (a cut-down algebra's
 membership test, say), and feeds one sha256, in order, with both sides,
 each as its colour, shading and sorted ``(label, integer coordinates,
@@ -98,13 +100,13 @@ print(alpha_pool())
 """
 
 
-# prints the values line of one suite run, in a child that imports the
-# checkout's src; argv: action path, run name
-VALUES_CHILD = f"""
+# prints the report and values lines of one suite run, in a child that
+# imports the checkout's src; argv: action path, run name
+SUITE_CHILD = f"""
 import sys
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
-from report_digests import values_line
-print(values_line(*sys.argv[1:]))
+from report_digests import suite_lines
+print(suite_lines(*sys.argv[1:]))
 """
 
 
@@ -138,23 +140,26 @@ def value_digest(run: Callable[[], object]) -> tuple[int, str]:
     return count, digest.hexdigest()
 
 
-def values_line(action: str, run: str) -> str:
-    """The values line of one suite run, run in the process that imports
-    planarbox; the report it prints is dropped."""
+def suite_lines(action: str, run: str) -> str:
+    """The report and values lines of one suite run, run in the process
+    that imports planarbox."""
     import contextlib
     import io
 
     from planarbox.cli import main
 
     name = "all" if run == "all-k3" else run
-    codes = []
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out, codes = io.StringIO(), []
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         count, digest = value_digest(
             lambda: codes.append(main(["suite", name, "--action", action, *RUNS[run]]))
         )
     if codes[0] not in (0, 1):
-        return f"{action} {run} values refused exit {codes[0]}"
-    return f"{action} {run} values {count} {digest}"
+        return f"{action} {run} refused exit {codes[0]}\n{action} {run} values refused exit {codes[0]}"
+    report = out.getvalue().encode()
+    records = len(json.loads(report)["records"])
+    return (f"{action} {run} {records} {hashlib.sha256(report).hexdigest()}\n"
+            f"{action} {run} values {count} {digest}")
 
 
 def malformed(text: str, rng: random.Random) -> list[str]:
@@ -212,15 +217,6 @@ def alpha_line() -> str:
     return f"alpha {len(texts)} {digest.hexdigest()}"
 
 
-def report_line(action: str, run: str) -> str:
-    name = "all" if run == "all-k3" else run
-    proc = child("-m", "planarbox.cli", "suite", name, "--action", action, *RUNS[run])
-    if proc.returncode not in (0, 1):
-        return f"{action} {run} refused exit {proc.returncode}"
-    records = len(json.loads(proc.stdout)["records"])
-    return f"{action} {run} {records} {hashlib.sha256(proc.stdout).hexdigest()}"
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("actions", nargs="*", help="action JSON files (the alpha lines read none)")
@@ -231,9 +227,8 @@ def main() -> int:
     for action in args.actions:
         for run in runs:
             if run in RUNS:
-                print(report_line(action, run), flush=True)
-                proc = child("-c", VALUES_CHILD, action, run)
-                failed = f"{action} {run} values failed exit {proc.returncode}"
+                proc = child("-c", SUITE_CHILD, action, run)
+                failed = f"{action} {run} failed exit {proc.returncode}"
                 print(proc.stdout.decode().strip() or failed, flush=True)
     if "alpha" in runs:
         print(alpha_line(), flush=True)

@@ -314,15 +314,15 @@ class SubgroupBiprojection:
 
         The weight of a class is gathered in integers, as ``multiply``
         gathers its hits: the input labels of the class are counted per
-        distinct coefficient, each distinct (coefficient, count) costs one
-        field product, and only distinct coefficients are added, so a class
-        met by one coefficient needs no sum.  A class whose weight cancels
-        is left out."""
+        distinct coefficient, and the weight is the sum of ``c * count``,
+        one field product per count above 1.  A weight of 1 gives each label
+        ``1/|class|`` itself.  A class whose weight cancels is left out."""
         if x.colour == 0:
             return _trusted(0, dict(x.coeffs), x.shaded)
         canon = self._canon_cache
-        # class representative -> the coefficients of its input labels
-        gathered: dict[Label, list[RadicalScalar]] = {}
+        # class representative -> its input coefficients, each with the
+        # number of input labels that carry it
+        gathered: dict[Label, dict[RadicalScalar, int]] = {}
         for label, c in x.coeffs.items():
             rep = canon.get(label)
             if rep is None:
@@ -330,21 +330,14 @@ class SubgroupBiprojection:
                 rep = canon[label] = min(
                     tuple(coset_min[table[t][h]] for h in label) for t in self.members
                 )
-            cs = gathered.get(rep)
-            if cs is None:
-                gathered[rep] = [c]
+            counts = gathered.get(rep)
+            if counts is None:
+                gathered[rep] = {c: 1}
             else:
-                cs.append(c)
+                counts[c] = counts.get(c, 0) + 1
         acc: dict[Label, RadicalScalar] = {}
-        for rep, cs in gathered.items():
-            weight = cs[0]
-            if len(cs) > 1:
-                counts: dict[RadicalScalar, int] = {}
-                for c in cs:
-                    counts[c] = counts.get(c, 0) + 1
-                weight = ZERO
-                for c, k in counts.items():
-                    weight = weight + (c if k == 1 else c * k)
+        for rep, counts in gathered.items():
+            weight = sum((c * k if k > 1 else c for c, k in counts.items()), ZERO)
             if not weight.is_zero():
                 labels, inverse_size = self._class(rep)
                 share = inverse_size if weight == ONE else weight * inverse_size
@@ -691,12 +684,10 @@ class GroupPlanarAlgebra:
         plain integers without visiting every pair of terms.  The class
         pair's coefficient ``cg * (ch * prefactor)`` then enters each hit
         label once, times its hit count (one field product per distinct
-        count); a left class with ``cg == 1`` takes ``ch * prefactor`` as is.
-        A left class of one label needs no count: a merged label's first
-        entry names ``h[0]``, hence ``h``, so that label meets each merged
-        label at most once over all of ``y``, and its terms over every class
-        of ``y`` are written in one pass.  Terms are added into the result
-        only where two meet, and a sum that cancels is dropped there.
+        count; where every count is 1, as always for a left class of one
+        label, the labels take the coefficient itself); a left class with
+        ``cg == 1`` takes ``ch * prefactor`` as is.  Terms are added into the
+        result only where two meet, and a sum that cancels is dropped there.
 
         ``m`` and the prefactor are read off the colour's
         :class:`_LeftParts` table.  The bucketed classes of ``y``, each
@@ -729,18 +720,6 @@ class GroupPlanarAlgebra:
         out: dict[Label, RadicalScalar] = {}
         for cg, lefts in x_classes:
             unit = cg == ONE
-            if len(lefts) == 1:
-                # no counts: each merged label is met once (see above)
-                (left,) = lefts
-                items = left.items()
-                terms = y_classes if unit else [(cg * chp, b) for chp, b in y_classes]
-                _add_into(out, {
-                    prefix + tail: term
-                    for term, buckets in terms
-                    for key, prefix in items
-                    for tail in buckets.get(key, ())
-                })
-                continue
             for chp, buckets in y_classes:
                 hits: dict[Label, int] = {}
                 for left in lefts:
@@ -752,8 +731,12 @@ class GroupPlanarAlgebra:
                                 hits[lab] = hits.get(lab, 0) + 1
                 if hits:
                     term = chp if unit else cg * chp
-                    multiples = {k: term * k if k > 1 else term for k in set(hits.values())}
-                    _add_into(out, {lab: multiples[k] for lab, k in hits.items()})
+                    counts = set(hits.values())
+                    if counts == {1}:
+                        _add_into(out, dict.fromkeys(hits, term))
+                    else:
+                        multiples = {k: term * k if k > 1 else term for k in counts}
+                        _add_into(out, {lab: multiples[k] for lab, k in hits.items()})
         return _trusted(colour, out, x.shaded)
 
     def star(self, x: PAElement) -> PAElement:
