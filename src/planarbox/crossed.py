@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
-from .expressions import GenExpr, generator_signature
+from .expressions import GenExpr
 from .group_algebra import (
     AlgebraError,
     GroupPlanarAlgebra,
@@ -264,15 +264,19 @@ class CrossedProduct:
         return self._twist_combination(x.colour, comps)
 
     def transport_inverse(self, x: PAElement) -> PAElement:
-        """Inverse of :meth:`transport` on the surround range."""
+        """Inverse of :meth:`transport` on the surround range: ``sum c *
+        orbit_sum(colour, rep) / transport_prefactor(colour)`` over the twist
+        components, gathered in one coefficient dict with one inverse."""
         if x.colour == 0:
             return PAElement(0, dict(x.coeffs), x.shaded)
-        comps = self.twist_components(x)
-        pref = self.transport_prefactor(x.colour)
-        out = self.base.zero(x.colour)
-        for rep, c in comps.items():
-            out = out + self.orbit_sum(x.colour, rep).scale(c / pref)
-        return out
+        scale = self.transport_prefactor(x.colour).invert()
+        coeffs: dict[Label, RadicalScalar] = {}
+        for rep, c in self.twist_components(x).items():
+            c = c * scale
+            for t in range(self.theta_order):
+                moved = self.action.apply_tuple(t, rep)
+                coeffs[moved] = coeffs.get(moved, ZERO) + c
+        return PAElement(x.colour, coeffs)
 
     def intertwine_check(self, gen: GenExpr) -> list[dict]:
         """Check that transport commutes with one generator action.
@@ -282,7 +286,7 @@ class CrossedProduct:
         of the embedded Theta (:meth:`SubgroupBiprojection.act`) on the
         transported inputs.  Returns one record per input tuple.
         """
-        _, slots = generator_signature(gen)
+        slots = gen.discs[1]
         slot_bases: list[list[tuple[str, PAElement]]] = []
         for disc in slots:
             if disc.colour == 0:

@@ -2,10 +2,16 @@
 
 A tree is the evaluable form of a tangle: leaves name generators,
 internal nodes glue a subtree into a numbered slot or renumber the open
-slots.  `realize` glues a tree's generator diagrams into the concrete
-diagram of :mod:`planarbox.tangles` in one splice, equal to folding the
-tree node by node; algebra evaluation folds the same tree through basis
-formulas instead.
+slots.  Every node owns its ``discs``, its (external disc, slot discs): a
+leaf reads them off its diagram, and an internal node makes them from its
+children's on first read and keeps them for its life, so a tree is checked
+once however many readers (`slot_colours`, `realize`, evaluation, the
+samplers) it meets.  A bad slot, colour or permutation raises
+:class:`~planarbox.tangles.TangleError` from that first read, in
+post-order, outer subtree before inner.  `realize` glues a tree's
+generator diagrams into the concrete diagram of :mod:`planarbox.tangles`
+in one splice, equal to folding the tree node by node; algebra evaluation
+folds the same tree through basis formulas instead.
 
 The text form is an s-expression, e.g.::
 
@@ -56,16 +62,19 @@ class ParseError(ValueError):
 # so the cache holds at most about 57 MB.
 MAX_COLOUR = 1000
 
-# Most forms a form may sit inside.  Parsing, rendering and the tree walks
-# (`realize`, `node_signatures`) recurse once per level; validating and
-# capping walk the realized diagram and do not.  A 1,200-deep ``compose``
-# chain overflowed Python's default recursion limit, and a chain this deep
-# runs through all.
+# Most forms a form may sit inside.  Parsing, rendering, `realize`,
+# evaluation and the first read of a node's discs recurse once per level;
+# validating and capping walk the realized diagram and do not.  A
+# 1,200-deep ``compose`` chain overflowed Python's default recursion limit,
+# and a chain this deep runs through all.
 MAX_DEPTH = 900
 
 # chance that random_expr fills each open slot of a node with a subtree;
 # the seeded samplers draw against it, so changing it changes every sample
 FILL_PROBABILITY = 0.6
+
+
+Signature = tuple[Disc, tuple[Disc, ...]]  # (external disc, slot discs)
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,16 @@ class GenExpr:
     k: int = 0
     shaded: bool = False
 
+    @property
+    def discs(self) -> Signature:
+        """(external disc, slot discs), read off the generator's diagram, so
+        the colour and shading rules live in ``make_generator`` only."""
+        found = self.__dict__.get("_discs")
+        if found is None:
+            t = make_generator(self.kind, self.k, self.shaded)
+            found = self.__dict__["_discs"] = (t.external, t.internal)
+        return found
+
 
 @dataclass(frozen=True)
 class ComposeExpr:
@@ -81,69 +100,48 @@ class ComposeExpr:
     slot: int
     inner: "TangleExpr"
 
+    @property
+    def discs(self) -> Signature:
+        """(external disc, slot discs): the inner slots take the place of
+        slot ``slot`` of the outer ones (:func:`glued_discs`)."""
+        found = self.__dict__.get("_discs")
+        if found is None:
+            external, outer = self.outer.discs
+            inner_ext, inner = self.inner.discs
+            found = self.__dict__["_discs"] = (
+                external, glued_discs(outer, self.slot, inner_ext, inner))
+        return found
+
 
 @dataclass(frozen=True)
 class RenumberExpr:
     perm: tuple[int, ...]
     inner: "TangleExpr"
 
+    @property
+    def discs(self) -> Signature:
+        """(external disc, slot discs): the inner slots moved by ``perm``
+        (:func:`renumbered_discs`)."""
+        found = self.__dict__.get("_discs")
+        if found is None:
+            external, inner = self.inner.discs
+            found = self.__dict__["_discs"] = (external, renumbered_discs(inner, self.perm))
+        return found
+
 
 TangleExpr = Union[GenExpr, ComposeExpr, RenumberExpr]
 
 
-# ---------------------------------------------------------------------------
-# colours and slots, computed without gluing diagrams
-# ---------------------------------------------------------------------------
-
-Signature = tuple[Disc, tuple[Disc, ...]]  # (external disc, slot discs)
-
-
-@functools.cache
-def generator_signature(g: GenExpr) -> Signature:
-    """(external colour, per-slot colours) of a generator leaf, read off its
-    diagram, so the colour and shading rules live in ``make_generator`` only."""
-    t = make_generator(g.kind, g.k, g.shaded)
-    return t.external, t.internal
-
-
-def _walk(expr: TangleExpr, found: dict[int, Signature]) -> Signature:
-    """Signature of ``expr``, checking every composition and renumbering
-    below it; each node is checked once and recorded in ``found``."""
-    sig = found.get(id(expr))
-    if sig is not None:
-        return sig
-    if isinstance(expr, GenExpr):
-        sig = generator_signature(expr)
-    elif isinstance(expr, ComposeExpr):
-        external, outer = _walk(expr.outer, found)
-        inner_ext, inner = _walk(expr.inner, found)
-        sig = (external, glued_discs(outer, expr.slot, inner_ext, inner))
-    else:
-        external, inner = _walk(expr.inner, found)
-        sig = (external, renumbered_discs(inner, expr.perm))
-    found[id(expr)] = sig
-    return sig
-
-
-def node_signatures(expr: TangleExpr) -> dict[int, Signature]:
-    """The signature of every node of a tree, keyed by node id, from one
-    validating walk; raises :class:`TangleError` on a bad slot, colour or
-    permutation anywhere in the tree."""
-    found: dict[int, Signature] = {}
-    _walk(expr, found)
-    return found
-
-
 def external_colour(expr: TangleExpr) -> Disc:
-    return node_signatures(expr)[id(expr)][0]
+    return expr.discs[0]
 
 
 def slot_colours(expr: TangleExpr) -> tuple[Disc, ...]:
-    return node_signatures(expr)[id(expr)][1]
+    return expr.discs[1]
 
 
 def arity(expr: TangleExpr) -> int:
-    return len(slot_colours(expr))
+    return len(expr.discs[1])
 
 
 def realize(expr: TangleExpr) -> Tangle:
@@ -151,35 +149,31 @@ def realize(expr: TangleExpr) -> Tangle:
     :func:`~planarbox.tangles._splice`."""
     if isinstance(expr, GenExpr):
         return make_generator(expr.kind, expr.k, expr.shaded)
+    internal = expr.discs[1]
     parts: list[Tangle] = []
     glues: list[tuple[DiscRef, int]] = []
-    _, internal, origins = _gather(expr, parts, glues)
-    return _splice(parts, glues, origins, internal)
+    return _splice(parts, glues, _gather(expr, parts, glues), internal)
 
 
 def _gather(expr: TangleExpr, parts: list[Tangle], glues: list[tuple[DiscRef, int]]
-            ) -> tuple[Disc, tuple[Disc, ...], tuple[DiscRef, ...]]:
-    """(external disc, slot discs, the leaf disc each slot is) of ``expr``,
-    appending its leaf diagrams to ``parts``, the one bearing its external
-    disc first, and its glues to ``glues``.  Nodes are checked in
-    post-order, outer before inner, so a fault raises as in a node-by-node
-    fold of :func:`~planarbox.tangles.compose` and
-    :func:`~planarbox.tangles.renumber`."""
+            ) -> tuple[DiscRef, ...]:
+    """The leaf disc each slot of ``expr`` is, appending its leaf diagrams
+    to ``parts``, the one bearing its external disc first, and its glues to
+    ``glues``.  The tree's discs are read first, so every slot, colour and
+    permutation here is one they checked."""
     if isinstance(expr, GenExpr):
         t = make_generator(expr.kind, expr.k, expr.shaded)
         leaf = len(parts)
         parts.append(t)
-        return t.external, t.internal, tuple([(leaf, d) for d in range(1, len(t.internal) + 1)])
+        return tuple([(leaf, d) for d in range(1, len(t.internal) + 1)])
     if isinstance(expr, ComposeExpr):
-        external, discs, origins = _gather(expr.outer, parts, glues)
+        origins = _gather(expr.outer, parts, glues)
         inner_leaf = len(parts)
-        inner_ext, inner_discs, inner_origins = _gather(expr.inner, parts, glues)
+        inner_origins = _gather(expr.inner, parts, glues)
         slot = expr.slot
-        glued = glued_discs(discs, slot, inner_ext, inner_discs)
         glues.append((origins[slot - 1], inner_leaf))
-        return external, glued, (*origins[: slot - 1], *inner_origins, *origins[slot:])
-    external, discs, origins = _gather(expr.inner, parts, glues)
-    return external, renumbered_discs(discs, expr.perm), renumbered_discs(origins, expr.perm)
+        return (*origins[: slot - 1], *inner_origins, *origins[slot:])
+    return renumbered_discs(_gather(expr.inner, parts, glues), expr.perm)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +343,7 @@ def generators_with_external(colour: Disc, max_colour: int) -> tuple[GenExpr, ..
     for kind, k, shaded in product(_SAMPLED_KINDS, range(max_colour + 1), (False, True)):
         leaf = GenExpr(kind, k, shaded)
         try:
-            external, slots = generator_signature(leaf)
+            external, slots = leaf.discs
         except TangleError:
             continue
         if external == colour and all(d.colour <= max_colour for d in (external, *slots)):
@@ -364,34 +358,24 @@ def random_expr(
     depth: int = 2,
 ) -> TangleExpr:
     """A random well-coloured tree with every disc colour ``<= max_colour``."""
-    return _random_tree(rng, colour, max_colour, depth)[0]
-
-
-def _random_tree(
-    rng: random.Random, colour: Disc | None, max_colour: int, depth: int
-) -> tuple[TangleExpr, tuple[Disc, ...]]:
-    """:func:`random_expr`'s tree with its slot discs, carried through each
-    glue and renumbering rather than read off the tree again."""
     if colour is None:
         k = rng.randint(0, max_colour)
         colour = Disc(k, rng.random() < 0.5 if k == 0 else False)
     leaf = rng.choice(generators_with_external(colour, max_colour))
     expr: TangleExpr = leaf
-    slots = leaf_slots = generator_signature(leaf)[1]
     if depth > 0:
+        leaf_slots = leaf.discs[1]
         # fill from the right so earlier slot indices stay valid
         for i in range(len(leaf_slots), 0, -1):
             if rng.random() < FILL_PROBABILITY:
-                sub, sub_slots = _random_tree(rng, leaf_slots[i - 1], max_colour, depth - 1)
+                sub = random_expr(rng, leaf_slots[i - 1], max_colour, depth - 1)
                 expr = ComposeExpr(expr, i, sub)
-                slots = glued_discs(slots, i, leaf_slots[i - 1], sub_slots)
-    n = len(slots)
+    n = len(expr.discs[1])
     if n > 1 and rng.random() < 0.2:
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         expr = RenumberExpr(tuple(perm), expr)
-        slots = renumbered_discs(slots, perm)
-    return expr, slots
+    return expr
 
 
 def random_composable_pair(
@@ -404,11 +388,12 @@ def random_composable_pair(
     slot ``i`` of ``T``; resamples until ``T`` has an open slot (and the
     combined arity fits ``max_arity`` when given)."""
     while True:
-        outer, slots = _random_tree(rng, None, max_colour, depth)
+        outer = random_expr(rng, None, max_colour, depth)
+        slots = outer.discs[1]
         if not slots:
             continue
         i = rng.randint(1, len(slots))
-        inner, inner_slots = _random_tree(rng, slots[i - 1], max_colour, depth)
-        if max_arity is not None and len(slots) - 1 + len(inner_slots) > max_arity:
+        inner = random_expr(rng, slots[i - 1], max_colour, depth)
+        if max_arity is not None and len(slots) - 1 + len(inner.discs[1]) > max_arity:
             continue
         return outer, i, inner

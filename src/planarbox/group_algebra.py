@@ -22,10 +22,12 @@ where they form it; ``PAElement(...)`` keeps every check for outside input.
 The biprojections of the algebra are the subgroup averages; each one, with
 its surround (the class average of each label), dual surround, conjugates
 and cut-down action, is a :class:`SubgroupBiprojection` built on the
-algebra it acts in, and keeps only what the subgroup determines.  Values
-are kept per record, in an :class:`EvaluationCache`, and per cut-down
-algebra: its generator values on basis tuples, and their surrounds, in a
-:class:`BasisTable` that the cache carries.  Linear combinations render through
+algebra it acts in, and keeps only what the subgroup determines.  Tree
+evaluation checks its inputs against the root's slot discs, which each
+tree node keeps for its life (``discs``).  Values are kept per record, in
+an :class:`EvaluationCache`, and per cut-down algebra: its generator values
+on basis tuples, and their surrounds, in a :class:`BasisTable` that the
+cache carries.  Linear combinations render through
 :func:`render_terms`; the report records of every suite are built by
 :func:`record` and :func:`flag`.
 """
@@ -44,10 +46,7 @@ from .expressions import (
     ComposeExpr,
     GenExpr,
     RenumberExpr,
-    Signature,
     TangleExpr,
-    generator_signature,
-    node_signatures,
     realize,
 )
 from .groups import FiniteGroup
@@ -435,15 +434,12 @@ class EvaluationCache:
     same trees, in two tiers.
 
     The first tier lives as long as the cache, which the suites make per
-    record: each tree's node signatures, from one validating
-    :func:`node_signatures` walk on first sight, and each node's last value.
-    The root's slot discs in those signatures are what ``evaluate`` checks
-    the inputs against, once per call; no leaf checks its own inputs.  A
-    node's value depends only on its own slice of the inputs, so a node
-    that sees the very same input objects again (``is``) returns its last
-    value.  An entry holds its node and inputs, so their ``id``s cannot be
-    reused while it lives, and one entry per node bounds the memory by the
-    tree size.  Inputs must not be mutated while the cache is in use.
+    record: each node's last value.  A node's value depends only on its own
+    slice of the inputs, so a node that sees the very same input objects
+    again (``is``) returns its last value.  An entry holds its node and
+    inputs, so their ``id``s cannot be reused while it lives, and one entry
+    per node bounds the memory by the tree size.  Inputs must not be
+    mutated while the cache is in use.
 
     The second tier is optional and lives as long as the cut-down algebra
     that owns it: a :class:`BasisTable`, whose generator values on basis
@@ -456,21 +452,12 @@ class EvaluationCache:
     subgroup shares, keeps none.
     """
 
-    __slots__ = ("trees", "last", "table")
+    __slots__ = ("last", "table")
 
     def __init__(self, table: BasisTable | None = None) -> None:
-        # id(root) -> (root, signature of every node by id)
-        self.trees: dict[int, tuple[TangleExpr, dict[int, Signature]]] = {}
         # id(node) -> (node, inputs, value)
         self.last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]] = {}
         self.table = table
-
-    def shape(self, expr: TangleExpr) -> dict[int, Signature]:
-        """The signature of every node of a tree, validated on first sight."""
-        entry = self.trees.get(id(expr))
-        if entry is None:
-            entry = self.trees[id(expr)] = (expr, node_signatures(expr))
-        return entry[1]
 
 
 class BasisTable:
@@ -528,7 +515,7 @@ class BasisTable:
         value = self.leaves.get(key)
         if value is None:
             value = algebra._act(gen, inputs)
-            if generator_signature(gen)[0].colour <= self.k_max:
+            if gen.discs[0].colour <= self.k_max:
                 self.leaves[key] = value
                 self.values[id(value)] = value
         return value
@@ -845,7 +832,7 @@ class GroupPlanarAlgebra:
 
     def act_generator(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
         """The action of one generator, its inputs checked against its slots."""
-        _check_inputs(inputs, generator_signature(gen)[1])
+        _check_inputs(inputs, gen.discs[1])
         return self._act(gen, inputs)
 
     def _act(self, gen: GenExpr, inputs: Sequence[PAElement]) -> PAElement:
@@ -875,8 +862,8 @@ class GroupPlanarAlgebra:
     ) -> PAElement:
         """The value of a tree on its inputs.
 
-        The inputs are checked once, against the root's slot discs in the
-        tree's validated signatures (:meth:`EvaluationCache.shape`).  Every
+        The inputs are checked once, against the root's slot discs, which
+        the tree checks on their first read (``discs``).  Every
         generator maps inputs that fit its slots to a value on its external
         disc, and a validated tree feeds each slot a value on that slot's
         disc, so the leaves act through :meth:`_act` with no check of their
@@ -886,16 +873,14 @@ class GroupPlanarAlgebra:
         :class:`BasisTable` reads its generator leaves from the table.
         """
         cache = EvaluationCache() if cache is None else cache
-        signatures = cache.shape(expr)
-        _check_inputs(inputs, signatures[id(expr)][1])
+        _check_inputs(inputs, expr.discs[1])
         act = self._act if cache.table is None else cache.table.act
-        return self._evaluate(expr, list(inputs), signatures, cache.last, act)
+        return self._evaluate(expr, list(inputs), cache.last, act)
 
     def _evaluate(
         self,
         expr: TangleExpr,
         inputs: list[PAElement],
-        signatures: dict[int, Signature],
         last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]],
         act: Callable[[GenExpr, Sequence[PAElement]], PAElement],
     ) -> PAElement:
@@ -906,16 +891,14 @@ class GroupPlanarAlgebra:
             value = act(expr, inputs)
         elif isinstance(expr, ComposeExpr):
             i = expr.slot
-            b = len(signatures[id(expr.inner)][1])
+            b = len(expr.inner.discs[1])
             before = inputs[: i - 1]
-            inner_val = self._evaluate(
-                expr.inner, inputs[i - 1 : i - 1 + b], signatures, last, act
-            )
+            inner_val = self._evaluate(expr.inner, inputs[i - 1 : i - 1 + b], last, act)
             after = inputs[i - 1 + b :]
-            value = self._evaluate(expr.outer, before + [inner_val] + after, signatures, last, act)
+            value = self._evaluate(expr.outer, before + [inner_val] + after, last, act)
         elif isinstance(expr, RenumberExpr):
             permuted = [inputs[expr.perm[i] - 1] for i in range(len(inputs))]
-            value = self._evaluate(expr.inner, permuted, signatures, last, act)
+            value = self._evaluate(expr.inner, permuted, last, act)
         else:
             raise AlgebraError(f"cannot evaluate {type(expr).__name__}")
         last[id(expr)] = (expr, tuple(inputs), value)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .crossed import CrossedProduct
-from .expressions import GenExpr, generator_signature
+from .expressions import GenExpr
 from .group_algebra import (
     GroupPlanarAlgebra,
     Label,
@@ -53,8 +53,9 @@ INTERTWINE_GENERATORS = (
 
 
 # the highest colour any suite checks; nothing above it is bounded or timed:
-# the sampled suites have no cost bound (z7xz3 axioms at k_max 4 ran 90 s with
-# no output), and the pair bound refuses z3xz2 at colour 5 (1296^2 > 2**20)
+# the sampled suites have no cost bound (z7xz3 axioms and theorem-main at
+# k_max 4 each run past a 120 s timeout with nothing printed), and the pair
+# bound refuses z3xz2 at colour 5 (1296^2 > 2**20)
 MAX_KMAX = 4
 
 # base-algebra checks every pair of basis labels at k_max, dimension(k_max)^2
@@ -346,7 +347,7 @@ def crossed_product_report(
                    str(len(row_reduce(images))), str(len(reps))),
         ]
     for gen in INTERTWINE_GENERATORS:
-        external, slots = generator_signature(gen)
+        external, slots = gen.discs
         if max([external.colour] + [d.colour for d in slots]) <= k_max:
             records.extend(cp.intertwine_check(gen))
     return records

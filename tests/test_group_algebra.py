@@ -3,21 +3,23 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from planarbox import expressions
 from planarbox.expressions import (
+    MAX_DEPTH,
     ComposeExpr,
     GenExpr,
     RenumberExpr,
-    generator_signature,
+    arity,
     generators_with_external,
     parse_expr,
     random_composable_pair,
+    realize,
     slot_colours,
 )
 from planarbox.group_algebra import (
@@ -693,7 +695,7 @@ class TestEvaluate:
         leaves = {leaf for d in discs for leaf in generators_with_external(d, 4)}
         assert {leaf.kind for leaf in leaves} == {"unit", "id", "M", "Eprime", "jones", "E", "I"}
         for leaf in leaves:
-            external, slots = generator_signature(leaf)
+            external, slots = leaf.discs
             for _ in range(3):
                 inputs = [
                     PAElement(d.colour, {
@@ -735,31 +737,53 @@ class TestEvaluate:
         out = alg.evaluate(parse_expr("(gen unit minus)"), [])
         assert out == alg.unit(0, shaded=True)
 
-    def test_deep_tree_validated_once(self, monkeypatch):
+    def test_deep_tree_validated_once(self, disc_makes):
         """A chain of 300 products folds to the product of its inputs, and
-        the validating walk visits a number of nodes linear in the tree
-        size, not once per composition."""
+        each composition makes its discs once: the evaluation that reads
+        the root's slots first, and a later refused call, make none again."""
         alg = algebra(5)
         depth = 300
         expr = GenExpr("id", 2)
+        chain = []
         for _ in range(depth):
             expr = ComposeExpr(GenExpr("M", 2), 2, expr)
+            chain.append(expr)
         rng = random.Random("deep")
         gs = [rng.randrange(5) for _ in range(depth + 1)]
-        calls = 0
-        original = expressions._walk
-
-        def counted(e, found):
-            nonlocal calls
-            calls += 1
-            return original(e, found)
-
-        monkeypatch.setattr(expressions, "_walk", counted)
         out = alg.evaluate(expr, [alg.basis_element(2, (g,)) for g in gs])
         assert out == alg.basis_element(2, (sum(gs) % 5,))
-        assert calls <= 2 * (2 * depth + 1)
+        assert list(map(id, disc_makes)) == list(map(id, chain))  # post-order: innermost first
         with pytest.raises(AlgebraError, match="input"):
             alg.evaluate(expr, [alg.basis_element(2, (0,))] * depth)
+        assert list(map(id, disc_makes)) == list(map(id, chain))
+
+    @pytest.mark.parametrize("read", ["slot_colours", "arity", "realize", "evaluate"])
+    @pytest.mark.parametrize("leaf, slot", [("id", 1), ("M", 2)], ids=["id", "M"])
+    def test_chain_at_the_depth_bound_on_first_read(self, read, leaf, slot):
+        """A fresh ``MAX_DEPTH``-deep ``compose`` chain, nested as the CLI
+        tests build theirs, goes through each reader as the first read of
+        its discs, under the default recursion limit: the first read
+        recurses one frame per level.  The product chain folds to the
+        product of its inputs, the identity chain to its one input."""
+        assert sys.getrecursionlimit() == 1000
+        chain = parse_expr(f"(compose (gen {leaf} 2) {slot} " * MAX_DEPTH
+                           + "(gen id 2)" + ")" * MAX_DEPTH)
+        n = MAX_DEPTH + 1 if leaf == "M" else 1
+        if read == "slot_colours":
+            assert slot_colours(chain) == (Disc(2),) * n
+        elif read == "arity":
+            assert arity(chain) == n
+        elif read == "realize":
+            t = realize(chain)
+            assert (t.external, t.internal, t.closed_loops) == (Disc(2), (Disc(2),) * n, 0)
+            if leaf == "id":
+                assert t == realize(GenExpr("id", 2))
+        else:
+            alg = algebra(5)
+            rng = random.Random(f"depth-bound-{leaf}")
+            gs = [rng.randrange(5) for _ in range(n)]
+            out = alg.evaluate(chain, [alg.basis_element(2, (g,)) for g in gs])
+            assert out == alg.basis_element(2, (sum(gs) % 5,))
 
 
 class TestEvaluationCache:
@@ -847,28 +871,22 @@ class TestEvaluationCache:
         alg.evaluate(t, permuted)
         assert calls == 3
 
-    def test_tree_validated_once_per_cache(self, monkeypatch):
+    def test_tree_validated_once_per_cache(self, disc_makes):
+        """Each node makes its discs once for its life: evaluating one tree
+        through several caches, and without one, makes them on the first
+        call only, and a misfit input is still refused at the root."""
         alg = algebra(3)
-        expr = parse_expr("(compose (gen M 2) 2 (gen id 2))")
-        calls = 0
-        original = expressions._walk
-
-        def counted(e, found):
-            nonlocal calls
-            calls += 1
-            return original(e, found)
-
-        monkeypatch.setattr(expressions, "_walk", counted)
-        cache = EvaluationCache()
-        for g in range(3):
-            alg.evaluate(expr, [alg.basis_element(2, (g,)), alg.basis_element(2, (0,))], cache)
-        once = calls
-        assert once > 0
-        for g in range(3):
-            alg.evaluate(expr, [alg.basis_element(2, (0,)), alg.basis_element(2, (g,))], cache)
-        assert calls == once
+        glued = parse_expr("(compose (gen M 2) 2 (gen id 2))")
+        expr = RenumberExpr((2, 1), glued)
+        for _ in range(3):
+            cache = EvaluationCache()
+            for g in range(3):
+                alg.evaluate(expr, [alg.basis_element(2, (g,)), alg.basis_element(2, (0,))], cache)
+        alg.evaluate(expr, [alg.basis_element(2, (0,)), alg.basis_element(2, (1,))])
+        assert list(map(id, disc_makes)) == [id(glued), id(expr)]
         with pytest.raises(AlgebraError, match="input"):
-            alg.evaluate(expr, [alg.basis_element(2, (0,))], cache)
+            alg.evaluate(expr, [alg.basis_element(2, (0,))], EvaluationCache())
+        assert list(map(id, disc_makes)) == [id(glued), id(expr)]
 
 
 class TestRendering:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,6 @@ from planarbox.expressions import (
     arity,
     external_colour,
     generators_with_external,
-    node_signatures,
     parse_expr,
     random_composable_pair,
     random_expr,
@@ -470,24 +470,46 @@ class TestSampledLeaves:
 SAMPLER_DIGEST = "dcb34ad901282fa73b7bf819d416a86792e29f26a2fe6760847a5e0aea8c7d46"
 
 
-def test_samplers_draw_the_same_trees_without_walking_them(monkeypatch):
+def internal_nodes(expr):
+    """The compose and renumber nodes of a tree, without recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ComposeExpr):
+            stack += (node.outer, node.inner)
+        elif isinstance(node, RenumberExpr):
+            stack.append(node.inner)
+        else:
+            continue
+        yield node
+
+
+def test_samplers_draw_the_same_trees_without_walking_them(disc_makes):
     """500 seeded pairs at colours <= 5, depth 3, and 500 at colours <= 4
-    with combined arity <= 3 render to the pinned bytes; the samplers carry
-    each tree's slot discs as they glue, so no tree walk runs."""
-    import planarbox.expressions as expressions
-
-    def no_walk(*args):
-        raise AssertionError("the sampler walked a tree")
-
-    monkeypatch.setattr(expressions, "_walk", no_walk)
+    with combined arity <= 3 render to the pinned bytes.  The samplers read
+    each node's discs where they need its slots, and a node makes them once
+    for its life: over the draws and a read of every node of the glued
+    pairs, through `slot_colours`, `arity` and the property, no node makes
+    them twice, and a second read makes none."""
     h = hashlib.sha256()
+    roots = []
     for seed, kw in ((2028, {"max_colour": 5, "depth": 3}),
                      (2029, {"max_colour": 4, "depth": 3, "max_arity": 3})):
         rng = random.Random(seed)
         for _ in range(500):
             outer, slot, inner = random_composable_pair(rng, **kw)
-            h.update(render_expr(ComposeExpr(outer, slot, inner)).encode() + b"\n")
+            roots.append(ComposeExpr(outer, slot, inner))
+            h.update(render_expr(roots[-1]).encode() + b"\n")
     assert h.hexdigest() == SAMPLER_DIGEST
+    nodes = [node for root in roots for node in internal_nodes(root)]
+    for _ in range(2):
+        for root in roots:
+            assert len(slot_colours(root)) == arity(root)
+        for node in nodes:
+            node.discs
+        made = {id(node) for node in disc_makes}
+        assert len(made) == len(disc_makes)
+        assert {id(node) for node in nodes} <= made
 
 
 class TestExprBookkeeping:
@@ -496,12 +518,12 @@ class TestExprBookkeeping:
         outer = GenExpr("M", 2)
         glued = ComposeExpr(outer, 2, inner)
         expr = RenumberExpr((2, 1), glued)
-        assert node_signatures(expr) == {
-            id(outer): (Disc(2), (Disc(2), Disc(2))),
-            id(inner): (Disc(2), (Disc(3),)),
-            id(glued): (Disc(2), (Disc(2), Disc(3))),
-            id(expr): (Disc(2), (Disc(3), Disc(2))),
-        }
+        assert expr.discs == (Disc(2), (Disc(3), Disc(2)))
+        assert [node.discs for node in (outer, inner, glued)] == [
+            (Disc(2), (Disc(2), Disc(2))),
+            (Disc(2), (Disc(3),)),
+            (Disc(2), (Disc(2), Disc(3))),
+        ]
 
     def test_signature_of_compose(self):
         expr = parse_expr("(compose (gen M 2) 2 (gen E 2 3))")
@@ -634,10 +656,10 @@ SLOT_FAULTS = [
     "fault, colour, message", SLOT_FAULTS, ids=["range", "colour", "shading", "permutation"]
 )
 def test_slot_faults_get_one_message_from_either_reader(fault, colour, message):
-    """``realize`` glues diagrams and ``node_signatures`` glues slot lists,
+    """``realize`` glues diagrams and a node's ``discs`` glue slot lists,
     yet each slot fault gets the same words from both, also one level
     down, as the right factor of a product."""
-    for read in (realize, node_signatures):
+    for read in (realize, operator.attrgetter("discs")):
         for tree in (fault, ComposeExpr(GenExpr("M", colour), 2, fault)):
             with pytest.raises(TangleError) as caught:
                 read(tree)
