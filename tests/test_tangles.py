@@ -656,9 +656,9 @@ SLOT_FAULTS = [
     "fault, colour, message", SLOT_FAULTS, ids=["range", "colour", "shading", "permutation"]
 )
 def test_slot_faults_get_one_message_from_either_reader(fault, colour, message):
-    """``realize`` glues diagrams and a node's ``discs`` glue slot lists,
-    yet each slot fault gets the same words from both, also one level
-    down, as the right factor of a product."""
+    """``realize`` reads a tree's discs before it glues any diagram, so
+    each slot fault gets the same words from it as from the node's
+    ``discs``, also one level down, as the right factor of a product."""
     for read in (realize, operator.attrgetter("discs")):
         for tree in (fault, ComposeExpr(GenExpr("M", colour), 2, fault)):
             with pytest.raises(TangleError) as caught:
