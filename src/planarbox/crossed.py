@@ -11,10 +11,14 @@ average of the embedded copy {(1, t)} of Theta, one
 :class:`~planarbox.group_algebra.SubgroupBiprojection` of the algebra of H
 like any other subgroup's.  Its surround takes each label to the class
 average over ``h -> t h k`` (``t``, ``k_i`` in Theta), so its range is
-spanned by the twist sums.  This module implements the two families and their closed-form
-products, and the transport map together with its generator-intertwining
-checks; the checks of the biprojection itself, and its conjugates, belong
-to the subgroup.
+spanned by the twist sums.  This module implements the two families and
+their closed-form products, and the transport map together with its
+generator-intertwining checks; the checks of the biprojection itself, and
+its conjugates, belong to the subgroup.  Each family has one builder, the
+combination ``sum c * sum(label)`` over a dict of components
+(``_orbit_combination``, ``_twist_combination``), and every map that
+returns an element of a family goes through it: the sums themselves, the
+closed-form products, ``transport`` and ``transport_inverse``.
 """
 
 from __future__ import annotations
@@ -93,10 +97,18 @@ class CrossedProduct:
             raise AlgebraError(
                 f"label length {len(label)} does not match colour {colour}"
             )
+        return self._orbit_combination(colour, {label: ONE})
+
+    def _orbit_combination(self, colour: int, comps: dict[Label, RadicalScalar]) -> PAElement:
+        """``sum c * orbit_sum(colour, label)`` over ``comps``, built in one
+        coefficient dict: the twin of :meth:`_twist_combination`.  A sum that
+        cancels is dropped by the constructor."""
+        apply = self.action.apply_tuple
         coeffs: dict[Label, RadicalScalar] = {}
-        for t in range(self.theta_order):
-            moved = self.action.apply_tuple(t, label)
-            coeffs[moved] = coeffs.get(moved, ZERO) + ONE
+        for label, c in comps.items():
+            for t in range(self.theta_order):
+                moved = apply(t, label)
+                coeffs[moved] = coeffs.get(moved, ZERO) + c
         return PAElement(colour, coeffs)
 
     def stabilizer_order(self, label: Sequence[int]) -> int:
@@ -115,15 +127,17 @@ class CrossedProduct:
 
         Returns coefficients keyed by orbit representative, so that x equals
         the sum of ``coeff * orbit_sum(rep)``.  Raises if x is not invariant.
+        A coefficient is divided by the stabilizer order ``|Theta| / |orbit|``,
+        read off the orbit found for the label.
         """
         if not self.is_invariant(x):
             raise AlgebraError("element is not invariant under the group action")
         comps: dict[Label, RadicalScalar] = {}
         for label in x.support():
-            rep = min(orbit_of(self.action, label))
-            if rep in comps:
-                continue
-            comps[rep] = x.coefficient(rep) / self.stabilizer_order(rep)
+            orbit = orbit_of(self.action, label)
+            rep = min(orbit)
+            if rep not in comps:
+                comps[rep] = x.coefficient(rep) / (self.theta_order // len(orbit))
         return comps
 
     def orbit_multiply(self, x: PAElement, y: PAElement) -> PAElement:
@@ -141,18 +155,16 @@ class CrossedProduct:
         cy = self.invariant_components(y)
         merge = self.base._merge
         pref = self.base._left_parts(k).prefactor
-        acc: dict[Label, RadicalScalar] = {}
+        # merged label -> its weight; the product is their orbit sums
+        gathered: dict[Label, RadicalScalar] = {}
         for gbar, a in cx.items():
             for hbar, b in cy.items():
                 weight = a * b * pref
                 for t in range(self.theta_order):
                     merged = merge(k, self.action.apply_tuple(t, gbar), hbar)
-                    if merged is None:
-                        continue
-                    for s in range(self.theta_order):
-                        moved = self.action.apply_tuple(s, merged)
-                        acc[moved] = acc.get(moved, ZERO) + weight
-        return PAElement(k, acc)
+                    if merged is not None:
+                        gathered[merged] = gathered.get(merged, ZERO) + weight
+        return self._orbit_combination(k, gathered)
 
     # ------------------------------------------------------------------
     # twist sums in the algebra of H
@@ -190,7 +202,8 @@ class CrossedProduct:
 
         Keys are orbit representatives; raises if x lies outside the span.
         Only the support is walked: a component is read at a label whose
-        Theta parts are all 1, and the rebuild check catches the rest.
+        Theta parts are all 1, and the rebuild check catches the rest; it is
+        divided by the stabilizer order, read off the orbit found there.
         """
         if x.colour < 1:
             raise AlgebraError("twist sums exist for colour >= 1 only")
@@ -199,8 +212,10 @@ class CrossedProduct:
         for label in x.coeffs:
             parts = [pair(h) for h in label]
             if all(t == 0 for _, t in parts):
-                rep = min(orbit_of(self.action, [g for g, _ in parts]))
-                c = x.coefficient(tuple(index(g, 0) for g in rep)) / self.stabilizer_order(rep)
+                orbit = orbit_of(self.action, [g for g, _ in parts])
+                rep = min(orbit)
+                stabilizer = self.theta_order // len(orbit)
+                c = x.coefficient(tuple(index(g, 0) for g in rep)) / stabilizer
                 if not c.is_zero():
                     comps[rep] = c
         if self._twist_combination(x.colour, comps) != x:
@@ -266,17 +281,12 @@ class CrossedProduct:
     def transport_inverse(self, x: PAElement) -> PAElement:
         """Inverse of :meth:`transport` on the surround range: ``sum c *
         orbit_sum(colour, rep) / transport_prefactor(colour)`` over the twist
-        components, gathered in one coefficient dict with one inverse."""
+        components, with one inverse."""
         if x.colour == 0:
             return PAElement(0, dict(x.coeffs), x.shaded)
         scale = self.transport_prefactor(x.colour).invert()
-        coeffs: dict[Label, RadicalScalar] = {}
-        for rep, c in self.twist_components(x).items():
-            c = c * scale
-            for t in range(self.theta_order):
-                moved = self.action.apply_tuple(t, rep)
-                coeffs[moved] = coeffs.get(moved, ZERO) + c
-        return PAElement(x.colour, coeffs)
+        comps = {rep: c * scale for rep, c in self.twist_components(x).items()}
+        return self._orbit_combination(x.colour, comps)
 
     def intertwine_check(self, gen: GenExpr) -> list[dict]:
         """Check that transport commutes with one generator action.

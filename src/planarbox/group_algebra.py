@@ -252,16 +252,17 @@ class SubgroupBiprojection:
     and passes colour 0 through.  By orbit-stabilizer the ``|K|^c`` tuples
     ``(t, k)`` hit every label of the class of ``h`` under ``h -> t h k``
     equally often, so the surround of a label is its class average: every
-    label of the class with coefficient ``1/|class|``.  A class is keyed by
-    its least tuple of left-coset minima, which is its least label; the
-    keys at a colour, listed by :meth:`class_reps`, index the range.
+    label of the class with coefficient ``1/|class|``.  One table maps each
+    label met to its class's entry, shared by every label of the class:
+    the least label, the labels and ``1/|class|``.  The least labels at a
+    colour, listed by :meth:`class_reps`, index the range.
 
-    Everything it keeps is a function of ``algebra`` and K: the coset
-    minima, each label's class key and each class.  It keeps no values;
+    Everything it keeps is a function of ``algebra`` and K: the class
+    table, one entry per label of each class met.  It keeps no values;
     those of a cut-down algebra live in its :class:`BasisTable`.
     """
 
-    __slots__ = ("algebra", "members", "_coset_min", "_canon_cache", "_class_cache")
+    __slots__ = ("algebra", "members", "_classes")
 
     def __init__(self, algebra: GroupPlanarAlgebra, members: Iterable[int]):
         group = algebra.group
@@ -273,11 +274,8 @@ class SubgroupBiprojection:
             raise AlgebraError("members do not form a subgroup")
         self.algebra = algebra
         self.members = tuple(sorted(inside))
-        # h -> the least element of the left coset hK
-        self._coset_min = [min(row[k] for k in self.members) for row in table]
-        self._canon_cache: dict[Label, Label] = {}
-        # class representative -> (labels of the class, 1/|class|)
-        self._class_cache: dict[Label, tuple[list[Label], RadicalScalar]] = {}
+        # label -> its class's entry (least label, labels, 1/|class|)
+        self._classes: dict[Label, tuple[Label, list[Label], RadicalScalar]] = {}
 
     @property
     def order(self) -> int:
@@ -318,57 +316,49 @@ class SubgroupBiprojection:
         ``1/|class|`` itself.  A class whose weight cancels is left out."""
         if x.colour == 0:
             return _trusted(0, dict(x.coeffs), x.shaded)
-        canon = self._canon_cache
-        # class representative -> its input coefficients, each with the
+        classes = self._classes
+        # least label of a class -> its input coefficients, each with the
         # number of input labels that carry it
         gathered: dict[Label, dict[RadicalScalar, int]] = {}
         for label, c in x.coeffs.items():
-            rep = canon.get(label)
-            if rep is None:
-                table, coset_min = self.algebra.group.table, self._coset_min
-                rep = canon[label] = min(
-                    tuple(coset_min[table[t][h]] for h in label) for t in self.members
-                )
-            counts = gathered.get(rep)
+            entry = classes.get(label) or self._class(label)
+            counts = gathered.get(entry[0])
             if counts is None:
-                gathered[rep] = {c: 1}
+                gathered[entry[0]] = {c: 1}
             else:
                 counts[c] = counts.get(c, 0) + 1
         acc: dict[Label, RadicalScalar] = {}
-        for rep, counts in gathered.items():
+        for least, counts in gathered.items():
             weight = sum((c * k if k > 1 else c for c, k in counts.items()), ZERO)
             if not weight.is_zero():
-                labels, inverse_size = self._class(rep)
+                _, labels, inverse_size = classes[least]
                 share = inverse_size if weight == ONE else weight * inverse_size
                 acc.update(dict.fromkeys(labels, share))
         return _trusted(x.colour, acc)
 
     def class_reps(self, colour: int) -> Iterator[Label]:
         """The least label of each class at a colour, in ascending order."""
-        seen: set[Label] = set()
+        classes = self._classes
         for label in self.algebra.basis_labels(colour):
-            if label not in seen:
+            if (classes.get(label) or self._class(label))[0] == label:
                 yield label
-                seen.update(self._class(label)[0])
 
-    def _class(self, rep: Label) -> tuple[list[Label], RadicalScalar]:
-        """The labels of the class of ``rep`` under ``h -> t h k``, and
-        ``1/|class|``, cached.  For each ``t`` the class holds the product
-        of the cosets ``t h_i K``; two ``t`` give equal or disjoint products."""
-        entry = self._class_cache.get(rep)
-        if entry is None:
-            table, coset_min = self.algebra.group.table, self._coset_min
-            seen: set[Label] = set()
-            labels: list[Label] = []
-            for t in self.members:
-                moved = [table[t][h] for h in rep]
-                key = tuple(coset_min[h] for h in moved)
-                if key not in seen:
-                    seen.add(key)
-                    cosets = [[table[h][k] for k in self.members] for h in moved]
-                    labels.extend(itertools.product(*cosets))
-            inverse_size = RadicalScalar.rational(Fraction(1, len(labels)))
-            entry = self._class_cache[rep] = (labels, inverse_size)
+    def _class(self, label: Label) -> tuple[Label, list[Label], RadicalScalar]:
+        """The entry of the class of ``label`` under ``h -> t h k``, written
+        into the table for every label of the class.  For each ``t`` the
+        class holds the product of the cosets ``t h_i K``; two ``t`` give
+        equal or disjoint products, so a ``t`` whose moved label is already
+        enumerated adds nothing."""
+        table, members = self.algebra.group.table, self.members
+        found: dict[Label, None] = {}
+        for t in members:
+            moved = tuple(table[t][h] for h in label)
+            if moved not in found:
+                cosets = [[table[h][k] for k in members] for h in moved]
+                found.update(dict.fromkeys(itertools.product(*cosets)))
+        labels = list(found)
+        entry = (min(labels), labels, RadicalScalar.rational(Fraction(1, len(labels))))
+        self._classes.update(dict.fromkeys(labels, entry))
         return entry
 
     def dual_surround(self, x: PAElement) -> PAElement:

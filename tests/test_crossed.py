@@ -1,5 +1,6 @@
 """Tests for the crossed-product layer: orbit sums, twist sums, surround, transport."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -466,6 +467,86 @@ class TestTransport:
         for g in range(3):
             el = CPT.orbit_sum(2, (g,))
             assert CPT.transport(el) == CPT.product.basis_element(2, (g,))
+
+
+BUILDER_STEMS = ["z3xz2", "z4xz2", "z7xz3"]
+BUILDER_PRODUCTS = {
+    stem: CrossedProduct(load_action(json.loads((ACTIONS / f"{stem}.json").read_text())))
+    for stem in BUILDER_STEMS
+}
+BUILDER_COEFFS = [
+    ONE,
+    -ONE,
+    RadicalScalar.rational(Fraction(-2, 3)),
+    pow_half(2, 1),
+    -pow_half(3, 1),
+    ONE - pow_half(6, 1),
+]
+
+
+def orbit_combination(cp: CrossedProduct, colour: int, comps: dict) -> PAElement:
+    """``sum c * orbit_sum(colour, rep)`` over reps of distinct orbits,
+    written out from ``orbit_of``: every label of the orbit gets ``c``
+    times the stabilizer order."""
+    coeffs = {}
+    for rep, c in comps.items():
+        orbit = orbit_of(cp.action, rep)
+        coeffs.update(dict.fromkeys(orbit, c * (cp.theta_order // len(orbit))))
+    return PAElement(colour, coeffs)
+
+
+def cancelling_pairs(cp: CrossedProduct, colour: int, rng: random.Random) -> list:
+    """Pairs ``(r (O(a) - O(b)), s O(c))``, in both orders, and at colour 2
+    the difference times the sum of every label, whose product loses a
+    label that one of its two term products has: a sum that cancels."""
+    reps = cp.orbit_reps(colour)
+    every = cp.base.element(colour, dict.fromkeys(cp.base.basis_labels(colour), 1))
+    ys = [orbit_combination(cp, colour, {c: ONE}) for c in reps]
+    pairs = []
+    for a, b in itertools.combinations(reps, 2):
+        r, s = rng.choice(BUILDER_COEFFS), rng.choice(BUILDER_COEFFS)
+        x = orbit_combination(cp, colour, {a: r, b: -r})
+        terms = [orbit_combination(cp, colour, {rep: ONE}) for rep in (a, b)]
+        for y in ys + ([every] if colour == 2 else []):
+            y = y.scale(s)
+            for left, right, products in (
+                (x, y, [cp.base.multiply(t, y) for t in terms]),
+                (y, x, [cp.base.multiply(y, t) for t in terms]),
+            ):
+                labels = set().union(*(p.coeffs for p in products))
+                if labels - cp.base.multiply(left, right).coeffs.keys():
+                    pairs.append((left, right))
+    return pairs
+
+
+class TestOrbitBuilder:
+    """Every map that returns orbit sums builds them through one builder;
+    it must drop a sum that cancels and sum over every ``t``, ``t = 0``
+    too, which seeded combinations with negative and radical coefficients
+    check against the plain product and the transport round trip."""
+
+    @pytest.mark.parametrize("stem", BUILDER_STEMS)
+    @pytest.mark.parametrize("colour", [2, 3])
+    def test_combinations_that_cancel(self, stem, colour):
+        cp = BUILDER_PRODUCTS[stem]
+        rng = random.Random(f"orbit-builder-{stem}-{colour}")
+        reps = cp.orbit_reps(colour)
+        pairs = cancelling_pairs(cp, colour, rng)
+        assert pairs
+        assert any(cp.base.multiply(x, y).is_zero() for x, y in pairs)
+        for _ in range(12):
+            x, y = (
+                orbit_combination(cp, colour, {
+                    rep: rng.choice(BUILDER_COEFFS)
+                    for rep in rng.sample(reps, rng.randint(1, len(reps)))
+                })
+                for _ in range(2)
+            )
+            pairs.append((x, y))
+        for x, y in pairs:
+            assert cp.orbit_multiply(x, y) == cp.base.multiply(x, y)
+            for z in (x, y):
+                assert cp.transport_inverse(cp.transport(z)) == z
 
 
 INTERTWINE_GENERATORS = [

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -652,6 +653,31 @@ class TestClassAverage:
                 share = RadicalScalar.rational(Fraction(1, len(classes[label])))
                 assert image.coeffs.keys() == classes[label], (colour, label)
                 assert set(image.coeffs.values()) == {share}, (colour, label)
+
+    @pytest.mark.parametrize("stem, members", CLASS_CASES, ids=str)
+    def test_class_table_holds_in_any_order_labels_are_met(self, stem, members):
+        """A class's entry is written when its first label is met, so fresh
+        biprojections that meet the labels in descending and in shuffled
+        order give each label the class average, as meeting them in
+        ascending order does, and ``class_reps`` still lists the least
+        labels in ascending order."""
+        P = CLASS_ALGEBRAS[stem]
+        rng = random.Random(f"class-table-{stem}-{members}")
+        ascending, descending, shuffled = (SubgroupBiprojection(P, members) for _ in range(3))
+        for colour in (1, 2, 3):
+            classes = classes_by_table(stem, members, colour)
+            labels = list(P.basis_labels(colour))
+            images = {lab: ascending.surround(P.basis_element(colour, lab)) for lab in labels}
+            mixed = labels[:]
+            rng.shuffle(mixed)
+            for sub, order in ((descending, labels[::-1]), (shuffled, mixed)):
+                for label in order:
+                    share = RadicalScalar.rational(Fraction(1, len(classes[label])))
+                    image = sub.surround(P.basis_element(colour, label))
+                    assert image == PAElement(colour, dict.fromkeys(classes[label], share))
+                    assert image == images[label], (colour, label)
+                least = sorted({min(cls) for cls in classes.values()})
+                assert list(sub.class_reps(colour)) == least, colour
 
     @pytest.mark.parametrize("stem, members", CLASS_CASES, ids=str)
     def test_basis_is_the_class_sums_by_least_label(self, stem, members):
