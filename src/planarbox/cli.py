@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .crossed import CrossedProduct
@@ -44,6 +45,18 @@ def format_scalar(value: RadicalScalar) -> str:
     ``1/2*sqrt(2)``.
     """
     return value.render(parenthesize=True)
+
+
+def _decimal(text: str, signed: bool = False) -> int:
+    """The value of an integer option or argument: a plain decimal numeral,
+    as :func:`~planarbox.expressions.decimal_value` reads one, after one
+    leading ``-`` if ``signed``.  Anything else, such as a plus sign, space,
+    underscore or digit of another script, exits 2 like any usage error."""
+    negative = signed and text.startswith("-")
+    value = decimal_value(text[1:] if negative else text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal numeral")
+    return -value if negative else value
 
 
 def _load_action(path: str | None) -> GroupAction:
@@ -209,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_alpha.add_argument("expr", help="s-expression, e.g. '(gen E 2 3)'")
     p_alpha.add_argument(
-        "--ratio", type=int, default=2, help=f"index ratio, 1..{MAX_RATIO} (default 2)"
+        "--ratio", type=_decimal, default=2, help=f"index ratio, 1..{MAX_RATIO} (default 2)"
     )
     p_alpha.set_defaults(func=cmd_alpha)
 
@@ -217,16 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("name", help=f"one of: {', '.join(SUITE_NAMES)}")
     p_suite.add_argument("--action", help="path to an action JSON file")
     p_suite.add_argument(
-        "--kmax", type=int, default=DEFAULT_KMAX,
+        "--kmax", type=_decimal, default=DEFAULT_KMAX,
         help=f"highest colour checked, 2..{MAX_KMAX} (default {DEFAULT_KMAX})",
     )
-    p_suite.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--samples", type=_decimal, default=DEFAULT_SAMPLES)
+    p_suite.add_argument("--seed", type=partial(_decimal, signed=True), default=0)
     p_suite.add_argument("--out", help="write the JSON report here instead of stdout")
     p_suite.set_defaults(func=cmd_suite)
 
     p_mult = sub.add_parser("multiply", help="product of two basis labels")
-    p_mult.add_argument("colour", type=int)
+    p_mult.add_argument("colour", type=_decimal)
     p_mult.add_argument("left", help="comma-separated label, e.g. '1' or '0,1'")
     p_mult.add_argument("right")
     p_mult.add_argument("--action", help="path to an action JSON file")

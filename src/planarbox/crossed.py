@@ -127,17 +127,21 @@ class CrossedProduct:
 
         Returns coefficients keyed by orbit representative, so that x equals
         the sum of ``coeff * orbit_sum(rep)``.  Raises if x is not invariant.
-        A coefficient is divided by the stabilizer order ``|Theta| / |orbit|``,
-        read off the orbit found for the label.
+        Each orbit is built once, from the first of its labels in the
+        support; a coefficient is divided by the stabilizer order
+        ``|Theta| / |orbit|``, read off that orbit.
         """
         if not self.is_invariant(x):
             raise AlgebraError("element is not invariant under the group action")
         comps: dict[Label, RadicalScalar] = {}
+        found: set[Label] = set()
         for label in x.support():
+            if label in found:
+                continue
             orbit = orbit_of(self.action, label)
+            found |= orbit
             rep = min(orbit)
-            if rep not in comps:
-                comps[rep] = x.coefficient(rep) / (self.theta_order // len(orbit))
+            comps[rep] = x.coefficient(rep) / (self.theta_order // len(orbit))
         return comps
 
     def orbit_multiply(self, x: PAElement, y: PAElement) -> PAElement:
@@ -204,15 +208,21 @@ class CrossedProduct:
         Only the support is walked: a component is read at a label whose
         Theta parts are all 1, and the rebuild check catches the rest; it is
         divided by the stabilizer order, read off the orbit found there.
+        Each orbit is built once, from the first such label of it.
         """
         if x.colour < 1:
             raise AlgebraError("twist sums exist for colour >= 1 only")
         pair, index = self.semidirect.pair, self.semidirect.index
         comps: dict[Label, RadicalScalar] = {}
+        found: set[Label] = set()
         for label in x.coeffs:
             parts = [pair(h) for h in label]
             if all(t == 0 for _, t in parts):
-                orbit = orbit_of(self.action, [g for g, _ in parts])
+                gbar = tuple(g for g, _ in parts)
+                if gbar in found:
+                    continue
+                orbit = orbit_of(self.action, gbar)
+                found |= orbit
                 rep = min(orbit)
                 stabilizer = self.theta_order // len(orbit)
                 c = x.coefficient(tuple(index(g, 0) for g in rep)) / stabilizer

@@ -320,19 +320,24 @@ class RadicalScalar:
 
         Examples: ``0``, ``1/2``, ``sqrt(3)``, ``2 - 1/3*sqrt(2)``.  With
         ``parenthesize`` a non-integer coefficient of a root is wrapped,
-        as in ``2 - (1/3)*sqrt(2)``.
+        as in ``2 - (1/3)*sqrt(2)``.  Each coefficient is reduced from the
+        integer coordinates by one gcd and written as ``str(Fraction)``
+        writes it.
         """
-        if not self._num:
+        num, den = self._num, self._den
+        if not num:
             return "0"
         parts: list[str] = []
-        for d in sorted(self._num):
-            c = self._num[d]
-            mag = Fraction(abs(c), self._den)
+        for d in sorted(num):
+            c = num[d]
+            g = math.gcd(c, den)
+            top, bottom = abs(c) // g, den // g
+            mag = f"{top}/{bottom}" if bottom != 1 else str(top)
             if d == 1:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif top == bottom == 1:
                 body = f"sqrt({d})"
-            elif parenthesize and mag.denominator != 1:
+            elif parenthesize and bottom != 1:
                 body = f"({mag})*sqrt({d})"
             else:
                 body = f"{mag}*sqrt({d})"

@@ -20,21 +20,26 @@ weight of a tangle is made of.
 
 Every graph these build has degree 2 at each point, so each is walked,
 not searched.  A tangle's strings also have an integer form, a partner
-id for every point, kept on the (immutable) instance with its faces.
-Gluing any number of tangles is one splice (`_splice`): from each open
-point, follow string partners, hopping across every glued disc, to the
-other end; glued points no walk reaches close into free loops.  The
-splice writes the result's integer form as it goes and leaves it on the
-result, so no glued tangle is read back from its pairs.
+id for every point, kept on the (immutable) instance with its faces and
+its capping counts.  Gluing any number of tangles is one splice
+(`_splice`): from each open point, follow string partners, hopping
+across every glued disc, to the other end; glued points no walk reaches
+close into free loops.  The splice writes the result's integer form as
+it goes and keeps only that form on the result: its strings, as point
+pairs, are made from the form on first read, so no glued tangle is read
+back from its pairs and none is written out as pairs unless asked for.
 `compose` and `renumber` splice one or two tangles and
 ``expressions.realize`` a whole tree.
 One face walk serves both loop counts and `validate`: a loop left by the
 black caps is a face touching black intervals only, and likewise for
-white (see `Tangle._faces`).  `validate` reads its matching check off the
-integer form, which exists exactly when the strings are a perfect
+white (see `Tangle._faces`).  The capping counts, read by `alpha`,
+`alpha_tilde`, the capping exponents and the loop counts, are made once
+per tangle (`_loop_counts`).  `validate` reads its matching check off
+the integer form, which exists exactly when the strings are a perfect
 matching, and joins discs into components with a union-find over the
-strings between two discs.  `make_generator` shares each diagram,
-keeping the ``GENERATOR_CACHE_SIZE`` most recently used.
+partner ids that land on another disc; only where no form exists does
+it read the strings, to name every fault.  `make_generator` shares each
+diagram, keeping the ``GENERATOR_CACHE_SIZE`` most recently used.
 ``scripts/loop_count_oracle.py`` splices by walking strings too, but
 counts loops by walking strings and caps, over its own encoding; it
 shares no code with this module.
@@ -43,7 +48,7 @@ shares no code with this module.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
@@ -75,18 +80,53 @@ def _pair(a: Point, b: Point) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
 class Tangle:
-    """An immutable diagram.  The integer form of its strings, which the
-    splice walks, and its faces, from which the loop counts and `validate`
-    read, are made on first read and kept on the instance, so they live
-    exactly as long as the tangle; a tangle a splice builds has its form
-    from the splice."""
+    """An immutable diagram: ``Tangle(external, internal, strings,
+    closed_loops=0)``.  Equality and hashing read those four values.
+
+    The integer form of its strings, which the splice walks, its faces,
+    from which the loop counts and `validate` read, and its capping counts
+    are made on first read and kept on the instance, so they live exactly
+    as long as the tangle.  A tangle a splice builds keeps only its integer
+    form, from the splice, and its ``strings`` are made from that form on
+    first read, the mirror of how the form of any other tangle is made from
+    its strings."""
 
     external: Disc
     internal: tuple[Disc, ...]
-    strings: frozenset[Pair]
-    closed_loops: int = 0
+    closed_loops: int
+
+    def __init__(self, external: Disc, internal: tuple[Disc, ...],
+                 strings: frozenset[Pair], closed_loops: int = 0):
+        vars(self).update(external=external, internal=internal, strings=strings,
+                          closed_loops=closed_loops)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.external, self.internal, self.strings, self.closed_loops
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Tangle:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def strings(self) -> frozenset[Pair]:
+        """The strings as point pairs, each ordered as ``_pair`` orders it,
+        named from the integer form: only a tangle a splice builds makes
+        them here, as any other is given its strings."""
+        offsets, partner = self._form
+        names = [(d, p) for d, (first, stop) in enumerate(zip(offsets, offsets[1:]))
+                 for p in range(1, stop - first + 1)]
+        return frozenset([(names[x], names[y]) for x, y in enumerate(partner) if x < y])
 
     @cached_property
     def _form(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -152,6 +192,11 @@ class Tangle:
             counts[touches] += 1
             start = visited.find(0, start)
         return tuple(faces), counts[1], counts[2]
+
+    @cached_property
+    def _capping(self) -> tuple[int, int, int]:
+        """The capping counts, see :func:`_loop_counts`."""
+        return _loop_counts(self)
 
     def disc(self, index: int) -> Disc:
         return self.external if index == 0 else self.internal[index - 1]
@@ -298,7 +343,8 @@ DiscRef = tuple[int, int]  # (part, disc index within that part)
 def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
             order: Sequence[DiscRef], internal: tuple[Disc, ...]) -> Tangle:
     """The tangle of ``parts`` glued together, its integer form made on the
-    way and kept in its ``_form`` slot.
+    way and kept in its ``_form`` slot; that form is all it keeps, and its
+    ``strings`` are made from it on first read.
 
     Each glue ``((a, s), b)`` puts the external disc of part ``b`` into
     internal disc ``s`` of part ``a``, point ``p`` meeting point ``p``.
@@ -310,9 +356,9 @@ def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
     has a twin across its disc; an open point has an id in the result.
     Every point lies on one string, so walking from an open point through
     string partners, hopping to the twin at each glued point, ends at the
-    other end of its result string.  The walks start at the open points in
-    result order, so each string is found from its lesser end.  Glued
-    points no such walk reaches close into free loops.
+    other end of its result string, and both ends get each other's result
+    id as partner.  Glued points no such walk reaches close into free
+    loops.
     """
     forms = [t._form for t in parts]
     base, n = [], 0
@@ -331,20 +377,17 @@ def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
         twin[base[b]:base[b] + size] = range(start, start + size)
 
     rid = [-1] * n  # result id of each open point
-    names: list[Point] = []
     offsets = [0]
     opened = []
-    for r, (i, d) in enumerate(((0, 0), *order)):
+    for i, d in ((0, 0), *order):
         start = base[i] + forms[i][0][d]
         stop = base[i] + forms[i][0][d + 1]
         rid[start:stop] = range(offsets[-1], offsets[-1] + stop - start)
-        names.extend([(r, p) for p in range(1, stop - start + 1)])
         offsets.append(offsets[-1] + stop - start)
         opened.append(range(start, stop))
 
     seen = bytearray(n)
     result = [-1] * offsets[-1]
-    pairs: list[Pair] = []
     for span in opened:
         for x in span:
             if seen[x]:
@@ -355,11 +398,8 @@ def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
                 seen[y] = seen[w] = 1
                 y = partner[w]
             seen[y] = 1
-            # every open point before x was reached, by its own walk or as
-            # an end, so y comes later and the pair is ordered as _pair orders it
             a, b = rid[x], rid[y]
             result[a], result[b] = b, a
-            pairs.append((names[a], names[b]))
 
     loops = sum(t.closed_loops for t in parts)
     x = seen.find(0)
@@ -370,8 +410,10 @@ def _splice(parts: Sequence[Tangle], glues: Iterable[tuple[DiscRef, int]],
             seen[x] = seen[w] = 1
             x = partner[w]
         x = seen.find(0, x)
-    t = Tangle(parts[0].external, internal, frozenset(pairs), loops)
-    vars(t)["_form"] = (tuple(offsets), tuple(result))  # what the cached_property would store
+    t = object.__new__(Tangle)
+    # the strings are left to be made from the form on first read
+    vars(t).update(external=parts[0].external, internal=internal, closed_loops=loops,
+                   _form=(tuple(offsets), tuple(result)))
     return t
 
 
@@ -413,11 +455,13 @@ def validate(t: Tangle) -> Diagnostics:
     """Perfect-matching, genus-0, and shading diagnostics.
 
     The strings are a perfect matching exactly when the integer form can
-    be made, so only where it cannot are the marked points counted, to
-    name every fault.  A component's discs are joined by the strings
-    between two discs; a colour-``k`` disc holds ``2k`` string ends, so
-    a component has as many strings as the colours of its discs add up to,
-    and its faces are read off `Tangle._faces`."""
+    be made, so only where it cannot are the strings read and the marked
+    points counted, to name every fault.  A component's discs are joined
+    over the integer form, by the partner ids that land on an earlier
+    disc, so each string between two discs is met once; a colour-``k``
+    disc holds ``2k`` string ends, so a component has as many strings as
+    the colours of its discs add up to, and its faces are read off
+    `Tangle._faces`."""
     problems: list[str] = []
     try:
         _check_disc(t.external)
@@ -429,7 +473,7 @@ def validate(t: Tangle) -> Diagnostics:
         problems.append("negative closed-loop count")
 
     try:
-        offsets = t._form[0]
+        offsets, partner = t._form
     except TangleError:  # name every fault of the matching
         seen: dict[Point, int] = {pt: 0 for pt in t.points()}
         for a, b in t.strings:
@@ -456,8 +500,11 @@ def validate(t: Tangle) -> Diagnostics:
             d = root[d]
         return d
 
-    for (d, _), (e, _) in t.strings:
-        if d != e:
+    for d in range(1, len(root)):
+        first = offsets[d]
+        # the earlier discs d's strings reach: each string between two
+        # discs is met once, from its later disc
+        for e in {bisect_right(offsets, y) - 1 for y in partner[first:offsets[d + 1]] if y < first}:
             a, b = find(d), find(e)
             root[max(a, b)] = min(a, b)
     component = [find(d) for d in range(len(root))]
@@ -488,12 +535,15 @@ def validate(t: Tangle) -> Diagnostics:
 # loop counts and the capping scalar
 # ---------------------------------------------------------------------------
 
-def _loop_counts(t: Tangle) -> tuple[int, int]:
-    """(:func:`loops_black`, :func:`loops_white`)."""
+def _loop_counts(t: Tangle) -> tuple[int, int, int]:
+    """The capping counts (half-colour sum, :func:`loops_black`,
+    :func:`loops_white`), which every capping read takes from
+    ``Tangle._capping``, made once per tangle."""
     faces, black, white = t._faces
     if black + white < len(faces):
         raise TangleError("a face touches both black and white intervals")
-    return t.closed_loops + black, t.closed_loops + white
+    half = (t.external.colour + 1) // 2 + sum(d.colour // 2 for d in t.internal)
+    return half, t.closed_loops + black, t.closed_loops + white
 
 
 def loops_black(t: Tangle) -> int:
@@ -502,32 +552,32 @@ def loops_black(t: Tangle) -> int:
     only (see `Tangle._faces`).  Raises :class:`TangleError` where a face
     touches both colours, which `validate` reports and no shaded planar
     tangle has."""
-    return _loop_counts(t)[0]
+    return t._capping[1]
 
 
 def loops_white(t: Tangle) -> int:
     """Mirror count: white intervals capped instead."""
-    return _loop_counts(t)[1]
-
-
-def _half_colour_sum(t: Tangle) -> int:
-    return (t.external.colour + 1) // 2 + sum(d.colour // 2 for d in t.internal)
+    return t._capping[2]
 
 
 def capping_exponent(t: Tangle) -> int:
     """The integer ``c`` with scalar weight ``ratio ** (c/2)``."""
-    return _half_colour_sum(t) - loops_black(t)
+    half, black, _ = t._capping
+    return half - black
 
 
 def capping_exponent_white(t: Tangle) -> int:
-    return _half_colour_sum(t) - loops_white(t)
+    half, _, white = t._capping
+    return half - white
 
 
 def alpha(t: Tangle, ratio: int) -> RadicalScalar:
     """``ratio ** (c/2)`` for the black capping count, exactly."""
-    return pow_half(ratio, capping_exponent(t))
+    half, black, _ = t._capping
+    return pow_half(ratio, half - black)
 
 
 def alpha_tilde(t: Tangle, ratio: int) -> RadicalScalar:
     """White-capping companion of :func:`alpha`."""
-    return pow_half(ratio, capping_exponent_white(t))
+    half, _, white = t._capping
+    return pow_half(ratio, half - white)

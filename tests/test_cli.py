@@ -502,3 +502,43 @@ class TestMultiplyCommand:
         monkeypatch.setattr(cli, "CrossedProduct", refuse)
         assert main(["multiply", "6", "1,1,1,1,1", "1,1,1,1,1"]) == 2
         assert "colour must lie in 2..5" in capsys.readouterr().err
+
+
+# tokens that are no plain decimal numeral, most of which int() reads as a
+# number: digits of other scripts (Arabic-Indic, fullwidth, superscript), an
+# underscore, surrounding space, a sign; then other notations and nothing
+NOT_DECIMAL = ["٣", "３", "²", "1_000", " 3", "3 ", "+3", "3.0", "0x3", ""]
+INTEGER_ARGVS = {
+    "--ratio": lambda v: ["alpha", "(gen E 2 3)", "--ratio", v],
+    "--kmax": lambda v: ["suite", "jones", "--kmax", v],
+    "--samples": lambda v: ["suite", "jones", "--samples", v],
+    "--seed": lambda v: ["suite", "jones", "--seed", v],
+    "colour": lambda v: ["multiply", v, "1", "1"],
+}
+
+
+class TestIntegerOptions:
+    """Every integer option and argument reads a plain decimal numeral, as
+    the expression reader and ``multiply``'s labels do; ``--seed`` may
+    carry one leading ``-``."""
+
+    @pytest.mark.parametrize(
+        "option, token",
+        [(option, token) for option in sorted(INTEGER_ARGVS)
+         for token in [*NOT_DECIMAL, "-3", "-٣", "- 3"] if (option, token) != ("--seed", "-3")],
+    )
+    def test_anything_but_a_decimal_numeral_exits_2(self, option, token, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(INTEGER_ARGVS[option](token))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{token!r} is not a decimal numeral" in captured.err
+
+    def test_seed_takes_a_leading_minus(self, capsys):
+        argv = ["suite", "jones", "--kmax", "2", "--samples", "1"]
+        assert main([*argv, "--seed", "-3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["seed"] == -3
+        assert main([*argv, "--seed", "003"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3

@@ -340,6 +340,41 @@ def test_integer_coordinates_match_fraction_reference(a, b):
             assert hash(v) == hash(q)
 
 
+DENOMINATORS = [1, 1, 2, 3, 4, 6, 35]
+
+
+def test_render_matches_the_fraction_reference_on_a_seeded_corpus():
+    """``render``, both ways, writes what ``ref_render`` writes over the
+    Fraction terms: zero, integers, negative and fractional coefficients,
+    several radicands, and terms whose coefficient reduces to a unit over
+    a common denominator above 1 (``1/3 + sqrt(2)``)."""
+    rng = random.Random(3401)
+    unit_root = {1: Fraction(1, 3), 2: Fraction(1)}
+    corpus = [({}, ZERO), (unit_root, RadicalScalar(unit_root))]
+
+    def draw():
+        terms = {
+            rng.choice(DIFF_RADICANDS): Fraction(rng.randint(-12, 12), rng.choice(DENOMINATORS))
+            for _ in range(rng.randint(0, 4))
+        }
+        return {d: c for d, c in terms.items() if c}
+
+    for _ in range(600):
+        a, b = draw(), draw()
+        x, y = RadicalScalar(a), RadicalScalar(b)
+        corpus += [(a, x), (ref_neg(a), -x), (ref_add(a, b), x + y), (ref_mul(a, b), x * y)]
+    kinds = {"zero": 0, "negative": 0, "fractional": 0, "multi": 0, "unit root": 0}
+    for terms, v in corpus:
+        for parenthesize in (False, True):
+            assert v.render(parenthesize) == ref_render(terms, parenthesize), terms
+        kinds["zero"] += not terms
+        kinds["negative"] += any(c < 0 for c in terms.values())
+        kinds["fractional"] += any(c.denominator > 1 for c in terms.values())
+        kinds["multi"] += len(terms) > 1
+        kinds["unit root"] += v._den > 1 and any(abs(c) == 1 for d, c in terms.items() if d > 1)
+    assert min(kinds.values()) >= 20, kinds
+
+
 @settings(max_examples=100, deadline=None)
 @given(fraction_terms(), fraction_terms())
 def test_integer_coordinates_match_sympy(a, b):

@@ -721,6 +721,44 @@ def test_seeded_forms_are_the_real_forms():
     assert min(colour_0, shaded, renumbered) >= 100, (colour_0, shaded, renumbered)
 
 
+def test_spliced_tangles_are_the_tangles_of_their_strings():
+    """A tangle a splice builds keeps only its integer form until its
+    strings are read, and is then equal to, and hashes like, the tangle
+    built from its four values, with the same capping counts; like every
+    tangle it refuses assignment and deletion.  Over realized pool trees,
+    their ``compose`` and seeded ``renumber`` results, colour-0, shaded and
+    renumbered discs among them."""
+    rng = random.Random(34)
+    colour_0 = shaded = renumbered = 0
+    for expr in _pool_trees(34, 400):
+        glued = compose(realize(expr.outer), expr.slot, realize(expr.inner))
+        results = [realize(expr), glued]
+        if len(glued.internal) > 1:
+            sigma = list(range(1, len(glued.internal) + 1))
+            rng.shuffle(sigma)
+            results.append(renumber(glued, sigma))
+            renumbered += 1
+        for t in results:
+            assert "strings" not in vars(t) and "_form" in vars(t), render_expr(expr)
+            twin = Tangle(t.external, t.internal, t.strings, t.closed_loops)
+            assert t == twin and twin == t and not t != twin, render_expr(expr)
+            assert hash(t) == hash(twin), render_expr(expr)
+            assert len({t, twin}) == 1
+            for read in (loops_black, loops_white, capping_exponent, capping_exponent_white):
+                assert read(t) == read(twin), (read.__name__, render_expr(expr))
+            for u in (t, twin):
+                for name in ("external", "internal", "strings", "closed_loops", "_form"):
+                    with pytest.raises(AttributeError):
+                        setattr(u, name, getattr(u, name))
+                    with pytest.raises(AttributeError):
+                        delattr(u, name)
+            assert t != Tangle(t.external, t.internal, t.strings, t.closed_loops + 1)
+        discs = (glued.external, *glued.internal)
+        colour_0 += any(d.colour == 0 for d in discs)
+        shaded += any(d.shaded for d in discs)
+    assert min(colour_0, shaded, renumbered) >= 40, (colour_0, shaded, renumbered)
+
+
 @pytest.mark.parametrize(
     "colour, internal, strings",
     [(2, [], []), (2, [], [((0, 1), (0, 2)), ((0, 2), (0, 3))]),
