@@ -9,7 +9,9 @@ the Jones element by one spin rule that the script pins at colours 2 to 5.
 The product rule at a colour is one object, :class:`_LeftParts`, built
 once per algebra and colour and read by :meth:`GroupPlanarAlgebra._merge`,
 ``multiply``, ``product_structure`` and the crossed product's closed
-formulas.  ``multiply`` reads no full index table: at colour 5 over a
+formulas.  It keeps one pair per left label met, the label's keys and
+merged prefixes, two tuples shared with every label of the same tail or
+head.  ``multiply`` reads no full index table: at colour 5 over a
 group of order 8 it would hold 4096^2 entries; the exhaustive checks build
 one with ``product_structure``.
 
@@ -54,9 +56,12 @@ from .scalars import ONE, ZERO, RadicalScalar, canonical_sqrt, pow_half
 from .tangles import Disc, alpha
 
 Label = tuple[int, ...]
+# the left part of the label rule for one label: its keys and merged
+# prefixes, listed down h[0] (see _LeftParts)
+_LeftPart = tuple[tuple[Label, ...], tuple[Label, ...]]
 # a left factor's coefficient classes, each with the left part of the label
-# rule (see _LeftParts) of every label in the class
-_LeftClasses = list[tuple[RadicalScalar, list[dict[Label, Label]]]]
+# rule of every label in the class
+_LeftClasses = list[tuple[RadicalScalar, list[_LeftPart]]]
 # a right factor's coefficient classes, each coefficient times the product
 # prefactor, with its labels bucketed by right key h[:m] -> [h[m:]]
 _RightClasses = list[tuple[RadicalScalar, dict[Label, list[Label]]]]
@@ -371,19 +376,20 @@ class SubgroupBiprojection:
 class _LeftParts(dict):
     """The product rule at one colour, built once per algebra.
 
-    Label ``g`` -> left part of the label rule for ``S(g)``.  With
-    ``m = (colour + 1) // 2``, ``S(g) S(h)`` is nonzero exactly when
-    ``h[:m]`` is a key of ``self[g]``, and then it is ``prefactor =
-    sqrt(n)^(m-1)`` times the symbol of that key's merged prefix followed by
-    ``h[m:]``; there is one key per value of ``h[0]``.  Entries are computed
-    on first lookup, so the size is bounded by the labels in use.  An entry
-    pairs, down ``h0``, a key with a merged prefix.  At colour 2 the key is
-    ``(h0,)`` and the prefix ``(g[0] * h0,)``; above it key entry ``i >= 1``
-    is ``h0 * g[colour-1-i]`` and prefix entry ``j`` is ``h0 * g[j]``.  So
-    the keys depend only on ``g[colour-m:colour-1]`` and the prefixes only
-    on ``g[:m]``: each list of n keys or n prefixes is built once and shared
-    by every entry that reads it, at most ``n^(m-1)`` key lists and ``n^m``
-    prefix lists per colour, both within the colour's dimension.
+    Label ``g`` -> left part of the label rule for ``S(g)``: a pair
+    ``(keys, prefixes)`` of two tuples of ``n`` labels, listed down ``h0``.
+    With ``m = (colour + 1) // 2``, ``S(g) S(h)`` is nonzero exactly when
+    ``h[:m] == keys[h[0]]``, and then it is ``prefactor = sqrt(n)^(m-1)``
+    times the symbol of ``prefixes[h[0]]`` followed by ``h[m:]``.  At colour
+    2 the key is ``(h0,)`` and the prefix ``(g[0] * h0,)``; above it key
+    entry ``i >= 1`` is ``h0 * g[colour-1-i]`` and prefix entry ``j`` is
+    ``h0 * g[j]``.  So the keys depend only on ``g[colour-m:colour-1]`` and
+    the prefixes only on ``g[:m]``: each tuple of n keys or n prefixes is
+    built once and shared by every pair that reads it, at most ``n^(m-1)``
+    key tuples and ``n^m`` prefix tuples per colour, both within the
+    colour's dimension.  Colours 0 and 1 have one pair, ``(((),), ((),))``,
+    for the empty label.  Entries are computed on first lookup, so the
+    table holds one pair per left label in use.
     """
 
     __slots__ = ("rows", "columns", "colour", "m", "prefactor", "_keys", "_prefixes")
@@ -399,10 +405,10 @@ class _LeftParts(dict):
         self._keys: dict[Label, tuple[Label, ...]] = {}
         self._prefixes: dict[Label, tuple[Label, ...]] = {}
 
-    def __missing__(self, g: Label) -> dict[Label, Label]:
+    def __missing__(self, g: Label) -> _LeftPart:
         colour, m = self.colour, self.m
         if colour <= 1:
-            parts = {(): ()}
+            parts = (((),), ((),))
         else:
             head = g[:m]
             prefixes = self._prefixes.get(head)
@@ -414,7 +420,7 @@ class _LeftParts(dict):
             if keys is None:
                 lines = [self.columns[a] for a in reversed(read)]
                 keys = self._keys[read] = tuple(zip(range(len(self.rows)), *lines))
-            parts = dict(zip(keys, prefixes))
+            parts = (keys, prefixes)
         self[g] = parts
         return parts
 
@@ -530,17 +536,22 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
     Pivots are the lexicographically least labels; each returned vector is
     normalized to leading coefficient 1 and the list is sorted by pivot.
     An input equal to one already taken would reduce to zero, so it is
-    skipped.  Each vector visits only the pivot labels in its support, in
+    skipped.  Inputs are told apart by colour, shading, least label and
+    term count, which hash no coefficient, and a repeat is confirmed by
+    comparing coefficient dicts with those of the inputs taken under the
+    same key.  Each vector visits only the pivot labels in its support, in
     ascending order; a subtraction brings in labels above the one it
     clears, which join the queue.
     """
     pivots: dict[Label, PAElement] = {}
-    taken: set[tuple[int, bool, frozenset]] = set()
+    # (colour, shading, least label, term count) -> coefficients taken
+    taken: dict[tuple, list[dict[Label, RadicalScalar]]] = {}
     for v in vectors:
-        key = (v.colour, v.shaded, frozenset(v.coeffs.items()))
-        if key in taken:
+        key = (v.colour, v.shaded, min(v.coeffs, default=None), len(v.coeffs))
+        same = taken.setdefault(key, [])
+        if v.coeffs in same:
             continue
-        taken.add(key)
+        same.append(v.coeffs)
         queue = [lab for lab in v.coeffs if lab in pivots]
         queued = set(queue)
         heapq.heapify(queue)
@@ -556,7 +567,7 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
                     heapq.heappush(queue, new)
         if v.is_zero():
             continue
-        lead = v.support()[0]
+        lead = min(v.coeffs)
         pivots[lead] = v.scale(v.coefficient(lead).invert())
     return [pivots[lab] for lab in sorted(pivots)]
 
@@ -643,12 +654,16 @@ class GroupPlanarAlgebra:
         is nonzero exactly when ``h[i-1] == h[0]*g[colour-i]`` for
         ``i = 2..m``, and its label is ``(h[0]*g[0], ..., h[0]*g[m-1])``
         followed by ``h[m:]``.  The rule is split in two: the left part of
-        ``g`` (:class:`_LeftParts`) maps each admissible ``h[:m]`` to the
-        merged prefix, and the right part of ``h`` is ``(h[:m], h[m:])``.
+        ``g`` (:class:`_LeftParts`) lists the admissible ``h[:m]`` and their
+        merged prefixes down ``h[0]``, and the right part of ``h`` is
+        ``(h[:m], h[m:])``.  Each key starts with its ``h[0]``, so
+        ``keys[h[0]]`` is the only one that can equal ``h[:m]``.
         """
         parts = self._left_parts(colour)
-        prefix = parts[g].get(h[:parts.m])
-        return None if prefix is None else prefix + h[parts.m:]
+        keys, prefixes = parts[g]
+        i = h[0] if h else 0
+        m = parts.m
+        return prefixes[i] + h[m:] if keys[i] == h[:m] else None
 
     def multiply(self, x: PAElement, y: PAElement) -> PAElement:
         """The product ``x y``, at most one field product per pair of
@@ -657,8 +672,9 @@ class GroupPlanarAlgebra:
         Labels of equal coefficient form a class.  Each class of ``y`` is
         bucketed by the right part of the label rule, ``h[:m] -> [h[m:]]``,
         and each label ``g`` of a class of ``x`` meets a bucket only through
-        its left part, so the merged labels of a class pair are counted with
-        plain integers without visiting every pair of terms.  The class
+        its left part, walking its ``n`` keys and merged prefixes in step, so
+        the merged labels of a class pair are counted with plain integers
+        without visiting every pair of terms.  The class
         pair's coefficient ``cg * (ch * prefactor)`` then enters each hit
         label once, times its hit count (one field product per distinct
         count; where every count is 1, as always for a left class of one
@@ -699,8 +715,8 @@ class GroupPlanarAlgebra:
             unit = cg == ONE
             for chp, buckets in y_classes:
                 hits: dict[Label, int] = {}
-                for left in lefts:
-                    for key, prefix in left.items():
+                for keys, prefixes in lefts:
+                    for key, prefix in zip(keys, prefixes):
                         tails = buckets.get(key)
                         if tails is not None:
                             for tail in tails:
@@ -904,8 +920,9 @@ class GroupPlanarAlgebra:
         multiplication is captured by one ``int32`` matrix: entry (i, j) is
         the index in ``labels`` of the product symbol, or -1 for zero.  The
         labels are bucketed by their right part ``h[:m]`` and each left
-        label's parts meet those buckets, the split :meth:`multiply` uses,
-        so only the nonzero pairs are visited, with the table's ``m`` and
+        label's keys and merged prefixes, walked in step, meet those
+        buckets, the split :meth:`multiply` uses, so only the nonzero pairs
+        are visited, with the table's ``m`` and
         prefactor; that ``multiply`` applies the prefactor to every pair is
         for the caller to check (``base_algebra_report`` compares
         ``multiply`` with this table on every pair).
@@ -921,7 +938,7 @@ class GroupPlanarAlgebra:
         for i, g in enumerate(labels):
             cols: list[int] = []
             merged: list[int] = []
-            for key, prefix in left_parts[g].items():
+            for key, prefix in zip(*left_parts[g]):
                 for j, tail in buckets.get(key, ()):
                     cols.append(j)
                     merged.append(index[prefix + tail])

@@ -198,31 +198,41 @@ def _multiply_matches_table(
 
     For a fixed left label ``g`` the nonzero products land on distinct
     labels, so one product with ``sum_h S(h)`` must give exactly
-    ``prefactor`` on each label it hits, one pair per label.  One product per
-    letter position ``d`` with ``sum_h (h[d] + 1) S(h)`` must then have the
-    table row as its support and ``prefactor * (h[d] + 1)`` on the label of
-    ``(g, h)``.  The letters name ``h``, so together these name the right
-    factor of every nonzero pair and confirm every zero pair.  The
+    ``prefactor`` on each label of the table row, one pair per label.  One
+    product per letter position ``d`` with ``sum_h (h[d] + 1) S(h)`` must
+    then have the table row as its support and ``prefactor * (h[d] + 1)`` on
+    the label of ``(g, h)``.  The letters name ``h``, so together these name
+    the right factor of every nonzero pair and confirm every zero pair.  The
     ``colour`` encoded right factors are built once, so ``multiply`` groups
     each of them once (its memo on :class:`PAElement`), not once per label.
+
+    Each product's coefficients at the row's labels are compared with the
+    expected values in one list equality, which compares every target
+    exactly.  An expected value that has compared equal is then replaced by
+    the product's own coefficient object, so later rows meet identical
+    objects and compare values only where they differ.
     """
     values = [RadicalScalar.rational(v + 1) for v in range(len(P.group))]
-    expected = [prefactor * v for v in values]
     count = PAElement(colour, dict.fromkeys(labels, ONE))
     letters = [
         PAElement(colour, {h: values[h[d]] for h in labels}) for d in range(colour - 1)
     ]
+    # per right factor: each column's letter value (0 for the count, whose
+    # coefficients are all values[0]), and letter value -> expected value
+    codes = [np.zeros(len(labels), dtype=np.int64)] + [
+        np.array([h[d] for h in labels]) for d in range(colour - 1)
+    ]
+    expected = [dict(enumerate(prefactor * v for v in values)) for _ in codes]
     for x, row in zip(basis, table):
-        if any(c != prefactor for c in P.multiply(x, count).coeffs.values()):
-            return False
-        cols = np.flatnonzero(row >= 0).tolist()
+        cols = np.flatnonzero(row >= 0)
         targets = [labels[k] for k in row[cols].tolist()]
-        for d, y in enumerate(letters):
+        for y, code, want in zip([count, *letters], codes, expected):
             got = P.multiply(x, y).coeffs
-            if len(got) != len(cols) or any(
-                got.get(t) != expected[labels[j][d]] for t, j in zip(targets, cols)
-            ):
+            letter = code[cols].tolist()
+            found = list(map(got.get, targets))
+            if len(got) != len(targets) or found != list(map(want.__getitem__, letter)):
                 return False
+            want.update(zip(letter, found))
     return True
 
 

@@ -933,7 +933,27 @@ class TestLeftPartCache:
             assert len(alg._left_parts(k)) == alg.dimension(k) == 4096
         assert set(alg._left_cache) == {k}
         for g in rng.sample(labels, 20):
-            assert len(alg._left_parts(k)[g]) == n
+            keys, prefixes = alg._left_parts(k)[g]
+            assert len(keys) == len(prefixes) == n
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_pairs_share_their_keys_and_prefixes(self, k):
+        """Every label of a colour gets ``n`` keys and ``n`` prefixes; labels
+        with the same tail ``g[k-m:k-1]`` share one keys tuple (``is``) and
+        labels with the same head ``g[:m]`` one prefixes tuple."""
+        alg = GroupPlanarAlgebra(SemidirectGroup(inversion_action(4)))
+        n = alg.group.order
+        parts = alg._left_parts(k)
+        m = parts.m
+        by_tail: dict = {}
+        by_head: dict = {}
+        for g in alg.basis_labels(k):
+            keys, prefixes = parts[g]
+            assert len(keys) == len(prefixes) == n
+            assert by_tail.setdefault(g[k - m : k - 1], keys) is keys
+            assert by_head.setdefault(g[:m], prefixes) is prefixes
+        assert len(by_tail) == n ** (m - 1)
+        assert len(by_head) == n**m
 
     def test_merge_reads_the_split_rule(self):
         alg = SEMIDIRECT["z4xz2"]
@@ -947,7 +967,29 @@ class TestLeftPartCache:
                 expected = product_closed_form(alg, alg.basis_element(k, g), alg.basis_element(k, h))
                 (lab,) = expected.support()
                 assert alg._merge(k, g, h) == lab
-                assert alg._left_parts(k)[g][h[:m]] + h[m:] == lab
+                keys, prefixes = alg._left_parts(k)[g]
+                i = h[0] if h else 0
+                assert keys[i] == h[:m]
+                assert prefixes[i] + h[m:] == lab
+
+    @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_merge_refuses_a_key_that_differs_past_h0(self, name, k):
+        """``h[0]`` picks the key ``keys[h[0]]``; a label that agrees with it
+        in ``h[0]`` but not in the rest of ``h[:m]`` gives no product."""
+        alg = SEMIDIRECT[name]
+        rng = random.Random(f"merge-miss-{name}-{k}")
+        n, m = alg.group.order, (k + 1) // 2
+        for _ in range(40):
+            g = tuple(rng.randrange(n) for _ in range(k - 1))
+            h = list(merging_label(alg, k, g, rng))
+            i = rng.randrange(1, m)
+            h[i] = (h[i] + rng.randrange(1, n)) % n
+            h = tuple(h)
+            keys, _ = alg._left_parts(k)[g]
+            assert keys[h[0]][0] == h[0] and keys[h[0]] != h[:m]
+            assert alg._merge(k, g, h) is None
+            assert product_closed_form(alg, alg.basis_element(k, g), alg.basis_element(k, h)).is_zero()
 
 
 class TestRightFactorMemo:
@@ -1191,6 +1233,45 @@ def test_row_reduce_skips_repeated_inputs():
     assert len(repeated) > len(firsts) + 10
     assert row_reduce(repeated) == row_reduce(firsts)
     assert row_reduce(firsts + [alg.zero(3)]) == row_reduce(firsts)
+
+
+def test_row_reduce_skips_equal_copies_without_reducing_them(monkeypatch):
+    """An input equal to one taken, built anew down to its coefficient
+    objects, is skipped before any subtraction; the pairwise disjoint
+    supports here leave the first copies nothing to subtract."""
+    rng = random.Random("row-reduce-copies")
+    firsts = [
+        PAElement(3, {(i, j): rng.choice(COEFFS) for j in range(rng.randint(1, 6))})
+        for i in range(6)
+    ]
+    copies = [PAElement(3, {lab: -(-c) for lab, c in x.coeffs.items()}) for x in firsts]
+    assert all(c == x and c.coeffs is not x.coeffs for c, x in zip(copies, firsts))
+    assert all(
+        c.coeffs[lab] is not v for c, x in zip(copies, firsts) for lab, v in x.coeffs.items()
+    )
+    subtractions = []
+    sub = PAElement.__sub__
+    monkeypatch.setattr(PAElement, "__sub__", lambda a, b: subtractions.append(b) or sub(a, b))
+    assert row_reduce(firsts + copies) == row_reduce(firsts)
+    assert subtractions == []
+
+
+def test_row_reduce_keeps_unequal_inputs_of_the_same_lead_and_size():
+    """Inputs that agree in colour, least label and term count but not in
+    every coefficient are all reduced: each raises the rank."""
+    rng = random.Random("row-reduce-same-key")
+    support = [(0, 0), (1, 2), (3, 4)]
+    vectors = [
+        PAElement(3, {lab: rng.choice(COEFFS) for lab in support}) for _ in range(12)
+    ]
+    vectors.append(PAElement(3, {lab: ONE for lab in support}))
+    vectors.append(PAElement(3, {(0, 0): ONE, (1, 2): RadicalScalar.rational(2), (3, 4): ONE}))
+    vectors.append(PAElement(3, {(0, 0): ONE, (1, 2): ONE, (3, 4): RadicalScalar.rational(2)}))
+    reduced = row_reduce(vectors)
+    assert len(reduced) == 3
+    assert reduced == row_reduce_every_pivot(vectors)
+    assert len(row_reduce(vectors[-3:])) == 3
+    assert len(row_reduce(vectors[-2:])) == 2
 
 
 def row_reduce_every_pivot(vectors):

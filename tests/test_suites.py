@@ -437,6 +437,32 @@ def test_gram_flag_catches_a_planted_table_entry():
     assert min(planted.values()) >= 5 and len(planted) == 3
 
 
+@pytest.mark.parametrize("colour", [3, 4])
+def test_table_check_reads_every_letter(colour):
+    """Two nonzero entries of one table row swapped, on Z3 x| Z2: ``multiply``
+    gives each right factor the other's label, which only the letters of
+    the right factor tell apart.  Every swap is refused, including at colour
+    4 those whose right factors differ in the last letter alone."""
+    P = CrossedProduct(action("z3xz2")).product
+    table, labels, prefactor = P.product_structure(colour)
+    basis = [P.basis_element(colour, lab) for lab in labels]
+    assert suites._multiply_matches_table(P, colour, basis, table, labels, prefactor)
+    rng = np.random.default_rng(colour)
+    differing = collections.Counter()
+    for i in rng.choice(len(labels), size=12, replace=False).tolist():
+        a, *others = np.flatnonzero(table[i] >= 0).tolist()
+        for b in others:
+            broken = table[i : i + 1].copy()
+            broken[0, [a, b]] = broken[0, [b, a]]
+            assert not suites._multiply_matches_table(
+                P, colour, basis[i : i + 1], broken, labels, prefactor
+            ), (i, a, b)
+            differing[tuple(d for d in range(colour - 1) if labels[a][d] != labels[b][d])] += 1
+    if colour == 4:
+        assert differing[(2,)] >= 12
+    assert sum(differing.values()) >= 12 * 2
+
+
 def test_base_algebra_multiplies_linearly_in_the_dimension(monkeypatch):
     """The colour-4 products of base-algebra on Z3 x| Z2 (216 labels) grow
     with the dimension, not with its square (46,656 for the Gram loop over
