@@ -40,9 +40,7 @@ import heapq
 import itertools
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .expressions import (
     ComposeExpr,
@@ -54,6 +52,9 @@ from .expressions import (
 from .groups import FiniteGroup
 from .scalars import ONE, ZERO, RadicalScalar, canonical_sqrt, pow_half
 from .tangles import Disc, alpha
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Label = tuple[int, ...]
 # the left part of the label rule for one label: its keys and merged
@@ -341,11 +342,14 @@ class SubgroupBiprojection:
                 acc.update(dict.fromkeys(labels, share))
         return _trusted(x.colour, acc)
 
+    def class_rep(self, label: Label) -> Label:
+        """The least label of the class of ``label``, read off the table."""
+        return (self._classes.get(label) or self._class(label))[0]
+
     def class_reps(self, colour: int) -> Iterator[Label]:
         """The least label of each class at a colour, in ascending order."""
-        classes = self._classes
         for label in self.algebra.basis_labels(colour):
-            if (classes.get(label) or self._class(label))[0] == label:
+            if self.class_rep(label) == label:
                 yield label
 
     def _class(self, label: Label) -> tuple[Label, list[Label], RadicalScalar]:
@@ -927,6 +931,8 @@ class GroupPlanarAlgebra:
         for the caller to check (``base_algebra_report`` compares
         ``multiply`` with this table on every pair).
         """
+        import numpy as np
+
         labels = list(self.basis_labels(colour))
         index = {lab: i for i, lab in enumerate(labels)}
         left_parts = self._left_parts(colour)

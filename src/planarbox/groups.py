@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 
 # Validating a table checks all n^3 triples for associativity, one numpy
 # comparison of n^2 pairs per left factor; the later stages (the semidirect
@@ -60,6 +58,8 @@ class FiniteGroup:
                     break
             if inverse[a] < 0:
                 raise GroupError(f"element {a} has no two-sided inverse")
+        import numpy as np
+
         t = np.array(rows)
         for a in range(n):
             # (a b) c against a (b c); argwhere lists (b, c) in loop order

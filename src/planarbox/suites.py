@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .crossed import CrossedProduct
 from .expressions import GenExpr
@@ -29,6 +28,9 @@ from .group_algebra import (
 from .groups import GroupAction
 from .intermediate import IntermediateAlgebra
 from .scalars import ONE, RadicalScalar, pow_half
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # transport commutes with these generators; a check runs only when every
 # disc of its generator lies within the suite's k_max
@@ -59,7 +61,7 @@ INTERTWINE_GENERATORS = (
 MAX_KMAX = 4
 
 # base-algebra checks every pair of basis labels at k_max, dimension(k_max)^2
-# of them: the index table and the Gram mask hold one entry per pair,
+# of them: the index table holds one entry per pair, and nothing else does;
 # associativity reads one entry per pair of nonzero products (x_i x_j,
 # x_j x_k) and counts the rest, and the multiply check makes k_max products
 # per label against k_max fixed dimension(k_max)-term right factors, each
@@ -80,23 +82,24 @@ def _row_supports(table: np.ndarray):
     entries: each row's nonzero columns and its entries there, both padded
     with -1 to the widest row; each row's count of nonzero entries; and
     for each i the counts of nonzero right and left sides over all j, k.
-    Its scratch arrays hold one entry per nonzero product and are freed
-    before the caller copies the table."""
+    The supports are filled row by row in the table's dtype, so no scratch
+    array has an entry per entry of the table."""
+    import numpy as np
+
     size = len(table)
-    rows, cols = np.nonzero(table >= 0)  # row by row, columns ascending
-    values = table[rows, cols]
-    row_counts = np.bincount(rows, minlength=size)
-    # summed over the nonzero entries (i, l) of each row i: the pairs (j, k)
-    # with T[j, k] = l, and the nonzero entries of row l
-    landing = np.bincount(values, minlength=size)
-    right_expected = np.bincount(rows, weights=landing[cols], minlength=size)
-    left_expected = np.bincount(rows, weights=row_counts[values], minlength=size)
-    width = int(row_counts.max(initial=0))
-    place = np.arange(len(rows)) - (np.cumsum(row_counts) - row_counts)[rows]
-    support = np.full((size, width), -1, dtype=table.dtype)
+    row_counts = np.array([np.count_nonzero(row >= 0) for row in table])
+    support = np.full((size, int(row_counts.max(initial=0))), -1, dtype=table.dtype)
     products = support.copy()
-    support[rows, place] = cols
-    products[rows, place] = values
+    for i, row in enumerate(table):
+        cols = np.flatnonzero(row >= 0)  # columns ascending
+        support[i, : len(cols)] = cols
+        products[i, : len(cols)] = row[cols]
+    # for each row i: over its nonzero columns l, the pairs (j, k) with
+    # T[j, k] = l; over its entries l there, the nonzero entries of row l.
+    # A padding -1 reads the 0 appended to each count.
+    landing = np.bincount(products[products >= 0], minlength=size)
+    right_expected = np.append(landing, 0)[support].sum(axis=1)
+    left_expected = np.append(row_counts, 0)[products].sum(axis=1)
     return support, products, row_counts, right_expected, left_expected
 
 
@@ -106,16 +109,16 @@ def index_table_associative(table: np.ndarray) -> bool:
     are both nonzero.
 
     ``table`` is what :meth:`GroupPlanarAlgebra.product_structure` returns:
-    ``int32`` entries, -1 for a zero product.  It is read with a column of
-    -1 appended, so an index of -1 reads a zero product.
+    ``int32`` entries, -1 for a zero product.  It is read in place.
 
     Write ``T`` for the table, ``J`` for the columns ``j`` with
     ``T[i, j] >= 0`` and ``K_j`` for those ``k`` with ``T[j, k] >= 0``.  For
     a left factor i, ``(x_i x_j) x_k`` is compared with ``x_i (x_j x_k)``
-    for ``j`` in J and ``k`` in ``K_j`` only, rows of unequal support padded
-    with the appended column.  On every other triple one side is zero, so
-    the other must be too, and one count per side confirms it without
-    reading those entries:
+    for ``j`` in J and ``k`` in ``K_j`` only.  Rows of unequal support are
+    padded with -1, and where a block of rows ``j`` reads padding both sides
+    are set to -1 there; a block of equal supports is compared as read.  On
+    every other triple one side is zero, so the other must be too, and one
+    count per side confirms it without reading those entries:
 
     * ``x_i (x_j x_k)`` is nonzero exactly when ``l = T[j, k] >= 0`` and
       ``T[i, l] >= 0``, and the pairs ``(j, k)`` with ``T[j, k] = l``
@@ -128,14 +131,25 @@ def index_table_associative(table: np.ndarray) -> bool:
 
     The compared sides are equal, so both counts must equal the nonzero
     entries compared.  The work is one entry per pair of nonzero products
-    ``(x_i x_j, x_j x_k)``, and the memory a few copies of the table.
+    ``(x_i x_j, x_j x_k)``.  The scratch is the two padded supports, in the
+    table's dtype, and one left factor's block at a time.
     """
+    import numpy as np
+
     support, products, row_counts, right_expected, left_expected = _row_supports(table)
-    padded = np.pad(table, ((0, 0), (0, 1)), constant_values=-1)
-    for i, row in enumerate(padded):
+    narrow = row_counts < support.shape[1]
+    # a view; flat takes beat 2-d indexing, and an intp size keeps the
+    # flat indices from overflowing the table's dtype
+    size, flat = np.intp(len(table)), table.reshape(-1)
+    for i, row in enumerate(table):
         js = support[i, : row_counts[i]]
-        right = row[products[js]]
-        if not (padded[row[js, None], support[js]] == right).all():
+        ks = support.take(js, axis=0)
+        left = flat.take(row.take(js)[:, None] * size + ks)
+        right = row.take(products.take(js, axis=0))
+        if narrow.take(js).any():
+            padding = ks < 0
+            left[padding] = right[padding] = -1
+        if not (left == right).all():
             return False
         compared = np.count_nonzero(right >= 0)
         if compared != right_expected[i] or compared != left_expected[i]:
@@ -159,11 +173,16 @@ def gram_is_identity(
     each basis label to one label with coefficient 1, which makes it an index
     map ``s``; then ``tr(S(labels[j])* S(labels[i]))`` is
     ``prefactor * tr(S(table[s_j, i]))``, zero where the entry is -1.  Each
-    basis trace is read once, so the nonzero mask of the whole matrix is one
-    ``bool`` array that must hold exactly the diagonal, and only the
-    ``size`` diagonal values are checked exactly.  Anything else reads
+    basis trace is read once, so the matrix must be nonzero on its diagonal
+    and have ``size`` nonzero entries.  Row j of the matrix is table row
+    ``s_j``, so ``s`` must permute the rows: a star that hits one label twice
+    gives two equal rows, which cannot each be nonzero on the diagonal
+    alone.  The count then reads the table itself, one row at a time.  Only
+    the ``size`` diagonal values are checked exactly.  Anything else reads
     False, never raises.
     """
+    import numpy as np
+
     index = {lab: i for i, lab in enumerate(labels)}
     basis = [P.basis_element(colour, lab) for lab in labels]
     s = []
@@ -175,12 +194,15 @@ def gram_is_identity(
     traces = [P.trace(b) for b in basis]
     # one more False entry, read by the -1 of a zero product
     nonzero = np.array([not t.is_zero() for t in traces] + [False])
-    # entry (j, i): whether tr(S(labels[j])* S(labels[i])) is nonzero
-    mask = nonzero[table][s]
-    if np.count_nonzero(mask) != len(labels) or not mask.diagonal().all():
+    # entry j: the index of S(labels[j])* S(labels[j]), -1 for zero
+    diagonal = table[s, range(len(labels))]
+    if not nonzero[diagonal].all():
         return False
-    diagonal = table[s, range(len(labels))].tolist()
-    if any(prefactor * traces[k] != ONE for k in diagonal):
+    if len(set(s)) != len(s):
+        return False
+    if sum(np.count_nonzero(nonzero[row]) for row in table) != len(labels):
+        return False
+    if any(prefactor * traces[k] != ONE for k in diagonal.tolist()):
         return False
     return _multiply_matches_table(P, colour, basis, table, labels, prefactor)
 
@@ -212,6 +234,8 @@ def _multiply_matches_table(
     the product's own coefficient object, so later rows meet identical
     objects and compare values only where they differ.
     """
+    import numpy as np
+
     values = [RadicalScalar.rational(v + 1) for v in range(len(P.group))]
     count = PAElement(colour, dict.fromkeys(labels, ONE))
     letters = [
@@ -248,10 +272,11 @@ def base_algebra_report(
     with one trace per label (:func:`gram_is_identity`).  Both stand on the
     table, so the Gram flag also checks that ``multiply`` agrees with it,
     prefactor included, on every pair of labels, with ``colour`` products
-    per left label.  The unit, star, trace, inclusion and Markov checks run
-    element by element over the basis.  The traces read the algebra's
-    per-label memo, so each basis trace is computed once.  ``run_suite``
-    bounds the cost at ``MAX_BASE_ALGEBRA_PAIRS``.
+    per left label.  The table is dropped once both flags are read.  The
+    unit, star, trace, inclusion and Markov checks run element by element
+    over the basis.  The traces read the algebra's per-label memo, so each
+    basis trace is computed once.  ``run_suite`` bounds the cost at
+    ``MAX_BASE_ALGEBRA_PAIRS``.
     """
     suite = "base-algebra"
     P = cp.product
@@ -270,9 +295,14 @@ def base_algebra_report(
     for colour in range(2, k_max + 1):
         table, labels, prefactor = P.product_structure(colour)
         size = len(labels)
+        associative = index_table_associative(table)
+        orthonormal = gram_is_identity(P, colour, table, labels, prefactor)
+        # the element-by-element checks below, and the memos they grow at
+        # colour + 1, do not stack on top of the table
+        del table, labels
         records += [
             flag(suite, f"associativity of the index table at colour {colour} ({size}^3 triples)",
-                 index_table_associative(table), "associative", "broken"),
+                 associative, "associative", "broken"),
             record(suite, f"shared product prefactor at colour {colour}",
                    prefactor.render(), pow_half(n, (colour + 1) // 2 - 1).render()),
         ]
@@ -296,8 +326,7 @@ def base_algebra_report(
         inv_order = Fraction(1, n)
         records += [
             flag(suite, f"Gram matrix of the label basis is the identity at colour {colour}",
-                 gram_is_identity(P, colour, table, labels, prefactor), "orthonormal",
-                 "degenerate"),
+                 orthonormal, "orthonormal", "degenerate"),
             flag(suite, f"trace is star-invariant at colour {colour}",
                  all(P.trace(P.star(b)) == P.trace(b) for b in basis), "invariant", "broken"),
             flag(suite, f"inclusion preserves the trace at colour {colour}",
@@ -370,8 +399,9 @@ def biprojection_report(sub: SubgroupBiprojection, kmax: int) -> list[dict]:
     ``1/|K|`` and dominates the first Jones projection, and that K's own
     surround is idempotent on the full basis at every colour up to kmax.
     Every label is surrounded, but each distinct image is surrounded again
-    once: a label whose image equals the first image with the same least
-    label takes that image's verdict.
+    once: a label whose image equals the first image of its class (keyed
+    by the class's least label, from the subgroup's class table) takes
+    that image's verdict.
     The trace case keeps its name from the copies of Theta it was first
     written for, so their reports keep their bytes.
     """
@@ -389,11 +419,11 @@ def biprojection_report(sub: SubgroupBiprojection, kmax: int) -> list[dict]:
     ]
     for colour in range(1, kmax + 1):
         good = 0
-        # least label of an image -> (the first image with it, its verdict)
-        checked: dict[Label | None, tuple[PAElement, bool]] = {}
+        # least label of a class -> (the first image of a label in it, its verdict)
+        checked: dict[Label, tuple[PAElement, bool]] = {}
         for label in P.basis_labels(colour):
             once = sub.surround(P.basis_element(colour, label))
-            key = min(once.coeffs, default=None)
+            key = sub.class_rep(label)
             first = checked.get(key)
             if first is not None and first[0] == once:
                 good += first[1]

@@ -159,6 +159,25 @@ class TestAlphaCommand:
         assert main(["alpha", "(gen jones 2)"]) == 0
         assert "internal = none" in capsys.readouterr().out
 
+    def test_starts_without_numpy(self):
+        """Every planarbox module loads with the CLI, but only the table
+        checks import numpy, so ``alpha`` never does.  Run in a child
+        process, since this one has numpy loaded already."""
+        script = (
+            "import sys\n"
+            "from planarbox import cli\n"
+            "assert cli.main(['alpha', '(compose (gen E 2 3) 1 (gen I 3 2))']) == 0\n"
+            "assert 'planarbox.suites' in sys.modules\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("alpha = (1/2)*sqrt(2)\n")
+
     def test_parse_error_exits_2(self, capsys):
         assert main(["alpha", "(gen E 4"]) == 2
         assert "parse error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 
 from planarbox import group_algebra, suites
 from planarbox.crossed import CrossedProduct
-from planarbox.group_algebra import GroupPlanarAlgebra
+from planarbox.group_algebra import GroupPlanarAlgebra, PAElement
 from planarbox.groups import SemidirectGroup, inversion_action, load_action
+from planarbox.scalars import ONE, ZERO
 from planarbox.suites import SUITE_NAMES, SuiteError, run_suite
 
 ACTIONS = Path(__file__).resolve().parent.parent / "actions"
@@ -257,6 +259,22 @@ def test_index_table_associativity_matches_the_row_blocks_at_colour_4():
             assert not verdict, (kind, i, j)
 
 
+def test_index_table_associativity_scratch_is_below_the_table():
+    """On the colour-4 table of Z4 x| Z2 (512 labels, 1 MiB of int32) the
+    check reads the table in place: everything it allocates at once, as
+    tracemalloc sees it, stays below the table's own size."""
+    algebra = GroupPlanarAlgebra(SemidirectGroup(inversion_action(4)))
+    table, _, _ = algebra.product_structure(4)
+    assert table.dtype == np.int32 and table.nbytes == 2**20
+    tracemalloc.start()
+    try:
+        assert suites.index_table_associative(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes, peak
+
+
 def test_index_table_associativity_catches_one_planted_entry():
     """Every entry of the int32 colour-3 table of Z3 x| Z2, changed alone,
     breaks associativity: a product index moved to another index, a product
@@ -413,6 +431,69 @@ def test_gram_flag_catches_a_planted_defect(defect, monkeypatch):
         monkeypatch.setattr(GroupPlanarAlgebra, "star", star)
         assert len(cp.product.star(cp.product.basis_element(3, g)).coeffs) == 2
     assert gram_at_3(CrossedProduct(action("z3xz2"))) == "degenerate"
+
+
+def test_gram_flag_catches_a_planted_off_diagonal_trace(monkeypatch):
+    """A nonzero trace planted on a colour-3 label of Z3 x| Z2 that is a
+    product in the table but on no diagonal entry of the Gram matrix: the
+    diagonal still reads 1, so only the count of nonzero entries sees the
+    defect, and the Gram record reads degenerate."""
+    P = CrossedProduct(action("z3xz2")).product
+    table, labels, _ = P.product_structure(3)
+    products = {labels[k] for k in table[table >= 0].tolist()}
+    planted = next(
+        lab for lab in labels
+        if lab in products and P.trace(P.basis_element(3, lab)).is_zero()
+    )
+    real = GroupPlanarAlgebra.trace
+
+    def trace(self, x):
+        if x.colour == 3 and list(x.coeffs) == [planted]:
+            return x.coeffs[planted]
+        return real(self, x)
+
+    monkeypatch.setattr(GroupPlanarAlgebra, "trace", trace)
+    assert gram_at_3(CrossedProduct(action("z3xz2"))) == "degenerate"
+
+
+class TwoLabelAlgebra:
+    """Two colour-2 labels with product table ``[[0, 1], [-1, -1]]``, unit
+    traces, a ``multiply`` that reads the table, and a star that sends both
+    labels to the first: the Gram matrix is two copies of table row 0, so
+    each diagonal entry is nonzero and so is each off-diagonal one."""
+
+    group = (0, 1)
+    labels = [(0,), (1,)]
+    table = np.array([[0, 1], [-1, -1]], dtype=np.int32)
+
+    def basis_element(self, colour, label):
+        return PAElement(colour, {label: ONE})
+
+    def star(self, x):
+        return PAElement(x.colour, {self.labels[0]: ONE})
+
+    def trace(self, x):
+        return ONE
+
+    def multiply(self, x, y):
+        out = {}
+        for g, a in x.coeffs.items():
+            for h, b in y.coeffs.items():
+                k = int(self.table[self.labels.index(g), self.labels.index(h)])
+                if k >= 0:
+                    out[self.labels[k]] = out.get(self.labels[k], ZERO) + a * b
+        return PAElement(x.colour, out)
+
+
+def test_gram_flag_refuses_a_star_that_sends_two_labels_to_one():
+    """The table holds exactly as many nonzero traces as labels, and
+    ``multiply`` agrees with it, but the star is not one-to-one, so the
+    Gram matrix repeats a table row and is not the identity."""
+    P = TwoLabelAlgebra()
+    assert suites._multiply_matches_table(
+        P, 2, [P.basis_element(2, lab) for lab in P.labels], P.table, P.labels, ONE
+    )
+    assert not suites.gram_is_identity(P, 2, P.table, P.labels, ONE)
 
 
 def test_gram_flag_catches_a_planted_table_entry():
