@@ -304,30 +304,29 @@ class CrossedProduct:
         For every tuple of orbit-basis inputs the generator is applied in the
         base algebra and the result transported, against the cut-down action
         of the embedded Theta (:meth:`SubgroupBiprojection.act`) on the
-        transported inputs.  Returns one record per input tuple.
+        transported inputs.  Each input is built and transported once per
+        slot, and every tuple reads that carried copy.  Returns one record
+        per input tuple.
         """
         slots = gen.discs[1]
-        slot_bases: list[list[tuple[str, PAElement]]] = []
+        # per slot: (tag, orbit-basis input, its transport)
+        slot_bases: list[list[tuple[str, PAElement, PAElement]]] = []
         for disc in slots:
             if disc.colour == 0:
-                el = self.base.basis_element(0, (), disc.shaded)
-                slot_bases.append([("1[" + disc.label() + "]", el)])
+                inputs = [("1[" + disc.label() + "]", self.base.basis_element(0, (), disc.shaded))]
             else:
-                slot_bases.append(
-                    [
-                        (str(rep), self.orbit_sum(disc.colour, rep))
-                        for rep in self.orbit_reps(disc.colour)
-                    ]
-                )
+                inputs = [
+                    (str(rep), self.orbit_sum(disc.colour, rep))
+                    for rep in self.orbit_reps(disc.colour)
+                ]
+            slot_bases.append([(tag, el, self.transport(el)) for tag, el in inputs])
         name = f"{gen.kind}_{gen.k}"
         records = []
         for combo in iter_product(*slot_bases) if slot_bases else [()]:
-            base_inputs = [el for _, el in combo]
-            lhs = self.transport(self.base.act_generator(gen, base_inputs))
-            moved = [self.transport(el) for el in base_inputs]
-            rhs = self.embedded.act(gen, moved)
+            lhs = self.transport(self.base.act_generator(gen, [el for _, el, _ in combo]))
+            rhs = self.embedded.act(gen, [moved for _, _, moved in combo])
             case = name + (
-                " on " + "; ".join(tag for tag, _ in combo) if combo else " (no inputs)"
+                " on " + "; ".join(tag for tag, _, _ in combo) if combo else " (no inputs)"
             )
             records.append(
                 record("crossed-product", case, self.product.render(lhs), self.product.render(rhs))

@@ -319,7 +319,12 @@ class SubgroupBiprojection:
         gathers its hits: the input labels of the class are counted per
         distinct coefficient, and the weight is the sum of ``c * count``,
         one field product per count above 1.  A weight of 1 gives each label
-        ``1/|class|`` itself.  A class whose weight cancels is left out."""
+        ``1/|class|`` itself.  A class whose weight cancels is left out.
+
+        A fixed element is its own surround, returned as the very object:
+        ``x`` is fixed exactly when every class it meets carries one
+        coefficient on all of its labels, which the gathered counts show
+        with no comparison of elements."""
         if x.colour == 0:
             return _trusted(0, dict(x.coeffs), x.shaded)
         classes = self._classes
@@ -333,6 +338,11 @@ class SubgroupBiprojection:
                 gathered[entry[0]] = {c: 1}
             else:
                 counts[c] = counts.get(c, 0) + 1
+        if all(
+            len(counts) == 1 and len(classes[least][1]) in counts.values()
+            for least, counts in gathered.items()
+        ):
+            return x
         acc: dict[Label, RadicalScalar] = {}
         for least, counts in gathered.items():
             weight = sum((c * k if k > 1 else c for c, k in counts.items()), ZERO)
@@ -522,7 +532,12 @@ class BasisTable:
 
     def surround(self, x: PAElement) -> PAElement:
         """The subgroup's surround of ``x``, read from the table for a basis
-        element or a leaf value."""
+        element or a leaf value.
+
+        Above colour 0 :meth:`SubgroupBiprojection.surround` already returns
+        a fixed element itself.  A held element is still compared with its
+        surround once, when the entry is made, so that colour 0, whose
+        surround is a copy, also keeps the element itself."""
         key = id(x)
         out = self.surrounds.get(key)
         if out is None:
@@ -677,14 +692,21 @@ class GroupPlanarAlgebra:
         bucketed by the right part of the label rule, ``h[:m] -> [h[m:]]``,
         and each label ``g`` of a class of ``x`` meets a bucket only through
         its left part, walking its ``n`` keys and merged prefixes in step, so
-        the merged labels of a class pair are counted with plain integers
-        without visiting every pair of terms.  The class
-        pair's coefficient ``cg * (ch * prefactor)`` then enters each hit
-        label once, times its hit count (one field product per distinct
-        count; where every count is 1, as always for a left class of one
-        label, the labels take the coefficient itself); a left class with
-        ``cg == 1`` takes ``ch * prefactor`` as is.  Terms are added into the
-        result only where two meet, and a sum that cancels is dropped there.
+        no pair of terms is visited that does not merge.  The class pair's
+        coefficient ``cg * (ch * prefactor)`` is formed only for a pair that
+        hits; a left class with ``cg == 1`` takes ``ch * prefactor`` as is.
+
+        A left class of one label counts nothing.  For a fixed ``g`` the
+        merged label determines ``h`` (its prefix gives ``h[0]``, its tail
+        ``h[m:]``, and the key the rest), so no label is hit twice, across
+        all right classes too: each hit writes the coefficient straight into
+        one part, added to the result once per left class, and into the
+        result itself when ``x`` has that one class alone.  This is the path
+        of every basis product.  A class of two or more labels counts the
+        hits of each right class with plain integers, and each hit label
+        takes the coefficient times its count, one field product per
+        distinct count above 1.  Parts are added into the result only where
+        two meet, and a sum that cancels is dropped there.
 
         ``m`` and the prefactor are read off the colour's
         :class:`_LeftParts` table.  The bucketed classes of ``y``, each
@@ -715,8 +737,26 @@ class GroupPlanarAlgebra:
                 y_classes.append((ch * pref, buckets))
             y._right_classes = (left_parts, y_classes)
         out: dict[Label, RadicalScalar] = {}
+        single = len(x_classes) == 1
         for cg, lefts in x_classes:
             unit = cg == ONE
+            if len(lefts) == 1:
+                # one left label: the rule is one-to-one in h, so no label is
+                # hit twice, across every right class too
+                keys, prefixes = lefts[0]
+                part = out if single else {}
+                for chp, buckets in y_classes:
+                    term = None
+                    for key, prefix in zip(keys, prefixes):
+                        tails = buckets.get(key)
+                        if tails is not None:
+                            if term is None:
+                                term = chp if unit else cg * chp
+                            for tail in tails:
+                                part[prefix + tail] = term
+                if not single:
+                    _add_into(out, part)
+                continue
             for chp, buckets in y_classes:
                 hits: dict[Label, int] = {}
                 for keys, prefixes in lefts:

@@ -137,6 +137,9 @@ class IntermediateAlgebra:
         return len(self.basis(colour))
 
     def contains(self, x: PAElement) -> bool:
+        """Whether the surround fixes ``x``.  Above colour 0 the surround
+        returns a fixed element itself, so only colour 0, which it copies,
+        and a non-member reach the comparison of elements."""
         fixed = self.table.surround(x)  # the surround passes colour 0 through
         return fixed is x or fixed == x
 
@@ -269,7 +272,10 @@ class IntermediateAlgebra:
         inner value, so one ``EvaluationCache`` shared by both sides
         evaluates the inner tree once per inner tuple; it carries the
         algebra's ``table``, whose leaf values and surrounds outlive the
-        record.
+        record.  A fixed inner value is its own surround, so then ``outer``
+        sees the very inputs it saw inside the glued tree, the cache
+        returns the glued side's raw value, and the nested side reuses the
+        glued side's surround of it.  Nothing is kept beyond the cache.
         """
         glued_expr = ComposeExpr(outer, slot, inner)
         t_outer, t_inner = realize(outer), realize(inner)
@@ -288,8 +294,10 @@ class IntermediateAlgebra:
                 dressed = surround(evaluate(inner, inner_inputs, cache))
                 for rest in self.basis_tuples(rest_slots):
                     before, after = list(rest[: slot - 1]), list(rest[slot - 1 :])
-                    glued = surround(evaluate(glued_expr, before + inner_inputs + after, cache))
-                    nested = surround(evaluate(outer, before + [dressed] + after, cache))
+                    raw = evaluate(glued_expr, before + inner_inputs + after, cache)
+                    glued = surround(raw)
+                    raw_nested = evaluate(outer, before + [dressed] + after, cache)
+                    nested = glued if raw_nested is raw else surround(raw_nested)
                     yield glued, nested
 
         return tangles, a_glued, a_outer * a_inner, values()

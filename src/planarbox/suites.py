@@ -227,6 +227,10 @@ def _multiply_matches_table(
     the right factor of every nonzero pair and confirm every zero pair.  The
     ``colour`` encoded right factors are built once, so ``multiply`` groups
     each of them once (its memo on :class:`PAElement`), not once per label.
+    Each left factor is a basis element, so every product here takes
+    ``multiply``'s path for a left class of one label; its path for larger
+    classes, which counts hits, is checked against the closed form by the
+    product tests.
 
     Each product's coefficients at the row's labels are compared with the
     expected values in one list equality, which compares every target

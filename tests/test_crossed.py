@@ -584,6 +584,22 @@ class TestIntertwining:
         assert len(CP3.intertwine_check(GenExpr("M", 3))) == 25
         assert len(CP3.intertwine_check(GenExpr("jones", 3))) == 1
 
+    @pytest.mark.parametrize("gen", INTERTWINE_GENERATORS, ids=lambda g: f"{g.kind}{g.k}{'-' if g.shaded else ''}")
+    def test_each_input_is_transported_once(self, gen, monkeypatch):
+        """One transport per record, of its left side, and one per
+        orbit-basis input of each slot, which every tuple then reads."""
+        carried = []
+        transport = CrossedProduct.transport
+
+        def counted(self, x):
+            carried.append(x)
+            return transport(self, x)
+
+        monkeypatch.setattr(CrossedProduct, "transport", counted)
+        records = CP3.intertwine_check(gen)
+        inputs = sum(1 if d.colour == 0 else len(CP3.orbit_reps(d.colour)) for d in gen.discs[1])
+        assert len(carried) == len(records) + inputs
+
     def test_records_carry_rendered_sides(self):
         record = CP3.intertwine_check(GenExpr("E", 1))[0]
         assert record["suite"] == "crossed-product"

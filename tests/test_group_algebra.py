@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from planarbox.group_algebra import (
     row_reduce,
 )
 from planarbox.groups import SemidirectGroup, cyclic_group, inversion_action, load_action
+from planarbox.intermediate import IntermediateAlgebra
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
 from planarbox.tangles import Disc
 
@@ -368,6 +370,32 @@ class TestProductRule:
             assert cancelled == product_closed_form(alg, x, y)
             y = PAElement(k, {h1: d, h2: d, merging_label(alg, k, g1, rng): rng.choice(CLASS_COEFFS)})
             assert alg.multiply(x, y) == product_closed_form(alg, x, y)
+
+    @pytest.mark.parametrize("name", sorted(SEMIDIRECT))
+    @pytest.mark.parametrize("k", range(3, 6))
+    def test_one_label_class_cancels_against_a_counted_class(self, name, k):
+        """A left class of one label, written without hit counting, and a
+        left class of two labels, counted, meet on one label with opposite
+        coefficients: the label must be absent, whichever class comes
+        first."""
+        alg = SEMIDIRECT[name]
+        n = alg.group.order
+        rng = random.Random(f"one-label-{name}-{k}")
+        for _ in range(10):
+            (g1, h1), (g2, h2), lab = colliding_pairs(alg, k, rng)
+            # a third left label whose own product lands elsewhere
+            g3 = g2
+            while g3 in (g1, g2) or h3 in (h1, h2) or alg._merge(k, g3, h3) == lab:
+                g3 = tuple(rng.randrange(n) for _ in range(k - 1))
+                h3 = merging_label(alg, k, g3, rng)
+            c, d, e = rng.sample(CLASS_COEFFS, 3)
+            y = PAElement(k, {h1: d, h2: d, h3: e})
+            for x in (PAElement(k, {g1: c, g2: -c, g3: -c}), PAElement(k, {g2: -c, g3: -c, g1: c})):
+                out = alg.multiply(x, y)
+                assert lab not in out.coeffs
+                assert not out.is_zero()
+                assert_trusted(out)
+                assert out == product_closed_form(alg, x, y)
 
 
 class TestStarAndTrace:
@@ -1327,6 +1355,35 @@ def spread_by_definition(group, members, x: PAElement) -> PAElement:
     return PAElement(c, out)
 
 
+def classes_by_definition(alg: GroupPlanarAlgebra, members, colour: int) -> dict:
+    """Label -> the sorted labels of its class under ``h -> t h k``, each
+    class enumerated over every ``t`` and ``k_i`` in the subgroup."""
+    op = alg.group.op
+    classes: dict = {}
+    for label in alg.basis_labels(colour):
+        if label not in classes:
+            cls = sorted({
+                tuple(op(op(t, h), k) for h, k in zip(label, ks))
+                for t in members
+                for ks in itertools.product(members, repeat=colour - 1)
+            })
+            classes.update(dict.fromkeys(cls, cls))
+    return classes
+
+
+def class_average(classes: dict, x: PAElement) -> PAElement:
+    """The coefficients of ``x`` summed per class, one field addition per
+    label, and the sum over ``|class|`` put on every label of the class."""
+    weights: dict = {}
+    for lab, c in x.coeffs.items():
+        cls = tuple(classes[lab])
+        weights[cls] = weights.get(cls, ZERO) + c
+    out: dict = {}
+    for cls, w in weights.items():
+        out.update(dict.fromkeys(cls, w * RadicalScalar.rational(Fraction(1, len(cls)))))
+    return PAElement(x.colour, out)
+
+
 class TestSubgroupBiprojection:
     ORDER6 = SEMIDIRECT["z3xz2"].group
 
@@ -1364,7 +1421,7 @@ class TestSubgroupBiprojection:
         each class's coefficients in integers, must equal an average made
         one label and one field addition at a time."""
         alg = SEMIDIRECT[name]
-        group, op = alg.group, alg.group.op
+        group = alg.group
         rng = random.Random(f"surround-by-label-{name}")
         pool = [ONE, -ONE, RadicalScalar.rational(Fraction(-2, 3)), pow_half(2, 1),
                 pow_half(2, 1) - pow_half(3, -1)]
@@ -1372,15 +1429,7 @@ class TestSubgroupBiprojection:
         for members in subgroups(group):
             sub = SubgroupBiprojection(alg, members)
             for colour in (1, 2, 3):
-                classes = {}
-                for label in alg.basis_labels(colour):
-                    if label not in classes:
-                        cls = sorted({
-                            tuple(op(op(t, h), k) for h, k in zip(label, ks))
-                            for t in members
-                            for ks in itertools.product(members, repeat=colour - 1)
-                        })
-                        classes.update(dict.fromkeys(cls, cls))
+                classes = classes_by_definition(alg, members, colour)
                 distinct = sorted(set(map(tuple, classes.values())))
                 for _ in range(8):
                     coeffs, dropped = {}, []
@@ -1411,6 +1460,50 @@ class TestSubgroupBiprojection:
                         assert not set(cls) & out.coeffs.keys()
                     cancelled += len(dropped)
         assert min(cancelled, repeated) >= 40, (cancelled, repeated)
+
+    @pytest.mark.parametrize("name", ["z3xz2", "z4xz2"])
+    def test_fixed_element_is_its_own_surround(self, name):
+        """``surround(x) is x`` exactly when the class average equals ``x``,
+        on seeded elements over one to three classes at colours 1-4, on
+        every subgroup.  Each class met is planted whole with one
+        coefficient, or as a near miss: whole but one label, or whole with
+        one label given another coefficient.  Two whole classes with
+        different coefficients are still fixed.  The cut-down algebra's
+        membership test gives the same verdict as the average."""
+        alg = SEMIDIRECT[name]
+        rng = random.Random(f"fixed-is-surround-{name}")
+        kinds = collections.Counter()
+        for members in subgroups(alg.group):
+            sub = SubgroupBiprojection(alg, members)
+            inter = IntermediateAlgebra(sub, k_max=4)
+            for colour in (1, 2, 3, 4):
+                classes = classes_by_definition(alg, members, colour)
+                distinct = sorted(set(map(tuple, classes.values())))
+                for _ in range(24):
+                    coeffs, planted = {}, []
+                    for cls in rng.sample(distinct, min(len(distinct), rng.randint(1, 3))):
+                        c, other = rng.sample(CLASS_COEFFS, 2)
+                        coeffs.update(dict.fromkeys(cls, c))
+                        kind = rng.choice(["whole", "whole", "missing", "other"])
+                        if kind == "missing" and len(cls) > 1:
+                            del coeffs[rng.choice(cls)]
+                        elif kind == "other" and len(cls) > 1:
+                            coeffs[rng.choice(cls)] = other
+                        else:
+                            kind = "whole"
+                        planted.append(kind)
+                    x = PAElement(colour, coeffs)
+                    average = class_average(classes, x)
+                    fixed = average == x
+                    assert fixed == (set(planted) == {"whole"}), planted
+                    out = sub.surround(x)
+                    assert out == average
+                    assert (out is x) == fixed, (members, colour, planted)
+                    assert inter.contains(x) == fixed
+                    kinds["fixed" if fixed else "moved"] += 1
+                    kinds["two whole"] += fixed and len(planted) > 1
+                    kinds["near miss"] += planted.count("missing") + planted.count("other")
+        assert min(kinds.values()) >= 80, kinds
 
     def test_trivial_subgroup_surround_is_identity(self):
         alg = SEMIDIRECT["z3xz2"]

@@ -169,6 +169,48 @@ def test_substitution_suite_values_at_defaults_are_pinned(name):
     assert found == GOLDEN_VALUES[name]
 
 
+# the same for two suites whose membership tests meet elements fixed by the
+# surround, which returns them as themselves, so those tests compare no
+# elements; taken when the surround began to do so
+GOLDEN_FIXED_VALUES = {
+    "trace": (187, "d5979da86ff2e90b07e21c1c50dd7a30ae2be2432e53a21ff4957c42e2eb0d5a"),
+    "jones": (68, "e0dc5570c8f8d95595528bef684c92432f411133186714ecff45928fb1e34bfb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIXED_VALUES))
+def test_membership_suite_values_at_defaults_are_pinned(name):
+    value_digest = report_digests().value_digest
+    found = value_digest(lambda: run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0))
+    assert found == GOLDEN_FIXED_VALUES[name]
+
+
+# the multiplies and generator actions (``_act`` calls) of the two
+# substitution suites at the CLI defaults on z3xz2.  A fixed inner value is
+# its own surround, so the nested side of a substitution meets the inputs
+# the glued side gave ``outer`` and reads its value from the per-record
+# cache; these counts rise if that reuse is lost.
+GOLDEN_WORK = {
+    "theorem-main": (6463, 13312),
+    "axioms": (3304, 7113),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORK))
+def test_substitution_suite_work_at_defaults_is_pinned(name, monkeypatch):
+    calls = collections.Counter()
+    for method in ("multiply", "_act"):
+        inner = getattr(GroupPlanarAlgebra, method)
+
+        def counted(self, *args, inner=inner, method=method):
+            calls[method] += 1
+            return inner(self, *args)
+
+        monkeypatch.setattr(GroupPlanarAlgebra, method, counted)
+    run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0)
+    assert (calls["multiply"], calls["_act"]) == GOLDEN_WORK[name]
+
+
 @pytest.mark.parametrize("k_max", [1, 5, 9])
 def test_k_max_outside_range_rejected(k_max):
     assert suites.MAX_KMAX == 4
