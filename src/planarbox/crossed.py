@@ -157,18 +157,23 @@ class CrossedProduct:
             return self.base.multiply(x, y)
         cx = self.invariant_components(x)
         cy = self.invariant_components(y)
-        merge = self.base._merge
         pref = self.base._left_parts(k).prefactor
         # merged label -> its weight; the product is their orbit sums
         gathered: dict[Label, RadicalScalar] = {}
         for gbar, a in cx.items():
             for hbar, b in cy.items():
-                weight = a * b * pref
-                for t in range(self.theta_order):
-                    merged = merge(k, self.action.apply_tuple(t, gbar), hbar)
-                    if merged is not None:
-                        gathered[merged] = gathered.get(merged, ZERO) + weight
+                self._gather_merged(gathered, k, gbar, hbar, a * b * pref)
         return self._orbit_combination(k, gathered)
+
+    def _gather_merged(self, out: dict, k: int, gbar: Label, hbar: Label, w: RadicalScalar) -> None:
+        """Add ``w`` to ``out`` at the colour-``k`` merge of ``theta(gbar)``
+        and ``hbar``, for every theta whose merge is defined: the Theta sum
+        both closed products share."""
+        apply, merge = self.action.apply_tuple, self.base._merge
+        for t in range(self.theta_order):
+            merged = merge(k, apply(t, gbar), hbar)
+            if merged is not None:
+                out[merged] = out.get(merged, ZERO) + w
 
     # ------------------------------------------------------------------
     # twist sums in the algebra of H
@@ -204,32 +209,26 @@ class CrossedProduct:
     def twist_components(self, x: PAElement) -> dict[Label, RadicalScalar]:
         """Decompose an element of the surround range over the twist sums.
 
-        Keys are orbit representatives; raises if x lies outside the span.
-        Only the support is walked: a component is read at a label whose
-        Theta parts are all 1, and the rebuild check catches the rest; it is
-        divided by the stabilizer order, read off the orbit found there.
-        Each orbit is built once, from the first such label of it.
+        Keys are orbit representatives; raises if x lies outside the span,
+        which is the surround's range: ``surround(x) is x`` decides it.  A
+        twist sum is ``|Theta|^colour`` times the class average of its
+        embedded label, the least label of its class, so each class is read
+        once, at its least label: its Theta parts are all 1 and its G parts
+        are the orbit representative.  The component is the coefficient
+        there divided by ``|Theta|^colour / |class|``, the stabilizer order.
         """
         if x.colour < 1:
             raise AlgebraError("twist sums exist for colour >= 1 only")
-        pair, index = self.semidirect.pair, self.semidirect.index
-        comps: dict[Label, RadicalScalar] = {}
-        found: set[Label] = set()
-        for label in x.coeffs:
-            parts = [pair(h) for h in label]
-            if all(t == 0 for _, t in parts):
-                gbar = tuple(g for g, _ in parts)
-                if gbar in found:
-                    continue
-                orbit = orbit_of(self.action, gbar)
-                found |= orbit
-                rep = min(orbit)
-                stabilizer = self.theta_order // len(orbit)
-                c = x.coefficient(tuple(index(g, 0) for g in rep)) / stabilizer
-                if not c.is_zero():
-                    comps[rep] = c
-        if self._twist_combination(x.colour, comps) != x:
+        embedded = self.embedded
+        if embedded.surround(x) is not x:
             raise AlgebraError("element lies outside the span of the twist sums")
+        pair = self.semidirect.pair
+        weight = self.theta_order**x.colour
+        comps: dict[Label, RadicalScalar] = {}
+        for label, c in x.coeffs.items():
+            if embedded.class_rep(label) == label:
+                stabilizer = embedded.inverse_class_size(label) * weight
+                comps[tuple(pair(h)[0] for h in label)] = c / stabilizer
         return comps
 
     def twist_multiply(self, colour: int, gbar: Sequence[int], hbar: Sequence[int]) -> PAElement:
@@ -251,10 +250,7 @@ class CrossedProduct:
             * Fraction(self.theta_order ** (k // 2))
         )
         comps: dict[Label, RadicalScalar] = {}
-        for t in range(self.theta_order):
-            merged = self.base._merge(k, self.action.apply_tuple(t, gbar), hbar)
-            if merged is not None:
-                comps[merged] = comps.get(merged, ZERO) + pref
+        self._gather_merged(comps, k, gbar, hbar, pref)
         return self._twist_combination(k, comps)
 
     # ------------------------------------------------------------------
@@ -264,7 +260,8 @@ class CrossedProduct:
         """The surround of the embedded Theta's biprojection.
 
         Each basis label is replaced by the average of its twist sum, so the
-        range is spanned by the twist sums; colour 0 passes through.
+        range is spanned by the twist sums; a fixed element, every one at
+        colour 0 included, comes back as itself.
         """
         return self.embedded.surround(x)
 
@@ -279,11 +276,11 @@ class CrossedProduct:
     def transport(self, x: PAElement) -> PAElement:
         """Carry an invariant element of the base algebra into the surround range.
 
-        Orbit sums go to scaled twist sums; colour 0 scalars are copied
-        across unchanged.  Raises when x is not invariant.
+        Orbit sums go to scaled twist sums; at colour 0 it is the identity
+        and returns ``x`` itself.  Raises when x is not invariant.
         """
         if x.colour == 0:
-            return PAElement(0, dict(x.coeffs), x.shaded)
+            return x
         pref = self.transport_prefactor(x.colour)
         comps = {rep: c * pref for rep, c in self.invariant_components(x).items()}
         return self._twist_combination(x.colour, comps)
@@ -291,9 +288,9 @@ class CrossedProduct:
     def transport_inverse(self, x: PAElement) -> PAElement:
         """Inverse of :meth:`transport` on the surround range: ``sum c *
         orbit_sum(colour, rep) / transport_prefactor(colour)`` over the twist
-        components, with one inverse."""
+        components, with one inverse; at colour 0 it returns ``x`` itself."""
         if x.colour == 0:
-            return PAElement(0, dict(x.coeffs), x.shaded)
+            return x
         scale = self.transport_prefactor(x.colour).invert()
         comps = {rep: c * scale for rep, c in self.twist_components(x).items()}
         return self._orbit_combination(x.colour, comps)

@@ -81,10 +81,12 @@ class PAElement:
     `coeffs`: as a left factor, its coefficient classes with the left
     parts of their labels; as a right factor, its coefficient classes
     times the product prefactor, each bucketed by right key.  A mutated
-    `coeffs` would be multiplied as its old value, and :meth:`scale` by 1
-    returns the element itself.  Nothing in the library mutates it; build
-    a new element instead.  The shading flag is refused above colour 0; at
-    colour 0 it keeps the two one-dimensional spaces apart.
+    `coeffs` would be multiplied as its old value, and every identity map
+    returns the element itself: :meth:`scale` by 1, ``star`` at colours 0
+    and 1, and the surround of a fixed element.  Nothing in the library
+    mutates it; build a new element instead.  The shading flag is refused
+    above colour 0; at colour 0 it keeps the two one-dimensional spaces
+    apart.
 
     The constructor checks every label, for outside input; results the
     library computes from checked elements are built by :func:`_trusted`.
@@ -254,14 +256,17 @@ class SubgroupBiprojection:
     (Bisch, *A note on intermediate subfactors*), so ``algebra`` and K
     determine everything the cut-down algebra needs.  The surround spreads
     a label over K on the right of every slot and on the left of all slots,
-    ``S(h_1..h_{c-1}) -> |K|^-c sum_{t, k_i in K} S(t h_1 k_1, ..., t h_{c-1} k_{c-1})``,
-    and passes colour 0 through.  By orbit-stabilizer the ``|K|^c`` tuples
-    ``(t, k)`` hit every label of the class of ``h`` under ``h -> t h k``
-    equally often, so the surround of a label is its class average: every
-    label of the class with coefficient ``1/|class|``.  One table maps each
-    label met to its class's entry, shared by every label of the class:
-    the least label, the labels and ``1/|class|``.  The least labels at a
-    colour, listed by :meth:`class_reps`, index the range.
+    ``S(h_1..h_{c-1}) -> |K|^-c sum_{t, k_i in K} S(t h_1 k_1, ..., t h_{c-1} k_{c-1})``.
+    By orbit-stabilizer the ``|K|^c`` tuples ``(t, k)`` hit every label of
+    the class of ``h`` under ``h -> t h k`` equally often, so the surround
+    of a label is its class average: every label of the class with
+    coefficient ``1/|class|``; the empty label of colours 0 and 1 is a
+    class of one.  One table maps each label met to its class's entry,
+    shared by every label of the class: the least label, the labels and
+    ``1/|class|``.  The least labels at a colour, listed by
+    :meth:`class_reps`, index the range, and :meth:`inverse_class_size`
+    reads ``1/|class|``.  The surround owns fixedness: an element is in
+    the range exactly when ``surround(x) is x``.
 
     Everything it keeps is a function of ``algebra`` and K: the class
     table, one entry per label of each class met.  It keeps no values;
@@ -321,12 +326,13 @@ class SubgroupBiprojection:
         one field product per count above 1.  A weight of 1 gives each label
         ``1/|class|`` itself.  A class whose weight cancels is left out.
 
-        A fixed element is its own surround, returned as the very object:
-        ``x`` is fixed exactly when every class it meets carries one
-        coefficient on all of its labels, which the gathered counts show
-        with no comparison of elements."""
-        if x.colour == 0:
-            return _trusted(0, dict(x.coeffs), x.shaded)
+        A fixed element is its own surround, returned as the very object,
+        at every colour: ``x`` is fixed exactly when every class it meets
+        carries one coefficient on all of its labels, which the gathered
+        counts show with no comparison of elements.  The empty label is a
+        class of its own, so every element at colour 0 or 1, the zero
+        element and a shaded one included, comes back as itself.  This is
+        the one test of fixedness: a caller asks ``surround(x) is x``."""
         classes = self._classes
         # least label of a class -> its input coefficients, each with the
         # number of input labels that carry it
@@ -355,6 +361,10 @@ class SubgroupBiprojection:
     def class_rep(self, label: Label) -> Label:
         """The least label of the class of ``label``, read off the table."""
         return (self._classes.get(label) or self._class(label))[0]
+
+    def inverse_class_size(self, label: Label) -> RadicalScalar:
+        """``1/|class|`` for the class of ``label``, read off the table."""
+        return (self._classes.get(label) or self._class(label))[2]
 
     def class_reps(self, colour: int) -> Iterator[Label]:
         """The least label of each class at a colour, in ascending order."""
@@ -486,9 +496,9 @@ class BasisTable:
     from table values never enter it.  The table thus holds at most
     ``sum over generators with every colour <= k_max of prod dim(slot
     colour)`` leaf entries, plus one surround per basis element and per
-    leaf entry.  A fixed element comes back as its own surround, so the
-    surround of a basis element is that element, and a leaf on it reads the
-    table too.
+    leaf entry.  A fixed element comes back as its own surround at every
+    colour, so the surround of a basis element is that element, and a leaf
+    on it reads the table too.
 
     Only pure functions of immutable inputs are kept, keyed by the ``id`` of
     their inputs: ``leaves`` maps ``(generator, *input ids)`` to the value
@@ -532,19 +542,14 @@ class BasisTable:
 
     def surround(self, x: PAElement) -> PAElement:
         """The subgroup's surround of ``x``, read from the table for a basis
-        element or a leaf value.
-
-        Above colour 0 :meth:`SubgroupBiprojection.surround` already returns
-        a fixed element itself.  A held element is still compared with its
-        surround once, when the entry is made, so that colour 0, whose
-        surround is a copy, also keeps the element itself."""
+        element or a leaf value.  :meth:`SubgroupBiprojection.surround`
+        returns a fixed element itself at every colour, so a held fixed
+        element is its own entry; no element is compared."""
         key = id(x)
         out = self.surrounds.get(key)
         if out is None:
             out = self.subgroup.surround(x)
             if self.members.get(key) is x or self.values.get(key) is x:
-                if out == x:
-                    out = x
                 self.surrounds[key] = out
         return out
 
@@ -778,9 +783,10 @@ class GroupPlanarAlgebra:
 
     def star(self, x: PAElement) -> PAElement:
         """The adjoint: ``S(g_1..g_{c-1}) -> S(g_1^-1, g_1^-1 g_{c-1}, ..., g_1^-1 g_2)``,
-        a bijection of labels; colours 0 and 1 are fixed."""
+        a bijection of labels; at colours 0 and 1 it is the identity and
+        returns ``x`` itself."""
         if x.colour <= 1:
-            return _trusted(x.colour, dict(x.coeffs), x.shaded)
+            return x
         inv, rows = self.group.inv, self.group.table
         tail = range(x.colour - 2, 0, -1)
         out: dict[Label, RadicalScalar] = {}

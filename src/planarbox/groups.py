@@ -262,8 +262,9 @@ def load_action(spec: Mapping) -> GroupAction:
     """Build an action from a parsed JSON object.
 
     Shape: ``{"group": ..., "theta": ..., "action": {"<t>": [...]}}``
-    where the action keys are theta indices as strings.  The entry for
-    the theta identity may be omitted.  Ill-shaped input raises GroupError.
+    where the action keys are theta indices as strings, ``str(t)``; any
+    other key is refused.  The entry for the theta identity may be
+    omitted.  Ill-shaped input raises GroupError.
     """
     if not isinstance(spec, Mapping):
         raise GroupError("action spec must be an object")
@@ -276,6 +277,10 @@ def load_action(spec: Mapping) -> GroupAction:
     raw = spec.get("action", {})
     if not isinstance(raw, Mapping):
         raise GroupError("'action' must map theta indices to permutations")
+    indices = {str(t) for t in range(theta.order)}
+    for key in raw:
+        if key not in indices:
+            raise GroupError(f"action key {key!r} is not a theta index 0..{theta.order - 1}")
     maps: list[Sequence[int]] = []
     for t in range(theta.order):
         key = str(t)

@@ -137,11 +137,9 @@ class IntermediateAlgebra:
         return len(self.basis(colour))
 
     def contains(self, x: PAElement) -> bool:
-        """Whether the surround fixes ``x``.  Above colour 0 the surround
-        returns a fixed element itself, so only colour 0, which it copies,
-        and a non-member reach the comparison of elements."""
-        fixed = self.table.surround(x)  # the surround passes colour 0 through
-        return fixed is x or fixed == x
+        """Whether the surround fixes ``x``: it returns a fixed element
+        itself at every colour, so no element is compared."""
+        return self.table.surround(x) is x
 
     def require_member(self, x: PAElement) -> None:
         if not self.contains(x):

@@ -39,6 +39,7 @@ MALFORMED_ACTIONS = {
     "row-not-integers": {"group": {"table": [[0, "1"], [1, 0]]}, "theta": Z2},
     "action-not-an-object": {"group": Z3, "theta": Z2, "action": [[0, 2, 1]]},
     "map-not-a-list": {"group": Z3, "theta": Z2, "action": {"1": 5}},
+    "stray-action-key": {"group": Z3, "theta": Z2, "action": {"1": [0, 2, 1], "7": [0, 1, 2], "x": 5}},
 }
 
 
@@ -310,6 +311,14 @@ class TestSuiteCommand:
     def test_deeply_nested_action_file_exits_2(self, deep_action, capsys):
         assert main(["suite", "trace", "--action", deep_action]) == 2
         assert "cannot load action" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["suite", "jones"], ["multiply", "2", "1", "1"]], ids=str)
+    @pytest.mark.parametrize("key", ["7", "x", "01", "-1"])
+    def test_stray_action_key_exits_2(self, command, key, tmp_path, capsys):
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps({"group": Z3, "theta": Z2, "action": {"1": [0, 2, 1], key: [0, 1, 2]}}))
+        assert main([*command, "--action", str(path)]) == 2
+        assert f"action key {key!r}" in capsys.readouterr().err
 
     def test_group_above_order_cap_exits_2(self, tmp_path, capsys):
         # S_7 (order 5040): validating its table would check 1.3e11 triples

@@ -549,6 +549,85 @@ class TestOrbitBuilder:
                 assert cp.transport_inverse(cp.transport(z)) == z
 
 
+def walked_twist_components(cp: CrossedProduct, x: PAElement) -> dict:
+    """The twist components by an orbit walk: each support label whose Theta
+    parts are all 1 names an orbit, built once with ``orbit_of``; the
+    coefficient at the orbit's least label, over the stabilizer order, is
+    its component, and components that do not rebuild ``x`` are refused."""
+    pair, index = cp.semidirect.pair, cp.semidirect.index
+    comps, found = {}, set()
+    for label in x.coeffs:
+        parts = [pair(h) for h in label]
+        if all(t == 0 for _, t in parts):
+            gbar = tuple(g for g, _ in parts)
+            if gbar in found:
+                continue
+            orbit = orbit_of(cp.action, gbar)
+            found |= orbit
+            rep = min(orbit)
+            c = x.coefficient(tuple(index(g, 0) for g in rep)) / (cp.theta_order // len(orbit))
+            if not c.is_zero():
+                comps[rep] = c
+    rebuilt = cp.product.zero(x.colour)
+    for rep, c in comps.items():
+        rebuilt = rebuilt + cp.twist_sum(x.colour, rep).scale(c)
+    if rebuilt != x:
+        raise AlgebraError("element lies outside the span of the twist sums")
+    return comps
+
+
+TWIST_CASES = [
+    (stem, colour)
+    for stem, colours in (("z3xz2", 4), ("z4xz2", 4), ("s4", 3), ("z7xz3", 3))
+    for colour in range(1, colours + 1)
+]
+TWIST_PRODUCTS = {
+    stem: CrossedProduct(load_action(json.loads((ACTIONS / f"{stem}.json").read_text())))
+    for stem in ("z3xz2", "z4xz2", "s4", "z7xz3")
+}
+
+
+class TestTwistComponentsReading:
+    """``twist_components`` reads each class once, at its least label, after
+    the surround has said the element is fixed; an orbit walk with a
+    rebuild must give the same dict, and refuse the same elements."""
+
+    @pytest.mark.parametrize("stem, colour", TWIST_CASES, ids=str)
+    def test_agrees_with_the_orbit_walk(self, stem, colour):
+        cp = TWIST_PRODUCTS[stem]
+        rng = random.Random(f"twist-reading-{stem}-{colour}")
+        reps = cp.orbit_reps(colour)
+        labels = list(cp.product.basis_labels(colour))
+        fixed = moved = 0
+        for _ in range(12):
+            comps = {
+                rep: rng.choice(BUILDER_COEFFS)
+                for rep in rng.sample(reps, rng.randint(0, min(len(reps), 4)))
+            }
+            x = cp.product.zero(colour)
+            for rep, c in comps.items():
+                x = x + cp.twist_sum(colour, rep).scale(c)
+            assert cp.twist_components(x) == walked_twist_components(cp, x) == comps
+            fixed += 1
+            if colour == 1:
+                continue  # every colour-1 element is fixed
+            off = dict(x.coeffs)
+            kind = rng.choice(["drop", "other", "add"]) if off else "add"
+            if kind == "drop":
+                del off[rng.choice(sorted(off))]
+            elif kind == "other":
+                off[rng.choice(sorted(off))] = rng.choice(BUILDER_COEFFS) * 5
+            else:
+                off[rng.choice(labels)] = rng.choice(BUILDER_COEFFS) * 7
+            y = PAElement(colour, {lab: c for lab, c in off.items() if not c.is_zero()})
+            with pytest.raises(AlgebraError, match="span"):
+                walked_twist_components(cp, y)
+            with pytest.raises(AlgebraError, match="span"):
+                cp.twist_components(y)
+            moved += 1
+        assert fixed == 12 and moved == (0 if colour == 1 else 12)
+
+
 INTERTWINE_GENERATORS = [
     GenExpr("M", 2),
     GenExpr("M", 3),

@@ -1505,6 +1505,28 @@ class TestSubgroupBiprojection:
                     kinds["near miss"] += planted.count("missing") + planted.count("other")
         assert min(kinds.values()) >= 80, kinds
 
+    @pytest.mark.parametrize("name", ["z3xz2", "z4xz2"])
+    def test_low_colour_element_is_its_own_surround(self, name):
+        """Every element at colours 0 and 1 is fixed, since the empty label
+        is a class of one, so the surround returns it as the very object,
+        shaded or not, the zero element too; so does a cut-down algebra's
+        table, for its colour-0 and colour-1 basis elements."""
+        alg = SEMIDIRECT[name]
+        elements = [
+            PAElement(colour, {(): c} if c else {}, shaded)
+            for colour, shaded in ((0, False), (0, True), (1, False))
+            for c in [None, *CLASS_COEFFS]
+        ]
+        for members in subgroups(alg.group):
+            sub = SubgroupBiprojection(alg, members)
+            for x in elements:
+                assert sub.surround(x) is x, (members, x.colour, x.shaded)
+            inter = IntermediateAlgebra(sub, k_max=2)
+            for colour, shaded in ((0, False), (0, True), (1, False)):
+                for b in inter.basis(colour, shaded):
+                    assert inter.table.surround(b) is b
+                    assert inter.contains(b)
+
     def test_trivial_subgroup_surround_is_identity(self):
         alg = SEMIDIRECT["z3xz2"]
         sub = SubgroupBiprojection(alg, [0])

@@ -1,5 +1,7 @@
 import itertools
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from planarbox.groups import (
     trivial_action,
     trivial_group,
 )
+
+ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 
 
 def is_abelian(g):
@@ -175,6 +179,23 @@ class TestGroupAction:
         del spec["action"]["1"]
         with pytest.raises(GroupError, match="missing"):
             load_action(spec)
+
+    @pytest.mark.parametrize("key", ["7", "x", "01", "-1", "2", " 1", 1])
+    def test_stray_action_key_rejected(self, key):
+        """Keys are ``str(t)`` for a theta index ``t`` and nothing else."""
+        spec = {
+            "group": {"table": cyclic_group(3).table},
+            "theta": {"table": cyclic_group(2).table},
+            "action": {"1": [0, 2, 1], key: [0, 1, 2]},
+        }
+        with pytest.raises(GroupError, match=re.escape(repr(key))):
+            load_action(spec)
+
+    def test_shipped_action_files_load(self):
+        paths = sorted(ACTIONS.glob("*.json"))
+        assert len(paths) == 5
+        for path in paths:
+            load_action(json.loads(path.read_text()))
 
 
 class TestSemidirect:

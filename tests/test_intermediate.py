@@ -759,6 +759,46 @@ class TestClassCount:
         assert len(calls) <= bound
 
 
+class TestMembership:
+    """``contains`` asks the surround whether it returns its input itself;
+    its verdict must be the one the values give."""
+
+    @pytest.mark.parametrize("stem", ["z3xz2", "z4xz2"])
+    def test_contains_is_fixedness_by_value(self, stem):
+        """On every subgroup, a seeded pool at colours 0-4: basis elements,
+        combinations of two, and non-members (one label moved off a
+        combination, one label added, a few random labels); shaded and
+        zero elements at colour 0."""
+        cp = ACTION_PRODUCTS[stem]
+        P = cp.product
+        rng = random.Random(f"contains-{stem}")
+        coeffs = [ONE, RadicalScalar.rational(-2), pow_half(2, 1), ONE - pow_half(6, -1)]
+        verdicts = {True: 0, False: 0}
+        for members in generated_subgroups(cp.semidirect):
+            inter = IntermediateAlgebra(SubgroupBiprojection(P, members), k_max=4)
+            pool = [P.zero(0), P.zero(0, True), P.unit(0, True).scale(coeffs[2])]
+            for colour in range(5):
+                labels = list(P.basis_labels(colour))
+                basis = inter.basis(colour)
+                for _ in range(6):
+                    a, b = (rng.choice(basis) for _ in range(2))
+                    combo = a.scale(rng.choice(coeffs)) + b.scale(rng.choice(coeffs))
+                    pool += [a, combo]
+                    if colour >= 2:
+                        moved = dict(combo.coeffs) or {labels[0]: ONE}
+                        moved[rng.choice(sorted(moved))] = rng.choice(coeffs) * 3
+                        pool.append(PAElement(colour, moved))
+                        pool.append(combo + P.basis_element(colour, rng.choice(labels)))
+                        pool.append(P.element(colour, {
+                            lab: rng.choice(coeffs) for lab in rng.sample(labels, 3)
+                        }))
+            for x in pool:
+                verdict = inter.contains(x)
+                assert verdict == (inter.subgroup.surround(x) == x), (members, x.colour)
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 50, verdicts
+
+
 def cut_down_discs(k_max: int) -> list[Disc]:
     return [Disc(0), Disc(0, True)] + [Disc(c) for c in range(1, k_max + 1)]
 
