@@ -39,7 +39,9 @@ A report records the action path as given, so two checkouts compare
 equal only when each is run from its own root with the same relative
 paths, e.g. ``python3 scripts/report_digests.py actions/z3xz2.json``.  A
 run the CLI refuses (exit 2, say a cost bound) prints ``refused`` and its
-exit code in place of the count and digest, on both lines.  ``--suite``
+exit code in place of the count and digest, on both lines.  A run whose
+child crashes prints ``failed`` and the child's exit code instead, and
+then the script exits 1; refused runs alone leave it at 0.  ``--suite``
 keeps only the named runs (``all-k3`` names the ``all --kmax 3`` run, ``alpha`` and
 ``alpha-pool`` the alpha lines); some suites at the defaults take minutes on the larger
 actions.
@@ -217,6 +219,15 @@ def alpha_line() -> str:
     return f"alpha {len(texts)} {digest.hexdigest()}"
 
 
+def shown(proc: subprocess.CompletedProcess, name: str) -> bool:
+    """Print what a child printed, or ``<name> failed exit <code>`` when it
+    printed nothing or exited nonzero; return whether it ran."""
+    out = proc.stdout.decode().strip()
+    ran = proc.returncode == 0 and bool(out)
+    print(out if ran else f"{name} failed exit {proc.returncode}", flush=True)
+    return ran
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("actions", nargs="*", help="action JSON files (the alpha lines read none)")
@@ -224,18 +235,16 @@ def main() -> int:
                         help="keep only this run (repeatable; default: every run)")
     args = parser.parse_args()
     runs = args.suite or [*RUNS, "alpha", "alpha-pool"]
+    ran = True
     for action in args.actions:
         for run in runs:
             if run in RUNS:
-                proc = child("-c", SUITE_CHILD, action, run)
-                failed = f"{action} {run} failed exit {proc.returncode}"
-                print(proc.stdout.decode().strip() or failed, flush=True)
+                ran &= shown(child("-c", SUITE_CHILD, action, run), f"{action} {run}")
     if "alpha" in runs:
         print(alpha_line(), flush=True)
     if "alpha-pool" in runs:
-        proc = child("-c", ALPHA_POOL_CHILD)
-        print(proc.stdout.decode().strip() or f"alpha-pool failed exit {proc.returncode}", flush=True)
-    return 0
+        ran &= shown(child("-c", ALPHA_POOL_CHILD), "alpha-pool")
+    return 0 if ran else 1
 
 
 if __name__ == "__main__":

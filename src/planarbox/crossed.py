@@ -16,9 +16,14 @@ their closed-form products, and the transport map together with its
 generator-intertwining checks; the checks of the biprojection itself, and
 its conjugates, belong to the subgroup.  Each family has one builder, the
 combination ``sum c * sum(label)`` over a dict of components
-(``_orbit_combination``, ``_twist_combination``), and every map that
-returns an element of a family goes through it: the sums themselves, the
-closed-form products, ``transport`` and ``transport_inverse``.
+(``_orbit_combination``, ``_twist_combination``), through which the sums,
+the closed-form products and ``transport`` go, and one reader:
+``invariant_components`` walks the orbits of an element of G's algebra,
+deciding invariance as it goes, and ``_restrict`` un-embeds a fixed
+element of H's algebra onto its labels ``(g_i, 1)``.  The restriction
+of a twist sum is the orbit sum of its label, so ``twist_components``
+reads the orbit components of the restriction, and ``transport_inverse``
+is the restriction, rescaled.
 """
 
 from __future__ import annotations
@@ -111,37 +116,28 @@ class CrossedProduct:
                 coeffs[moved] = coeffs.get(moved, ZERO) + c
         return PAElement(colour, coeffs)
 
-    def stabilizer_order(self, label: Sequence[int]) -> int:
-        return self.theta_order // len(orbit_of(self.action, tuple(label)))
-
-    def is_invariant(self, x: PAElement) -> bool:
-        """Whether the componentwise Theta-relabelling fixes x."""
-        for t in range(1, self.theta_order):
-            for label, c in x.coeffs.items():
-                if x.coefficient(self.action.apply_tuple(t, label)) != c:
-                    return False
-        return True
-
     def invariant_components(self, x: PAElement) -> dict[Label, RadicalScalar]:
         """Decompose an invariant element over the orbit sums.
 
         Returns coefficients keyed by orbit representative, so that x equals
-        the sum of ``coeff * orbit_sum(rep)``.  Raises if x is not invariant.
-        Each orbit is built once, from the first of its labels in the
-        support; a coefficient is divided by the stabilizer order
-        ``|Theta| / |orbit|``, read off that orbit.
+        the sum of ``coeff * orbit_sum(rep)``.  One walk over the support
+        builds each orbit once, from the first of its labels met, and
+        requires every label of the orbit to carry that label's
+        coefficient: x is invariant exactly when every orbit it meets does,
+        and otherwise this raises.  The coefficient is divided by the
+        stabilizer order ``|Theta| / |orbit|``.
         """
-        if not self.is_invariant(x):
-            raise AlgebraError("element is not invariant under the group action")
         comps: dict[Label, RadicalScalar] = {}
         found: set[Label] = set()
         for label in x.support():
             if label in found:
                 continue
+            c = x.coeffs[label]
             orbit = orbit_of(self.action, label)
+            if any(x.coefficient(moved) != c for moved in orbit):
+                raise AlgebraError("element is not invariant under the group action")
             found |= orbit
-            rep = min(orbit)
-            comps[rep] = x.coefficient(rep) / (self.theta_order // len(orbit))
+            comps[min(orbit)] = c / (self.theta_order // len(orbit))
         return comps
 
     def orbit_multiply(self, x: PAElement, y: PAElement) -> PAElement:
@@ -210,26 +206,35 @@ class CrossedProduct:
         """Decompose an element of the surround range over the twist sums.
 
         Keys are orbit representatives; raises if x lies outside the span,
-        which is the surround's range: ``surround(x) is x`` decides it.  A
-        twist sum is ``|Theta|^colour`` times the class average of its
-        embedded label, the least label of its class, so each class is read
-        once, at its least label: its Theta parts are all 1 and its G parts
-        are the orbit representative.  The component is the coefficient
-        there divided by ``|Theta|^colour / |class|``, the stabilizer order.
+        which is the surround's range.  The restriction of a twist sum is
+        the orbit sum of its label, so the components are those of the
+        restriction (:meth:`_restrict`) over the orbit sums.
         """
         if x.colour < 1:
             raise AlgebraError("twist sums exist for colour >= 1 only")
-        embedded = self.embedded
-        if embedded.surround(x) is not x:
+        return self.invariant_components(self._restrict(x))
+
+    def _restrict(self, x: PAElement) -> PAElement:
+        """``x`` on the labels embedded from G, ``(g_i, 1)``, each read back
+        as the G label ``(g_i)``; raises unless ``surround(x) is x``.
+
+        The class of ``(g_i, 1)`` under ``h -> t h k`` is every
+        ``(t(g_i), s_i)``, with ``t`` in Theta and ``s`` in
+        ``Theta^(colour-1)``, so its labels with every Theta part 1 are the
+        Theta-orbit of ``g``, and ``|class| = |orbit| |Theta|^(colour-1)``.
+        A twist sum puts ``|Theta|^colour / |class|``, the stabilizer order
+        ``|Theta| / |orbit|``, on each label of its class, so its
+        restriction is the orbit sum of its label.
+        """
+        if self.embedded.surround(x) is not x:
             raise AlgebraError("element lies outside the span of the twist sums")
         pair = self.semidirect.pair
-        weight = self.theta_order**x.colour
-        comps: dict[Label, RadicalScalar] = {}
-        for label, c in x.coeffs.items():
-            if embedded.class_rep(label) == label:
-                stabilizer = embedded.inverse_class_size(label) * weight
-                comps[tuple(pair(h)[0] for h in label)] = c / stabilizer
-        return comps
+        kept = {
+            tuple(pair(h)[0] for h in label): c
+            for label, c in x.coeffs.items()
+            if not any(pair(h)[1] for h in label)
+        }
+        return PAElement(x.colour, kept)
 
     def twist_multiply(self, colour: int, gbar: Sequence[int], hbar: Sequence[int]) -> PAElement:
         """Product of two twist sums by the closed formula, fully expanded.
@@ -286,14 +291,13 @@ class CrossedProduct:
         return self._twist_combination(x.colour, comps)
 
     def transport_inverse(self, x: PAElement) -> PAElement:
-        """Inverse of :meth:`transport` on the surround range: ``sum c *
-        orbit_sum(colour, rep) / transport_prefactor(colour)`` over the twist
-        components, with one inverse; at colour 0 it returns ``x`` itself."""
+        """Inverse of :meth:`transport` on the surround range: the
+        restriction (:meth:`_restrict`) over ``transport_prefactor(colour)``,
+        since the restriction of ``transport(y)`` is the prefactor times
+        ``y``; at colour 0 it returns ``x`` itself."""
         if x.colour == 0:
             return x
-        scale = self.transport_prefactor(x.colour).invert()
-        comps = {rep: c * scale for rep, c in self.twist_components(x).items()}
-        return self._orbit_combination(x.colour, comps)
+        return self._restrict(x).scale(self.transport_prefactor(x.colour).invert())
 
     def intertwine_check(self, gen: GenExpr) -> list[dict]:
         """Check that transport commutes with one generator action.

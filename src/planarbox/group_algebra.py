@@ -264,9 +264,8 @@ class SubgroupBiprojection:
     class of one.  One table maps each label met to its class's entry,
     shared by every label of the class: the least label, the labels and
     ``1/|class|``.  The least labels at a colour, listed by
-    :meth:`class_reps`, index the range, and :meth:`inverse_class_size`
-    reads ``1/|class|``.  The surround owns fixedness: an element is in
-    the range exactly when ``surround(x) is x``.
+    :meth:`class_reps`, index the range.  The surround owns fixedness: an
+    element is in the range exactly when ``surround(x) is x``.
 
     Everything it keeps is a function of ``algebra`` and K: the class
     table, one entry per label of each class met.  It keeps no values;
@@ -361,10 +360,6 @@ class SubgroupBiprojection:
     def class_rep(self, label: Label) -> Label:
         """The least label of the class of ``label``, read off the table."""
         return (self._classes.get(label) or self._class(label))[0]
-
-    def inverse_class_size(self, label: Label) -> RadicalScalar:
-        """``1/|class|`` for the class of ``label``, read off the table."""
-        return (self._classes.get(label) or self._class(label))[2]
 
     def class_reps(self, colour: int) -> Iterator[Label]:
         """The least label of each class at a colour, in ascending order."""

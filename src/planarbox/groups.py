@@ -172,11 +172,22 @@ def load_group(spec: Mapping) -> FiniteGroup:
     Accepts either ``{"table": [[...]]}`` or
     ``{"permutations": [[...], ...], "degree": n}``; an optional
     ``"names"`` list labels the elements (table form only, since the
-    permutation form renumbers).  Ill-shaped input, and a group of order
-    above ``MAX_GROUP_ORDER``, raise GroupError.
+    permutation form renumbers).  Any other key, a table form with
+    ``"permutations"`` or a permutation form with ``"names"``, is refused
+    by name.  Ill-shaped input, and a group of order above
+    ``MAX_GROUP_ORDER``, raise GroupError.
     """
     if not isinstance(spec, Mapping):
         raise GroupError("group spec must be an object")
+    if "table" in spec:
+        allowed = ("table", "names")
+    elif "permutations" in spec:
+        allowed = ("permutations", "degree")
+    else:
+        raise GroupError("group spec needs a 'table' or 'permutations' entry")
+    for key in spec:
+        if key not in allowed:
+            raise GroupError(f"group spec key {key!r} is not allowed beside {allowed[0]!r}")
     if "table" in spec:
         names = spec.get("names")
         if names is not None and not (
@@ -184,14 +195,12 @@ def load_group(spec: Mapping) -> FiniteGroup:
         ):
             raise GroupError("group names must be a list of strings")
         return FiniteGroup(_index_rows(spec["table"], "table"), names)
-    if "permutations" in spec:
-        if "degree" not in spec:
-            raise GroupError("permutation group spec needs a degree")
-        degree = spec["degree"]
-        if not isinstance(degree, int) or isinstance(degree, bool):
-            raise GroupError("degree must be an integer")
-        return group_from_permutations(_index_rows(spec["permutations"], "permutations"), degree)
-    raise GroupError("group spec needs a 'table' or 'permutations' entry")
+    if "degree" not in spec:
+        raise GroupError("permutation group spec needs a degree")
+    degree = spec["degree"]
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise GroupError("degree must be an integer")
+    return group_from_permutations(_index_rows(spec["permutations"], "permutations"), degree)
 
 
 class GroupAction:
@@ -263,11 +272,14 @@ def load_action(spec: Mapping) -> GroupAction:
 
     Shape: ``{"group": ..., "theta": ..., "action": {"<t>": [...]}}``
     where the action keys are theta indices as strings, ``str(t)``; any
-    other key is refused.  The entry for the theta identity may be
-    omitted.  Ill-shaped input raises GroupError.
+    other key, there or at the top level, is refused.  The entry for the
+    theta identity may be omitted.  Ill-shaped input raises GroupError.
     """
     if not isinstance(spec, Mapping):
         raise GroupError("action spec must be an object")
+    for key in spec:
+        if key not in ("group", "theta", "action"):
+            raise GroupError(f"action spec key {key!r} is not 'group', 'theta' or 'action'")
     for key in ("group", "theta"):
         if key not in spec:
             raise GroupError(f"action spec needs a {key!r} entry")

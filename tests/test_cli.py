@@ -40,6 +40,17 @@ MALFORMED_ACTIONS = {
     "action-not-an-object": {"group": Z3, "theta": Z2, "action": [[0, 2, 1]]},
     "map-not-a-list": {"group": Z3, "theta": Z2, "action": {"1": 5}},
     "stray-action-key": {"group": Z3, "theta": Z2, "action": {"1": [0, 2, 1], "7": [0, 1, 2], "x": 5}},
+    "stray-top-level-key": {"group": Z3, "theta": Z2, "action": {"1": [0, 2, 1]}, "extra": 5},
+    "names-in-permutation-form": {
+        "group": {"permutations": [[1, 2, 0]], "degree": 3, "names": ["e", "a", "b"]},
+        "theta": Z2, "action": {"1": [0, 2, 1]},
+    },
+    "misspelled-names": {
+        "group": Z3, "theta": {**Z2, "nmaes": ["e", "t"]}, "action": {"1": [0, 2, 1]},
+    },
+    "table-and-permutations": {
+        "group": {**Z3, "permutations": [[1, 2, 0]], "degree": 3}, "theta": Z2, "action": {"1": [0, 2, 1]},
+    },
 }
 
 
@@ -452,6 +463,33 @@ def _multiply_argvs():
 MULTIPLY_DIGEST = "9d923771d66c6c5dbf9905a899f655273733cd19c8a446a8d3ccbbcaaaa99d23"
 
 
+# the highest colour of the sum-basis sweep on each shipped action file
+SUM_COLOURS = {"z3xz2": 5, "z4xz2": 5, "z3-trivial": 5, "s4": 4, "z7xz3": 4}
+SUM_PAIRS = 25
+
+
+def _sum_multiply_argvs():
+    """``multiply`` in the orbit-sum and twist-sum bases on every shipped
+    action file, from colour 2 to its ``SUM_COLOURS`` entry: ``SUM_PAIRS``
+    seeded label pairs per colour, each in both bases."""
+    for stem, top in SUM_COLOURS.items():
+        path = f"{ACTIONS}/{stem}.json"
+        n = load_action(json.loads(Path(path).read_text())).group.order
+        for colour in range(2, top + 1):
+            rng = random.Random(f"sum-multiply-{stem}-{colour}")
+            for _ in range(SUM_PAIRS):
+                left, right = (
+                    ",".join(str(rng.randrange(n)) for _ in range(colour - 1)) for _ in range(2)
+                )
+                for basis in ("thetaS", "U"):
+                    yield ["multiply", str(colour), left, right, "--basis", basis, "--action", path]
+
+
+# sha256 of the concatenated output of _sum_multiply_argvs(), 900 products,
+# each read back over its basis (``invariant_components``, ``twist_components``)
+SUM_MULTIPLY_DIGEST = "f4c53f6c1cdc67515deb498e961bb1f7ab3ba23b68d4a40cf5358d0f20e36d55"
+
+
 class TestMultiplyCommand:
     def test_output_bytes_pinned(self, capsys):
         digest = hashlib.sha256()
@@ -461,6 +499,15 @@ class TestMultiplyCommand:
             digest.update(capsys.readouterr().out.encode())
             calls += 1
         assert (calls, digest.hexdigest()) == (486, MULTIPLY_DIGEST)
+
+    def test_sum_basis_output_bytes_pinned(self, capsys):
+        digest = hashlib.sha256()
+        calls = 0
+        for argv in _sum_multiply_argvs():
+            assert main(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode())
+            calls += 1
+        assert (calls, digest.hexdigest()) == (900, SUM_MULTIPLY_DIGEST)
 
     def test_plain_labels(self, capsys):
         assert main(["multiply", "2", "1", "2"]) == 0

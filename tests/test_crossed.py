@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -53,8 +54,9 @@ class TestOrbitSums:
 
     def test_fixed_label_keeps_multiplicity(self):
         assert CP3.orbit_sum(2, (0,)) == CP3.base.element(2, {(0,): 2})
-        assert CP3.stabilizer_order((0,)) == 2
-        assert CP3.stabilizer_order((1,)) == 1
+        # the coefficient is divided by the stabilizer order, 2 and then 1
+        assert CP3.invariant_components(CP3.orbit_sum(2, (0,))) == {(0,): ONE}
+        assert CP3.invariant_components(CP3.orbit_sum(2, (1,))) == {(1,): ONE}
 
     def test_colour_one_orbit_sum(self):
         assert CP3.orbit_reps(1) == [()]
@@ -70,11 +72,12 @@ class TestOrbitSums:
 
     def test_orbit_sums_are_invariant(self):
         for colour in (2, 3, 4):
-            for _, el in orbit_basis(CP3, colour):
-                assert CP3.is_invariant(el)
+            for rep, el in orbit_basis(CP3, colour):
+                assert CP3.invariant_components(el) == {rep: ONE}
 
     def test_plain_basis_element_not_invariant(self):
-        assert not CP3.is_invariant(CP3.base.basis_element(2, (1,)))
+        with pytest.raises(AlgebraError, match="not invariant"):
+            CP3.invariant_components(CP3.base.basis_element(2, (1,)))
 
     def test_orbit_basis_is_orthogonal(self):
         basis = orbit_basis(CP3, 3)
@@ -626,6 +629,107 @@ class TestTwistComponentsReading:
                 cp.twist_components(y)
             moved += 1
         assert fixed == 12 and moved == (0 if colour == 1 else 12)
+
+
+def swept_invariant_components(cp: CrossedProduct, x: PAElement) -> dict:
+    """The orbit components by a sweep over Theta for invariance, then a
+    sorted orbit walk read at each orbit's least label."""
+    for t in range(1, cp.theta_order):
+        for label, c in x.coeffs.items():
+            if x.coefficient(cp.action.apply_tuple(t, label)) != c:
+                raise AlgebraError("element is not invariant under the group action")
+    comps, found = {}, set()
+    for label in x.support():
+        if label in found:
+            continue
+        orbit = orbit_of(cp.action, label)
+        found |= orbit
+        rep = min(orbit)
+        comps[rep] = x.coefficient(rep) / (cp.theta_order // len(orbit))
+    return comps
+
+
+def perturbed(x: PAElement, labels: list, rng: random.Random) -> PAElement:
+    """``x`` with one coefficient dropped, changed, or added at a label."""
+    off = dict(x.coeffs)
+    kind = rng.choice(["drop", "other", "add"]) if off else "add"
+    if kind == "drop":
+        del off[rng.choice(sorted(off))]
+    elif kind == "other":
+        off[rng.choice(sorted(off))] = rng.choice(BUILDER_COEFFS) * 5
+    else:
+        off[rng.choice(labels)] = rng.choice(BUILDER_COEFFS) * 7
+    return PAElement(x.colour, {lab: c for lab, c in off.items() if not c.is_zero()})
+
+
+def outcome(read, x: PAElement):
+    """What ``read(x)`` returns, or the message it raises."""
+    try:
+        return read(x)
+    except AlgebraError as exc:
+        return str(exc)
+
+
+class TestOneReaderPerFamily:
+    """Each family is read one way: ``invariant_components`` decides
+    invariance inside its orbit walk, and ``twist_components`` and
+    ``transport_inverse`` restrict a fixed element to its labels embedded
+    from G.  Each must agree with a reading that checks and reads
+    separately, on seeded combinations of both families, and raise with
+    the same message on elements outside them."""
+
+    @pytest.mark.parametrize("stem, colour", TWIST_CASES, ids=str)
+    def test_invariant_components_agree_with_the_sweep(self, stem, colour):
+        cp = TWIST_PRODUCTS[stem]
+        rng = random.Random(f"orbit-reading-{stem}-{colour}")
+        reps = cp.orbit_reps(colour)
+        labels = list(cp.base.basis_labels(colour))
+        moved = 0
+        for _ in range(12):
+            comps = {
+                rep: rng.choice(BUILDER_COEFFS)
+                for rep in rng.sample(reps, rng.randint(0, min(len(reps), 4)))
+            }
+            x = orbit_combination(cp, colour, comps)
+            assert cp.invariant_components(x) == swept_invariant_components(cp, x) == comps
+            # a fixed label's orbit is itself, so a perturbed x may stay invariant
+            y = perturbed(x, labels, rng)
+            found = outcome(cp.invariant_components, y)
+            assert found == outcome(partial(swept_invariant_components, cp), y)
+            moved += found == "element is not invariant under the group action"
+        assert (moved > 0) == (colour > 1)
+
+    @pytest.mark.parametrize("stem, colour", TWIST_CASES, ids=str)
+    def test_twist_readers_agree_with_the_orbit_walk(self, stem, colour):
+        cp = TWIST_PRODUCTS[stem]
+        rng = random.Random(f"restrict-reading-{stem}-{colour}")
+        reps = cp.orbit_reps(colour)
+        labels = list(cp.product.basis_labels(colour))
+        scale = cp.transport_prefactor(colour).invert()
+
+        def inverse(x):
+            comps = walked_twist_components(cp, x)
+            return cp._orbit_combination(colour, {rep: c * scale for rep, c in comps.items()})
+
+        moved = 0
+        for _ in range(12):
+            comps = {
+                rep: rng.choice(BUILDER_COEFFS)
+                for rep in rng.sample(reps, rng.randint(0, min(len(reps), 4)))
+            }
+            x = cp.product.zero(colour)
+            for rep, c in comps.items():
+                x = x + cp.twist_sum(colour, rep).scale(c)
+            assert cp.twist_components(x) == walked_twist_components(cp, x) == comps
+            assert cp.transport_inverse(x) == inverse(x)
+            if colour == 1:
+                continue  # every colour-1 element is fixed
+            y = perturbed(x, labels, rng)
+            message = outcome(inverse, y)
+            assert message == "element lies outside the span of the twist sums"
+            assert outcome(cp.twist_components, y) == outcome(cp.transport_inverse, y) == message
+            moved += 1
+        assert moved == (0 if colour == 1 else 12)
 
 
 INTERTWINE_GENERATORS = [

@@ -103,7 +103,9 @@ def test_action_specs_raise_only_group_errors():
                   "action": {"1": [0, 2, 1]}})
     rng = random.Random(20261019)
     loaded = rejected = 0
-    for _ in range(5000):
+    # a spec with a key outside its documented shape is refused, so about
+    # 2% of mutated specs load; 20000 draws keep the floors below met
+    for _ in range(20000):
         spec = copy.deepcopy(rng.choice(seeds))
         for _ in range(rng.randint(1, 3)):
             spec = mutate(spec, rng)

@@ -191,6 +191,43 @@ class TestGroupAction:
         with pytest.raises(GroupError, match=re.escape(repr(key))):
             load_action(spec)
 
+    @pytest.mark.parametrize("key", ["extra", "Group", "actions", "names"])
+    def test_stray_top_level_key_rejected(self, key):
+        """An action spec holds ``group``, ``theta`` and ``action`` only."""
+        spec = {
+            "group": {"table": cyclic_group(3).table},
+            "theta": {"table": cyclic_group(2).table},
+            "action": {"1": [0, 2, 1]},
+            key: 5,
+        }
+        with pytest.raises(GroupError, match=re.escape(f"action spec key {key!r}")):
+            load_action(spec)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"table": [[0, 1], [1, 0]], "nmaes": ["e", "a"]}, "nmaes"),
+            ({"table": [[0, 1], [1, 0]], "degree": 2}, "degree"),
+            ({"table": [[0, 1], [1, 0]], "permutations": [[1, 0]]}, "permutations"),
+            ({"permutations": [[1, 2, 0]], "degree": 3, "names": ["e", "a", "b"]}, "names"),
+            ({"permutations": [[1, 2, 0]], "degree": 3, "table": None}, "permutations"),
+            ({"permutations": [[1, 2, 0]], "degree": 3, "extra": 1}, "extra"),
+        ],
+        ids=[
+            "table-nmaes", "table-degree", "table-permutations",
+            "permutations-names", "permutations-table", "permutations-extra",
+        ],
+    )
+    def test_stray_group_key_rejected(self, spec, key):
+        """A group spec is ``{table, names}`` or ``{permutations, degree}``;
+        a spec with both a table and permutations is refused, not read as a
+        table.  The refusal names the key."""
+        with pytest.raises(GroupError, match=re.escape(repr(key))):
+            load_group(spec)
+        action = {"group": spec, "theta": {"table": [[0]]}}
+        with pytest.raises(GroupError, match=re.escape(repr(key))):
+            load_action(action)
+
     def test_shipped_action_files_load(self):
         paths = sorted(ACTIONS.glob("*.json"))
         assert len(paths) == 5

@@ -4,6 +4,8 @@ import collections
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -149,6 +151,38 @@ def report_digests():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# what a run's child hands back: a crash (a traceback on stderr, nothing on
+# stdout), and a run the CLI refused with exit 2, which the child prints
+CRASHED = (1, b"", b"Traceback (most recent call last): ...")
+REFUSED = (0, b"a.json jones refused exit 2\na.json jones values refused exit 2", b"")
+
+
+@pytest.mark.parametrize(
+    "suite_child, pool_child, status, shown",
+    [
+        (CRASHED, REFUSED, 1, "a.json jones failed exit 1"),
+        (REFUSED, REFUSED, 0, "a.json jones refused exit 2"),
+        (REFUSED, (0, b"", b""), 1, "alpha-pool failed exit 0"),
+    ],
+    ids=["crashed", "refused", "silent-pool"],
+)
+def test_digest_script_exits_1_when_a_run_failed(
+    suite_child, pool_child, status, shown, monkeypatch, capsys
+):
+    """A crashed suite run, or an alpha-pool child that printed nothing, is
+    a ``failed`` line and exit 1; a refused run is a normal result."""
+    script = report_digests()
+
+    def child(*args):
+        code, out, err = suite_child if args[1] == script.SUITE_CHILD else pool_child
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    monkeypatch.setattr(script, "child", child)
+    monkeypatch.setattr(sys, "argv", ["report_digests.py", "a.json", "--suite", "jones", "--suite", "alpha-pool"])
+    assert script.main() == status
+    assert shown in capsys.readouterr().out.splitlines()
 
 
 # the values of the two substitution suites at the CLI defaults on z3xz2:
