@@ -1,13 +1,18 @@
 """Adjudicate the crossed-product constants by brute expansion.
 
-Standalone oracle (sympy only, no planarbox import).  Work happens in
-two algebras: the planar algebra of the base group G, where the
-invariant elements ThetaS live, and the planar algebra of the
-semidirect product H = G x| Theta, where the surround images U live.
-Everything asserted here is a closed-form-versus-expansion comparison:
+Standalone oracle (sympy only, no planarbox import).  It reads the exact
+planar-algebra kernel over a group table (labels, basis product, star,
+trace, cap, unit, Jones idempotents) and the base checks from
+``solve_base_constants.py`` next to it, which imports nothing of the
+package either.  Work happens in two algebras: the planar algebra of the
+base group G, where the invariant elements ThetaS live, and the planar
+algebra of the semidirect product H = G x| Theta, where the surround
+images U live.  Everything asserted here is a closed-form-versus-expansion
+comparison:
 
-  * base facts (unit, trace, star pairing, orthonormality) on the
-    nonabelian order-6 instance and the order-8 instance,
+  * the base checks (unit, trace fold, star pairing and properties,
+    orthonormality, Jones idempotents, capped inclusion) on the
+    nonabelian order-6 and order-8 semidirect tables,
   * the ThetaS product closed form against expanded multiplication,
   * the U product closed form against expanded multiplication,
     including the colour-2 case, whose printed right-hand side symbol
@@ -17,25 +22,21 @@ Everything asserted here is a closed-form-versus-expansion comparison:
   * the biprojection: idempotent, self-adjoint, trace 1/|Theta|,
     dominating the colour-2 Jones projection,
   * the multiplication intertwining of Phi at colours 2 and 3.
+
+Run:  python3 scripts/expand_crossed_constants.py (from any directory: the
+script's own directory is first on the import path)
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import sympy as sp
-
-
-# --- tiny table groups ----------------------------------------------------
-
-
-def cyclic(n):
-    return [[(a + b) % n for b in range(n)] for a in range(n)]
-
-
-def inverse(table, a):
-    return next(b for b in range(len(table)) if table[a][b] == 0)
+from solve_base_constants import (
+    capped_inclusion_expansion, check_jones, check_orthonormality, check_star_properties,
+    check_trace, check_units, cyclic, derive_star_from_pairing, el_mul, eq_el, jones, labels,
+    star_el, trace_el,
+)
 
 
 def semidirect(n):
@@ -50,163 +51,6 @@ def semidirect(n):
 
 def act_theta(n, t, g):
     return g if t == 0 else (-g) % n
-
-
-# --- generic exact planar-algebra arithmetic over a table group -----------
-
-
-def labels(table, k):
-    return list(itertools.product(range(len(table)), repeat=max(k - 1, 0)))
-
-
-def basis_product(table, k, g, h):
-    n = len(table)
-    if k <= 1:
-        return sp.Integer(1), ()
-    if k == 2:
-        return sp.Integer(1), (table[g[0]][h[0]],)
-    m = (k + 1) // 2
-    for i in range(2, m + 1):
-        if table[h[0]][g[k - i]] != h[i - 1]:
-            return None
-    coeff = sp.sqrt(n) ** (m - 1)
-    label = tuple(table[h[0]][g[j]] for j in range(m)) + h[m : k - 1]
-    return coeff, label
-
-
-def el_mul(table, k, x, y):
-    out = {}
-    for g, cg in x.items():
-        for h, ch in y.items():
-            r = basis_product(table, k, g, h)
-            if r is None:
-                continue
-            c, lab = r
-            out[lab] = sp.expand(out.get(lab, 0) + cg * ch * c)
-    return {lab: c for lab, c in out.items() if c != 0}
-
-
-def star_label(table, k, lab):
-    if k <= 1:
-        return ()
-    if k == 2:
-        return (inverse(table, lab[0]),)
-    first = inverse(table, lab[0])
-    return (first,) + tuple(table[first][lab[j]] for j in range(k - 2, 0, -1))
-
-
-def star_el(table, k, x):
-    out = {}
-    for lab, c in x.items():
-        s = star_label(table, k, lab)
-        out[s] = sp.expand(out.get(s, 0) + c)
-    return {lab: c for lab, c in out.items() if c != 0}
-
-
-def trace_closed(table, k, lab):
-    n = len(table)
-    if k <= 1:
-        return sp.Integer(1)
-    if lab[0] != 0:
-        return sp.Integer(0)
-    for i in range(2, k // 2 + 1):
-        if lab[i - 1] != lab[k - i]:
-            return sp.Integer(0)
-    return sp.sqrt(n) ** (1 - (k + 1) // 2)
-
-
-def trace_el(table, k, x):
-    return sp.expand(sum(c * trace_closed(table, k, lab) for lab, c in x.items()))
-
-
-def act_E(table, k, x):
-    n = len(table)
-    out = {}
-
-    def put(lab, c):
-        out[lab] = sp.expand(out.get(lab, 0) + c)
-
-    for g, cg in x.items():
-        if k == 1:
-            if g[0] == 0:
-                put((), cg * sp.sqrt(n))
-        elif k == 2:
-            put((inverse(table, g[0]),), cg)
-        elif k % 2 == 0:
-            put(g[: k // 2] + g[k // 2 + 1 :], cg)
-        else:
-            m = (k + 1) // 2
-            if g[m - 1] == g[m]:
-                put(g[:m] + g[m + 1 :], cg * sp.sqrt(n))
-    return {lab: c for lab, c in out.items() if c != 0}
-
-
-def trace_fold(table, k, x):
-    cur = dict(x)
-    for j in range(k - 1, 0, -1):
-        cur = act_E(table, j, cur)
-        cur = {lab: sp.expand(c / sp.sqrt(len(table))) for lab, c in cur.items()}
-    return cur.get((), sp.Integer(0))
-
-
-def unit(table, k):
-    n = len(table)
-    if k <= 1:
-        return {(): sp.Integer(1)}
-    if k == 2:
-        return {(0,): sp.Integer(1)}
-    if k == 3:
-        return {(0, h): 1 / sp.sqrt(n) for h in range(n)}
-    if k == 4:
-        return {(0, h, h): 1 / sp.sqrt(n) for h in range(n)}
-    if k == 5:
-        return {(0, h, u, h): sp.Rational(1, n) for h in range(n) for u in range(n)}
-    raise ValueError(k)
-
-
-def jones2(table):
-    n = len(table)
-    return {(g,): sp.Rational(1, n) for g in range(n)}
-
-
-def eq_el(x, y):
-    keys = set(x) | set(y)
-    return all(sp.expand(x.get(kk, 0) - y.get(kk, 0)) == 0 for kk in keys)
-
-
-# --- base facts on the two semidirect instances ---------------------------
-
-
-def check_base_facts(table, name, kmax_unit, kmax_orth, sample_orth=0):
-    rng = random.Random(0)
-    for k in range(2, kmax_unit + 1):
-        u = unit(table, k)
-        for lab in labels(table, k):
-            s = {lab: sp.Integer(1)}
-            assert eq_el(el_mul(table, k, u, s), s)
-            assert eq_el(el_mul(table, k, s, u), s)
-        for lab in labels(table, k):
-            assert (
-                sp.expand(
-                    trace_closed(table, k, lab) - trace_fold(table, k, {lab: sp.Integer(1)})
-                )
-                == 0
-            )
-    for k in range(2, kmax_orth + 1):
-        basis = labels(table, k)
-        pairs = itertools.product(basis, repeat=2)
-        if sample_orth and len(basis) ** 2 > sample_orth:
-            pairs = [
-                (basis[rng.randrange(len(basis))], basis[rng.randrange(len(basis))])
-                for _ in range(sample_orth)
-            ]
-        for g, h in pairs:
-            p = el_mul(
-                table, k, {star_label(table, k, h): sp.Integer(1)}, {g: sp.Integer(1)}
-            )
-            t = trace_el(table, k, p)
-            assert t == (1 if g == h else 0), (name, k, g, h, t)
-    print(f"  base facts (unit, trace fold, orthonormality) hold on {name}")
 
 
 # --- invariant elements and their product closed form ---------------------
@@ -373,7 +217,7 @@ def check_biprojection(n):
     assert eq_el(el_mul(h_table, 2, q, q), q)
     assert eq_el(star_el(h_table, 2, q), q)
     assert trace_el(h_table, 2, q) == sp.Rational(1, 2)
-    e1 = jones2(h_table)
+    e1 = jones(len(h_table), 2)
     assert eq_el(el_mul(h_table, 2, q, e1), e1)
     assert eq_el(el_mul(h_table, 2, e1, q), e1)
     print(f"  biprojection: q^2 = q = q*, tr(q) = 1/2, q dominates e1, |G|={n}")
@@ -412,10 +256,15 @@ def check_phi_multiplication(n, kmax):
 
 def main():
     print("order-6 semidirect instance:")
-    check_base_facts(semidirect(3), "G x| Theta of order 6", kmax_unit=4, kmax_orth=3)
-    check_base_facts(
-        semidirect(3), "order 6, colour 4 sampled", kmax_unit=2, kmax_orth=4, sample_orth=300
-    )
+    h6 = semidirect(3)
+    check_units(h6, 4)
+    check_trace(h6, 4)
+    check_orthonormality(h6, 3)
+    check_orthonormality(h6, 4, sample=300)
+    derive_star_from_pairing(h6, 3)
+    check_star_properties(h6, 3)
+    check_jones(h6, 5)
+    capped_inclusion_expansion(h6)
     check_theta_products(3, 4)
     check_u_products(3, 4)
     adjudicate_colour2(3)
@@ -424,7 +273,14 @@ def main():
     check_phi_multiplication(3, 3)
 
     print("order-8 semidirect instance:")
-    check_base_facts(semidirect(4), "G x| Theta of order 8", kmax_unit=3, kmax_orth=3, sample_orth=300)
+    h8 = semidirect(4)
+    check_units(h8, 3)
+    check_trace(h8, 3)
+    check_orthonormality(h8, 3, sample=300)
+    derive_star_from_pairing(h8, 3)
+    check_star_properties(h8, 3)
+    check_jones(h8, 4)
+    capped_inclusion_expansion(h8)
     check_theta_products(4, 3)
     check_u_products(4, 3)
     adjudicate_colour2(4)

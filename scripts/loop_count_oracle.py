@@ -12,9 +12,12 @@ those that touch one colour of boundary interval only, while this file
 walks the cycles of strings and caps.
 
 Run:  python3 scripts/loop_count_oracle.py
-The printed tables are frozen into tests/test_tangles.py and
-tests/test_acceptance.py; tests/test_oracles.py loads this file by path and
-checks gluing and loop counts against `splice` and `count_cycles`.
+It exits nonzero unless its own splice of a right expectation onto an
+inclusion closes one loop and leaves the identity.  The printed tables are
+frozen into tests/test_tangles.py and tests/test_acceptance.py, and
+tests/test_tangles.py reads them back against `count_cycles` and
+`exponent`; tests/test_oracles.py loads this file by path and checks
+gluing and loop counts against `splice` and `count_cycles`.
 """
 
 from math import ceil, floor
@@ -192,7 +195,9 @@ def main():
     print("\nright-expectation(3->2) o inclusion(2->3):")
     print(f"  spliced loops: {loops}")
     print(f"  remaining strings: {sorted(glued[2])}")
-    print(f"  matches identity k=2: {sorted(glued[2]) == sorted(gen_identity(2)[2])}")
+    matches = sorted(glued[2]) == sorted(gen_identity(2)[2])
+    print(f"  matches identity k=2: {matches}")
+    assert loops == 1 and matches, (loops, sorted(glued[2]))
 
 
 if __name__ == "__main__":

@@ -41,7 +41,10 @@ paths, e.g. ``python3 scripts/report_digests.py actions/z3xz2.json``.  A
 run the CLI refuses (exit 2, say a cost bound) prints ``refused`` and its
 exit code in place of the count and digest, on both lines.  A run whose
 child crashes prints ``failed`` and the child's exit code instead, and
-then the script exits 1; refused runs alone leave it at 0.  ``--suite``
+then the script exits 1; refused runs alone leave it at 0.  The alpha
+line fails the same way when the child drawing its texts crashes or draws
+none, or when an alpha child exits with a code other than the CLI's 0, 2
+and 3.  ``--suite``
 keeps only the named runs (``all-k3`` names the ``all --kmax 3`` run, ``alpha`` and
 ``alpha-pool`` the alpha lines); some suites at the defaults take minutes on the larger
 actions.
@@ -210,13 +213,22 @@ def child(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, env=env)
 
 
-def alpha_line() -> str:
-    texts = child("-c", ALPHA_POOL).stdout.decode().splitlines()
+def alpha_line() -> tuple[str, bool]:
+    """The alpha line and whether it ran: ``alpha failed exit <code>``
+    instead when the child that draws the texts exits nonzero or prints
+    none, or when an alpha child exits with a code the CLI never returns
+    (it returns only 0, 2 and 3)."""
+    drawn = child("-c", ALPHA_POOL)
+    texts = drawn.stdout.decode().splitlines()
+    if drawn.returncode != 0 or not texts:
+        return f"alpha failed exit {drawn.returncode}", False
     digest = hashlib.sha256()
     for i, text in enumerate(texts):
         proc = child("-m", "planarbox.cli", "alpha", text, "--ratio", str(2 + i % 2))
+        if proc.returncode not in (0, 2, 3):
+            return f"alpha failed exit {proc.returncode}", False
         digest.update(f"{proc.returncode}\n".encode() + proc.stdout)
-    return f"alpha {len(texts)} {digest.hexdigest()}"
+    return f"alpha {len(texts)} {digest.hexdigest()}", True
 
 
 def shown(proc: subprocess.CompletedProcess, name: str) -> bool:
@@ -241,7 +253,9 @@ def main() -> int:
             if run in RUNS:
                 ran &= shown(child("-c", SUITE_CHILD, action, run), f"{action} {run}")
     if "alpha" in runs:
-        print(alpha_line(), flush=True)
+        line, ok = alpha_line()
+        print(line, flush=True)
+        ran &= ok
     if "alpha-pool" in runs:
         ran &= shown(child("-c", ALPHA_POOL_CHILD), "alpha-pool")
     return 0 if ran else 1

@@ -491,7 +491,10 @@ class IntermediateAlgebra:
 
     def dual_report(self, samples: int = 50, seed: int = 7) -> list[dict]:
         """White-shaded bookkeeping: the rescaled biprojection, the white
-        capping weights, and the dual surround's range dimension."""
+        capping weights, and the dual surround's range dimension.  Nothing
+        goes above ``k_max``: a weight is recorded only for a generator whose
+        discs all lie within it, the pairs are drawn up to colour
+        ``min(4, k_max)`` and the ranks run over colours ``1..min(3, k_max)``."""
         suite = "dual"
         sub = self.subgroup
         P = self.algebra
@@ -503,15 +506,19 @@ class IntermediateAlgebra:
                    P.render(P.multiply(r, r)), P.render(r.scale(root))),
         ]
         for (kind, colour), half_exponent in WHITE_WEIGHT_TABLE.items():
+            gen = GenExpr(kind, colour)
+            external, slots = gen.discs
+            if max([external.colour] + [d.colour for d in slots]) > self.k_max:
+                continue
             records.append(
                 record(suite, f"white weight of {kind}_{colour}",
-                       alpha_tilde(realize(GenExpr(kind, colour)), self.index_qn).render(),
+                       alpha_tilde(realize(gen), self.index_qn).render(),
                        pow_half(self.index_qn, half_exponent).render())
             )
         rng = random.Random(seed)
         ok = True
         for _ in range(samples):
-            outer, slot, inner = random_composable_pair(rng, max_colour=4, depth=2)
+            outer, slot, inner = random_composable_pair(rng, max_colour=min(4, self.k_max), depth=2)
             t_outer, t_inner = realize(outer), realize(inner)
             glued = compose(t_outer, slot, t_inner)
             k_i = slot_colours(outer)[slot - 1].colour
@@ -529,7 +536,7 @@ class IntermediateAlgebra:
         records.append(
             flag(suite, f"white capping ratio identity ({samples} pairs)", ok, "holds", "fails")
         )
-        for colour in range(1, 4):
+        for colour in range(1, min(3, self.k_max) + 1):
             images = [
                 sub.dual_surround(P.basis_element(colour, label))
                 for label in P.basis_labels(colour)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from planarbox.expressions import (
     GenExpr,
     RenumberExpr,
     generators_with_external,
+    random_composable_pair,
     realize,
     slot_colours,
 )
@@ -323,6 +325,33 @@ class TestVerificationReports:
         for colour, expected in [(1, 1), (2, 2), (3, 4)]:
             rec = by_case[f"dual surround rank at colour {colour}"]
             assert rec["lhs"] == str(expected)
+
+    @pytest.mark.parametrize("k_max", [2, 3])
+    def test_dual_report_stays_within_k_max(self, k_max, monkeypatch):
+        """No white weight or dual rank record names a colour above k_max,
+        and no pair the white capping check draws reaches one."""
+        drawn = []
+
+        def noted(rng, **kwargs):
+            pair = random_composable_pair(rng, **kwargs)
+            drawn.append(pair)
+            return pair
+
+        def top(expr):
+            external, slots = expr.discs
+            parts = [expr.outer, expr.inner] if isinstance(expr, ComposeExpr) else (
+                [expr.inner] if isinstance(expr, RenumberExpr) else [])
+            return max([external.colour] + [d.colour for d in slots] + [top(p) for p in parts])
+
+        monkeypatch.setattr(intermediate, "random_composable_pair", noted)
+        records = IntermediateAlgebra(CP3.embedded, k_max=k_max).dual_report(samples=20, seed=0)
+        assert all(r["pass"] for r in records)
+        weights = [re.fullmatch(r"white weight of (\w+)_(\d)", r["case"]) for r in records]
+        assert max(top(GenExpr(m[1], int(m[2]))) for m in weights if m) <= k_max
+        ranks = [re.fullmatch(r"dual surround rank at colour (\d)", r["case"]) for r in records]
+        assert [int(m[1]) for m in ranks if m] == list(range(1, min(3, k_max) + 1))
+        assert len(drawn) == 20
+        assert max(top(e) for outer, _, inner in drawn for e in (outer, inner)) <= k_max
 
     def test_record_schema(self, inter):
         for rec in inter.jones_report(top=2):

@@ -1,9 +1,15 @@
 """The standalone oracle scripts re-derive the frozen constants the tests
-rely on; each must run to completion and exit 0.  The loop-count oracle's
-string and cap walks are also the cross-check of gluing and loop counting,
-which the library computes with its own walks over integer point ids (loops
-as one-coloured faces), and the base-constant solver's Jones idempotents pin
-the library's Jones rule at colours 2..5."""
+rely on; each must run to completion, from another directory and with the
+package unimportable, and exit 0, each sympy oracle on its ``all ...
+checks passed`` line.  The two sympy oracles share one exact kernel over a
+group table: ``solve_base_constants.py`` runs its base checks on the cyclic
+groups of orders 3 and 4, and ``expand_crossed_constants.py`` imports it
+and runs them on the nonabelian semidirect products of orders 6 and 8 before
+its crossed-product checks.  The loop-count oracle's string and cap walks
+are also the cross-check of gluing and loop counting, which the library
+computes with its own walks over integer point ids (loops as one-coloured
+faces), and the base-constant solver's Jones idempotents pin the library's
+Jones rule at colours 2..5 on those four groups."""
 
 import importlib.util
 import random
@@ -22,24 +28,44 @@ from planarbox.expressions import (
     render_expr,
 )
 from planarbox.group_algebra import GroupPlanarAlgebra
-from planarbox.groups import cyclic_group
+from planarbox.groups import SemidirectGroup, cyclic_group, inversion_action
 from planarbox.tangles import TangleError, compose, loops_black, loops_white, tangle, validate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+# the last line each oracle prints when every check held
+LAST_LINES = {
+    "expand_crossed_constants.py": "all crossed-product constant checks passed",
+    "solve_base_constants.py": "all base-constant checks passed",
+    "loop_count_oracle.py": "  matches identity k=2: True",
+}
+
+# runs argv[1] as ``python3 <script>`` does, its own directory first on the
+# import path, with every import of the package refused
+WITHOUT_PACKAGE = """
+import os, runpy, sys
+sys.modules["planarbox"] = None
+sys.argv = sys.argv[1:]
+sys.path[0] = os.path.dirname(sys.argv[0])
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
 
 
 @pytest.mark.parametrize(
     "script",
     ["expand_crossed_constants.py", "solve_base_constants.py", "loop_count_oracle.py"],
 )
-def test_oracle_script_exits_0(script):
+def test_oracle_script_exits_0(script, tmp_path):
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / script)],
+        [sys.executable, "-c", WITHOUT_PACKAGE, str(SCRIPTS / script)],
         capture_output=True,
         text=True,
         timeout=300,
+        cwd=tmp_path,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == LAST_LINES[script]
 
 
 def _load_script(name: str):
@@ -50,12 +76,22 @@ def _load_script(name: str):
     return module
 
 
-@pytest.mark.parametrize("n", [3, 4])
+# by order: the cyclic groups the solver freezes, and the nonabelian
+# semidirect products whose Jones idempotents the crossed oracle checks
+JONES_GROUPS = {
+    3: lambda: cyclic_group(3),
+    4: lambda: cyclic_group(4),
+    6: lambda: SemidirectGroup(inversion_action(3)),
+    8: lambda: SemidirectGroup(inversion_action(4)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(JONES_GROUPS))
 def test_jones_element_matches_the_solver(n):
     """The spin rule at colours 2..5 against the solver's frozen Jones
     idempotents, coefficient by coefficient in sympy."""
     solver = _load_script("solve_base_constants")
-    P = GroupPlanarAlgebra(cyclic_group(n))
+    P = GroupPlanarAlgebra(JONES_GROUPS[n]())
     for k in range(2, 6):
         expected = solver.jones(n, k)
         got = P.jones_element(k).coeffs

@@ -26,6 +26,7 @@ from planarbox.expressions import (
     render_expr,
     slot_colours,
 )
+from planarbox.intermediate import WHITE_WEIGHT_TABLE
 from planarbox.scalars import ONE, pow_half
 from planarbox.tangles import (
     GENERATOR_CACHE_SIZE,
@@ -358,6 +359,28 @@ def _load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_frozen_loop_tables_match_the_oracle():
+    """``LOOP_TABLE`` above and the cut-down algebra's ``WHITE_WEIGHT_TABLE``,
+    both frozen from ``scripts/loop_count_oracle.py``, entry by entry
+    against its ``count_cycles`` and ``exponent`` of the matching diagram."""
+    oracle = _load_script("loop_count_oracle")
+    diagram = {
+        "id": oracle.gen_identity,
+        "M": oracle.gen_mult,
+        "I": oracle.gen_incl,
+        "E": oracle.gen_exp_right,
+        "Eprime": oracle.gen_exp_left,
+        "jones": oracle.gen_cupcap,
+    }
+    for (kind, k), row in LOOP_TABLE.items():
+        d = diagram[kind](k)
+        counted = tuple(f(d, black) for black in (True, False)
+                        for f in (oracle.count_cycles, oracle.exponent))
+        assert row == counted, (kind, k)
+    for (kind, k), half_exponent in WHITE_WEIGHT_TABLE.items():
+        assert half_exponent == oracle.exponent(diagram[kind](k), False), (kind, k)
 
 
 # sha256 of what the reader makes of the texts of the test below: each
