@@ -75,34 +75,32 @@ def orbit_reps(n, length):
     return reps
 
 
+def merged_target(n, k, t, gs, hs):
+    """The one label that the basis product of ``S(gs)`` and the
+    ``t``-twist of ``S(hs)`` meets, read off ``Z_n``, or None where it
+    vanishes.  At colour 2 it is ``gs[0] + t(hs[0])``.  Above it, with
+    ``m = (k + 1) // 2``, the product is nonzero exactly when
+    ``hs[i-1] == hs[0] + t(gs[k-i])`` for ``i = 2..m``, and then the label
+    is ``hs[0] + t(gs[j])`` for ``j < m`` followed by ``hs[m:]``.  The
+    ThetaS and U closed forms, and the colour-2 adjudication, all read it."""
+    if k == 2:
+        return ((gs[0] + act_theta(n, t, hs[0])) % n,)
+    m = (k + 1) // 2
+    if any((hs[0] + act_theta(n, t, gs[k - i])) % n != hs[i - 1] for i in range(2, m + 1)):
+        return None
+    return tuple((hs[0] + act_theta(n, t, gs[j])) % n for j in range(m)) + hs[m : k - 1]
+
+
 def theta_product_closed(n, k, gs, hs):
     out = {}
-    m = (k + 1) // 2
+    coeff = sp.sqrt(n) ** ((k + 1) // 2 - 1)
     for t in (0, 1):
-        if k == 2:
-            target = (gs[0] + act_theta(n, t, hs[0])) % n
-            for lab, c in theta_S(n, (target,)).items():
-                out[lab] = sp.expand(out.get(lab, 0) + c)
+        target = merged_target(n, k, t, gs, hs)
+        if target is None:
             continue
-        if any((hs[0] + act_theta(n, t, gs[k - i])) % n != hs[i - 1] for i in range(2, m + 1)):
-            continue
-        coeff = sp.sqrt(n) ** (m - 1)
-        head = tuple((hs[0] + act_theta(n, t, gs[j])) % n for j in range(m))
-        lab_tuple = head + hs[m : k - 1]
-        for lab, c in theta_S(n, lab_tuple).items():
+        for lab, c in theta_S(n, target).items():
             out[lab] = sp.expand(out.get(lab, 0) + c * coeff)
     return {lab: c for lab, c in out.items() if c != 0}
-
-
-def check_theta_products(n, kmax):
-    g_table = cyclic(n)
-    for k in range(2, kmax + 1):
-        reps = orbit_reps(n, k - 1)
-        for gs, hs in itertools.product(reps, repeat=2):
-            closed = theta_product_closed(n, k, gs, hs)
-            expanded = el_mul(g_table, k, theta_S(n, gs), theta_S(n, hs))
-            assert eq_el(closed, expanded), (n, k, gs, hs)
-    print(f"  ThetaS product closed form == expansion, k<={kmax}, |G|={n}")
 
 
 # --- U elements inside the semidirect-product algebra ---------------------
@@ -123,30 +121,28 @@ def u_product_closed(n, k, gs, hs):
     m = (k + 1) // 2
     pref = sp.sqrt(n) ** (m - 1) * sp.sqrt(2) ** (m - 1) * sp.Integer(2) ** (k // 2)
     for t in (0, 1):
-        if k == 2:
-            target = ((gs[0] + act_theta(n, t, hs[0])) % n,)
-        else:
-            if any(
-                (hs[0] + act_theta(n, t, gs[k - i])) % n != hs[i - 1]
-                for i in range(2, m + 1)
-            ):
-                continue
-            target = tuple((hs[0] + act_theta(n, t, gs[j])) % n for j in range(m)) + hs[
-                m : k - 1
-            ]
+        target = merged_target(n, k, t, gs, hs)
+        if target is None:
+            continue
         for lab, c in u_element(n, target).items():
             out[lab] = sp.expand(out.get(lab, 0) + c * pref)
     return {lab: c for lab, c in out.items() if c != 0}
 
 
-def check_u_products(n, kmax):
-    h_table = semidirect(n)
+def check_products(n, kmax):
+    """The ThetaS and U product closed forms against expanded
+    multiplication, on every pair of orbit representatives."""
+    g_table, h_table = cyclic(n), semidirect(n)
     for k in range(2, kmax + 1):
         reps = orbit_reps(n, k - 1)
         for gs, hs in itertools.product(reps, repeat=2):
+            closed = theta_product_closed(n, k, gs, hs)
+            expanded = el_mul(g_table, k, theta_S(n, gs), theta_S(n, hs))
+            assert eq_el(closed, expanded), (n, k, gs, hs, "ThetaS")
             closed = u_product_closed(n, k, gs, hs)
             expanded = el_mul(h_table, k, u_element(n, gs), u_element(n, hs))
-            assert eq_el(closed, expanded), (n, k, gs, hs)
+            assert eq_el(closed, expanded), (n, k, gs, hs, "U")
+    print(f"  ThetaS product closed form == expansion, k<={kmax}, |G|={n}")
     print(f"  U product closed form == expansion, k<={kmax}, |G|={n}")
 
 
@@ -157,7 +153,7 @@ def adjudicate_colour2(n):
         expanded = el_mul(h_table, 2, u_element(n, (g,)), u_element(n, (h,)))
         as_u = {}
         for t in (0, 1):
-            for lab, c in u_element(n, ((g + act_theta(n, t, h)) % n,)).items():
+            for lab, c in u_element(n, merged_target(n, 2, t, (g,), (h,))).items():
                 as_u[lab] = sp.expand(as_u.get(lab, 0) + 2 * c)
         assert eq_el(expanded, as_u), (g, h)
         # the literal ThetaS reading lives in the wrong algebra: its
@@ -260,13 +256,12 @@ def main():
     check_units(h6, 4)
     check_trace(h6, 4)
     check_orthonormality(h6, 3)
-    check_orthonormality(h6, 4, sample=300)
+    check_orthonormality(h6, 4, sample=300, kmin=4)
     derive_star_from_pairing(h6, 3)
     check_star_properties(h6, 3)
     check_jones(h6, 5)
     capped_inclusion_expansion(h6)
-    check_theta_products(3, 4)
-    check_u_products(3, 4)
+    check_products(3, 4)
     adjudicate_colour2(3)
     check_surround(3, 3)
     check_biprojection(3)
@@ -281,8 +276,7 @@ def main():
     check_star_properties(h8, 3)
     check_jones(h8, 4)
     capped_inclusion_expansion(h8)
-    check_theta_products(4, 3)
-    check_u_products(4, 3)
+    check_products(4, 3)
     adjudicate_colour2(4)
     check_surround(4, 2)
     check_biprojection(4)

@@ -245,13 +245,13 @@ def check_star_properties(table, kmax: int):
     print(f"  star: involutive and antimultiplicative, exhaustive k<={kmax}, n={n}")
 
 
-def check_orthonormality(table, kmax: int, sample: int = 0):
-    """tr(star(S(h)) S(g)) = delta(g, h) on every pair of basis labels, or,
-    with ``sample``, on that many pairs drawn from seed 0 at each colour
-    with more pairs than that."""
+def check_orthonormality(table, kmax: int, sample: int = 0, kmin: int = 2):
+    """tr(star(S(h)) S(g)) = delta(g, h) on every pair of basis labels at
+    colours ``kmin..kmax``, or, with ``sample``, on that many pairs drawn
+    from seed 0 at each colour with more pairs than that."""
     n = len(table)
     rng = random.Random(0)
-    for k in range(2, kmax + 1):
+    for k in range(kmin, kmax + 1):
         basis = labels(table, k)
         pairs = itertools.product(basis, repeat=2)
         if sample and len(basis) ** 2 > sample:
@@ -261,7 +261,8 @@ def check_orthonormality(table, kmax: int, sample: int = 0):
             t = trace_el(table, k, p)
             assert t == (1 if g == h else 0), (n, k, g, h, t)
     drawn = f", {sample} seeded pairs per larger colour" if sample else ""
-    print(f"  orthonormality: Gram matrix is the identity, k<={kmax}, n={n}{drawn}")
+    low = f"{kmin}<=" if kmin > 2 else ""
+    print(f"  orthonormality: Gram matrix is the identity, {low}k<={kmax}, n={n}{drawn}")
 
 
 def check_jones(table, kmax: int):

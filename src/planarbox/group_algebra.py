@@ -27,16 +27,16 @@ and cut-down action, is a :class:`SubgroupBiprojection` built on the
 algebra it acts in, and keeps only what the subgroup determines.  Tree
 evaluation checks its inputs against the root's slot discs, which each
 tree node keeps for its life (``discs``).  Values are kept per record, in
-an :class:`EvaluationCache`, and per cut-down algebra: its generator values
-on basis tuples, and their surrounds, in a :class:`BasisTable` that the
-cache carries.  Linear combinations render through
+the ``last`` dict that ``evaluate`` takes, and per cut-down algebra: its
+generator values on basis tuples, and their surrounds, in a
+:class:`BasisTable`, whose ``act`` the evaluation takes for its leaves.
+``row_reduce`` echelons the spans.  Linear combinations render through
 :func:`render_terms`; the report records of every suite are built by
 :func:`record` and :func:`flag`.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 from fractions import Fraction
@@ -311,8 +311,10 @@ class SubgroupBiprojection:
         leaf values and surrounds are read instead of recomputed.  The weight
         is read off the realized tangle, whose generator diagrams and loop
         counts :mod:`~planarbox.tangles` keeps."""
-        surround = self.surround if table is None else table.surround
-        value = surround(self.algebra.evaluate(expr, inputs, EvaluationCache(table)))
+        if table is None:
+            value = self.surround(self.algebra.evaluate(expr, inputs))
+        else:
+            value = table.surround(self.algebra.evaluate(expr, inputs, table.act))
         return value.scale(alpha(realize(expr), self.order))
 
     def surround(self, x: PAElement) -> PAElement:
@@ -444,37 +446,6 @@ class _LeftParts(dict):
         return parts
 
 
-class EvaluationCache:
-    """What :meth:`GroupPlanarAlgebra.evaluate` keeps between calls on the
-    same trees, in two tiers.
-
-    The first tier lives as long as the cache, which the suites make per
-    record: each node's last value.  A node's value depends only on its own
-    slice of the inputs, so a node that sees the very same input objects
-    again (``is``) returns its last value.  An entry holds its node and
-    inputs, so their ``id``s cannot be reused while it lives, and one entry
-    per node bounds the memory by the tree size.  Inputs must not be
-    mutated while the cache is in use.
-
-    The second tier is optional and lives as long as the cut-down algebra
-    that owns it: a :class:`BasisTable`, whose generator values on basis
-    tuples the leaves read.  It holds at most one value per generator with
-    colours up to ``k_max`` and tuple of basis elements on its slots, and
-    one surround per basis element and per such value.
-
-    These two tiers hold every value the evaluation keeps: the
-    :class:`SubgroupBiprojection`, which every cut-down algebra of its
-    subgroup shares, keeps none.
-    """
-
-    __slots__ = ("last", "table")
-
-    def __init__(self, table: BasisTable | None = None) -> None:
-        # id(node) -> (node, inputs, value)
-        self.last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]] = {}
-        self.table = table
-
-
 class BasisTable:
     """Values on the basis of one cut-down algebra, kept for its life.
 
@@ -482,8 +453,8 @@ class BasisTable:
     owns the table and fills it on first use.  It keeps two kinds of value:
 
     * the ambient value of each generator leaf whose inputs are all basis
-      elements of the algebra, read by the evaluator through an
-      :class:`EvaluationCache` that carries the table;
+      elements of the algebra, read by the evaluator, which takes
+      :meth:`act` as its leaf action;
     * the surround of each basis element and of each such value.
 
     Nothing else is kept: a leaf on any other input, an internal node, or
@@ -558,9 +529,10 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
     skipped.  Inputs are told apart by colour, shading, least label and
     term count, which hash no coefficient, and a repeat is confirmed by
     comparing coefficient dicts with those of the inputs taken under the
-    same key.  Each vector visits only the pivot labels in its support, in
-    ascending order; a subtraction brings in labels above the one it
-    clears, which join the queue.
+    same key.  Each vector subtracts at the least pivot label left in its
+    support until none is left.  The loop ends: a pivot's least label is
+    its own, so a subtraction clears that label and brings in only larger
+    ones.  A vector whose support meets no pivot costs one scan of it.
     """
     pivots: dict[Label, PAElement] = {}
     # (colour, shading, least label, term count) -> coefficients taken
@@ -571,19 +543,8 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
         if v.coeffs in same:
             continue
         same.append(v.coeffs)
-        queue = [lab for lab in v.coeffs if lab in pivots]
-        queued = set(queue)
-        heapq.heapify(queue)
-        while queue:
-            lab = heapq.heappop(queue)
-            c = v.coefficient(lab)
-            if c.is_zero():
-                continue
-            v = v - pivots[lab].scale(c)
-            for new in pivots[lab].coeffs:
-                if new in pivots and new not in queued:
-                    queued.add(new)
-                    heapq.heappush(queue, new)
+        while (lab := min(filter(pivots.__contains__, v.coeffs), default=None)) is not None:
+            v = v - pivots[lab].scale(v.coeffs[lab])
         if v.is_zero():
             continue
         lead = min(v.coeffs)
@@ -909,7 +870,8 @@ class GroupPlanarAlgebra:
         self,
         expr: TangleExpr,
         inputs: Sequence[PAElement],
-        cache: EvaluationCache | None = None,
+        act: Callable[[GenExpr, Sequence[PAElement]], PAElement] | None = None,
+        last: dict[int, tuple[TangleExpr, tuple[PAElement, ...], PAElement]] | None = None,
     ) -> PAElement:
         """The value of a tree on its inputs.
 
@@ -917,16 +879,24 @@ class GroupPlanarAlgebra:
         the tree checks on their first read (``discs``).  Every
         generator maps inputs that fit its slots to a value on its external
         disc, and a validated tree feeds each slot a value on that slot's
-        disc, so the leaves act through :meth:`_act` with no check of their
-        own.  Pass one :class:`EvaluationCache` to every call of a record
-        that evaluates the same trees on the same input objects; without
-        one, the call gets a fresh cache of its own.  A cache that carries a
-        :class:`BasisTable` reads its generator leaves from the table.
+        disc, so the leaves act through ``act`` with no check of their own:
+        :meth:`_act` by default, or a cut-down algebra's
+        :meth:`BasisTable.act`, which reads its generator values on basis
+        tuples from the table.
+
+        ``last`` maps ``id(node)`` to the node, its inputs and its value at
+        its last evaluation.  A node's value depends only on its own slice
+        of the inputs, so a node that sees the very same input objects again
+        (``is``) returns its last value.  An entry holds its node and
+        inputs, so their ``id``s cannot be reused while it lives, and one
+        entry per node bounds the memory by the tree size.  Pass one dict to
+        every call of a record that evaluates the same trees on the same
+        input objects, and mutate no input while it is in use; without one,
+        the call gets a fresh dict of its own.
         """
-        cache = EvaluationCache() if cache is None else cache
         _check_inputs(inputs, expr.discs[1])
-        act = self._act if cache.table is None else cache.table.act
-        return self._evaluate(expr, list(inputs), cache.last, act)
+        last = {} if last is None else last
+        return self._evaluate(expr, list(inputs), last, act or self._act)
 
     def _evaluate(
         self,

@@ -14,7 +14,9 @@ evaluates that rescaled action, and carries the verification suites: the
 composite-tangle identity and the planar axioms, which evaluate the
 substitution identity through one helper, Jones projections, conditional
 expectations, trace rescaling, positivity, and the bookkeeping of the
-white-shaded dual.
+white-shaded dual.  Every evaluation acts through the algebra's
+:class:`~planarbox.group_algebra.BasisTable`; a record that evaluates the
+same trees again passes one ``last`` dict to every such call.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .expressions import (
 from .group_algebra import (
     AlgebraError,
     BasisTable,
-    EvaluationCache,
     PAElement,
     SubgroupBiprojection,
     _check_shading,
@@ -80,10 +81,11 @@ class IntermediateAlgebra:
     generator with colours up to ``k_max`` and basis tuple on its slots, and
     the surround of each basis element and of each such value.  Every
     record's evaluations (:meth:`z_prime`, the membership checks and the
-    surrounds of :meth:`_substitution`) read it; the per-node last values of
-    an :class:`~planarbox.group_algebra.EvaluationCache` still live for one
-    record only.  Every comparison of every record still runs on every
-    tuple.
+    surrounds of :meth:`_substitution`) read it, through its ``act`` and
+    ``surround``; the per-node last values, the ``last`` dict that
+    :meth:`~planarbox.group_algebra.GroupPlanarAlgebra.evaluate` takes,
+    live for one record only.  Every comparison of every record still runs
+    on every tuple.
     """
 
     def __init__(self, subgroup: SubgroupBiprojection, k_max: int = 4):
@@ -267,34 +269,34 @@ class IntermediateAlgebra:
         on the surrounded inner value.  The z_prime map is multiplicative
         when ``nested == glued * (a_glued / a_nested)``; alpha is never
         zero.  The evaluator composes by evaluating ``outer`` on the raw
-        inner value, so one ``EvaluationCache`` shared by both sides
-        evaluates the inner tree once per inner tuple; it carries the
+        inner value, so one ``last`` dict shared by both sides evaluates the
+        inner tree once per inner tuple.  Both sides act through the
         algebra's ``table``, whose leaf values and surrounds outlive the
         record.  A fixed inner value is its own surround, so then ``outer``
-        sees the very inputs it saw inside the glued tree, the cache
-        returns the glued side's raw value, and the nested side reuses the
-        glued side's surround of it.  Nothing is kept beyond the cache.
+        sees the very inputs it saw inside the glued tree, ``last`` returns
+        the glued side's raw value, and the nested side reuses the glued
+        side's surround of it.  Nothing else is kept beyond the record.
         """
         glued_expr = ComposeExpr(outer, slot, inner)
         t_outer, t_inner = realize(outer), realize(inner)
         # realize's own fold, on the subtrees already realized
         tangles = t_outer, t_inner, compose(t_outer, slot, t_inner)
         a_outer, a_inner, a_glued = (alpha(t, self.index_mq) for t in tangles)
-        surround = self.table.surround
+        surround, act = self.table.surround, self.table.act
         evaluate = self.algebra.evaluate
 
         def values():
-            cache = EvaluationCache(self.table)
+            last: dict = {}
             outer_slots = slot_colours(outer)
             rest_slots = outer_slots[: slot - 1] + outer_slots[slot:]
             for inner_combo in self.basis_tuples(slot_colours(inner)):
                 inner_inputs = list(inner_combo)
-                dressed = surround(evaluate(inner, inner_inputs, cache))
+                dressed = surround(evaluate(inner, inner_inputs, act, last))
                 for rest in self.basis_tuples(rest_slots):
                     before, after = list(rest[: slot - 1]), list(rest[slot - 1 :])
-                    raw = evaluate(glued_expr, before + inner_inputs + after, cache)
+                    raw = evaluate(glued_expr, before + inner_inputs + after, act, last)
                     glued = surround(raw)
-                    raw_nested = evaluate(outer, before + [dressed] + after, cache)
+                    raw_nested = evaluate(outer, before + [dressed] + after, act, last)
                     nested = glued if raw_nested is raw else surround(raw_nested)
                     yield glued, nested
 
@@ -331,15 +333,15 @@ class IntermediateAlgebra:
             ok = a_renumbered == a_base
             # slot i of the child reads the input at disc perm[i] of the
             # renumbered tangle; spelled out here independently of the
-            # evaluator's own bookkeeping, so the cache serves the right side
+            # evaluator's own bookkeeping, so ``last`` serves the right side
             # only when the evaluator passed the child these very inputs, and
             # the table's leaf entries are keyed on the inputs each leaf gets
-            cache = EvaluationCache(self.table)
+            last: dict = {}
             for combo in self.basis_tuples(slot_colours(renumbered)):
                 xs = list(combo)
                 child_inputs = [xs[perm[i] - 1] for i in range(n)]
-                lhs = self.algebra.evaluate(renumbered, xs, cache)
-                rhs = self.algebra.evaluate(base_expr, child_inputs, cache)
+                lhs = self.algebra.evaluate(renumbered, xs, self.table.act, last)
+                rhs = self.algebra.evaluate(base_expr, child_inputs, self.table.act, last)
                 if lhs != rhs:
                     ok = False
             records.append(

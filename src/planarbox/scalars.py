@@ -231,13 +231,7 @@ class RadicalScalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, da = self._num, self._den
-        b, db = other._num, other._den
-        if not b:
-            return self
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-        return _scalar(_coords_add(a, fa, b, -fb), da * fa)
+        return self + -other
 
     def __rsub__(self, other: Rational) -> "RadicalScalar":
         other = _coerce(other)

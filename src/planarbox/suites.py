@@ -163,47 +163,39 @@ def gram_is_identity(
     table: np.ndarray,
     labels: list[Label],
     prefactor: RadicalScalar,
+    basis: list[PAElement],
+    stars: list[PAElement],
+    traces: list[RadicalScalar],
 ) -> bool:
     """Whether the label basis at a colour is orthonormal under ``tr(y* x)``,
     read off the basis product table, and whether ``multiply`` agrees with
     that table on every pair of basis labels.
 
     ``(table, labels, prefactor)`` is what
-    :meth:`GroupPlanarAlgebra.product_structure` returns.  ``star`` must send
-    each basis label to one label with coefficient 1, which makes it an index
-    map ``s``; then ``tr(S(labels[j])* S(labels[i]))`` is
-    ``prefactor * tr(S(table[s_j, i]))``, zero where the entry is -1.  Each
-    basis trace is read once, so the matrix must be nonzero on its diagonal
-    and have ``size`` nonzero entries.  Row j of the matrix is table row
-    ``s_j``, so ``s`` must permute the rows: a star that hits one label twice
-    gives two equal rows, which cannot each be nonzero on the diagonal
-    alone.  The count then reads the table itself, one row at a time.  Only
-    the ``size`` diagonal values are checked exactly.  Anything else reads
-    False, never raises.
+    :meth:`GroupPlanarAlgebra.product_structure` returns; ``basis``,
+    ``stars`` and ``traces`` hold the basis element of each label, its star
+    and its trace, in the order of ``labels``.  Each star must be one label
+    with coefficient 1, which makes ``star`` an index map ``s``; then
+    ``tr(S(labels[j])* S(labels[i]))`` is ``prefactor * traces[table[s_j, i]]``,
+    zero where the entry is -1.  So row j of the Gram matrix is the identity
+    row exactly when table row ``s_j`` has one product of nonzero trace, at
+    column j, and that trace times the prefactor is 1.  Two equal ``s_j``
+    would give one row two such products, so ``s`` permutes the rows and
+    every row of the table is read.  Anything else reads False, never
+    raises.
     """
     import numpy as np
 
     index = {lab: i for i, lab in enumerate(labels)}
-    basis = [P.basis_element(colour, lab) for lab in labels]
-    s = []
-    for b in basis:
-        terms = list(P.star(b).coeffs.items())
-        if len(terms) != 1 or terms[0][1] != ONE or terms[0][0] not in index:
-            return False
-        s.append(index[terms[0][0]])
-    traces = [P.trace(b) for b in basis]
     # one more False entry, read by the -1 of a zero product
     nonzero = np.array([not t.is_zero() for t in traces] + [False])
-    # entry j: the index of S(labels[j])* S(labels[j]), -1 for zero
-    diagonal = table[s, range(len(labels))]
-    if not nonzero[diagonal].all():
-        return False
-    if len(set(s)) != len(s):
-        return False
-    if sum(np.count_nonzero(nonzero[row]) for row in table) != len(labels):
-        return False
-    if any(prefactor * traces[k] != ONE for k in diagonal.tolist()):
-        return False
+    for j, star in enumerate(stars):
+        terms = list(star.coeffs.items())
+        if len(terms) != 1 or terms[0][1] != ONE or terms[0][0] not in index:
+            return False
+        row = table[index[terms[0][0]]]
+        if np.flatnonzero(nonzero[row]).tolist() != [j] or prefactor * traces[row[j]] != ONE:
+            return False
     return _multiply_matches_table(P, colour, basis, table, labels, prefactor)
 
 
@@ -269,76 +261,92 @@ def base_algebra_report(
 ) -> list[dict]:
     """Ring structure of the ambient labelled algebra, exhaustively.
 
-    The basis products of a colour are one ``int32`` index table and a
-    shared prefactor (:meth:`GroupPlanarAlgebra.product_structure`).
-    Associativity is checked on that table
-    (:func:`index_table_associative`), and the Gram matrix is read off it
-    with one trace per label (:func:`gram_is_identity`).  Both stand on the
-    table, so the Gram flag also checks that ``multiply`` agrees with it,
-    prefactor included, on every pair of labels, with ``colour`` products
-    per left label.  The table is dropped once both flags are read.  The
-    unit, star, trace, inclusion and Markov checks run element by element
-    over the basis.  The traces read the algebra's per-label memo, so each
-    basis trace is computed once.  ``run_suite`` bounds the cost at
+    Each colour's label basis is built once, with one star and one trace
+    per label, and every check of the colour reads those lists.  The basis
+    products of a colour are one ``int32`` index table and a shared
+    prefactor (:meth:`GroupPlanarAlgebra.product_structure`).
+    Associativity is checked on that table (:func:`index_table_associative`),
+    and the Gram matrix is read off it with the shared stars and traces
+    (:func:`gram_is_identity`).  Both stand on the table, so the Gram flag
+    also checks that ``multiply`` agrees with it, prefactor included, on
+    every pair of labels, with ``colour`` products per left label.  The
+    table is dropped once both flags are read, before the unit, star,
+    trace, inclusion and Markov checks run element by element over the
+    basis.
+
+    The first loop builds each colour's lists, reads the table and runs
+    the unit check.  The records of the unit come first, colour by colour,
+    and so do its comparisons of elements, which the values digest of
+    ``scripts/report_digests.py`` reads in order.  So the other checks of
+    each colour run in a second loop over the kept lists, which drops each
+    colour once its records are made.  ``run_suite`` bounds the cost at
     ``MAX_BASE_ALGEBRA_PAIRS``.
     """
     suite = "base-algebra"
     P = cp.product
     n = len(P.group)
-    rng = random.Random(seed)
-    records = []
-    for colour in range(1, k_max + 1):
+
+    def unit_records(colour: int, basis: list[PAElement]) -> list[dict]:
         one = P.unit(colour)
-        basis = [P.basis_element(colour, lab) for lab in P.basis_labels(colour)]
         two_sided = all(P.multiply(one, b) == b and P.multiply(b, one) == b for b in basis)
-        records += [
+        return [
             flag(suite, f"unit is a two-sided identity at colour {colour}", two_sided,
                  "identity", "broken"),
             record(suite, f"trace of the unit at colour {colour}", P.trace(one).render(), "1"),
         ]
+
+    units = unit_records(1, [P.basis_element(1)])
+    # per colour from 2: the basis, stars and traces its checks share, and
+    # the flags read off its product table
+    kept = []
     for colour in range(2, k_max + 1):
+        # the table's associativity scratch comes before any element
         table, labels, prefactor = P.product_structure(colour)
-        size = len(labels)
         associative = index_table_associative(table)
-        orthonormal = gram_is_identity(P, colour, table, labels, prefactor)
-        # the element-by-element checks below, and the memos they grow at
+        basis = [P.basis_element(colour, lab) for lab in labels]
+        stars = [P.star(b) for b in basis]
+        traces = [P.trace(b) for b in basis]
+        orthonormal = gram_is_identity(P, colour, table, labels, prefactor, basis, stars, traces)
+        # the element-by-element checks, and the memos they grow at
         # colour + 1, do not stack on top of the table
         del table, labels
+        units += unit_records(colour, basis)
+        kept.append((colour, basis, stars, traces, associative, prefactor, orthonormal))
+    # the unit's comparisons of elements come first in the values digest, so
+    # the other element checks run here, each colour dropped once checked
+    rng = random.Random(seed)
+    inv_order = Fraction(1, n)
+    records = units
+    while kept:
+        colour, basis, stars, traces, associative, prefactor, orthonormal = kept.pop(0)
+        size = len(basis)
+        if size * size <= 2000:
+            pairs = [(i, j) for i in range(size) for j in range(size)]
+        else:
+            pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples)]
+        include = GenExpr("I", colour)
+        e_up = P.jones_element(colour + 1)
         records += [
             flag(suite, f"associativity of the index table at colour {colour} ({size}^3 triples)",
                  associative, "associative", "broken"),
             record(suite, f"shared product prefactor at colour {colour}",
                    prefactor.render(), pow_half(n, (colour + 1) // 2 - 1).render()),
-        ]
-        basis = [P.basis_element(colour, lab) for lab in P.basis_labels(colour)]
-        records.append(
             flag(suite, f"star is an involution at colour {colour}",
-                 all(P.star(P.star(b)) == b for b in basis), "involution", "broken")
-        )
-        if size * size <= 2000:
-            pairs = [(x, y) for x in basis for y in basis]
-        else:
-            pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
-        records.append(
+                 all(P.star(s) == b for s, b in zip(stars, basis)), "involution", "broken"),
             flag(suite, f"star reverses products at colour {colour} ({len(pairs)} pairs)",
-                 all(P.star(P.multiply(x, y)) == P.multiply(P.star(y), P.star(x))
-                     for x, y in pairs),
-                 "antihomomorphism", "broken")
-        )
-        include = GenExpr("I", colour)
-        e_up = P.jones_element(colour + 1)
-        inv_order = Fraction(1, n)
-        records += [
+                 all(P.star(P.multiply(basis[i], basis[j])) == P.multiply(stars[j], stars[i])
+                     for i, j in pairs),
+                 "antihomomorphism", "broken"),
             flag(suite, f"Gram matrix of the label basis is the identity at colour {colour}",
                  orthonormal, "orthonormal", "degenerate"),
             flag(suite, f"trace is star-invariant at colour {colour}",
-                 all(P.trace(P.star(b)) == P.trace(b) for b in basis), "invariant", "broken"),
+                 all(P.trace(s) == t for s, t in zip(stars, traces)), "invariant", "broken"),
             flag(suite, f"inclusion preserves the trace at colour {colour}",
-                 all(P.trace(P.act_generator(include, [b])) == P.trace(b) for b in basis),
+                 all(P.trace(P.act_generator(include, [b])) == t for b, t in zip(basis, traces)),
                  "preserved", "broken"),
             flag(suite, f"Markov property at colour {colour}",
-                 all(P.trace(P.multiply(P.act_generator(include, [b]), e_up))
-                     == P.trace(b) * inv_order for b in basis),
+                 all(P.trace(P.multiply(P.act_generator(include, [b]), e_up)) == t * inv_order
+                     for b, t in zip(basis, traces)),
                  "markov", "broken"),
         ]
     return records

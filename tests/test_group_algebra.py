@@ -25,7 +25,6 @@ from planarbox.expressions import (
 )
 from planarbox.group_algebra import (
     AlgebraError,
-    EvaluationCache,
     GroupPlanarAlgebra,
     PAElement,
     SubgroupBiprojection,
@@ -739,7 +738,7 @@ class TestEvaluate:
     def test_inputs_checked_against_the_root_slots(self, cached):
         """A wrong colour, or the wrong shading at colour 0, is refused with
         the message a generator gives, also when the input reaches a leaf
-        deep in the tree and when the cache already holds the tree."""
+        deep in the tree and when the ``last`` dict already holds the tree."""
         alg = algebra(3)
         s0, t0 = alg.basis_element(2, (0,)), alg.basis_element(3, (0, 0))
         plus, minus = alg.unit(0), alg.unit(0, shaded=True)
@@ -754,11 +753,11 @@ class TestEvaluate:
              [plus, minus], "input colour 0+ does not fit slot 0-"),
         ]
         for expr, good, bad, message in cases:
-            cache = EvaluationCache() if cached else None
+            last = {} if cached else None
             if cached:
-                alg.evaluate(expr, good, cache)
+                alg.evaluate(expr, good, last=last)
             with pytest.raises(AlgebraError, match=re.escape(message)):
-                alg.evaluate(expr, bad, cache)
+                alg.evaluate(expr, bad, last=last)
 
     def test_unit_expression(self):
         alg = algebra(3)
@@ -815,7 +814,8 @@ class TestEvaluate:
 
 
 class TestEvaluationCache:
-    """One cache per record must give every value an uncached call gives."""
+    """One ``last`` dict per record must give every value a call without
+    one gives."""
 
     def basis_pools(self, alg, discs):
         # built once, so the same objects recur across tuples, as in the
@@ -828,7 +828,7 @@ class TestEvaluationCache:
     def test_cached_equals_uncached_on_every_basis_tuple(self):
         """Seeded composable pairs over z3xz2 at colours <= 3: the inner
         tree, the outer tree around its value, the glued tree and a
-        renumbering of it share one cache, in the order the composite
+        renumbering of it share one ``last`` dict, in the order the composite
         checks use it."""
         alg = SEMIDIRECT["z3xz2"]
         rng = random.Random("evaluation-cache")
@@ -843,32 +843,32 @@ class TestEvaluationCache:
             rest_pools = self.basis_pools(alg, outer_slots[: slot - 1] + outer_slots[slot:])
             if math.prod(map(len, inner_pools + rest_pools)) > 1500:
                 continue
-            cache = EvaluationCache()
+            last = {}
             for xs in itertools.product(*inner_pools):
                 xs = list(xs)
-                value = alg.evaluate(inner, xs, cache)
+                value = alg.evaluate(inner, xs, last=last)
                 assert value == alg.evaluate(inner, xs)
                 for rest in itertools.product(*rest_pools):
                     before, after = list(rest[: slot - 1]), list(rest[slot - 1 :])
                     ys = before + [value] + after
                     zs = before + xs + after
-                    assert alg.evaluate(outer, ys, cache) == alg.evaluate(outer, ys)
-                    assert alg.evaluate(glued, zs, cache) == alg.evaluate(glued, zs)
-                    assert alg.evaluate(renumbered, zs[::-1], cache) == alg.evaluate(glued, zs)
+                    assert alg.evaluate(outer, ys, last=last) == alg.evaluate(outer, ys)
+                    assert alg.evaluate(glued, zs, last=last) == alg.evaluate(glued, zs)
+                    assert alg.evaluate(renumbered, zs[::-1], last=last) == alg.evaluate(glued, zs)
             checked += 1
 
     def test_recycled_addresses_do_not_hit(self):
-        """Fresh temporaries fed to one cache reuse the addresses of freed
-        ones; a cache that kept only ids would return stale values."""
+        """Fresh temporaries fed to one ``last`` dict reuse the addresses of
+        freed ones; a dict that kept only ids would return stale values."""
         alg = algebra(5)
         expr = parse_expr("(compose (gen E 2 3) 1 (gen I 3 2))")
-        cache = EvaluationCache()
+        last = {}
         addresses = []
         for i in range(200):
             # consecutive inputs differ, so a stale value would be wrong
             x = alg.basis_element(2, (i % 5,))
             addresses.append(id(x))
-            assert alg.evaluate(expr, [x], cache) == alg.evaluate(expr, [x])
+            assert alg.evaluate(expr, [x], last=last) == alg.evaluate(expr, [x])
             del x
         assert len(set(addresses)) < len(addresses)
 
@@ -889,31 +889,31 @@ class TestEvaluationCache:
             return original(self, x, y)
 
         monkeypatch.setattr(GroupPlanarAlgebra, "multiply", counted)
-        cache = EvaluationCache()
-        lhs = alg.evaluate(RenumberExpr(perm, t), xs, cache)
-        rhs = alg.evaluate(t, permuted, cache)
+        last = {}
+        lhs = alg.evaluate(RenumberExpr(perm, t), xs, last=last)
+        rhs = alg.evaluate(t, permuted, last=last)
         assert lhs == rhs
         assert calls == 1
-        # without a shared cache, each call multiplies
+        # without a shared dict, each call multiplies
         alg.evaluate(RenumberExpr(perm, t), xs)
         alg.evaluate(t, permuted)
         assert calls == 3
 
     def test_tree_validated_once_per_cache(self, disc_makes):
         """Each node makes its discs once for its life: evaluating one tree
-        through several caches, and without one, makes them on the first
-        call only, and a misfit input is still refused at the root."""
+        through several ``last`` dicts, and without one, makes them on the
+        first call only, and a misfit input is still refused at the root."""
         alg = algebra(3)
         glued = parse_expr("(compose (gen M 2) 2 (gen id 2))")
         expr = RenumberExpr((2, 1), glued)
         for _ in range(3):
-            cache = EvaluationCache()
+            last = {}
             for g in range(3):
-                alg.evaluate(expr, [alg.basis_element(2, (g,)), alg.basis_element(2, (0,))], cache)
+                alg.evaluate(expr, [alg.basis_element(2, (g,)), alg.basis_element(2, (0,))], last=last)
         alg.evaluate(expr, [alg.basis_element(2, (0,)), alg.basis_element(2, (1,))])
         assert list(map(id, disc_makes)) == [id(glued), id(expr)]
         with pytest.raises(AlgebraError, match="input"):
-            alg.evaluate(expr, [alg.basis_element(2, (0,))], EvaluationCache())
+            alg.evaluate(expr, [alg.basis_element(2, (0,))], last={})
         assert list(map(id, disc_makes)) == [id(glued), id(expr)]
 
 

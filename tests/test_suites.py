@@ -1,6 +1,7 @@
 """Tests for the suite registry and the byte stability of whole reports."""
 
 import collections
+import functools
 import hashlib
 import importlib.util
 import json
@@ -94,12 +95,43 @@ GOLDEN_SUBSTITUTION = {
 }
 
 
+def count_calls(monkeypatch, *methods: str) -> collections.Counter:
+    """Count the calls of each named :class:`GroupPlanarAlgebra` method."""
+    calls = collections.Counter()
+    for method in methods:
+        inner = getattr(GroupPlanarAlgebra, method)
+
+        def counted(self, *args, inner=inner, method=method, **kwargs):
+            calls[method] += 1
+            return inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupPlanarAlgebra, method, counted)
+    return calls
+
+
+@functools.cache
+def substitution_run_at_defaults(name: str):
+    """One run of a substitution suite at the defaults on z3xz2, read three
+    ways at once: its record count and report digest, the values it compares
+    (``GOLDEN_VALUES``) and its multiplies and ``_act`` calls
+    (``GOLDEN_WORK``).  Cached, so the three pins of a suite share one run."""
+    runs = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_calls(monkeypatch, "multiply", "_act")
+        values = report_digests().value_digest(
+            lambda: runs.append(run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0))
+        )
+    (records,) = runs
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    failed = [r["case"] for r in records if not r["pass"]]
+    return failed, (len(records), digest), values, (calls["multiply"], calls["_act"])
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SUBSTITUTION))
 def test_substitution_suites_at_defaults_are_pinned(name):
-    records = run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0)
-    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-    assert [r["case"] for r in records if not r["pass"]] == []
-    assert (len(records), digest) == GOLDEN_SUBSTITUTION[name]
+    failed, report, _, _ = substitution_run_at_defaults(name)
+    assert failed == []
+    assert report == GOLDEN_SUBSTITUTION[name]
 
 
 # the cheap suites at the CLI defaults (k_max 4, 40 samples, seed 0), by
@@ -211,9 +243,7 @@ GOLDEN_VALUES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_VALUES))
 def test_substitution_suite_values_at_defaults_are_pinned(name):
-    value_digest = report_digests().value_digest
-    found = value_digest(lambda: run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0))
-    assert found == GOLDEN_VALUES[name]
+    assert substitution_run_at_defaults(name)[2] == GOLDEN_VALUES[name]
 
 
 # the same for two suites whose membership tests meet elements fixed by the
@@ -238,7 +268,7 @@ def test_membership_suite_values_at_defaults_are_pinned(name):
 # substitution suites at the CLI defaults on z3xz2.  A fixed inner value is
 # its own surround, so the nested side of a substitution meets the inputs
 # the glued side gave ``outer`` and reads its value from the per-record
-# cache; these counts rise if that reuse is lost.
+# ``last`` dict; these counts rise if that reuse is lost.
 GOLDEN_WORK = {
     "theorem-main": (6463, 13310),
     "axioms": (3304, 7106),
@@ -246,18 +276,21 @@ GOLDEN_WORK = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORK))
-def test_substitution_suite_work_at_defaults_is_pinned(name, monkeypatch):
-    calls = collections.Counter()
-    for method in ("multiply", "_act"):
-        inner = getattr(GroupPlanarAlgebra, method)
+def test_substitution_suite_work_at_defaults_is_pinned(name):
+    assert substitution_run_at_defaults(name)[3] == GOLDEN_WORK[name]
 
-        def counted(self, *args, inner=inner, method=method):
-            calls[method] += 1
-            return inner(self, *args)
 
-        monkeypatch.setattr(GroupPlanarAlgebra, method, counted)
-    run_suite(name, action("z3xz2"), k_max=4, samples=40, seed=0)
-    assert (calls["multiply"], calls["_act"]) == GOLDEN_WORK[name]
+def test_z4xz2_base_algebra_work_is_pinned(monkeypatch):
+    """The basis elements, stars, traces and multiplies of base-algebra on
+    z4xz2 at k_max 4.  Each colour's label basis is built once, 585 labels
+    over colours 1-4, with one star and one trace per label that every
+    check of the colour reads; the stars of the sampled products are the
+    only others.  Building the basis once per check read 1,753 / 2,768 /
+    4,092 / 4,298."""
+    calls = count_calls(monkeypatch, "basis_element", "star", "trace", "multiply")
+    run_suite("base-algebra", action("z4xz2"), k_max=4, samples=40, seed=0)
+    counts = tuple(calls[m] for m in ("basis_element", "star", "trace", "multiply"))
+    assert counts == (585, 1312, 2340, 4298)
 
 
 @pytest.mark.parametrize("k_max", [1, 5, 9])
@@ -527,8 +560,8 @@ def test_gram_flag_catches_a_planted_defect(defect, monkeypatch):
 def test_gram_flag_catches_a_planted_off_diagonal_trace(monkeypatch):
     """A nonzero trace planted on a colour-3 label of Z3 x| Z2 that is a
     product in the table but on no diagonal entry of the Gram matrix: the
-    diagonal still reads 1, so only the count of nonzero entries sees the
-    defect, and the Gram record reads degenerate."""
+    diagonal still reads 1, so only the test that its Gram row has no other
+    nonzero entry sees the defect, and the Gram record reads degenerate."""
     P = CrossedProduct(action("z3xz2")).product
     table, labels, _ = P.product_structure(3)
     products = {labels[k] for k in table[table >= 0].tolist()}
@@ -545,6 +578,15 @@ def test_gram_flag_catches_a_planted_off_diagonal_trace(monkeypatch):
 
     monkeypatch.setattr(GroupPlanarAlgebra, "trace", trace)
     assert gram_at_3(CrossedProduct(action("z3xz2"))) == "degenerate"
+
+
+def gram_from_labels(P, colour, table, labels, prefactor) -> bool:
+    """:func:`suites.gram_is_identity` on the basis of ``labels``, with the
+    stars and traces base-algebra shares among its checks."""
+    basis = [P.basis_element(colour, lab) for lab in labels]
+    stars = [P.star(b) for b in basis]
+    traces = [P.trace(b) for b in basis]
+    return suites.gram_is_identity(P, colour, table, labels, prefactor, basis, stars, traces)
 
 
 class TwoLabelAlgebra:
@@ -584,7 +626,7 @@ def test_gram_flag_refuses_a_star_that_sends_two_labels_to_one():
     assert suites._multiply_matches_table(
         P, 2, [P.basis_element(2, lab) for lab in P.labels], P.table, P.labels, ONE
     )
-    assert not suites.gram_is_identity(P, 2, P.table, P.labels, ONE)
+    assert not gram_from_labels(P, 2, P.table, P.labels, ONE)
 
 
 def test_gram_flag_catches_a_planted_table_entry():
@@ -593,7 +635,7 @@ def test_gram_flag_catches_a_planted_table_entry():
     index): multiply no longer agrees with the table, and the flag is False."""
     P = CrossedProduct(action("z3xz2")).product
     table, labels, prefactor = P.product_structure(3)
-    assert suites.gram_is_identity(P, 3, table, labels, prefactor)
+    assert gram_from_labels(P, 3, table, labels, prefactor)
     rng = np.random.default_rng(11)
     planted = collections.Counter()
     for i, j in rng.integers(0, len(labels), size=(40, 2)).tolist():
@@ -604,7 +646,7 @@ def test_gram_flag_catches_a_planted_table_entry():
         for kind, value in kinds:
             broken = table.copy()
             broken[i, j] = value
-            assert not suites.gram_is_identity(P, 3, broken, labels, prefactor), (kind, i, j)
+            assert not gram_from_labels(P, 3, broken, labels, prefactor), (kind, i, j)
             planted[kind] += 1
     assert min(planted.values()) >= 5 and len(planted) == 3
 
