@@ -30,9 +30,10 @@ tree node keeps for its life (``discs``).  Values are kept per record, in
 the ``last`` dict that ``evaluate`` takes, and per cut-down algebra: its
 generator values on basis tuples, and their surrounds, in a
 :class:`BasisTable`, whose ``act`` the evaluation takes for its leaves.
-``row_reduce`` echelons the spans.  Linear combinations render through
-:func:`render_terms`; the report records of every suite are built by
-:func:`record` and :func:`flag`.
+``row_reduce`` echelons spans of distinct vectors: one image per class or
+orbit, or one dual-surround image per label.  Linear combinations render
+through :func:`render_terms`; the report records of every suite are built
+by :func:`record` and :func:`flag`.
 """
 
 from __future__ import annotations
@@ -264,8 +265,10 @@ class SubgroupBiprojection:
     class of one.  One table maps each label met to its class's entry,
     shared by every label of the class: the least label, the labels and
     ``1/|class|``.  The least labels at a colour, listed by
-    :meth:`class_reps`, index the range.  The surround owns fixedness: an
-    element is in the range exactly when ``surround(x) is x``.
+    :meth:`class_reps`, index the range: their images span it, so the
+    cut-down bases and the biprojection suite's checks read one image per
+    class.  The surround owns fixedness: an element is in the range exactly
+    when ``surround(x) is x``.
 
     Everything it keeps is a function of ``algebra`` and K: the class
     table, one entry per label of each class met.  It keeps no values;
@@ -359,14 +362,11 @@ class SubgroupBiprojection:
                 acc.update(dict.fromkeys(labels, share))
         return _trusted(x.colour, acc)
 
-    def class_rep(self, label: Label) -> Label:
-        """The least label of the class of ``label``, read off the table."""
-        return (self._classes.get(label) or self._class(label))[0]
-
     def class_reps(self, colour: int) -> Iterator[Label]:
-        """The least label of each class at a colour, in ascending order."""
+        """The least label of each class at a colour, in ascending order,
+        read off the class table: one label per class spans the range."""
         for label in self.algebra.basis_labels(colour):
-            if self.class_rep(label) == label:
+            if (self._classes.get(label) or self._class(label))[0] == label:
                 yield label
 
     def _class(self, label: Label) -> tuple[Label, list[Label], RadicalScalar]:
@@ -525,24 +525,17 @@ def row_reduce(vectors: Iterable[PAElement]) -> list[PAElement]:
 
     Pivots are the lexicographically least labels; each returned vector is
     normalized to leading coefficient 1 and the list is sorted by pivot.
-    An input equal to one already taken would reduce to zero, so it is
-    skipped.  Inputs are told apart by colour, shading, least label and
-    term count, which hash no coefficient, and a repeat is confirmed by
-    comparing coefficient dicts with those of the inputs taken under the
-    same key.  Each vector subtracts at the least pivot label left in its
-    support until none is left.  The loop ends: a pivot's least label is
-    its own, so a subtraction clears that label and brings in only larger
-    ones.  A vector whose support meets no pivot costs one scan of it.
+    Each vector subtracts at the least pivot label left in its support
+    until none is left.  The loop ends: a pivot's least label is its own,
+    so a subtraction clears that label and brings in only larger ones.  A
+    vector whose support meets no pivot costs one scan of it; one in the
+    span of those before it, a repeat say, reduces to zero and is skipped.
+    The suites feed distinct vectors: class images, transport images of
+    distinct orbit representatives, and dual-surround images, each a
+    basis element or zero.
     """
     pivots: dict[Label, PAElement] = {}
-    # (colour, shading, least label, term count) -> coefficients taken
-    taken: dict[tuple, list[dict[Label, RadicalScalar]]] = {}
     for v in vectors:
-        key = (v.colour, v.shaded, min(v.coeffs, default=None), len(v.coeffs))
-        same = taken.setdefault(key, [])
-        if v.coeffs in same:
-            continue
-        same.append(v.coeffs)
         while (lab := min(filter(pivots.__contains__, v.coeffs), default=None)) is not None:
             v = v - pivots[lab].scale(v.coeffs[lab])
         if v.is_zero():

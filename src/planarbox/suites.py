@@ -274,13 +274,10 @@ def base_algebra_report(
     trace, inclusion and Markov checks run element by element over the
     basis.
 
-    The first loop builds each colour's lists, reads the table and runs
-    the unit check.  The records of the unit come first, colour by colour,
-    and so do its comparisons of elements, which the values digest of
-    ``scripts/report_digests.py`` reads in order.  So the other checks of
-    each colour run in a second loop over the kept lists, which drops each
-    colour once its records are made.  ``run_suite`` bounds the cost at
-    ``MAX_BASE_ALGEBRA_PAIRS``.
+    One loop runs every check of a colour and drops its lists before the
+    next colour.  The records of the unit go to their own list, returned
+    first, so the report lists the unit colour by colour ahead of the other
+    checks.  ``run_suite`` bounds the cost at ``MAX_BASE_ALGEBRA_PAIRS``.
     """
     suite = "base-algebra"
     P = cp.product
@@ -295,10 +292,10 @@ def base_algebra_report(
             record(suite, f"trace of the unit at colour {colour}", P.trace(one).render(), "1"),
         ]
 
+    rng = random.Random(seed)
+    inv_order = Fraction(1, n)
     units = unit_records(1, [P.basis_element(1)])
-    # per colour from 2: the basis, stars and traces its checks share, and
-    # the flags read off its product table
-    kept = []
+    records = []
     for colour in range(2, k_max + 1):
         # the table's associativity scratch comes before any element
         table, labels, prefactor = P.product_structure(colour)
@@ -311,14 +308,6 @@ def base_algebra_report(
         # colour + 1, do not stack on top of the table
         del table, labels
         units += unit_records(colour, basis)
-        kept.append((colour, basis, stars, traces, associative, prefactor, orthonormal))
-    # the unit's comparisons of elements come first in the values digest, so
-    # the other element checks run here, each colour dropped once checked
-    rng = random.Random(seed)
-    inv_order = Fraction(1, n)
-    records = units
-    while kept:
-        colour, basis, stars, traces, associative, prefactor, orthonormal = kept.pop(0)
         size = len(basis)
         if size * size <= 2000:
             pairs = [(i, j) for i in range(size) for j in range(size)]
@@ -349,7 +338,7 @@ def base_algebra_report(
                      for b, t in zip(basis, traces)),
                  "markov", "broken"),
         ]
-    return records
+    return units + records
 
 
 def crossed_product_report(
@@ -410,10 +399,11 @@ def biprojection_report(sub: SubgroupBiprojection, kmax: int) -> list[dict]:
     Checks that K's average q is idempotent and self-adjoint, has trace
     ``1/|K|`` and dominates the first Jones projection, and that K's own
     surround is idempotent on the full basis at every colour up to kmax.
-    Every label is surrounded, but each distinct image is surrounded again
-    once: a label whose image equals the first image of its class (keyed
-    by the class's least label, from the subgroup's class table) takes
-    that image's verdict.
+    Every label of a class ``h -> t h k`` has the same image, the class
+    average, so each class is checked once, through its least label
+    (:meth:`SubgroupBiprojection.class_reps`): its image is surrounded
+    again and compared with itself, and a class that passes counts its
+    labels, the terms of that image.
     The trace case keeps its name from the copies of Theta it was first
     written for, so their reports keep their bytes.
     """
@@ -431,18 +421,10 @@ def biprojection_report(sub: SubgroupBiprojection, kmax: int) -> list[dict]:
     ]
     for colour in range(1, kmax + 1):
         good = 0
-        # least label of a class -> (the first image of a label in it, its verdict)
-        checked: dict[Label, tuple[PAElement, bool]] = {}
-        for label in P.basis_labels(colour):
-            once = sub.surround(P.basis_element(colour, label))
-            key = sub.class_rep(label)
-            first = checked.get(key)
-            if first is not None and first[0] == once:
-                good += first[1]
-                continue
-            idempotent = sub.surround(once) == once
-            checked.setdefault(key, (once, idempotent))
-            good += idempotent
+        for rep in sub.class_reps(colour):
+            image = sub.surround(P.basis_element(colour, rep))
+            # the image spreads 1/|C| over each label of the rep's class C
+            good += len(image.coeffs) if sub.surround(image) == image else 0
         total = P.dimension(colour)
         records.append(
             record("biprojection", f"surround idempotent at colour {colour}",
@@ -457,12 +439,14 @@ def biprojection_suite(
     """The biprojection facts, each conjugate copy of Theta checked through
     its own average and surround up to k_max, and the surround ranks.
 
-    Many h give the same copy, so each distinct copy is checked once."""
-    records = biprojection_report(cp.embedded, kmax=k_max)
-    verified = {cp.embedded.members: all(r["pass"] for r in records)}
-    P = cp.product
+    Many h give the same copy, so each distinct copy is checked once.  The
+    rank at a colour is that of the images of the class representatives,
+    which span the range, as in :class:`IntermediateAlgebra`."""
+    P, theta = cp.product, cp.embedded
+    records = biprojection_report(theta, kmax=k_max)
+    verified = {theta.members: all(r["pass"] for r in records)}
     for h in range(len(cp.semidirect)):
-        sub = cp.embedded.conjugate(h)
+        sub = theta.conjugate(h)
         if sub.members not in verified:
             verified[sub.members] = all(r["pass"] for r in biprojection_report(sub, kmax=k_max))
         records.append(
@@ -471,7 +455,7 @@ def biprojection_suite(
                  verified[sub.members], "verified", "broken")
         )
     for colour in range(1, k_max + 1):
-        images = (cp.surround(P.basis_element(colour, lab)) for lab in P.basis_labels(colour))
+        images = (theta.surround(P.basis_element(colour, rep)) for rep in theta.class_reps(colour))
         records.append(
             record("biprojection", f"surround rank at colour {colour}",
                    str(len(row_reduce(images))), str(len(cp.orbit_reps(colour))))

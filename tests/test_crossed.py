@@ -402,6 +402,28 @@ class TestBiprojection:
         show it, breaks the same four conjugate flags at k_max 4."""
         assert conjugate_flags_failed(monkeypatch, k_max=4, from_colour=2) == OFF_EMBEDDED
 
+    def test_a_class_whose_image_is_not_fixed_fails_each_of_its_labels(self, monkeypatch):
+        """A surround that doubles every element of more than one basis
+        label meeting one colour-2 class C breaks idempotence on C alone:
+        the colour-2 row counts every label but C's, and every other row
+        passes."""
+        sub, surround = CP3.embedded, SubgroupBiprojection.surround
+        P = sub.algebra
+        images = [sub.surround(P.basis_element(2, rep)) for rep in sub.class_reps(2)]
+        C = set(max(images, key=lambda x: len(x.coeffs)).coeffs)
+        assert len(C) > 1
+
+        def broken_on_one_class(self, x):
+            out = surround(self, x)
+            return out.scale(2) if len(x.coeffs) > 1 and not C.isdisjoint(x.coeffs) else out
+
+        monkeypatch.setattr(SubgroupBiprojection, "surround", broken_on_one_class)
+        total = P.dimension(2)
+        failed = [(r["case"], r["lhs"]) for r in biprojection_report(sub, kmax=4) if not r["pass"]]
+        assert failed == [
+            ("surround idempotent at colour 2", f"{total - len(C)} of {total} basis labels")
+        ]
+
 
 # the conjugate-copy flags of CP3 at h = (g, t) with g != 0, whose copies
 # differ from the embedded one

@@ -1263,27 +1263,6 @@ def test_row_reduce_skips_repeated_inputs():
     assert row_reduce(firsts + [alg.zero(3)]) == row_reduce(firsts)
 
 
-def test_row_reduce_skips_equal_copies_without_reducing_them(monkeypatch):
-    """An input equal to one taken, built anew down to its coefficient
-    objects, is skipped before any subtraction; the pairwise disjoint
-    supports here leave the first copies nothing to subtract."""
-    rng = random.Random("row-reduce-copies")
-    firsts = [
-        PAElement(3, {(i, j): rng.choice(COEFFS) for j in range(rng.randint(1, 6))})
-        for i in range(6)
-    ]
-    copies = [PAElement(3, {lab: -(-c) for lab, c in x.coeffs.items()}) for x in firsts]
-    assert all(c == x and c.coeffs is not x.coeffs for c, x in zip(copies, firsts))
-    assert all(
-        c.coeffs[lab] is not v for c, x in zip(copies, firsts) for lab, v in x.coeffs.items()
-    )
-    subtractions = []
-    sub = PAElement.__sub__
-    monkeypatch.setattr(PAElement, "__sub__", lambda a, b: subtractions.append(b) or sub(a, b))
-    assert row_reduce(firsts + copies) == row_reduce(firsts)
-    assert subtractions == []
-
-
 def test_row_reduce_keeps_unequal_inputs_of_the_same_lead_and_size():
     """Inputs that agree in colour, least label and term count but not in
     every coefficient are all reduced: each raises the rank."""

@@ -144,7 +144,9 @@ def test_substitution_suites_at_defaults_are_pinned(name):
 # table went in; its ``planarbox suite`` output file has sha256
 # 425eb3747874d81342ce382cf6d8cc76b81b41c2cb94ae7a25903a3ce40ec297.  The
 # z7xz3 jones and dual entries, the only colour-4 cut-down over a group of
-# order 21 here, were taken while the basis still surrounded every label.
+# order 21 here, were taken while the basis still surrounded every label,
+# and the s4 and z7xz3 biprojection entries, whose surround ranks run over
+# 13,824 and 9,261 labels at colour 4, while that suite still did.
 GOLDEN_DEFAULTS = {
     ("z3xz2", "base-algebra"): (32, "d20d3d174730059696d9fd8943328082204484f3e359e0ee5186958b5be67d36"),
     ("z3xz2", "crossed-product"): (81, "1305af2610198ff108affb45e7b284b4a2d2bc20694790b6a4ad3d8cd5c78335"),
@@ -166,6 +168,8 @@ GOLDEN_DEFAULTS = {
     ("z4xz2", "axioms"): (84, "77d46370256b7d74633dcebcde3f99b32fc64264af3cd61097f0befccdaf4137"),
     ("z7xz3", "jones"): (14, "e8647150be854d5377901d0c817975d03528186bb366fdcbbdf361709d266770"),
     ("z7xz3", "dual"): (17, "aefc3760e4ef089a0de27410405afc354e5172110ae6fafa24ea0b603f537cdc"),
+    ("s4", "biprojection"): (37, "632132ee8528efadfdb4296d22558e3a0751f9ea2eafe9cb5e1f76c0d17b0dfb"),
+    ("z7xz3", "biprojection"): (34, "fa2c6fa69223b8ee118e525e58fb6520bdb5ec58baf7d99cb3d6b0678d1a228a"),
 }
 
 
