@@ -35,6 +35,7 @@ from typing import Sequence
 from .expressions import GenExpr
 from .group_algebra import (
     AlgebraError,
+    BasisTable,
     GroupPlanarAlgebra,
     Label,
     PAElement,
@@ -305,9 +306,12 @@ class CrossedProduct:
         For every tuple of orbit-basis inputs the generator is applied in the
         base algebra and the result transported, against the cut-down action
         of the embedded Theta (:meth:`SubgroupBiprojection.act`) on the
-        transported inputs.  Each input is built and transported once per
-        slot, and every tuple reads that carried copy.  Returns one record
-        per input tuple.
+        transported inputs.  That action reads an empty
+        :class:`~planarbox.group_algebra.BasisTable`, made per check: it holds
+        no member, so every leaf acts and every value is surrounded afresh.
+        Each input is built and transported once per slot, and every tuple
+        reads that carried copy.  A generator with no slots has one tuple,
+        the empty one.  Returns one record per input tuple.
         """
         slots = gen.discs[1]
         # per slot: (tag, orbit-basis input, its transport)
@@ -322,10 +326,11 @@ class CrossedProduct:
                 ]
             slot_bases.append([(tag, el, self.transport(el)) for tag, el in inputs])
         name = f"{gen.kind}_{gen.k}"
+        table = BasisTable(self.embedded, 0, ())
         records = []
-        for combo in iter_product(*slot_bases) if slot_bases else [()]:
+        for combo in iter_product(*slot_bases):
             lhs = self.transport(self.base.act_generator(gen, [el for _, el, _ in combo]))
-            rhs = self.embedded.act(gen, [moved for _, _, moved in combo])
+            rhs = self.embedded.act(gen, [moved for _, _, moved in combo], table)
             case = name + (
                 " on " + "; ".join(tag for tag, _, _ in combo) if combo else " (no inputs)"
             )

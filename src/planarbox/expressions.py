@@ -132,10 +132,6 @@ class RenumberExpr:
 TangleExpr = Union[GenExpr, ComposeExpr, RenumberExpr]
 
 
-def external_colour(expr: TangleExpr) -> Disc:
-    return expr.discs[0]
-
-
 def slot_colours(expr: TangleExpr) -> tuple[Disc, ...]:
     return expr.discs[1]
 

@@ -30,6 +30,9 @@ tree node keeps for its life (``discs``).  Values are kept per record, in
 the ``last`` dict that ``evaluate`` takes, and per cut-down algebra: its
 generator values on basis tuples, and their surrounds, in a
 :class:`BasisTable`, whose ``act`` the evaluation takes for its leaves.
+The cut-down action reads one such table on every call: a cut-down
+algebra's own, or an empty one, which holds nothing and so computes every
+value afresh (the crossed product's intertwining check).
 ``row_reduce`` echelons spans of distinct vectors: one image per class or
 orbit, or one dual-surround image per label.  Linear combinations render
 through :func:`render_terms`; the report records of every suite are built
@@ -268,7 +271,10 @@ class SubgroupBiprojection:
     :meth:`class_reps`, index the range: their images span it, so the
     cut-down bases and the biprojection suite's checks read one image per
     class.  The surround owns fixedness: an element is in the range exactly
-    when ``surround(x) is x``.
+    when ``surround(x) is x``, the test of membership and of the crossed
+    product's restriction.  The two idempotence checks, of the cut-down
+    bases and of the biprojection suite, compare an image with its own
+    surround by value instead.
 
     Everything it keeps is a function of ``algebra`` and K: the class
     table, one entry per label of each class met.  It keeps no values;
@@ -304,20 +310,17 @@ class SubgroupBiprojection:
         c = RadicalScalar.rational(Fraction(1, self.order))
         return PAElement(2, {(k,): c for k in self.members})
 
-    def act(
-        self, expr: TangleExpr, inputs: Sequence[PAElement], table: BasisTable | None = None
-    ) -> PAElement:
+    def act(self, expr: TangleExpr, inputs: Sequence[PAElement], table: BasisTable) -> PAElement:
         """The cut-down action of a tree, for the cut-down algebra and the
         crossed product alike: the surround of its value, times ``alpha(T)``
-        at the ratio ``|K|``.  Inputs are not checked for membership.  With
-        the :class:`BasisTable` of a cut-down algebra of this subgroup, its
-        leaf values and surrounds are read instead of recomputed.  The weight
-        is read off the realized tangle, whose generator diagrams and loop
-        counts :mod:`~planarbox.tangles` keeps."""
-        if table is None:
-            value = self.surround(self.algebra.evaluate(expr, inputs))
-        else:
-            value = table.surround(self.algebra.evaluate(expr, inputs, table.act))
+        at the ratio ``|K|``.  Inputs are not checked for membership.  The
+        leaves act, and the value is surrounded, through ``table``, a
+        :class:`BasisTable` of this subgroup: a cut-down algebra's reads its
+        leaf values and surrounds instead of recomputing them, and an empty
+        one computes them all afresh.  The weight is read off the realized
+        tangle, whose generator diagrams and loop counts
+        :mod:`~planarbox.tangles` keeps."""
+        value = table.surround(self.algebra.evaluate(expr, inputs, table.act))
         return value.scale(alpha(realize(expr), self.order))
 
     def surround(self, x: PAElement) -> PAElement:
@@ -335,8 +338,11 @@ class SubgroupBiprojection:
         carries one coefficient on all of its labels, which the gathered
         counts show with no comparison of elements.  The empty label is a
         class of its own, so every element at colour 0 or 1, the zero
-        element and a shaded one included, comes back as itself.  This is
-        the one test of fixedness: a caller asks ``surround(x) is x``."""
+        element and a shaded one included, comes back as itself.  Membership
+        and the crossed product's restriction test fixedness by asking
+        ``surround(x) is x``; the idempotence checks of the cut-down bases
+        and of the biprojection suite compare ``surround(x)`` with ``x`` by
+        value."""
         classes = self._classes
         # least label of a class -> its input coefficients, each with the
         # number of input labels that carry it
@@ -464,7 +470,9 @@ class BasisTable:
     colour)`` leaf entries, plus one surround per basis element and per
     leaf entry.  A fixed element comes back as its own surround at every
     colour, so the surround of a basis element is that element, and a leaf
-    on it reads the table too.
+    on it reads the table too.  An empty table, on no basis, acts and
+    surrounds everything afresh: the crossed product's intertwining check
+    gives :meth:`SubgroupBiprojection.act` one.
 
     Only pure functions of immutable inputs are kept, keyed by the ``id`` of
     their inputs: ``leaves`` maps ``(generator, *input ids)`` to the value
@@ -559,19 +567,6 @@ class GroupPlanarAlgebra:
         self._trace_cache: dict[int, dict[Label, RadicalScalar]] = {}
 
     # --- construction helpers -------------------------------------------
-
-    def zero(self, colour: int, shaded: bool = False) -> PAElement:
-        return PAElement(colour, {}, shaded)
-
-    def element(
-        self, colour: int, coeffs: Mapping[Label, "RadicalScalar | int | Fraction"], shaded: bool = False
-    ) -> PAElement:
-        """Build an element, accepting plain rationals as coefficients."""
-        coerced = {
-            label: c if isinstance(c, RadicalScalar) else RadicalScalar.rational(c)
-            for label, c in coeffs.items()
-        }
-        return PAElement(colour, coerced, shaded)
 
     def basis_element(self, colour: int, label: Sequence[int] = (), shaded: bool = False) -> PAElement:
         return PAElement(colour, {tuple(label): ONE}, shaded)

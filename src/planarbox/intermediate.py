@@ -148,9 +148,10 @@ class IntermediateAlgebra:
             raise AlgebraError("input is not fixed by the surround map")
 
     def basis_tuples(self, discs: Sequence[Disc]):
-        """All tuples of basis elements matching a sequence of slot colours."""
+        """All tuples of basis elements matching a sequence of slot colours;
+        no slots give one tuple, the empty one."""
         pools = [self.basis(d.colour, d.shaded) for d in discs]
-        return iter_product(*pools) if pools else [()]
+        return iter_product(*pools)
 
     # ------------------------------------------------------------------
     # the rescaled action

@@ -566,11 +566,6 @@ def capping_exponent(t: Tangle) -> int:
     return half - black
 
 
-def capping_exponent_white(t: Tangle) -> int:
-    half, _, white = t._capping
-    return half - white
-
-
 def alpha(t: Tangle, ratio: int) -> RadicalScalar:
     """``ratio ** (c/2)`` for the black capping count, exactly."""
     half, black, _ = t._capping

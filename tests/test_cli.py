@@ -331,6 +331,17 @@ class TestSuiteCommand:
         assert main([*command, "--action", str(path)]) == 2
         assert f"action key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["suite", "jones"], ["multiply", "2", "1", "1"]], ids=str)
+    def test_theta_identity_acting_as_an_automorphism_exits_2(self, command, tmp_path, capsys):
+        """Inversion is an automorphism of Z3, but theta's identity must
+        act as the identity map."""
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"group": Z3, "theta": Z2, "action": {"0": [0, 2, 1], "1": [0, 2, 1]}}))
+        assert main([*command, "--action", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "cannot load action: theta identity must act as the identity map"
+        )
+
     def test_group_above_order_cap_exits_2(self, tmp_path, capsys):
         # S_7 (order 5040): validating its table would check 1.3e11 triples
         s7 = {"permutations": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]], "degree": 7}

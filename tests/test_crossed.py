@@ -24,7 +24,7 @@ from planarbox.groups import (
     trivial_action,
 )
 from planarbox.scalars import ONE, ZERO, RadicalScalar, pow_half
-from planarbox.suites import biprojection_report, biprojection_suite
+from planarbox.suites import biprojection_report, biprojection_suite, crossed_product_report
 from planarbox.tangles import alpha
 
 CP3 = CrossedProduct(inversion_action(3))
@@ -50,17 +50,17 @@ class TestOrbitSums:
         assert len(cp.orbit_reps(colour)) == orbit_count_burnside(cp.action, colour - 1)
 
     def test_orbit_sum_merges_orbit(self):
-        assert CP3.orbit_sum(2, (1,)) == CP3.base.element(2, {(1,): 1, (2,): 1})
+        assert CP3.orbit_sum(2, (1,)) == PAElement(2, {(1,): ONE, (2,): ONE})
 
     def test_fixed_label_keeps_multiplicity(self):
-        assert CP3.orbit_sum(2, (0,)) == CP3.base.element(2, {(0,): 2})
+        assert CP3.orbit_sum(2, (0,)) == PAElement(2, {(0,): RadicalScalar.rational(2)})
         # the coefficient is divided by the stabilizer order, 2 and then 1
         assert CP3.invariant_components(CP3.orbit_sum(2, (0,))) == {(0,): ONE}
         assert CP3.invariant_components(CP3.orbit_sum(2, (1,))) == {(1,): ONE}
 
     def test_colour_one_orbit_sum(self):
         assert CP3.orbit_reps(1) == [()]
-        assert CP3.orbit_sum(1, ()) == CP3.base.element(1, {(): 2})
+        assert CP3.orbit_sum(1, ()) == PAElement(1, {(): RadicalScalar.rational(2)})
 
     def test_colour_zero_rejected(self):
         with pytest.raises(AlgebraError, match="colour"):
@@ -90,7 +90,7 @@ class TestOrbitSums:
         rng = random.Random(11)
         for colour in (2, 3):
             basis = orbit_basis(CP3, colour)
-            combo = CP3.base.zero(colour)
+            combo = PAElement(colour, {})
             picked = {}
             for rep, el in basis:
                 c = rng.randrange(-3, 4)
@@ -138,8 +138,8 @@ class TestOrbitProduct:
     @settings(max_examples=40, deadline=None)
     def test_closed_form_on_random_invariant_combos(self, cs, ds):
         basis = orbit_basis(CP3, 3)
-        x = CP3.base.zero(3)
-        y = CP3.base.zero(3)
+        x = PAElement(3, {})
+        y = PAElement(3, {})
         for (_, el), c, d in zip(basis, cs, ds):
             x = x + el.scale(c)
             y = y + el.scale(d)
@@ -149,13 +149,13 @@ class TestOrbitProduct:
 class TestTwistSums:
     def test_colour_2_worked_example(self):
         H = CP3.semidirect
-        expected = CP3.product.element(
+        expected = PAElement(
             2,
             {
-                (H.index(1, 0),): 1,
-                (H.index(1, 1),): 1,
-                (H.index(2, 0),): 1,
-                (H.index(2, 1),): 1,
+                (H.index(1, 0),): ONE,
+                (H.index(1, 1),): ONE,
+                (H.index(2, 0),): ONE,
+                (H.index(2, 1),): ONE,
             },
         )
         assert CP3.twist_sum(2, (1,)) == expected
@@ -173,7 +173,7 @@ class TestTwistSums:
     def test_components_roundtrip(self):
         rng = random.Random(5)
         for colour in (2, 3):
-            combo = CP3.product.zero(colour)
+            combo = PAElement(colour, {})
             picked = {}
             for rep in CP3.orbit_reps(colour):
                 c = rng.randrange(-3, 4)
@@ -234,7 +234,7 @@ class TestTwistSums:
                 product = cp.twist_multiply(colour, gbar, hbar)
                 comps = cp.twist_components(product)
                 zero_products += not comps
-                rebuilt = cp.product.zero(colour)
+                rebuilt = PAElement(colour, {})
                 for r, c in comps.items():
                     assert r == min(orbit_of(cp.action, r))
                     rebuilt = rebuilt + cp.twist_sum(colour, r).scale(c)
@@ -272,8 +272,8 @@ class TestSurround:
     def test_worked_example(self):
         H = CP3.semidirect
         img = CP3.surround(CP3.product.basis_element(2, (H.index(1, 0),)))
-        quarter = Fraction(1, 4)
-        expected = CP3.product.element(
+        quarter = RadicalScalar.rational(Fraction(1, 4))
+        expected = PAElement(
             2,
             {
                 (H.index(1, 0),): quarter,
@@ -330,7 +330,7 @@ class TestSurround:
         labels = list(cp.product.basis_labels(colour))
         for _ in range(15):
             support = rng.sample(labels, min(len(labels), rng.randint(1, 40)))
-            x = cp.product.element(colour, {lab: rng.choice(SPREAD_COEFFS) for lab in support})
+            x = PAElement(colour, {lab: rng.choice(SPREAD_COEFFS) for lab in support})
             assert cp.surround(x) == surround_per_label(cp, x)
             # two labels over one orbit with opposite weights cancel
             lab = rng.choice(labels)
@@ -338,7 +338,7 @@ class TestSurround:
             moved = cp.action.apply_tuple(rng.randrange(cp.theta_order), parts)
             twin = tuple(cp.semidirect.index(g, 0) for g in moved)
             if twin != lab:
-                y = cp.product.element(colour, {lab: 1, twin: -1})
+                y = PAElement(colour, {lab: ONE, twin: -ONE})
                 assert cp.surround(y).is_zero()
                 assert surround_per_label(cp, y).is_zero()
 
@@ -346,8 +346,8 @@ class TestSurround:
     @settings(max_examples=30, deadline=None)
     def test_idempotent_on_random_elements(self, cs):
         labels = list(CP3.product.basis_labels(3))
-        coeffs = {lab: c for lab, c in zip(labels[:: len(labels) // 6], cs) if c}
-        x = CP3.product.element(3, coeffs)
+        coeffs = {lab: RadicalScalar.rational(c) for lab, c in zip(labels[:: len(labels) // 6], cs) if c}
+        x = PAElement(3, coeffs)
         once = CP3.surround(x)
         assert CP3.surround(once) == once
 
@@ -355,8 +355,8 @@ class TestSurround:
 class TestBiprojection:
     def test_frozen_element(self):
         H = CP3.semidirect
-        half = Fraction(1, 2)
-        assert CP3.embedded.average() == CP3.product.element(
+        half = RadicalScalar.rational(Fraction(1, 2))
+        assert CP3.embedded.average() == PAElement(
             2, {(H.index(0, 0),): half, (H.index(0, 1),): half}
         )
 
@@ -525,7 +525,7 @@ def cancelling_pairs(cp: CrossedProduct, colour: int, rng: random.Random) -> lis
     the difference times the sum of every label, whose product loses a
     label that one of its two term products has: a sum that cancels."""
     reps = cp.orbit_reps(colour)
-    every = cp.base.element(colour, dict.fromkeys(cp.base.basis_labels(colour), 1))
+    every = PAElement(colour, dict.fromkeys(cp.base.basis_labels(colour), ONE))
     ys = [orbit_combination(cp, colour, {c: ONE}) for c in reps]
     pairs = []
     for a, b in itertools.combinations(reps, 2):
@@ -593,7 +593,7 @@ def walked_twist_components(cp: CrossedProduct, x: PAElement) -> dict:
             c = x.coefficient(tuple(index(g, 0) for g in rep)) / (cp.theta_order // len(orbit))
             if not c.is_zero():
                 comps[rep] = c
-    rebuilt = cp.product.zero(x.colour)
+    rebuilt = PAElement(x.colour, {})
     for rep, c in comps.items():
         rebuilt = rebuilt + cp.twist_sum(x.colour, rep).scale(c)
     if rebuilt != x:
@@ -629,7 +629,7 @@ class TestTwistComponentsReading:
                 rep: rng.choice(BUILDER_COEFFS)
                 for rep in rng.sample(reps, rng.randint(0, min(len(reps), 4)))
             }
-            x = cp.product.zero(colour)
+            x = PAElement(colour, {})
             for rep, c in comps.items():
                 x = x + cp.twist_sum(colour, rep).scale(c)
             assert cp.twist_components(x) == walked_twist_components(cp, x) == comps
@@ -739,7 +739,7 @@ class TestOneReaderPerFamily:
                 rep: rng.choice(BUILDER_COEFFS)
                 for rep in rng.sample(reps, rng.randint(0, min(len(reps), 4)))
             }
-            x = cp.product.zero(colour)
+            x = PAElement(colour, {})
             for rep, c in comps.items():
                 x = x + cp.twist_sum(colour, rep).scale(c)
             assert cp.twist_components(x) == walked_twist_components(cp, x) == comps
@@ -809,3 +809,33 @@ class TestIntertwining:
         record = CP3.intertwine_check(GenExpr("E", 1))[0]
         assert record["suite"] == "crossed-product"
         assert record["lhs"] == record["rhs"]
+
+
+class TestPlantedReportDefects:
+    """Each flag of the crossed-product report that reads a closed formula
+    or the transport's inverse fails, with the report still returned, when
+    that one map is planted twice its value."""
+
+    @pytest.mark.parametrize(
+        "name, failed",
+        [
+            ("orbit_multiply", [
+                ("orbit product closed form at colour 2 (5 pairs)", "differs"),
+                ("orbit product closed form at colour 3 (5 pairs)", "differs"),
+            ]),
+            ("twist_multiply", [
+                ("twist product closed form at colour 2 (5 pairs)", "differs"),
+                ("twist product closed form at colour 3 (5 pairs)", "differs"),
+            ]),
+            ("transport_inverse", [
+                ("transport inverts at colour 1", "broken"),
+                ("transport inverts at colour 2", "broken"),
+                ("transport inverts at colour 3", "broken"),
+            ]),
+        ],
+    )
+    def test_a_doubled_map_fails_its_flags(self, name, failed, monkeypatch):
+        real = getattr(CrossedProduct, name)
+        monkeypatch.setattr(CrossedProduct, name, lambda self, *args: real(self, *args).scale(2))
+        records = crossed_product_report(CP3, k_max=3, samples=5, seed=0)
+        assert [(r["case"], r["lhs"]) for r in records if not r["pass"]] == failed

@@ -30,6 +30,7 @@ from planarbox.expressions import (
 )
 from planarbox.group_algebra import (
     AlgebraError,
+    BasisTable,
     GroupPlanarAlgebra,
     PAElement,
     SubgroupBiprojection,
@@ -144,13 +145,12 @@ class TestBuild:
     def test_surround_must_factor_through_inclusion(self, monkeypatch):
         # projecting colour 2 onto the identity label is idempotent but
         # discards elements whose inclusions survive, so the build refuses it
-        P = CP3.product
         e_label = (CP3.semidirect.index(0, 0),)
 
         def collapse(self, x):
             if x.colour != 2:
                 return x
-            return P.element(2, {e_label: x.coefficient(e_label)})
+            return PAElement(2, {e_label: x.coefficient(e_label)})
 
         monkeypatch.setattr(SubgroupBiprojection, "surround", collapse)
         with pytest.raises(AlgebraError, match="factor through inclusion"):
@@ -389,6 +389,78 @@ class TestVerificationReports:
         failed = [r["case"] for r in inter.axiom_report(samples=10, seed=1) if not r["pass"]]
         assert failed == ["substitution sample 5"]
 
+    def test_planted_cap_defect_fails_a_dressed_composite(self, monkeypatch):
+        """A right cap that drops the least label of every result with two
+        or more breaks the composite identity itself, not only its weights:
+        sample 2 fails both of its flags."""
+        real = GroupPlanarAlgebra._act_E
+
+        def dropping(self, target, x):
+            out = real(self, target, x)
+            if len(out.coeffs) < 2:
+                return out
+            coeffs = dict(out.coeffs)
+            del coeffs[min(coeffs)]
+            return PAElement(out.colour, coeffs)
+
+        monkeypatch.setattr(GroupPlanarAlgebra, "_act_E", dropping)
+        inter = IntermediateAlgebra(CrossedProduct(inversion_action(3)).embedded, k_max=4)
+        records = inter.theorem_main_report(samples=3, seed=0)
+        assert [(r["case"], r["lhs"]) for r in records if not r["pass"]] == [
+            ("sample 2: dressed composite", "unequal"),
+            ("sample 2: multiplicativity", "unequal"),
+        ]
+
+    def test_planted_renumbering_defect_fails_a_renumbering_flag(self, monkeypatch):
+        """An evaluator that ignores a renumbering's permutation wherever
+        the inputs still fit the child's slots in their given order."""
+        real = GroupPlanarAlgebra._evaluate
+
+        def unpermuted(self, expr, inputs, last, act):
+            if isinstance(expr, RenumberExpr) and [x.disc() for x in inputs] == list(expr.inner.discs[1]):
+                expr = expr.inner
+            return real(self, expr, inputs, last, act)
+
+        monkeypatch.setattr(GroupPlanarAlgebra, "_evaluate", unpermuted)
+        inter = IntermediateAlgebra(CrossedProduct(inversion_action(3)).embedded, k_max=4)
+        records = inter.axiom_report(samples=30, seed=1)
+        assert [(r["case"], r["lhs"]) for r in records if not r["pass"]] == [
+            ("renumbering sample 29 (perm (3, 1, 2))", "unequal"),
+        ]
+
+    def test_planted_left_cap_defect_fails_the_left_expectation_flags(self, monkeypatch):
+        """``_act_Eprime`` without its ``delta`` scales the left expectation
+        by ``1/delta``, so it neither is idempotent nor keeps ``tr'``."""
+        real = GroupPlanarAlgebra._act_Eprime
+        monkeypatch.setattr(
+            GroupPlanarAlgebra, "_act_Eprime",
+            lambda self, colour, x: real(self, colour, x).scale(self.delta.invert()),
+        )
+        inter = IntermediateAlgebra(CrossedProduct(inversion_action(3)).embedded, k_max=4)
+        failed = [(r["case"], r["lhs"]) for r in inter.trace_report() if not r["pass"]]
+        assert failed == [
+            (case.format(colour), "broken")
+            for colour in (2, 3, 4)
+            for case in ("left expectation idempotent at colour {}",
+                         "left expectation preserves tr' at colour {}")
+        ]
+
+    def test_planted_white_weight_defect_fails_the_ratio_identity(self, inter, monkeypatch):
+        """A white weight off by ``sqrt([Q:N])`` on tangles of three or more
+        internal discs, which no generator has: every white weight record
+        holds, and the ratio identity over glued pairs fails."""
+        real = intermediate.alpha_tilde
+
+        def off(t, ratio):
+            a = real(t, ratio)
+            return a * pow_half(ratio, 1) if len(t.internal) >= 3 else a
+
+        monkeypatch.setattr(intermediate, "alpha_tilde", off)
+        records = inter.dual_report(samples=20)
+        assert [(r["case"], r["lhs"]) for r in records if not r["pass"]] == [
+            ("white capping ratio identity (20 pairs)", "fails"),
+        ]
+
 
 class TestTrivialTwist:
     """With a trivial acting group the cut-down algebra is the whole algebra."""
@@ -571,6 +643,7 @@ class TestSubgroupInstances:
         ]
         assert {leaf.kind for leaf in leaves} == {"unit", "id", "M", "Eprime", "jones", "E", "I"}
         for leaf in leaves:
+            table = BasisTable(sub, 0, ())
             weight = alpha(realize(leaf), len(members))
             pools = [
                 [P.basis_element(d.colour, label, d.shaded) for label in P.basis_labels(d.colour)]
@@ -578,7 +651,7 @@ class TestSubgroupInstances:
             ]
             for xs in itertools.product(*pools):
                 expected = sub.surround(P.act_generator(leaf, xs)).scale(weight)
-                assert sub.act(leaf, xs) == expected, (leaf, xs)
+                assert sub.act(leaf, xs, table) == expected, (leaf, xs)
 
     @pytest.mark.parametrize("cp", [CP3, CP4, CPT], ids=["z3", "z4", "trivial"])
     def test_crossed_instance_is_the_embedded_theta(self, cp):
@@ -805,7 +878,7 @@ class TestMembership:
         verdicts = {True: 0, False: 0}
         for members in generated_subgroups(cp.semidirect):
             inter = IntermediateAlgebra(SubgroupBiprojection(P, members), k_max=4)
-            pool = [P.zero(0), P.zero(0, True), P.unit(0, True).scale(coeffs[2])]
+            pool = [PAElement(0, {}), PAElement(0, {}, True), P.unit(0, True).scale(coeffs[2])]
             for colour in range(5):
                 labels = list(P.basis_labels(colour))
                 basis = inter.basis(colour)
@@ -818,7 +891,7 @@ class TestMembership:
                         moved[rng.choice(sorted(moved))] = rng.choice(coeffs) * 3
                         pool.append(PAElement(colour, moved))
                         pool.append(combo + P.basis_element(colour, rng.choice(labels)))
-                        pool.append(P.element(colour, {
+                        pool.append(PAElement(colour, {
                             lab: rng.choice(coeffs) for lab in rng.sample(labels, 3)
                         }))
             for x in pool:

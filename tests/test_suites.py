@@ -538,7 +538,7 @@ def test_gram_flag_catches_a_planted_defect(defect, monkeypatch):
     elif defect == "into its own row":
         plant_product(monkeypatch, g, h, lambda P, t: P.basis_element(3, other_in_row).scale(pref))
     elif defect == "dropped":
-        plant_product(monkeypatch, g, h, lambda P, t: P.zero(3))
+        plant_product(monkeypatch, g, h, lambda P, t: PAElement(3, {}))
     elif defect == "doubled":
         plant_product(monkeypatch, g, h, lambda P, t: t.scale(2))
     elif defect == "zero pair labelled":

@@ -17,7 +17,6 @@ from planarbox.expressions import (
     ParseError,
     RenumberExpr,
     arity,
-    external_colour,
     generators_with_external,
     parse_expr,
     random_composable_pair,
@@ -36,7 +35,6 @@ from planarbox.tangles import (
     alpha,
     alpha_tilde,
     capping_exponent,
-    capping_exponent_white,
     compose,
     loops_black,
     loops_white,
@@ -96,7 +94,7 @@ class TestGenerators:
         assert loops_black(t) == lb
         assert capping_exponent(t) == c
         assert loops_white(t) == lw
-        assert capping_exponent_white(t) == cw
+        assert alpha_tilde(t, 2) == pow_half(2, cw)
 
     def test_units(self):
         for shaded in (False, True):
@@ -285,6 +283,24 @@ class TestValidate:
         assert validate(t).ok
         assert loops_black(t) == 1
         assert loops_white(t) == 1
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: tangle(Disc(-1)), "negative colour -1"),
+         (lambda: tangle(Disc(1), [Disc(-1)]), "negative colour -1"),
+         (lambda: tangle(Disc(1), closed_loops=-1), "negative closed-loop count")],
+        ids=["external", "internal", "loops"],
+    )
+    def test_constructor_refuses_negative_counts(self, build, message):
+        with pytest.raises(TangleError, match=f"^{message}$"):
+            build()
+
+    def test_negative_colour_is_a_diagnostic(self):
+        """A tangle built past the constructor's checks gets its negative
+        colour named by ``validate``, which does not raise."""
+        diag = validate(Tangle(Disc(1), (Disc(-1),), frozenset(), 0))
+        assert not diag.ok
+        assert diag.problems == ("negative colour -1",)
 
 
 # texts every reader must refuse with a ParseError
@@ -550,7 +566,7 @@ class TestExprBookkeeping:
 
     def test_signature_of_compose(self):
         expr = parse_expr("(compose (gen M 2) 2 (gen E 2 3))")
-        assert external_colour(expr) == Disc(2)
+        assert expr.discs[0] == Disc(2)
         assert slot_colours(expr) == (Disc(2), Disc(3))
         assert arity(expr) == 2
 
@@ -767,8 +783,9 @@ def test_spliced_tangles_are_the_tangles_of_their_strings():
             assert t == twin and twin == t and not t != twin, render_expr(expr)
             assert hash(t) == hash(twin), render_expr(expr)
             assert len({t, twin}) == 1
-            for read in (loops_black, loops_white, capping_exponent, capping_exponent_white):
+            for read in (loops_black, loops_white, capping_exponent):
                 assert read(t) == read(twin), (read.__name__, render_expr(expr))
+            assert alpha_tilde(t, 2) == alpha_tilde(twin, 2), render_expr(expr)
             for u in (t, twin):
                 for name in ("external", "internal", "strings", "closed_loops", "_form"):
                     with pytest.raises(AttributeError):
