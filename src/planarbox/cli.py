@@ -107,11 +107,16 @@ def cmd_suite(args: argparse.Namespace) -> int:
     if args.samples < 1:
         print("--samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.out and not Path(args.out).parent.is_dir():
-        print(f"cannot write report: no directory for {args.out}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out and Path(args.out).is_dir():
-        print(f"cannot write report: {args.out} is a directory", file=sys.stderr)
+    problem = None
+    try:  # an over-long name raises from is_dir itself
+        if args.out and not Path(args.out).parent.is_dir():
+            problem = f"no directory for {args.out}"
+        elif args.out and Path(args.out).is_dir():
+            problem = f"{args.out} is a directory"
+    except OSError as exc:
+        problem = str(exc)
+    if problem:
+        print(f"cannot write report: {problem}", file=sys.stderr)
         return EXIT_USAGE
     try:
         action = _load_action(args.action)

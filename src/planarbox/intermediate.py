@@ -366,8 +366,8 @@ class IntermediateAlgebra:
         P = self.algebra
         records = []
         tr_expected = RadicalScalar.rational(Fraction(1, self.index_qn))
-        for colour in range(2, top + 1):
-            e = self.jones_prime(colour)
+        projections = [self.jones_prime(colour) for colour in range(2, top + 1)]
+        for colour, e in enumerate(projections, start=2):
             prod = self.z_prime(GenExpr("M", colour), [e, e])
             records += [
                 record(suite, f"e'_{colour} idempotent", P.render(prod), P.render(e)),
@@ -376,8 +376,7 @@ class IntermediateAlgebra:
                        self.trace_prime(e).render(), tr_expected.render()),
             ]
         towers = []
-        for position in range(1, top):
-            p = self.jones_prime(position + 1)
+        for position, p in enumerate(projections, start=1):
             for _ in range(top - position - 1):
                 p = self.include_prime(p)
             towers.append(p)

@@ -63,9 +63,10 @@ MAX_KMAX = 4
 # base-algebra checks every pair of basis labels at k_max, dimension(k_max)^2
 # of them: the index table holds one entry per pair, and nothing else does;
 # associativity reads one entry per pair of nonzero products (x_i x_j,
-# x_j x_k) and counts the rest, and the multiply check makes k_max products
-# per label against k_max fixed dimension(k_max)-term right factors, each
-# grouped once.
+# x_j x_k) and counts the rest, star reversal reads each row against one
+# column gathered through the star, and the multiply check makes k_max
+# products per label against k_max fixed dimension(k_max)-term right
+# factors, each grouped once.
 # run_suite refuses more pairs than this before any work starts.  z4xz2 at
 # k_max 4 has 512^2 and z7xz3 at k_max 3 has 441^2, while z7xz3 at k_max 4
 # would have 9261^2 (about 86M).
@@ -157,6 +158,40 @@ def index_table_associative(table: np.ndarray) -> bool:
     return True
 
 
+def star_map(labels: list[Label], stars: list[PAElement]) -> np.ndarray | None:
+    """The star as an index map ``s`` on ``labels``: ``stars[j]`` is the
+    basis element of ``labels[s[j]]`` with coefficient 1, or None when
+    some star is not one label with coefficient 1."""
+    import numpy as np
+
+    # keyed by the coefficient items of the one star each index may have
+    index = {((lab, ONE),): i for i, lab in enumerate(labels)}
+    found = [index.get(tuple(star.coeffs.items())) for star in stars]
+    return None if None in found else np.array(found)
+
+
+def star_reverses_products(table: np.ndarray, star: np.ndarray) -> bool:
+    """Whether ``star(x_i x_j) == star(x_j) star(x_i)`` for every pair of
+    basis labels, read off the basis product table.
+
+    ``table`` is what :meth:`GroupPlanarAlgebra.product_structure` returns,
+    and ``star`` the index map ``s`` of :func:`star_map`.  Every nonzero
+    product is the shared prefactor, a rational power of a square root,
+    times one basis element, and ``star`` keeps coefficients, so both
+    sides are that prefactor times one basis element or zero:
+    ``x_{s[T[i, j]]}`` and ``x_{T[s_j, s_i]}``.  The star reverses products
+    exactly when ``s[T[i, j]] == T[s_j, s_i]`` for all ``i, j``, a -1 (zero
+    product) matching a -1.  That ``multiply`` agrees with the table is the
+    Gram flag's check (:func:`gram_is_identity`).  The table is read one
+    row ``i`` at a time, against the column ``T[s, s_i]``, so no scratch
+    array has an entry per entry of the table.
+    """
+    import numpy as np
+
+    starred = np.append(star, -1)  # the -1 of a zero product reads -1
+    return all((starred[row] == table[star, s_i]).all() for row, s_i in zip(table, star))
+
+
 def gram_is_identity(
     P: GroupPlanarAlgebra,
     colour: int,
@@ -164,7 +199,7 @@ def gram_is_identity(
     labels: list[Label],
     prefactor: RadicalScalar,
     basis: list[PAElement],
-    stars: list[PAElement],
+    star: np.ndarray,
     traces: list[RadicalScalar],
 ) -> bool:
     """Whether the label basis at a colour is orthonormal under ``tr(y* x)``,
@@ -172,10 +207,10 @@ def gram_is_identity(
     that table on every pair of basis labels.
 
     ``(table, labels, prefactor)`` is what
-    :meth:`GroupPlanarAlgebra.product_structure` returns; ``basis``,
-    ``stars`` and ``traces`` hold the basis element of each label, its star
-    and its trace, in the order of ``labels``.  Each star must be one label
-    with coefficient 1, which makes ``star`` an index map ``s``; then
+    :meth:`GroupPlanarAlgebra.product_structure` returns; ``basis`` and
+    ``traces`` hold the basis element of each label and its trace, in the
+    order of ``labels``, and ``star`` is the star's index map ``s`` of
+    :func:`star_map`.  Then
     ``tr(S(labels[j])* S(labels[i]))`` is ``prefactor * traces[table[s_j, i]]``,
     zero where the entry is -1.  So row j of the Gram matrix is the identity
     row exactly when table row ``s_j`` has one product of nonzero trace, at
@@ -186,14 +221,9 @@ def gram_is_identity(
     """
     import numpy as np
 
-    index = {lab: i for i, lab in enumerate(labels)}
     # one more False entry, read by the -1 of a zero product
     nonzero = np.array([not t.is_zero() for t in traces] + [False])
-    for j, star in enumerate(stars):
-        terms = list(star.coeffs.items())
-        if len(terms) != 1 or terms[0][1] != ONE or terms[0][0] not in index:
-            return False
-        row = table[index[terms[0][0]]]
+    for j, row in enumerate(map(table.__getitem__, star)):
         if np.flatnonzero(nonzero[row]).tolist() != [j] or prefactor * traces[row[j]] != ONE:
             return False
     return _multiply_matches_table(P, colour, basis, table, labels, prefactor)
@@ -265,14 +295,18 @@ def base_algebra_report(
     per label, and every check of the colour reads those lists.  The basis
     products of a colour are one ``int32`` index table and a shared
     prefactor (:meth:`GroupPlanarAlgebra.product_structure`).
-    Associativity is checked on that table (:func:`index_table_associative`),
-    and the Gram matrix is read off it with the shared stars and traces
-    (:func:`gram_is_identity`).  Both stand on the table, so the Gram flag
-    also checks that ``multiply`` agrees with it, prefactor included, on
-    every pair of labels, with ``colour`` products per left label.  The
-    table is dropped once both flags are read, before the unit, star,
-    trace, inclusion and Markov checks run element by element over the
-    basis.
+    The stars give one index map (:func:`star_map`).  Three flags read the
+    table on every pair of labels: associativity
+    (:func:`index_table_associative`), star reversal with the map
+    (:func:`star_reverses_products`), and the Gram matrix with the map and
+    the shared traces (:func:`gram_is_identity`).  All three stand on the
+    table, so the Gram flag also checks that ``multiply`` agrees with it,
+    prefactor included, on every pair of labels, with ``colour`` products
+    per left label.  The table is dropped once the three flags are read,
+    before the unit, star, trace, inclusion and Markov checks run element
+    by element over the basis.  No check is sampled, so ``samples`` and
+    ``seed`` are read by nothing; they stay for the keyword call every
+    suite takes.
 
     One loop runs every check of a colour and drops its lists before the
     next colour.  The records of the unit go to their own list, returned
@@ -292,7 +326,6 @@ def base_algebra_report(
             record(suite, f"trace of the unit at colour {colour}", P.trace(one).render(), "1"),
         ]
 
-    rng = random.Random(seed)
     inv_order = Fraction(1, n)
     units = unit_records(1, [P.basis_element(1)])
     records = []
@@ -303,16 +336,17 @@ def base_algebra_report(
         basis = [P.basis_element(colour, lab) for lab in labels]
         stars = [P.star(b) for b in basis]
         traces = [P.trace(b) for b in basis]
-        orthonormal = gram_is_identity(P, colour, table, labels, prefactor, basis, stars, traces)
+        star = star_map(labels, stars)
+        # a star that is not one label with coefficient 1 fails both flags
+        reverses = star is not None and star_reverses_products(table, star)
+        orthonormal = star is not None and gram_is_identity(
+            P, colour, table, labels, prefactor, basis, star, traces
+        )
         # the element-by-element checks, and the memos they grow at
         # colour + 1, do not stack on top of the table
         del table, labels
         units += unit_records(colour, basis)
         size = len(basis)
-        if size * size <= 2000:
-            pairs = [(i, j) for i in range(size) for j in range(size)]
-        else:
-            pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(samples)]
         include = GenExpr("I", colour)
         e_up = P.jones_element(colour + 1)
         records += [
@@ -322,10 +356,8 @@ def base_algebra_report(
                    prefactor.render(), pow_half(n, (colour + 1) // 2 - 1).render()),
             flag(suite, f"star is an involution at colour {colour}",
                  all(P.star(s) == b for s, b in zip(stars, basis)), "involution", "broken"),
-            flag(suite, f"star reverses products at colour {colour} ({len(pairs)} pairs)",
-                 all(P.star(P.multiply(basis[i], basis[j])) == P.multiply(stars[j], stars[i])
-                     for i, j in pairs),
-                 "antihomomorphism", "broken"),
+            flag(suite, f"star reverses products at colour {colour} ({size * size} pairs)",
+                 reverses, "antihomomorphism", "broken"),
             flag(suite, f"Gram matrix of the label basis is the identity at colour {colour}",
                  orthonormal, "orthonormal", "degenerate"),
             flag(suite, f"trace is star-invariant at colour {colour}",

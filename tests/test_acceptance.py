@@ -96,8 +96,9 @@ def test_criterion_02_weight_ratio_identity():
 def test_criterion_03_ambient_algebra_ring_axioms():
     _all_pass(base_algebra_report(CP, k_max=4))
     _all_pass(base_algebra_report(CP4, k_max=3))
-    # the suite samples the star antihomomorphism at colour 4 where the
-    # basis is large; redo it exhaustively on the integer index table
+    # the suite checks the star antihomomorphism on every pair, reading the
+    # index table one row at a time; redo it independently here, parsing
+    # each star afresh and comparing the whole table in one gather
     P = CP.product
     for colour in (2, 3, 4):
         table, labels, _ = P.product_structure(colour)

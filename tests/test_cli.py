@@ -1,5 +1,6 @@
 """CLI behaviour: output formats, exit codes, report determinism."""
 
+import errno
 import hashlib
 import itertools
 import json
@@ -230,6 +231,26 @@ class TestAlphaCommand:
         assert captured.out == ""
         assert captured.err.startswith("parse error: bad ")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(gen id {n})", "bad colour token {n!r}"),
+            ("(compose (gen id 2) {n} (gen id 2))", "bad slot index {n!r}"),
+            ("(renumber ({n} 1) (gen M 2))", "bad permutation {images!r}"),
+        ],
+        ids=["colour", "slot", "image"],
+    )
+    def test_numeral_longer_than_int_converts_exits_2(self, text, message, capsys):
+        """A numeral of ASCII digits that ``int()`` refuses for its length
+        (5,000 digits, past the interpreter's 4,300) is a bad number like
+        any other, not a traceback."""
+        n = "1" * 5000
+        assert 0 < sys.get_int_max_str_digits() < len(n)
+        assert main(["alpha", text.format(n=n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message.format(n=n, images=[n, '1'])}\n"
+
     def test_unknown_generator_exits_2(self, capsys):
         assert main(["alpha", "(gen wobble 2)"]) == 2
 
@@ -436,6 +457,40 @@ class TestSuiteCommand:
         # the parent exists, but the target is a directory
         assert main(["suite", "jones", "--kmax", "2", "--out", str(tmp_path)]) == 2
         assert "cannot write report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["name", "directory"])
+    def test_over_long_out_exits_2_before_any_suite_work(
+        self, where, tmp_path, monkeypatch, capsys
+    ):
+        """A file or directory name past the file system's limit makes the
+        path checks themselves raise; that is a report that cannot be
+        written, not a failed record."""
+        import planarbox.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("suite ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_suite", refuse)
+        long = "x" * 300
+        out = tmp_path / f"{long}.json" if where == "name" else tmp_path / long / "r.json"
+        assert main(["suite", "jones", "--kmax", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write report: [Errno {errno.ENAMETOOLONG}] ")
+
+    def test_a_write_that_fails_exits_2(self, tmp_path, monkeypatch, capsys):
+        """The write itself failing after the suite ran (a full disk, say)
+        is exit 2 with the error, and nothing is reported as written."""
+
+        def fail(self, *args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail)
+        out = tmp_path / "r.json"
+        assert main(["suite", "jones", "--kmax", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "cannot write report: [Errno 28] No space left on device\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_failures_exit_1_with_report(self, tmp_path, monkeypatch, capsys):
         import planarbox.cli as cli

@@ -233,6 +233,17 @@ class TestJonesFamily:
         assert len(records) == 14
         assert all(r["pass"] for r in records)
 
+    def test_report_builds_each_projection_once(self, inter, monkeypatch):
+        """The Temperley-Lieb towers start from the projections the
+        projection records built, one per colour."""
+        built = []
+        real = IntermediateAlgebra.jones_prime
+        monkeypatch.setattr(
+            IntermediateAlgebra, "jones_prime", lambda self, c: built.append(c) or real(self, c)
+        )
+        assert all(r["pass"] for r in inter.jones_report(top=4))
+        assert built == [2, 3, 4]
+
     def test_report_case_names(self, inter):
         cases = [r["case"] for r in inter.jones_report(top=3)]
         assert "e'_2 idempotent" in cases

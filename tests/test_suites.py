@@ -23,17 +23,20 @@ from planarbox.suites import SUITE_NAMES, SuiteError, run_suite
 ACTIONS = Path(__file__).resolve().parent.parent / "actions"
 
 # sha256 of json.dumps(run_suite("all", action, k_max=3, samples=3, seed=0),
-# sort_keys=True), with the record count; any refactor must keep both
+# sort_keys=True), with the record count; any refactor must keep both.
+# z4xz2, z7xz3 and s4 re-taken when base-algebra's star reversal came to
+# read every pair off the index table: only the colour-3 star-reversal case
+# name moved, from "(3 pairs)" to the dimension squared
 GOLDEN = {
     "z3xz2": (167, "fb94503d50ec345c0d04e550f327599ff48bbe6591bc353cf221619c0e4bd2d0"),
-    "z4xz2": (262, "9e7307a929e39dcca8948b44d3a6208882d9e3bb6114a94835a5d0ad4614725b"),
+    "z4xz2": (262, "dc2530f50588bd3d5cfbb37e52e4cd66994bb625e7c0292a06c9a0461f66287a"),
     "z3-trivial": (236, "ea9650035763744cec1105b5594e747e6be35cbc27a21a620f051f6da1093693"),
     # Z7 x| Z3, Theta acting by x -> 2x and x -> 4x: the one Theta that is
     # not an involution
-    "z7xz3": (478, "1bce3677ef5d053ad95087808615706b69278bbf57278ee4f4f162fbb37471bc"),
+    "z7xz3": (478, "6c88dbf10297e7877cc996dfd4fa94f8c20836fa11f2aa141c7449f93bac2ac7"),
     # Z2^2 x| S3 = S4, S3 permuting the three involutions: the one Theta
     # that is not abelian
-    "s4": (185, "0544f6db01447084009f4a01aa3bde3ea8b41fb7224158f29d08e10677fb7dfb"),
+    "s4": (185, "7441e54dee37c663d0ed7cc0388cc54be9dbc4bd56fb16d3b1cbc278951ae7e0"),
 }
 
 
@@ -51,10 +54,11 @@ def test_all_suites_report_is_pinned(stem):
 
 # the same for z3xz2 at both ends of the k_max range; k_max 2 re-taken when
 # the dual suite stopped reporting colour-3 weights and ranks above k_max
-# (99 records before, 94 after)
+# (99 records before, 94 after); k_max 4 re-taken when base-algebra's star
+# reversal came to read every pair (the colour-4 case read "(3 pairs)")
 GOLDEN_RANGE_ENDS = {
     2: (94, "3a519424792078ee476dea4952431156ccf73510ce91c8638d6797d07b2730fc"),
-    4: (212, "611fe5fdd54f10d6ecece2048e29ccd6a21116808d8574ae3e6e00d3e4b37664"),
+    4: (212, "68100ecc1daf3885255c09fa27002d342b2062f414a923e3921c6bc0e17b7c38"),
 }
 
 
@@ -78,12 +82,13 @@ def test_trivial_action_at_k_max_4_is_pinned():
 
 def test_z4xz2_base_algebra_at_k_max_4_is_pinned():
     """The benchmark's exact structure case, at the default samples; digest
-    taken before the Gram matrix was read off the index table."""
+    re-taken when star reversal came to read every pair off the index
+    table (its colour-3 and colour-4 cases read "(40 pairs)")."""
     records = run_suite("base-algebra", action("z4xz2"), k_max=4, samples=40, seed=0)
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert [r["case"] for r in records if not r["pass"]] == []
     assert (len(records), digest) == (
-        32, "ed04b0f4d9fd5a8cd1303106ddab5417996eca324a918739712dbf0ca94a8f39"
+        32, "470619d038185187d403e7e29e699692eb2ca928a2e4196848671187e9c9f56d"
     )
 
 
@@ -146,9 +151,11 @@ def test_substitution_suites_at_defaults_are_pinned(name):
 # z7xz3 jones and dual entries, the only colour-4 cut-down over a group of
 # order 21 here, were taken while the basis still surrounded every label,
 # and the s4 and z7xz3 biprojection entries, whose surround ranks run over
-# 13,824 and 9,261 labels at colour 4, while that suite still did.
+# 13,824 and 9,261 labels at colour 4, while that suite still did.  z3xz2
+# base-algebra was re-taken when star reversal came to read every pair off
+# the index table; its colour-4 case read "(40 pairs)".
 GOLDEN_DEFAULTS = {
-    ("z3xz2", "base-algebra"): (32, "d20d3d174730059696d9fd8943328082204484f3e359e0ee5186958b5be67d36"),
+    ("z3xz2", "base-algebra"): (32, "44188169f66f702adc498304dd46175530f8657e4059db6bbded4b25de478772"),
     ("z3xz2", "crossed-product"): (81, "1305af2610198ff108affb45e7b284b4a2d2bc20694790b6a4ad3d8cd5c78335"),
     ("z3xz2", "biprojection"): (19, "9c1f7e89b7d6e367e70a8448b434d0154cfb4a523c346ebbe6833c3b25aebf8f"),
     ("z3xz2", "jones"): (14, "844656a074466f2047a72f3c2c939f6b8744a2b6363db1392743164ac480661a"),
@@ -288,13 +295,14 @@ def test_z4xz2_base_algebra_work_is_pinned(monkeypatch):
     """The basis elements, stars, traces and multiplies of base-algebra on
     z4xz2 at k_max 4.  Each colour's label basis is built once, 585 labels
     over colours 1-4, with one star and one trace per label that every
-    check of the colour reads; the stars of the sampled products are the
-    only others.  Building the basis once per check read 1,753 / 2,768 /
-    4,092 / 4,298."""
+    check of the colour reads.  Building the basis once per check read
+    1,753 / 2,768 / 4,092 / 4,298, and star reversal on 40 sampled pairs
+    at colours 3 and 4, before it read the index table, 585 / 1,312 /
+    2,340 / 4,298."""
     calls = count_calls(monkeypatch, "basis_element", "star", "trace", "multiply")
     run_suite("base-algebra", action("z4xz2"), k_max=4, samples=40, seed=0)
     counts = tuple(calls[m] for m in ("basis_element", "star", "trace", "multiply"))
-    assert counts == (585, 1312, 2340, 4298)
+    assert counts == (585, 1168, 2340, 4010)
 
 
 @pytest.mark.parametrize("k_max", [1, 5, 9])
@@ -586,11 +594,11 @@ def test_gram_flag_catches_a_planted_off_diagonal_trace(monkeypatch):
 
 def gram_from_labels(P, colour, table, labels, prefactor) -> bool:
     """:func:`suites.gram_is_identity` on the basis of ``labels``, with the
-    stars and traces base-algebra shares among its checks."""
+    star map and traces base-algebra shares among its checks."""
     basis = [P.basis_element(colour, lab) for lab in labels]
-    stars = [P.star(b) for b in basis]
+    star = suites.star_map(labels, [P.star(b) for b in basis])
     traces = [P.trace(b) for b in basis]
-    return suites.gram_is_identity(P, colour, table, labels, prefactor, basis, stars, traces)
+    return suites.gram_is_identity(P, colour, table, labels, prefactor, basis, star, traces)
 
 
 class TwoLabelAlgebra:
@@ -681,6 +689,85 @@ def test_table_check_reads_every_letter(colour):
     assert sum(differing.values()) >= 12 * 2
 
 
+STAR_REVERSAL_AT_4 = "star reverses products at colour 4 (262144 pairs)"
+
+
+def test_star_reversal_catches_a_swap_the_sampled_pairs_missed(monkeypatch):
+    """The star of Z4 x| Z2 with the images of two colour-4 labels swapped:
+    two labels that none of the 40 pairs the flag once drew there from
+    seed 0 has as a factor or as its product.  On those pairs the patched
+    star still reverses products, as the sampled flag found; the table
+    check over all 512^2 pairs fails."""
+    import random
+
+    P = CrossedProduct(action("z4xz2")).product
+    table, labels, _ = P.product_structure(4)
+    rng = random.Random(0)
+    for size in (64, 512):  # the draw at colour 3, then at colour 4
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(40)]
+    touched = {k for i, j in pairs for k in (i, j, int(table[i, j]))}
+    a, b = [lab for k, lab in enumerate(labels) if k not in touched][:2]
+    real = GroupPlanarAlgebra.star
+    (sa,), (sb,) = (real(P, P.basis_element(4, lab)).coeffs for lab in (a, b))
+    swap = {sa: sb, sb: sa}
+
+    def star(self, x):
+        y = real(self, x)
+        if x.colour != 4:
+            return y
+        return PAElement(4, {swap.get(lab, lab): c for lab, c in y.coeffs.items()})
+
+    monkeypatch.setattr(GroupPlanarAlgebra, "star", star)
+    basis = [P.basis_element(4, lab) for lab in labels]
+    assert all(
+        P.star(P.multiply(basis[i], basis[j])) == P.multiply(P.star(basis[j]), P.star(basis[i]))
+        for i, j in pairs
+    )
+    records = suites.base_algebra_report(CrossedProduct(action("z4xz2")), k_max=4)
+    failed = [r["case"] for r in records if not r["pass"]]
+    assert [c for c in failed if c.startswith("star reverses")] == [STAR_REVERSAL_AT_4]
+
+
+def test_base_algebra_reads_neither_samples_nor_seed():
+    """Every flag of base-algebra reads every pair, so the sample count and
+    the seed change no record; the star-reversal cases here once read
+    ``(1 pairs)`` and ``(40 pairs)``."""
+    one = suites.base_algebra_report(CrossedProduct(action("z4xz2")), k_max=4, samples=1, seed=0)
+    forty = suites.base_algebra_report(CrossedProduct(action("z4xz2")), k_max=4, samples=40, seed=7)
+    assert one == forty
+    assert STAR_REVERSAL_AT_4 in [r["case"] for r in one if r["pass"]]
+
+
+@pytest.mark.parametrize(
+    "stem,colour",
+    [("z3-trivial", 2), ("z3-trivial", 3), ("z3-trivial", 4), ("z3xz2", 2), ("z3xz2", 3)],
+)
+def test_star_reversal_table_check_agrees_with_the_elements(stem, colour):
+    """On every colour where base-algebra once compared elements on all
+    pairs, :func:`suites.star_reverses_products` agrees with
+    ``star(x_i x_j) == star(x_j) star(x_i)`` compared element by element:
+    for ``star``, which reverses every product, and for the star with the
+    images of the first two labels swapped, which does not."""
+    P = CrossedProduct(action(stem)).product
+    table, labels, _ = P.product_structure(colour)
+    basis = [P.basis_element(colour, lab) for lab in labels]
+    star = suites.star_map(labels, [P.star(b) for b in basis])
+    swapped = star.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    def swapped_star(x):
+        return PAElement(colour, {labels[swapped[index[lab]]]: c for lab, c in x.coeffs.items()})
+
+    for s, star_of, expected in ((star, P.star, True), (swapped, swapped_star, False)):
+        by_elements = all(
+            star_of(P.multiply(x, y)) == P.multiply(star_of(y), star_of(x))
+            for x in basis
+            for y in basis
+        )
+        assert suites.star_reverses_products(table, s) == by_elements == expected
+
+
 def test_base_algebra_multiplies_linearly_in_the_dimension(monkeypatch):
     """The colour-4 products of base-algebra on Z3 x| Z2 (216 labels) grow
     with the dimension, not with its square (46,656 for the Gram loop over
@@ -708,18 +795,17 @@ def test_base_algebra_multiplies_linearly_in_the_dimension(monkeypatch):
     monkeypatch.setattr(GroupPlanarAlgebra, "multiply", counting)
     monkeypatch.setattr(group_algebra, "coefficient_classes", classes)
     cp = CrossedProduct(action("z3xz2"))
-    samples = 40
-    assert all(r["pass"] for r in suites.base_algebra_report(cp, k_max=4, samples=samples))
+    assert all(r["pass"] for r in suites.base_algebra_report(cp, k_max=4, samples=40))
     dim = cp.product.dimension(4)
     assert dim == 216
     # Gram flag: one count and three letter products per label; unit: two
-    # per label; star reversal: two per sampled pair; the colour-3 Markov
-    # check multiplies at colour 4, once per colour-3 label
-    assert calls[4] <= (4 + 2) * dim + 2 * samples + cp.product.dimension(3)
+    # per label; the colour-3 Markov check multiplies at colour 4, once per
+    # colour-3 label.  Star reversal reads the table and multiplies nothing.
+    assert calls[4] <= (4 + 2) * dim + cp.product.dimension(3)
     # right factors grouped: the unit and each label (unit check), the four
-    # encoded factors (Gram flag), two per sampled pair (star reversal) and
-    # the Jones element (the colour-3 Markov check)
-    assert groupings[4] <= (dim + 1) + 4 + 2 * samples + 1
+    # encoded factors (Gram flag) and the Jones element (the colour-3
+    # Markov check)
+    assert groupings[4] <= (dim + 1) + 4 + 1
 
 
 def test_suite_names_in_order():
